@@ -36,7 +36,7 @@ fn bench_deterministic_baseline(c: &mut Criterion) {
     for n in [1_000usize, 10_000, 50_000] {
         let (db, q) = setup(4, n);
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| deterministic_answers(&db, &q).expect("eval").len())
+            b.iter(|| deterministic_answers(&db, &q, 1).expect("eval").len())
         });
     }
     g.finish();

@@ -15,8 +15,7 @@ use lapush_bench::{
 };
 use lapushdb::workload::{tpch_db, tpch_query, TpchConfig};
 use lapushdb::{
-    exact_answers_bounded, lineage_stats, mc_answers_threaded, rank_by_dissociation, OptLevel,
-    RankOptions,
+    exact_answers_bounded, lineage_stats, mc_answers, rank_by_dissociation, OptLevel, RankOptions,
 };
 
 fn main() {
@@ -72,8 +71,7 @@ fn main() {
         let q = tpch_query(p1, param2);
 
         let t_sql = measure::run(bench.spec(), || {
-            lapushdb::engine::deterministic_answers_par(&db, &q, lapush_bench::threads())
-                .expect("sql")
+            lapushdb::engine::deterministic_answers(&db, &q, lapush_bench::threads()).expect("sql")
         });
         let t_diss = measure::run(bench.spec(), || {
             rank_by_dissociation(
@@ -125,7 +123,7 @@ fn main() {
         // Intensional methods are too expensive to repeat: single-shot.
         let t_mc = if max_lin <= mc_cap {
             let timed = measure::run(MeasureSpec::once(), || {
-                mc_answers_threaded(&db, &q, 1000, 5, lapush_bench::threads()).expect("mc")
+                mc_answers(&db, &q, 1000, 5, lapush_bench::threads()).expect("mc")
             });
             bench.push(Metric::timing(
                 format!("mc1k_p{p1}"),

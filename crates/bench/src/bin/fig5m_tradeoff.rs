@@ -57,7 +57,7 @@ fn main() {
                     let diss = eval_plan(&db, &q, r_plan, ExecOptions::default()).expect("eval");
                     diss_aps.push(ap_against(&diss, &gt, 10));
                     for (i, &x) in mc_budgets.iter().enumerate() {
-                        let mc = mc_answers(&db, &q, x, 31 + rep as u64).expect("mc");
+                        let mc = mc_answers(&db, &q, x, 31 + rep as u64, 1).expect("mc");
                         mc_aps[i].push(ap_against(&mc, &gt, 10));
                     }
                 }

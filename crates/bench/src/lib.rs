@@ -393,7 +393,7 @@ impl Method {
 /// Run one strategy, returning the number of answers and the wall time.
 /// Honors the `--threads` flag of the calling experiment binary.
 pub fn run_method(db: &Database, q: &Query, m: Method) -> (usize, Duration) {
-    use lapushdb::engine::deterministic_answers_par;
+    use lapushdb::engine::deterministic_answers;
     use lapushdb::{rank_by_dissociation, OptLevel, RankOptions};
     let threads = threads();
     let opts = |opt| RankOptions {
@@ -416,7 +416,7 @@ pub fn run_method(db: &Database, q: &Query, m: Method) -> (usize, Duration) {
         Method::Opt123 => rank_by_dissociation(db, q, opts(OptLevel::Opt123))
             .expect("eval ok")
             .len(),
-        Method::Sql => deterministic_answers_par(db, q, threads)
+        Method::Sql => deterministic_answers(db, q, threads)
             .expect("eval ok")
             .len(),
     };

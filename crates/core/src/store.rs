@@ -70,6 +70,19 @@ pub enum NodeKind {
     },
 }
 
+impl NodeKind {
+    /// The node's child plans (none for a scan), in operand order — the
+    /// one place that knows where each variant keeps its inputs, so DAG
+    /// walks need no per-variant `match`.
+    pub fn inputs(&self) -> &[PlanId] {
+        match self {
+            NodeKind::Scan { .. } => &[],
+            NodeKind::Project { input } => std::slice::from_ref(input),
+            NodeKind::Join { inputs } | NodeKind::Min { inputs } => inputs,
+        }
+    }
+}
+
 /// One interned plan node: payload plus the subquery key
 /// `(atoms_mask, head)` it computes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -273,25 +286,24 @@ impl PlanStore {
 
     // -- DAG statistics -----------------------------------------------------
 
-    /// Number of distinct nodes reachable from `roots`.
-    pub fn reachable_count(&self, roots: &[PlanId]) -> usize {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack: Vec<PlanId> = roots.to_vec();
-        let mut count = 0usize;
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id.0 as usize], true) {
-                continue;
-            }
-            count += 1;
-            match &self.node(id).kind {
-                NodeKind::Scan { .. } => {}
-                NodeKind::Project { input } => stack.push(*input),
-                NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                    stack.extend(inputs.iter().copied());
-                }
+    /// The distinct nodes reachable from `roots`, in ascending id order
+    /// (children before parents). Children have smaller ids than their
+    /// parents, so draining a max-heap pops every node only after all of
+    /// its parents have pushed it: duplicates surface adjacent, and the
+    /// walk costs `O(edges · log)` of the reachable subgraph — nothing
+    /// proportional to the whole store, which matters when this is called
+    /// once per root of a large plan set.
+    pub fn reachable(&self, roots: &[PlanId]) -> Vec<PlanId> {
+        let mut heap: std::collections::BinaryHeap<PlanId> = roots.iter().copied().collect();
+        let mut out: Vec<PlanId> = Vec::new();
+        while let Some(id) = heap.pop() {
+            if out.last() != Some(&id) {
+                out.push(id);
+                heap.extend(self.node(id).kind.inputs());
             }
         }
-        count
+        out.reverse();
+        out
     }
 
     /// Per-node materialized-tree sizes (what [`Plan::size`] would return
@@ -301,14 +313,8 @@ impl PlanStore {
     pub fn tree_sizes(&self) -> Vec<u128> {
         let mut sizes: Vec<u128> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let size = 1 + match &node.kind {
-                NodeKind::Scan { .. } => 0,
-                NodeKind::Project { input } => sizes[input.0 as usize],
-                NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                    inputs.iter().map(|c| sizes[c.0 as usize]).sum()
-                }
-            };
-            sizes.push(size);
+            let below: u128 = node.kind.inputs().iter().map(|c| sizes[c.index()]).sum();
+            sizes.push(1 + below);
         }
         sizes
     }
@@ -391,7 +397,7 @@ impl PlanSet {
 
     /// Distinct interned nodes reachable from the roots — the DAG size.
     pub fn dag_node_count(&self) -> usize {
-        self.store.reachable_count(&self.roots)
+        self.store.reachable(&self.roots).len()
     }
 
     /// Total nodes if every root were materialized as an independent tree —
@@ -516,6 +522,68 @@ mod tests {
         };
         let sizes = store.tree_sizes();
         assert_eq!(sizes[root.index()], store.plan(root).size() as u128);
-        assert_eq!(store.reachable_count(&[root]), store.len());
+        assert_eq!(store.reachable(&[root]).len(), store.len());
+    }
+
+    #[test]
+    fn inputs_list_each_variants_children() {
+        let s = shape_of("q :- R(x), S(x, y), T(y)");
+        let mut store = PlanStore::new();
+        let (r, sc, t) = (store.scan(&s, 0), store.scan(&s, 1), store.scan(&s, 2));
+        assert!(store.node(r).kind.inputs().is_empty());
+        let j = store.join(vec![sc, t]);
+        assert_eq!(store.node(j).kind.inputs(), &[sc, t]);
+        let p = store.project(s.atom_vars[0], j);
+        assert_eq!(store.node(p).kind.inputs(), &[j]);
+        let rj = store.join(vec![r, p]);
+        let a = store.project(VarSet::EMPTY, rj);
+        let rs = store.join(vec![r, sc]);
+        let rs = store.project(s.atom_vars[2], rs);
+        let rst = store.join(vec![rs, t]);
+        let b = store.project(VarSet::EMPTY, rst);
+        let m = store.min_of(vec![b, a]);
+        assert_eq!(store.node(m).kind.inputs(), &[a.min(b), a.max(b)]);
+    }
+
+    /// The stack walk `reachable` replaced (the old `reachable_count`).
+    fn reachable_by_stack(store: &PlanStore, roots: &[PlanId]) -> usize {
+        let mut seen = vec![false; store.len()];
+        let mut stack: Vec<PlanId> = roots.to_vec();
+        let mut count = 0;
+        while let Some(id) = stack.pop() {
+            if !std::mem::replace(&mut seen[id.index()], true) {
+                count += 1;
+                stack.extend(store.node(id).kind.inputs());
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn reachable_is_ascending_deduplicated_and_complete() {
+        // The 7-chain: 132 minimal plans sharing a DAG of a few hundred
+        // nodes, most of them reachable from many roots.
+        let chain7 = "q(x0, x7) :- R1(x0, x1), R2(x1, x2), R3(x2, x3), R4(x3, x4), \
+                      R5(x4, x5), R6(x5, x6), R7(x6, x7)";
+        let set = crate::minimal_plan_set(&shape_of(chain7));
+        assert_eq!(set.roots.len(), 132);
+        let all = set.store.reachable(&set.roots);
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "ascending, distinct");
+        assert_eq!(all.len(), reachable_by_stack(&set.store, &set.roots));
+        assert_eq!(all.len(), set.dag_node_count());
+        for &root in &set.roots {
+            let one = set.store.reachable(&[root]);
+            assert!(one.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(one.last(), Some(&root), "a root is its own largest id");
+            assert_eq!(one.len(), reachable_by_stack(&set.store, &[root]));
+            assert!(one.iter().all(|id| all.binary_search(id).is_ok()));
+        }
+        // Duplicate roots change nothing.
+        let twice = [set.roots[0], set.roots[0]];
+        assert_eq!(
+            set.store.reachable(&twice),
+            set.store.reachable(&set.roots[..1])
+        );
+        assert!(set.store.reachable(&[]).is_empty());
     }
 }

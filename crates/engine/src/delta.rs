@@ -1,12 +1,13 @@
 //! Incremental re-scoring under streaming deltas (DBSP-style view
 //! maintenance).
 //!
-//! [`IncrementalEval`] evaluates a plan set once while **capturing** every
-//! node's materialized result — the same `PlanId`-keyed memo the batch
-//! evaluator uses, promoted to a persistent cached-view store — and then
-//! consumes append-only database growth as sorted [`DeltaBatch`] appendices,
-//! propagating per-node *effective deltas* (new rows plus rows whose score
-//! changed) up the plan DAG instead of re-evaluating from scratch.
+//! [`IncrementalEval`] evaluates a plan set once — with the batch
+//! evaluator itself (`crate::exec::Evaluator`), keeping its `PlanId`-keyed
+//! memo as a persistent cached-view store plus each join's fold order and
+//! intermediates — and then consumes append-only database growth as sorted
+//! [`DeltaBatch`] appendices, propagating per-node *effective deltas* (new
+//! rows plus rows whose score changed) up the plan DAG instead of
+//! re-evaluating from scratch.
 //!
 //! # Delta algebra
 //!
@@ -39,7 +40,7 @@
 //!   order-insensitive selection, and key sets only grow, so the affected
 //!   keys (the union of the input deltas) are re-folded left-to-right
 //!   across the updated input views — the same sequence
-//!   [`min_combine_par`] applies.
+//!   [`crate::rel::min_combine_par`] applies.
 //!
 //! # Fallback rules
 //!
@@ -54,15 +55,19 @@
 //!
 //! [`prob_epoch`]: lapush_storage::Relation::prob_epoch
 
-use crate::exec::{decode_answers, scan_atom, AnswerSet, ExecError, ExecOptions, Semantics};
+use crate::exec::{
+    decode_answers, decoded_rows, project, scan_atom, AnswerSet, Evaluator, ExecError, ExecOptions,
+    ScanRows, Semantics, ShRel,
+};
 use crate::prepare::{prepare_atoms, ScanShape};
 use crate::rel::{
-    diff_changed, fold_run_max, fold_run_or, join_order, join_par, merge_upsert, min_combine_par,
-    min_into_par, project_det_par, project_max_par, project_prob_par, Par, Rel, Scratch,
+    diff_changed, fold_run_max, fold_run_or, join_fold, join_order, join_par, merge_upsert,
+    min_into_par, JoinState, Par, Rel, Scratch,
 };
 use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, Var};
-use lapush_storage::{Database, DeltaBatch, FxHashMap, RelId, Value, Vid};
+use lapush_storage::{Database, DeltaBatch, FxHashMap, RelId, Vid};
+use std::sync::Arc;
 
 /// What one [`IncrementalEval::apply_deltas`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,13 +93,6 @@ struct AtomSnap {
     prob_epoch: u64,
 }
 
-/// Cached greedy fold order and intermediate accumulators of one `Join`
-/// node (all accumulators except the final one, which is the node's view).
-struct JoinState {
-    order: Vec<usize>,
-    mids: Vec<Rel>,
-}
-
 /// A captured evaluation: every plan node's materialized view plus the
 /// bookkeeping needed to consume append-only deltas. Build with
 /// [`IncrementalEval::new`] (one full evaluation, bit-identical to
@@ -107,7 +105,9 @@ pub struct IncrementalEval {
     /// hash-consing interns children first).
     nodes: Vec<PlanId>,
     atoms: Vec<AtomSnap>,
-    views: FxHashMap<PlanId, Rel>,
+    /// Every reachable node's materialized result (the evaluator's memo).
+    views: FxHashMap<PlanId, ShRel>,
+    /// Fold order and intermediate accumulators of every `Join` node.
     joins: FxHashMap<PlanId, JoinState>,
     /// Min-fold over the root views, in root order.
     root_acc: Rel,
@@ -127,9 +127,9 @@ impl IncrementalEval {
         opts: ExecOptions,
     ) -> Result<IncrementalEval, ExecError> {
         assert!(!roots.is_empty(), "no plans to evaluate");
-        let prepared = prepare_atoms(db, q)?;
-        let atoms = prepared
-            .iter()
+        let mut ev = Evaluator::new(db, q, store, opts, true)?;
+        ev.capture_joins();
+        let atoms = (ev.prepared.iter())
             .map(|p| {
                 let rel = db.relation(p.rel);
                 AtomSnap {
@@ -139,53 +139,19 @@ impl IncrementalEval {
                 }
             })
             .collect();
-        let nodes = reachable_nodes(store, roots);
-        let par = Par::new(opts.threads.max(1));
-        let mut scratch = Scratch::default();
-        let mut views: FxHashMap<PlanId, Rel> = FxHashMap::default();
-        let mut joins: FxHashMap<PlanId, JoinState> = FxHashMap::default();
-        for &id in &nodes {
-            let node = store.node(id);
-            let rel = match &node.kind {
-                NodeKind::Scan { atom } => scan_atom(
-                    db,
-                    &prepared[*atom],
-                    q,
-                    &q.atoms()[*atom],
-                    opts,
-                    par,
-                    &mut scratch,
-                ),
-                NodeKind::Project { input } => {
-                    let child = &views[input];
-                    let keep: Vec<Var> = node.head.iter().collect();
-                    project_node(child, &keep, opts.semantics, par, &mut scratch)
-                }
-                NodeKind::Join { inputs } => {
-                    let refs: Vec<&Rel> = inputs.iter().map(|c| &views[c]).collect();
-                    let (rel, state) = fold_join(&refs, par, &mut scratch);
-                    joins.insert(id, state);
-                    rel
-                }
-                NodeKind::Min { inputs } => {
-                    let refs: Vec<&Rel> = inputs.iter().map(|c| &views[c]).collect();
-                    min_combine_par(&refs, par, &mut scratch)
-                }
-            };
-            views.insert(id, rel);
-        }
-        let mut root_acc = views[&roots[0]].clone();
-        for r in &roots[1..] {
-            min_into_par(&mut root_acc, &views[r], par, &mut scratch);
+        let mut root_acc = (*ev.eval(roots[0])).clone();
+        for &r in &roots[1..] {
+            let next = ev.eval(r);
+            min_into_par(&mut root_acc, &next, ev.par, &mut ev.scratch);
         }
         let answers = decode_answers(&root_acc, q.head(), &db.codec());
         Ok(IncrementalEval {
             opts,
             roots: roots.to_vec(),
-            nodes,
+            nodes: store.reachable(roots),
             atoms,
-            views,
-            joins,
+            views: ev.memo,
+            joins: ev.joins.unwrap_or_default(),
             root_acc,
             answers,
         })
@@ -236,19 +202,8 @@ impl IncrementalEval {
                 }
                 let batch: DeltaBatch = codec.delta_batch(prep.rel, snap.base_rows);
                 let shape = ScanShape::of(q, atom);
-                let mut out = Rel::empty(shape.out_vars.clone());
-                let mut row_buf: Vec<Vid> = vec![0; shape.out_cols.len()];
-                prep.for_each_surviving_delta_row(rel, &batch, &shape, |ordinal, row| {
-                    for (slot, &c) in row_buf.iter_mut().zip(&shape.out_cols) {
-                        *slot = row[c];
-                    }
-                    let score = match opts.semantics {
-                        Semantics::Probabilistic | Semantics::LowerBound => rel.prob(ordinal),
-                        Semantics::Deterministic => 1.0,
-                    };
-                    out.push_row(&row_buf, score);
-                });
-                out.canonicalize(Par::serial(), &mut scratch);
+                let (rows, sem) = (ScanRows::Delta(&batch), opts.semantics);
+                let out = scan_atom(rel, prep, &shape, rows, sem, Par::serial(), &mut scratch);
                 scan_deltas.push((!out.is_empty()).then_some(out));
             }
         }
@@ -259,17 +214,18 @@ impl IncrementalEval {
         let nodes = self.nodes.clone();
         for id in nodes {
             let node = store.node(id);
+            let views = &self.views;
             let (new_view, node_delta): (Rel, Rel) = match &node.kind {
                 NodeKind::Scan { atom } => {
                     let Some(d) = &scan_deltas[*atom] else {
                         continue;
                     };
-                    (merge_upsert(&self.views[&id], d), d.clone())
+                    (merge_upsert(&views[&id], d), d.clone())
                 }
                 NodeKind::Project { input } => {
                     let Some(d) = deltas.get(input) else { continue };
-                    let child = &self.views[input];
-                    let old = &self.views[&id];
+                    let child = &views[input];
+                    let old = &views[&id];
                     let keep: Vec<Var> = node.head.iter().collect();
                     let cols_idx: Vec<usize> = keep
                         .iter()
@@ -283,7 +239,7 @@ impl IncrementalEval {
                         }
                         (merge_upsert(old, &nd), nd)
                     } else {
-                        let new = project_node(child, &keep, opts.semantics, par, &mut scratch);
+                        let new = project(child, &keep, opts.semantics, par, &mut scratch);
                         let nd = diff_changed(&new, old);
                         if nd.is_empty() {
                             continue;
@@ -295,7 +251,7 @@ impl IncrementalEval {
                     if !inputs.iter().any(|c| deltas.contains_key(c)) {
                         continue;
                     }
-                    let refs: Vec<&Rel> = inputs.iter().map(|c| &self.views[c]).collect();
+                    let refs: Vec<&Rel> = inputs.iter().map(|c| &*views[c]).collect();
                     let state = self.joins.get_mut(&id).expect("join state captured");
                     let order = join_order(&refs);
                     if order != state.order {
@@ -303,11 +259,11 @@ impl IncrementalEval {
                         // accumulators no longer line up. Recompute the
                         // node, refresh the state, diff to keep
                         // propagating.
-                        let (new, new_state) = fold_join(&refs, par, &mut scratch);
+                        let (new, new_state) = join_fold(&refs, true, par, &mut scratch);
                         *state = new_state;
-                        let nd = diff_changed(&new, &self.views[&id]);
+                        let nd = diff_changed(&new, &views[&id]);
                         if nd.is_empty() {
-                            self.views.insert(id, new);
+                            self.views.insert(id, Arc::new(new));
                             continue;
                         }
                         (new, nd)
@@ -317,7 +273,7 @@ impl IncrementalEval {
                             let Some(d) = deltas.get(&inputs[0]) else {
                                 continue;
                             };
-                            (merge_upsert(&self.views[&id], d), d.clone())
+                            (merge_upsert(&views[&id], d), d.clone())
                         } else {
                             let mut acc_delta: Option<Rel> = deltas.get(&inputs[order[0]]).cloned();
                             let mut final_view: Option<Rel> = None;
@@ -348,7 +304,7 @@ impl IncrementalEval {
                                 };
                                 if let Some(sd) = &step {
                                     if s == k - 1 {
-                                        final_view = Some(merge_upsert(&self.views[&id], sd));
+                                        final_view = Some(merge_upsert(&views[&id], sd));
                                     } else {
                                         let merged = merge_upsert(&state.mids[s - 1], sd);
                                         state.mids[s - 1] = merged;
@@ -367,9 +323,9 @@ impl IncrementalEval {
                     if !inputs.iter().any(|c| deltas.contains_key(c)) {
                         continue;
                     }
-                    let old = &self.views[&id];
+                    let old = &views[&id];
                     let keys = affected_keys(&old.vars, inputs.iter().map(|c| deltas.get(c)));
-                    let input_views: Vec<&Rel> = inputs.iter().map(|c| &self.views[c]).collect();
+                    let input_views: Vec<&Rel> = inputs.iter().map(|c| &*views[c]).collect();
                     let nd = refold_min(&old.vars, old, &keys, &input_views);
                     if nd.is_empty() {
                         continue;
@@ -377,13 +333,13 @@ impl IncrementalEval {
                     (merge_upsert(old, &nd), nd)
                 }
             };
-            self.views.insert(id, new_view);
+            self.views.insert(id, Arc::new(new_view));
             deltas.insert(id, node_delta);
         }
 
         // Fold the root deltas into the accumulated minimum and decode the
         // changed answers — the same left-to-right min the batch path runs.
-        let root_views: Vec<&Rel> = self.roots.iter().map(|r| &self.views[r]).collect();
+        let root_views: Vec<&Rel> = self.roots.iter().map(|r| &*self.views[r]).collect();
         let keys = affected_keys(
             &self.root_acc.vars,
             self.roots.iter().map(|r| deltas.get(r)),
@@ -397,18 +353,7 @@ impl IncrementalEval {
         }
         self.root_acc = merge_upsert(&self.root_acc, &rd);
         let codec = db.codec();
-        let perm: Vec<usize> = q
-            .head()
-            .iter()
-            .map(|&v| rd.col_of(v).expect("plan head misses query head var"))
-            .collect();
-        for i in 0..rd.len() {
-            let key: Box<[Value]> = perm
-                .iter()
-                .map(|&c| codec.decode(rd.get(i, c)).clone())
-                .collect();
-            self.answers.rows.insert(key, rd.score(i));
-        }
+        (self.answers.rows).extend(decoded_rows(&rd, q.head(), &codec));
         Ok(DeltaOutcome::Updated { rows: rd.len() })
     }
 }
@@ -416,60 +361,6 @@ impl IncrementalEval {
 /// Empty-to-`None` (an empty delta short-circuits downstream work).
 fn nonempty(rel: Rel) -> Option<Rel> {
     (!rel.is_empty()).then_some(rel)
-}
-
-/// Reachable plan nodes in ascending id order.
-fn reachable_nodes(store: &PlanStore, roots: &[PlanId]) -> Vec<PlanId> {
-    let mut seen = vec![false; store.len()];
-    let mut stack: Vec<PlanId> = roots.to_vec();
-    let mut out: Vec<PlanId> = Vec::new();
-    while let Some(id) = stack.pop() {
-        if seen[id.index()] {
-            continue;
-        }
-        seen[id.index()] = true;
-        out.push(id);
-        match &store.node(id).kind {
-            NodeKind::Scan { .. } => {}
-            NodeKind::Project { input } => stack.push(*input),
-            NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                stack.extend(inputs.iter().copied())
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// The batch projection for one semantics (the dispatch `eval_node` runs).
-fn project_node(child: &Rel, keep: &[Var], sem: Semantics, par: Par, scratch: &mut Scratch) -> Rel {
-    match sem {
-        Semantics::Probabilistic => project_prob_par(child, keep, par, scratch),
-        Semantics::LowerBound => project_max_par(child, keep, par, scratch),
-        Semantics::Deterministic => project_det_par(child, keep, par, scratch),
-    }
-}
-
-/// Fold a multi-way join along its greedy order, capturing the
-/// intermediate accumulators (all but the final result).
-fn fold_join(inputs: &[&Rel], par: Par, scratch: &mut Scratch) -> (Rel, JoinState) {
-    if inputs.len() == 1 {
-        return (
-            inputs[0].clone(),
-            JoinState {
-                order: vec![0],
-                mids: Vec::new(),
-            },
-        );
-    }
-    let order = join_order(inputs);
-    let mut acc = join_par(inputs[order[0]], inputs[order[1]], par, scratch);
-    let mut mids: Vec<Rel> = Vec::with_capacity(order.len().saturating_sub(2));
-    for &ix in &order[2..] {
-        let next = join_par(&acc, inputs[ix], par, scratch);
-        mids.push(std::mem::replace(&mut acc, next));
-    }
-    (acc, JoinState { order, mids })
 }
 
 /// Refold the projection groups touched by the child delta `d`: each
@@ -524,11 +415,9 @@ fn affected_keys<'a>(vars: &[Var], deltas: impl Iterator<Item = Option<&'a Rel>>
 }
 
 /// Re-fold the per-key minimum over `inputs` (left to right, first present
-/// input initializing — exactly [`min_combine_par`]'s union semantics) for
-/// each affected key, returning the rows that are new or changed bitwise
-/// vs. `old`, in canonical order.
-///
-/// [`min_combine_par`]: crate::rel::min_combine_par
+/// input initializing — exactly [`crate::rel::min_combine_par`]'s union
+/// semantics) for each affected key, returning the rows that are new or
+/// changed bitwise vs. `old`, in canonical order.
 fn refold_min(vars: &[Var], old: &Rel, keys: &[Vec<Vid>], inputs: &[&Rel]) -> Rel {
     let maps: Vec<Vec<usize>> = inputs
         .iter()

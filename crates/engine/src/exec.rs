@@ -17,12 +17,12 @@
 
 use crate::prepare::{prepare_atoms, PrepareError, PreparedAtom, ScanShape};
 use crate::rel::{
-    join_many_par, min_combine_par, min_into_par, project_det_par, project_max_par,
-    project_prob_par, Par, Rel, Scratch,
+    join_fold, min_combine_par, min_into_par, project_det_par, project_max_par, project_prob_par,
+    JoinState, Par, Rel, Scratch,
 };
-use lapush_core::{NodeKind, Plan, PlanId, PlanStore};
-use lapush_query::{Atom, Query, Var};
-use lapush_storage::{Database, DbCodec, FxHashMap, Value, Vid};
+use lapush_core::{NodeKind, Plan, PlanId, PlanNode, PlanStore};
+use lapush_query::{Query, QueryShape, Var};
+use lapush_storage::{Database, DbCodec, DeltaBatch, FxHashMap, Relation, Value, Vid};
 use std::fmt;
 use std::sync::Arc;
 
@@ -292,9 +292,8 @@ pub fn eval_plan_id(
     root: PlanId,
     opts: ExecOptions,
 ) -> Result<AnswerSet, ExecError> {
-    let prepared = prepare_atoms(db, q)?;
-    let mut ctx = EvalCtx::new(opts.reuse_views, Par::new(opts.threads));
-    let rel = eval_node(db, &prepared, q, store, root, opts, &mut ctx)?;
+    let mut ev = Evaluator::new(db, q, store, opts, opts.reuse_views)?;
+    let rel = ev.eval(root);
     Ok(decode_answers(&rel, q.head(), &db.codec()))
 }
 
@@ -304,123 +303,287 @@ pub fn eval_plan_id(
 /// loop of [`propagation_score_ids`].
 pub(crate) type ShRel = Arc<Rel>;
 
-/// Per-evaluation memoization state: one memo keyed by [`PlanId`], plus
-/// the parallelism budget and the reusable sort scratch shared by every
-/// operator call of this evaluation.
+/// The plan evaluator: one memoized fold over the [`PlanStore`] DAG, and
+/// the only code that maps a [`NodeKind`] to scan / join / project / min
+/// for a full evaluation. [`eval_plan_id`], [`propagation_score_ids`],
+/// [`crate::TopkEval`] and [`crate::IncrementalEval::new`] are drivers over
+/// it; what differs between them is data held here, not a second walk:
 ///
-/// Scan nodes are always memoized (a scan depends only on the database,
-/// the atom, and the semantics — all fixed for the lifetime of the
-/// context). Inner nodes are memoized when `memo_all` is set: for a single
-/// plan that is Optimization 2's view reuse; across the plan set of
-/// [`propagation_score`] it makes identical subplans of different minimal
-/// plans evaluate exactly once. Either way a hit returns the same relation
-/// the recomputation would produce, so results are bit-identical.
-pub(crate) struct EvalCtx {
-    pub(crate) memo: FxHashMap<PlanId, ShRel>,
-    pub(crate) memo_all: bool,
+/// * **memo discipline** — scan nodes are always memoized (a scan depends
+///   only on the database, the atom, and the semantics, all fixed for the
+///   evaluator's lifetime). Inner nodes are memoized when `memo_all` is
+///   set: for a single plan that is Optimization 2's view reuse; across a
+///   plan set it makes identical subplans of different minimal plans
+///   evaluate exactly once. A hit returns the same relation the
+///   recomputation would produce, so results are bit-identical either way.
+/// * **lower bounds** ([`Evaluator::seed_lower_bounds`]) — scans start the
+///   `lo` column of [`Rel`], which the operators then carry by themselves.
+/// * **survivor restriction** ([`Evaluator::restrict_to`]) — per-atom
+///   surviving row lists replace the full scans of a *restricted*
+///   evaluation ([`Evaluator::eval_restricted`]), memoized apart from the
+///   full results.
+/// * **capture** ([`Evaluator::capture_joins`]) — keeps each join's fold
+///   order and intermediate accumulators for the incremental evaluator.
+pub(crate) struct Evaluator<'a> {
+    pub(crate) db: &'a Database,
+    pub(crate) q: &'a Query,
+    store: &'a PlanStore,
+    pub(crate) prepared: Arc<[PreparedAtom]>,
+    opts: ExecOptions,
     pub(crate) par: Par,
     pub(crate) scratch: Scratch,
+    memo_all: bool,
+    pub(crate) memo: FxHashMap<PlanId, ShRel>,
+    seed_lo: bool,
+    /// Surviving row ordinals per atom, and the atoms they restrict.
+    survivors: Vec<Vec<u32>>,
+    filtered_mask: u64,
+    restricted: FxHashMap<PlanId, ShRel>,
+    /// Restricted visits answered by a full evaluation instead (see
+    /// [`Evaluator::reassociates`]).
+    pub(crate) fallback_nodes: u64,
+    pub(crate) joins: Option<FxHashMap<PlanId, JoinState>>,
 }
 
-impl EvalCtx {
-    pub(crate) fn new(memo_all: bool, par: Par) -> Self {
-        EvalCtx {
-            memo: FxHashMap::default(),
-            memo_all,
-            par,
+impl<'a> Evaluator<'a> {
+    /// Resolve and encode the query's atoms (the only fallible step of an
+    /// evaluation) and start with empty memos.
+    pub(crate) fn new(
+        db: &'a Database,
+        q: &'a Query,
+        store: &'a PlanStore,
+        opts: ExecOptions,
+        memo_all: bool,
+    ) -> Result<Self, ExecError> {
+        Ok(Evaluator {
+            db,
+            q,
+            store,
+            prepared: prepare_atoms(db, q)?.into(),
+            opts,
+            par: Par::new(opts.threads),
             scratch: Scratch::default(),
+            memo_all,
+            memo: FxHashMap::default(),
+            seed_lo: false,
+            survivors: Vec::new(),
+            filtered_mask: 0,
+            restricted: FxHashMap::default(),
+            fallback_nodes: 0,
+            joins: None,
+        })
+    }
+
+    /// A serial evaluator over the same inputs, seeded with this one's
+    /// memo (`Arc` clones) — one per task of the root-parallel loop.
+    fn fork(&self) -> Evaluator<'a> {
+        Evaluator {
+            prepared: Arc::clone(&self.prepared),
+            par: Par::serial(),
+            scratch: Scratch::default(),
+            memo: self.memo.clone(),
+            survivors: Vec::new(),
+            restricted: FxHashMap::default(),
+            joins: None,
+            ..*self
+        }
+    }
+
+    /// Make scans start the lower-bound column (`on`), or stop and strip
+    /// the column from every memoized relation nobody else holds, so that
+    /// evaluations after the bounds pass do not pay for carrying it.
+    pub(crate) fn seed_lower_bounds(&mut self, on: bool) {
+        self.seed_lo = on;
+        if !on {
+            for rel in self.memo.values_mut() {
+                if let Some(rel) = Arc::get_mut(rel) {
+                    rel.drop_lower_bounds();
+                }
+            }
+        }
+    }
+
+    /// Restrict [`Evaluator::eval_restricted`] to the given surviving rows
+    /// of every atom in `filtered_mask`.
+    pub(crate) fn restrict_to(&mut self, survivors: Vec<Vec<u32>>, filtered_mask: u64) {
+        self.survivors = survivors;
+        self.filtered_mask = filtered_mask;
+    }
+
+    /// Keep every join's fold order and intermediates from here on.
+    pub(crate) fn capture_joins(&mut self) {
+        self.joins = Some(FxHashMap::default());
+    }
+
+    /// Evaluate the plan rooted at `id` over the full database.
+    pub(crate) fn eval(&mut self, id: PlanId) -> ShRel {
+        self.node(id, false)
+    }
+
+    /// Evaluate the plan rooted at `id` over the survivor rows of
+    /// [`Evaluator::restrict_to`]. Rows of surviving answer groups come out
+    /// bit-identical to [`Evaluator::eval`] (see [`crate::topk`]).
+    pub(crate) fn eval_restricted(&mut self, id: PlanId) -> ShRel {
+        self.node(id, true)
+    }
+
+    /// Node shapes whose float products could reassociate under the
+    /// survivor-filtered cardinalities, and which a restricted evaluation
+    /// therefore evaluates in full: joins of three or more inputs (the
+    /// greedy [`crate::rel::join_order`] may pick a different order) and
+    /// projections eliminating two or more variables directly over a join
+    /// (the within-group fold order follows the join's column layout, which
+    /// may flip). A flipped *binary* join multiplies the same two factors,
+    /// and a single-variable projection folds each group in the eliminated
+    /// variable's order whatever the layout. `Min` does not occur in
+    /// minimal plan sets.
+    fn reassociates(&self, node: &PlanNode) -> bool {
+        match &node.kind {
+            NodeKind::Scan { .. } => false,
+            NodeKind::Project { input } => {
+                let child = self.store.node(*input);
+                matches!(child.kind, NodeKind::Join { .. })
+                    && child.head.len() >= node.head.len() + 2
+            }
+            NodeKind::Join { inputs } => inputs.len() > 2,
+            NodeKind::Min { .. } => true,
+        }
+    }
+
+    fn node(&mut self, id: PlanId, restricted: bool) -> ShRel {
+        let store = self.store;
+        let node = store.node(id);
+        // A subtree scanning no filtered atom is the same either way, and
+        // shares the full memo.
+        let mut restricted = restricted && node.atoms_mask & self.filtered_mask != 0;
+        if restricted && self.reassociates(node) {
+            self.fallback_nodes += 1;
+            restricted = false;
+        }
+        let cacheable = restricted || self.memo_all || matches!(node.kind, NodeKind::Scan { .. });
+        if cacheable {
+            if let Some(hit) = self.memo_mut(restricted).get(&id) {
+                return Arc::clone(hit);
+            }
+        }
+        let rel = match &node.kind {
+            NodeKind::Scan { atom } => {
+                let rows = match restricted {
+                    true => ScanRows::Listed(&self.survivors[*atom]),
+                    false => ScanRows::All,
+                };
+                let prep = &self.prepared[*atom];
+                let base = self.db.relation(prep.rel);
+                let shape = ScanShape::of(self.q, &self.q.atoms()[*atom]);
+                let sem = self.opts.semantics;
+                let mut rel = scan_atom(base, prep, &shape, rows, sem, self.par, &mut self.scratch);
+                if self.seed_lo {
+                    rel.seed_lower_bounds();
+                }
+                rel
+            }
+            NodeKind::Project { input } => {
+                let child = self.node(*input, restricted);
+                let keep: Vec<Var> = node.head.iter().collect();
+                let sem = self.opts.semantics;
+                project(&child, &keep, sem, self.par, &mut self.scratch)
+            }
+            NodeKind::Join { inputs } => {
+                let children = self.nodes(inputs, restricted);
+                let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
+                let (par, scratch) = (self.par, &mut self.scratch);
+                let (rel, state) = join_fold(&refs, self.joins.is_some(), par, scratch);
+                if let Some(joins) = &mut self.joins {
+                    joins.insert(id, state);
+                }
+                rel
+            }
+            // Min branches are distinct subplans with distinct ids, so the
+            // id-keyed memo never conflates them with this node.
+            NodeKind::Min { inputs } => {
+                let children = self.nodes(inputs, restricted);
+                let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
+                min_combine_par(&refs, self.par, &mut self.scratch)
+            }
+        };
+        let rel = Arc::new(rel);
+        if cacheable {
+            self.memo_mut(restricted).insert(id, Arc::clone(&rel));
+        }
+        rel
+    }
+
+    fn nodes(&mut self, ids: &[PlanId], restricted: bool) -> Vec<ShRel> {
+        ids.iter().map(|&id| self.node(id, restricted)).collect()
+    }
+
+    /// Restricted results are memoized apart from the full ones.
+    fn memo_mut(&mut self, restricted: bool) -> &mut FxHashMap<PlanId, ShRel> {
+        match restricted {
+            true => &mut self.restricted,
+            false => &mut self.memo,
         }
     }
 }
 
-/// Decode an encoded result into the value-level [`AnswerSet`], reordering
-/// columns to the query's head order. This is the single point where vids
+/// The projection `sem` folds groups with — the one place score semantics
+/// choose an operator.
+pub(crate) fn project(
+    child: &Rel,
+    keep: &[Var],
+    sem: Semantics,
+    par: Par,
+    scratch: &mut Scratch,
+) -> Rel {
+    match sem {
+        Semantics::Probabilistic => project_prob_par(child, keep, par, scratch),
+        Semantics::LowerBound => project_max_par(child, keep, par, scratch),
+        Semantics::Deterministic => project_det_par(child, keep, par, scratch),
+    }
+}
+
+/// Decoded `(answer tuple in head order, score)` of every row of an
+/// encoded result, in row order. This is the single point where vids
 /// become [`Value`]s again.
-pub(crate) fn decode_answers(rel: &Rel, head: &[Var], codec: &DbCodec<'_>) -> AnswerSet {
+pub(crate) fn decoded_rows<'r>(
+    rel: &'r Rel,
+    head: &[Var],
+    codec: &'r DbCodec<'_>,
+) -> impl Iterator<Item = (Box<[Value]>, f64)> + 'r {
     let perm: Vec<usize> = head
         .iter()
         .map(|&v| rel.col_of(v).expect("plan head misses query head var"))
         .collect();
-    let mut rows: FxHashMap<Box<[Value]>, f64> =
-        FxHashMap::with_capacity_and_hasher(rel.len(), Default::default());
-    for i in 0..rel.len() {
-        let key: Box<[Value]> = perm
+    (0..rel.len()).map(move |i| {
+        let key = perm
             .iter()
             .map(|&c| codec.decode(rel.get(i, c)).clone())
             .collect();
-        rows.insert(key, rel.score(i));
-    }
+        (key, rel.score(i))
+    })
+}
+
+/// Decode an encoded result into the value-level [`AnswerSet`].
+pub(crate) fn decode_answers(rel: &Rel, head: &[Var], codec: &DbCodec<'_>) -> AnswerSet {
+    let mut rows: FxHashMap<Box<[Value]>, f64> =
+        FxHashMap::with_capacity_and_hasher(rel.len(), Default::default());
+    rows.extend(decoded_rows(rel, head, codec));
     AnswerSet {
         vars: head.to_vec(),
         rows,
     }
 }
 
-pub(crate) fn eval_node(
-    db: &Database,
-    prepared: &[PreparedAtom],
-    q: &Query,
-    store: &PlanStore,
-    id: PlanId,
-    opts: ExecOptions,
-    ctx: &mut EvalCtx,
-) -> Result<ShRel, ExecError> {
-    let node = store.node(id);
-    let is_scan = matches!(node.kind, NodeKind::Scan { .. });
-    let cacheable = is_scan || ctx.memo_all;
-    if cacheable {
-        if let Some(hit) = ctx.memo.get(&id) {
-            return Ok(Arc::clone(hit));
-        }
-    }
-    let result: ShRel = match &node.kind {
-        NodeKind::Scan { atom } => Arc::new(scan_atom(
-            db,
-            &prepared[*atom],
-            q,
-            &q.atoms()[*atom],
-            opts,
-            ctx.par,
-            &mut ctx.scratch,
-        )),
-        NodeKind::Project { input } => {
-            let child = eval_node(db, prepared, q, store, *input, opts, ctx)?;
-            let keep: Vec<Var> = node.head.iter().collect();
-            Arc::new(match opts.semantics {
-                Semantics::Probabilistic => {
-                    project_prob_par(&child, &keep, ctx.par, &mut ctx.scratch)
-                }
-                Semantics::LowerBound => project_max_par(&child, &keep, ctx.par, &mut ctx.scratch),
-                Semantics::Deterministic => {
-                    project_det_par(&child, &keep, ctx.par, &mut ctx.scratch)
-                }
-            })
-        }
-        NodeKind::Join { inputs } => {
-            let children = inputs
-                .iter()
-                .map(|&c| eval_node(db, prepared, q, store, c, opts, ctx))
-                .collect::<Result<Vec<_>, _>>()?;
-            let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
-            Arc::new(join_many_par(&refs, ctx.par, &mut ctx.scratch))
-        }
-        NodeKind::Min { inputs } => {
-            // Min branches are distinct subplans with distinct ids, so the
-            // id-keyed memo never conflates them with this node — the
-            // subquery-key collision the tree evaluator had to special-case
-            // cannot happen here.
-            let children = inputs
-                .iter()
-                .map(|&c| eval_node(db, prepared, q, store, c, opts, ctx))
-                .collect::<Result<Vec<_>, _>>()?;
-            let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
-            Arc::new(min_combine_par(&refs, ctx.par, &mut ctx.scratch))
-        }
-    };
-    if cacheable {
-        ctx.memo.insert(id, Arc::clone(&result));
-    }
-    Ok(result)
+/// Which rows of an atom's relation a scan reads.
+pub(crate) enum ScanRows<'r> {
+    /// Every row passing the atom's filters.
+    All,
+    /// These row ordinals, known to pass the filters already (the survivor
+    /// list of a restricted top-k evaluation).
+    Listed(&'r [u32]),
+    /// The rows of an append batch passing the filters (the incremental
+    /// evaluator's scan delta).
+    Delta(&'r DeltaBatch),
 }
 
 /// Scan one atom: filter by constants, repeated variables, and selection
@@ -430,87 +593,46 @@ pub(crate) fn eval_node(
 /// Constant and repeated-variable filters run on vids (equal values ⇔
 /// equal vids); order/pattern predicates are not id-representable and run
 /// on the stored values before the row enters the encoded pipeline. The
-/// atom was resolved and encoded by [`prepare_atoms`]; no lock is held
-/// here. The filter pass appends in storage order; the closing
-/// canonicalization (a key-range-partitioned sort when `par` allows)
-/// establishes the operators' sorted invariant.
+/// atom was resolved and encoded by [`prepare_atoms`] from `rel`; no lock
+/// is held here. Whichever [`ScanRows`] drives the scan, rows are appended
+/// in storage order by the same emitter with the same scoring, and the
+/// closing canonicalization (a key-range-partitioned sort when `par`
+/// allows) establishes the operators' sorted invariant — so a row comes out
+/// bit-identical from a full, a listed and a delta scan.
 pub(crate) fn scan_atom(
-    db: &Database,
+    rel: &Relation,
     prep: &PreparedAtom,
-    q: &Query,
-    atom: &Atom,
-    opts: ExecOptions,
+    shape: &ScanShape<'_>,
+    rows: ScanRows<'_>,
+    sem: Semantics,
     par: Par,
     scratch: &mut Scratch,
 ) -> Rel {
-    let rel = db.relation(prep.rel);
-    let shape = ScanShape::of(q, atom);
-    // Pre-size the output only for unfiltered scans (there it is exact up
-    // to in-atom duplicates); a selective filter over a large relation
-    // must not allocate a full-size table.
-    let cap = if shape.is_unfiltered(prep) {
-        rel.len()
-    } else {
-        0
+    // Pre-size the output only where the size is known (exact up to
+    // in-atom duplicates); a selective filter over a large relation must
+    // not allocate a full-size table.
+    let cap = match rows {
+        ScanRows::All if shape.is_unfiltered(prep) => rel.len(),
+        ScanRows::Listed(list) => list.len(),
+        _ => 0,
     };
     let mut out = Rel::with_capacity(shape.out_vars.clone(), cap);
     let mut row_buf: Vec<Vid> = vec![0; shape.out_cols.len()];
-    prep.for_each_surviving_row(rel, &shape, |i, row| {
+    let mut emit = |i: u32, row: &[Vid]| {
         for (slot, &c) in row_buf.iter_mut().zip(&shape.out_cols) {
             *slot = row[c];
         }
-        let score = match opts.semantics {
+        let score = match sem {
             Semantics::Probabilistic | Semantics::LowerBound => rel.prob(i),
             Semantics::Deterministic => 1.0,
         };
         out.push_row(&row_buf, score);
-    });
-    out.canonicalize(par, scratch);
-    out
-}
-
-/// Per-atom variable-membership filter for restricted (top-k survivor)
-/// evaluation: a row survives the scan only if, for every listed term
-/// column, its vid is in the allowed set. Built by [`crate::topk`] from
-/// the surviving answer groups' head-variable values.
-pub(crate) struct ScanFilter {
-    /// `(term column index into the atom's encoded row, allowed vids)`.
-    pub(crate) sets: Vec<(usize, lapush_storage::FxHashSet<Vid>)>,
-}
-
-/// [`scan_atom`] with an additional [`ScanFilter`]: identical filter,
-/// scoring, and canonicalization pipeline, so the surviving rows come out
-/// bit-identical to their counterparts in the unfiltered scan.
-#[allow(clippy::too_many_arguments)] // mirrors scan_atom's pipeline + filter
-pub(crate) fn scan_atom_filtered(
-    db: &Database,
-    prep: &PreparedAtom,
-    q: &Query,
-    atom: &Atom,
-    filter: &ScanFilter,
-    opts: ExecOptions,
-    par: Par,
-    scratch: &mut Scratch,
-) -> Rel {
-    let rel = db.relation(prep.rel);
-    let shape = ScanShape::of(q, atom);
-    let mut out = Rel::with_capacity(shape.out_vars.clone(), 0);
-    let mut row_buf: Vec<Vid> = vec![0; shape.out_cols.len()];
-    prep.for_each_surviving_row(rel, &shape, |i, row| {
-        for (c, set) in &filter.sets {
-            if !set.contains(&row[*c]) {
-                return;
-            }
-        }
-        for (slot, &c) in row_buf.iter_mut().zip(&shape.out_cols) {
-            *slot = row[c];
-        }
-        let score = match opts.semantics {
-            Semantics::Probabilistic | Semantics::LowerBound => rel.prob(i),
-            Semantics::Deterministic => 1.0,
-        };
-        out.push_row(&row_buf, score);
-    });
+    };
+    match rows {
+        ScanRows::All => prep.for_each_surviving_row(rel, shape, emit),
+        ScanRows::Listed(list) => list.iter().for_each(|&i| emit(i, prep.row(i))),
+        ScanRows::Delta(batch) => prep.for_each_surviving_delta_row(rel, batch, shape, emit),
+    }
     out.canonicalize(par, scratch);
     out
 }
@@ -527,31 +649,23 @@ pub fn plan_cost_estimates(
     store: &PlanStore,
     roots: &[PlanId],
 ) -> Vec<(PlanId, u64)> {
+    let atom_rows: Vec<u64> = (q.atoms().iter())
+        .map(|a| {
+            db.relation_by_name(&a.relation)
+                .map_or(0, |r| r.len() as u64)
+        })
+        .collect();
     roots
         .iter()
         .map(|&root| {
-            let mut seen: lapush_storage::FxHashSet<PlanId> = Default::default();
-            let mut nodes = 0u64;
-            let mut rows = 0u64;
-            let mut stack = vec![root];
-            while let Some(id) = stack.pop() {
-                if !seen.insert(id) {
-                    continue;
-                }
-                nodes += 1;
-                match &store.node(id).kind {
-                    NodeKind::Scan { atom } => {
-                        if let Ok(rel) = db.relation_by_name(&q.atoms()[*atom].relation) {
-                            rows += rel.len() as u64;
-                        }
-                    }
-                    NodeKind::Project { input } => stack.push(*input),
-                    NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                        stack.extend(inputs.iter().copied())
-                    }
-                }
-            }
-            (root, nodes * rows.max(1))
+            let nodes = store.reachable(&[root]);
+            let rows: u64 = (nodes.iter())
+                .filter_map(|&id| match store.node(id).kind {
+                    NodeKind::Scan { atom } => Some(atom_rows[atom]),
+                    _ => None,
+                })
+                .sum();
+            (root, nodes.len() as u64 * rows.max(1))
         })
         .collect()
 }
@@ -565,10 +679,9 @@ pub fn order_plans_by_cost(
     store: &PlanStore,
     roots: &[PlanId],
 ) -> Vec<PlanId> {
-    let est = plan_cost_estimates(db, q, store, roots);
-    let mut idx: Vec<usize> = (0..roots.len()).collect();
-    idx.sort_by_key(|&i| est[i].1);
-    idx.into_iter().map(|i| roots[i]).collect()
+    let mut est = plan_cost_estimates(db, q, store, roots);
+    est.sort_by_key(|&(_, cost)| cost);
+    est.into_iter().map(|(root, _)| root).collect()
 }
 
 /// Evaluate a set of plans and combine their scores with a per-tuple
@@ -617,6 +730,7 @@ pub fn propagation_score_ids(
     roots: &[PlanId],
     opts: ExecOptions,
 ) -> Result<AnswerSet, ExecError> {
+    assert!(!roots.is_empty(), "no plans to evaluate");
     let ordered: Vec<PlanId>;
     let roots: &[PlanId] = if roots.len() > 1 {
         ordered = order_plans_by_cost(db, q, store, roots);
@@ -624,70 +738,46 @@ pub fn propagation_score_ids(
     } else {
         roots
     };
-    let (&first_root, rest) = roots.split_first().expect("no plans to evaluate");
-    let prepared = prepare_atoms(db, q)?;
-    let threads = opts.threads.max(1);
-    let par = Par::new(threads);
-    if threads == 1 || rest.is_empty() {
-        let mut ctx = EvalCtx::new(true, par);
-        let first = eval_node(db, &prepared, q, store, first_root, opts, &mut ctx)?;
-        // The memo keeps every node's Arc alive, so the first result can
-        // never be unwrapped in place; clone it only once a second plan
-        // actually needs a mutable accumulator (single-plan sets decode it
-        // directly).
-        let mut acc: Option<Rel> = None;
-        for &root in rest {
-            let next = eval_node(db, &prepared, q, store, root, opts, &mut ctx)?;
-            min_into_par(
-                acc.get_or_insert_with(|| (*first).clone()),
-                &next,
-                ctx.par,
-                &mut ctx.scratch,
-            );
+    let mut ev = Evaluator::new(db, q, store, opts, true)?;
+    let threads = ev.par.threads;
+    let per_root: Vec<ShRel> = if threads == 1 || roots.len() == 1 {
+        roots.iter().map(|&root| ev.eval(root)).collect()
+    } else {
+        // Serial pre-pass: evaluate every memo-shared subplan (reachable
+        // from ≥ 2 roots) once, with the full intra-operator parallelism
+        // budget.
+        for id in shared_subplans(store, roots) {
+            ev.eval(id);
         }
-        let result = acc.as_ref().unwrap_or_else(|| first.as_ref());
-        return Ok(decode_answers(result, q.head(), &db.codec()));
+        // Parallel outer loop: contiguous root chunks become pool tasks,
+        // each with its own evaluator seeded from the shared memo. Nodes
+        // outside the pre-pass are by construction reachable from exactly
+        // one root, so no work is repeated across tasks.
+        let shared = &ev;
+        let tasks: Vec<_> = roots
+            .chunks(roots.len().div_ceil(threads))
+            .map(|chunk| {
+                move || {
+                    let mut local = shared.fork();
+                    chunk.iter().map(|&root| local.eval(root)).collect()
+                }
+            })
+            .collect();
+        let evaluated: Vec<Vec<ShRel>> = crate::pool::run_scope(threads, tasks);
+        evaluated.concat()
+    };
+    // Fold in root order with the pointwise min. The memo keeps every
+    // node's Arc alive, so the first result can never be unwrapped in
+    // place; clone it only when a second plan actually needs a mutable
+    // accumulator (single-plan sets decode it directly).
+    let (first, rest) = per_root.split_first().expect("roots are non-empty");
+    let mut acc: Option<Rel> = None;
+    for next in rest {
+        let acc = acc.get_or_insert_with(|| (**first).clone());
+        min_into_par(acc, next, ev.par, &mut ev.scratch);
     }
-
-    // Serial pre-pass: evaluate every memo-shared subplan (reachable from
-    // ≥ 2 roots) once, with the full intra-operator parallelism budget.
-    let mut ctx = EvalCtx::new(true, par);
-    for id in shared_subplans(store, roots) {
-        eval_node(db, &prepared, q, store, id, opts, &mut ctx)?;
-    }
-
-    // Parallel outer loop: contiguous root chunks become pool tasks, each
-    // with its own context seeded from the shared memo (Arc clones). Nodes
-    // outside the pre-pass are by construction reachable from exactly one
-    // root, so no work is repeated across tasks.
-    let chunk_len = roots.len().div_ceil(threads);
-    let prepared_ref = &prepared;
-    let memo_ref = &ctx.memo;
-    let tasks: Vec<_> = roots
-        .chunks(chunk_len)
-        .map(|chunk| {
-            move || -> Result<Vec<ShRel>, ExecError> {
-                let mut local = EvalCtx::new(true, Par::serial());
-                local.memo = memo_ref.clone();
-                chunk
-                    .iter()
-                    .map(|&root| eval_node(db, prepared_ref, q, store, root, opts, &mut local))
-                    .collect()
-            }
-        })
-        .collect();
-    let evaluated: Vec<Result<Vec<ShRel>, ExecError>> = crate::pool::run_scope(threads, tasks);
-    let mut per_root: Vec<ShRel> = Vec::with_capacity(roots.len());
-    for chunk in evaluated {
-        per_root.extend(chunk?);
-    }
-    // Fold in root order — the same order and the same pointwise min the
-    // serial path applies.
-    let mut acc: Rel = (*per_root[0]).clone();
-    for next in &per_root[1..] {
-        min_into_par(&mut acc, next, par, &mut ctx.scratch);
-    }
-    Ok(decode_answers(&acc, q.head(), &db.codec()))
+    let result = acc.as_ref().unwrap_or(first);
+    Ok(decode_answers(result, q.head(), &db.codec()))
 }
 
 /// Plan nodes reachable from two or more of `roots`, in ascending id
@@ -696,29 +786,13 @@ pub fn propagation_score_ids(
 /// parallel path evaluates them serially up front so no two threads race
 /// to compute the same subplan.
 fn shared_subplans(store: &PlanStore, roots: &[PlanId]) -> Vec<PlanId> {
-    let n = store.len();
-    let mut stamp: Vec<u32> = vec![u32::MAX; n];
-    let mut count: Vec<u8> = vec![0; n];
+    let mut count: Vec<u8> = vec![0; store.len()];
     let mut shared: Vec<PlanId> = Vec::new();
-    let mut stack: Vec<PlanId> = Vec::new();
-    for (ri, &root) in roots.iter().enumerate() {
-        stack.push(root);
-        while let Some(id) = stack.pop() {
-            let idx = id.index();
-            if stamp[idx] == ri as u32 {
-                continue;
-            }
-            stamp[idx] = ri as u32;
-            count[idx] = count[idx].saturating_add(1);
-            if count[idx] == 2 {
+    for &root in roots {
+        for id in store.reachable(&[root]) {
+            count[id.index()] = count[id.index()].saturating_add(1);
+            if count[id.index()] == 2 {
                 shared.push(id);
-            }
-            match &store.node(id).kind {
-                NodeKind::Scan { .. } => {}
-                NodeKind::Project { input } => stack.push(*input),
-                NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                    stack.extend(inputs.iter().copied())
-                }
             }
         }
     }
@@ -726,38 +800,28 @@ fn shared_subplans(store: &PlanStore, roots: &[PlanId]) -> Vec<PlanId> {
     shared
 }
 
-/// The "standard SQL" baseline: evaluate the query under set semantics with
-/// one flat join followed by a distinct projection — no probabilistic
-/// arithmetic at all.
-pub fn deterministic_answers(db: &Database, q: &Query) -> Result<AnswerSet, ExecError> {
-    deterministic_answers_par(db, q, 1)
-}
-
-/// [`deterministic_answers`] with a morsel-parallelism budget (results are
-/// identical at every thread count).
-pub fn deterministic_answers_par(
+/// The "standard SQL" baseline: evaluate the query under set semantics —
+/// one flat join of every atom followed by a distinct projection onto the
+/// head, no probabilistic arithmetic at all — with a morsel-parallelism
+/// budget of `threads` (results are identical at every thread count).
+pub fn deterministic_answers(
     db: &Database,
     q: &Query,
     threads: usize,
 ) -> Result<AnswerSet, ExecError> {
+    let shape = QueryShape::of_query(q);
+    let mut store = PlanStore::new();
+    let scans = (0..q.atoms().len())
+        .map(|a| store.scan(&shape, a))
+        .collect();
+    let join = store.join(scans);
+    let root = store.project(shape.head, join);
     let opts = ExecOptions {
         semantics: Semantics::Deterministic,
         reuse_views: false,
         threads,
     };
-    let par = Par::new(threads);
-    let mut scratch = Scratch::default();
-    let prepared = prepare_atoms(db, q)?;
-    let scans: Vec<Rel> = q
-        .atoms()
-        .iter()
-        .zip(&prepared)
-        .map(|(a, prep)| scan_atom(db, prep, q, a, opts, par, &mut scratch))
-        .collect();
-    let refs: Vec<&Rel> = scans.iter().collect();
-    let joined = join_many_par(&refs, par, &mut scratch);
-    let projected = project_det_par(&joined, q.head(), par, &mut scratch);
-    Ok(decode_answers(&projected, q.head(), &db.codec()))
+    eval_plan_id(db, q, &store, root, opts)
 }
 
 #[cfg(test)]
@@ -946,7 +1010,7 @@ mod tests {
     fn deterministic_baseline_counts_answers() {
         let db = example7_db();
         let q = parse_query("q(y) :- R(x), S(x, y)").unwrap();
-        let ans = deterministic_answers(&db, &q).unwrap();
+        let ans = deterministic_answers(&db, &q, 1).unwrap();
         assert_eq!(ans.len(), 2);
         assert_eq!(ans.score_of(&[Value::Int(4)]), 1.0);
     }
@@ -1021,7 +1085,7 @@ mod tests {
         let plans = minimal_plans(&s);
         let ans = propagation_score(&db, &q, &plans, ExecOptions::default()).unwrap();
         assert!(ans.is_empty());
-        let det = deterministic_answers(&db, &q).unwrap();
+        let det = deterministic_answers(&db, &q, 1).unwrap();
         assert!(det.is_empty());
     }
 

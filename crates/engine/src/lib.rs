@@ -14,8 +14,7 @@
 //! * [`exec::ExecOptions::reuse_views`] — Optimization 2 (Algorithm 3):
 //!   memoize shared subquery results during evaluation of the single plan.
 //! * [`semijoin::reduce_database`] — Optimization 3: a full deterministic
-//!   semi-join reduction applied to the base relations before probabilistic
-//!   evaluation.
+//!   semi-join reduction of the base relations before evaluation.
 //! * deterministic (set) semantics for the "standard SQL" baseline.
 //!
 //! ## Dictionary-encoded, columnar sort-merge execution
@@ -63,41 +62,40 @@
 //! at scan time *before* rows enter the encoded pipeline (vids are
 //! assigned in first-seen order and carry no value order).
 //!
-//! Evaluation shares intermediates instead of copying them: scan results
-//! are memoized per atom (across all plans of a `propagation_score` call)
-//! and Optimization 2's view memo hands out reference-counted relations,
-//! so a cache hit costs a pointer bump, not a hash-map clone.
-//!
-//! ## Hash-consed plan evaluation
+//! ## One plan evaluator
 //!
 //! Plans arrive as ids into a `lapush_core::PlanStore` — a hash-consed DAG
 //! in which structurally equal subplans share one `lapush_core::PlanId`
-//! ([`exec::eval_plan_id`], [`exec::propagation_score_ids`]; the tree
-//! entry points intern their input first). The evaluator's one memo is
-//! keyed by `PlanId`:
+//! (the tree entry points intern their input first). One memoized fold
+//! over that DAG (`exec::Evaluator`) is the only code that maps a plan
+//! node to scan / join / project / min; every entry point is a driver over
+//! it. Its memo is keyed by `PlanId`: scans always (a scan depends only on
+//! the database, atom, and semantics); every node under
+//! [`exec::ExecOptions::reuse_views`] (Optimization 2 — equal subquery keys
+//! of a `lapush_core::single_plan` are equal ids, and `min` branches have
+//! their own, so it is sound for arbitrary plans); and across the *whole
+//! set* in plan-set evaluation ([`propagation_score`], top-k, capture), so
+//! a subplan occurring in many minimal plans is evaluated once per call.
 //!
-//! * scan nodes are always memoized (a scan depends only on the database,
-//!   atom, and semantics);
-//! * with [`exec::ExecOptions::reuse_views`], every node is — that is
-//!   Optimization 2, since equal subquery keys of a
-//!   `lapush_core::single_plan` denote equal subplans and therefore equal
-//!   ids, and unlike the old subquery-key memo it is sound for arbitrary
-//!   plans (`min` branches have their own ids, so no special-casing);
-//! * [`propagation_score`] memoizes across the *whole plan set*, so a
-//!   subplan occurring in many minimal plans is evaluated once per call.
+//! A hit hands out the same reference-counted relation the recomputation
+//! would have produced — a pointer bump, not a copy — so answer sets are
+//! bit-identical to plan-at-a-time evaluation. The evaluator's variants
+//! are data it holds, not further walks:
 //!
-//! A memo hit hands out the same reference-counted relation the
-//! recomputation would have produced, so answer sets are bit-identical to
-//! plan-at-a-time evaluation.
-
-//! ## Incremental evaluation
+//! * **anytime top-k** ([`topk`]) — the first plan's scans seed an
+//!   optional lower-bound score column on [`Rel`] that the operators carry
+//!   alongside the scores; after pruning, the remaining plans scan
+//!   per-atom *survivor row lists* from the reducer of [`semijoin`]
+//!   instead of the full relations;
+//! * **incremental evaluation** ([`delta`]) — [`delta::IncrementalEval`]
+//!   keeps the evaluator's memo as a persistent view store, plus each
+//!   join's fold order and intermediates, and consumes append-only growth
+//!   as sorted delta batches. Its delta *propagation* pass is a different
+//!   algorithm, not a second evaluator, built on the same scan emitter,
+//!   projection dispatch and join fold.
 //!
-//! [`delta::IncrementalEval`] promotes the `PlanId`-keyed memo to a
-//! persistent cached-view store and consumes append-only database growth
-//! as sorted delta batches, updating every materialized node — and the
-//! answer set — in place with results bit-identical to re-evaluating from
-//! scratch. See [`delta`] for the per-operator delta algebra and its
-//! fallback rules.
+//! Pruned-vs-exhaustive and incremental-vs-scratch results thus agree by
+//! construction: same code, same floats.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -112,9 +110,8 @@ pub mod topk;
 
 pub use delta::{DeltaOutcome, IncrementalEval};
 pub use exec::{
-    deterministic_answers, deterministic_answers_par, eval_plan, eval_plan_id, order_plans_by_cost,
-    plan_cost_estimates, propagation_score, propagation_score_ids, AnswerSet, ExecError,
-    ExecOptions, Semantics,
+    deterministic_answers, eval_plan, eval_plan_id, order_plans_by_cost, plan_cost_estimates,
+    propagation_score, propagation_score_ids, AnswerSet, ExecError, ExecOptions, Semantics,
 };
 pub use rel::{Par, Rel, Scratch};
 pub use semijoin::reduce_database;

@@ -113,6 +113,11 @@ impl<'q> ScanShape<'q> {
 }
 
 impl PreparedAtom {
+    /// The encoded cells of row ordinal `i`.
+    pub(crate) fn row(&self, i: u32) -> &[Vid] {
+        &self.cells[i as usize * self.arity..(i as usize + 1) * self.arity]
+    }
+
     /// Drive `emit` with `(row ordinal, encoded row)` for every row of the
     /// relation that passes the atom's constant filters and the shape's
     /// repeated-variable and predicate filters. Emits nothing when a
@@ -131,9 +136,8 @@ impl PreparedAtom {
         let Some(const_vids) = &self.consts else {
             return;
         };
-        let arity = self.arity;
         'rows: for i in 0..rel.len() {
-            let row = &self.cells[i * arity..(i + 1) * arity];
+            let row = self.row(i as u32);
             for &(c, vid) in const_vids {
                 if row[c] != vid {
                     continue 'rows;

@@ -24,13 +24,14 @@
 //!
 //! # Morsel parallelism
 //!
-//! Every operator has a `*_par` form taking a [`Par`]: large batches are
-//! partitioned into contiguous morsels — by position for sorts and scans,
-//! by key range (never splitting a group or join block) for merges and
-//! folds — and the morsels are submitted as tasks to the persistent
-//! work-stealing pool ([`crate::pool::run_scope`]; zero dependencies,
-//! no per-operator thread spawns). Results are **bit-identical at every thread
-//! count**: morsel outputs are concatenated in partition order, a group's
+//! Every operator takes a [`Par`] (pass [`Par::serial`] to stay on the
+//! calling thread): large batches are partitioned into contiguous morsels
+//! — by position for sorts and scans, by key range (never splitting a
+//! group or join block) for merges and folds — and the morsels are
+//! submitted as tasks to the persistent work-stealing pool
+//! ([`crate::pool::run_scope`]; zero dependencies, no per-operator thread
+//! spawns). Results are **bit-identical at every thread count**: morsel
+//! outputs are concatenated in partition order, a group's
 //! fold never straddles a morsel, and the sorted order is a total order
 //! (ties broken by row index), so the parallel plan computes literally the
 //! same floats as the serial one.
@@ -42,7 +43,7 @@
 
 use crate::kernels::{self, Key};
 use lapush_query::Var;
-use lapush_storage::{RowKey, Vid};
+use lapush_storage::Vid;
 
 /// Operator-level parallelism budget.
 ///
@@ -116,6 +117,14 @@ pub struct Rel {
     cols: Vec<Vec<Vid>>,
     /// Score of each row.
     scores: Vec<f64>,
+    /// Optional lower-bound score of each row — the `lo` of the anytime
+    /// top-k `[lo, hi]` interval ([`crate::topk`]): the probability of the
+    /// row's best single derivation. Seeded on scans by
+    /// [`Rel::seed_lower_bounds`]; an operator whose inputs all carry the
+    /// column folds it in the same pass as the scores (joins multiply,
+    /// projections and duplicate elimination take the `max`) and otherwise
+    /// drops it, so the primary scores never depend on it.
+    lo: Option<Vec<f64>>,
 }
 
 impl Rel {
@@ -126,6 +135,7 @@ impl Rel {
             vars,
             cols,
             scores: Vec::new(),
+            lo: None,
         }
     }
 
@@ -137,6 +147,7 @@ impl Rel {
             vars,
             cols,
             scores: Vec::with_capacity(cap),
+            lo: None,
         }
     }
 
@@ -144,7 +155,12 @@ impl Rel {
     /// duplicate rows with `max` (set semantics keeps the strongest
     /// derivation).
     pub fn from_unsorted_columns(vars: Vec<Var>, cols: Vec<Vec<Vid>>, scores: Vec<f64>) -> Self {
-        let mut rel = Rel { vars, cols, scores };
+        let mut rel = Rel {
+            vars,
+            cols,
+            scores,
+            lo: None,
+        };
         rel.canonicalize(Par::serial(), &mut Scratch::default());
         rel
     }
@@ -189,10 +205,36 @@ impl Rel {
         self.scores[row]
     }
 
-    /// One row materialized as a [`RowKey`] (boundary/test helper; the
-    /// operators themselves never build row keys).
-    pub fn row_key(&self, row: usize) -> RowKey {
-        RowKey::from_fn(self.arity(), |c| self.cols[c][row])
+    /// The lower-bound column, when this relation carries one.
+    pub(crate) fn lower_bounds(&self) -> Option<&[f64]> {
+        self.lo.as_deref()
+    }
+
+    /// Start the lower-bound column on a canonical scan result: a base
+    /// tuple is its own best derivation, so `lo = score`.
+    pub(crate) fn seed_lower_bounds(&mut self) {
+        self.lo = Some(self.scores.clone());
+    }
+
+    /// Stop carrying the lower-bound column (the scores are untouched).
+    pub(crate) fn drop_lower_bounds(&mut self) -> Option<Vec<f64>> {
+        self.lo.take()
+    }
+
+    /// The listed rows (ascending, so the result is canonical), with their
+    /// scores and lower bounds.
+    pub(crate) fn gather(&self, rows: &[u32]) -> Rel {
+        let pick = |src: &[f64]| rows.iter().map(|&r| src[r as usize]).collect();
+        let mut cols = vec![Vec::new(); self.arity()];
+        for (out, col) in cols.iter_mut().zip(&self.cols) {
+            kernels::gather_u32(col, rows, out);
+        }
+        Rel {
+            vars: self.vars.clone(),
+            cols,
+            scores: pick(&self.scores),
+            lo: self.lo.as_deref().map(pick),
+        }
     }
 
     /// Append one row (breaks canonical order; call
@@ -270,22 +312,11 @@ impl Rel {
     }
 
     /// Restore the canonical invariant: sort rows lexicographically by all
-    /// columns and combine duplicates with `max`.
+    /// columns and combine duplicates with `max` (a lower-bound column
+    /// rides the same permutation and folds the same way).
     pub fn canonicalize(&mut self, par: Par, scratch: &mut Scratch) {
-        self.canonicalize_impl(None, par, scratch);
-    }
-
-    /// [`Rel::canonicalize`] that also carries an auxiliary score column
-    /// (the lower-bound column of a [`crate::topk`] bounds evaluation)
-    /// through the same permutation, folding duplicates with `max` like the
-    /// primary column.
-    pub(crate) fn canonicalize_aux(&mut self, aux: &mut Vec<f64>, par: Par, scratch: &mut Scratch) {
-        debug_assert_eq!(aux.len(), self.len());
-        self.canonicalize_impl(Some(aux), par, scratch);
-    }
-
-    fn canonicalize_impl(&mut self, aux: Option<&mut Vec<f64>>, par: Par, scratch: &mut Scratch) {
         let n = self.len();
+        debug_assert!(self.lo.as_ref().map_or(true, |lo| lo.len() == n));
         if n <= 1 {
             return;
         }
@@ -303,7 +334,7 @@ impl Rel {
             let end = run_end_full(&cols, keys, pos);
             keep.push(keys[pos].row);
             scores.push(kernels::fold_max(&self.scores, &keys[pos..end]));
-            if let Some(a) = aux.as_deref() {
+            if let Some(a) = &self.lo {
                 aux_scores.push(kernels::fold_max(a, &keys[pos..end]));
             }
             pos = end;
@@ -318,8 +349,8 @@ impl Rel {
             }
         }
         self.scores = scores;
-        if let Some(a) = aux {
-            *a = aux_scores;
+        if self.lo.is_some() {
+            self.lo = Some(aux_scores);
         }
     }
 
@@ -547,49 +578,21 @@ fn merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
 /// Natural join of two intermediate relations; scores multiply
 /// (independent-AND). Joins on all shared variables; preserves left column
 /// order, then right-only columns.
-pub fn join(left: &Rel, right: &Rel) -> Rel {
-    join_par(left, right, Par::serial(), &mut Scratch::default())
-}
-
-/// [`join`] with a parallelism budget and reusable scratch: a sort-merge
-/// join. Each input is brought into join-key order (free when the key is a
-/// column prefix — the canonical sort then already is key order), matching
-/// key blocks are enumerated by a linear merge, and the cross product of
-/// each block pair is emitted. Large outputs are partitioned by key range
-/// (whole blocks, never splitting one) across pool tasks writing
-/// disjoint output ranges.
+///
+/// A sort-merge join: each input is brought into join-key order (free when
+/// the key is a column prefix — the canonical sort then already is key
+/// order), matching key blocks are enumerated by a linear merge, and the
+/// cross product of each block pair is emitted. Large outputs are
+/// partitioned by key range (whole blocks, never splitting one) across
+/// pool tasks writing disjoint output ranges.
+///
+/// When both inputs carry a lower-bound column it multiplies through the
+/// same pass and rides the same output permutation; the scores are
+/// bit-identical either way.
 pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel {
-    join_impl(left, right, None, par, scratch).0
-}
-
-/// [`join_par`] carrying one auxiliary score column per input through the
-/// same sort/merge pass: auxiliary scores multiply exactly like the primary
-/// ones and ride the same output permutation. This is the single-pass
-/// `[lo, hi]` join of the anytime top-k bounds evaluation ([`crate::topk`]):
-/// the primary column is the independent-OR upper bound, the auxiliary one
-/// the single-best-derivation lower bound. The returned primary relation is
-/// bit-identical to `join_par(left, right)`.
-pub(crate) fn join_aux_par(
-    left: &Rel,
-    laux: &[f64],
-    right: &Rel,
-    raux: &[f64],
-    par: Par,
-    scratch: &mut Scratch,
-) -> (Rel, Vec<f64>) {
-    let (rel, aux) = join_impl(left, right, Some((laux, raux)), par, scratch);
-    (rel, aux.expect("aux column requested"))
-}
-
-fn join_impl(
-    left: &Rel,
-    right: &Rel,
-    aux: Option<(&[f64], &[f64])>,
-    par: Par,
-    scratch: &mut Scratch,
-) -> (Rel, Option<Vec<f64>>) {
     left.assert_canonical();
     right.assert_canonical();
+    let aux = left.lower_bounds().zip(right.lower_bounds());
     // Determine shared and right-only columns.
     let shared: Vec<(usize, usize)> = left
         .vars
@@ -746,17 +749,13 @@ fn join_impl(
         vars: out_vars,
         cols: out_cols,
         scores: out_scores,
+        lo: aux.map(|_| out_aux),
     };
     // Join rows are distinct (the key plus both rests determine the pair),
     // but the emission order is (join key, left, right) — restore the
     // canonical lexicographic order.
-    if aux.is_some() {
-        out.canonicalize_aux(&mut out_aux, par, scratch);
-        (out, Some(out_aux))
-    } else {
-        out.canonicalize(par, scratch);
-        (out, None)
-    }
+    out.canonicalize(par, scratch);
+    out
 }
 
 /// Compare the key at sorted position `i` of the left order with the key at
@@ -788,46 +787,56 @@ fn block_cmp(
     std::cmp::Ordering::Equal
 }
 
-/// Join many relations. Children are folded left-to-right after a greedy
-/// reordering that keeps the accumulated result connected (avoids cartesian
-/// products when possible) and starts from the smallest input. When no
-/// remaining input shares a variable with the accumulator (a cartesian
-/// product is unavoidable), the smallest remaining relation is taken to
-/// keep the blow-up minimal.
-pub fn join_many(mut inputs: Vec<Rel>) -> Rel {
-    assert!(!inputs.is_empty(), "join of zero inputs");
-    if inputs.len() == 1 {
-        return inputs.pop().expect("one element");
-    }
-    let refs: Vec<&Rel> = inputs.iter().collect();
-    join_many_refs(&refs)
-}
-
-/// [`join_many`] over borrowed inputs (the evaluator shares children
-/// through its memo caches and must not clone them to join).
-pub fn join_many_refs(inputs: &[&Rel]) -> Rel {
-    join_many_par(inputs, Par::serial(), &mut Scratch::default())
-}
-
-/// [`join_many_refs`] with a parallelism budget and reusable scratch: fold
-/// the inputs pairwise along the greedy [`join_order`].
+/// Join many relations (borrowed: the evaluator shares children through
+/// its memo and must not clone them to join). Children are folded pairwise
+/// along the greedy [`join_order`], which keeps the accumulated result
+/// connected (avoids cartesian products when possible) and starts from the
+/// smallest input.
 pub fn join_many_par(inputs: &[&Rel], par: Par, scratch: &mut Scratch) -> Rel {
-    assert!(!inputs.is_empty(), "join of zero inputs");
-    if inputs.len() == 1 {
-        return inputs[0].clone();
-    }
+    join_fold(inputs, false, par, scratch).0
+}
+
+/// How one multi-way join was folded: the greedy order and, when asked
+/// for, every intermediate accumulator except the final one (which is the
+/// join's result). The incremental evaluator keeps both to replay the fold
+/// on deltas.
+pub(crate) struct JoinState {
+    pub(crate) order: Vec<usize>,
+    pub(crate) mids: Vec<Rel>,
+}
+
+/// The one multi-way join fold behind [`join_many_par`]; `keep_mids`
+/// retains the intermediate accumulators in the returned [`JoinState`]
+/// instead of dropping them as the fold advances.
+pub(crate) fn join_fold(
+    inputs: &[&Rel],
+    keep_mids: bool,
+    par: Par,
+    scratch: &mut Scratch,
+) -> (Rel, JoinState) {
     let order = join_order(inputs);
-    let mut acc = join_par(inputs[order[0]], inputs[order[1]], par, scratch);
-    for &ix in &order[2..] {
-        acc = join_par(&acc, inputs[ix], par, scratch);
-    }
-    acc
+    let mut mids: Vec<Rel> = Vec::new();
+    let acc = if inputs.len() == 1 {
+        inputs[0].clone()
+    } else {
+        let mut acc = join_par(inputs[order[0]], inputs[order[1]], par, scratch);
+        for &ix in &order[2..] {
+            let next = join_par(&acc, inputs[ix], par, scratch);
+            let mid = std::mem::replace(&mut acc, next);
+            if keep_mids {
+                mids.push(mid);
+            }
+        }
+        acc
+    };
+    (acc, JoinState { order, mids })
 }
 
 /// The greedy fold order [`join_many_par`] uses, as original input
 /// indices: start from the smallest input, then repeatedly take the
 /// smallest input sharing a variable with the accumulated result (else —
-/// cartesian product unavoidable — the smallest input overall). The order
+/// a cartesian product is unavoidable — the smallest input overall, to
+/// keep the blow-up minimal). The order
 /// depends only on the inputs' variables and row counts, so callers
 /// maintaining cached per-step accumulators (the incremental evaluator)
 /// can recompute it cheaply to detect when their cache matches the order
@@ -893,43 +902,13 @@ enum ProjFold {
     One,
 }
 
+/// The grouped scan behind every projection. A lower-bound column on the
+/// input folds over the same group runs, in the same pass, with `max` —
+/// the best single derivation, exactly [`project_max_par`]'s fold — while
+/// the scores fold as `fold` says, bit-identical to an input without it.
 fn project_fold(input: &Rel, keep: &[Var], fold: ProjFold, par: Par, scratch: &mut Scratch) -> Rel {
-    project_fold_impl(input, None, keep, fold, par, scratch).0
-}
-
-/// Probabilistic projection that also folds an auxiliary lower-bound score
-/// column over the same group runs, in the same pass: the primary column
-/// folds with independent-OR (the upper bound, bit-identical to
-/// [`project_prob_par`]) and the auxiliary column with `max` (the best
-/// single derivation — exactly [`project_max_par`]'s fold). Used by the
-/// anytime top-k bounds evaluation ([`crate::topk`]).
-pub(crate) fn project_bounds_par(
-    input: &Rel,
-    aux: &[f64],
-    keep: &[Var],
-    par: Par,
-    scratch: &mut Scratch,
-) -> (Rel, Vec<f64>) {
-    let (rel, aux) = project_fold_impl(
-        input,
-        Some(aux),
-        keep,
-        ProjFold::IndependentOr,
-        par,
-        scratch,
-    );
-    (rel, aux.expect("aux column requested"))
-}
-
-fn project_fold_impl(
-    input: &Rel,
-    aux: Option<&[f64]>,
-    keep: &[Var],
-    fold: ProjFold,
-    par: Par,
-    scratch: &mut Scratch,
-) -> (Rel, Option<Vec<f64>>) {
     input.assert_canonical();
+    let aux = input.lower_bounds();
     let cols_idx: Vec<usize> = keep
         .iter()
         .map(|&v| input.col_of(v).expect("projection var missing"))
@@ -1029,43 +1008,29 @@ fn project_fold_impl(
         vars: keep.to_vec(),
         cols: out_cols,
         scores: out_scores,
+        lo: aux.map(|_| out_aux),
     };
     // Groups were emitted in group-key order, which *is* the canonical
     // order of the output columns; groups are distinct by construction.
     out.assert_canonical();
-    (out, aux.map(|_| out_aux))
+    out
 }
 
 /// Probabilistic projection with duplicate elimination: group by `keep`
 /// columns, combine group members with independent-OR
 /// (`1 − ∏(1 − pᵢ)`).
-pub fn project_prob(input: &Rel, keep: &[Var]) -> Rel {
-    project_prob_par(input, keep, Par::serial(), &mut Scratch::default())
-}
-
-/// [`project_prob`] with a parallelism budget and reusable scratch.
 pub fn project_prob_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
     project_fold(input, keep, ProjFold::IndependentOr, par, scratch)
 }
 
 /// Max-projection: group by `keep`, keep the maximum score per group.
 /// Used by the lower-bound semantics: `P(⋁ᵢ eᵢ) ≥ maxᵢ P(eᵢ)`.
-pub fn project_max(input: &Rel, keep: &[Var]) -> Rel {
-    project_max_par(input, keep, Par::serial(), &mut Scratch::default())
-}
-
-/// [`project_max`] with a parallelism budget and reusable scratch.
 pub fn project_max_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
     project_fold(input, keep, ProjFold::Max, par, scratch)
 }
 
 /// Deterministic projection: group by `keep`, score 1 for every surviving
 /// group (standard SQL `SELECT DISTINCT`).
-pub fn project_det(input: &Rel, keep: &[Var]) -> Rel {
-    project_det_par(input, keep, Par::serial(), &mut Scratch::default())
-}
-
-/// [`project_det`] with a parallelism budget and reusable scratch.
 pub fn project_det_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
     project_fold(input, keep, ProjFold::One, par, scratch)
 }
@@ -1075,7 +1040,7 @@ pub fn project_det_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratc
 // ---------------------------------------------------------------------------
 
 /// Fold `next` into `acc` by per-tuple minimum, aligning `next`'s columns
-/// to `acc`'s order. The incremental form of [`min_combine`], used by
+/// to `acc`'s order. The incremental form of [`min_combine_par`], used by
 /// `propagation_score` to accumulate the min over plans.
 ///
 /// Both inputs are sorted, so this is a pointwise merge. When the key sets
@@ -1083,31 +1048,30 @@ pub fn project_det_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratc
 /// hot path — the merge runs **fully in place** on `acc`'s score column:
 /// no map, no fresh vector, not even a staging buffer. Keys present only
 /// in `next` are collected and merged in with one allocation per column.
-pub fn min_into(acc: &mut Rel, next: &Rel) {
-    min_into_par(acc, next, Par::serial(), &mut Scratch::default());
-}
-
-/// [`min_into`] with a parallelism budget and reusable scratch (the
-/// scratch is only touched when `next`'s column order differs from
-/// `acc`'s and a key re-sort is needed).
+/// The scratch is only touched when `next`'s column order differs from
+/// `acc`'s and a key re-sort is needed.
 pub fn min_into_par(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch) {
     min_into_impl(acc, next, par, scratch, true);
 }
 
-/// [`min_into_par`] restricted to `acc`'s key set: keys present only in
-/// `next` are *dropped* instead of merged in. Used by the top-k driver,
-/// where `acc` holds the surviving answer groups and later plans are
-/// evaluated over a filtered input that may still produce rows for
-/// already-pruned groups (the filter is per-variable, not per-tuple).
-/// Matching keys take the exact same in-place pointwise min as
-/// [`min_into_par`], so surviving scores stay bit-identical.
-pub(crate) fn min_into_matching_par(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch) {
-    min_into_impl(acc, next, par, scratch, false);
-}
-
-fn min_into_impl(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch, keep_extras: bool) {
+/// [`min_into_par`], or with `keep_extras` off its restriction to `acc`'s
+/// key set: keys present only in `next` are *dropped* instead of merged
+/// in. The top-k driver uses that form — `acc` holds the surviving answer
+/// groups, and later plans are evaluated over survivor-filtered inputs
+/// that may still produce rows for already-pruned groups. Matching keys
+/// take the exact same in-place pointwise min either way, so surviving
+/// scores stay bit-identical.
+pub(crate) fn min_into_impl(
+    acc: &mut Rel,
+    next: &Rel,
+    par: Par,
+    scratch: &mut Scratch,
+    keep_extras: bool,
+) {
     acc.assert_canonical();
     next.assert_canonical();
+    // A min over alternatives has no single best derivation to track.
+    acc.lo = None;
     let perm: Vec<usize> = acc
         .vars
         .iter()
@@ -1199,20 +1163,8 @@ fn min_into_impl(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch, kee
 /// Per-tuple minimum across alternative results for the same subquery
 /// (the `min` operator of Optimization 1). All inputs must have the same
 /// variables (column order may differ) and, for plans of the same query,
-/// the same key set.
-pub fn min_combine(inputs: &[Rel]) -> Rel {
-    let refs: Vec<&Rel> = inputs.iter().collect();
-    min_combine_refs(&refs)
-}
-
-/// [`min_combine`] over borrowed inputs.
-pub fn min_combine_refs(inputs: &[&Rel]) -> Rel {
-    min_combine_par(inputs, Par::serial(), &mut Scratch::default())
-}
-
-/// [`min_combine_refs`] with a parallelism budget and reusable scratch.
-/// One clone of the first input seeds the accumulator; every following
-/// input folds in via the in-place [`min_into_par`].
+/// the same key set. One clone of the first input seeds the accumulator;
+/// every following input folds in via the in-place [`min_into_par`].
 pub fn min_combine_par(inputs: &[&Rel], par: Par, scratch: &mut Scratch) -> Rel {
     assert!(!inputs.is_empty(), "min of zero inputs");
     let mut out = inputs[0].clone();
@@ -1390,7 +1342,7 @@ mod tests {
         // R(x=0, y=1) ⋈ S(y=1, z=2)
         let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[2, 20], 0.4)]);
         let s = rel(&[1, 2], &[(&[10, 100], 0.5), (&[10, 101], 1.0)]);
-        let j = join(&r, &s);
+        let j = join_par(&r, &s, Par::serial(), &mut Scratch::default());
         assert_eq!(j.vars, vec![v(0), v(1), v(2)]);
         assert_eq!(j.len(), 2);
         assert!((score_at(&j, &[1, 10, 100]) - 0.25).abs() < 1e-12);
@@ -1400,7 +1352,7 @@ mod tests {
     fn join_cartesian_when_disjoint() {
         let r = rel(&[0], &[(&[1], 0.5), (&[2], 0.5)]);
         let s = rel(&[1], &[(&[10], 0.5)]);
-        let j = join(&r, &s);
+        let j = join_par(&r, &s, Par::serial(), &mut Scratch::default());
         assert_eq!(j.len(), 2);
     }
 
@@ -1408,7 +1360,7 @@ mod tests {
     fn join_empty_result() {
         let r = rel(&[0], &[(&[1], 0.5)]);
         let s = rel(&[0], &[(&[2], 0.5)]);
-        assert!(join(&r, &s).is_empty());
+        assert!(join_par(&r, &s, Par::serial(), &mut Scratch::default()).is_empty());
     }
 
     #[test]
@@ -1417,7 +1369,7 @@ mod tests {
         let r = rel(&[0, 1], &[(&[1, 2], 0.5)]);
         let s = rel(&[1, 2], &[(&[2, 3], 0.5)]);
         let t = rel(&[2, 3], &[(&[3, 4], 0.5)]);
-        let j = join_many(vec![r, t, s]);
+        let j = join_many_par(&[&r, &t, &s], Par::serial(), &mut Scratch::default());
         assert_eq!(j.len(), 1);
         assert_eq!(j.vars.len(), 4);
         assert!((j.score(0) - 0.125).abs() < 1e-12);
@@ -1434,7 +1386,11 @@ mod tests {
         let a_small = rel(&[4], &[(&[9], 0.5)]);
         let b = rel(&[1], &[(&[5], 0.5)]);
         let c = rel(&[1, 2], &[(&[5, 6], 0.5), (&[5, 7], 0.5)]);
-        let j = join_many(vec![a_big, a_small, b, c]);
+        let j = join_many_par(
+            &[&a_big, &a_small, &b, &c],
+            Par::serial(),
+            &mut Scratch::default(),
+        );
         // Result is the full cartesian product either way; the fallback
         // order only shows in the output column layout (joins append the
         // right input's new columns).
@@ -1453,7 +1409,7 @@ mod tests {
             &[0, 1],
             &[(&[1, 10], 0.5), (&[1, 11], 0.5), (&[2, 12], 0.3)],
         );
-        let p = project_prob(&r, &[v(0)]);
+        let p = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 2);
         assert!((score_at(&p, &[1]) - 0.75).abs() < 1e-12);
         assert!((score_at(&p, &[2]) - 0.3).abs() < 1e-12);
@@ -1466,7 +1422,7 @@ mod tests {
             &[0, 1],
             &[(&[1, 10], 0.5), (&[2, 10], 0.5), (&[3, 11], 0.25)],
         );
-        let p = project_prob(&r, &[v(1)]);
+        let p = project_prob_par(&r, &[v(1)], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 2);
         assert!((score_at(&p, &[10]) - 0.75).abs() < 1e-12);
         assert!((score_at(&p, &[11]) - 0.25).abs() < 1e-12);
@@ -1475,7 +1431,7 @@ mod tests {
     #[test]
     fn project_to_empty_vars_gives_boolean_score() {
         let r = rel(&[0], &[(&[1], 0.5), (&[2], 0.5)]);
-        let p = project_prob(&r, &[]);
+        let p = project_prob_par(&r, &[], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 1);
         assert!((p.score(0) - 0.75).abs() < 1e-12);
     }
@@ -1483,7 +1439,7 @@ mod tests {
     #[test]
     fn project_det_dedups() {
         let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[1, 11], 0.9)]);
-        let p = project_det(&r, &[v(0)]);
+        let p = project_det_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 1);
         assert_eq!(p.score(0), 1.0);
     }
@@ -1492,7 +1448,7 @@ mod tests {
     fn min_combine_takes_pointwise_min() {
         let a = rel(&[0], &[(&[1], 0.8), (&[2], 0.3)]);
         let b = rel(&[0], &[(&[1], 0.5), (&[2], 0.7)]);
-        let m = min_combine(&[a, b]);
+        let m = min_combine_par(&[&a, &b], Par::serial(), &mut Scratch::default());
         assert!((score_at(&m, &[1]) - 0.5).abs() < 1e-12);
         assert!((score_at(&m, &[2]) - 0.3).abs() < 1e-12);
     }
@@ -1502,7 +1458,7 @@ mod tests {
         let a = rel(&[0, 1], &[(&[1, 10], 0.8)]);
         // Same rows, but with columns swapped.
         let b = rel(&[1, 0], &[(&[10, 1], 0.2)]);
-        let m = min_combine(&[a, b]);
+        let m = min_combine_par(&[&a, &b], Par::serial(), &mut Scratch::default());
         assert!((score_at(&m, &[1, 10]) - 0.2).abs() < 1e-12);
     }
 
@@ -1510,7 +1466,7 @@ mod tests {
     fn min_into_merges_next_only_keys() {
         let mut a = rel(&[0], &[(&[2], 0.8)]);
         let b = rel(&[0], &[(&[1], 0.5), (&[2], 0.9), (&[3], 0.1)]);
-        min_into(&mut a, &b);
+        min_into_par(&mut a, &b, Par::serial(), &mut Scratch::default());
         assert_eq!(a.len(), 3);
         assert!((score_at(&a, &[1]) - 0.5).abs() < 1e-12);
         assert!((score_at(&a, &[2]) - 0.8).abs() < 1e-12);
@@ -1524,7 +1480,7 @@ mod tests {
             &[0, 1],
             &[(&[1, 10], 0.5), (&[1, 11], 0.8), (&[2, 12], 0.3)],
         );
-        let p = project_max(&r, &[v(0)]);
+        let p = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 2);
         assert!((score_at(&p, &[1]) - 0.8).abs() < 1e-12);
         assert!((score_at(&p, &[2]) - 0.3).abs() < 1e-12);
@@ -1533,9 +1489,55 @@ mod tests {
     #[test]
     fn project_max_lower_bounds_project_prob() {
         let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[1, 11], 0.8)]);
-        let lo = project_max(&r, &[v(0)]);
-        let hi = project_prob(&r, &[v(0)]);
+        let lo = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
+        let hi = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         assert!(score_at(&lo, &[1]) <= score_at(&hi, &[1]));
+    }
+
+    #[test]
+    fn lower_bounds_ride_along_without_touching_scores() {
+        let (par, mut scratch) = (Par::serial(), Scratch::default());
+        let plain_r = rel(
+            &[0, 1],
+            &[(&[1, 10], 0.5), (&[1, 11], 0.8), (&[2, 10], 0.3)],
+        );
+        let plain_s = rel(&[1], &[(&[10], 0.5), (&[11], 0.25)]);
+        let (mut r, mut s) = (plain_r.clone(), plain_s.clone());
+        r.seed_lower_bounds();
+        s.seed_lower_bounds();
+        assert_eq!(r.lower_bounds(), Some(r.scores()));
+
+        // Join multiplies both columns; projection folds the scores with
+        // independent-OR and the bounds with max — project_max_par's fold.
+        let j = join_par(&r, &s, par, &mut scratch);
+        let p = project_prob_par(&j, &[v(0)], par, &mut scratch);
+        let plain_j = join_par(&plain_r, &plain_s, par, &mut scratch);
+        assert_eq!(j.lower_bounds(), Some(plain_j.scores()));
+        assert_eq!(
+            p.lower_bounds(),
+            Some(project_max_par(&plain_j, &[v(0)], par, &mut scratch).scores())
+        );
+        let bits = |r: &Rel| r.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&j), bits(&plain_j));
+        assert_eq!(
+            bits(&p),
+            bits(&project_prob_par(&plain_j, &[v(0)], par, &mut scratch))
+        );
+
+        // One input without the column, or a min over alternatives, drops it.
+        assert!(join_par(&r, &plain_s, par, &mut scratch)
+            .lower_bounds()
+            .is_none());
+        assert!(min_combine_par(&[&p, &p], par, &mut scratch)
+            .lower_bounds()
+            .is_none());
+        // A gather keeps scores and bounds aligned.
+        let g = j.gather(&[0, 2]);
+        assert_eq!(g.len(), 2);
+        assert_eq!(
+            g.lower_bounds(),
+            Some(&[j.lo.as_ref().unwrap()[0], j.lo.as_ref().unwrap()[2]][..])
+        );
     }
 
     #[test]
@@ -1551,11 +1553,11 @@ mod tests {
         // joining must fall through to the tie-resolution path.
         let r = rel(&[0, 1, 2, 3, 4], &[(&[1, 2, 3, 4, 5], 0.5)]);
         let s = rel(&[4, 5], &[(&[5, 6], 0.5)]);
-        let j = join(&r, &s);
+        let j = join_par(&r, &s, Par::serial(), &mut Scratch::default());
         assert_eq!(j.len(), 1);
         assert_eq!(j.vars.len(), 6);
         assert!((score_at(&j, &[1, 2, 3, 4, 5, 6]) - 0.25).abs() < 1e-12);
-        let p = project_prob(&j, &[v(0), v(5)]);
+        let p = project_prob_par(&j, &[v(0), v(5)], Par::serial(), &mut Scratch::default());
         assert!((score_at(&p, &[1, 6]) - 0.25).abs() < 1e-12);
     }
 
@@ -1611,10 +1613,10 @@ mod tests {
         assert_eq!(left, left_par);
         assert_eq!(right, right_par);
 
-        let j_serial = join(&left, &right);
+        let j_serial = join_par(&left, &right, Par::serial(), &mut Scratch::default());
         let j_par = join_par(&left, &right, par, &mut scratch);
         assert_eq!(j_serial, j_par);
-        let p_serial = project_prob(&j_serial, &[v(0)]);
+        let p_serial = project_prob_par(&j_serial, &[v(0)], Par::serial(), &mut Scratch::default());
         let p_par = project_prob_par(&j_par, &[v(0)], par, &mut scratch);
         assert_eq!(p_serial, p_par);
         // Bitwise, not approximate: the fold order must be identical.
@@ -1709,10 +1711,10 @@ mod tests {
         let run = r.prefix_run(&[vid(2)]);
         assert_eq!(run, 2..5);
         assert_eq!(r.prefix_run(&[vid(9)]), 5..5);
-        let p = project_prob(&r, &[v(0)]);
+        let p = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         let refolded = fold_run_or(&r, run.start, run.end);
         assert_eq!(refolded.to_bits(), score_at(&p, &[2]).to_bits());
-        let pm = project_max(&r, &[v(0)]);
+        let pm = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         let refolded_max = fold_run_max(&r, 0, 2);
         assert_eq!(refolded_max.to_bits(), score_at(&pm, &[1]).to_bits());
     }

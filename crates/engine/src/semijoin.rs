@@ -27,33 +27,8 @@ pub fn reduce_database(db: &Database, q: &Query) -> Database {
     // An unpreparable atom (missing relation / wrong arity) has no
     // surviving rows; evaluation will report the error downstream.
     let preps = prepare_atoms_lenient(db, q);
-    // Per atom: surviving row indices.
-    let mut survivors: Vec<Vec<u32>> = q
-        .atoms()
-        .iter()
-        .zip(&preps)
-        .map(|(atom, prep)| initial_survivors(db, q, atom, prep.as_ref()))
-        .collect();
-
-    // Semi-join passes until fixpoint.
-    loop {
-        let mut changed = false;
-        for i in 0..q.atoms().len() {
-            for j in 0..q.atoms().len() {
-                if i == j {
-                    continue;
-                }
-                let shared = shared_vars(&q.atoms()[i], &q.atoms()[j]);
-                if shared.is_empty() {
-                    continue;
-                }
-                changed |= semijoin_pass(&preps, i, j, &shared, &mut survivors);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let preps: Vec<Option<&PreparedAtom>> = preps.iter().map(Option::as_ref).collect();
+    let survivors = reduce_rows(db, q, &preps, &[]);
 
     // Build the reduced database. Queries are self-join-free (enforced by
     // the AST: relation names are unique per query), so a relation maps to
@@ -93,7 +68,53 @@ pub fn reduce_database(db: &Database, q: &Query) -> Database {
     out
 }
 
-/// Rows of the atom's relation passing constant/equality/predicate filters.
+/// The reducer itself: per atom, the ordinals of the rows that survive
+/// selection and semi-join reduction, ascending. `allowed` seeds the
+/// reduction with per-variable value restrictions — sorted vid lists a
+/// row's binding must occur in (none for Optimization 3; the surviving
+/// answer groups' head values for the top-k driver, which evaluates the
+/// remaining plans over the returned lists) — and the semi-join passes
+/// between atoms sharing variables then run to a fixpoint, so a
+/// restriction propagates through join variables into atoms that hold no
+/// restricted variable at all.
+///
+/// A removed row has, for some atom sharing variables with its own, no
+/// partner among that atom's survivors, so it takes part in no full join
+/// of surviving rows.
+pub(crate) fn reduce_rows(
+    db: &Database,
+    q: &Query,
+    preps: &[Option<&PreparedAtom>],
+    allowed: &[(Var, Vec<Vid>)],
+) -> Vec<Vec<u32>> {
+    let atoms = q.atoms();
+    let mut survivors: Vec<Vec<u32>> = (atoms.iter().zip(preps))
+        .map(|(atom, prep)| initial_survivors(db, q, atom, *prep, allowed))
+        .collect();
+    loop {
+        let mut changed = false;
+        // Smallest reducer first: a pass sorts the reducing atom's keys, so
+        // letting the short lists shrink the long ones before those reduce
+        // anything keeps every sort small. (The fixpoint does not depend on
+        // the order.)
+        let mut reducers: Vec<usize> = (0..atoms.len()).collect();
+        reducers.sort_by_key(|&j| survivors[j].len());
+        for j in reducers {
+            for i in 0..atoms.len() {
+                let shared = shared_vars(&atoms[i], &atoms[j]);
+                if i != j && !shared.is_empty() {
+                    changed |= semijoin_pass(preps, i, j, &shared, &mut survivors);
+                }
+            }
+        }
+        if !changed {
+            return survivors;
+        }
+    }
+}
+
+/// Rows of the atom's relation passing its constant/equality/predicate
+/// filters and the `allowed` value lists of its variables.
 ///
 /// Constant and repeated-variable filters compare vids on the encoded
 /// columns; order/pattern predicates run on the stored values.
@@ -102,14 +123,28 @@ fn initial_survivors(
     q: &Query,
     atom: &Atom,
     prep: Option<&PreparedAtom>,
+    allowed: &[(Var, Vec<Vid>)],
 ) -> Vec<u32> {
     let Some(prep) = prep else {
         return Vec::new();
     };
     let rel = db.relation(prep.rel);
     let shape = ScanShape::of(q, atom);
+    let checks: Vec<(usize, &[Vid])> = (shape.out_vars.iter().zip(&shape.out_cols))
+        .filter_map(|(v, &c)| {
+            let (_, vids) = allowed.iter().find(|(u, _)| u == v)?;
+            Some((c, vids.as_slice()))
+        })
+        .collect();
     let mut out = Vec::new();
-    prep.for_each_surviving_row(rel, &shape, |i, _| out.push(i));
+    prep.for_each_surviving_row(rel, &shape, |i, row| {
+        if checks
+            .iter()
+            .all(|(c, vids)| vids.binary_search(&row[*c]).is_ok())
+        {
+            out.push(i);
+        }
+    });
     out
 }
 
@@ -147,7 +182,7 @@ fn pack_key(row: &[Vid], cols: impl Iterator<Item = usize>) -> u128 {
 /// Merge-based: atom `j`'s distinct keys are sorted once and atom `i`'s
 /// rows are kept by binary search — integer comparisons only.
 fn semijoin_pass(
-    preps: &[Option<PreparedAtom>],
+    preps: &[Option<&PreparedAtom>],
     i: usize,
     j: usize,
     shared: &[(usize, usize)],
@@ -161,36 +196,33 @@ fn semijoin_pass(
         return true;
     }
     // Non-empty survivor lists imply the atoms were prepared.
-    let pi = preps[i].as_ref().expect("survivors imply prepared atom");
-    let pj = preps[j].as_ref().expect("survivors imply prepared atom");
-    fn row_of(p: &PreparedAtom, r: u32) -> &[Vid] {
-        &p.cells[r as usize * p.arity..(r as usize + 1) * p.arity]
-    }
+    let pi = preps[i].expect("survivors imply prepared atom");
+    let pj = preps[j].expect("survivors imply prepared atom");
 
     let before = survivors[i].len();
     if shared.len() <= 4 {
         let mut keys_j: Vec<u128> = survivors[j]
             .iter()
-            .map(|&r| pack_key(row_of(pj, r), shared.iter().map(|&(_, c)| c)))
+            .map(|&r| pack_key(pj.row(r), shared.iter().map(|&(_, c)| c)))
             .collect();
         keys_j.sort_unstable();
         keys_j.dedup();
         survivors[i].retain(|&r| {
-            let key = pack_key(row_of(pi, r), shared.iter().map(|&(c, _)| c));
+            let key = pack_key(pi.row(r), shared.iter().map(|&(c, _)| c));
             keys_j.binary_search(&key).is_ok()
         });
     } else {
         let mut keys_j: Vec<RowKey> = survivors[j]
             .iter()
             .map(|&r| {
-                let row = row_of(pj, r);
+                let row = pj.row(r);
                 RowKey::from_fn(shared.len(), |s| row[shared[s].1])
             })
             .collect();
         keys_j.sort_unstable();
         keys_j.dedup();
         survivors[i].retain(|&r| {
-            let row = row_of(pi, r);
+            let row = pi.row(r);
             let key = RowKey::from_fn(shared.len(), |s| row[shared[s].0]);
             keys_j.binary_search(&key).is_ok()
         });

@@ -3,12 +3,12 @@
 //! Exhaustive ranking evaluates every minimal plan for every answer group
 //! and only then sorts ([`crate::AnswerSet::ranked`]). Most of that work is
 //! invisible in a top-k listing: an answer whose score can be *bounded*
-//! below the k-th best needs no further evaluation. This module threads a
-//! second, lower-bound score column through the first (cheapest) plan's
-//! evaluation, prunes hopeless answer groups once, and evaluates the
-//! remaining plans restricted to the survivors — with the guarantee that
-//! the returned top-k set and scores are **bit-identical** to the
-//! exhaustive ranking's prefix.
+//! below the k-th best needs no further evaluation. [`TopkEval`] drives the
+//! one plan evaluator (`crate::exec::Evaluator`) through two of its
+//! data-driven variants — the first (cheapest) plan with a lower-bound
+//! score column, the remaining plans restricted to the rows that can reach
+//! a surviving answer group — with the guarantee that the returned top-k
+//! set and scores are **bit-identical** to the exhaustive ranking's prefix.
 //!
 //! ## Bounds
 //!
@@ -26,10 +26,12 @@
 //!   *every* plan's extensional score is at least `lo`, hence `ρ ≥ lo`
 //!   (this is the [`Semantics::LowerBound`] bound, computed for free).
 //!
-//! The auxiliary column rides through the same kernels as the primary one
-//! (`join_aux_par`, `project_bounds_par`), so the primary stays
-//! bit-identical to a plain evaluation at ~10% extra cost, instead of the
-//! 2× of a second pass.
+//! `lo` is the optional lower-bound column of [`Rel`]: scans seed it and
+//! the operators fold it in the same pass as the scores, so the scores
+//! stay bit-identical to a plain evaluation at ~10% extra cost, instead of
+//! the 2× of a second pass. Both bounds hold mathematically; `lo` is
+//! folded in a different order than any plan's score, so it may sit a few
+//! ulps above — which the threshold below allows for.
 //!
 //! ## Pruning soundness
 //!
@@ -38,57 +40,51 @@
 //! strictly below `k` others no matter how ties at the boundary resolve
 //! (the ranking orders by score first), so it can never enter the top-k.
 //! Groups *at* the boundary are never pruned — their `hi ≥ ρ ≥ τ`. The
-//! threshold is additionally shaved by a relative `1e-9` so that
-//! floating-point rounding in the `lo` folds (which are only
-//! mathematically, not bitwise, dominated by the `hi` folds) can never
-//! evict a true top-k member.
+//! threshold is additionally shaved by a relative [`LO_SLACK`] so that
+//! floating-point rounding in the `lo` folds can never evict a true top-k
+//! member.
 //!
 //! ## Restricted re-evaluation
 //!
-//! The surviving groups' head-variable values become per-atom vid
-//! membership filters (`ScanFilter`) for the remaining plans, then a
-//! semi-join reduction sweep propagates them through join variables into
-//! the atoms holding no head variable (the middle of a chain): each sweep
-//! intersects, per variable, the value sets surviving in every atom
-//! containing it, and refilters. A filtered scan only removes rows that
-//! participate in no full join producing a surviving answer; every row
-//! contributing to a surviving group passes (its variable values occur in
-//! all the co-rows of the same full join, which pass by induction), so
-//! each surviving group's row multiset — and therefore its folded score —
-//! is unchanged at every plan node. The removed rows can't leak into a
-//! surviving fold either: a minimal plan eliminates a variable only after
-//! joining every atom containing it, so a removed row — dangling on some
-//! variable — is dropped at that variable's join (or its fold group is,
-//! carrying the dangling value) before reaching the root. Two node shapes could still reassociate float products under the
-//! filtered cardinalities and are evaluated unrestricted instead (shared
-//! with the first plan's memo): joins of three or more inputs (the greedy
-//! [`join_order`] may re-associate) and projections eliminating two or
-//! more variables directly over a join (the within-group fold order
-//! depends on the join's column layout, which may flip). Binary joins and
-//! single-variable projections are safe: a flipped binary join multiplies
-//! the same two factors (commutative, same bits) and a single-variable
-//! projection folds each group in the eliminated variable's order
-//! regardless of layout. Final scores fold with
-//! `min_into_matching_par`, which drops keys outside the survivor set
-//! and applies the exact pointwise min of the exhaustive path.
+//! The surviving groups' head-variable values seed the semi-join reducer
+//! of [`crate::semijoin`] (the one Optimization 3 runs, here with a
+//! restriction on the head variables), which runs its passes to a
+//! fixpoint: the restriction propagates through join variables into the
+//! atoms holding no head variable (the middle of a chain). The remaining
+//! plans scan only the surviving rows. A removed row participates in no
+//! full join producing a surviving answer; every row contributing to a
+//! surviving group passes (its co-rows in the same full join pass by
+//! induction), so each surviving group's row multiset — and therefore its
+//! folded score — is unchanged at every plan node. The removed rows can't
+//! leak into a surviving fold either: a minimal plan eliminates a
+//! variable only after joining every atom containing it, so a removed row
+//! — dangling on some variable — is dropped at that variable's join (or
+//! its fold group is, carrying the dangling value) before reaching the
+//! root. Two node shapes could still reassociate float products under the
+//! filtered cardinalities and are evaluated unrestricted instead, sharing
+//! the first plan's memo (`Evaluator::reassociates`, counted in
+//! [`TopkStats::fallback_nodes`]). Final scores fold with the pointwise
+//! min of the exhaustive path, dropping keys outside the survivor set.
 //!
-//! Non-probabilistic semantics, single-plan sets, and answer sets with at
-//! most `k` groups degrade to the exhaustive evaluation (nothing can be
-//! pruned); the result contract is unchanged.
+//! Non-probabilistic semantics, single-plan sets, plan sets with `min`
+//! nodes, and answer sets with at most `k` groups degrade to the
+//! exhaustive evaluation (nothing can be pruned); the result contract is
+//! unchanged.
 
 use crate::exec::{
-    decode_answers, eval_node, order_plans_by_cost, scan_atom_filtered, EvalCtx, ExecError,
-    ExecOptions, ScanFilter, Semantics, ShRel,
+    decode_answers, decoded_rows, order_plans_by_cost, Evaluator, ExecError, ExecOptions, Semantics,
 };
-use crate::prepare::{prepare_atoms, PreparedAtom, ScanShape};
-use crate::rel::{
-    join_aux_par, join_many_par, join_order, min_into_matching_par, min_into_par,
-    project_bounds_par, project_det_par, project_max_par, project_prob_par, Par, Rel,
-};
-use lapush_core::{NodeKind, PlanId, PlanStore};
-use lapush_query::{Query, Term, Var};
-use lapush_storage::{Database, FxHashMap, FxHashSet, Value, Vid};
-use std::sync::Arc;
+use crate::rel::{min_into_impl, Par, Rel};
+use crate::semijoin::reduce_rows;
+use lapush_core::{PlanId, PlanStore};
+use lapush_query::{Query, Var};
+use lapush_storage::{Database, Value, Vid};
+
+/// Relative slack between a lower bound and the scores it bounds: the `lo`
+/// fold is only mathematically, not bitwise, dominated by every plan's
+/// score (different association orders round differently; the bound holds
+/// to ~1e-12 relative). The pruning threshold is shaved by this much.
+pub const LO_SLACK: f64 = 1e-9;
 
 /// Counters describing one top-k evaluation, surfaced as `topk.*` STATS
 /// by the serve layer and logged by the `fig_topk` bench.
@@ -125,24 +121,13 @@ pub struct TopkResult {
 /// candidates, shrinking their upper bounds; [`TopkEval::finish`] drains
 /// the remaining plans and returns the exact top-k.
 pub struct TopkEval<'a> {
-    db: &'a Database,
-    q: &'a Query,
-    store: &'a PlanStore,
-    prepared: Vec<PreparedAtom>,
-    opts: ExecOptions,
+    ev: Evaluator<'a>,
     k: usize,
     /// Cost-ordered plan roots; `plans[..pos]` are folded into `acc`.
     plans: Vec<PlanId>,
     pos: usize,
-    ctx: EvalCtx,
-    /// Memo of restricted (survivor-filtered) node results, valid across
-    /// plans because the survivor set is fixed after construction.
-    restricted: FxHashMap<PlanId, ShRel>,
-    /// Per-atom scan filters (empty sets ⇒ the atom is unfiltered).
-    filters: Vec<ScanFilter>,
-    /// Per-node memo of "subtree contains a filtered atom".
-    affected: FxHashMap<PlanId, bool>,
-    /// True when pruning engaged; false runs the exhaustive fold.
+    /// True when pruning engaged: the remaining plans are evaluated
+    /// restricted to the survivors. False runs the exhaustive fold.
     pruning: bool,
     /// Candidate groups (survivors, or all groups when not pruning) with
     /// the running min-combined scores — the current upper bounds.
@@ -169,200 +154,78 @@ impl<'a> TopkEval<'a> {
             roots.to_vec()
         };
         let &first = plans.first().expect("no plans to evaluate");
-        let prepared = prepare_atoms(db, q)?;
-        let par = Par::new(opts.threads);
-        let mut this = TopkEval {
-            db,
-            q,
-            store,
-            prepared,
-            opts,
-            k,
-            stats: TopkStats {
-                plans: plans.len() as u64,
-                ..TopkStats::default()
-            },
-            plans,
-            pos: 1,
-            ctx: EvalCtx::new(true, par),
-            restricted: FxHashMap::default(),
-            filters: Vec::new(),
-            affected: FxHashMap::default(),
-            pruning: false,
-            acc: Rel::empty(Vec::new()),
-            lo: Vec::new(),
-        };
-
+        let mut ev = Evaluator::new(db, q, store, opts, true)?;
         // Bounds only pay off when there is something to prune (several
         // plans, more than k groups) and the ranked score actually is a
         // min of per-plan upper bounds.
-        let use_bounds =
-            opts.semantics == Semantics::Probabilistic && this.plans.len() > 1 && k > 0;
-        if use_bounds {
-            let mut memo: FxHashMap<PlanId, (ShRel, Arc<Vec<f64>>)> = FxHashMap::default();
-            if let Some((first_rel, first_lo)) = this.bounds_eval(first, &mut memo)? {
-                this.setup_pruning(&first_rel, &first_lo);
-                return Ok(this);
-            }
+        ev.seed_lower_bounds(
+            opts.semantics == Semantics::Probabilistic && plans.len() > 1 && k > 0,
+        );
+        let mut acc = (*ev.eval(first)).clone();
+        ev.seed_lower_bounds(false);
+        let mut this = TopkEval {
+            stats: TopkStats {
+                plans: plans.len() as u64,
+                evaluated: acc.len() as u64,
+                ..TopkStats::default()
+            },
+            ev,
+            k,
+            plans,
+            pos: 1,
+            pruning: false,
+            lo: acc.drop_lower_bounds().unwrap_or_default(),
+            acc,
+        };
+        // No lower bounds (not asked for, or lost at a `min` node): the
+        // plain evaluation of the first plan starts an exhaustive fold.
+        if this.acc.len() > k && !this.lo.is_empty() {
+            this.prune();
         }
-        // Degraded: plain evaluation of the first plan, exhaustive fold.
-        let first_rel = eval_node(db, &this.prepared, q, store, first, opts, &mut this.ctx)?;
-        this.stats.evaluated = first_rel.len() as u64;
-        this.acc = (*first_rel).clone();
         Ok(this)
     }
 
-    /// Choose the threshold, prune, and build the survivor state; falls
-    /// back to the exhaustive fold when nothing can be pruned.
-    fn setup_pruning(&mut self, first_rel: &Rel, first_lo: &[f64]) {
-        let n = first_rel.len();
-        let keep = if n > self.k {
-            // τ = k-th largest lower bound, shaved so that float rounding
-            // in the lo folds can never evict a true top-k member (the
-            // bound only needs to hold to ~1e-12 relative; see module
-            // docs). Pruning keeps strictly less, so a looser τ only
-            // means fewer groups pruned — never a wrong answer.
-            let mut lo_sorted = first_lo.to_vec();
-            let (_, kth, _) = lo_sorted.select_nth_unstable_by(self.k - 1, |a, b| {
-                b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let tau = *kth * (1.0 - 1e-9);
-            prune_mask(first_rel.scores(), tau, self.opts.threads)
-        } else {
-            (0..n as u32).collect()
-        };
-
-        self.stats.evaluated = keep.len() as u64;
-        self.stats.pruned = (n - keep.len()) as u64;
-        if keep.len() == n {
-            // Nothing pruned: the filters would be full-domain no-ops, so
-            // run the cheaper unrestricted fold.
-            self.acc = first_rel.clone();
-            self.lo = first_lo.to_vec();
+    /// Choose the threshold, prune `acc`, and restrict the evaluator to the
+    /// rows that can reach a survivor; keeps the exhaustive fold when
+    /// nothing can be pruned.
+    fn prune(&mut self) {
+        // τ = k-th largest lower bound, shaved (see [`LO_SLACK`]). Pruning
+        // keeps strictly less, so a looser τ only means fewer groups
+        // pruned — never a wrong answer.
+        let mut lo_sorted = self.lo.clone();
+        let (_, kth, _) = lo_sorted.select_nth_unstable_by(self.k - 1, |a, b| {
+            b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let tau = *kth * (1.0 - LO_SLACK);
+        let keep = prune_mask(self.acc.scores(), tau, self.ev.par);
+        if keep.len() == self.acc.len() {
+            // Nothing pruned: restricting the scans would remove next to
+            // nothing, so run the cheaper unrestricted fold.
             return;
         }
+        self.stats.evaluated = keep.len() as u64;
+        self.stats.pruned = (self.acc.len() - keep.len()) as u64;
+        self.lo = keep.iter().map(|&i| self.lo[i as usize]).collect();
+        self.acc = self.acc.gather(&keep);
 
-        // Gather the surviving rows (ascending row order keeps the
-        // canonical sorted-distinct invariant) and their lower bounds.
-        let arity = first_rel.arity();
-        let mut surv = Rel::with_capacity(first_rel.vars.clone(), keep.len());
-        let mut surv_lo = Vec::with_capacity(keep.len());
-        let mut row_buf: Vec<Vid> = vec![0; arity];
-        for &i in &keep {
-            let i = i as usize;
-            for (c, slot) in row_buf.iter_mut().enumerate() {
-                *slot = first_rel.get(i, c);
-            }
-            surv.push_row(&row_buf, first_rel.score(i));
-            surv_lo.push(first_lo[i]);
-        }
-
-        // Per-head-variable membership sets over the survivors, attached
-        // to every atom position holding that variable.
-        let mut var_sets: Vec<(Var, Arc<FxHashSet<Vid>>)> = Vec::with_capacity(arity);
-        for (c, &v) in surv.vars.iter().enumerate() {
-            let set: FxHashSet<Vid> = surv.col(c).iter().copied().collect();
-            var_sets.push((v, Arc::new(set)));
-        }
-        self.filters = self
-            .q
-            .atoms()
-            .iter()
-            .map(|atom| {
-                let mut sets = Vec::new();
-                for (ti, term) in atom.terms.iter().enumerate() {
-                    if let Term::Var(u) = term {
-                        if let Some((_, set)) = var_sets.iter().find(|(v, _)| v == u) {
-                            sets.push((ti, (**set).clone()));
-                        }
-                    }
-                }
-                ScanFilter { sets }
+        // The survivors' head values, per variable, seed the reducer; every
+        // atom it could shrink — any with a variable — scans its list.
+        let allowed: Vec<(Var, Vec<Vid>)> = (self.acc.vars.iter().enumerate())
+            .map(|(c, &v)| {
+                let mut vids = self.acc.col(c).to_vec();
+                vids.sort_unstable();
+                vids.dedup();
+                (v, vids)
             })
             .collect();
-        self.semijoin_reduce();
+        let ev = &mut self.ev;
+        let preps: Vec<_> = ev.prepared.iter().map(Some).collect();
+        let survivors = reduce_rows(ev.db, ev.q, &preps, &allowed);
+        let filtered_mask = (ev.q.atoms().iter().enumerate())
+            .filter(|(_, atom)| atom.vars().next().is_some())
+            .fold(0u64, |mask, (i, _)| mask | 1 << i);
+        ev.restrict_to(survivors, filtered_mask);
         self.pruning = true;
-        self.acc = surv;
-        self.lo = surv_lo;
-    }
-
-    /// Tighten the per-atom filters by semi-join reduction: sweep the base
-    /// atoms under the current filters, collect each variable's surviving
-    /// value set, intersect across the atoms sharing the variable, and
-    /// refilter — so the head-variable restriction propagates through join
-    /// variables into atoms that hold no head variable at all (the middle
-    /// of a chain). A row removed here has some variable value absent from
-    /// a neighboring atom's surviving rows, so it participates in no full
-    /// join with a surviving answer — and because minimal plans eliminate
-    /// a variable only after joining every atom containing it, such a row
-    /// is dropped at a join (or its fold group is) before its probability
-    /// can reach a surviving group's score: the surviving groups' row
-    /// multisets, fold orders, and score bits are unchanged (see module
-    /// docs). Sweeps are capped at the atom count (a chain's diameter) and
-    /// cost one hash-probe pass over the base rows each.
-    fn semijoin_reduce(&mut self) {
-        let atoms = self.q.atoms();
-        let sweeps = atoms.len().min(4);
-        let mut prev_sizes: Vec<(Var, usize)> = Vec::new();
-        for _ in 0..sweeps {
-            let mut var_allowed: Vec<(Var, FxHashSet<Vid>)> = Vec::new();
-            for (ai, atom) in atoms.iter().enumerate() {
-                let prep = &self.prepared[ai];
-                let rel = self.db.relation(prep.rel);
-                let shape = ScanShape::of(self.q, atom);
-                let positions: Vec<(usize, Var)> = atom
-                    .terms
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(ti, t)| match t {
-                        Term::Var(v) => Some((ti, *v)),
-                        Term::Const(_) => None,
-                    })
-                    .collect();
-                let mut local: Vec<FxHashSet<Vid>> = vec![FxHashSet::default(); positions.len()];
-                let filter = &self.filters[ai];
-                prep.for_each_surviving_row(rel, &shape, |_, row| {
-                    for (c, set) in &filter.sets {
-                        if !set.contains(&row[*c]) {
-                            return;
-                        }
-                    }
-                    for (slot, (c, _)) in local.iter_mut().zip(&positions) {
-                        slot.insert(row[*c]);
-                    }
-                });
-                for (seen, &(_, v)) in local.into_iter().zip(&positions) {
-                    match var_allowed.iter_mut().find(|(u, _)| *u == v) {
-                        Some((_, acc)) => acc.retain(|vid| seen.contains(vid)),
-                        None => var_allowed.push((v, seen)),
-                    }
-                }
-            }
-            for (ai, atom) in atoms.iter().enumerate() {
-                let sets = atom
-                    .terms
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(ti, t)| match t {
-                        Term::Var(v) => var_allowed
-                            .iter()
-                            .find(|(u, _)| u == v)
-                            .map(|(_, set)| (ti, set.clone())),
-                        Term::Const(_) => None,
-                    })
-                    .collect();
-                self.filters[ai] = ScanFilter { sets };
-            }
-            // Fixpoint: a sweep that shrank no variable's set cannot
-            // change the filters further (any sweep count is sound — this
-            // only skips no-op passes).
-            let sizes: Vec<(Var, usize)> =
-                var_allowed.iter().map(|(v, set)| (*v, set.len())).collect();
-            if sizes == prev_sizes {
-                break;
-            }
-            prev_sizes = sizes;
-        }
     }
 
     /// Plans not yet folded into the candidates' scores.
@@ -378,26 +241,19 @@ impl<'a> TopkEval<'a> {
     /// Fold the next plan into the candidate scores. Returns `false` once
     /// every plan has been folded (the bounds are then exact).
     pub fn step(&mut self) -> Result<bool, ExecError> {
-        if self.pos >= self.plans.len() {
+        let Some(&root) = self.plans.get(self.pos) else {
             return Ok(false);
-        }
-        let root = self.plans[self.pos];
+        };
         self.pos += 1;
-        if self.pruning {
-            let next = self.restricted_eval(root)?;
-            min_into_matching_par(&mut self.acc, &next, self.ctx.par, &mut self.ctx.scratch);
-        } else {
-            let next = eval_node(
-                self.db,
-                &self.prepared,
-                self.q,
-                self.store,
-                root,
-                self.opts,
-                &mut self.ctx,
-            )?;
-            min_into_par(&mut self.acc, &next, self.ctx.par, &mut self.ctx.scratch);
-        }
+        let ev = &mut self.ev;
+        let next = match self.pruning {
+            true => ev.eval_restricted(root),
+            false => ev.eval(root),
+        };
+        // Restricted plans may still produce rows for pruned groups (the
+        // reducer restricts rows, not answer tuples): those are dropped.
+        min_into_impl(&mut self.acc, &next, ev.par, &mut ev.scratch, !self.pruning);
+        self.stats.fallback_nodes = ev.fallback_nodes;
         Ok(true)
     }
 
@@ -405,32 +261,21 @@ impl<'a> TopkEval<'a> {
     /// upper bound first. Intervals shrink as plans fold in; after the
     /// last step `lo == hi == ρ` exactly.
     pub fn bounds(&self) -> Vec<(Box<[Value]>, f64, f64)> {
-        let codec = self.db.codec();
-        let head = self.q.head();
-        let perm: Vec<usize> = head
-            .iter()
-            .map(|&v| self.acc.col_of(v).expect("head var missing"))
-            .collect();
-        let exact = self.pos >= self.plans.len();
-        let mut out: Vec<(Box<[Value]>, f64, f64)> = (0..self.acc.len())
-            .map(|i| {
-                let key: Box<[Value]> = perm
-                    .iter()
-                    .map(|&c| codec.decode(self.acc.get(i, c)).clone())
-                    .collect();
-                let hi = self.acc.score(i);
-                let lo = if exact {
-                    hi
-                } else if i < self.lo.len() {
+        let exact = self.remaining() == 0;
+        let codec = self.ev.db.codec();
+        let mut out: Vec<(Box<[Value]>, f64, f64)> =
+            decoded_rows(&self.acc, self.ev.q.head(), &codec)
+                .enumerate()
+                .map(|(i, (key, hi))| {
                     // Clamp: the lo fold is only mathematically ≤ hi;
                     // rounding may put it an ulp above.
-                    self.lo[i].min(hi)
-                } else {
-                    0.0
-                };
-                (key, lo, hi)
-            })
-            .collect();
+                    let lo = match exact {
+                        true => hi,
+                        false => self.lo.get(i).map_or(0.0, |lo| lo.min(hi)),
+                    };
+                    (key, lo, hi)
+                })
+                .collect();
         out.sort_unstable_by(|a, b| {
             b.2.partial_cmp(&a.2)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -442,222 +287,29 @@ impl<'a> TopkEval<'a> {
     /// Drain the remaining plans and return the exact top-k.
     pub fn finish(mut self) -> Result<TopkResult, ExecError> {
         while self.step()? {}
-        let answers = decode_answers(&self.acc, self.q.head(), &self.db.codec());
+        let ev = &self.ev;
+        let answers = decode_answers(&self.acc, ev.q.head(), &ev.db.codec());
         Ok(TopkResult {
             ranked: answers.ranked_top(self.k),
             stats: self.stats,
         })
     }
-
-    /// Evaluate a plan node with dual score columns: the primary fold
-    /// (bit-identical to [`eval_node`]) plus the max-fold lower bound.
-    /// Returns `None` on node shapes outside minimal plans (`Min`), which
-    /// degrade to the exhaustive path.
-    #[allow(clippy::type_complexity)]
-    fn bounds_eval(
-        &mut self,
-        id: PlanId,
-        memo: &mut FxHashMap<PlanId, (ShRel, Arc<Vec<f64>>)>,
-    ) -> Result<Option<(ShRel, Arc<Vec<f64>>)>, ExecError> {
-        if let Some((rel, lo)) = memo.get(&id) {
-            return Ok(Some((Arc::clone(rel), Arc::clone(lo))));
-        }
-        let store = self.store;
-        let node = store.node(id);
-        let pair: (ShRel, Arc<Vec<f64>>) = match &node.kind {
-            NodeKind::Scan { .. } => {
-                // A base tuple is its own best derivation: lo = hi = prob.
-                let rel = eval_node(
-                    self.db,
-                    &self.prepared,
-                    self.q,
-                    store,
-                    id,
-                    self.opts,
-                    &mut self.ctx,
-                )?;
-                let lo = Arc::new(rel.scores().to_vec());
-                (rel, lo)
-            }
-            NodeKind::Project { input } => {
-                let Some((child, child_lo)) = self.bounds_eval(*input, memo)? else {
-                    return Ok(None);
-                };
-                let keep: Vec<Var> = node.head.iter().collect();
-                let (rel, lo) = project_bounds_par(
-                    &child,
-                    &child_lo,
-                    &keep,
-                    self.ctx.par,
-                    &mut self.ctx.scratch,
-                );
-                (Arc::new(rel), Arc::new(lo))
-            }
-            NodeKind::Join { inputs } => {
-                let mut children: Vec<(ShRel, Arc<Vec<f64>>)> = Vec::with_capacity(inputs.len());
-                for &c in inputs {
-                    let Some(pair) = self.bounds_eval(c, memo)? else {
-                        return Ok(None);
-                    };
-                    children.push(pair);
-                }
-                if children.len() == 1 {
-                    children.pop().expect("one child")
-                } else {
-                    // Fold along the same greedy order join_many_par picks
-                    // (it depends only on the primaries' vars and lens,
-                    // which are bit-identical to a plain evaluation), so
-                    // the primary column reassociates nothing.
-                    let prim: Vec<&Rel> = children.iter().map(|(r, _)| r.as_ref()).collect();
-                    let order = join_order(&prim);
-                    let (a, alo) = &children[order[0]];
-                    let (b, blo) = &children[order[1]];
-                    let (mut rel, mut lo) =
-                        join_aux_par(a, alo, b, blo, self.ctx.par, &mut self.ctx.scratch);
-                    for &ix in &order[2..] {
-                        let (c, clo) = &children[ix];
-                        let (r, l) =
-                            join_aux_par(&rel, &lo, c, clo, self.ctx.par, &mut self.ctx.scratch);
-                        rel = r;
-                        lo = l;
-                    }
-                    (Arc::new(rel), Arc::new(lo))
-                }
-            }
-            NodeKind::Min { .. } => return Ok(None),
-        };
-        // The primary column is bit-identical to what eval_node would
-        // produce, so later plans sharing this subplan reuse it for free.
-        self.ctx.memo.insert(id, Arc::clone(&pair.0));
-        memo.insert(id, (Arc::clone(&pair.0), Arc::clone(&pair.1)));
-        Ok(Some(pair))
-    }
-
-    /// True when the subtree under `id` scans a filtered atom — i.e. a
-    /// restricted evaluation could differ from the unrestricted one.
-    fn is_affected(&mut self, id: PlanId) -> bool {
-        if let Some(&hit) = self.affected.get(&id) {
-            return hit;
-        }
-        let store = self.store;
-        let hit = match &store.node(id).kind {
-            NodeKind::Scan { atom } => !self.filters[*atom].sets.is_empty(),
-            NodeKind::Project { input } => self.is_affected(*input),
-            NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                inputs.iter().any(|&c| self.is_affected(c))
-            }
-        };
-        self.affected.insert(id, hit);
-        hit
-    }
-
-    /// Evaluate a node restricted to the survivor filters. Surviving
-    /// groups come out bit-identical to the unrestricted evaluation (see
-    /// module docs); node shapes where that argument fails fall back to
-    /// the full evaluation, sharing the first plan's memo.
-    fn restricted_eval(&mut self, id: PlanId) -> Result<ShRel, ExecError> {
-        if !self.is_affected(id) {
-            return eval_node(
-                self.db,
-                &self.prepared,
-                self.q,
-                self.store,
-                id,
-                self.opts,
-                &mut self.ctx,
-            );
-        }
-        if let Some(hit) = self.restricted.get(&id) {
-            return Ok(Arc::clone(hit));
-        }
-        let store = self.store;
-        let node = store.node(id);
-        let result: ShRel = match &node.kind {
-            NodeKind::Scan { atom } => Arc::new(scan_atom_filtered(
-                self.db,
-                &self.prepared[*atom],
-                self.q,
-                &self.q.atoms()[*atom],
-                &self.filters[*atom],
-                self.opts,
-                self.ctx.par,
-                &mut self.ctx.scratch,
-            )),
-            NodeKind::Project { input } => {
-                let keep: Vec<Var> = node.head.iter().collect();
-                let child_node = store.node(*input);
-                let eliminated = child_node.head.iter().count().saturating_sub(keep.len());
-                if eliminated >= 2 && matches!(child_node.kind, NodeKind::Join { .. }) {
-                    // The within-group fold order over a join's layout is
-                    // not layout-invariant for ≥ 2 eliminated columns.
-                    self.stats.fallback_nodes += 1;
-                    return self.unrestricted(id);
-                }
-                let child = self.restricted_eval(*input)?;
-                Arc::new(match self.opts.semantics {
-                    Semantics::Probabilistic => {
-                        project_prob_par(&child, &keep, self.ctx.par, &mut self.ctx.scratch)
-                    }
-                    Semantics::LowerBound => {
-                        project_max_par(&child, &keep, self.ctx.par, &mut self.ctx.scratch)
-                    }
-                    Semantics::Deterministic => {
-                        project_det_par(&child, &keep, self.ctx.par, &mut self.ctx.scratch)
-                    }
-                })
-            }
-            NodeKind::Join { inputs } if inputs.len() <= 2 => {
-                let inputs = inputs.clone();
-                let children = inputs
-                    .iter()
-                    .map(|&c| self.restricted_eval(c))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
-                Arc::new(join_many_par(&refs, self.ctx.par, &mut self.ctx.scratch))
-            }
-            // ≥ 3-way joins re-associate under filtered cardinalities;
-            // Min nodes don't appear in minimal plan sets.
-            NodeKind::Join { .. } | NodeKind::Min { .. } => {
-                self.stats.fallback_nodes += 1;
-                return self.unrestricted(id);
-            }
-        };
-        self.restricted.insert(id, Arc::clone(&result));
-        Ok(result)
-    }
-
-    fn unrestricted(&mut self, id: PlanId) -> Result<ShRel, ExecError> {
-        eval_node(
-            self.db,
-            &self.prepared,
-            self.q,
-            self.store,
-            id,
-            self.opts,
-            &mut self.ctx,
-        )
-    }
 }
 
 /// Surviving row indices (`hi ≥ τ`), ascending; morsel-parallel over the
 /// process pool when the budget allows.
-fn prune_mask(hi: &[f64], tau: f64, threads: usize) -> Vec<u32> {
+fn prune_mask(hi: &[f64], tau: f64, par: Par) -> Vec<u32> {
     let n = hi.len();
-    let par = Par::new(threads);
-    let morsels = par.morsels(n);
-    if morsels <= 1 {
-        return (0..n).filter(|&i| hi[i] >= tau).map(|i| i as u32).collect();
-    }
-    let chunk = n.div_ceil(morsels);
+    let chunk = n.div_ceil(par.morsels(n)).max(1);
     let tasks: Vec<_> = (0..n)
         .step_by(chunk)
         .map(|start| {
             let end = (start + chunk).min(n);
-            move || {
+            move || -> Vec<u32> {
                 (start..end)
                     .filter(|&i| hi[i] >= tau)
                     .map(|i| i as u32)
-                    .collect::<Vec<u32>>()
+                    .collect()
             }
         })
         .collect();

@@ -27,7 +27,7 @@ use lapush_core::{
 use lapush_engine::{propagation_score_topk, AnswerSet, ExecOptions, IncrementalEval, Semantics};
 use lapush_query::parse_query;
 use lapush_storage::csv::{relation_from_text, CsvOptions};
-use lapush_storage::Database;
+use lapush_storage::{Database, StorageError};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -377,9 +377,10 @@ fn run_topk(shared: &Shared, k: usize, text: &str) -> String {
 /// the database write lock — surviving entries come out re-stamped fresh,
 /// so interleaved queries keep hitting the cache. Entries the delta
 /// algebra cannot maintain (an in-place probability raise from a
-/// duplicate insert) are dropped and recomputed on their next lookup; if
-/// an append fails partway, the cache is left stale and ordinary stamp
-/// invalidation takes over.
+/// duplicate insert) are dropped and recomputed on their next lookup. A
+/// batch is atomic: it is validated as a whole against the relation it
+/// extends before the first row is appended, so a rejected `INGEST`
+/// changes neither the database nor any cached answer.
 fn run_ingest(shared: &Shared, relation: &str, rows: &str) -> String {
     let parsed = match relation_from_text(relation, rows, CsvOptions::default()) {
         Ok(rel) => rel,
@@ -399,6 +400,15 @@ fn run_ingest(shared: &Shared, relation: &str, rows: &str) -> String {
                         parsed.arity()
                     ),
                 );
+            }
+            // `parsed` holds well-formed rows of one arity with valid
+            // probabilities; what is left to refuse is an uncertain tuple
+            // for a deterministic relation.
+            let uncertain = parsed.probs().iter().find(|&&p| p < 1.0);
+            if let Some(&prob) = uncertain.filter(|_| existing.is_deterministic()) {
+                let relation = relation.to_string();
+                let e = StorageError::DeterministicViolation { relation, prob };
+                return err_response(ErrorCode::Ingest, &e.to_string());
             }
             for (_, row, prob) in parsed.iter() {
                 if let Err(e) = existing.push(row.into(), prob) {

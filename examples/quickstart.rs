@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ranking by ρ matches the exact ranking here.");
 
     // Extension: guaranteed intervals around each answer.
-    let (lower, upper) = bound_answers(&db, &q)?;
+    let (lower, upper) = bound_answers(&db, &q, 1)?;
     println!("\nsandwich bounds (lower from max-projection plans):");
     for (key, hi) in upper.ranked() {
         println!(

@@ -58,12 +58,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Monte Carlo with 1000 samples.
     let t0 = Instant::now();
-    let mc = mc_answers(&db, &q, 1000, 99)?;
+    let mc = mc_answers(&db, &q, 1000, 99, 1)?;
     let t_mc = t0.elapsed();
 
     // Deterministic SQL baseline.
     let t0 = Instant::now();
-    let det = deterministic_answers(&db, &q)?;
+    let det = deterministic_answers(&db, &q, 1)?;
     let t_sql = t0.elapsed();
 
     println!("answers: {} nations, max lineage size {max_lin}", gt.len());

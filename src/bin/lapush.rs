@@ -60,8 +60,7 @@ use lapushdb::prelude::*;
 use lapushdb::serve::{Client, Server, ServerConfig};
 use lapushdb::storage::{database_from_dir, CsvOptions};
 use lapushdb::{
-    benchsuite, bound_answers_threaded, exact_answers, mc_answers_threaded, rank_by_dissociation,
-    RankOptions,
+    benchsuite, bound_answers, exact_answers, mc_answers, rank_by_dissociation, RankOptions,
 };
 
 fn arg(name: &str) -> Option<String> {
@@ -384,7 +383,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             print_answers(&ans, None);
         }
         "bounds" => {
-            let (lower, upper) = bound_answers_threaded(&db, &q, threads)?;
+            let (lower, upper) = bound_answers(&db, &q, threads)?;
             print_answers(&upper, Some(&lower));
         }
         "exact" => {
@@ -393,11 +392,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         "mc" => {
             let samples: usize = arg("samples").and_then(|s| s.parse().ok()).unwrap_or(1000);
-            let ans = mc_answers_threaded(&db, &q, samples, 42, threads)?;
+            let ans = mc_answers(&db, &q, samples, 42, threads)?;
             print_answers(&ans, None);
         }
         "sql" => {
-            let ans = lapushdb::engine::deterministic_answers_par(&db, &q, threads)?;
+            let ans = lapushdb::engine::deterministic_answers(&db, &q, threads)?;
             for (key, _) in ans.ranked() {
                 println!("{}", render_key(&key));
             }

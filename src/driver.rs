@@ -96,6 +96,17 @@ impl From<LineageError> for DriverError {
     }
 }
 
+/// The schema knowledge and enumeration refinements `use_schema` selects:
+/// the catalog's deterministic relations and FDs with every refinement on,
+/// or the query's own `^d` markers with none.
+fn schema_knowledge(db: &Database, q: &Query, use_schema: bool) -> (SchemaInfo, EnumOptions) {
+    if use_schema {
+        (SchemaInfo::from_db(q, db), EnumOptions::full())
+    } else {
+        (SchemaInfo::from_query(q), EnumOptions::default())
+    }
+}
+
 /// Compute the propagation score `ρ(q)` of every answer: the minimum over
 /// all minimal safe dissociations of the extensional plan score
 /// (Definition 14), with the requested optimization level.
@@ -104,16 +115,7 @@ pub fn rank_by_dissociation(
     q: &Query,
     opts: RankOptions,
 ) -> Result<AnswerSet, DriverError> {
-    let schema = if opts.use_schema {
-        SchemaInfo::from_db(q, db)
-    } else {
-        SchemaInfo::from_query(q)
-    };
-    let enum_opts = if opts.use_schema {
-        EnumOptions::full()
-    } else {
-        EnumOptions::default()
-    };
+    let (schema, enum_opts) = schema_knowledge(db, q, opts.use_schema);
 
     let reduced;
     let data: &Database = if opts.opt == OptLevel::Opt123 {
@@ -180,16 +182,7 @@ fn answers_from_ranked(q: &Query, ranked: Vec<(Box<[Value]>, f64)>) -> AnswerSet
 /// set must outlive the [`AnytimeRank`] stepping over it (the stepper
 /// borrows the plan arena).
 pub fn topk_plan_set(db: &Database, q: &Query, opts: RankOptions) -> PlanSet {
-    let schema = if opts.use_schema {
-        SchemaInfo::from_db(q, db)
-    } else {
-        SchemaInfo::from_query(q)
-    };
-    let enum_opts = if opts.use_schema {
-        EnumOptions::full()
-    } else {
-        EnumOptions::default()
-    };
+    let (schema, enum_opts) = schema_knowledge(db, q, opts.use_schema);
     minimal_plan_set_opts(q, &schema, enum_opts)
 }
 
@@ -287,14 +280,9 @@ impl Iterator for AnytimeRank<'_> {
 /// every minimal plan under [`Semantics::LowerBound`] (max-projections:
 /// each answer's score is the probability of one consistent derivation,
 /// hence a lower bound on the monotone lineage) and keeps the best bound
-/// per answer.
-pub fn bound_answers(db: &Database, q: &Query) -> Result<(AnswerSet, AnswerSet), DriverError> {
-    bound_answers_threaded(db, q, 1)
-}
-
-/// [`bound_answers`] with a morsel-parallelism budget (bit-identical
+/// per answer. `threads` is the morsel-parallelism budget (bit-identical
 /// bounds at every thread count).
-pub fn bound_answers_threaded(
+pub fn bound_answers(
     db: &Database,
     q: &Query,
     threads: usize,
@@ -388,20 +376,11 @@ pub fn exact_answers_bounded(
 }
 
 /// Monte Carlo answer probabilities: `MC(samples)` of the experiments.
-/// Deterministic for a fixed seed.
+/// Deterministic for a fixed seed. With a `threads` budget above 1 the
+/// answers are sampled in parallel (each answer keeps its own
+/// `seed + index` RNG, so the estimates are bit-identical to the serial
+/// loop at every thread count).
 pub fn mc_answers(
-    db: &Database,
-    q: &Query,
-    samples: usize,
-    seed: u64,
-) -> Result<AnswerSet, DriverError> {
-    mc_answers_threaded(db, q, samples, seed, 1)
-}
-
-/// [`mc_answers`] with a thread budget: answers are sampled in parallel
-/// (each answer keeps its own `seed + index` RNG, so the estimates are
-/// bit-identical to the serial loop at every thread count).
-pub fn mc_answers_threaded(
     db: &Database,
     q: &Query,
     samples: usize,
@@ -448,7 +427,7 @@ mod tests {
     fn sandwich_bounds_contain_exact() {
         let db = rst_db();
         let q = parse_query("q :- R(x), S(x, y), T(y)").unwrap();
-        let (lower, upper) = bound_answers(&db, &q).unwrap();
+        let (lower, upper) = bound_answers(&db, &q, 1).unwrap();
         let exact = exact_answers(&db, &q).unwrap().boolean_score();
         assert!(lower.boolean_score() <= exact + 1e-12);
         assert!(upper.boolean_score() >= exact - 1e-12);
@@ -526,7 +505,7 @@ mod tests {
         let db = rst_db();
         let q = parse_query("q :- R(x), S(x, y), T(y)").unwrap();
         let exact = exact_answers(&db, &q).unwrap().boolean_score();
-        let mc = mc_answers(&db, &q, 100_000, 7).unwrap().boolean_score();
+        let mc = mc_answers(&db, &q, 100_000, 7, 1).unwrap().boolean_score();
         assert!((mc - exact).abs() < 0.01, "mc {mc} exact {exact}");
     }
 

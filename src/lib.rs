@@ -92,9 +92,9 @@ pub mod benchsuite;
 pub mod driver;
 
 pub use driver::{
-    anytime_rank, bound_answers, bound_answers_threaded, exact_answers, exact_answers_bounded,
-    exact_answers_with_stats, lineage_stats, mc_answers, mc_answers_threaded, rank_by_dissociation,
-    topk_plan_set, AnytimeRank, AnytimeSnapshot, DriverError, OptLevel, RankOptions,
+    anytime_rank, bound_answers, exact_answers, exact_answers_bounded, exact_answers_with_stats,
+    lineage_stats, mc_answers, rank_by_dissociation, topk_plan_set, AnytimeRank, AnytimeSnapshot,
+    DriverError, OptLevel, RankOptions,
 };
 
 /// Commonly used items in one import.

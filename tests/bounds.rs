@@ -239,7 +239,7 @@ fn sandwich_bounds_contain_exact_on_random_instances() {
     for seed in 0..25u64 {
         let q = random_query(seed + 700, 2 + (seed % 3) as usize, 4);
         let db = random_db_for_query(&q, seed * 17 + 9, 5, 3, 1.0).unwrap();
-        let (lower, upper) = bound_answers(&db, &q).unwrap();
+        let (lower, upper) = bound_answers(&db, &q, 1).unwrap();
         let exact = exact_answers(&db, &q).unwrap();
         assert_eq!(lower.len(), exact.len(), "seed {seed}");
         for (key, &e) in &exact.rows {

@@ -16,7 +16,7 @@ fn chain_answer_sets_agree_across_methods() {
         let db = chain_db(k, n, domain, 1.0, 99 + k as u64).unwrap();
         let q = chain_query(k);
 
-        let det = deterministic_answers(&db, &q).unwrap();
+        let det = deterministic_answers(&db, &q, 1).unwrap();
         let rho = rank_by_dissociation(&db, &q, RankOptions::default()).unwrap();
         assert_eq!(det.len(), rho.len(), "k={k}");
         for key in det.rows.keys() {

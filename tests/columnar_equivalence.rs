@@ -26,13 +26,13 @@
 
 use lapushdb::core::{minimal_plans, Plan, PlanKind};
 use lapushdb::engine::pool;
-use lapushdb::engine::{deterministic_answers_par, eval_plan, AnswerSet, ExecOptions, Semantics};
+use lapushdb::engine::{deterministic_answers, eval_plan, AnswerSet, ExecOptions, Semantics};
 use lapushdb::prelude::*;
 use lapushdb::workload::{
     chain_db, chain_query, random_db_for_query, random_query, star_db, star_query, tpch_db,
     tpch_query, TpchConfig,
 };
-use lapushdb::{bound_answers_threaded, mc_answers_threaded};
+use lapushdb::{bound_answers, mc_answers};
 use proptest::prelude::*;
 
 /// Hash-map reference evaluator: the pre-columnar execution path kept as
@@ -376,9 +376,9 @@ fn check_all_paths(db: &Database, q: &Query) -> Result<(), TestCaseError> {
         assert_bitwise(&rank(opt, 4), &rank(opt, 1), &format!("{opt:?} t4"));
     }
 
-    let got_sql = deterministic_answers(db, q).expect("sql");
+    let got_sql = deterministic_answers(db, q, 1).expect("sql");
     assert_equiv(&got_sql, &reference::sql(db, q), "deterministic SQL")?;
-    let got_sql_t4 = deterministic_answers_par(db, q, 4).expect("sql t4");
+    let got_sql_t4 = deterministic_answers(db, q, 4).expect("sql t4");
     assert_bitwise(&got_sql_t4, &got_sql, "deterministic SQL t4");
     Ok(())
 }
@@ -473,15 +473,15 @@ fn thread_counts_agree_on_chain_star_tpch() {
                 assert_bitwise(&par, &serial, &format!("{name} {opt:?} t{threads}"));
             }
         }
-        let sql1 = deterministic_answers_par(&db, &q, 1).expect("sql serial");
-        let sql4 = deterministic_answers_par(&db, &q, 4).expect("sql t4");
+        let sql1 = deterministic_answers(&db, &q, 1).expect("sql serial");
+        let sql4 = deterministic_answers(&db, &q, 4).expect("sql t4");
         assert_bitwise(&sql4, &sql1, &format!("{name} sql"));
-        let (lo1, hi1) = bound_answers_threaded(&db, &q, 1).expect("bounds serial");
-        let (lo4, hi4) = bound_answers_threaded(&db, &q, 4).expect("bounds t4");
+        let (lo1, hi1) = bound_answers(&db, &q, 1).expect("bounds serial");
+        let (lo4, hi4) = bound_answers(&db, &q, 4).expect("bounds t4");
         assert_bitwise(&lo4, &lo1, &format!("{name} bounds lower"));
         assert_bitwise(&hi4, &hi1, &format!("{name} bounds upper"));
-        let mc1 = mc_answers_threaded(&db, &q, 200, 7, 1).expect("mc serial");
-        let mc4 = mc_answers_threaded(&db, &q, 200, 7, 4).expect("mc t4");
+        let mc1 = mc_answers(&db, &q, 200, 7, 1).expect("mc serial");
+        let mc4 = mc_answers(&db, &q, 200, 7, 4).expect("mc t4");
         assert_bitwise(&mc4, &mc1, &format!("{name} mc"));
     }
 }

@@ -369,7 +369,7 @@ fn check_all_paths(db: &Database, q: &Query) -> Result<(), TestCaseError> {
         }
     }
 
-    let got_sql = deterministic_answers(db, q).expect("sql");
+    let got_sql = deterministic_answers(db, q, 1).expect("sql");
     assert_equiv(&got_sql, &reference::sql(db, q), "deterministic SQL")?;
     Ok(())
 }

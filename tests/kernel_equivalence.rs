@@ -383,7 +383,7 @@ fn forced_paths_bitwise_identical_through_query_evaluation() {
         }
         let sql = |path| {
             kernels::force(path);
-            lapushdb::engine::deterministic_answers_par(&db, &q, 4).expect("sql")
+            lapushdb::engine::deterministic_answers(&db, &q, 4).expect("sql")
         };
         let want_sql = sql(kernels::KernelPath::Scalar);
         for &path in &paths[1..] {

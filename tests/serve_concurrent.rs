@@ -315,6 +315,75 @@ fn topk_matches_query_prefix_and_falls_back_on_ingest() {
     handle.shutdown();
 }
 
+/// `STATS` minus the execution-pool counters, which are process-wide and
+/// move with whatever the other tests of this binary are doing.
+fn own_stats(client: &mut Client) -> String {
+    let stats = client.request("STATS").unwrap();
+    let own: Vec<&str> = stats.lines().filter(|l| !l.starts_with("pool.")).collect();
+    own.join("\n")
+}
+
+#[test]
+fn rejected_ingest_mutates_nothing() {
+    // D is deterministic, so a batch holding an uncertain tuple must be
+    // refused — as a whole, although its first two rows are acceptable.
+    let mut db = rst_db();
+    let d = db.create_deterministic("D", 1).unwrap();
+    for x in 1..=2i64 {
+        db.relation_mut(d)
+            .push_certain(Box::new([Value::Int(x)]))
+            .unwrap();
+    }
+    let handle = Server::bind_with_db(db, ServerConfig::default())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // Cache one QUERY and one TOPK whose answers the batch's acceptable
+    // rows (x = 3, 4 complete chains through S and T) would change.
+    let requests = [
+        "QUERY q(x) :- D(x), S(x, y), T(y)",
+        "TOPK 1 q(x) :- D(x), S(x, y), T(y)",
+    ];
+    let cached: Vec<String> = requests
+        .iter()
+        .map(|r| client.request(r).unwrap())
+        .collect();
+    assert_eq!(cached[0].lines().next(), Some("OK 2 answers"));
+    let before = own_stats(&mut client);
+
+    let err = client.request("INGEST D\n3,1.0\n4,1.0\n5,0.5").unwrap();
+    assert!(err.starts_with("ERR INGEST "), "{err}");
+    assert!(err.contains("deterministic"), "{err}");
+    assert_eq!(
+        own_stats(&mut client),
+        before,
+        "a rejected batch left a trace"
+    );
+
+    // Both entries are still fresh: same bytes, served as cache hits.
+    for (request, want) in requests.iter().zip(&cached) {
+        assert_eq!(&client.request(request).unwrap(), want, "{request}");
+    }
+    let after = client.request("STATS").unwrap();
+    assert_eq!(stat(&after, "answer_cache.invalidations"), Some(0));
+    assert_eq!(
+        stat(&after, "answer_cache.hits"),
+        Some(stat(&before, "answer_cache.hits").unwrap() + 2)
+    );
+    assert_eq!(stat(&after, "delta.batches"), Some(0));
+
+    // The same rows without the offending one are accepted.
+    assert_eq!(
+        client.request("INGEST D\n3,1.0\n4,1.0").unwrap(),
+        "OK ingested 2 tuples into D (total 4)"
+    );
+    let grown = client.request(requests[0]).unwrap();
+    assert_eq!(grown.lines().next(), Some("OK 4 answers"));
+    handle.shutdown();
+}
+
 #[test]
 fn protocol_errors_and_new_relations() {
     let handle = Server::bind(ServerConfig::default())

@@ -20,9 +20,13 @@
 //! nothing to prune, everything evaluated), and a Boolean query (single
 //! answer group).
 
+use lapushdb::core::PlanSet;
 use lapushdb::core::{minimal_plan_set_opts, EnumOptions, SchemaInfo};
 use lapushdb::engine::kernels;
-use lapushdb::engine::{propagation_score_ids, propagation_score_topk, ExecOptions, Semantics};
+use lapushdb::engine::topk::LO_SLACK;
+use lapushdb::engine::{
+    propagation_score_ids, propagation_score_topk, AnswerSet, ExecOptions, Semantics, TopkEval,
+};
 use lapushdb::prelude::*;
 use lapushdb::workload::{
     chain_db, chain_query, random_db_for_query, random_query, star_db, star_query,
@@ -51,6 +55,61 @@ fn assert_prefix_bitwise(
         );
     }
     Ok(())
+}
+
+/// The anytime contract: stepping a [`TopkEval`] plan by plan, every
+/// surviving candidate's `[lo, hi]` interval brackets its exhaustive
+/// propagation score `ρ` at every step, `hi` never grows, and after the
+/// last step `lo == hi == ρ` to the bit.
+///
+/// `ρ ≤ hi` is exact (`hi` is the min over a prefix of the plans `ρ` is the
+/// min over). `lo ≤ ρ` holds mathematically, but `lo` is one plan's
+/// `max`-fold and `ρ` another plan's independent-OR fold of products
+/// associated differently, so it is asserted up to the relative
+/// [`LO_SLACK`] the pruning threshold itself allows for.
+fn check_anytime_bounds(
+    db: &Database,
+    q: &Query,
+    set: &PlanSet,
+    k: usize,
+    opts: ExecOptions,
+    full: &AnswerSet,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let mut eval = TopkEval::new(db, q, &set.store, &set.roots, k, opts).expect("topk");
+    let mut prev: Vec<(Box<[Value]>, f64, f64)> = Vec::new();
+    loop {
+        let snap = eval.bounds();
+        let exact = eval.remaining() == 0;
+        for (key, lo, hi) in &snap {
+            let rho = full.rows.get(key).copied();
+            prop_assert!(rho.is_some(), "{}: candidate {:?} is no answer", what, key);
+            let rho = rho.unwrap();
+            prop_assert!(rho <= *hi, "{}: {:?} rho {} > hi {}", what, key, rho, hi);
+            prop_assert!(
+                lo * (1.0 - LO_SLACK) <= rho,
+                "{}: {:?} lo {} > rho {}",
+                what,
+                key,
+                lo,
+                rho
+            );
+            prop_assert!(lo <= hi, "{}: {:?} [{}, {}]", what, key, lo, hi);
+            if exact {
+                prop_assert_eq!(hi.to_bits(), rho.to_bits(), "{}: {:?} final hi", what, key);
+                prop_assert_eq!(lo.to_bits(), rho.to_bits(), "{}: {:?} final lo", what, key);
+            }
+            if let Some((_, _, old_hi)) = prev.iter().find(|(k, _, _)| k == key) {
+                prop_assert!(hi <= old_hi, "{}: {:?} hi grew", what, key);
+            }
+        }
+        // The candidate set is fixed once the first plan has pruned.
+        prop_assert!(prev.is_empty() || prev.len() == snap.len(), "{}", what);
+        prev = snap;
+        if !eval.step().expect("step") {
+            return Ok(());
+        }
+    }
 }
 
 /// Engine-layer harness: for each semantics × thread count, evaluate the
@@ -87,6 +146,7 @@ fn check_engine(db: &Database, q: &Query, ks: &[usize]) -> Result<(), TestCaseEr
                     "{}: pruned + evaluated != answers",
                     what
                 );
+                check_anytime_bounds(db, q, &set, k, opts, &full, &what)?;
             }
         }
     }
@@ -282,6 +342,8 @@ fn forced_kernel_paths_rank_identical_bits() {
                 assert_eq!(gs.to_bits(), ws.to_bits(), "{path:?} k={k}");
             }
         }
+        check_anytime_bounds(&db, &q, &set, 5, opts, &full, &format!("{path:?}"))
+            .unwrap_or_else(|e| panic!("{e}"));
         let res = propagation_score_topk(&db, &q, &set.store, &set.roots, 5, opts).expect("topk");
         finals.push((path, res.ranked));
     }

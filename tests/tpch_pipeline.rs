@@ -65,11 +65,11 @@ fn mc_needs_many_samples_to_match_dissociation() {
     let diss: Vec<f64> = keys.iter().map(|k| rho.score_of(k)).collect();
     let ap_diss = average_precision_at_k(&diss, &truth, 10);
 
-    let mc10 = mc_answers(&db, &q, 10, 7).unwrap();
+    let mc10 = mc_answers(&db, &q, 10, 7, 1).unwrap();
     let mc10_scores: Vec<f64> = keys.iter().map(|k| mc10.score_of(k)).collect();
     let ap_mc10 = average_precision_at_k(&mc10_scores, &truth, 10);
 
-    let mc3k = mc_answers(&db, &q, 3000, 7).unwrap();
+    let mc3k = mc_answers(&db, &q, 3000, 7, 1).unwrap();
     let mc3k_scores: Vec<f64> = keys.iter().map(|k| mc3k.score_of(k)).collect();
     let ap_mc3k = average_precision_at_k(&mc3k_scores, &truth, 10);
 
@@ -122,7 +122,7 @@ fn selectivity_parameters_shrink_lineage() {
 fn deterministic_sql_baseline_agrees_on_answer_set() {
     let db = tpch_db(small_cfg()).unwrap();
     let q = tpch_query(150, "%red%");
-    let det = deterministic_answers(&db, &q).unwrap();
+    let det = deterministic_answers(&db, &q, 1).unwrap();
     let rho = rank_by_dissociation(&db, &q, RankOptions::default()).unwrap();
     assert_eq!(det.len(), rho.len());
     for key in det.rows.keys() {
