@@ -145,7 +145,7 @@ impl IncrementalEval {
             min_into_par(&mut root_acc, &next, ev.par, &mut ev.scratch);
         }
         let answers = decode_answers(&root_acc, q.head(), &db.codec());
-        Ok(IncrementalEval {
+        let this = IncrementalEval {
             opts,
             roots: roots.to_vec(),
             nodes: store.reachable(roots),
@@ -154,7 +154,31 @@ impl IncrementalEval {
             joins: ev.joins.unwrap_or_default(),
             root_acc,
             answers,
-        })
+        };
+        this.drop_orders(store, this.joins.keys().copied());
+        Ok(this)
+    }
+
+    /// Forget the key orders the given join nodes built on their inputs
+    /// and intermediates. The views outlive the evaluation by the lifetime
+    /// of a cached answer; an order is only worth its memory while joins
+    /// are running, so none survives [`IncrementalEval::new`] or
+    /// [`IncrementalEval::apply_deltas`].
+    fn drop_orders(&self, store: &PlanStore, joins: impl Iterator<Item = PlanId>) {
+        for id in joins {
+            if let NodeKind::Join { inputs } = &store.node(id).kind {
+                inputs.iter().for_each(|c| self.views[c].drop_orders());
+            }
+            self.joins[&id].mids.iter().for_each(Rel::drop_orders);
+        }
+    }
+
+    /// Key orders held by the captured views and join intermediates: zero
+    /// whenever no call is in progress (what the equivalence suite checks).
+    pub fn cached_orders(&self) -> usize {
+        let mids = self.joins.values().flat_map(|j| &j.mids);
+        let views = self.views.values().map(|v| &**v);
+        views.chain(mids).map(Rel::cached_orders).sum()
     }
 
     /// The maintained answer set — after [`IncrementalEval::apply_deltas`],
@@ -211,6 +235,8 @@ impl IncrementalEval {
         // Propagate effective deltas bottom-up (ascending id: children
         // first). A node absent from `deltas` is untouched this round.
         let mut deltas: FxHashMap<PlanId, Rel> = FxHashMap::default();
+        // Join nodes that ran a join this round (see `drop_orders`).
+        let mut joined: Vec<PlanId> = Vec::new();
         let nodes = self.nodes.clone();
         for id in nodes {
             let node = store.node(id);
@@ -251,6 +277,7 @@ impl IncrementalEval {
                     if !inputs.iter().any(|c| deltas.contains_key(c)) {
                         continue;
                     }
+                    joined.push(id);
                     let refs: Vec<&Rel> = inputs.iter().map(|c| &*views[c]).collect();
                     let state = self.joins.get_mut(&id).expect("join state captured");
                     let order = join_order(&refs);
@@ -336,6 +363,8 @@ impl IncrementalEval {
             self.views.insert(id, Arc::new(new_view));
             deltas.insert(id, node_delta);
         }
+
+        self.drop_orders(store, joined.into_iter());
 
         // Fold the root deltas into the accumulated minimum and decode the
         // changed answers — the same left-to-right min the batch path runs.
@@ -561,6 +590,63 @@ mod tests {
         );
         let full = propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
         assert_bitwise(inc.answers(), &full);
+    }
+
+    #[test]
+    fn unchanged_view_joined_twice_sorts_once_and_no_order_is_kept() {
+        // 4-chain, 5 minimal plans: the scan of R2 is joined on x2 — its
+        // second column, so it needs a key order — by `R2 ⋈ R3` and by
+        // `R2 ⋈ π(R3 ⋈ R4)`. A row appended to R3 reaches both joins in
+        // one `apply_deltas` while R2's view stays as captured.
+        use crate::rel::{order_log, MIN_SHARED_ORDER_ROWS};
+        let (q, store, roots) =
+            setup("q(x0, x4) :- R1(x0, x1), R2(x1, x2), R3(x2, x3), R4(x3, x4)");
+        assert_eq!(roots.len(), 5);
+        let mut db = Database::new();
+        let mut state = 0x853c49e6748fea9bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Sizes nothing else in this test process uses mark the scans in
+        // the process-wide order log.
+        let rows_of = |i: usize| 3 * MIN_SHARED_ORDER_ROWS + 11 * i;
+        for i in 1..=4 {
+            let rel = db.create_relation(format!("R{i}"), 2).unwrap();
+            while db.relation(rel).len() < rows_of(i) {
+                let (u, v) = ((next() % 300) as i64, (next() % 300) as i64);
+                let p = (next() % 999 + 1) as f64 / 1000.0;
+                db.relation_mut(rel).push(tuple([u, v]), p).unwrap();
+            }
+        }
+        let opts = ExecOptions::default();
+        let mut inc = IncrementalEval::new(&db, &q, &store, &roots, opts).unwrap();
+        assert_eq!(inc.cached_orders(), 0, "capture keeps no order");
+
+        let r2_scan = (ScanShape::of(&q, &q.atoms()[1]).out_vars, rows_of(2));
+        let r2_orders_built = |since: usize| {
+            let built = order_log::snapshot().split_off(since);
+            let of_r2 = |(vars, rows, key): &order_log::Built| {
+                (vars, *rows) == (&r2_scan.0, r2_scan.1) && key[..] == [1]
+            };
+            built.iter().filter(|b| of_r2(b)).count()
+        };
+        for step in 0..2 {
+            // Join values that occur: the new R3 row extends existing paths.
+            let (x2, x3) = (7 + step, 11 + step);
+            db.relation_mut(2).push(tuple([x2, x3]), 0.5).unwrap();
+            let before = order_log::snapshot().len();
+            let out = inc.apply_deltas(&db, &q, &store).unwrap();
+            assert!(matches!(out, DeltaOutcome::Updated { .. }), "{out:?}");
+            // Sorted once although two joins read it — and again in the
+            // next round, because the round before kept nothing.
+            assert_eq!(r2_orders_built(before), 1, "step {step}");
+            assert_eq!(inc.cached_orders(), 0, "step {step}: apply keeps no order");
+            let full = propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
+            assert_bitwise(inc.answers(), &full);
+        }
     }
 
     #[test]

@@ -375,7 +375,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// A serial evaluator over the same inputs, seeded with this one's
-    /// memo (`Arc` clones) — one per task of the root-parallel loop.
+    /// memo (`Arc` clones) — one per task of the root-parallel loop. The
+    /// relations are shared, not copied, so every fork joins them through
+    /// the key orders the pre-pass built, and an order first needed inside
+    /// the loop is built by one fork for all (serial forks: building under
+    /// the relation's lock never waits on the pool).
     fn fork(&self) -> Evaluator<'a> {
         Evaluator {
             prepared: Arc::clone(&self.prepared),
@@ -981,6 +985,75 @@ mod tests {
         // Ascending id order (children before parents).
         assert!(shared.windows(2).all(|w| w[0] < w[1]));
         let _ = &db;
+    }
+
+    #[test]
+    fn plan_set_sorts_each_scan_key_once() {
+        // The 7-chain: 132 minimal plans over one 595-node DAG, every scan
+        // joined on its second column by dozens of them. One evaluation
+        // must build that key order once per scan, serially and with the
+        // roots spread over pool tasks (forks share the scans, hence their
+        // orders; two tasks needing an unbuilt order wait on each other).
+        use crate::rel::{order_log, MIN_SHARED_ORDER_ROWS};
+        let k = 7;
+        let atoms: Vec<String> = (1..=k).map(|i| format!("R{i}(x{}, x{i})", i - 1)).collect();
+        let q = parse_query(&format!("q(x0, x{k}) :- {}", atoms.join(", "))).unwrap();
+        let mut db = Database::new();
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Distinct sizes, all large enough to share orders, mark this
+        // test's scans in the process-wide log.
+        let rows_of = |i: usize| 2 * MIN_SHARED_ORDER_ROWS + 7 * i;
+        for i in 1..=k {
+            let rel = db.create_relation(format!("R{i}"), 2).unwrap();
+            while db.relation(rel).len() < rows_of(i) {
+                let (u, v) = ((next() % 500) as i64, (next() % 500) as i64);
+                let p = (next() % 999 + 1) as f64 / 1000.0;
+                db.relation_mut(rel).push(tuple([u, v]), p).unwrap();
+            }
+        }
+        let s = QueryShape::of_query(&q);
+        let mut store = PlanStore::new();
+        let roots: Vec<PlanId> = minimal_plans(&s)
+            .iter()
+            .map(|p| store.intern_plan(p))
+            .collect();
+        assert_eq!(roots.len(), 132);
+        let scans: Vec<(Vec<Var>, usize)> = (q.atoms().iter().enumerate())
+            .map(|(i, a)| (ScanShape::of(&q, a).out_vars, rows_of(i + 1)))
+            .collect();
+
+        let mut answers: Vec<AnswerSet> = Vec::new();
+        for threads in [1, 4] {
+            let opts = ExecOptions {
+                threads,
+                ..ExecOptions::default()
+            };
+            let before = order_log::snapshot().len();
+            answers.push(propagation_score_ids(&db, &q, &store, &roots, opts).unwrap());
+            let mut built: Vec<order_log::Built> = order_log::snapshot().split_off(before);
+            built.retain(|(vars, rows, _)| scans.contains(&(vars.clone(), *rows)));
+            // Every scan but the last is joined on its second column.
+            assert!(built.len() >= k - 1, "threads={threads}: {built:?}");
+            let total = built.len();
+            built.sort();
+            built.dedup();
+            assert_eq!(
+                built.len(),
+                total,
+                "threads={threads}: an order was rebuilt"
+            );
+        }
+        assert!(!answers[0].is_empty());
+        assert_eq!(answers[0].len(), answers[1].len());
+        for (key, &score) in &answers[0].rows {
+            assert_eq!(answers[1].score_of(key).to_bits(), score.to_bits());
+        }
     }
 
     #[test]

@@ -433,11 +433,23 @@ fn gather_scalar(src: &[Vid], idx: &[u32], out: &mut [Vid]) {
 /// same code, and the result equals the linear scan's by sortedness.
 #[inline]
 pub fn gallop_ge(keys: &[Key], start: usize, target: u128) -> usize {
-    let n = keys.len();
-    if start >= n || keys[start].k >= target {
+    gallop_ge_by(keys.len(), start, target, |i| keys[i].k)
+}
+
+/// [`gallop_ge`] over any sorted sequence of `n` packed keys read through
+/// `key_at` — the engine's joins gallop over key orders whose packed keys
+/// are computed on demand instead of stored.
+#[inline]
+pub(crate) fn gallop_ge_by(
+    n: usize,
+    start: usize,
+    target: u128,
+    key_at: impl Fn(usize) -> u128,
+) -> usize {
+    if start >= n || key_at(start) >= target {
         return start;
     }
-    // Invariant: keys[lo].k < target; hi is the first candidate bound.
+    // Invariant: key_at(lo) < target; hi is the first candidate bound.
     let mut lo = start;
     let mut step = 1usize;
     let mut hi = loop {
@@ -445,16 +457,16 @@ pub fn gallop_ge(keys: &[Key], start: usize, target: u128) -> usize {
         if probe >= n {
             break n;
         }
-        if keys[probe].k >= target {
+        if key_at(probe) >= target {
             break probe;
         }
         lo = probe;
         step <<= 1;
     };
-    // Binary search in (lo, hi]: smallest index with k >= target.
+    // Binary search in (lo, hi]: smallest index with key >= target.
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if keys[mid].k < target {
+        if key_at(mid) < target {
             lo = mid;
         } else {
             hi = mid;

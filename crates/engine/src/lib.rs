@@ -31,7 +31,11 @@
 //! lexicographic order — and all operators are sort/merge algorithms:
 //! merge joins on shared-variable keys, grouped-scan projections over
 //! runs of equal group keys, pointwise sorted merges for `min`, and
-//! merge-based semi-join membership. Sort keys pack up to four vid
+//! merge-based semi-join membership. A join reads an input whose key is
+//! not a column prefix through that relation's *key order*, which the
+//! relation builds on first use and keeps: nothing is sorted twice per
+//! evaluation, however many plans join the same view on the same key
+//! (see [`rel`]). Sort keys pack up to four vid
 //! columns into one integer, so nothing on these paths hashes or
 //! allocates per row (see [`rel`] for the full contract). The
 //! data-parallel inner loops — key packing, run-boundary detection,

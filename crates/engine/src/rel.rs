@@ -8,9 +8,13 @@
 //! order, duplicates eliminated. Every operator both consumes and restores
 //! that invariant, so the physical algebra is pure sort/merge:
 //!
-//! * **joins** merge the two inputs on their shared-variable key (inputs
-//!   whose key is a column prefix are consumed in place; otherwise a
-//!   row-index permutation is key-sorted first),
+//! * **joins** merge the two inputs on their shared-variable key. An input
+//!   whose key is a column prefix is consumed in place; any other key needs
+//!   a *key order* — the row permutation sorting the relation by that key —
+//!   which the relation itself builds on first use and keeps
+//!   ([`Rel`]'s key orders), so nothing is sorted twice per evaluation:
+//!   every later join of that relation on that key, from any plan, merges
+//!   against the same order,
 //! * **projections** are grouped scans over key-sorted runs — independent-OR
 //!   / max / dedup fold over each run of equal group keys, no hash upserts,
 //! * **`min`** is a pointwise merge of two sorted batches, in place on the
@@ -44,6 +48,7 @@
 use crate::kernels::{self, Key};
 use lapush_query::Var;
 use lapush_storage::Vid;
+use std::sync::{Arc, Mutex};
 
 /// Operator-level parallelism budget.
 ///
@@ -90,6 +95,16 @@ impl Default for Par {
 /// only amortizes over reasonably large morsels.
 pub const MIN_PAR_ROWS: usize = 8192;
 
+/// Join inputs below this many rows keep their key order in the caller's
+/// [`Scratch`] instead of on the relation: the order is then sorted per
+/// join, as every order was before relations kept theirs, but costs no
+/// lock and no allocation. Measured on the repo benchmark: with every
+/// input cached, `plans-wide` (19 792 views of 100 rows) paid +13%
+/// `topk_p10_ms` and +20% `peak_rss_mb`; with inputs under a few hundred
+/// rows bypassing the cache it is neutral, and `chain7` (10 000-row scans)
+/// keeps the whole gain.
+pub(crate) const MIN_SHARED_ORDER_ROWS: usize = 256;
+
 /// Reusable sort scratch: the packed-key buffers behind every key sort.
 ///
 /// One `Scratch` lives in the evaluator's context and is threaded through
@@ -125,6 +140,85 @@ pub struct Rel {
     /// projections and duplicate elimination take the `max`) and otherwise
     /// drops it, so the primary scores never depend on it.
     lo: Option<Vec<f64>>,
+    /// Key orders built so far (see [`KeyOrders`]); not part of the value.
+    orders: KeyOrders,
+}
+
+/// The lazily built **key orders** of one canonical relation: per set of
+/// key columns a join has asked for, the permutation listing the rows in
+/// `(key columns, row index)` order — a total order, so the permutation is
+/// unique and does not depend on who built it, or on how many threads.
+///
+/// * **Owned** by the relation, so every holder of a shared relation (the
+///   evaluator's memo, its forks, the incremental evaluator's views) sees
+///   the orders any other holder built. Nothing is kept for a key that is
+///   a column prefix — the canonical order is that key's order.
+/// * **Built** on the first join on that key, under the lock (a concurrent
+///   join on the same key waits and then shares the result; concurrent
+///   joins of one relation must therefore not themselves wait on the pool
+///   — the evaluator's forks are serial).
+/// * **Invalidated** by every mutator of the key columns (`push_row`,
+///   `canonicalize`, the next-only rows of a `min`), never copied by
+///   `clone` (a clone is made to be changed), ignored by `==`.
+/// * **Dropped** with the relation, or early by [`Rel::drop_orders`].
+///
+/// 16 bytes when empty: plan sets of tens of thousands of small views keep
+/// hundreds of thousands of relations resident.
+#[derive(Default)]
+struct KeyOrders(Mutex<Option<Box<KeyOrder>>>);
+
+/// One key order; a relation is joined on a handful of keys at most, so
+/// they chain.
+struct KeyOrder {
+    key: Box<[usize]>,
+    rows: Arc<[u32]>,
+    next: Option<Box<KeyOrder>>,
+}
+
+impl KeyOrders {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Box<KeyOrder>>> {
+        // Every update leaves the chain valid: a panic elsewhere while the
+        // lock was held cannot have broken it.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn clear(&mut self) {
+        *self.0.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
+    }
+
+    fn count(&self) -> usize {
+        let head = self.lock();
+        std::iter::successors(head.as_deref(), |o| o.next.as_deref()).count()
+    }
+}
+
+impl Clone for KeyOrders {
+    fn clone(&self) -> Self {
+        KeyOrders::default()
+    }
+}
+
+impl PartialEq for KeyOrders {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for KeyOrders {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "KeyOrders({})", self.count())
+    }
+}
+
+/// How a join reads one input in key order.
+enum RowOrder<'a> {
+    /// The key is a column prefix: canonical order is key order.
+    Canonical,
+    /// The relation's own key order.
+    Shared(Arc<[u32]>),
+    /// Sorted for this join only, into the caller's [`Scratch`], where the
+    /// packed keys then are as well.
+    Scratch(&'a [Key]),
 }
 
 impl Rel {
@@ -136,6 +230,7 @@ impl Rel {
             cols,
             scores: Vec::new(),
             lo: None,
+            orders: KeyOrders::default(),
         }
     }
 
@@ -148,6 +243,7 @@ impl Rel {
             cols,
             scores: Vec::with_capacity(cap),
             lo: None,
+            orders: KeyOrders::default(),
         }
     }
 
@@ -160,6 +256,7 @@ impl Rel {
             cols,
             scores,
             lo: None,
+            orders: KeyOrders::default(),
         };
         rel.canonicalize(Par::serial(), &mut Scratch::default());
         rel
@@ -234,6 +331,7 @@ impl Rel {
             cols,
             scores: pick(&self.scores),
             lo: self.lo.as_deref().map(pick),
+            orders: KeyOrders::default(),
         }
     }
 
@@ -241,10 +339,65 @@ impl Rel {
     /// [`Rel::canonicalize`] before handing the relation to an operator).
     pub fn push_row(&mut self, row: &[Vid], score: f64) {
         debug_assert_eq!(row.len(), self.arity());
+        self.orders.clear();
         for (col, &v) in self.cols.iter_mut().zip(row) {
             col.push(v);
         }
         self.scores.push(score);
+    }
+
+    /// How to read this canonical relation in the order of its columns
+    /// `key` (then row index). Free when `key` is a column prefix;
+    /// otherwise the relation's own key order ([`KeyOrders`]), sorted on
+    /// first use — or, under [`MIN_SHARED_ORDER_ROWS`] rows, a sort into
+    /// `keys` that nobody else sees.
+    fn key_order<'s>(
+        &self,
+        key: &[usize],
+        par: Par,
+        keys: &'s mut Vec<Key>,
+        ties: &mut Vec<Vec<Key>>,
+    ) -> RowOrder<'s> {
+        if key.iter().copied().eq(0..key.len()) {
+            return RowOrder::Canonical;
+        }
+        let sort = |keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
+            let cols: Vec<&[Vid]> = key.iter().map(|&c| self.col(c)).collect();
+            sort_rows(&cols, self.len(), false, par, keys, ties);
+        };
+        if self.len() < MIN_SHARED_ORDER_ROWS {
+            sort(keys, ties);
+            return RowOrder::Scratch(keys);
+        }
+        let mut head = self.orders.lock();
+        let found = std::iter::successors(head.as_deref(), |o| o.next.as_deref())
+            .find(|o| *o.key == *key)
+            .map(|o| Arc::clone(&o.rows));
+        if let Some(rows) = found {
+            return RowOrder::Shared(rows);
+        }
+        sort(keys, ties);
+        let rows: Arc<[u32]> = keys.iter().map(|e| e.row).collect();
+        #[cfg(test)]
+        order_log::record(self, key);
+        *head = Some(Box::new(KeyOrder {
+            key: key.into(),
+            rows: Arc::clone(&rows),
+            next: head.take(),
+        }));
+        RowOrder::Shared(rows)
+    }
+
+    /// Forget every key order built so far (a later join rebuilds what it
+    /// needs). For holders that keep a relation long after the evaluation
+    /// that joined it — the incremental evaluator's views.
+    pub(crate) fn drop_orders(&self) {
+        *self.orders.lock() = None;
+    }
+
+    /// Number of key orders this relation currently keeps.
+    pub(crate) fn cached_orders(&self) -> usize {
+        self.orders.count()
     }
 
     /// Score of the row with exactly these vids, via binary search over the
@@ -317,6 +470,7 @@ impl Rel {
     pub fn canonicalize(&mut self, par: Par, scratch: &mut Scratch) {
         let n = self.len();
         debug_assert!(self.lo.as_ref().map_or(true, |lo| lo.len() == n));
+        self.orders.clear();
         if n <= 1 {
             return;
         }
@@ -575,13 +729,103 @@ fn merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
 // Join
 // ---------------------------------------------------------------------------
 
+/// One join input read in join-key order: sorted position → row, and →
+/// packed key, computed from the key columns on demand — no packed copy of
+/// the input is made, so a join costs what its merge visits, not what its
+/// inputs hold.
+struct KeyView<'a> {
+    rel: &'a Rel,
+    /// Key columns of `rel`, in key order.
+    key: &'a [usize],
+    /// The packed prefix: the first `width` (≤ 4) key columns.
+    head: [&'a [Vid]; 4],
+    width: usize,
+    order: &'a RowOrder<'a>,
+}
+
+impl<'a> KeyView<'a> {
+    fn new(rel: &'a Rel, key: &'a [usize], order: &'a RowOrder<'a>) -> Self {
+        let mut head: [&[Vid]; 4] = [&[]; 4];
+        for (slot, &c) in head.iter_mut().zip(key) {
+            *slot = rel.col(c);
+        }
+        KeyView {
+            rel,
+            key,
+            head,
+            width: key.len().min(4),
+            order,
+        }
+    }
+
+    #[inline]
+    fn row(&self, pos: usize) -> usize {
+        match self.order {
+            RowOrder::Canonical => pos,
+            RowOrder::Shared(rows) => rows[pos] as usize,
+            RowOrder::Scratch(keys) => keys[pos].row as usize,
+        }
+    }
+
+    /// The first four key columns at `pos`, packed as [`kernels::pack_keys`]
+    /// packs them.
+    #[inline]
+    fn packed(&self, pos: usize) -> u128 {
+        if let RowOrder::Scratch(keys) = self.order {
+            return keys[pos].k;
+        }
+        let row = self.row(pos);
+        if self.width == 1 {
+            return self.head[0][row] as u128;
+        }
+        lapush_storage::pack_vids(self.head[..self.width].iter().map(|col| col[row]))
+    }
+
+    /// Order of the key columns beyond the packed four at `pos` against
+    /// `other`'s at `opos` (`Equal` for keys that fit the packed prefix).
+    #[inline]
+    fn cmp_tail(&self, pos: usize, other: &KeyView<'_>, opos: usize) -> std::cmp::Ordering {
+        if self.key.len() <= 4 {
+            return std::cmp::Ordering::Equal;
+        }
+        let (row, orow) = (self.row(pos), other.row(opos));
+        let tail = self.key[4..].iter().zip(&other.key[4..]);
+        tail.map(|(&c, &oc)| self.rel.cols[c][row].cmp(&other.rel.cols[oc][orow]))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    }
+
+    /// End of the run of positions whose key equals the one at `start`
+    /// (packed: `packed`) on every key column, and the packed key there
+    /// (unspecified at the end of the input).
+    #[inline]
+    fn run_end(&self, start: usize, packed: u128) -> (usize, u128) {
+        for pos in start + 1..self.rel.len() {
+            let next = self.packed(pos);
+            if next != packed || self.cmp_tail(start, self, pos).is_ne() {
+                return (pos, next);
+            }
+        }
+        (self.rel.len(), packed)
+    }
+
+    /// First position `>= start` whose packed key is `>= target`.
+    #[inline]
+    fn gallop_ge(&self, start: usize, target: u128) -> usize {
+        kernels::gallop_ge_by(self.rel.len(), start, target, |pos| self.packed(pos))
+    }
+}
+
 /// Natural join of two intermediate relations; scores multiply
 /// (independent-AND). Joins on all shared variables; preserves left column
 /// order, then right-only columns.
 ///
-/// A sort-merge join: each input is brought into join-key order (free when
-/// the key is a column prefix — the canonical sort then already is key
-/// order), matching key blocks are enumerated by a linear merge, and the
+/// A sort-merge join: each input is read in join-key order — free when the
+/// key is a column prefix (the canonical sort then already is key order),
+/// otherwise through the input's own key order ([`Rel`] sorts each key
+/// once and keeps it, so a relation joined by many plans is sorted by one
+/// of them) — matching key blocks are enumerated by a galloping merge
+/// (`O(small · log big)` steps when the sides are lopsided), and the
 /// cross product of each block pair is emitted. Large outputs are
 /// partitioned by key range (whole blocks, never splitting one) across
 /// pool tasks writing disjoint output ranges.
@@ -594,32 +838,31 @@ pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel
     right.assert_canonical();
     let aux = left.lower_bounds().zip(right.lower_bounds());
     // Determine shared and right-only columns.
-    let shared: Vec<(usize, usize)> = left
+    let (lkey, rkey): (Vec<usize>, Vec<usize>) = left
         .vars
         .iter()
         .enumerate()
         .filter_map(|(li, &v)| right.col_of(v).map(|ri| (li, ri)))
-        .collect();
+        .unzip();
     let right_only: Vec<usize> = (0..right.vars.len())
-        .filter(|&ri| !shared.iter().any(|&(_, r)| r == ri))
+        .filter(|ri| !rkey.contains(ri))
         .collect();
     let mut out_vars = left.vars.clone();
     out_vars.extend(right_only.iter().map(|&ri| right.vars[ri]));
 
-    let lkey_cols: Vec<&[Vid]> = shared.iter().map(|&(li, _)| left.col(li)).collect();
-    let rkey_cols: Vec<&[Vid]> = shared.iter().map(|&(_, ri)| right.col(ri)).collect();
-    let l_presorted = shared.iter().enumerate().all(|(i, &(li, _))| li == i);
-    let r_presorted = shared.iter().enumerate().all(|(i, &(_, ri))| ri == i);
-    let Scratch { keys, rkeys, ties } = scratch;
-    sort_rows(&lkey_cols, left.len(), l_presorted, par, keys, ties);
-    sort_rows(&rkey_cols, right.len(), r_presorted, par, rkeys, ties);
-    let (lkeys, rkeys) = (&*keys, &*rkeys);
+    let Scratch { keys, rkeys, ties } = &mut *scratch;
+    let lorder = left.key_order(&lkey, par, keys, ties);
+    let rorder = right.key_order(&rkey, par, rkeys, ties);
+    let (l, r) = (
+        KeyView::new(left, &lkey, &lorder),
+        KeyView::new(right, &rkey, &rorder),
+    );
 
     // Enumerate matching key blocks and their output offsets. Mismatching
     // sides advance by galloping on the packed key: the skip lands on the
-    // first entry whose packed prefix could match (exact for keys of up to
-    // four columns; a safe underestimate for wider keys, whose unpacked
-    // tail the next `block_cmp` re-checks).
+    // first position whose packed prefix could match (exact for keys of up
+    // to four columns; a safe underestimate for wider keys, whose unpacked
+    // tail the next `cmp_tail` re-checks).
     struct Block {
         l0: usize,
         l1: usize,
@@ -630,14 +873,29 @@ pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel
     let mut blocks: Vec<Block> = Vec::new();
     let mut m = 0usize;
     let (mut i, mut j) = (0usize, 0usize);
-    while i < lkeys.len() && j < rkeys.len() {
-        let cmp = block_cmp(&lkey_cols, lkeys, i, &rkey_cols, rkeys, j);
-        match cmp {
-            std::cmp::Ordering::Less => i = kernels::gallop_ge(lkeys, i + 1, rkeys[j].k),
-            std::cmp::Ordering::Greater => j = kernels::gallop_ge(rkeys, j + 1, lkeys[i].k),
+    // The packed keys at `i` and `j`, carried from step to step: every
+    // position the merge visits is packed once.
+    let (mut lk, mut rk) = (0u128, 0u128);
+    if !left.is_empty() && !right.is_empty() {
+        (lk, rk) = (l.packed(0), r.packed(0));
+    }
+    while i < left.len() && j < right.len() {
+        match lk.cmp(&rk).then_with(|| l.cmp_tail(i, &r, j)) {
+            std::cmp::Ordering::Less => {
+                i = l.gallop_ge(i + 1, rk);
+                if i < left.len() {
+                    lk = l.packed(i);
+                }
+            }
+            std::cmp::Ordering::Greater => {
+                j = r.gallop_ge(j + 1, lk);
+                if j < right.len() {
+                    rk = r.packed(j);
+                }
+            }
             std::cmp::Ordering::Equal => {
-                let i1 = run_end_full(&lkey_cols, lkeys, i);
-                let j1 = run_end_full(&rkey_cols, rkeys, j);
+                let (i1, lnext) = l.run_end(i, lk);
+                let (j1, rnext) = r.run_end(j, rk);
                 blocks.push(Block {
                     l0: i,
                     l1: i1,
@@ -646,8 +904,7 @@ pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel
                     out: m,
                 });
                 m += (i1 - i) * (j1 - j);
-                i = i1;
-                j = j1;
+                (i, lk, j, rk) = (i1, lnext, j1, rnext);
             }
         }
     }
@@ -668,11 +925,11 @@ pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel
                 base: usize| {
         for b in blocks {
             let mut at = b.out - base;
-            for le in &lkeys[b.l0..b.l1] {
-                let lrow = le.row as usize;
+            for lpos in b.l0..b.l1 {
+                let lrow = l.row(lpos);
                 let ls = left.score(lrow);
-                for re in &rkeys[b.r0..b.r1] {
-                    let rrow = re.row as usize;
+                for rpos in b.r0..b.r1 {
+                    let rrow = r.row(rpos);
                     for (c, col) in cols.iter_mut().enumerate() {
                         col[at] = if c < w_left {
                             left.get(lrow, c)
@@ -750,6 +1007,7 @@ pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel
         cols: out_cols,
         scores: out_scores,
         lo: aux.map(|_| out_aux),
+        orders: KeyOrders::default(),
     };
     // Join rows are distinct (the key plus both rests determine the pair),
     // but the emission order is (join key, left, right) — restore the
@@ -1009,6 +1267,7 @@ fn project_fold(input: &Rel, keep: &[Var], fold: ProjFold, par: Par, scratch: &m
         cols: out_cols,
         scores: out_scores,
         lo: aux.map(|_| out_aux),
+        orders: KeyOrders::default(),
     };
     // Groups were emitted in group-key order, which *is* the canonical
     // order of the output columns; groups are distinct by construction.
@@ -1156,6 +1415,7 @@ pub(crate) fn min_into_impl(
             j += 1;
         }
     }
+    acc.orders.clear();
     acc.cols = merged_cols;
     acc.scores = merged_scores;
 }
@@ -1192,6 +1452,7 @@ fn cmp_rows(a: &Rel, i: usize, b: &Rel, j: usize) -> std::cmp::Ordering {
 }
 
 fn push_from(out: &mut Rel, src: &Rel, row: usize) {
+    out.orders.clear();
     for (col, sc) in out.cols.iter_mut().zip(&src.cols) {
         col.push(sc[row]);
     }
@@ -1283,28 +1544,45 @@ pub fn diff_changed(new: &Rel, old: &Rel) -> Rel {
 }
 
 /// Independent-OR fold over the contiguous row range `lo..hi` of a
-/// canonical relation — the same kernel call, over the same operand
-/// sequence, as [`project_prob_par`]'s grouped fold of that run.
+/// canonical relation: the chain `((1·(1−p₀))·(1−p₁))·…` in row order —
+/// the strict serial association every path of [`kernels::fold_or`]
+/// multiplies, so the bits equal [`project_prob_par`]'s grouped fold of
+/// that run.
 pub(crate) fn fold_run_or(rel: &Rel, lo: usize, hi: usize) -> f64 {
-    let keys: Vec<Key> = (lo..hi)
-        .map(|r| Key {
-            k: 0,
-            row: r as u32,
-        })
-        .collect();
-    kernels::fold_or(&rel.scores, &keys)
+    1.0 - rel.scores[lo..hi]
+        .iter()
+        .fold(1.0, |not_any, p| not_any * (1.0 - p))
 }
 
 /// Max fold over the contiguous row range `lo..hi` (the
-/// [`project_max_par`] group fold).
+/// [`project_max_par`] group fold, [`kernels::fold_max`]).
 pub(crate) fn fold_run_max(rel: &Rel, lo: usize, hi: usize) -> f64 {
-    let keys: Vec<Key> = (lo..hi)
-        .map(|r| Key {
-            k: 0,
-            row: r as u32,
-        })
-        .collect();
-    kernels::fold_max(&rel.scores, &keys)
+    rel.scores[lo..hi]
+        .iter()
+        .fold(f64::NEG_INFINITY, |best, &p| best.max(p))
+}
+
+/// Every key order built in this test process, as `(vars, rows, key
+/// columns)` of the relation it was built on — how the tests tell that an
+/// evaluation sorted each (relation, key) once. Tests run concurrently:
+/// readers filter by relations only they create.
+#[cfg(test)]
+pub(crate) mod order_log {
+    use super::{Rel, Var};
+    use std::sync::Mutex;
+
+    pub(crate) type Built = (Vec<Var>, usize, Vec<usize>);
+
+    static LOG: Mutex<Vec<Built>> = Mutex::new(Vec::new());
+
+    pub(super) fn record(rel: &Rel, key: &[usize]) {
+        let entry = (rel.vars.clone(), rel.len(), key.to_vec());
+        LOG.lock().expect("order log").push(entry);
+    }
+
+    pub(crate) fn snapshot() -> Vec<Built> {
+        LOG.lock().expect("order log").clone()
+    }
 }
 
 #[cfg(test)]
@@ -1717,6 +1995,297 @@ mod tests {
         let pm = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         let refolded_max = fold_run_max(&r, 0, 2);
         assert_eq!(refolded_max.to_bits(), score_at(&pm, &[1]).to_bits());
+
+        // A run long enough for the chunked and SIMD fold kernels, on every
+        // path this machine has: the range fold multiplies the same chain.
+        let mut rng = Rng(7);
+        let long = random_rel(&mut rng, &[0, 1], 400, &[3, 1000]);
+        for path in kernels::supported_paths() {
+            kernels::force(path);
+            let p = project_prob_par(&long, &[v(0)], Par::serial(), &mut Scratch::default());
+            let pm = project_max_par(&long, &[v(0)], Par::serial(), &mut Scratch::default());
+            for g in 0..p.len() {
+                let run = long.prefix_run(&[p.get(g, 0)]);
+                assert!(run.len() > 64, "{path:?}");
+                let (or, max) = (
+                    fold_run_or(&long, run.start, run.end),
+                    fold_run_max(&long, run.start, run.end),
+                );
+                assert_eq!(or.to_bits(), p.score(g).to_bits(), "{path:?}");
+                assert_eq!(max.to_bits(), pm.score(g).to_bits(), "{path:?}");
+            }
+        }
+        kernels::reset();
+    }
+
+    // ---- key orders: a warm join is a cold join -------------------------
+
+    /// xorshift64: deterministic inputs without a dev-dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// Up to `n` distinct random rows over `vars`, column `c` drawn from
+    /// `0..domains[c]`, scores in (0, 1).
+    fn random_rel(rng: &mut Rng, vars: &[u32], n: usize, domains: &[u64]) -> Rel {
+        let mut r = Rel::with_capacity(vars.iter().map(|&i| v(i)).collect(), n);
+        let mut row = vec![0; vars.len()];
+        for _ in 0..n {
+            for (slot, &d) in row.iter_mut().zip(domains) {
+                *slot = (rng.next() % d) as Vid;
+            }
+            r.push_row(&row, (rng.next() % 999 + 1) as f64 / 1000.0);
+        }
+        r.canonicalize(Par::serial(), &mut Scratch::default());
+        r
+    }
+
+    /// Nested-loop reference join sharing nothing with `join_par` but the
+    /// closing canonicalization.
+    fn naive_join(left: &Rel, right: &Rel) -> Rel {
+        let shared: Vec<(usize, usize)> = (0..left.arity())
+            .filter_map(|li| right.col_of(left.vars[li]).map(|ri| (li, ri)))
+            .collect();
+        let right_only: Vec<usize> = (0..right.arity())
+            .filter(|ri| shared.iter().all(|&(_, r)| r != *ri))
+            .collect();
+        let mut vars = left.vars.clone();
+        vars.extend(right_only.iter().map(|&ri| right.vars[ri]));
+        let mut out = Rel::empty(vars);
+        for i in 0..left.len() {
+            for j in 0..right.len() {
+                if shared
+                    .iter()
+                    .all(|&(l, r)| left.get(i, l) == right.get(j, r))
+                {
+                    let mut row: Vec<Vid> = (0..left.arity()).map(|c| left.get(i, c)).collect();
+                    row.extend(right_only.iter().map(|&c| right.get(j, c)));
+                    out.push_row(&row, left.score(i) * right.score(j));
+                }
+            }
+        }
+        out.canonicalize(Par::serial(), &mut Scratch::default());
+        out
+    }
+
+    fn assert_same(a: &Rel, b: &Rel, what: &str) {
+        assert_eq!(a, b, "{what}");
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.scores()), bits(b.scores()), "{what}: score bits");
+        assert_eq!(
+            a.lower_bounds().map(bits),
+            b.lower_bounds().map(bits),
+            "{what}: lower-bound bits"
+        );
+    }
+
+    /// Join `left ⋈ right` cold (fresh copies, no orders), again on the
+    /// originals (builds their orders), and warm (reuses them): all three,
+    /// and `join_many_par` both ways, must be one relation. Returns it.
+    fn warm_equals_cold(left: &Rel, right: &Rel, par: Par, what: &str) -> Rel {
+        let mut scratch = Scratch::default();
+        let cold = join_par(&left.clone(), &right.clone(), par, &mut Scratch::default());
+        let first = join_par(left, right, par, &mut scratch);
+        let built = (left.cached_orders(), right.cached_orders());
+        let warm = join_par(left, right, par, &mut scratch);
+        assert_eq!(
+            (left.cached_orders(), right.cached_orders()),
+            built,
+            "{what}: a warm join builds nothing"
+        );
+        assert_same(&first, &cold, &format!("{what}: first vs cold"));
+        assert_same(&warm, &cold, &format!("{what}: warm vs cold"));
+        let many_cold = join_many_par(
+            &[&left.clone(), &right.clone()],
+            par,
+            &mut Scratch::default(),
+        );
+        let many_warm = join_many_par(&[left, right], par, &mut scratch);
+        assert_same(&many_warm, &many_cold, &format!("{what}: join_many"));
+        cold
+    }
+
+    #[test]
+    fn key_order_warm_join_equals_cold_join() {
+        let mut rng = Rng(0x9e3779b97f4a7c15);
+        let n = MIN_SHARED_ORDER_ROWS + 60;
+        // (what, left vars/domains, right vars/domains, orders built on
+        // (left, right) when both sides are large enough to share).
+        type Side<'a> = (&'a [u32], &'a [u64]);
+        let cases: [(&str, Side<'_>, Side<'_>, (usize, usize)); 5] = [
+            (
+                "prefix on both sides",
+                (&[0, 1], &[40, 40]),
+                (&[0, 2], &[40, 40]),
+                (0, 0),
+            ),
+            (
+                "prefix on the right only",
+                (&[0, 1], &[40, 40]),
+                (&[1, 2], &[40, 40]),
+                (1, 0),
+            ),
+            (
+                "prefix on neither side",
+                (&[0, 1], &[40, 40]),
+                (&[2, 1], &[40, 40]),
+                (1, 1),
+            ),
+            (
+                "five-column key (tie resolution beyond the packed prefix)",
+                (&[0, 1, 2, 3, 4, 5], &[9, 2, 2, 2, 2, 3]),
+                (&[6, 1, 2, 3, 4, 5], &[9, 2, 2, 2, 2, 3]),
+                (1, 1),
+            ),
+            (
+                "no shared variable (cartesian)",
+                (&[0, 1], &[40, 40]),
+                (&[2], &[7]),
+                (0, 0),
+            ),
+        ];
+        for (what, (lv, ld), (rv, rd), built) in cases {
+            // Large × large shares orders; large × small and small × small
+            // take the `Scratch` bypass on the small side.
+            for (ln, rn) in [(n, n), (n, 50), (50, 50)] {
+                let left = random_rel(&mut rng, lv, ln, ld);
+                let right = random_rel(&mut rng, rv, rn, rd);
+                let what = format!("{what}, {} x {} rows", left.len(), right.len());
+                let got = warm_equals_cold(&left, &right, Par::serial(), &what);
+                assert_same(
+                    &got,
+                    &naive_join(&left, &right),
+                    &format!("{what}: reference"),
+                );
+                let shares = |r: &Rel| usize::from(r.len() >= MIN_SHARED_ORDER_ROWS);
+                assert_eq!(
+                    (left.cached_orders(), right.cached_orders()),
+                    (built.0 * shares(&left), built.1 * shares(&right)),
+                    "{what}: orders kept"
+                );
+            }
+        }
+
+        // An empty side, either side.
+        let left = random_rel(&mut rng, &[0, 1], n, &[40, 40]);
+        let none = Rel::empty(vec![v(2), v(1)]);
+        assert!(warm_equals_cold(&left, &none, Par::serial(), "empty right").is_empty());
+        assert!(warm_equals_cold(&none, &left, Par::serial(), "empty left").is_empty());
+
+        // A lower-bound column on both sides multiplies through the same
+        // shared order.
+        let mut left = random_rel(&mut rng, &[0, 1], n, &[40, 40]);
+        let mut right = random_rel(&mut rng, &[2, 1], n, &[40, 40]);
+        left.seed_lower_bounds();
+        right.seed_lower_bounds();
+        let got = warm_equals_cold(&left, &right, Par::serial(), "lower bounds");
+        assert_eq!(got.lower_bounds(), Some(got.scores()));
+    }
+
+    #[test]
+    fn key_order_is_thread_count_independent() {
+        // Above MIN_PAR_ROWS the order is sorted by pool tasks and the
+        // output filled by key-range morsels; the order built by one thread
+        // count must serve the other.
+        let mut rng = Rng(0xd1b54a32d192ed03);
+        let n = MIN_PAR_ROWS + 1500;
+        let left = random_rel(&mut rng, &[0, 1], n, &[1 << 20, 4000]);
+        let right = random_rel(&mut rng, &[2, 1], n, &[1 << 20, 4000]);
+        assert!(left.len() >= MIN_PAR_ROWS && right.len() >= MIN_PAR_ROWS);
+        let serial = warm_equals_cold(&left, &right, Par::serial(), "serial");
+        assert!(
+            serial.len() >= MIN_PAR_ROWS,
+            "the output is filled by morsels"
+        );
+        // `left` and `right` now hold serially built orders.
+        let mixed = join_par(&left, &right, Par::new(4), &mut Scratch::default());
+        assert_same(&mixed, &serial, "4 threads over serially built orders");
+        let (l4, r4) = (left.clone(), right.clone());
+        let par = warm_equals_cold(&l4, &r4, Par::new(4), "4 threads");
+        assert_same(&par, &serial, "4 threads vs serial");
+        let back = join_par(&l4, &r4, Par::serial(), &mut Scratch::default());
+        assert_same(&back, &serial, "serial over orders built by 4 threads");
+    }
+
+    #[test]
+    fn key_order_is_invalidated_by_every_mutator() {
+        let mut rng = Rng(0x2545f4914f6cdd1d);
+        let n = MIN_SHARED_ORDER_ROWS + 60;
+        let (par, mut scratch) = (Par::serial(), Scratch::default());
+        let mut left = random_rel(&mut rng, &[0, 1], n, &[40, 40]);
+        let right = random_rel(&mut rng, &[2, 1], n, &[40, 40]);
+        join_par(&left, &right, par, &mut scratch);
+        assert_eq!(left.cached_orders(), 1);
+        // A copy starts without orders, and orders are not part of the value.
+        let copy = left.clone();
+        assert_eq!(copy.cached_orders(), 0);
+        assert_eq!(copy, left);
+
+        // push_row + canonicalize: new rows sort to the front, the middle
+        // and the back of the old key order.
+        for (row, score) in [([0, 0], 0.5), ([1 << 20, 17], 0.25), ([7, 1 << 20], 0.75)] {
+            left.push_row(&row, score);
+            assert_eq!(left.cached_orders(), 0, "push_row invalidates");
+        }
+        left.canonicalize(par, &mut scratch);
+        let fresh = {
+            let mut f = Rel::empty(left.vars.clone());
+            for i in 0..left.len() {
+                f.push_row(&[left.get(i, 0), left.get(i, 1)], left.score(i));
+            }
+            f.canonicalize(par, &mut Scratch::default());
+            f
+        };
+        let again = join_par(&left, &right, par, &mut scratch);
+        assert_same(
+            &again,
+            &join_par(&fresh, &right, par, &mut scratch),
+            "after push_row",
+        );
+        assert_same(
+            &again,
+            &naive_join(&left, &right),
+            "after push_row: reference",
+        );
+        assert_eq!(left.cached_orders(), 1);
+
+        // canonicalize alone (it may permute and drop rows).
+        left.canonicalize(par, &mut scratch);
+        assert_eq!(left.cached_orders(), 0, "canonicalize invalidates");
+
+        // The next-only rows of a min grow the accumulator in place.
+        join_par(&left, &right, par, &mut scratch);
+        let mut wider = left.clone();
+        wider.push_row(&[3, 1 << 21], 0.125);
+        wider.canonicalize(par, &mut scratch);
+        min_into_par(&mut left, &wider, par, &mut scratch);
+        assert_eq!(left.len(), wider.len());
+        assert_eq!(left.cached_orders(), 0, "min extras invalidate");
+        assert_same(
+            &join_par(&left, &right, par, &mut scratch),
+            &naive_join(&left, &right),
+            "after min extras",
+        );
+        // A min over the same key set only touches scores: the order stays.
+        min_into_par(&mut left, &wider, par, &mut scratch);
+        assert_eq!(left.cached_orders(), 1);
+
+        // drop_orders forgets; the next join rebuilds.
+        left.drop_orders();
+        assert_eq!(left.cached_orders(), 0);
+        let rebuilt = join_par(&left, &right, par, &mut scratch);
+        assert_same(&rebuilt, &naive_join(&left, &right), "after drop_orders");
+
+        // merge_upsert's output is a new relation (push_from).
+        let merged = merge_upsert(&left, &fresh);
+        assert_eq!(merged.cached_orders(), 0);
     }
 
     #[test]

@@ -411,6 +411,48 @@ fn dag_is_never_larger_than_the_forest() {
     }
 }
 
+/// The 7-chain's 132 plans, evaluated two ways over relations large enough
+/// to keep join key orders: the reference recursion's *trees*, one
+/// isolated evaluation each (its own scans, nothing shared, so every join
+/// sorts for itself), min-folded at the value level — against the DAG's
+/// plan set through one shared memo, where a scan is sorted on a key once
+/// and the order serves every plan and, at 4 threads, every fork. Same
+/// keys, same score bits.
+#[test]
+fn chain7_plan_set_scores_match_plan_at_a_time_evaluation() {
+    use lapushdb::engine::{eval_plan, propagation_score_ids, ExecOptions};
+    use lapushdb::workload::{chain_db, chain_query, find_chain_domain};
+    let q = chain_query(7);
+    let shape = QueryShape::of_query(&q);
+    let n = 600;
+    let db = chain_db(7, n, find_chain_domain(7, n, 35.0), 1.0, 20150901).expect("db");
+    let trees = reference::minimal_plans_with(&shape, &[], false, false);
+    assert_eq!(trees.len(), 132);
+    let mut per_plan = trees
+        .iter()
+        .map(|p| eval_plan(&db, &q, p, ExecOptions::default()).expect("eval"));
+    let mut want = per_plan.next().expect("132 plans");
+    per_plan.for_each(|next| want.min_with(&next));
+    assert!(!want.is_empty());
+
+    let set = minimal_plan_set(&shape);
+    for threads in [1, 4] {
+        let opts = ExecOptions {
+            threads,
+            ..ExecOptions::default()
+        };
+        let got = propagation_score_ids(&db, &q, &set.store, &set.roots, opts).expect("eval");
+        assert_eq!(got.len(), want.len(), "threads={threads}");
+        for (key, &score) in &want.rows {
+            assert_eq!(
+                got.score_of(key).to_bits(),
+                score.to_bits(),
+                "threads={threads}: {key:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
