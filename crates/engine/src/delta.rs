@@ -19,8 +19,12 @@
 //!   distinct variables) determines the full base row once the atom's
 //!   constant and repeated-variable filters are applied, so scan deltas are
 //!   pure insertions of fresh keys: a sorted merge of the cached scan and
-//!   the filtered batch equals a full rescan. In-place probability
-//!   mutations are excluded up front (see *Fallback rules*).
+//!   the filtered batch equals a full rescan. For an unfiltered atom that
+//!   merge is the extension of the relation's base view, which the
+//!   database does once for every cached answer and every later query
+//!   (`exec::scan_view`); the cached scan is replaced by a copy of the
+//!   refreshed view. In-place probability mutations are excluded up front
+//!   (see *Fallback rules*).
 //! * **Join** — a join output row determines its contributing input pair,
 //!   and scores multiply ([`join_par`] computes `ls · rs`; IEEE
 //!   multiplication is commutative bitwise), so the delta of one fold step
@@ -56,8 +60,8 @@
 //! [`prob_epoch`]: lapush_storage::Relation::prob_epoch
 
 use crate::exec::{
-    decode_answers, decoded_rows, project, scan_atom, AnswerSet, Evaluator, ExecError, ExecOptions,
-    ScanRows, Semantics, ShRel,
+    decode_answers, decoded_rows, project, scan_atom, scan_view, AnswerSet, Evaluator, ExecError,
+    ExecOptions, ScanRows, Semantics, ShRel,
 };
 use crate::prepare::{prepare_atoms, ScanShape};
 use crate::rel::{
@@ -111,7 +115,9 @@ pub struct IncrementalEval {
     joins: FxHashMap<PlanId, JoinState>,
     /// Min-fold over the root views, in root order.
     root_acc: Rel,
-    answers: AnswerSet,
+    /// Shared with whoever serves the answers ([`Self::shared_answers`]);
+    /// extended in place whenever this is the only reference.
+    answers: Arc<AnswerSet>,
 }
 
 impl IncrementalEval {
@@ -144,7 +150,7 @@ impl IncrementalEval {
             let next = ev.eval(r);
             min_into_par(&mut root_acc, &next, ev.par, &mut ev.scratch);
         }
-        let answers = decode_answers(&root_acc, q.head(), &db.codec());
+        let answers = Arc::new(decode_answers(&root_acc, q.head(), &db.codec()));
         let this = IncrementalEval {
             opts,
             roots: roots.to_vec(),
@@ -162,8 +168,11 @@ impl IncrementalEval {
     /// Forget the key orders the given join nodes built on their inputs
     /// and intermediates. The views outlive the evaluation by the lifetime
     /// of a cached answer; an order is only worth its memory while joins
-    /// are running, so none survives [`IncrementalEval::new`] or
-    /// [`IncrementalEval::apply_deltas`].
+    /// are running, so none of this state's own survives
+    /// [`IncrementalEval::new`] or [`IncrementalEval::apply_deltas`]. The
+    /// orders of the database's base views — which unfiltered scans read —
+    /// are not part of this state: one set per relation however many
+    /// answers are cached, kept until the relation changes.
     fn drop_orders(&self, store: &PlanStore, joins: impl Iterator<Item = PlanId>) {
         for id in joins {
             if let NodeKind::Join { inputs } = &store.node(id).kind {
@@ -173,8 +182,9 @@ impl IncrementalEval {
         }
     }
 
-    /// Key orders held by the captured views and join intermediates: zero
-    /// whenever no call is in progress (what the equivalence suite checks).
+    /// Key orders held by the captured views and join intermediates
+    /// themselves (not those of the database's base views): zero whenever
+    /// no call is in progress (what the equivalence suite checks).
     pub fn cached_orders(&self) -> usize {
         let mids = self.joins.values().flat_map(|j| &j.mids);
         let views = self.views.values().map(|v| &**v);
@@ -185,6 +195,14 @@ impl IncrementalEval {
     /// bit-identical to a fresh evaluation over the grown database.
     pub fn answers(&self) -> &AnswerSet {
         &self.answers
+    }
+
+    /// [`IncrementalEval::answers`] as a shared handle, for holders that
+    /// serve the set while this state keeps maintaining it. A handle still
+    /// alive during [`IncrementalEval::apply_deltas`] keeps showing the set
+    /// as it was (the state then updates a copy).
+    pub fn shared_answers(&self) -> Arc<AnswerSet> {
+        Arc::clone(&self.answers)
     }
 
     /// The options the state was captured with.
@@ -246,7 +264,15 @@ impl IncrementalEval {
                     let Some(d) = &scan_deltas[*atom] else {
                         continue;
                     };
-                    (merge_upsert(&views[&id], d), d.clone())
+                    let prep = &prepared[*atom];
+                    let shape = ScanShape::of(q, &q.atoms()[*atom]);
+                    let new = match shape.is_unfiltered(prep) {
+                        true => {
+                            scan_view(db, prep, shape.out_vars, opts.semantics, par, &mut scratch)
+                        }
+                        false => merge_upsert(&views[&id], d),
+                    };
+                    (new, d.clone())
                 }
                 NodeKind::Project { input } => {
                     let Some(d) = deltas.get(input) else { continue };
@@ -382,7 +408,8 @@ impl IncrementalEval {
         }
         self.root_acc = merge_upsert(&self.root_acc, &rd);
         let codec = db.codec();
-        (self.answers.rows).extend(decoded_rows(&rd, q.head(), &codec));
+        let answers = Arc::make_mut(&mut self.answers);
+        answers.rows.extend(decoded_rows(&rd, q.head(), &codec));
         Ok(DeltaOutcome::Updated { rows: rd.len() })
     }
 }
@@ -596,8 +623,11 @@ mod tests {
     fn unchanged_view_joined_twice_sorts_once_and_no_order_is_kept() {
         // 4-chain, 5 minimal plans: the scan of R2 is joined on x2 — its
         // second column, so it needs a key order — by `R2 ⋈ R3` and by
-        // `R2 ⋈ π(R3 ⋈ R4)`. A row appended to R3 reaches both joins in
-        // one `apply_deltas` while R2's view stays as captured.
+        // `R2 ⋈ π(R3 ⋈ R4)`. The capture sorts it once, on R2's base view;
+        // rows appended to R3 then reach both joins in every
+        // `apply_deltas` while R2 stays as it is, and nothing sorts it
+        // again: the order is the database's, kept for as long as R2 does
+        // not change, while the state itself keeps no order at all.
         use crate::rel::{order_log, MIN_SHARED_ORDER_ROWS};
         let (q, store, roots) =
             setup("q(x0, x4) :- R1(x0, x1), R2(x1, x2), R3(x2, x3), R4(x3, x4)");
@@ -621,10 +651,6 @@ mod tests {
                 db.relation_mut(rel).push(tuple([u, v]), p).unwrap();
             }
         }
-        let opts = ExecOptions::default();
-        let mut inc = IncrementalEval::new(&db, &q, &store, &roots, opts).unwrap();
-        assert_eq!(inc.cached_orders(), 0, "capture keeps no order");
-
         let r2_scan = (ScanShape::of(&q, &q.atoms()[1]).out_vars, rows_of(2));
         let r2_orders_built = |since: usize| {
             let built = order_log::snapshot().split_off(since);
@@ -633,6 +659,14 @@ mod tests {
             };
             built.iter().filter(|b| of_r2(b)).count()
         };
+        let opts = ExecOptions::default();
+        let before = order_log::snapshot().len();
+        let mut inc = IncrementalEval::new(&db, &q, &store, &roots, opts).unwrap();
+        assert_eq!(r2_orders_built(before), 1, "capture: two joins, one sort");
+        assert_eq!(inc.cached_orders(), 0, "capture keeps no order");
+        let r2_view = db.base_view(1, |_| unreachable!("the capture built it"));
+        assert_eq!(r2_view.cached_orders(), 1, "the database does");
+
         for step in 0..2 {
             // Join values that occur: the new R3 row extends existing paths.
             let (x2, x3) = (7 + step, 11 + step);
@@ -640,13 +674,14 @@ mod tests {
             let before = order_log::snapshot().len();
             let out = inc.apply_deltas(&db, &q, &store).unwrap();
             assert!(matches!(out, DeltaOutcome::Updated { .. }), "{out:?}");
-            // Sorted once although two joins read it — and again in the
-            // next round, because the round before kept nothing.
-            assert_eq!(r2_orders_built(before), 1, "step {step}");
+            assert_eq!(r2_orders_built(before), 0, "step {step}: R2 did not change");
             assert_eq!(inc.cached_orders(), 0, "step {step}: apply keeps no order");
             let full = propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
             assert_bitwise(inc.answers(), &full);
         }
+        let same = db.base_view(1, |_| unreachable!("R2 did not change"));
+        assert!(Arc::ptr_eq(&r2_view, &same));
+        assert_eq!(same.cached_orders(), 1);
     }
 
     #[test]

@@ -8,6 +8,18 @@
 //! [`AnswerSet`] boundary. Public signatures and results are identical to
 //! the hash-map engine; only the intermediate representation changed.
 //!
+//! A scan comes in two kinds. An atom with a constant, a repeated variable
+//! or a predicate — and any scan of listed or appended rows — filters the
+//! relation's encoded rows and sorts what survives (`scan_atom`), per
+//! evaluation. An **unfiltered** atom's full scan is the relation itself,
+//! sorted: that is the relation's *base view*
+//! (`lapush_storage::Database::base_view`), which the first evaluation to
+//! need it builds (`base_view` below is the one implementation of the
+//! unfiltered full scan) and the database keeps for as long as the relation
+//! stays as it is; every scan is then a column copy of the view under the
+//! query's variable names (`scan_view`), joined through key orders the view
+//! sorts once for all of them.
+//!
 //! Evaluation is optionally parallel ([`ExecOptions::threads`]): operators
 //! partition large batches into key-range morsels run as pool tasks, and
 //! [`propagation_score_ids`] additionally parallelizes its embarrassingly
@@ -17,12 +29,12 @@
 
 use crate::prepare::{prepare_atoms, PrepareError, PreparedAtom, ScanShape};
 use crate::rel::{
-    join_fold, min_combine_par, min_into_par, project_det_par, project_max_par, project_prob_par,
-    JoinState, Par, Rel, Scratch,
+    canonicalize_columns, join_fold, merge_sorted, min_combine_par, min_into_par, project_det_par,
+    project_max_par, project_prob_par, JoinState, Par, Rel, Scratch,
 };
 use lapush_core::{NodeKind, Plan, PlanId, PlanNode, PlanStore};
 use lapush_query::{Query, QueryShape, Var};
-use lapush_storage::{Database, DbCodec, DeltaBatch, FxHashMap, Relation, Value, Vid};
+use lapush_storage::{BaseView, Database, DbCodec, DeltaBatch, FxHashMap, Relation, Value, Vid};
 use std::fmt;
 use std::sync::Arc;
 
@@ -472,15 +484,22 @@ impl<'a> Evaluator<'a> {
         }
         let rel = match &node.kind {
             NodeKind::Scan { atom } => {
+                let prep = &self.prepared[*atom];
+                let shape = ScanShape::of(self.q, &self.q.atoms()[*atom]);
+                let (sem, par, scratch) = (self.opts.semantics, self.par, &mut self.scratch);
                 let rows = match restricted {
                     true => ScanRows::Listed(&self.survivors[*atom]),
                     false => ScanRows::All,
                 };
-                let prep = &self.prepared[*atom];
-                let base = self.db.relation(prep.rel);
-                let shape = ScanShape::of(self.q, &self.q.atoms()[*atom]);
-                let sem = self.opts.semantics;
-                let mut rel = scan_atom(base, prep, &shape, rows, sem, self.par, &mut self.scratch);
+                let mut rel = match rows {
+                    ScanRows::All if shape.is_unfiltered(prep) => {
+                        scan_view(self.db, prep, shape.out_vars, sem, par, scratch)
+                    }
+                    rows => {
+                        let base = self.db.relation(prep.rel);
+                        scan_atom(base, prep, &shape, rows, sem, par, scratch)
+                    }
+                };
                 if self.seed_lo {
                     rel.seed_lower_bounds();
                 }
@@ -592,7 +611,8 @@ pub(crate) enum ScanRows<'r> {
 
 /// Scan one atom: filter by constants, repeated variables, and selection
 /// predicates; output the atom's distinct variables as a sorted columnar
-/// batch.
+/// batch. (The full scan of an atom without any filter never comes here:
+/// it is a copy of the relation's base view, [`scan_view`].)
 ///
 /// Constant and repeated-variable filters run on vids (equal values ⇔
 /// equal vids); order/pattern predicates are not id-representable and run
@@ -602,7 +622,8 @@ pub(crate) enum ScanRows<'r> {
 /// in storage order by the same emitter with the same scoring, and the
 /// closing canonicalization (a key-range-partitioned sort when `par`
 /// allows) establishes the operators' sorted invariant — so a row comes out
-/// bit-identical from a full, a listed and a delta scan.
+/// bit-identical from a full, a listed and a delta scan, and from a base
+/// view, whose builder sorts the same rows with the same sort.
 pub(crate) fn scan_atom(
     rel: &Relation,
     prep: &PreparedAtom,
@@ -616,7 +637,6 @@ pub(crate) fn scan_atom(
     // in-atom duplicates); a selective filter over a large relation must
     // not allocate a full-size table.
     let cap = match rows {
-        ScanRows::All if shape.is_unfiltered(prep) => rel.len(),
         ScanRows::Listed(list) => list.len(),
         _ => 0,
     };
@@ -639,6 +659,60 @@ pub(crate) fn scan_atom(
     }
     out.canonicalize(par, scratch);
     out
+}
+
+/// The full scan of an **unfiltered** atom ([`ScanShape::is_unfiltered`]:
+/// no constant, repeated variable or predicate, so the output columns are
+/// the relation's columns in order, named `vars`): a private copy of the
+/// relation's base view, scored by `sem`. Copying is all a scan costs once
+/// the view exists, and the copy joins through the view's key orders
+/// ([`Rel::from_view`]).
+pub(crate) fn scan_view(
+    db: &Database,
+    prep: &PreparedAtom,
+    vars: Vec<Var>,
+    sem: Semantics,
+    par: Par,
+    scratch: &mut Scratch,
+) -> Rel {
+    let view = base_view(db, prep, par, scratch);
+    let scores = match sem {
+        Semantics::Probabilistic | Semantics::LowerBound => view.probs().to_vec(),
+        Semantics::Deterministic => vec![1.0; view.len()],
+    };
+    Rel::from_view(vars, view, scores)
+}
+
+/// The base view of the atom's relation at its current state — taken from
+/// the database when it holds one, otherwise made here and published
+/// ([`Database::base_view`] decides which):
+///
+/// * **built** from the encoded cells `prep` holds, transposed straight
+///   into columns and sorted by the sort every scan closes with;
+/// * **extended**, when the relation only grew since the database's view
+///   was made, by merging the sorted appended rows in. Tuples of a relation
+///   are distinct, so the appended rows are fresh keys and the merge equals
+///   a rescan — the Scan rule of [`crate::delta`].
+fn base_view(db: &Database, prep: &PreparedAtom, par: Par, scratch: &mut Scratch) -> Arc<BaseView> {
+    let rel = db.relation(prep.rel);
+    db.base_view(prep.rel, |stale| {
+        let (cols, probs) = match stale {
+            Some((old, appended)) => merge_sorted(
+                (old.cols(), old.probs()),
+                (appended.cols(), appended.probs()),
+            ),
+            None => {
+                let column = |c| prep.cells.iter().skip(c).step_by(prep.arity);
+                let mut cols: Vec<Vec<Vid>> = (0..prep.arity)
+                    .map(|c| column(c).copied().collect())
+                    .collect();
+                let mut probs = rel.probs().to_vec();
+                canonicalize_columns(&mut cols, &mut probs, None, par, scratch);
+                (cols, probs)
+            }
+        };
+        BaseView::new(cols, probs, rel.prob_epoch())
+    })
 }
 
 /// Cheap per-root cost estimate over a plan set: reachable plan-node
@@ -990,43 +1064,74 @@ mod tests {
     #[test]
     fn plan_set_sorts_each_scan_key_once() {
         // The 7-chain: 132 minimal plans over one 595-node DAG, every scan
-        // joined on its second column by dozens of them. One evaluation
-        // must build that key order once per scan, serially and with the
-        // roots spread over pool tasks (forks share the scans, hence their
-        // orders; two tasks needing an unbuilt order wait on each other).
+        // joined on its second column by dozens of them. The first
+        // evaluation of a database must build that key order once per scan
+        // — serially and with the roots spread over pool tasks (forks share
+        // the scans, hence their orders; two tasks needing an unbuilt order
+        // wait on each other) — and, the scans being copies of the
+        // database's base views, every later evaluation must find it built:
+        // the same plan set again sorts nothing, and the same relations
+        // under other variable numbers re-sort nothing either.
         use crate::rel::{order_log, MIN_SHARED_ORDER_ROWS};
         let k = 7;
         let atoms: Vec<String> = (1..=k).map(|i| format!("R{i}(x{}, x{i})", i - 1)).collect();
         let q = parse_query(&format!("q(x0, x{k}) :- {}", atoms.join(", "))).unwrap();
-        let mut db = Database::new();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        // The same query with its atoms listed back to front: variables are
+        // numbered in first-occurrence order, so every relation's columns
+        // carry other numbers (R2 is `(v2, v3)` above, `(v7, v6)` here).
+        let reversed: Vec<&str> = atoms.iter().rev().map(String::as_str).collect();
+        let renamed = parse_query(&format!("q(x0, x{k}) :- {}", reversed.join(", "))).unwrap();
         // Distinct sizes, all large enough to share orders, mark this
         // test's scans in the process-wide log.
         let rows_of = |i: usize| 2 * MIN_SHARED_ORDER_ROWS + 7 * i;
-        for i in 1..=k {
-            let rel = db.create_relation(format!("R{i}"), 2).unwrap();
-            while db.relation(rel).len() < rows_of(i) {
-                let (u, v) = ((next() % 500) as i64, (next() % 500) as i64);
-                let p = (next() % 999 + 1) as f64 / 1000.0;
-                db.relation_mut(rel).push(tuple([u, v]), p).unwrap();
+        let fresh_db = || {
+            let mut db = Database::new();
+            let mut state = 0x9e3779b97f4a7c15u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for i in 1..=k {
+                let rel = db.create_relation(format!("R{i}"), 2).unwrap();
+                while db.relation(rel).len() < rows_of(i) {
+                    let (u, v) = ((next() % 500) as i64, (next() % 500) as i64);
+                    let p = (next() % 999 + 1) as f64 / 1000.0;
+                    db.relation_mut(rel).push(tuple([u, v]), p).unwrap();
+                }
             }
-        }
-        let s = QueryShape::of_query(&q);
-        let mut store = PlanStore::new();
-        let roots: Vec<PlanId> = minimal_plans(&s)
-            .iter()
-            .map(|p| store.intern_plan(p))
-            .collect();
-        assert_eq!(roots.len(), 132);
-        let scans: Vec<(Vec<Var>, usize)> = (q.atoms().iter().enumerate())
-            .map(|(i, a)| (ScanShape::of(&q, a).out_vars, rows_of(i + 1)))
-            .collect();
+            db
+        };
+        let plan_set = |q: &Query| {
+            let mut store = PlanStore::new();
+            let roots: Vec<PlanId> = minimal_plans(&QueryShape::of_query(q))
+                .iter()
+                .map(|p| store.intern_plan(p))
+                .collect();
+            assert_eq!(roots.len(), 132);
+            (store, roots)
+        };
+        let (store, roots) = plan_set(&q);
+        let (renamed_store, renamed_roots) = plan_set(&renamed);
+        assert_eq!(q.atoms()[1].relation, renamed.atoms()[k - 2].relation);
+        assert_ne!(
+            ScanShape::of(&q, &q.atoms()[1]).out_vars,
+            ScanShape::of(&renamed, &renamed.atoms()[k - 2]).out_vars
+        );
+        // `(rows, key columns)` of the orders one evaluation built on this
+        // test's scans (whatever names the query gave their columns).
+        let built_by = |run: &dyn Fn() -> AnswerSet| {
+            let before = order_log::snapshot().len();
+            let answers = run();
+            let scan_rows: Vec<usize> = (1..=k).map(rows_of).collect();
+            let built: Vec<(usize, Vec<usize>)> = (order_log::snapshot().split_off(before))
+                .into_iter()
+                .filter(|(vars, rows, _)| vars.len() == 2 && scan_rows.contains(rows))
+                .map(|(_, rows, key)| (rows, key))
+                .collect();
+            (answers, built)
+        };
 
         let mut answers: Vec<AnswerSet> = Vec::new();
         for threads in [1, 4] {
@@ -1034,12 +1139,18 @@ mod tests {
                 threads,
                 ..ExecOptions::default()
             };
-            let before = order_log::snapshot().len();
-            answers.push(propagation_score_ids(&db, &q, &store, &roots, opts).unwrap());
-            let mut built: Vec<order_log::Built> = order_log::snapshot().split_off(before);
-            built.retain(|(vars, rows, _)| scans.contains(&(vars.clone(), *rows)));
+            // Never scanned: the first evaluation builds views and orders.
+            let db = fresh_db();
+            let eval = || propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
+            let (first, mut built) = built_by(&eval);
             // Every scan but the last is joined on its second column.
             assert!(built.len() >= k - 1, "threads={threads}: {built:?}");
+            let (again, rebuilt) = built_by(&eval);
+            assert_eq!(rebuilt, [], "threads={threads}: a second evaluation sorted");
+            let (other, more) = built_by(&|| {
+                propagation_score_ids(&db, &renamed, &renamed_store, &renamed_roots, opts).unwrap()
+            });
+            built.extend(more);
             let total = built.len();
             built.sort();
             built.dedup();
@@ -1048,6 +1159,13 @@ mod tests {
                 total,
                 "threads={threads}: an order was rebuilt"
             );
+            assert_eq!(first.len(), other.len());
+            for (key, &score) in &first.rows {
+                assert_eq!(again.score_of(key).to_bits(), score.to_bits());
+                // Other plans' floats: equal up to rounding, not bitwise.
+                assert!((other.score_of(key) - score).abs() < 1e-12);
+            }
+            answers.push(first);
         }
         assert!(!answers[0].is_empty());
         assert_eq!(answers[0].len(), answers[1].len());

@@ -25,7 +25,12 @@
 //! short-lived lock: every distinct value is interned once into a dense
 //! `u32` vid, and encoded base columns are cached on the database, so
 //! repeated evaluations pay nothing and concurrent evaluations only
-//! serialize on the brief encode/decode sections. From there on every
+//! serialize on the brief encode/decode sections. The full scan of an
+//! atom without filters is cached one level higher: the database keeps the
+//! relation sorted and column-major as its *base view*
+//! (`lapush_storage::Database::base_view`; built by the first evaluation
+//! that needs it, extended when the relation grows), and a scan is a column
+//! copy of it under the query's variable names. From there on every
 //! intermediate [`Rel`] is a **sorted columnar batch** — one dense vid
 //! vector per variable plus a score column, rows kept in canonical
 //! lexicographic order — and all operators are sort/merge algorithms:
@@ -34,7 +39,9 @@
 //! merge-based semi-join membership. A join reads an input whose key is
 //! not a column prefix through that relation's *key order*, which the
 //! relation builds on first use and keeps: nothing is sorted twice per
-//! evaluation, however many plans join the same view on the same key
+//! evaluation, however many plans join the same view on the same key —
+//! and the copy of a base view reads the orders of the view itself, sorted
+//! once per database state for every query, top-k pass and cached answer
 //! (see [`rel`]). Sort keys pack up to four vid
 //! columns into one integer, so nothing on these paths hashes or
 //! allocates per row (see [`rel`] for the full contract). The

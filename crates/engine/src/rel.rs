@@ -14,7 +14,10 @@
 //!   which the relation itself builds on first use and keeps
 //!   ([`Rel`]'s key orders), so nothing is sorted twice per evaluation:
 //!   every later join of that relation on that key, from any plan, merges
-//!   against the same order,
+//!   against the same order. The copy of a database base view
+//!   (`Rel::from_view` — every unfiltered scan) goes one step further and
+//!   reads the *view's* orders, sorted once per database state for every
+//!   query, top-k pass and cached answer that scans the relation,
 //! * **projections** are grouped scans over key-sorted runs — independent-OR
 //!   / max / dedup fold over each run of equal group keys, no hash upserts,
 //! * **`min`** is a pointwise merge of two sorted batches, in place on the
@@ -47,7 +50,7 @@
 
 use crate::kernels::{self, Key};
 use lapush_query::Var;
-use lapush_storage::Vid;
+use lapush_storage::{BaseView, Vid};
 use std::sync::{Arc, Mutex};
 
 /// Operator-level parallelism budget.
@@ -151,21 +154,30 @@ pub struct Rel {
 ///
 /// * **Owned** by the relation, so every holder of a shared relation (the
 ///   evaluator's memo, its forks, the incremental evaluator's views) sees
-///   the orders any other holder built. Nothing is kept for a key that is
-///   a column prefix — the canonical order is that key's order.
+///   the orders any other holder built — or, for the untouched copy of a
+///   database base view ([`Rel::from_view`]), **the view's**: its rows are
+///   the view's rows, so it reads and fills the orders every other copy of
+///   that view shares. Nothing is kept for a key that is a column prefix —
+///   the canonical order is that key's order.
 /// * **Built** on the first join on that key, under the lock (a concurrent
 ///   join on the same key waits and then shares the result; concurrent
 ///   joins of one relation must therefore not themselves wait on the pool
-///   — the evaluator's forks are serial).
+///   — the evaluator's forks are serial, and an order of a base view,
+///   which other *evaluations* join concurrently, is always sorted
+///   serially).
 /// * **Invalidated** by every mutator of the key columns (`push_row`,
-///   `canonicalize`, the next-only rows of a `min`), never copied by
-///   `clone` (a clone is made to be changed), ignored by `==`.
-/// * **Dropped** with the relation, or early by [`Rel::drop_orders`].
+///   `canonicalize`, the next-only rows of a `min`) — which also ends the
+///   delegation to a view — never copied by `clone` (a clone is made to be
+///   changed), ignored by `==`.
+/// * **Dropped** with the relation, or early by [`Rel::drop_orders`]; a
+///   view's orders live and die with the view.
 ///
-/// 16 bytes when empty: plan sets of tens of thousands of small views keep
-/// hundreds of thousands of relations resident.
-#[derive(Default)]
-struct KeyOrders(Mutex<Option<Box<KeyOrder>>>);
+/// 24 bytes: plan sets of tens of thousands of small views keep hundreds
+/// of thousands of relations resident.
+enum KeyOrders {
+    Own(Mutex<Option<Box<KeyOrder>>>),
+    Base(Arc<BaseView>),
+}
 
 /// One key order; a relation is joined on a handful of keys at most, so
 /// they chain.
@@ -175,20 +187,37 @@ struct KeyOrder {
     next: Option<Box<KeyOrder>>,
 }
 
+/// Every update leaves the chain valid: a panic elsewhere while the lock
+/// was held cannot have broken it.
+fn lock_chain(
+    chain: &Mutex<Option<Box<KeyOrder>>>,
+) -> std::sync::MutexGuard<'_, Option<Box<KeyOrder>>> {
+    chain.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl KeyOrders {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Box<KeyOrder>>> {
-        // Every update leaves the chain valid: a panic elsewhere while the
-        // lock was held cannot have broken it.
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn clear(&mut self) {
-        *self.0.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
+        match self {
+            KeyOrders::Own(chain) => *chain.get_mut().unwrap_or_else(|e| e.into_inner()) = None,
+            KeyOrders::Base(_) => *self = KeyOrders::default(),
+        }
     }
 
+    /// Orders this relation owns (a base view's are the view's).
     fn count(&self) -> usize {
-        let head = self.lock();
-        std::iter::successors(head.as_deref(), |o| o.next.as_deref()).count()
+        match self {
+            KeyOrders::Own(chain) => {
+                let head = lock_chain(chain);
+                std::iter::successors(head.as_deref(), |o| o.next.as_deref()).count()
+            }
+            KeyOrders::Base(_) => 0,
+        }
+    }
+}
+
+impl Default for KeyOrders {
+    fn default() -> Self {
+        KeyOrders::Own(Mutex::new(None))
     }
 }
 
@@ -206,7 +235,10 @@ impl PartialEq for KeyOrders {
 
 impl std::fmt::Debug for KeyOrders {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "KeyOrders({})", self.count())
+        match self {
+            KeyOrders::Own(_) => write!(f, "KeyOrders({})", self.count()),
+            KeyOrders::Base(view) => write!(f, "KeyOrders({view:?})"),
+        }
     }
 }
 
@@ -214,7 +246,7 @@ impl std::fmt::Debug for KeyOrders {
 enum RowOrder<'a> {
     /// The key is a column prefix: canonical order is key order.
     Canonical,
-    /// The relation's own key order.
+    /// The relation's own key order, or its base view's.
     Shared(Arc<[u32]>),
     /// Sorted for this join only, into the caller's [`Scratch`], where the
     /// packed keys then are as well.
@@ -260,6 +292,24 @@ impl Rel {
         };
         rel.canonicalize(Par::serial(), &mut Scratch::default());
         rel
+    }
+
+    /// A private copy of a database base view under a query's variable
+    /// names: `vars[c]` names the relation's column `c`, `scores` gives
+    /// each row's score (the view's probabilities, or whatever the score
+    /// semantics puts in their place). The columns are copied — the caller
+    /// may do with the result what it likes — but for as long as the rows
+    /// stay untouched, joins read them through the *view's* key orders.
+    pub(crate) fn from_view(vars: Vec<Var>, view: Arc<BaseView>, scores: Vec<f64>) -> Self {
+        debug_assert_eq!(vars.len(), view.cols().len());
+        debug_assert_eq!(scores.len(), view.len());
+        Rel {
+            vars,
+            cols: view.cols().to_vec(),
+            scores,
+            lo: None,
+            orders: KeyOrders::Base(view),
+        }
     }
 
     /// Number of rows.
@@ -348,9 +398,10 @@ impl Rel {
 
     /// How to read this canonical relation in the order of its columns
     /// `key` (then row index). Free when `key` is a column prefix;
-    /// otherwise the relation's own key order ([`KeyOrders`]), sorted on
-    /// first use — or, under [`MIN_SHARED_ORDER_ROWS`] rows, a sort into
-    /// `keys` that nobody else sees.
+    /// otherwise the relation's key order ([`KeyOrders`]: its own, or its
+    /// base view's), sorted on first use — or, under
+    /// [`MIN_SHARED_ORDER_ROWS`] rows, a sort into `keys` that nobody else
+    /// sees.
     fn key_order<'s>(
         &self,
         key: &[usize],
@@ -361,25 +412,37 @@ impl Rel {
         if key.iter().copied().eq(0..key.len()) {
             return RowOrder::Canonical;
         }
-        let sort = |keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
+        let sort = |par: Par, keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
             let cols: Vec<&[Vid]> = key.iter().map(|&c| self.col(c)).collect();
             sort_rows(&cols, self.len(), false, par, keys, ties);
         };
         if self.len() < MIN_SHARED_ORDER_ROWS {
-            sort(keys, ties);
+            sort(par, keys, ties);
             return RowOrder::Scratch(keys);
         }
-        let mut head = self.orders.lock();
+        let build = |par: Par, keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
+            sort(par, keys, ties);
+            #[cfg(test)]
+            order_log::record(self, key);
+            keys.iter().map(|e| e.row).collect::<Arc<[u32]>>()
+        };
+        let chain = match &self.orders {
+            // Serial: the view's lock is held meanwhile, and other
+            // evaluations join this view (see `BaseView::key_order`).
+            KeyOrders::Base(view) => {
+                let serial = || build(Par::serial(), keys, ties);
+                return RowOrder::Shared(view.key_order(key, serial));
+            }
+            KeyOrders::Own(chain) => chain,
+        };
+        let mut head = lock_chain(chain);
         let found = std::iter::successors(head.as_deref(), |o| o.next.as_deref())
             .find(|o| *o.key == *key)
             .map(|o| Arc::clone(&o.rows));
         if let Some(rows) = found {
             return RowOrder::Shared(rows);
         }
-        sort(keys, ties);
-        let rows: Arc<[u32]> = keys.iter().map(|e| e.row).collect();
-        #[cfg(test)]
-        order_log::record(self, key);
+        let rows = build(par, keys, ties);
         *head = Some(Box::new(KeyOrder {
             key: key.into(),
             rows: Arc::clone(&rows),
@@ -388,14 +451,19 @@ impl Rel {
         RowOrder::Shared(rows)
     }
 
-    /// Forget every key order built so far (a later join rebuilds what it
-    /// needs). For holders that keep a relation long after the evaluation
-    /// that joined it — the incremental evaluator's views.
+    /// Forget every key order this relation built for itself (a later
+    /// join rebuilds what it needs). For holders that keep a relation long
+    /// after the evaluation that joined it — the incremental evaluator's
+    /// views. The orders of a base view are not this relation's to drop:
+    /// they are bounded by the database, not by how many copies exist.
     pub(crate) fn drop_orders(&self) {
-        *self.orders.lock() = None;
+        if let KeyOrders::Own(chain) = &self.orders {
+            *lock_chain(chain) = None;
+        }
     }
 
-    /// Number of key orders this relation currently keeps.
+    /// Number of key orders this relation itself keeps (none for the copy
+    /// of a base view: those are the view's).
     pub(crate) fn cached_orders(&self) -> usize {
         self.orders.count()
     }
@@ -468,44 +536,14 @@ impl Rel {
     /// columns and combine duplicates with `max` (a lower-bound column
     /// rides the same permutation and folds the same way).
     pub fn canonicalize(&mut self, par: Par, scratch: &mut Scratch) {
-        let n = self.len();
-        debug_assert!(self.lo.as_ref().map_or(true, |lo| lo.len() == n));
         self.orders.clear();
-        if n <= 1 {
-            return;
-        }
-        let cols: Vec<&[Vid]> = self.cols.iter().map(Vec::as_slice).collect();
-        let Scratch { keys, ties, .. } = scratch;
-        sort_rows(&cols, n, false, par, keys, ties);
-        // Keep the first row of every distinct run; fold duplicate scores
-        // with max (order-independent, so dedup order cannot matter).
-        let keys = &*keys;
-        let mut keep: Vec<u32> = Vec::with_capacity(n);
-        let mut scores: Vec<f64> = Vec::with_capacity(n);
-        let mut aux_scores: Vec<f64> = Vec::new();
-        let mut pos = 0usize;
-        while pos < n {
-            let end = run_end_full(&cols, keys, pos);
-            keep.push(keys[pos].row);
-            scores.push(kernels::fold_max(&self.scores, &keys[pos..end]));
-            if let Some(a) = &self.lo {
-                aux_scores.push(kernels::fold_max(a, &keys[pos..end]));
-            }
-            pos = end;
-        }
-        let identity = keep.len() == n && keep.iter().enumerate().all(|(i, &r)| r as usize == i);
-        drop(cols);
-        if !identity {
-            let mut tmp: Vec<Vid> = Vec::new();
-            for col in &mut self.cols {
-                kernels::gather_u32(col, &keep, &mut tmp);
-                std::mem::swap(col, &mut tmp);
-            }
-        }
-        self.scores = scores;
-        if self.lo.is_some() {
-            self.lo = Some(aux_scores);
-        }
+        canonicalize_columns(
+            &mut self.cols,
+            &mut self.scores,
+            self.lo.as_mut(),
+            par,
+            scratch,
+        );
     }
 
     /// Debug check of the canonical invariant (sorted, distinct).
@@ -524,6 +562,56 @@ impl Rel {
 
     #[cfg(not(debug_assertions))]
     fn assert_canonical(&self) {}
+}
+
+/// [`Rel::canonicalize`] on bare columns — all a relation is before it has
+/// variable names (the builder of a database base view sorts these): sort
+/// the rows lexicographically, keep one row per distinct run and fold its
+/// `scores` (and `lo`, when given) with `max`.
+pub(crate) fn canonicalize_columns(
+    cols: &mut [Vec<Vid>],
+    scores: &mut Vec<f64>,
+    lo: Option<&mut Vec<f64>>,
+    par: Par,
+    scratch: &mut Scratch,
+) {
+    let n = scores.len();
+    debug_assert!(lo.as_ref().map_or(true, |lo| lo.len() == n));
+    if n <= 1 {
+        return;
+    }
+    let views: Vec<&[Vid]> = cols.iter().map(Vec::as_slice).collect();
+    let Scratch { keys, ties, .. } = scratch;
+    sort_rows(&views, n, false, par, keys, ties);
+    // Keep the first row of every distinct run; fold duplicate scores
+    // with max (order-independent, so dedup order cannot matter).
+    let keys = &*keys;
+    let mut keep: Vec<u32> = Vec::with_capacity(n);
+    let mut kept_scores: Vec<f64> = Vec::with_capacity(n);
+    let mut kept_lo: Vec<f64> = Vec::new();
+    let mut pos = 0usize;
+    while pos < n {
+        let end = run_end_full(&views, keys, pos);
+        keep.push(keys[pos].row);
+        kept_scores.push(kernels::fold_max(scores, &keys[pos..end]));
+        if let Some(lo) = &lo {
+            kept_lo.push(kernels::fold_max(lo, &keys[pos..end]));
+        }
+        pos = end;
+    }
+    let identity = keep.len() == n && keep.iter().enumerate().all(|(i, &r)| r as usize == i);
+    drop(views);
+    if !identity {
+        let mut tmp: Vec<Vid> = Vec::new();
+        for col in cols {
+            kernels::gather_u32(col, &keep, &mut tmp);
+            std::mem::swap(col, &mut tmp);
+        }
+    }
+    *scores = kept_scores;
+    if let Some(lo) = lo {
+        *lo = kept_lo;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1459,12 +1547,79 @@ fn push_from(out: &mut Rel, src: &Rel, row: usize) {
     out.scores.push(src.scores[row]);
 }
 
+/// Merge sorted delta rows into sorted base rows, both given as columns
+/// plus one score per row: rows only in the base stay, rows only in the
+/// delta are inserted, and where both hold a row the delta's score wins.
+/// Each side must be in canonical order (lexicographic, distinct) over the
+/// same number of columns; so is the result.
+///
+/// Built for small deltas against large bases: every delta row gallops to
+/// its place from the previous one, and the base rows in between are
+/// copied a run at a time — a 10-row delta into a 100 000-row base is at
+/// most 11 slices per column.
+pub(crate) fn merge_sorted(
+    base: (&[Vec<Vid>], &[f64]),
+    delta: (&[Vec<Vid>], &[f64]),
+) -> (Vec<Vec<Vid>>, Vec<f64>) {
+    let ((bcols, bscores), (dcols, dscores)) = (base, delta);
+    debug_assert_eq!(bcols.len(), dcols.len());
+    let n = bscores.len();
+    let cmp = |i: usize, j: usize| {
+        (bcols.iter().zip(dcols))
+            .map(|(b, d)| b[i].cmp(&d[j]))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    // Per delta row: the base position it goes in front of, and whether it
+    // replaces the base row there.
+    let mut cuts: Vec<(usize, bool)> = Vec::with_capacity(dscores.len());
+    let mut from = 0usize;
+    for j in 0..dscores.len() {
+        // Gallop to the first base row at or after `from` that is not
+        // below delta row `j`: rows before `lo` are below it, the row at
+        // `hi` (when there is one) is not.
+        let (mut lo, mut hi, mut step) = (from, from, 1usize);
+        while hi < n && cmp(hi, j).is_lt() {
+            lo = hi + 1;
+            hi += step;
+            step *= 2;
+        }
+        hi = hi.min(n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match cmp(mid, j).is_lt() {
+                true => lo = mid + 1,
+                false => hi = mid,
+            }
+        }
+        let replaces = lo < n && cmp(lo, j).is_eq();
+        cuts.push((lo, replaces));
+        from = lo + usize::from(replaces);
+    }
+    let total = n + cuts.iter().filter(|&&(_, replaces)| !replaces).count();
+    fn weave<T: Copy>(base: &[T], delta: &[T], cuts: &[(usize, bool)], total: usize) -> Vec<T> {
+        let mut out = Vec::with_capacity(total);
+        let mut from = 0usize;
+        for (&(at, replaces), &row) in cuts.iter().zip(delta) {
+            out.extend_from_slice(&base[from..at]);
+            out.push(row);
+            from = at + usize::from(replaces);
+        }
+        out.extend_from_slice(&base[from..]);
+        out
+    }
+    let cols = (bcols.iter().zip(dcols))
+        .map(|(b, d)| weave(b, d, &cuts, total))
+        .collect();
+    (cols, weave(bscores, dscores, &cuts, total))
+}
+
 /// Merge a sorted delta into a sorted base: keys only in `base` keep their
 /// rows, keys only in `delta` are inserted, and on equal keys the delta's
-/// score wins. Both inputs must be canonical with the same column layout;
-/// the result is canonical. This is how the incremental evaluator folds a
-/// node's effective delta (new rows plus rows whose score changed) into
-/// that node's cached view.
+/// score wins (`merge_sorted`). Both inputs must be canonical with the
+/// same column layout; the result is canonical. This is how the
+/// incremental evaluator folds a node's effective delta (new rows plus
+/// rows whose score changed) into that node's cached view.
 pub fn merge_upsert(base: &Rel, delta: &Rel) -> Rel {
     base.assert_canonical();
     delta.assert_canonical();
@@ -1472,33 +1627,14 @@ pub fn merge_upsert(base: &Rel, delta: &Rel) -> Rel {
     if delta.is_empty() {
         return base.clone();
     }
-    let mut out = Rel::with_capacity(base.vars.clone(), base.len() + delta.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < base.len() && j < delta.len() {
-        match cmp_rows(base, i, delta, j) {
-            std::cmp::Ordering::Less => {
-                push_from(&mut out, base, i);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                push_from(&mut out, delta, j);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                push_from(&mut out, delta, j);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    while i < base.len() {
-        push_from(&mut out, base, i);
-        i += 1;
-    }
-    while j < delta.len() {
-        push_from(&mut out, delta, j);
-        j += 1;
-    }
+    let (cols, scores) = merge_sorted((&base.cols, &base.scores), (&delta.cols, &delta.scores));
+    let out = Rel {
+        vars: base.vars.clone(),
+        cols,
+        scores,
+        lo: None,
+        orders: KeyOrders::default(),
+    };
     out.assert_canonical();
     out
 }
@@ -2283,9 +2419,165 @@ mod tests {
         let rebuilt = join_par(&left, &right, par, &mut scratch);
         assert_same(&rebuilt, &naive_join(&left, &right), "after drop_orders");
 
-        // merge_upsert's output is a new relation (push_from).
+        // merge_upsert's output is a new relation.
         let merged = merge_upsert(&left, &fresh);
         assert_eq!(merged.cached_orders(), 0);
+    }
+
+    #[test]
+    fn key_order_of_a_base_view_is_shared_by_its_copies() {
+        let mut rng = Rng(0x6a09e667f3bcc909);
+        let n = MIN_SHARED_ORDER_ROWS + 60;
+        let (par, mut scratch) = (Par::serial(), Scratch::default());
+        let plain = random_rel(&mut rng, &[0, 1], n, &[40, 40]);
+        let right = random_rel(&mut rng, &[2, 1], n, &[40, 40]);
+        let view = Arc::new(BaseView::new(plain.cols.clone(), plain.scores.clone(), 0));
+        let copy = |vars: &[u32], scores: Vec<f64>| {
+            Rel::from_view(
+                vars.iter().map(|&i| v(i)).collect(),
+                Arc::clone(&view),
+                scores,
+            )
+        };
+
+        // A copy is the relation, and joins like it — through an order that
+        // is the view's, not its own.
+        let a = copy(&[0, 1], view.probs().to_vec());
+        assert_eq!(a, plain);
+        let want = join_par(&plain.clone(), &right, par, &mut Scratch::default());
+        assert_same(
+            &join_par(&a, &right, par, &mut scratch),
+            &want,
+            "first copy",
+        );
+        assert_eq!((a.cached_orders(), view.cached_orders()), (0, 1));
+
+        // Other names, other scores, a lower-bound column: same rows, same
+        // order — nothing is sorted for the second copy.
+        let sorted = order_log::snapshot().len();
+        let mut b = copy(&[5, 1], vec![1.0; view.len()]);
+        b.seed_lower_bounds();
+        let mut right_lo = right.clone();
+        right_lo.seed_lower_bounds();
+        let got = join_par(&b, &right_lo, par, &mut scratch);
+        assert_eq!((b.cached_orders(), view.cached_orders()), (0, 1));
+        let mine = |(vars, rows, _): &order_log::Built| *vars == b.vars && *rows == b.len();
+        assert!(!order_log::snapshot()[sorted..].iter().any(mine));
+        assert_eq!(view.probs(), plain.scores(), "scores stay the copy's");
+        let mut certain = Rel::from_unsorted_columns(
+            vec![v(5), v(1)],
+            plain.cols.clone(),
+            vec![1.0; plain.len()],
+        );
+        certain.seed_lower_bounds();
+        let want_certain = join_par(&certain, &right_lo.clone(), par, &mut Scratch::default());
+        assert_same(&got, &want_certain, "second copy");
+
+        // Dropping a copy's orders is not dropping the view's.
+        a.drop_orders();
+        assert_eq!(view.cached_orders(), 1);
+
+        // A clone is made to be changed: it owns what it builds.
+        let c = a.clone();
+        assert_same(&join_par(&c, &right, par, &mut scratch), &want, "clone");
+        assert_eq!((c.cached_orders(), view.cached_orders()), (1, 1));
+
+        // Every mutator of the rows ends the delegation: the view's orders
+        // describe the view's rows.
+        let mut m = copy(&[0, 1], view.probs().to_vec());
+        m.push_row(&[1 << 20, 17], 0.25);
+        m.push_row(&[0, 0], 0.5);
+        m.canonicalize(par, &mut scratch);
+        assert_same(
+            &join_par(&m, &right, par, &mut scratch),
+            &naive_join(&m, &right),
+            "after push_row",
+        );
+        assert_eq!((m.cached_orders(), view.cached_orders()), (1, 1));
+        let mut wider = a.clone();
+        wider.push_row(&[3, 1 << 21], 0.125);
+        wider.canonicalize(par, &mut scratch);
+        let mut acc = copy(&[0, 1], view.probs().to_vec());
+        min_into_par(&mut acc, &wider, par, &mut scratch);
+        assert_eq!(acc.len(), view.len() + 1);
+        assert_same(
+            &join_par(&acc, &right, par, &mut scratch),
+            &naive_join(&acc, &right),
+            "after min extras",
+        );
+        assert_eq!((acc.cached_orders(), view.cached_orders()), (1, 1));
+
+        // Small views bypass order sharing like every small input.
+        let few = random_rel(&mut rng, &[0, 1], 50, &[40, 40]);
+        let small = Arc::new(BaseView::new(few.cols.clone(), few.scores.clone(), 0));
+        let s = Rel::from_view(few.vars.clone(), Arc::clone(&small), few.scores.clone());
+        assert_same(
+            &join_par(&s, &right, par, &mut scratch),
+            &naive_join(&few, &right),
+            "small view",
+        );
+        assert_eq!(small.cached_orders(), 0);
+    }
+
+    /// The row-at-a-time merge `merge_upsert` used to be.
+    fn merge_by_rows(base: &Rel, delta: &Rel) -> Rel {
+        let mut out = Rel::empty(base.vars.clone());
+        let row = |r: &Rel, i: usize| (0..r.arity()).map(|c| r.get(i, c)).collect::<Vec<Vid>>();
+        for i in 0..base.len() {
+            if delta.score_of_row(&row(base, i)).is_none() {
+                out.push_row(&row(base, i), base.score(i));
+            }
+        }
+        for j in 0..delta.len() {
+            out.push_row(&row(delta, j), delta.score(j));
+        }
+        out.canonicalize(Par::serial(), &mut Scratch::default());
+        out
+    }
+
+    #[test]
+    fn merge_upsert_copies_runs_like_a_row_by_row_merge() {
+        let mut rng = Rng(0xbb67ae8584caa73b);
+        // (base rows, delta rows, domains): few delta rows into many base
+        // rows (long runs), dense overlap (every other row replaced), a
+        // delta larger than the base, six columns, either side empty.
+        let cases: [(usize, usize, &[u64]); 7] = [
+            (2000, 10, &[60, 60]),
+            (300, 300, &[20, 20]),
+            (40, 900, &[40, 40]),
+            (500, 60, &[3, 2, 2, 2, 2, 9]),
+            (0, 25, &[9, 9]),
+            (25, 0, &[9, 9]),
+            (1, 1, &[1]),
+        ];
+        for (nb, nd, domains) in cases {
+            let vars: Vec<u32> = (0..domains.len() as u32).collect();
+            let base = random_rel(&mut rng, &vars, nb, domains);
+            let mut delta = random_rel(&mut rng, &vars, nd, domains);
+            // Rows below every base row, above every base row, and the
+            // base's own first and last rows with new scores.
+            if nb > 0 && nd > 0 {
+                let w = domains.len();
+                delta.push_row(&vec![0; w], 0.0625);
+                delta.push_row(&vec![1 << 20; w], 0.03125);
+                for i in [0, base.len() - 1] {
+                    let row: Vec<Vid> = (0..w).map(|c| base.get(i, c)).collect();
+                    delta.push_row(&row, 0.015625);
+                }
+                delta.canonicalize(Par::serial(), &mut Scratch::default());
+            }
+            let what = format!(
+                "{} + {} rows x {} columns",
+                base.len(),
+                delta.len(),
+                vars.len()
+            );
+            assert_same(
+                &merge_upsert(&base, &delta),
+                &merge_by_rows(&base, &delta),
+                &what,
+            );
+        }
     }
 
     #[test]

@@ -201,6 +201,8 @@ pub struct CachedState {
 
 struct Entry {
     stamp: DbStamp,
+    /// What lookups hand out. For an entry with state this is the state's
+    /// own set ([`IncrementalEval::shared_answers`]), not a second copy.
     answers: Arc<AnswerSet>,
     /// `None` entries (inserted without state) cannot be maintained and
     /// are dropped — counted as fallbacks — on the next ingest.
@@ -258,8 +260,10 @@ impl AnswerCache {
 
     /// Insert a freshly computed answer, evicting the least-recently-used
     /// entry when at capacity. `state` is the incremental-evaluation
-    /// state that will keep the entry fresh across ingests; entries
-    /// inserted without one are dropped on the next ingest instead.
+    /// state that will keep the entry fresh across ingests — pass its
+    /// [`IncrementalEval::shared_answers`] as `ans`, so the entry holds
+    /// one answer set, not two; entries inserted without state are dropped
+    /// on the next ingest instead.
     pub fn insert(
         &mut self,
         key: String,
@@ -292,28 +296,33 @@ impl AnswerCache {
     pub fn apply_deltas(&mut self, db: &Database, stamp: DbStamp) {
         let keys: Vec<String> = self.map.keys().cloned().collect();
         for key in keys {
-            let (_, entry) = self.map.get_mut(&key).expect("key just listed");
-            let Some(state) = entry.state.as_mut() else {
-                self.map.remove(&key);
+            let (tick, entry) = self.map.remove(&key).expect("key just listed");
+            // The entry's handle on the answers goes first: the state then
+            // holds the only one and extends the set in place (readers
+            // hold theirs under the database read lock, which excludes
+            // this call).
+            drop(entry.answers);
+            let Some(mut state) = entry.state else {
                 self.delta.fallbacks += 1;
                 continue;
             };
             match state.eval.apply_deltas(db, &state.query, &state.plan.store) {
-                Ok(DeltaOutcome::Unchanged) => {
-                    entry.stamp = stamp;
-                    self.delta.batches += 1;
-                }
+                Ok(DeltaOutcome::Unchanged) => self.delta.batches += 1,
                 Ok(DeltaOutcome::Updated { rows }) => {
-                    entry.answers = Arc::new(state.eval.answers().clone());
-                    entry.stamp = stamp;
                     self.delta.batches += 1;
                     self.delta.rows += rows as u64;
                 }
                 Ok(DeltaOutcome::Fallback) | Err(_) => {
-                    self.map.remove(&key);
                     self.delta.fallbacks += 1;
+                    continue;
                 }
             }
+            let entry = Entry {
+                stamp,
+                answers: state.eval.shared_answers(),
+                state: Some(state),
+            };
+            self.map.insert(key, (tick, entry));
         }
     }
 
@@ -481,7 +490,7 @@ mod tests {
         let mut db = tiny_db();
         let mut cache = AnswerCache::new(8);
         let (key, state) = state_for(&db, "q(x) :- R(x)");
-        let ans = Arc::new(state.eval.answers().clone());
+        let ans = state.eval.shared_answers();
         cache.insert(key.clone(), DbStamp::of(&db), ans, Some(state));
         db.relation_mut(0)
             .push(Box::new([Value::Int(2)]), 0.25)
@@ -511,7 +520,7 @@ mod tests {
         cache.insert("stateless".into(), stamp, empty, None);
         // A stateful entry survives growth but not an in-place mutation.
         let (key, state) = state_for(&db, "q(x) :- R(x)");
-        let ans = Arc::new(state.eval.answers().clone());
+        let ans = state.eval.shared_answers();
         cache.insert(key.clone(), stamp, ans, Some(state));
         db.relation_mut(0)
             .push(Box::new([Value::Int(1)]), 0.9)

@@ -292,7 +292,7 @@ fn run_query(shared: &Shared, text: &str) -> String {
             Ok(eval) => eval,
             Err(e) => return err_response(ErrorCode::Exec, &e.to_string()),
         };
-    let ans = Arc::new(eval.answers().clone());
+    let ans = eval.shared_answers();
     shared
         .answers
         .lock()
@@ -437,10 +437,11 @@ fn run_ingest(shared: &Shared, relation: &str, rows: &str) -> String {
 /// `STATS`: deterministic counters only (no clocks, no timings), so
 /// scripted sessions can diff the output exactly.
 fn render_stats(shared: &Shared) -> String {
-    let (relations, tuples, cells) = {
+    let (relations, tuples, cells, views) = {
         let db = shared.db.read().unwrap_or_else(|e| e.into_inner());
         let stamp = DbStamp::of(&db);
-        (stamp.relations, db.tuple_count() as u64, stamp.cells)
+        let views = db.base_view_stats();
+        (stamp.relations, db.tuple_count() as u64, stamp.cells, views)
     };
     let (plan_stats, plan_len) = {
         let plans = shared.plans.lock().unwrap_or_else(|e| e.into_inner());
@@ -461,11 +462,14 @@ fn render_stats(shared: &Shared) -> String {
     // start. `scopes`/`tasks` are workload-determined; `inline`/`steals`
     // depend on scheduling and are informational only.
     let pool = lapush_engine::pool::counters();
+    // `base_views.*` count publications of the database's base views (one
+    // per scanned relation and database state, whoever built it), so they
+    // are request-determined like the cache counters.
     // `kernels.path` is a string value, not a counter — `parse_stats`
     // skips it by design. Deterministic per machine/environment; scripted
     // sessions that byte-diff STATS pin it with `LAPUSH_KERNELS`.
     format!(
-        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\npool.scopes={}\npool.tasks={}\npool.inline={}\npool.steals={}\nkernels.path={}",
+        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\npool.scopes={}\npool.tasks={}\npool.inline={}\npool.steals={}\nbase_views.resident={}\nbase_views.built={}\nbase_views.extended={}\nkernels.path={}",
         shared.queries_served.load(Ordering::SeqCst),
         cache_lines("plan_cache", plan_stats, plan_len),
         cache_lines("answer_cache", ans_stats, ans_len),
@@ -478,6 +482,9 @@ fn render_stats(shared: &Shared) -> String {
         pool.tasks,
         pool.inline,
         pool.steals,
+        views.resident,
+        views.built,
+        views.extended,
         lapush_engine::kernels::active().name(),
     )
 }

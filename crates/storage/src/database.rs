@@ -7,13 +7,15 @@ use crate::intern::{ValueInterner, Vid};
 use crate::relation::Relation;
 use crate::tuple::TupleId;
 use crate::value::Value;
+use crate::view::{BaseView, BaseViewStats};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Ordinal of a relation inside a [`Database`] (matches [`TupleId::rel`]).
 pub type RelId = u32;
 
-/// The database's value dictionary plus per-relation encoded columns.
+/// The database's value dictionary plus per-relation encoded columns and
+/// base views.
 ///
 /// Lives behind a mutex inside [`Database`] so encoding can be maintained
 /// lazily through the engine's `&Database` entry points: the first scan
@@ -21,13 +23,21 @@ pub type RelId = u32;
 /// encoded columns; every later scan reuses them. Relations are append-only
 /// (tuples are never removed and payloads never rewritten in place), so
 /// `encoded-cell count == len × arity` is a complete freshness check and
-/// interned ids never dangle.
+/// interned ids never dangle. The base views ([`Database::base_view`]) ride
+/// the same contract, plus the relation's probability epoch for the one
+/// in-place mutation that exists.
 #[derive(Debug, Clone, Default)]
 struct Codec {
     interner: ValueInterner,
     /// Per-relation row-major encoded cells (`len × arity` vids), or `None`
     /// when the relation has not been encoded yet.
     rels: Vec<Option<Arc<[Vid]>>>,
+    /// Per-relation base view as last published, or `None` when the
+    /// relation has never been scanned in full. Immutable snapshots: a
+    /// cloned database shares them until one side's relation changes.
+    views: Vec<Option<Arc<BaseView>>>,
+    views_built: u64,
+    views_extended: u64,
 }
 
 /// Locked view over a database's value codec (see [`Database::codec`]).
@@ -134,7 +144,8 @@ pub struct Database {
 }
 
 impl Clone for Database {
-    /// Clones relations and the codec cache.
+    /// Clones relations and the codec cache; base views are shared, not
+    /// copied (each side replaces its own when its relation changes).
     ///
     /// Locks the codec mutex: do not call while a [`DbCodec`] guard for
     /// this database is alive on the same thread (the lock is not
@@ -189,6 +200,68 @@ impl Database {
         DbCodec {
             db: self,
             inner: self.lock_codec(),
+        }
+    }
+
+    /// The **base view** of relation `id` at its current state: the
+    /// relation's encoded tuples, column-major and sorted, shared by every
+    /// evaluation that scans the relation in full (see [`BaseView`]).
+    ///
+    /// A view showing the current `(len, prob_epoch)` is returned as is.
+    /// Otherwise `build` makes one — from nothing (`None`: first scan, or
+    /// the probabilities changed in place), or, when the relation only
+    /// grew, from the stale view and the sorted [`DeltaBatch`] of the rows
+    /// appended since — and it is published for every later caller. `build`
+    /// runs **outside** the codec lock, so it may take as long and use as
+    /// many threads as it likes; callers racing on one state build equal
+    /// views and the first to publish wins.
+    ///
+    /// Locks the codec: not callable while a [`DbCodec`] guard is alive on
+    /// this thread.
+    pub fn base_view(
+        &self,
+        id: RelId,
+        build: impl FnOnce(Option<(&BaseView, &DeltaBatch)>) -> BaseView,
+    ) -> Arc<BaseView> {
+        let rel = self.relation(id);
+        let idx = id as usize;
+        let stale = {
+            let mut codec = self.codec();
+            match codec.inner.views.get(idx).cloned().flatten() {
+                Some(view) if view.shows(rel) => return view,
+                Some(view) if view.prob_epoch() == rel.prob_epoch() && view.len() < rel.len() => {
+                    let appended = codec.delta_batch(id, view.len());
+                    Some((view, appended))
+                }
+                _ => None,
+            }
+        };
+        let view = build(stale.as_ref().map(|(view, appended)| (&**view, appended)));
+        debug_assert!(view.shows(rel));
+        let mut codec = self.lock_codec();
+        if codec.views.len() <= idx {
+            codec.views.resize(idx + 1, None);
+        }
+        if let Some(published) = codec.views[idx].as_ref().filter(|v| v.shows(rel)) {
+            return Arc::clone(published);
+        }
+        match stale {
+            Some(_) => codec.views_extended += 1,
+            None => codec.views_built += 1,
+        }
+        let view = Arc::new(view);
+        codec.views[idx] = Some(Arc::clone(&view));
+        view
+    }
+
+    /// How many base views this database holds, and how many it has built
+    /// and extended so far.
+    pub fn base_view_stats(&self) -> BaseViewStats {
+        let codec = self.lock_codec();
+        BaseViewStats {
+            resident: codec.views.iter().flatten().count() as u64,
+            built: codec.views_built,
+            extended: codec.views_extended,
         }
     }
 

@@ -97,6 +97,16 @@ impl DeltaBatch {
         &self.cols[c]
     }
 
+    /// All columns, in relation column order.
+    pub fn cols(&self) -> &[Vec<Vid>] {
+        &self.cols
+    }
+
+    /// Probability of each row, in batch (sorted) order.
+    pub fn probs(&self) -> &[f64] {
+        &self.probs
+    }
+
     /// One cell.
     pub fn cell(&self, row: usize, col: usize) -> Vid {
         self.cols[col][row]

@@ -22,7 +22,11 @@
 //! membership — operate on [`RowKey`]s of `Vid`s, never on `Value`s, and
 //! decode back to `Value`s exactly once at the answer-set boundary.
 //! Encoding is maintained lazily and incrementally: the first scan after a
-//! load interns the new tuples, later scans reuse the cache.
+//! load interns the new tuples, later scans reuse the cache. One level up,
+//! the database keeps one [`BaseView`] per relation scanned in full — the
+//! encoded tuples sorted and column-major, plus the key orders joins have
+//! asked for — which every evaluation copies instead of re-scanning and
+//! re-sorting ([`view`], [`Database::base_view`]).
 //!
 //! The crate also ships a small, fast, non-cryptographic hasher
 //! ([`fxhash`]) used throughout the engine for hot joins on integer keys.
@@ -39,6 +43,7 @@ pub mod prob;
 pub mod relation;
 pub mod tuple;
 pub mod value;
+pub mod view;
 
 pub use csv::{database_from_dir, relation_from_text, CsvError, CsvOptions};
 pub use database::{Database, DbCodec, RelId};
@@ -50,3 +55,4 @@ pub use prob::{clamp01, independent_and, independent_or};
 pub use relation::{Fd, Relation};
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;
+pub use view::{BaseView, BaseViewStats};

@@ -2,12 +2,17 @@
 //! bit-identical to direct `Database` evaluation, repeated queries hit
 //! the caches, and ingest between repeated queries merges the appended
 //! tuples into the cached answers in place (the `delta.*` counters) —
-//! including while other clients are querying concurrently.
+//! including while other clients are querying concurrently, and on a cold
+//! server whose connections build the database's base views and draw on
+//! the execution pool all at once.
 
 use lapushdb::engine::pool;
 use lapushdb::prelude::*;
 use lapushdb::serve::{render_answers, stat, Client, Server, ServerConfig};
+use lapushdb::workload::chain_db;
 use lapushdb::{rank_by_dissociation, RankOptions};
+use std::sync::{mpsc, Barrier};
+use std::time::Duration;
 
 /// The RST database of the crate docs, slightly enlarged so the #P-hard
 /// 3-chain query has several answers.
@@ -312,6 +317,146 @@ fn topk_matches_query_prefix_and_falls_back_on_ingest() {
     let top = client.request(&format!("TOPK 1 {q}")).unwrap();
     let first = full.lines().nth(1).unwrap();
     assert_eq!(top, format!("OK 1 answers\n{first}"));
+    handle.shutdown();
+}
+
+#[test]
+fn cold_parallel_server_stays_live_and_exact_under_mixed_traffic() {
+    // 9 000 rows per relation: above the engine's morsel threshold, so at
+    // `threads: 4` the scans, sorts and joins of every connection run as
+    // tasks on the one shared pool — whose waiting submitters execute each
+    // other's tasks — while the same connections build, extend and join
+    // through the database's base views, which are shared too. Nothing in
+    // there may wait for the pool while holding a view's lock; a hard
+    // timeout turns a deadlock into a failure.
+    const ROWS: usize = 9000;
+    const DOMAIN: i64 = 6000;
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 3;
+    let mut db = chain_db(3, ROWS, DOMAIN, 1.0, 7).unwrap();
+    // Scores are folded in value-id order and ids are handed out on first
+    // sight, which on a cold server depends on whose first query wins the
+    // race. A dictionary relation scanned up front numbers every value —
+    // ingested rows bring no new ones — before the server gets its copy, so
+    // server and mirror owe each other equal bits however they interleave.
+    let dict = db.create_relation("Dict", 1).unwrap();
+    for value in 1..=DOMAIN {
+        db.relation_mut(dict)
+            .push(Box::new([Value::Int(value)]), 1.0)
+            .unwrap();
+    }
+    assert!(expected_response(&db, "q(v) :- Dict(v)").starts_with("OK 6000 answers"));
+    let main = "q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)";
+    let queries = [
+        "q(x0) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)",
+        "q(x1) :- R2(x1, x2), R3(x2, x3)",
+        "q(x3) :- R1(17, x1), R2(x1, x2), R3(x2, x3)",
+    ];
+    // Every ingested row is new and in-domain: appends only, so no cached
+    // entry ever falls back and the final state is order-independent.
+    type Batch = (String, Vec<(i64, i64)>);
+    let batch = |client: usize, round: usize| -> Batch {
+        let name = format!("R{}", 1 + (client + round) % 3);
+        let rel = db.relation_by_name(&name).unwrap();
+        let fresh = |&(u, v): &(i64, i64)| rel.find(&[Value::Int(u), Value::Int(v)]).is_none();
+        let first = (1 + 97 * client + 389 * round) as i64;
+        let rows: Vec<(i64, i64)> = (0..40)
+            .map(|i| {
+                (
+                    1 + (first + 31 * i) % DOMAIN,
+                    1 + (first * 7 + 53 * i) % DOMAIN,
+                )
+            })
+            .filter(fresh)
+            .take(5)
+            .collect();
+        assert_eq!(rows.len(), 5);
+        (name, rows)
+    };
+    let batches: Vec<Vec<Batch>> = (0..CLIENTS)
+        .map(|c| (0..ROUNDS).map(|round| batch(c, round)).collect())
+        .collect();
+
+    let handle = Server::bind_with_db(
+        db.clone(),
+        ServerConfig {
+            threads: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let addr = handle.addr();
+
+    let (done, finished) = mpsc::channel();
+    let sent = batches.clone();
+    let traffic = std::thread::spawn(move || {
+        // All four connections send their first — cold — request together.
+        let start = Barrier::new(CLIENTS);
+        std::thread::scope(|scope| {
+            for (c, batches) in sent.iter().enumerate() {
+                let start = &start;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    start.wait();
+                    for (round, (name, rows)) in batches.iter().enumerate() {
+                        let q = queries[(c + round) % queries.len()];
+                        let resp = client.request(&format!("QUERY {q}")).unwrap();
+                        assert!(resp.starts_with("OK "), "client {c} round {round}: {resp}");
+                        let resp = client.request(&format!("TOPK 5 {main}")).unwrap();
+                        assert!(resp.starts_with("OK 5 answers"), "client {c}: {resp}");
+                        let body: Vec<String> =
+                            rows.iter().map(|(u, v)| format!("{u},{v},0.5")).collect();
+                        let resp = client
+                            .request(&format!("INGEST {name}\n{}", body.join("\n")))
+                            .unwrap();
+                        assert!(resp.starts_with("OK ingested 5 "), "client {c}: {resp}");
+                    }
+                });
+            }
+        });
+        done.send(()).ok();
+    });
+    if finished.recv_timeout(Duration::from_secs(240)).is_err() {
+        panic!("the server stopped answering: {CLIENTS} connections at threads = 4 did not finish");
+    }
+    traffic.join().unwrap();
+
+    // The mirror: the same rows appended to a database no server touched.
+    let mut grown = db.clone();
+    for (name, rows) in batches.iter().flatten() {
+        for &(u, v) in rows {
+            grown
+                .relation_by_name_mut(name)
+                .unwrap()
+                .push(Box::new([Value::Int(u), Value::Int(v)]), 0.5)
+                .unwrap();
+        }
+    }
+    let mut client = Client::connect(addr).unwrap();
+    for q in queries.iter().chain([&main]) {
+        let got = client.request(&format!("QUERY {q}")).unwrap();
+        assert_eq!(got, expected_response(&grown, q), "query `{q}`");
+    }
+    let full = expected_response(&grown, main);
+    let top: Vec<&str> = full.lines().skip(1).take(5).collect();
+    assert_eq!(
+        client.request(&format!("TOPK 5 {main}")).unwrap(),
+        format!("OK 5 answers\n{}", top.join("\n"))
+    );
+    let stats = client.request("STATS").unwrap();
+    assert_eq!(stat(&stats, "delta.fallbacks").map(|f| f > 0), Some(true));
+    assert_eq!(stat(&stats, "answer_cache.invalidations"), Some(0));
+    // One view per relation plus the dictionary's, which came with the
+    // copy; whoever raced to build one, it was published once per state.
+    assert_eq!(stat(&stats, "base_views.resident"), Some(4));
+    assert_eq!(stat(&stats, "base_views.built"), Some(1 + 3));
+    let extended = stat(&stats, "base_views.extended").unwrap();
+    assert!(
+        (3..=(CLIENTS * ROUNDS) as u64).contains(&extended),
+        "{extended}"
+    );
     handle.shutdown();
 }
 
