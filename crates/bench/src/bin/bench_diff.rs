@@ -25,10 +25,11 @@
 //! different `--threads` counts are refused unless `--cross-threads` is
 //! passed — that mode is the determinism gate: checksums and values are
 //! still compared exactly, proving a parallel run computed bit-identical
-//! results to the serial one. Reports produced on different SIMD kernel
-//! paths (`kernels_path` param, from `LAPUSH_KERNELS` / auto-dispatch)
-//! are likewise refused unless `--cross-kernels` is passed — the kernel
-//! determinism gate, same exact-checksum discipline.
+//! results to the serial one. (The other two axes of the bit-identity
+//! contract — incremental vs. from scratch, pruned vs. exhaustive — are
+//! asserted inside `fig_delta` and `fig_topk` themselves, so the full
+//! contract gated here is threads × incremental-vs-scratch ×
+//! pruned-vs-exhaustive.)
 
 use lapush_bench::diff::{
     diff_sets, has_failures, stale_baseline_note, stale_targets, DiffOptions, Verdict,
@@ -45,7 +46,6 @@ fn main() {
         ignore_checksums: flag("no-checksums"),
         ignore_values: flag("no-values"),
         allow_thread_mismatch: flag("cross-threads"),
-        allow_kernels_mismatch: flag("cross-kernels"),
     };
     let quiet = flag("quiet");
 

@@ -15,7 +15,7 @@
 //! and no fallback) joined to right values spread over the existing
 //! domain by a fixed multiplicative hash — so the changed-row counts and
 //! answer checksums are fixed by `(n, seed)` alone, independent of
-//! `--threads` and of the kernel path. Timings ride along loosely.
+//! `--threads`. Timings ride along loosely.
 //!
 //! Expected shape: incremental cost scales with the *delta* (plus the
 //! touched groups), full re-evaluation with the *database* — so the

@@ -89,19 +89,6 @@ pub enum Verdict {
         /// Current thread count.
         current: String,
     },
-    /// Reports were produced on different SIMD kernel paths (the
-    /// `kernels_path` report parameter; absent — reports predating the
-    /// kernels layer — is compatible with anything). Refused by default —
-    /// a timing comparison across instruction sets conflates dispatch with
-    /// regression — unless [`DiffOptions::allow_kernels_mismatch`] is set,
-    /// which is how the CI kernel determinism gate checks that the scalar
-    /// leg's checksums equal the native leg's.
-    KernelsMismatch {
-        /// Baseline kernel path.
-        baseline: String,
-        /// Current kernel path.
-        current: String,
-    },
 }
 
 impl Verdict {
@@ -173,11 +160,6 @@ impl std::fmt::Display for DiffEntry {
                 "THREADS    {label}: {current} thread(s) vs baseline {baseline} \
                  (pass --cross-threads to compare results across thread counts)"
             ),
-            Verdict::KernelsMismatch { baseline, current } => write!(
-                f,
-                "KERNELS    {label}: {current} kernels vs baseline {baseline} \
-                 (pass --cross-kernels to compare results across kernel paths)"
-            ),
         }
     }
 }
@@ -195,11 +177,6 @@ pub struct DiffOptions {
     /// refusing. Checksums and values are still gated exactly — this is
     /// the determinism check that parallel runs compute identical results.
     pub allow_thread_mismatch: bool,
-    /// Compare reports produced on different SIMD kernel paths instead of
-    /// refusing. Checksums and values are still gated exactly — this is
-    /// the determinism check that every kernel path computes identical
-    /// results.
-    pub allow_kernels_mismatch: bool,
 }
 
 /// The `threads` parameter of a report; reports predating the parameter
@@ -211,16 +188,6 @@ fn threads_param(report: &Report) -> &str {
         .find(|(k, _)| k == "threads")
         .map(|(_, v)| v.as_str())
         .unwrap_or("1")
-}
-
-/// The `kernels_path` parameter of a report; `None` (reports predating
-/// the kernel layer) is compatible with any path.
-fn kernels_param(report: &Report) -> Option<&str> {
-    report
-        .params
-        .iter()
-        .find(|(k, _)| k == "kernels_path")
-        .map(|(_, v)| v.as_str())
 }
 
 /// Compare one baseline report against its current counterpart.
@@ -251,19 +218,6 @@ pub fn diff_reports(baseline: &Report, current: &Report, opts: DiffOptions) -> V
                 current: threads_param(current).to_string(),
             },
         )];
-    }
-    if !opts.allow_kernels_mismatch {
-        if let (Some(b), Some(c)) = (kernels_param(baseline), kernels_param(current)) {
-            if b != c {
-                return vec![DiffEntry::target_level(
-                    &baseline.target,
-                    Verdict::KernelsMismatch {
-                        baseline: b.to_string(),
-                        current: c.to_string(),
-                    },
-                )];
-            }
-        }
     }
     let threshold = opts.threshold_override.unwrap_or(baseline.threshold_rel);
     let mut entries = Vec::new();
@@ -400,7 +354,7 @@ pub fn stale_baseline_note(stale: &[&str], baseline_dir: &str) -> String {
     }
     out.push_str(
         "If these experiments were removed on purpose, delete the files above\n\
-         (or regenerate the full set: LAPUSH_KERNELS=scalar lapush bench --quick\n\
+         (or regenerate the full set: lapush bench --quick\n\
          --out <baseline-dir>); otherwise the current run dropped them — rerun\n\
          the full suite before diffing.",
     );
@@ -599,43 +553,6 @@ mod tests {
             entries[0].verdict,
             Verdict::ChecksumMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn kernel_path_mismatch_refused_unless_allowed() {
-        let mut base = report_with(vec![Metric::timing("a", vec![10.0]).with_checksum("aaa")]);
-        base.param("kernels_path", "scalar");
-        let mut cur = report_with(vec![Metric::timing("a", vec![10.0]).with_checksum("aaa")]);
-        cur.param("kernels_path", "avx2");
-        let entries = diff_reports(&base, &cur, DiffOptions::default());
-        assert!(matches!(
-            entries[0].verdict,
-            Verdict::KernelsMismatch { .. }
-        ));
-        assert!(has_failures(&entries));
-        // The kernel determinism gate compares across paths on purpose —
-        // checksums still gate exactly.
-        let cross = DiffOptions {
-            allow_kernels_mismatch: true,
-            ..DiffOptions::default()
-        };
-        assert!(!has_failures(&diff_reports(&base, &cur, cross)));
-        cur.metrics[0] = Metric::timing("a", vec![10.0]).with_checksum("bbb");
-        let entries = diff_reports(&base, &cur, cross);
-        assert!(matches!(
-            entries[0].verdict,
-            Verdict::ChecksumMismatch { .. }
-        ));
-        // A baseline predating the kernel layer (no param) compares clean
-        // against any path.
-        let legacy = report_with(vec![Metric::timing("a", vec![10.0]).with_checksum("aaa")]);
-        let mut native = legacy.clone();
-        native.param("kernels_path", "avx2");
-        assert!(!has_failures(&diff_reports(
-            &legacy,
-            &native,
-            DiffOptions::default()
-        )));
     }
 
     #[test]

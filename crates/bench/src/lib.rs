@@ -13,6 +13,7 @@
 //! sets against committed baselines and backs the `bench-diff` gate.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod diff;
 pub mod measure;
@@ -118,11 +119,6 @@ impl Bench {
         // across thread counts (parallelism must never silently explain a
         // timing delta).
         report.param("threads", threads());
-        // The resolved SIMD kernel path, making every artifact
-        // self-describing: `bench-diff` refuses cross-path comparisons
-        // unless `--cross-kernels` waives the refusal (the kernel
-        // determinism gate — checksums must still agree exactly).
-        report.param("kernels_path", lapushdb::engine::kernels::active().name());
         Bench {
             report,
             spec: MeasureSpec::for_scale(scale),

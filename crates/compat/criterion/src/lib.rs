@@ -15,6 +15,7 @@
 //! `criterion = "0.5"` to return to the real crate.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

@@ -14,6 +14,7 @@
 //! manifest entry to `proptest = "1"` to return to the real crate.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::Range;

@@ -13,6 +13,7 @@
 //! workspace manifest to return to the real crate.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -40,6 +40,7 @@
 //! crate map and data flow live in `docs/ARCHITECTURE.md`.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod dissociation;
 pub mod enumerate;

@@ -13,7 +13,7 @@
 //!
 //! Every rule below reproduces the batch operator **bitwise**, which the
 //! equivalence suite (`tests/delta_equivalence.rs`) enforces across
-//! semantics, opt levels, thread counts, and kernel paths:
+//! semantics, opt levels and thread counts:
 //!
 //! * **Scan** — relations are append-only and a scan's output key (its
 //!   distinct variables) determines the full base row once the atom's

@@ -44,12 +44,10 @@
 //! once per database state for every query, top-k pass and cached answer
 //! (see [`rel`]). Sort keys pack up to four vid
 //! columns into one integer, so nothing on these paths hashes or
-//! allocates per row (see [`rel`] for the full contract). The
-//! data-parallel inner loops — key packing, run-boundary detection,
-//! permutation gathers, galloping merge advance, and the score folds —
-//! are routed through the runtime-dispatched SIMD kernel layer
-//! ([`kernels`]; `LAPUSH_KERNELS=scalar|sse2|avx2` overrides the
-//! dispatch, and every path produces byte-identical results).
+//! allocates per row (see [`rel`] for the full contract). The inner
+//! loops — key packing, run-boundary detection, permutation gathers,
+//! galloping merge advance, and the score folds — live in [`kernels`],
+//! one safe loop each.
 //!
 //! ## Morsel parallelism
 //!
@@ -109,10 +107,15 @@
 //! construction: same code, same floats.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![deny(unsafe_code)]
 
 pub mod delta;
 pub mod exec;
 pub mod kernels;
+// The one module allowed `unsafe`: the scoped pool erases task lifetimes
+// and writes result slots through raw pointers (each site carries its own
+// SAFETY comment). Everything else in the crate is safe code.
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod prepare;
 pub mod rel;

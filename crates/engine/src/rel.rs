@@ -1681,9 +1681,8 @@ pub fn diff_changed(new: &Rel, old: &Rel) -> Rel {
 
 /// Independent-OR fold over the contiguous row range `lo..hi` of a
 /// canonical relation: the chain `((1·(1−p₀))·(1−p₁))·…` in row order —
-/// the strict serial association every path of [`kernels::fold_or`]
-/// multiplies, so the bits equal [`project_prob_par`]'s grouped fold of
-/// that run.
+/// the strict serial association [`kernels::fold_or`] multiplies, so the
+/// bits equal [`project_prob_par`]'s grouped fold of that run.
 pub(crate) fn fold_run_or(rel: &Rel, lo: usize, hi: usize) -> f64 {
     1.0 - rel.scores[lo..hi]
         .iter()
@@ -2132,26 +2131,21 @@ mod tests {
         let refolded_max = fold_run_max(&r, 0, 2);
         assert_eq!(refolded_max.to_bits(), score_at(&pm, &[1]).to_bits());
 
-        // A run long enough for the chunked and SIMD fold kernels, on every
-        // path this machine has: the range fold multiplies the same chain.
+        // Long runs too: the range fold multiplies the same chain.
         let mut rng = Rng(7);
         let long = random_rel(&mut rng, &[0, 1], 400, &[3, 1000]);
-        for path in kernels::supported_paths() {
-            kernels::force(path);
-            let p = project_prob_par(&long, &[v(0)], Par::serial(), &mut Scratch::default());
-            let pm = project_max_par(&long, &[v(0)], Par::serial(), &mut Scratch::default());
-            for g in 0..p.len() {
-                let run = long.prefix_run(&[p.get(g, 0)]);
-                assert!(run.len() > 64, "{path:?}");
-                let (or, max) = (
-                    fold_run_or(&long, run.start, run.end),
-                    fold_run_max(&long, run.start, run.end),
-                );
-                assert_eq!(or.to_bits(), p.score(g).to_bits(), "{path:?}");
-                assert_eq!(max.to_bits(), pm.score(g).to_bits(), "{path:?}");
-            }
+        let p = project_prob_par(&long, &[v(0)], Par::serial(), &mut Scratch::default());
+        let pm = project_max_par(&long, &[v(0)], Par::serial(), &mut Scratch::default());
+        for g in 0..p.len() {
+            let run = long.prefix_run(&[p.get(g, 0)]);
+            assert!(run.len() > 64);
+            let (or, max) = (
+                fold_run_or(&long, run.start, run.end),
+                fold_run_max(&long, run.start, run.end),
+            );
+            assert_eq!(or.to_bits(), p.score(g).to_bits());
+            assert_eq!(max.to_bits(), pm.score(g).to_bits());
         }
-        kernels::reset();
     }
 
     // ---- key orders: a warm join is a cold join -------------------------

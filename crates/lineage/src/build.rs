@@ -247,7 +247,7 @@ fn merge_matches<K: Ord>(lkeys: &[(K, u32)], rkeys: &[(K, u32)], mut emit: impl 
 /// [`merge_matches`] on packed [`Key`] buffers, through the engine's
 /// kernel layer: mismatching sides skip ahead by galloping
 /// ([`kernels::gallop_ge`]) and matching blocks are delimited by
-/// vectorized run detection ([`kernels::run_end`]). Emission order is
+/// run detection ([`kernels::run_end`]). Emission order is
 /// identical to the linear merge — blocks are visited in key order and
 /// crossed left-major.
 fn merge_matches_packed(lkeys: &[Key], rkeys: &[Key], mut emit: impl FnMut(u32, u32)) {

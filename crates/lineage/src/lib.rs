@@ -24,6 +24,7 @@
 //!   bounds), usable independently of queries.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod brute;
 pub mod build;

@@ -17,6 +17,7 @@
 //!   (Section 3.3.2).
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod ast;

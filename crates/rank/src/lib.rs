@@ -16,6 +16,7 @@
 //! `MAP@10 ≈ 0.220` — the paper's "random average precision" baseline.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 /// Probability that item `i` lands in the top `k` of a ranking by `scores`
 /// (descending), when ties are broken uniformly at random.

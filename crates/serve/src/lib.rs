@@ -55,6 +55,7 @@
 //! ```
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod client;

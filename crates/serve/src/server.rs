@@ -465,11 +465,8 @@ fn render_stats(shared: &Shared) -> String {
     // `base_views.*` count publications of the database's base views (one
     // per scanned relation and database state, whoever built it), so they
     // are request-determined like the cache counters.
-    // `kernels.path` is a string value, not a counter — `parse_stats`
-    // skips it by design. Deterministic per machine/environment; scripted
-    // sessions that byte-diff STATS pin it with `LAPUSH_KERNELS`.
     format!(
-        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\npool.scopes={}\npool.tasks={}\npool.inline={}\npool.steals={}\nbase_views.resident={}\nbase_views.built={}\nbase_views.extended={}\nkernels.path={}",
+        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\npool.scopes={}\npool.tasks={}\npool.inline={}\npool.steals={}\nbase_views.resident={}\nbase_views.built={}\nbase_views.extended={}",
         shared.queries_served.load(Ordering::SeqCst),
         cache_lines("plan_cache", plan_stats, plan_len),
         cache_lines("answer_cache", ans_stats, ans_len),
@@ -485,7 +482,6 @@ fn render_stats(shared: &Shared) -> String {
         views.resident,
         views.built,
         views.extended,
-        lapush_engine::kernels::active().name(),
     )
 }
 

@@ -32,6 +32,7 @@
 //! ([`fxhash`]) used throughout the engine for hot joins on integer keys.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod csv;
 pub mod database;

@@ -14,6 +14,7 @@
 //! All generators take explicit seeds and are fully deterministic.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod chain;
 pub mod random;

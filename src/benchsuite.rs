@@ -99,10 +99,6 @@ pub const SUITE: &[SuiteRun] = &[
         args: &[],
     },
     SuiteRun {
-        bin: "fig_kernels",
-        args: &[],
-    },
-    SuiteRun {
         bin: "fig_delta",
         args: &[],
     },
@@ -198,11 +194,10 @@ mod tests {
     #[test]
     fn suite_covers_all_experiment_binaries() {
         let bins: std::collections::BTreeSet<&str> = SUITE.iter().map(|r| r.bin).collect();
-        assert_eq!(bins.len(), 17, "17 distinct experiment binaries");
+        assert_eq!(bins.len(), 16, "16 distinct experiment binaries");
         assert!(bins.contains("fig2_counts"));
         assert!(bins.contains("ablation_schema"));
         assert!(bins.contains("fig_serve"));
-        assert!(bins.contains("fig_kernels"));
         assert!(bins.contains("fig_delta"));
         assert!(bins.contains("fig_topk"));
         // Multi-variant entries appear once per variant.

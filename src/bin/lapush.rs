@@ -56,6 +56,8 @@
 //!       --relation R --stream --batch 50
 //! ```
 
+#![forbid(unsafe_code)]
+
 use lapushdb::prelude::*;
 use lapushdb::serve::{Client, Server, ServerConfig};
 use lapushdb::storage::{database_from_dir, CsvOptions};
@@ -69,6 +71,12 @@ fn arg(name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == &flag)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// Whether the valueless switch `--name` was given, at any position.
+fn flag(name: &str) -> bool {
+    let flag = format!("--{name}");
+    std::env::args().any(|a| a == flag)
 }
 
 fn main() {
@@ -132,9 +140,10 @@ fn run_serve() -> Result<(), Box<dyn std::error::Error>> {
     }
     let db = match arg("data") {
         Some(dir) => {
+            let deterministic = flag("no-probs");
             let opts = CsvOptions {
-                prob_column: arg("no-probs").is_none(),
-                deterministic: arg("no-probs").is_some(),
+                prob_column: !deterministic,
+                deterministic,
             };
             let db = database_from_dir(std::path::Path::new(&dir), opts)?;
             eprintln!(
@@ -147,11 +156,6 @@ fn run_serve() -> Result<(), Box<dyn std::error::Error>> {
         None => Database::new(),
     };
     let handle = Server::bind_with_db(db, config)?.spawn()?;
-    eprintln!(
-        "lapush serve: kernels {} (LAPUSH_KERNELS={})",
-        lapushdb::engine::kernels::active().name(),
-        lapushdb::engine::kernels::requested_mode()
-    );
     println!("lapush serve: listening on {}", handle.addr());
     handle.join();
     Ok(())
@@ -206,7 +210,7 @@ fn run_ingest_cmd() -> Result<(), Box<dyn std::error::Error>> {
             .ok_or("--batch needs a positive integer")?,
         None => 100,
     };
-    let stream_mode = std::env::args().any(|a| a == "--stream");
+    let stream_mode = flag("stream");
     let retries: u32 = match arg("retry") {
         Some(r) => r
             .parse()
@@ -310,13 +314,6 @@ fn run_bench() -> i32 {
             return 1;
         }
     };
-    // The experiment binaries inherit LAPUSH_KERNELS; log the path this
-    // process resolved so suite logs are self-describing.
-    eprintln!(
-        "lapush bench: kernels {} (LAPUSH_KERNELS={})",
-        lapushdb::engine::kernels::active().name(),
-        lapushdb::engine::kernels::requested_mode()
-    );
     let outcome = benchsuite::run_suite(&bin_dir, &forwarded);
     benchsuite::summarize(&outcome)
 }
@@ -345,9 +342,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let data = arg("data").ok_or("missing --data <dir of CSV relations>")?;
+    let deterministic = flag("no-probs");
     let opts = CsvOptions {
-        prob_column: arg("no-probs").is_none(),
-        deterministic: arg("no-probs").is_some(),
+        prob_column: !deterministic,
+        deterministic,
     };
     let db = database_from_dir(std::path::Path::new(&data), opts)?;
     eprintln!(
@@ -391,7 +389,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             print_answers(&ans, None);
         }
         "mc" => {
-            let samples: usize = arg("samples").and_then(|s| s.parse().ok()).unwrap_or(1000);
+            let samples: usize = match arg("samples") {
+                Some(s) => s
+                    .parse()
+                    .ok()
+                    .filter(|&s| s >= 1)
+                    .ok_or("--samples needs a positive integer")?,
+                None => 1000,
+            };
             let ans = mc_answers(&db, &q, samples, 42, threads)?;
             print_answers(&ans, None);
         }

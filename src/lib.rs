@@ -78,6 +78,7 @@
 //! See `benches/baselines/README.md` for how baselines are regenerated.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub use lapush_core as core;
 pub use lapush_engine as engine;

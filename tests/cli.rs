@@ -1,0 +1,111 @@
+//! The `lapush` binary, run the way a user runs it: a directory of CSV
+//! files, a query on the command line, answers on stdout, errors on stderr
+//! with exit code 1.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+const QUERY: &str = "q(x) :- R(x, y), T(y)";
+
+/// A CSV directory of this test binary's own, holding the given files.
+fn data_dir(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, text) in files {
+        std::fs::write(dir.join(file), text).unwrap();
+    }
+    dir
+}
+
+/// `R(x, y)` and `T(y)` with a probability column; exact answers
+/// `1 → 0.45`, `2 → 0.32`.
+fn probabilistic_dir(name: &str) -> PathBuf {
+    data_dir(
+        name,
+        &[("R.csv", "1,2,0.5\n2,3,0.8\n"), ("T.csv", "2,0.9\n3,0.4\n")],
+    )
+}
+
+fn lapush(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lapush"))
+        .args(args)
+        .output()
+        .expect("run lapush")
+}
+
+fn stdout(out: &Output) -> String {
+    assert!(
+        out.status.success(),
+        "lapush failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout.clone()).unwrap()
+}
+
+/// Exit code 1, the message on stderr, nothing on stdout.
+fn assert_fails_with(out: &Output, message: &str) {
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.lines().any(|l| l == format!("lapush: {message}")),
+        "stderr was: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "stdout is for answers only");
+}
+
+#[test]
+fn no_probs_is_a_switch_wherever_it_stands() {
+    // No probability column, and last fields that do not parse as one: the
+    // load fails unless `--no-probs` is honoured.
+    let dir = data_dir("no_probs", &[("R.csv", "a,b\nb,c\n"), ("T.csv", "b\nc\n")]);
+    let dir = dir.to_str().unwrap();
+    let first = stdout(&lapush(&["--no-probs", "--data", dir, "--query", QUERY]));
+    let middle = stdout(&lapush(&["--data", dir, "--no-probs", "--query", QUERY]));
+    let last = stdout(&lapush(&["--data", dir, "--query", QUERY, "--no-probs"]));
+    assert_eq!(first, "a\t1.000000\nb\t1.000000\n");
+    assert_eq!(middle, first);
+    assert_eq!(last, first);
+}
+
+#[test]
+fn top_k_prints_the_head_of_the_exhaustive_ranking() {
+    let dir = probabilistic_dir("top_k");
+    let dir = dir.to_str().unwrap();
+    let all = stdout(&lapush(&["--data", dir, "--query", QUERY]));
+    assert_eq!(all, "1\t0.450000\n2\t0.320000\n");
+    let top = stdout(&lapush(&["--data", dir, "--query", QUERY, "--top-k", "1"]));
+    assert_eq!(
+        top.lines().collect::<Vec<_>>(),
+        [all.lines().next().unwrap()]
+    );
+}
+
+#[test]
+fn errors_exit_one_with_the_message_on_stderr() {
+    let dir = probabilistic_dir("errors");
+    let dir = dir.to_str().unwrap();
+    assert_fails_with(
+        &lapush(&["--data", dir, "--query", "q(x) :- R(x, y"]),
+        "query parse error: expected term, got None",
+    );
+    assert_fails_with(
+        &lapush(&["--data", dir, "--query", "q(x) :- Nope(x)"]),
+        "execution error: unknown relation `Nope`",
+    );
+    let mc = [
+        "--data",
+        dir,
+        "--query",
+        QUERY,
+        "--method",
+        "mc",
+        "--samples",
+    ];
+    for samples in ["abc", "0"] {
+        assert_fails_with(
+            &lapush(&[&mc[..], &[samples]].concat()),
+            "--samples needs a positive integer",
+        );
+    }
+}

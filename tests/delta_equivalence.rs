@@ -9,8 +9,7 @@
 //! * both plan shapes the engine serves (the full minimal-plan set and
 //!   the single min-pushdown plan),
 //! * every [`Semantics`],
-//! * serial and threaded execution (`threads` 1 and 4),
-//! * every runtime-dispatched kernel path (scalar/SIMD).
+//! * serial and threaded execution (`threads` 1 and 4).
 //!
 //! A batch the delta algebra cannot absorb (an in-place probability
 //! raise) must announce itself as [`DeltaOutcome::Fallback`] — the
@@ -24,7 +23,6 @@
 use lapushdb::core::{
     minimal_plan_set_opts, single_plan_id, EnumOptions, PlanId, PlanStore, SchemaInfo,
 };
-use lapushdb::engine::kernels;
 use lapushdb::engine::{
     propagation_score_ids, AnswerSet, DeltaOutcome, ExecOptions, IncrementalEval, Semantics,
 };
@@ -451,44 +449,5 @@ fn large_views_change_between_the_joins_that_read_them() {
             updated >= 2 * 2 * batches.len(),
             "{updated} batches absorbed"
         );
-    }
-}
-
-/// Every supported kernel path maintains the same bits: the stream is
-/// replayed with each path forced in turn, incremental answers are
-/// checked against a full re-evaluation *under the same path*, and the
-/// final answer sets must agree bitwise across paths.
-#[test]
-fn forced_kernel_paths_maintain_identical_bits() {
-    let (db, q) = chain3();
-    let batches = gen_batches(&db, &q, 0xcafe, 3);
-    let mut finals: Vec<(kernels::KernelPath, AnswerSet)> = Vec::new();
-    for path in kernels::supported_paths() {
-        kernels::force(path);
-        for shape in plan_shapes(&q) {
-            let mut grown = db.clone();
-            let mut inc = capture(&db, &q, &shape);
-            for batch in &batches {
-                apply_batch(&mut grown, batch);
-                if matches!(
-                    inc.apply_deltas(&grown, &q, &shape.store).expect("delta"),
-                    DeltaOutcome::Fallback
-                ) {
-                    inc = capture(&grown, &q, &shape);
-                }
-                let full =
-                    propagation_score_ids(&grown, &q, &shape.store, &shape.roots, inc.options())
-                        .expect("full");
-                assert_bitwise(inc.answers(), &full, &format!("{path:?} {}", shape.name)).unwrap();
-            }
-            if shape.name == "single-plan" {
-                finals.push((path, inc.answers().clone()));
-            }
-        }
-    }
-    kernels::reset();
-    let (_, reference) = &finals[0];
-    for (path, ans) in &finals[1..] {
-        assert_bitwise(ans, reference, &format!("{path:?} vs scalar")).unwrap();
     }
 }

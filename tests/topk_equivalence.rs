@@ -11,8 +11,7 @@
 //! * every [`OptLevel`] at the driver layer (`MultiPlan` routes through
 //!   the engine's anytime driver, single-plan levels truncate through
 //!   the bounded heap — both must agree with untruncated ranking),
-//! * serial and threaded execution (`threads` 1 and 4),
-//! * every runtime-dispatched kernel path (scalar/SIMD).
+//! * serial and threaded execution (`threads` 1 and 4).
 //!
 //! Adversarial shapes get dedicated tests: exact score ties straddling
 //! the k-boundary (the deterministic key-order tiebreak must make the
@@ -22,7 +21,6 @@
 
 use lapushdb::core::PlanSet;
 use lapushdb::core::{minimal_plan_set_opts, EnumOptions, SchemaInfo};
-use lapushdb::engine::kernels;
 use lapushdb::engine::topk::LO_SLACK;
 use lapushdb::engine::{
     propagation_score_ids, propagation_score_topk, AnswerSet, ExecOptions, Semantics, TopkEval,
@@ -312,48 +310,6 @@ fn k_zero_and_k_beyond_answer_count() {
         for ((gk, gs), (wk, ws)) in res.ranked.iter().zip(want.iter()) {
             assert_eq!(gk, wk, "k={k}");
             assert_eq!(gs.to_bits(), ws.to_bits(), "k={k}");
-        }
-    }
-}
-
-/// Every supported kernel path produces the same ranked bits: the same
-/// workload is replayed with each path forced in turn, checked against
-/// exhaustive ranking *under the same path*, and the final prefixes must
-/// agree bitwise across paths.
-#[test]
-fn forced_kernel_paths_rank_identical_bits() {
-    let (db, q) = chain3();
-    let schema = SchemaInfo::from_query(&q);
-    let set = minimal_plan_set_opts(&q, &schema, EnumOptions::default());
-    let opts = ExecOptions::default();
-    type Ranked = Vec<(Box<[Value]>, f64)>;
-    let mut finals: Vec<(kernels::KernelPath, Ranked)> = Vec::new();
-    for path in kernels::supported_paths() {
-        kernels::force(path);
-        let full =
-            propagation_score_ids(&db, &q, &set.store, &set.roots, opts).expect("exhaustive");
-        for k in [1usize, 5, 1000] {
-            let res =
-                propagation_score_topk(&db, &q, &set.store, &set.roots, k, opts).expect("topk");
-            let want = full.ranked_top(k);
-            assert_eq!(res.ranked.len(), want.len(), "{path:?} k={k}");
-            for ((gk, gs), (wk, ws)) in res.ranked.iter().zip(want.iter()) {
-                assert_eq!(gk, wk, "{path:?} k={k}");
-                assert_eq!(gs.to_bits(), ws.to_bits(), "{path:?} k={k}");
-            }
-        }
-        check_anytime_bounds(&db, &q, &set, 5, opts, &full, &format!("{path:?}"))
-            .unwrap_or_else(|e| panic!("{e}"));
-        let res = propagation_score_topk(&db, &q, &set.store, &set.roots, 5, opts).expect("topk");
-        finals.push((path, res.ranked));
-    }
-    kernels::reset();
-    let (_, reference) = &finals[0];
-    for (path, ranked) in &finals[1..] {
-        assert_eq!(ranked.len(), reference.len(), "{path:?} vs scalar");
-        for ((gk, gs), (wk, ws)) in ranked.iter().zip(reference.iter()) {
-            assert_eq!(gk, wk, "{path:?} vs scalar");
-            assert_eq!(gs.to_bits(), ws.to_bits(), "{path:?} vs scalar");
         }
     }
 }
