@@ -58,32 +58,29 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let table = bench.time("enumerate_cases", || {
-        let mut table = Vec::new();
-        for (label, key, text, fd) in &cases {
-            let q = parse_query(text).expect("valid query");
-            let mut schema = SchemaInfo::from_query(&q);
-            if let Some((lhs, rhs)) = fd {
-                schema.fds.push(VarFd {
-                    lhs: VarSet::single(q.var_by_name(lhs).expect("var")),
-                    rhs: VarSet::single(q.var_by_name(rhs).expect("var")),
-                });
-            }
-            let none = minimal_plans_opts(&q, &schema, EnumOptions::default()).len();
-            let dr = minimal_plans_opts(
-                &q,
-                &schema,
-                EnumOptions {
-                    use_deterministic: true,
-                    use_fds: false,
-                },
-            )
-            .len();
-            let full = minimal_plans_opts(&q, &schema, EnumOptions::full()).len();
-            table.push((label.to_string(), key.to_string(), none, dr, full));
+    let mut table = Vec::new();
+    for (label, key, text, fd) in &cases {
+        let q = parse_query(text).expect("valid query");
+        let mut schema = SchemaInfo::from_query(&q);
+        if let Some((lhs, rhs)) = fd {
+            schema.fds.push(VarFd {
+                lhs: VarSet::single(q.var_by_name(lhs).expect("var")),
+                rhs: VarSet::single(q.var_by_name(rhs).expect("var")),
+            });
         }
-        table
-    });
+        let none = minimal_plans_opts(&q, &schema, EnumOptions::default()).len();
+        let dr = minimal_plans_opts(
+            &q,
+            &schema,
+            EnumOptions {
+                use_deterministic: true,
+                use_fds: false,
+            },
+        )
+        .len();
+        let full = minimal_plans_opts(&q, &schema, EnumOptions::full()).len();
+        table.push((label.to_string(), key.to_string(), none, dr, full));
+    }
     for (label, key, none, dr, full) in &table {
         bench.push(Metric::value(format!("{key}_plans_none"), *none as f64));
         bench.push(Metric::value(format!("{key}_plans_full"), *full as f64));

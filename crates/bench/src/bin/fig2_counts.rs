@@ -8,7 +8,8 @@
 //! hierarchical dissociations per Definitions 10/13 (verified against
 //! brute-force lattice enumeration for small k); the paper's Figure 2
 //! lists the OEIS sequences A001003/A000670 instead, which count only
-//! contiguous join groupings — see EXPERIMENTS.md for the analysis.
+//! contiguous join groupings — see docs/REPRODUCTION.md ("Where this
+//! repository deviates").
 
 use lapush_bench::report::Metric;
 use lapush_bench::{checksum_strings, print_table, Bench};
@@ -16,39 +17,33 @@ use lapushdb::core::{count_all_plans, count_dissociations, count_minimal_plans};
 use lapushdb::prelude::*;
 use lapushdb::workload::{chain_query, star_query};
 
-/// Materialization wall-time of the minimal-plan enumerator, recorded as
-/// timing metrics so `bench-diff` gates plan-enumeration regressions (the
-/// count metrics alone would only catch correctness drift). Fixed k keeps
-/// the metric names scale-independent.
-fn time_enumeration(bench: &mut Bench) {
-    let chain7 = QueryShape::of_query(&chain_query(7));
-    let n_chain = bench.time("enumerate_chain_k7", || minimal_plans(&chain7).len());
+/// The minimal-plan enumerator materializes as many plans as the counting
+/// recurrences above promise. Fixed k keeps the metric names
+/// scale-independent.
+fn enumerate(bench: &mut Bench) {
+    let n_chain = minimal_plans(&QueryShape::of_query(&chain_query(7))).len();
     bench.push(Metric::value("enumerate_chain_k7_plans", n_chain as f64));
-    let star5 = QueryShape::of_query(&star_query(5));
-    let n_star = bench.time("enumerate_star_k5", || minimal_plans(&star5).len());
+    let n_star = minimal_plans(&QueryShape::of_query(&star_query(5))).len();
     bench.push(Metric::value("enumerate_star_k5_plans", n_star as f64));
-    println!("\nenumeration timed: chain k=7 ({n_chain} plans), star k=5 ({n_star} plans)");
+    println!("\nenumerated: chain k=7 ({n_chain} plans), star k=5 ({n_star} plans)");
 }
 
 fn main() {
     let mut bench = Bench::new("fig2_counts");
 
     let paper_chain_p = [1u128, 3, 11, 45, 197, 903, 4279];
-    let chain_rows = bench.time("count_chains", || {
-        let mut rows = Vec::new();
-        for k in 2..=8usize {
-            let q = chain_query(k);
-            let s = QueryShape::of_query(&q);
-            rows.push(vec![
-                k.to_string(),
-                count_minimal_plans(&s).to_string(),
-                count_all_plans(&s).to_string(),
-                paper_chain_p[k - 2].to_string(),
-                count_dissociations(&s).to_string(),
-            ]);
-        }
-        rows
-    });
+    let mut chain_rows = Vec::new();
+    for k in 2..=8usize {
+        let q = chain_query(k);
+        let s = QueryShape::of_query(&q);
+        chain_rows.push(vec![
+            k.to_string(),
+            count_minimal_plans(&s).to_string(),
+            count_all_plans(&s).to_string(),
+            paper_chain_p[k - 2].to_string(),
+            count_dissociations(&s).to_string(),
+        ]);
+    }
     for row in &chain_rows {
         bench.push(Metric::value(
             format!("chain_k{}_min_plans", row[0]),
@@ -66,21 +61,18 @@ fn main() {
     );
 
     let paper_star_p = [1u128, 3, 13, 75, 541, 4683, 47293];
-    let star_rows = bench.time("count_stars", || {
-        let mut rows = Vec::new();
-        for k in 1..=7usize {
-            let q = star_query(k);
-            let s = QueryShape::of_query(&q);
-            rows.push(vec![
-                k.to_string(),
-                count_minimal_plans(&s).to_string(),
-                count_all_plans(&s).to_string(),
-                paper_star_p[k - 1].to_string(),
-                count_dissociations(&s).to_string(),
-            ]);
-        }
-        rows
-    });
+    let mut star_rows = Vec::new();
+    for k in 1..=7usize {
+        let q = star_query(k);
+        let s = QueryShape::of_query(&q);
+        star_rows.push(vec![
+            k.to_string(),
+            count_minimal_plans(&s).to_string(),
+            count_all_plans(&s).to_string(),
+            paper_star_p[k - 1].to_string(),
+            count_dissociations(&s).to_string(),
+        ]);
+    }
     for row in &star_rows {
         bench.push(Metric::value(
             format!("star_k{}_min_plans", row[0]),
@@ -97,12 +89,12 @@ fn main() {
         &star_rows,
     );
 
-    time_enumeration(&mut bench);
+    enumerate(&mut bench);
 
     println!("\n#MP matches the paper exactly (A000108 / k!).");
     println!("#Δ matches the paper's 2^K formula exactly.");
     println!("#P: ours counts every hierarchical dissociation (Def. 10/13),");
     println!("cross-checked by brute force for small k; the paper lists");
-    println!("A001003/A000670, which undercount (see EXPERIMENTS.md).");
+    println!("A001003/A000670, which undercount (see docs/REPRODUCTION.md).");
     bench.finish();
 }

@@ -102,33 +102,25 @@ fn main() {
         let t_lin = measure::run(bench.spec(), || lineage_stats(&db, &q).expect("lineage"));
         let max_lin = t_lin.value.1;
         let diss = &t_diss.value;
+        bench.push(Metric::value(
+            format!("sql_p{p1}"),
+            t_sql.value.len() as f64,
+        ));
         bench.push(
-            Metric::timing(format!("sql_p{p1}"), t_sql.samples_ms.clone())
-                .with_value(t_sql.value.len() as f64),
-        );
-        bench.push(
-            Metric::timing(format!("diss_p{p1}"), t_diss.samples_ms.clone())
-                .with_value(diss.len() as f64)
+            Metric::value(format!("diss_p{p1}"), diss.len() as f64)
                 .with_checksum(checksum_answers(diss)),
         );
-        bench.push(
-            Metric::timing(format!("diss_opt3_p{p1}"), t_diss3.samples_ms.clone())
-                .with_value(t_diss3.value.len() as f64),
-        );
-        bench.push(
-            Metric::timing(format!("lineage_p{p1}"), t_lin.samples_ms.clone())
-                .with_value(max_lin as f64),
-        );
+        bench.push(Metric::value(
+            format!("diss_opt3_p{p1}"),
+            t_diss3.value.len() as f64,
+        ));
+        bench.push(Metric::value(format!("lineage_p{p1}"), max_lin as f64));
 
         // Intensional methods are too expensive to repeat: single-shot.
         let t_mc = if max_lin <= mc_cap {
             let timed = measure::run(MeasureSpec::once(), || {
                 mc_answers(&db, &q, 1000, 5, lapush_bench::threads()).expect("mc")
             });
-            bench.push(Metric::timing(
-                format!("mc1k_p{p1}"),
-                timed.samples_ms.clone(),
-            ));
             format!("{:.1}", timed.median_ms())
         } else {
             "-".into()
@@ -138,10 +130,10 @@ fn main() {
         });
         let t_exact = match &timed_exact.value {
             Some(exact) => {
-                bench.push(
-                    Metric::timing(format!("exact_p{p1}"), timed_exact.samples_ms.clone())
-                        .with_checksum(checksum_answers(exact)),
-                );
+                bench.push(Metric::checksum(
+                    format!("exact_p{p1}"),
+                    checksum_answers(exact),
+                ));
                 format!("{:.1}", timed_exact.median_ms())
             }
             None => {

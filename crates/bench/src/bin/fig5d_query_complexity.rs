@@ -36,12 +36,12 @@ fn main() {
 
         let mut cells = vec![k.to_string(), plans.to_string()];
         for m in Method::all() {
-            let timed = measure::run(bench.spec(), || run_method(&db, &q, m).0);
+            let timed = measure::run(bench.spec(), || run_method(&db, &q, m));
             cells.push(format!("{:.2}", timed.median_ms()));
-            bench.push(
-                Metric::timing(format!("{}_k{k}", m.key()), timed.samples_ms)
-                    .with_value(timed.value as f64),
-            );
+            bench.push(Metric::value(
+                format!("{}_k{k}", m.key()),
+                timed.value as f64,
+            ));
         }
         rows.push(cells);
     }

@@ -9,10 +9,9 @@
 //!
 //! `cargo run --release -p lapush-bench --bin fig5i_ranking_quality`
 
-use lapush_bench::measure::MeasureSpec;
 use lapush_bench::report::Metric;
 use lapush_bench::{
-    ap_against, avg_top_answer_prob, checksum_f64s, measure, print_table, scale, Bench, Scale,
+    ap_against, avg_top_answer_prob, checksum_f64s, print_table, scale, Bench, Scale,
 };
 use lapushdb::rank::mean_std;
 use lapushdb::workload::{tpch_db, tpch_query, TpchConfig};
@@ -41,43 +40,41 @@ fn main() {
     let mut ap_lin: Vec<f64> = Vec::new();
     let mut used = 0usize;
 
-    let timed = measure::run(MeasureSpec::once(), || {
-        for rep in 0..repeats * 3 {
-            if used >= repeats {
-                break;
-            }
-            // Vary pi_max to sweep the avg[pa] spectrum, keep mid-regime runs.
-            let pi_max = 0.25 + 0.15 * (rep % 4) as f64;
-            let cfg = TpchConfig {
-                suppliers,
-                parts,
-                pi_max,
-                seed: 100 + rep as u64,
-            };
-            let db = tpch_db(cfg).expect("db");
-            let q = tpch_query((suppliers / 2) as i64, pattern);
-
-            let gt = exact_answers(&db, &q).expect("exact");
-            if gt.len() < 5 {
-                continue;
-            }
-            let pa = avg_top_answer_prob(&gt, 10);
-            if !(0.1..0.9).contains(&pa) {
-                continue;
-            }
-            used += 1;
-
-            let diss = rank_by_dissociation(&db, &q, RankOptions::default()).expect("diss");
-            ap_diss.push(ap_against(&diss, &gt, 10));
-            let (lin, _) = lineage_stats(&db, &q).expect("lineage");
-            ap_lin.push(ap_against(&lin, &gt, 10));
-            for (i, &x) in samples.iter().enumerate() {
-                let mc = mc_answers(&db, &q, x, 7 + rep as u64, 1).expect("mc");
-                ap_mc[i].push(ap_against(&mc, &gt, 10));
-            }
+    for rep in 0..repeats * 3 {
+        if used >= repeats {
+            break;
         }
-    });
-    bench.push(Metric::timing("total", timed.samples_ms).with_value(used as f64));
+        // Vary pi_max to sweep the avg[pa] spectrum, keep mid-regime runs.
+        let pi_max = 0.25 + 0.15 * (rep % 4) as f64;
+        let cfg = TpchConfig {
+            suppliers,
+            parts,
+            pi_max,
+            seed: 100 + rep as u64,
+        };
+        let db = tpch_db(cfg).expect("db");
+        let q = tpch_query((suppliers / 2) as i64, pattern);
+
+        let gt = exact_answers(&db, &q).expect("exact");
+        if gt.len() < 5 {
+            continue;
+        }
+        let pa = avg_top_answer_prob(&gt, 10);
+        if !(0.1..0.9).contains(&pa) {
+            continue;
+        }
+        used += 1;
+
+        let diss = rank_by_dissociation(&db, &q, RankOptions::default()).expect("diss");
+        ap_diss.push(ap_against(&diss, &gt, 10));
+        let (lin, _) = lineage_stats(&db, &q).expect("lineage");
+        ap_lin.push(ap_against(&lin, &gt, 10));
+        for (i, &x) in samples.iter().enumerate() {
+            let mc = mc_answers(&db, &q, x, 7 + rep as u64, 1).expect("mc");
+            ap_mc[i].push(ap_against(&mc, &gt, 10));
+        }
+    }
+    bench.push(Metric::value("total", used as f64));
 
     let paper_mc = [0.472, 0.596, 0.727, 0.823, 0.894, 0.936, 0.964];
     let mut rows = Vec::new();

@@ -5,10 +5,9 @@
 //!
 //! `cargo run --release -p lapush-bench --bin fig5j_answer_prob`
 
-use lapush_bench::measure::MeasureSpec;
 use lapush_bench::report::Metric;
 use lapush_bench::{
-    ap_against, avg_top_answer_prob, checksum_f64s, measure, print_table, scale, Bench, Scale,
+    ap_against, avg_top_answer_prob, checksum_f64s, print_table, scale, Bench, Scale,
 };
 use lapushdb::rank::mean_std;
 use lapushdb::workload::{tpch_db, tpch_query, TpchConfig};
@@ -40,42 +39,39 @@ fn main() {
     let metric_keys = ["diss", "lineage", "mc10", "mc100", "mc1k", "mc10k"];
     let mut acc: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); labels.len()]; methods.len()];
 
-    let timed = measure::run(MeasureSpec::once(), || {
-        for rep in 0..runs {
-            // Sweep pi_max widely so answer probabilities cover (0, 1).
-            let pi_max = 0.1 + 0.9 * (rep as f64 / runs.max(2) as f64);
-            let cfg = TpchConfig {
-                suppliers,
-                parts,
-                pi_max,
-                seed: 300 + rep as u64,
-            };
-            let db = tpch_db(cfg).expect("db");
-            // Wider $2 patterns produce larger lineages and higher avg[pa].
-            let pattern = ["%red%green%", "%red%", "%re%"][rep % 3];
-            let q = tpch_query((suppliers / 2) as i64, pattern);
-            let gt = exact_answers(&db, &q).expect("exact");
-            if gt.len() < 5 {
-                continue;
-            }
-            let pa = avg_top_answer_prob(&gt, 10);
-            if pa >= 0.999999 {
-                continue; // paper filter: output probabilities too close to 1
-            }
-            let bucket = edges.iter().take_while(|&&e| pa >= e).count() - 1;
-            let bucket = bucket.min(labels.len() - 1);
-
-            let diss = rank_by_dissociation(&db, &q, RankOptions::default()).expect("diss");
-            acc[0][bucket].push(ap_against(&diss, &gt, 10));
-            let (lin, _) = lineage_stats(&db, &q).expect("lineage");
-            acc[1][bucket].push(ap_against(&lin, &gt, 10));
-            for (mi, &x) in [10usize, 100, 1_000, 10_000].iter().enumerate() {
-                let mc = mc_answers(&db, &q, x, 17 + rep as u64, 1).expect("mc");
-                acc[2 + mi][bucket].push(ap_against(&mc, &gt, 10));
-            }
+    for rep in 0..runs {
+        // Sweep pi_max widely so answer probabilities cover (0, 1).
+        let pi_max = 0.1 + 0.9 * (rep as f64 / runs.max(2) as f64);
+        let cfg = TpchConfig {
+            suppliers,
+            parts,
+            pi_max,
+            seed: 300 + rep as u64,
+        };
+        let db = tpch_db(cfg).expect("db");
+        // Wider $2 patterns produce larger lineages and higher avg[pa].
+        let pattern = ["%red%green%", "%red%", "%re%"][rep % 3];
+        let q = tpch_query((suppliers / 2) as i64, pattern);
+        let gt = exact_answers(&db, &q).expect("exact");
+        if gt.len() < 5 {
+            continue;
         }
-    });
-    bench.push(Metric::timing("total", timed.samples_ms));
+        let pa = avg_top_answer_prob(&gt, 10);
+        if pa >= 0.999999 {
+            continue; // paper filter: output probabilities too close to 1
+        }
+        let bucket = edges.iter().take_while(|&&e| pa >= e).count() - 1;
+        let bucket = bucket.min(labels.len() - 1);
+
+        let diss = rank_by_dissociation(&db, &q, RankOptions::default()).expect("diss");
+        acc[0][bucket].push(ap_against(&diss, &gt, 10));
+        let (lin, _) = lineage_stats(&db, &q).expect("lineage");
+        acc[1][bucket].push(ap_against(&lin, &gt, 10));
+        for (mi, &x) in [10usize, 100, 1_000, 10_000].iter().enumerate() {
+            let mc = mc_answers(&db, &q, x, 17 + rep as u64, 1).expect("mc");
+            acc[2 + mi][bucket].push(ap_against(&mc, &gt, 10));
+        }
+    }
 
     let mut rows = Vec::new();
     for (mi, m) in methods.iter().enumerate() {

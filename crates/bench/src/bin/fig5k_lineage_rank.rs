@@ -4,9 +4,8 @@
 //!
 //! `cargo run --release -p lapush-bench --bin fig5k_lineage_rank`
 
-use lapush_bench::measure::MeasureSpec;
 use lapush_bench::report::Metric;
-use lapush_bench::{ap_against, avg_top_answer_prob, measure, print_table, scale, Bench, Scale};
+use lapush_bench::{ap_against, avg_top_answer_prob, print_table, scale, Bench, Scale};
 use lapushdb::prelude::*;
 use lapushdb::rank::mean_std;
 use lapushdb::workload::{tpch_db, tpch_query, TpchConfig};
@@ -45,44 +44,41 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut top10_ceiling = 0.0f64;
-    let timed = measure::run(MeasureSpec::once(), || {
-        for (label, key, const_p, pi_max) in series {
-            let mut cells = vec![label.to_string()];
-            for (fi, &frac) in p1_fracs.iter().enumerate() {
-                let mut aps = Vec::new();
-                let mut max_lin_seen = 0usize;
-                for rep in 0..repeats {
-                    let cfg = TpchConfig {
-                        suppliers,
-                        parts,
-                        pi_max: if const_p.is_some() { 0.5 } else { pi_max },
-                        seed: 500 + rep as u64,
-                    };
-                    let mut db = tpch_db(cfg).expect("db");
-                    if let Some(p) = const_p {
-                        set_constant_probs(&mut db, p);
-                    }
-                    let q = tpch_query((suppliers as f64 * frac) as i64, "%red%");
-                    let gt = exact_answers(&db, &q).expect("exact");
-                    if gt.len() < 5 {
-                        continue;
-                    }
-                    top10_ceiling = top10_ceiling.max(avg_top_answer_prob(&gt, 10));
-                    let (lin, max_lin) = lineage_stats(&db, &q).expect("lineage");
-                    max_lin_seen = max_lin_seen.max(max_lin);
-                    aps.push(ap_against(&lin, &gt, 10));
+    for (label, key, const_p, pi_max) in series {
+        let mut cells = vec![label.to_string()];
+        for (fi, &frac) in p1_fracs.iter().enumerate() {
+            let mut aps = Vec::new();
+            let mut max_lin_seen = 0usize;
+            for rep in 0..repeats {
+                let cfg = TpchConfig {
+                    suppliers,
+                    parts,
+                    pi_max: if const_p.is_some() { 0.5 } else { pi_max },
+                    seed: 500 + rep as u64,
+                };
+                let mut db = tpch_db(cfg).expect("db");
+                if let Some(p) = const_p {
+                    set_constant_probs(&mut db, p);
                 }
-                let (m, _) = mean_std(&aps);
-                bench.push(
-                    Metric::value(format!("map_{key}_frac{fi}"), m)
-                        .with_checksum(lapush_bench::checksum_f64s(&aps)),
-                );
-                cells.push(format!("{m:.3} (lin≤{max_lin_seen})"));
+                let q = tpch_query((suppliers as f64 * frac) as i64, "%red%");
+                let gt = exact_answers(&db, &q).expect("exact");
+                if gt.len() < 5 {
+                    continue;
+                }
+                top10_ceiling = top10_ceiling.max(avg_top_answer_prob(&gt, 10));
+                let (lin, max_lin) = lineage_stats(&db, &q).expect("lineage");
+                max_lin_seen = max_lin_seen.max(max_lin);
+                aps.push(ap_against(&lin, &gt, 10));
             }
-            rows.push(cells);
+            let (m, _) = mean_std(&aps);
+            bench.push(
+                Metric::value(format!("map_{key}_frac{fi}"), m)
+                    .with_checksum(lapush_bench::checksum_f64s(&aps)),
+            );
+            cells.push(format!("{m:.3} (lin≤{max_lin_seen})"));
         }
-    });
-    bench.push(Metric::timing("total", timed.samples_ms));
+        rows.push(cells);
+    }
     print_table(
         "Figure 5k: MAP@10 of ranking by lineage size",
         &["series", "$1=25%", "$1=50%", "$1=100%"],

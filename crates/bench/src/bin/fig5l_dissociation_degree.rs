@@ -8,10 +8,9 @@
 //!
 //! `cargo run --release -p lapush-bench --bin fig5l_dissociation_degree`
 
-use lapush_bench::measure::MeasureSpec;
 use lapush_bench::report::Metric;
 use lapush_bench::{
-    ap_against, checksum_f64s, controlled_rst_db, measure, print_table, scale, Bench, Scale,
+    ap_against, checksum_f64s, controlled_rst_db, print_table, scale, Bench, Scale,
 };
 use lapushdb::core::{delta_of_plan, minimal_plans};
 use lapushdb::exact_answers;
@@ -32,39 +31,36 @@ fn main() {
     bench.param("answers", answers);
 
     let mut rows = Vec::new();
-    let timed = measure::run(MeasureSpec::once(), || {
-        for &avg_pi in &avg_pis {
-            let mut cells = vec![format!("avg[pi]={avg_pi}")];
-            for &d in &degrees {
-                let mut aps = Vec::new();
-                for rep in 0..repeats {
-                    let (db, q) = controlled_rst_db(answers, 3, d, 2.0 * avg_pi, 700 + rep as u64);
-                    let shape = QueryShape::of_query(&q);
-                    let plans = minimal_plans(&shape);
-                    // Pick the plan that dissociates R (atom 0) on y.
-                    let r_plan = plans
-                        .iter()
-                        .find(|p| {
-                            delta_of_plan(p, &shape)
-                                .map(|delta| !delta.0[0].is_empty())
-                                .unwrap_or(false)
-                        })
-                        .expect("R-dissociating plan exists");
-                    let sys = eval_plan(&db, &q, r_plan, ExecOptions::default()).expect("eval");
-                    let gt = exact_answers(&db, &q).expect("exact");
-                    aps.push(ap_against(&sys, &gt, 10));
-                }
-                let (m, _) = mean_std(&aps);
-                bench.push(
-                    Metric::value(format!("map_pi{:02}_d{d}", (avg_pi * 10.0) as u32), m)
-                        .with_checksum(checksum_f64s(&aps)),
-                );
-                cells.push(format!("{m:.3}"));
+    for &avg_pi in &avg_pis {
+        let mut cells = vec![format!("avg[pi]={avg_pi}")];
+        for &d in &degrees {
+            let mut aps = Vec::new();
+            for rep in 0..repeats {
+                let (db, q) = controlled_rst_db(answers, 3, d, 2.0 * avg_pi, 700 + rep as u64);
+                let shape = QueryShape::of_query(&q);
+                let plans = minimal_plans(&shape);
+                // Pick the plan that dissociates R (atom 0) on y.
+                let r_plan = plans
+                    .iter()
+                    .find(|p| {
+                        delta_of_plan(p, &shape)
+                            .map(|delta| !delta.0[0].is_empty())
+                            .unwrap_or(false)
+                    })
+                    .expect("R-dissociating plan exists");
+                let sys = eval_plan(&db, &q, r_plan, ExecOptions::default()).expect("eval");
+                let gt = exact_answers(&db, &q).expect("exact");
+                aps.push(ap_against(&sys, &gt, 10));
             }
-            rows.push(cells);
+            let (m, _) = mean_std(&aps);
+            bench.push(
+                Metric::value(format!("map_pi{:02}_d{d}", (avg_pi * 10.0) as u32), m)
+                    .with_checksum(checksum_f64s(&aps)),
+            );
+            cells.push(format!("{m:.3}"));
         }
-    });
-    bench.push(Metric::timing("total", timed.samples_ms));
+        rows.push(cells);
+    }
     print_table(
         "Figure 5l: MAP@10 of the R-dissociating plan vs. avg[d]",
         &["series", "d=1", "d=2", "d=3", "d=4", "d=5"],

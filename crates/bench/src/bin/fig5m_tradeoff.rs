@@ -8,10 +8,9 @@
 //!
 //! `cargo run --release -p lapush-bench --bin fig5m_tradeoff`
 
-use lapush_bench::measure::MeasureSpec;
 use lapush_bench::report::Metric;
 use lapush_bench::{
-    ap_against, checksum_strings, controlled_rst_db, measure, print_table, scale, Bench, Scale,
+    ap_against, checksum_strings, controlled_rst_db, print_table, scale, Bench, Scale,
 };
 use lapushdb::core::{delta_of_plan, minimal_plans};
 use lapushdb::prelude::*;
@@ -34,52 +33,50 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut winners = Vec::new();
-    let timed = measure::run(MeasureSpec::once(), || {
-        for &avg_pi in &avg_pis {
-            let mut cells = vec![format!("{avg_pi:.2}")];
-            for &d in &degrees {
-                let mut diss_aps = Vec::new();
-                let mut mc_aps: Vec<Vec<f64>> = vec![Vec::new(); mc_budgets.len()];
-                for rep in 0..repeats {
-                    let (db, q) = controlled_rst_db(answers, 3, d, 2.0 * avg_pi, 900 + rep as u64);
-                    let gt = exact_answers(&db, &q).expect("exact");
-                    // Per-plan quality: the R-dissociating plan (avg[d] = d).
-                    let shape = QueryShape::of_query(&q);
-                    let plans = minimal_plans(&shape);
-                    let r_plan = plans
-                        .iter()
-                        .find(|p| {
-                            delta_of_plan(p, &shape)
-                                .map(|delta| !delta.0[0].is_empty())
-                                .unwrap_or(false)
-                        })
-                        .expect("R-dissociating plan exists");
-                    let diss = eval_plan(&db, &q, r_plan, ExecOptions::default()).expect("eval");
-                    diss_aps.push(ap_against(&diss, &gt, 10));
-                    for (i, &x) in mc_budgets.iter().enumerate() {
-                        let mc = mc_answers(&db, &q, x, 31 + rep as u64, 1).expect("mc");
-                        mc_aps[i].push(ap_against(&mc, &gt, 10));
-                    }
-                }
-                let (diss_m, _) = mean_std(&diss_aps);
-                // Smallest MC budget that beats dissociation, if any.
-                let winner = mc_budgets
+    for &avg_pi in &avg_pis {
+        let mut cells = vec![format!("{avg_pi:.2}")];
+        for &d in &degrees {
+            let mut diss_aps = Vec::new();
+            let mut mc_aps: Vec<Vec<f64>> = vec![Vec::new(); mc_budgets.len()];
+            for rep in 0..repeats {
+                let (db, q) = controlled_rst_db(answers, 3, d, 2.0 * avg_pi, 900 + rep as u64);
+                let gt = exact_answers(&db, &q).expect("exact");
+                // Per-plan quality: the R-dissociating plan (avg[d] = d).
+                let shape = QueryShape::of_query(&q);
+                let plans = minimal_plans(&shape);
+                let r_plan = plans
                     .iter()
-                    .enumerate()
-                    .find(|(i, _)| mean_std(&mc_aps[*i]).0 > diss_m)
-                    .map(|(_, &x)| format!("MC({x})"))
-                    .unwrap_or_else(|| "diss".into());
-                bench.push(Metric::value(
-                    format!("diss_map_pi{:02}_d{d}", (avg_pi * 100.0) as u32),
-                    diss_m,
-                ));
-                winners.push(format!("pi{avg_pi:.2}_d{d}:{winner}"));
-                cells.push(format!("{winner} [{diss_m:.2}]"));
+                    .find(|p| {
+                        delta_of_plan(p, &shape)
+                            .map(|delta| !delta.0[0].is_empty())
+                            .unwrap_or(false)
+                    })
+                    .expect("R-dissociating plan exists");
+                let diss = eval_plan(&db, &q, r_plan, ExecOptions::default()).expect("eval");
+                diss_aps.push(ap_against(&diss, &gt, 10));
+                for (i, &x) in mc_budgets.iter().enumerate() {
+                    let mc = mc_answers(&db, &q, x, 31 + rep as u64, 1).expect("mc");
+                    mc_aps[i].push(ap_against(&mc, &gt, 10));
+                }
             }
-            rows.push(cells);
+            let (diss_m, _) = mean_std(&diss_aps);
+            // Smallest MC budget that beats dissociation, if any.
+            let winner = mc_budgets
+                .iter()
+                .enumerate()
+                .find(|(i, _)| mean_std(&mc_aps[*i]).0 > diss_m)
+                .map(|(_, &x)| format!("MC({x})"))
+                .unwrap_or_else(|| "diss".into());
+            bench.push(Metric::value(
+                format!("diss_map_pi{:02}_d{d}", (avg_pi * 100.0) as u32),
+                diss_m,
+            ));
+            winners.push(format!("pi{avg_pi:.2}_d{d}:{winner}"));
+            cells.push(format!("{winner} [{diss_m:.2}]"));
         }
-    });
-    bench.push(Metric::timing("total", timed.samples_ms).with_checksum(checksum_strings(&winners)));
+        rows.push(cells);
+    }
+    bench.push(Metric::checksum("total", checksum_strings(&winners)));
     print_table(
         "Figure 5m: winner per (avg[pi], avg[d]) cell [dissociation MAP]",
         &["avg[pi]", "d=1", "d=2", "d=3", "d=5", "d=7"],

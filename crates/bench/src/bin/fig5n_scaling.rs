@@ -5,10 +5,9 @@
 //!
 //! `cargo run --release -p lapush-bench --bin fig5n_scaling`
 
-use lapush_bench::measure::MeasureSpec;
 use lapush_bench::report::Metric;
 use lapush_bench::{
-    ap_against, checksum_f64s, controlled_rst_db, measure, print_table, scale, Bench, Scale,
+    ap_against, checksum_f64s, controlled_rst_db, print_table, scale, Bench, Scale,
 };
 use lapushdb::exact_answers;
 use lapushdb::rank::mean_std;
@@ -27,31 +26,28 @@ fn main() {
     bench.param("answers", answers);
 
     let mut rows = Vec::new();
-    let timed = measure::run(MeasureSpec::once(), || {
-        for &avg_pi in &avg_pis {
-            let mut cells = vec![format!("avg[pi]={avg_pi}")];
-            for (fi, &f) in factors.iter().enumerate() {
-                let mut aps = Vec::new();
-                for rep in 0..repeats {
-                    // avg[d] ≈ 3 as in the paper's setup for this experiment.
-                    let (db, q) = controlled_rst_db(answers, 3, 3, 2.0 * avg_pi, 1100 + rep as u64);
-                    let gt = exact_answers(&db, &q).expect("exact");
-                    let mut scaled = db.clone();
-                    scaled.scale_probs(f);
-                    let scaled_gt = exact_answers(&scaled, &q).expect("exact scaled");
-                    aps.push(ap_against(&scaled_gt, &gt, 10));
-                }
-                let (m, _) = mean_std(&aps);
-                bench.push(
-                    Metric::value(format!("map_pi{:02}_f{fi}", (avg_pi * 10.0) as u32), m)
-                        .with_checksum(checksum_f64s(&aps)),
-                );
-                cells.push(format!("{m:.3}"));
+    for &avg_pi in &avg_pis {
+        let mut cells = vec![format!("avg[pi]={avg_pi}")];
+        for (fi, &f) in factors.iter().enumerate() {
+            let mut aps = Vec::new();
+            for rep in 0..repeats {
+                // avg[d] ≈ 3 as in the paper's setup for this experiment.
+                let (db, q) = controlled_rst_db(answers, 3, 3, 2.0 * avg_pi, 1100 + rep as u64);
+                let gt = exact_answers(&db, &q).expect("exact");
+                let mut scaled = db.clone();
+                scaled.scale_probs(f);
+                let scaled_gt = exact_answers(&scaled, &q).expect("exact scaled");
+                aps.push(ap_against(&scaled_gt, &gt, 10));
             }
-            rows.push(cells);
+            let (m, _) = mean_std(&aps);
+            bench.push(
+                Metric::value(format!("map_pi{:02}_f{fi}", (avg_pi * 10.0) as u32), m)
+                    .with_checksum(checksum_f64s(&aps)),
+            );
+            cells.push(format!("{m:.3}"));
         }
-    });
-    bench.push(Metric::timing("total", timed.samples_ms));
+        rows.push(cells);
+    }
     let header: Vec<String> = std::iter::once("series".to_string())
         .chain(factors.iter().map(|f| format!("f={f}")))
         .collect();

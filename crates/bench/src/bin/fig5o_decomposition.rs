@@ -8,10 +8,9 @@
 //!
 //! `cargo run --release -p lapush-bench --bin fig5o_decomposition`
 
-use lapush_bench::measure::MeasureSpec;
 use lapush_bench::report::Metric;
 use lapush_bench::{
-    ap_against, checksum_f64s, controlled_rst_db, measure, print_table, scale, Bench, Scale,
+    ap_against, checksum_f64s, controlled_rst_db, print_table, scale, Bench, Scale,
 };
 use lapushdb::rank::{mean_std, random_baseline_ap};
 use lapushdb::{exact_answers, lineage_stats};
@@ -29,23 +28,20 @@ fn main() {
 
     let mut ap_lineage = Vec::new();
     let mut ap_weights = Vec::new();
-    let timed = measure::run(MeasureSpec::once(), || {
-        for rep in 0..repeats {
-            // avg[pi] = 0.25, avg[d] ≈ 3 (the paper uses avg[pi] up to 0.5).
-            let (db, q) = controlled_rst_db(answers, 3, 3, 0.5, 1300 + rep as u64);
-            let gt = exact_answers(&db, &q).expect("exact");
+    for rep in 0..repeats {
+        // avg[pi] = 0.25, avg[d] ≈ 3 (the paper uses avg[pi] up to 0.5).
+        let (db, q) = controlled_rst_db(answers, 3, 3, 0.5, 1300 + rep as u64);
+        let gt = exact_answers(&db, &q).expect("exact");
 
-            let (lin, _) = lineage_stats(&db, &q).expect("lineage");
-            ap_lineage.push(ap_against(&lin, &gt, 10));
+        let (lin, _) = lineage_stats(&db, &q).expect("lineage");
+        ap_lineage.push(ap_against(&lin, &gt, 10));
 
-            // "Relative input weights": exact ranking on a strongly scaled DB.
-            let mut scaled = db.clone();
-            scaled.scale_probs(0.01);
-            let scaled_gt = exact_answers(&scaled, &q).expect("exact scaled");
-            ap_weights.push(ap_against(&scaled_gt, &gt, 10));
-        }
-    });
-    bench.push(Metric::timing("total", timed.samples_ms));
+        // "Relative input weights": exact ranking on a strongly scaled DB.
+        let mut scaled = db.clone();
+        scaled.scale_probs(0.01);
+        let scaled_gt = exact_answers(&scaled, &q).expect("exact scaled");
+        ap_weights.push(ap_against(&scaled_gt, &gt, 10));
+    }
 
     let random = random_baseline_ap(answers, 10);
     let (lin_m, _) = mean_std(&ap_lineage);

@@ -9,10 +9,9 @@
 //!
 //! `cargo run --release -p lapush-bench --bin fig5p_scaled_dissociation`
 
-use lapush_bench::measure::MeasureSpec;
 use lapush_bench::report::Metric;
 use lapush_bench::{
-    ap_against, checksum_f64s, controlled_rst_db, measure, print_table, scale, Bench, Scale,
+    ap_against, checksum_f64s, controlled_rst_db, print_table, scale, Bench, Scale,
 };
 use lapushdb::rank::mean_std;
 use lapushdb::{exact_answers, lineage_stats, rank_by_dissociation, RankOptions};
@@ -38,29 +37,26 @@ fn main() {
     let series_keys = ["sdiss_sgt", "sdiss_gt", "sgt_gt", "lin_sgt"];
     let mut acc: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); factors.len()]; series.len()];
 
-    let timed = measure::run(MeasureSpec::once(), || {
-        for rep in 0..repeats {
-            // Substantial dissociation (avg[d] ≈ 4) and large probabilities:
-            // the regime where unscaled dissociation struggles.
-            let (db, q) = controlled_rst_db(answers, 3, 4, 1.0, 1500 + rep as u64);
-            let gt = exact_answers(&db, &q).expect("exact");
-            let (lin, _) = lineage_stats(&db, &q).expect("lineage");
+    for rep in 0..repeats {
+        // Substantial dissociation (avg[d] ≈ 4) and large probabilities:
+        // the regime where unscaled dissociation struggles.
+        let (db, q) = controlled_rst_db(answers, 3, 4, 1.0, 1500 + rep as u64);
+        let gt = exact_answers(&db, &q).expect("exact");
+        let (lin, _) = lineage_stats(&db, &q).expect("lineage");
 
-            for (fi, &f) in factors.iter().enumerate() {
-                let mut scaled = db.clone();
-                scaled.scale_probs(f);
-                let scaled_gt = exact_answers(&scaled, &q).expect("exact scaled");
-                let scaled_diss =
-                    rank_by_dissociation(&scaled, &q, RankOptions::default()).expect("diss");
+        for (fi, &f) in factors.iter().enumerate() {
+            let mut scaled = db.clone();
+            scaled.scale_probs(f);
+            let scaled_gt = exact_answers(&scaled, &q).expect("exact scaled");
+            let scaled_diss =
+                rank_by_dissociation(&scaled, &q, RankOptions::default()).expect("diss");
 
-                acc[0][fi].push(ap_against(&scaled_diss, &scaled_gt, 10));
-                acc[1][fi].push(ap_against(&scaled_diss, &gt, 10));
-                acc[2][fi].push(ap_against(&scaled_gt, &gt, 10));
-                acc[3][fi].push(ap_against(&lin, &scaled_gt, 10));
-            }
+            acc[0][fi].push(ap_against(&scaled_diss, &scaled_gt, 10));
+            acc[1][fi].push(ap_against(&scaled_diss, &gt, 10));
+            acc[2][fi].push(ap_against(&scaled_gt, &gt, 10));
+            acc[3][fi].push(ap_against(&lin, &scaled_gt, 10));
         }
-    });
-    bench.push(Metric::timing("total", timed.samples_ms));
+    }
 
     let mut rows = Vec::new();
     for (si, s) in series.iter().enumerate() {

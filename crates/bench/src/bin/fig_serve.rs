@@ -10,18 +10,19 @@
 //!
 //! `cargo run --release -p lapush-bench --bin fig_serve -- --quick`
 //!
-//! The gated metrics are designed to be **deterministic**: the warmup
+//! The recorded results are designed to be **deterministic**: the warmup
 //! pass fixes the cache miss counts (one answer miss per distinct query,
 //! one plan miss per distinct shape), so the timed concurrent phase is
 //! all cache hits no matter how client threads interleave — counters and
-//! response checksums are identical at any `--threads` value, which is
-//! exactly what the `bench-diff --cross-threads` determinism gate checks.
+//! response checksums are identical at any `--threads` value, which the
+//! `--threads 4` leg of the `diff` gate checks. Latencies and throughput
+//! are printed, not recorded.
 //!
 //! The concurrent client drivers run as tasks on the engine's persistent
 //! work-stealing pool (`lapushdb::engine::pool`), sized by the *client*
-//! count — so the gated pool-counter deltas (`pool_scopes`, `pool_tasks`)
-//! are one engaged scope and one task per client, independent of
-//! `--threads` and of scheduling.
+//! count — so the recorded pool-counter deltas (`pool_scopes`,
+//! `pool_tasks`) are one engaged scope and one task per client,
+//! independent of `--threads` and of scheduling.
 
 use lapush_bench::report::Metric;
 use lapush_bench::{arg, checksum_strings, ms, print_table, scale, threads, time, Bench, Scale};
@@ -84,15 +85,13 @@ fn main() {
     let addr = handle.addr();
 
     // Warmup: one sequential pass populates both caches and pins down
-    // every gated counter. Responses are checksummed — answer drift (not
-    // just cache-behavior drift) fails the gate.
+    // every recorded counter. Responses are checksummed — a changed answer
+    // (not just changed cache behavior) changes the file.
     let mut warm = Client::connect(addr).expect("connect");
-    let (warm_responses, warm_wall) = time(|| {
-        queries
-            .iter()
-            .map(|q| warm.request(&format!("QUERY {q}")).expect("warmup query"))
-            .collect::<Vec<String>>()
-    });
+    let warm_responses: Vec<String> = queries
+        .iter()
+        .map(|q| warm.request(&format!("QUERY {q}")).expect("warmup query"))
+        .collect();
     for (q, resp) in queries.iter().zip(&warm_responses) {
         assert!(resp.starts_with("OK "), "warmup `{q}` failed: {resp}");
     }
@@ -100,7 +99,6 @@ fn main() {
         Metric::value("warmup_queries", queries.len() as f64)
             .with_checksum(checksum_strings(&warm_responses)),
     );
-    bench.push(Metric::timing("warmup_wall", vec![ms(warm_wall)]));
 
     // Timed concurrent phase: every request is an answer-cache hit, so
     // this measures the steady-state serving path (framing + lookup +
@@ -139,12 +137,6 @@ fn main() {
     let p99 = percentile(&latencies, 0.99);
     let throughput = total as f64 / phase_wall.as_secs_f64();
 
-    // `latency`'s gated statistic is the median of its samples = p50;
-    // p99 rides along as a single-sample timing (same loose budget).
-    bench.push(Metric::timing("latency", latencies.clone()));
-    bench.push(Metric::timing("latency_p99", vec![p99]));
-    bench.push(Metric::timing("serve_phase_wall", vec![ms(phase_wall)]));
-
     // Ingest epilogue: grow R1, re-ask the 3-chain query. The server
     // merges the appended tuple into every cached answer in place (the
     // value `domain + 1` is outside the generated `1..=domain` range, so
@@ -161,7 +153,7 @@ fn main() {
         .expect("requery");
     assert!(requery.starts_with("OK "), "{requery}");
 
-    // Gate the cache counters exactly: they are fully determined by the
+    // Record the cache counters: they are fully determined by the
     // request history above, independent of timing and thread count.
     let stats = warm.request("STATS").expect("stats");
     let counter = |key: &str| stat(&stats, key).unwrap_or_else(|| panic!("missing stat {key}"));
@@ -191,7 +183,7 @@ fn main() {
     }
     let hit_rate = answer_hits as f64 / served as f64;
 
-    // Gate the execution-pool counters exactly, as deltas around the
+    // Record the execution-pool counters, as deltas around the
     // concurrent phase: the drivers submit one pool scope of one task per
     // client, and the all-hits server does no evaluation — so the deltas
     // are workload-determined, identical at every `--threads` value.

@@ -97,10 +97,6 @@ fn main() {
             propagation_score_ids(&db, &q, &set.store, &set.roots, exec).expect("exhaustive")
         });
         let full_ms = full_t.median_ms();
-        bench.push(Metric::timing(
-            format!("full_{name}"),
-            full_t.samples_ms.clone(),
-        ));
         let full = full_t.value;
         println!(
             "{name}: {} plans, {} answers, exhaustive median {full_ms:.3} ms",
@@ -140,10 +136,6 @@ fn main() {
                 })
                 .collect();
 
-            bench.push(Metric::timing(
-                format!("topk_{name}_k{k}"),
-                top_t.samples_ms.clone(),
-            ));
             bench.push(
                 Metric::value(format!("pruned_{name}_k{k}"), res.stats.pruned as f64)
                     .with_checksum(checksum_strings(&lines)),

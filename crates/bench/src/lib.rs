@@ -1,21 +1,21 @@
 //! Shared utilities for the experiment harness binaries.
 //!
 //! Every binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (Section 5); see DESIGN.md for the index. Binaries
-//! accept `--quick` for a fast smoke run and `--full` for paper-scale
-//! sweeps; defaults sit in between.
+//! paper's evaluation (Section 5); see `docs/REPRODUCTION.md` for the
+//! index. Binaries accept `--quick` for a fast smoke run and `--full` for
+//! paper-scale sweeps; defaults sit in between.
 //!
-//! Beyond the stdout tables, every binary records its measurements
-//! through a [`Bench`] session and writes a machine-readable
-//! `BENCH_<target>.json` report (see [`report`]) into `--out DIR` (or
-//! `$LAPUSH_BENCH_OUT`, default `.`). The [`measure`] module provides
-//! warmup/iteration timing with median + MAD; [`diff`] compares report
-//! sets against committed baselines and backs the `bench-diff` gate.
+//! Beyond the stdout tables, every binary records its seeded *results*
+//! (counts, MAP scores, answer checksums) through a [`Bench`] session and
+//! writes them as `BENCH_<target>.json` (see [`report`]) into `--out DIR`
+//! (default `.`). The files are byte-reproducible, so the gate is `diff -r`
+//! against `benches/baselines/`. The [`measure`] module times what the
+//! printed run-time tables show; no time enters a file — run times are
+//! measured by `benchmark/`.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 #![forbid(unsafe_code)]
 
-pub mod diff;
 pub mod measure;
 pub mod report;
 
@@ -66,6 +66,17 @@ pub enum Scale {
     Full,
 }
 
+impl Scale {
+    /// Name in result files.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Normal => "normal",
+            Scale::Full => "full",
+        }
+    }
+}
+
 /// Read the scale flags.
 pub fn scale() -> Scale {
     if flag("quick") {
@@ -78,10 +89,8 @@ pub fn scale() -> Scale {
 }
 
 /// Morsel-parallelism budget selected on the command line (`--threads N`,
-/// default 1 = strictly serial). Every experiment binary records this in
-/// its report metadata, and `bench-diff` refuses to compare reports
-/// produced at different thread counts unless explicitly told to
-/// (`--cross-threads`, the determinism gate).
+/// default 1 = strictly serial). Results do not depend on it, so it is not
+/// recorded: a `--threads 4` run writes the files a `--threads 1` run does.
 pub fn threads() -> usize {
     arg("threads")
         .and_then(|s| s.parse().ok())
@@ -89,19 +98,17 @@ pub fn threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Where `BENCH_*.json` reports go: `--out DIR`, else `$LAPUSH_BENCH_OUT`,
-/// else the current directory.
+/// Where `BENCH_*.json` files go: `--out DIR`, else the current directory.
 pub fn out_dir() -> PathBuf {
     arg("out")
         .filter(|s| !s.is_empty())
-        .or_else(|| std::env::var("LAPUSH_BENCH_OUT").ok())
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// A measurement session for one experiment binary: owns the
-/// [`report::Report`] being built, the scale-appropriate
-/// [`measure::MeasureSpec`], and the output directory.
+/// One experiment binary's session: owns the [`report::Report`] being
+/// built, the scale-appropriate [`measure::MeasureSpec`] for its printed
+/// timings, and the output directory.
 pub struct Bench {
     report: Report,
     spec: MeasureSpec,
@@ -114,13 +121,8 @@ impl Bench {
     /// directory from the command line.
     pub fn new(target: &str) -> Bench {
         let scale = scale();
-        let mut report = Report::new(target, scale);
-        // Recorded unconditionally so `bench-diff` can refuse comparisons
-        // across thread counts (parallelism must never silently explain a
-        // timing delta).
-        report.param("threads", threads());
         Bench {
-            report,
+            report: Report::new(target, scale),
             spec: MeasureSpec::for_scale(scale),
             out: out_dir(),
         }
@@ -136,21 +138,13 @@ impl Bench {
         self.spec
     }
 
-    /// Measure `f` under the session spec, record a timing metric, and
-    /// return the last value.
-    pub fn time<T>(&mut self, name: &str, f: impl FnMut() -> T) -> T {
-        let timed = measure::run(self.spec, f);
-        self.report.push(Metric::timing(name, timed.samples_ms));
-        timed.value
-    }
-
-    /// Append a prebuilt metric.
+    /// Append a metric.
     pub fn push(&mut self, metric: Metric) {
         self.report.push(metric);
     }
 
-    /// Write the report. Failing to persist measurements is a hard error:
-    /// a missing report must fail CI, not silently pass it.
+    /// Write the file. Failing to is a hard error: a missing file must
+    /// fail the `diff` gate loudly, here, not as an `Only in` line later.
     pub fn finish(self) {
         match self.report.write_to(&self.out) {
             Ok(path) => println!("\nbench report: {}", path.display()),
@@ -386,9 +380,9 @@ impl Method {
     }
 }
 
-/// Run one strategy, returning the number of answers and the wall time.
-/// Honors the `--threads` flag of the calling experiment binary.
-pub fn run_method(db: &Database, q: &Query, m: Method) -> (usize, Duration) {
+/// Run one strategy, returning the number of answers. Honors the
+/// `--threads` flag of the calling experiment binary.
+pub fn run_method(db: &Database, q: &Query, m: Method) -> usize {
     use lapushdb::engine::deterministic_answers;
     use lapushdb::{rank_by_dissociation, OptLevel, RankOptions};
     let threads = threads();
@@ -398,8 +392,7 @@ pub fn run_method(db: &Database, q: &Query, m: Method) -> (usize, Duration) {
         threads,
         top_k: None,
     };
-    let t0 = Instant::now();
-    let n = match m {
+    match m {
         Method::AllPlans => rank_by_dissociation(db, q, opts(OptLevel::MultiPlan))
             .expect("eval ok")
             .len(),
@@ -415,8 +408,7 @@ pub fn run_method(db: &Database, q: &Query, m: Method) -> (usize, Duration) {
         Method::Sql => deterministic_answers(db, q, threads)
             .expect("eval ok")
             .len(),
-    };
-    (n, t0.elapsed())
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
-//! Repeated-measurement timing: warmup, iteration, and robust statistics.
+//! Repeated-measurement timing for the *printed* tables.
 //!
-//! The CI regression gate compares medians, so every timed metric runs
-//! through [`run`], which executes a closure `warmup + iters` times and
-//! keeps the wall time of each measured iteration. Median and MAD (median
-//! absolute deviation) are the summary statistics of choice: both are
-//! robust to the one-off scheduler hiccups that dominate short CI runs.
+//! Some figures of the paper are run-time plots (Figs. 5a–h) and the
+//! experiment binaries print them as tables; [`run`] executes a closure
+//! `warmup + iters` times and keeps the wall time of each measured
+//! iteration, of which the table shows the median. Nothing timed here is
+//! ever written to a result file — the repository's one timing harness is
+//! `benchmark/` (see its README for the paired protocol).
 
 use crate::Scale;
 use std::time::Instant;
@@ -28,10 +29,10 @@ impl MeasureSpec {
         }
     }
 
-    /// Scale-appropriate spec. `--quick` is what CI gates on, and quick
-    /// problem sizes are small, so it affords a warmup plus three timed
-    /// iterations for a stable median. Normal/full sweeps are human-driven
-    /// exploration where suite wall time dominates: single-shot timing.
+    /// Scale-appropriate spec. Quick problem sizes are small, so `--quick`
+    /// affords a warmup plus three timed iterations for a stable median.
+    /// Normal/full sweeps are human-driven exploration where suite wall
+    /// time dominates: single-shot timing.
     pub fn for_scale(scale: Scale) -> Self {
         match scale {
             Scale::Quick => MeasureSpec {
@@ -57,11 +58,6 @@ impl<T> Timed<T> {
     /// Median of the samples.
     pub fn median_ms(&self) -> f64 {
         median(&self.samples_ms)
-    }
-
-    /// Median absolute deviation of the samples.
-    pub fn mad_ms(&self) -> f64 {
-        mad(&self.samples_ms)
     }
 }
 
@@ -103,17 +99,6 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Median absolute deviation: `median(|x - median(xs)|)`. 0.0 when fewer
-/// than two samples.
-pub fn mad(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = median(xs);
-    let dev: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    median(&dev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,14 +109,6 @@ mod tests {
         assert_eq!(median(&[3.0]), 3.0);
         assert_eq!(median(&[1.0, 9.0, 3.0]), 3.0);
         assert_eq!(median(&[1.0, 2.0, 3.0, 10.0]), 2.5);
-    }
-
-    #[test]
-    fn mad_robust_to_outlier() {
-        assert_eq!(mad(&[5.0]), 0.0);
-        // Samples clustered at 10 with one spike: MAD stays small.
-        let xs = [10.0, 10.5, 9.5, 10.0, 100.0];
-        assert!(mad(&xs) <= 0.5 + 1e-12);
     }
 
     #[test]
@@ -149,7 +126,6 @@ mod tests {
         assert_eq!(timed.samples_ms.len(), 3);
         assert_eq!(timed.value, 5);
         assert!(timed.median_ms() >= 0.0);
-        assert!(timed.mad_ms() >= 0.0);
     }
 
     #[test]

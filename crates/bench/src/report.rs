@@ -1,201 +1,164 @@
-//! Machine-readable bench reports: a versioned JSON schema plus a
-//! dependency-free JSON writer/parser.
+//! Result files: the writer of `BENCH_<target>.json`.
 //!
-//! Every experiment binary writes one `BENCH_<target>.json` per run via
-//! [`Report::write_to`]. The schema (version [`SCHEMA_VERSION`]) carries:
+//! Every experiment binary writes one file per run via
+//! [`Report::write_to`]:
 //!
-//! - `target` — unique name of the experiment (binary name plus variant,
-//!   e.g. `fig5_runtime_chain_k4`),
-//! - `scale` — `quick` / `normal` / `full`,
-//! - `params` — free-form string parameters of the run,
-//! - `toolchain` — package version, build profile, OS/arch, toolchain,
-//! - `threshold_rel` — this target's relative-regression budget, read by
-//!   the `bench-diff` gate (baseline side wins),
-//! - `metrics` — named measurements, each with wall-time samples
-//!   (median + MAD precomputed), an optional result checksum, and an
-//!   optional scalar result value.
+//! ```json
+//! {
+//!   "target": "fig5_runtime_chain_k4",
+//!   "scale": "quick",
+//!   "params": {"family": "chain", "k": "4"},
+//!   "metrics": [
+//!     {"name": "opt12_n100", "value": 35, "checksum": "00ff00ff00ff00ff"},
+//!     {"name": "sql_n100", "value": 35}
+//!   ]
+//! }
+//! ```
 //!
-//! The build container is offline (no serde), so (de)serialization is a
-//! ~150-line recursive-descent JSON implementation below — supporting
-//! exactly the JSON subset the schema emits, plus standard escapes.
+//! A file holds seeded results only — counts, MAP scores, answer-set
+//! checksums — and nothing measured from a clock, read from the machine
+//! or dependent on `--threads`, so its bytes are a function of the code
+//! alone: params and metrics keep insertion order, one metric per line,
+//! numbers in their shortest round-tripping form. That is what lets plain
+//! `diff -r` against `benches/baselines/` be the whole gate. Nothing in
+//! the workspace reads these files back.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::measure::{mad, median};
 use crate::Scale;
 
-/// Version of the on-disk report schema. Bump on any incompatible change;
-/// `bench-diff` refuses to compare reports across versions.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// Default relative-regression budget: a target fails the gate when its
-/// median wall time exceeds `baseline * (1 + threshold_rel)`. The default
-/// is deliberately loose because committed baselines and CI runners are
-/// different machines — the timing gate catches catastrophic regressions,
-/// while checksums and values gate correctness drift exactly.
-pub const DEFAULT_THRESHOLD_REL: f64 = 5.0;
-
-// ---------------------------------------------------------------------------
-// JSON value
-// ---------------------------------------------------------------------------
-
-/// A JSON document. Object keys keep insertion order so serialized reports
-/// are stable and diff-friendly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (always stored as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
+/// One named result: a scalar, a checksum, or both — never neither.
+#[derive(Debug, Clone)]
+pub struct Metric {
+    name: String,
+    value: Option<f64>,
+    checksum: Option<String>,
 }
 
-/// Error from [`Json::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// What went wrong.
-    pub msg: String,
-    /// Byte offset in the input.
-    pub at: usize,
-}
+impl Metric {
+    /// A scalar result (answer count, MAP score, plan count, …).
+    pub fn value(name: impl Into<String>, value: f64) -> Metric {
+        Metric {
+            name: name.into(),
+            value: Some(value),
+            checksum: None,
+        }
+    }
 
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.at, self.msg)
+    /// A result checksum (see the `checksum_*` helpers of the crate root).
+    pub fn checksum(name: impl Into<String>, checksum: impl Into<String>) -> Metric {
+        Metric {
+            name: name.into(),
+            value: None,
+            checksum: Some(checksum.into()),
+        }
+    }
+
+    /// Attach a result checksum.
+    pub fn with_checksum(mut self, checksum: impl Into<String>) -> Metric {
+        self.checksum = Some(checksum.into());
+        self
+    }
+
+    /// Attach a scalar result.
+    pub fn with_value(mut self, value: f64) -> Metric {
+        self.value = Some(value);
+        self
     }
 }
 
-impl std::error::Error for JsonError {}
+/// Everything `BENCH_<target>.json` carries.
+#[derive(Debug)]
+pub struct Report {
+    target: String,
+    scale: Scale,
+    params: Vec<(String, String)>,
+    metrics: Vec<Metric>,
+}
 
-impl Json {
-    /// Object member lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
+impl Report {
+    /// An empty report for `target` (binary name plus variant) at `scale`.
+    pub fn new(target: impl Into<String>, scale: Scale) -> Report {
+        Report {
+            target: target.into(),
+            scale,
+            params: Vec::new(),
+            metrics: Vec::new(),
         }
     }
 
-    /// The value as `f64`, if a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
+    /// Record a run parameter.
+    pub fn param(&mut self, key: impl Into<String>, value: impl ToString) {
+        self.params.push((key.into(), value.to_string()));
     }
 
-    /// The value as `&str`, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
+    /// Append a metric.
+    pub fn push(&mut self, metric: Metric) {
+        self.metrics.push(metric);
     }
 
-    /// The value as an array slice, if an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
+    /// The file name this report is written to: `BENCH_<target>.json`.
+    pub fn file_name(&self) -> String {
+        format!("BENCH_{}.json", self.target)
     }
 
-    /// Serialize with 2-space indentation and a trailing newline.
+    /// The file's contents.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
+        let mut out = String::from("{\n  \"target\": ");
+        render_str(&mut out, &self.target);
+        out.push_str(",\n  \"scale\": ");
+        render_str(&mut out, self.scale.name());
+        out.push_str(",\n  \"params\": {");
+        for (i, (key, value)) in self.params.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            render_str(&mut out, key);
+            out.push_str(": ");
+            render_str(&mut out, value);
+        }
+        out.push_str("},\n  \"metrics\": [\n");
+        for (i, m) in self.metrics.iter().enumerate() {
+            out.push_str("    {\"name\": ");
+            render_str(&mut out, &m.name);
+            if let Some(v) = m.value {
+                out.push_str(", \"value\": ");
+                render_num(&mut out, v);
+            }
+            if let Some(cs) = &m.checksum {
+                out.push_str(", \"checksum\": ");
+                render_str(&mut out, cs);
+            }
+            out.push_str(if i + 1 < self.metrics.len() {
+                "},\n"
+            } else {
+                "}\n"
+            });
+        }
+        out.push_str("  ]\n}\n");
         out
     }
 
-    fn render_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth + 1);
-        let close = "  ".repeat(depth);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => render_num(out, *n),
-            Json::Str(s) => render_str(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                // Scalar-only arrays (e.g. samples) stay on one line.
-                let flat = items
-                    .iter()
-                    .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_)));
-                if flat {
-                    out.push('[');
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        item.render_into(out, depth);
-                    }
-                    out.push(']');
-                } else {
-                    out.push_str("[\n");
-                    for (i, item) in items.iter().enumerate() {
-                        out.push_str(&pad);
-                        item.render_into(out, depth + 1);
-                        if i + 1 < items.len() {
-                            out.push(',');
-                        }
-                        out.push('\n');
-                    }
-                    out.push_str(&close);
-                    out.push(']');
-                }
-            }
-            Json::Obj(members) if members.is_empty() => out.push_str("{}"),
-            Json::Obj(members) => {
-                out.push_str("{\n");
-                for (i, (k, v)) in members.iter().enumerate() {
-                    out.push_str(&pad);
-                    render_str(out, k);
-                    out.push_str(": ");
-                    v.render_into(out, depth + 1);
-                    if i + 1 < members.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&close);
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parse a JSON document (must consume the whole input).
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError {
-                msg: "trailing data after document".into(),
-                at: pos,
-            });
-        }
-        Ok(value)
+    /// Write `BENCH_<target>.json` under `dir` (created if missing);
+    /// returns the written path.
+    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(self.file_name());
+        std::fs::write(&path, self.render())?;
+        Ok(path)
     }
 }
 
 fn render_num(out: &mut String, n: f64) {
     if !n.is_finite() {
-        // The schema never produces these; degrade to null on principle.
+        // No experiment produces these; degrade to null on principle.
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 1e15 {
         let _ = write!(out, "{}", n as i64);
     } else {
-        // `{}` on f64 prints the shortest string that round-trips.
+        // `{}` on f64 prints the shortest string that round-trips, on
+        // every platform.
         let _ = write!(out, "{n}");
     }
 }
@@ -218,646 +181,63 @@ fn render_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn err(msg: &str, at: usize) -> JsonError {
-    JsonError {
-        msg: msg.into(),
-        at,
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
-    if *pos < bytes.len() && bytes[*pos] == b {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(&format!("expected `{}`", b as char), *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err("unexpected end of input", *pos)),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, JsonError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(err(&format!("expected `{lit}`"), *pos))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii slice");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err(&format!("invalid number `{text}`"), start))
-}
-
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err("unterminated string", *pos)),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err("truncated \\u escape", *pos))?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex)
-                                .map_err(|_| err("invalid \\u escape", *pos))?,
-                            16,
-                        )
-                        .map_err(|_| err("invalid \\u escape", *pos))?;
-                        // Surrogates are unused by our writer; map to U+FFFD.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err("invalid escape", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err("invalid UTF-8", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(err("expected `,` or `]`", *pos)),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(err("expected `,` or `}`", *pos)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Report schema
-// ---------------------------------------------------------------------------
-
-/// One named measurement inside a report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metric {
-    /// Metric name, unique within the report.
-    pub name: String,
-    /// Wall-time samples in milliseconds (may be empty for pure
-    /// value/checksum metrics).
-    pub samples_ms: Vec<f64>,
-    /// Median of `samples_ms` (0.0 when untimed).
-    pub median_ms: f64,
-    /// Median absolute deviation of `samples_ms`.
-    pub mad_ms: f64,
-    /// Order-independent checksum of the result (see `lib.rs` helpers);
-    /// compared exactly by `bench-diff`.
-    pub checksum: Option<String>,
-    /// Scalar result (answer count, MAP score, plan count, …); compared
-    /// with tight relative tolerance by `bench-diff`.
-    pub value: Option<f64>,
-}
-
-impl Metric {
-    /// A timed metric from raw samples.
-    pub fn timing(name: impl Into<String>, samples_ms: Vec<f64>) -> Metric {
-        Metric {
-            name: name.into(),
-            median_ms: median(&samples_ms),
-            mad_ms: mad(&samples_ms),
-            samples_ms,
-            checksum: None,
-            value: None,
-        }
-    }
-
-    /// An untimed scalar metric.
-    pub fn value(name: impl Into<String>, value: f64) -> Metric {
-        Metric {
-            name: name.into(),
-            samples_ms: Vec::new(),
-            median_ms: 0.0,
-            mad_ms: 0.0,
-            checksum: None,
-            value: Some(value),
-        }
-    }
-
-    /// Attach a result checksum.
-    pub fn with_checksum(mut self, checksum: impl Into<String>) -> Metric {
-        self.checksum = Some(checksum.into());
-        self
-    }
-
-    /// Attach a scalar result.
-    pub fn with_value(mut self, value: f64) -> Metric {
-        self.value = Some(value);
-        self
-    }
-}
-
-/// Build metadata recorded with every report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Toolchain {
-    /// `CARGO_PKG_VERSION` of the bench crate.
-    pub pkg_version: String,
-    /// `debug` or `release` (with the pinned `lto`/`codegen-units`
-    /// settings, release is the profile baselines must be generated under).
-    pub profile: String,
-    /// `std::env::consts::OS`.
-    pub os: String,
-    /// `std::env::consts::ARCH`.
-    pub arch: String,
-    /// `RUSTUP_TOOLCHAIN` when set, else `unknown`.
-    pub toolchain: String,
-}
-
-impl Toolchain {
-    /// Metadata of the running binary.
-    pub fn current() -> Toolchain {
-        Toolchain {
-            pkg_version: env!("CARGO_PKG_VERSION").to_string(),
-            profile: if cfg!(debug_assertions) {
-                "debug".to_string()
-            } else {
-                "release".to_string()
-            },
-            os: std::env::consts::OS.to_string(),
-            arch: std::env::consts::ARCH.to_string(),
-            toolchain: std::env::var("RUSTUP_TOOLCHAIN").unwrap_or_else(|_| "unknown".into()),
-        }
-    }
-}
-
-/// A full bench report: everything `BENCH_<target>.json` carries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Report {
-    /// Schema version ([`SCHEMA_VERSION`] for freshly produced reports).
-    pub schema_version: u64,
-    /// Unique target name (binary plus variant).
-    pub target: String,
-    /// Scale the run used.
-    pub scale: Scale,
-    /// Free-form run parameters.
-    pub params: Vec<(String, String)>,
-    /// Build metadata.
-    pub toolchain: Toolchain,
-    /// Relative-regression budget for this target.
-    pub threshold_rel: f64,
-    /// The measurements.
-    pub metrics: Vec<Metric>,
-}
-
-/// Error from reading or writing report files.
-#[derive(Debug)]
-pub enum ReportError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// Malformed JSON.
-    Json(JsonError),
-    /// Structurally valid JSON that does not match the schema.
-    Schema(String),
-}
-
-impl std::fmt::Display for ReportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReportError::Io(e) => write!(f, "io error: {e}"),
-            ReportError::Json(e) => write!(f, "{e}"),
-            ReportError::Schema(m) => write!(f, "schema error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for ReportError {}
-
-impl From<std::io::Error> for ReportError {
-    fn from(e: std::io::Error) -> Self {
-        ReportError::Io(e)
-    }
-}
-
-impl From<JsonError> for ReportError {
-    fn from(e: JsonError) -> Self {
-        ReportError::Json(e)
-    }
-}
-
-impl Scale {
-    /// Stable on-disk name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Normal => "normal",
-            Scale::Full => "full",
-        }
-    }
-
-    /// Inverse of [`Scale::name`].
-    pub fn from_name(name: &str) -> Option<Scale> {
-        match name {
-            "quick" => Some(Scale::Quick),
-            "normal" => Some(Scale::Normal),
-            "full" => Some(Scale::Full),
-            _ => None,
-        }
-    }
-}
-
-impl Report {
-    /// A fresh report for `target` at `scale` with current toolchain
-    /// metadata and the default regression threshold.
-    pub fn new(target: impl Into<String>, scale: Scale) -> Report {
-        Report {
-            schema_version: SCHEMA_VERSION,
-            target: target.into(),
-            scale,
-            params: Vec::new(),
-            toolchain: Toolchain::current(),
-            threshold_rel: DEFAULT_THRESHOLD_REL,
-            metrics: Vec::new(),
-        }
-    }
-
-    /// Record a run parameter.
-    pub fn param(&mut self, key: impl Into<String>, value: impl ToString) {
-        self.params.push((key.into(), value.to_string()));
-    }
-
-    /// Append a metric.
-    pub fn push(&mut self, metric: Metric) {
-        self.metrics.push(metric);
-    }
-
-    /// Metric lookup by name.
-    pub fn metric(&self, name: &str) -> Option<&Metric> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
-
-    /// The file name this report serializes to: `BENCH_<target>.json`.
-    pub fn file_name(&self) -> String {
-        format!("BENCH_{}.json", self.target)
-    }
-
-    /// Serialize to the JSON document.
-    pub fn to_json(&self) -> Json {
-        let params = Json::Obj(
-            self.params
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                .collect(),
-        );
-        let toolchain = Json::Obj(vec![
-            (
-                "pkg_version".into(),
-                Json::Str(self.toolchain.pkg_version.clone()),
-            ),
-            ("profile".into(), Json::Str(self.toolchain.profile.clone())),
-            ("os".into(), Json::Str(self.toolchain.os.clone())),
-            ("arch".into(), Json::Str(self.toolchain.arch.clone())),
-            (
-                "toolchain".into(),
-                Json::Str(self.toolchain.toolchain.clone()),
-            ),
-        ]);
-        let metrics = Json::Arr(
-            self.metrics
-                .iter()
-                .map(|m| {
-                    let mut members = vec![
-                        ("name".into(), Json::Str(m.name.clone())),
-                        (
-                            "samples_ms".into(),
-                            Json::Arr(m.samples_ms.iter().map(|&s| Json::Num(s)).collect()),
-                        ),
-                        ("median_ms".into(), Json::Num(m.median_ms)),
-                        ("mad_ms".into(), Json::Num(m.mad_ms)),
-                    ];
-                    if let Some(cs) = &m.checksum {
-                        members.push(("checksum".into(), Json::Str(cs.clone())));
-                    }
-                    if let Some(v) = m.value {
-                        members.push(("value".into(), Json::Num(v)));
-                    }
-                    Json::Obj(members)
-                })
-                .collect(),
-        );
-        Json::Obj(vec![
-            (
-                "schema_version".into(),
-                Json::Num(self.schema_version as f64),
-            ),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("scale".into(), Json::Str(self.scale.name().into())),
-            ("params".into(), params),
-            ("toolchain".into(), toolchain),
-            ("threshold_rel".into(), Json::Num(self.threshold_rel)),
-            ("metrics".into(), metrics),
-        ])
-    }
-
-    /// Serialize to the on-disk string form.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Deserialize from the on-disk string form.
-    pub fn from_json_str(text: &str) -> Result<Report, ReportError> {
-        let doc = Json::parse(text)?;
-        let field = |name: &str| {
-            doc.get(name)
-                .ok_or_else(|| ReportError::Schema(format!("missing `{name}`")))
-        };
-        let schema_version = field("schema_version")?
-            .as_num()
-            .ok_or_else(|| ReportError::Schema("`schema_version` not a number".into()))?
-            as u64;
-        let target = field("target")?
-            .as_str()
-            .ok_or_else(|| ReportError::Schema("`target` not a string".into()))?
-            .to_string();
-        let scale_name = field("scale")?
-            .as_str()
-            .ok_or_else(|| ReportError::Schema("`scale` not a string".into()))?;
-        let scale = Scale::from_name(scale_name)
-            .ok_or_else(|| ReportError::Schema(format!("unknown scale `{scale_name}`")))?;
-        let params = match field("params")? {
-            Json::Obj(members) => members
-                .iter()
-                .map(|(k, v)| {
-                    v.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| ReportError::Schema(format!("param `{k}` not a string")))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(ReportError::Schema("`params` not an object".into())),
-        };
-        let tc = field("toolchain")?;
-        let tc_str = |name: &str| {
-            tc.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| ReportError::Schema(format!("toolchain `{name}` missing")))
-        };
-        let toolchain = Toolchain {
-            pkg_version: tc_str("pkg_version")?,
-            profile: tc_str("profile")?,
-            os: tc_str("os")?,
-            arch: tc_str("arch")?,
-            toolchain: tc_str("toolchain")?,
-        };
-        let threshold_rel = field("threshold_rel")?
-            .as_num()
-            .ok_or_else(|| ReportError::Schema("`threshold_rel` not a number".into()))?;
-        let metrics = field("metrics")?
-            .as_arr()
-            .ok_or_else(|| ReportError::Schema("`metrics` not an array".into()))?
-            .iter()
-            .map(|m| {
-                let name = m
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ReportError::Schema("metric missing `name`".into()))?
-                    .to_string();
-                let samples_ms = m
-                    .get("samples_ms")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        ReportError::Schema(format!("metric `{name}` missing `samples_ms`"))
-                    })?
-                    .iter()
-                    .map(|s| {
-                        s.as_num().ok_or_else(|| {
-                            ReportError::Schema(format!("metric `{name}` sample not a number"))
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let num = |key: &str| {
-                    m.get(key).and_then(Json::as_num).ok_or_else(|| {
-                        ReportError::Schema(format!("metric `{name}` missing `{key}`"))
-                    })
-                };
-                Ok(Metric {
-                    median_ms: num("median_ms")?,
-                    mad_ms: num("mad_ms")?,
-                    checksum: m.get("checksum").and_then(Json::as_str).map(str::to_string),
-                    value: m.get("value").and_then(Json::as_num),
-                    name,
-                    samples_ms,
-                })
-            })
-            .collect::<Result<Vec<_>, ReportError>>()?;
-        Ok(Report {
-            schema_version,
-            target,
-            scale,
-            params,
-            toolchain,
-            threshold_rel,
-            metrics,
-        })
-    }
-
-    /// Write `BENCH_<target>.json` under `dir` (created if missing);
-    /// returns the written path.
-    pub fn write_to(&self, dir: &Path) -> Result<PathBuf, ReportError> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
-        std::fs::write(&path, self.to_json_string())?;
-        Ok(path)
-    }
-
-    /// Read one report file.
-    pub fn read_from(path: &Path) -> Result<Report, ReportError> {
-        let text = std::fs::read_to_string(path)?;
-        Report::from_json_str(&text)
-    }
-}
-
-/// Load every `BENCH_*.json` in `dir`, sorted by target name.
-pub fn load_dir(dir: &Path) -> Result<Vec<Report>, ReportError> {
-    let mut reports = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            reports.push(Report::read_from(&path)?);
-        }
-    }
-    reports.sort_by(|a, b| a.target.cmp(&b.target));
-    Ok(reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_report() -> Report {
+    #[test]
+    fn writer_bytes_are_pinned() {
         let mut r = Report::new("fig_test", Scale::Quick);
         r.param("family", "chain");
-        r.param("k", 4);
-        r.push(Metric::timing("opt12_n100", vec![1.25, 1.5, 1.0]).with_value(35.0));
-        r.push(
-            Metric::timing("sql_n100", vec![0.5])
-                .with_checksum("00ff00ff00ff00ff")
-                .with_value(35.0),
-        );
-        r.push(Metric::value("map_at_10", 0.998));
-        r
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = sample_report();
-        let text = r.to_json_string();
-        let back = Report::from_json_str(&text).expect("parses");
-        assert_eq!(r, back);
-        // And the serialized form itself is stable.
-        assert_eq!(text, back.to_json_string());
-    }
-
-    #[test]
-    fn json_escapes_round_trip() {
-        let mut r = Report::new("esc", Scale::Normal);
         r.param("tricky", "a\"b\\c\nd\te\u{1}");
-        let back = Report::from_json_str(&r.to_json_string()).expect("parses");
-        assert_eq!(r, back);
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{}trailing").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("nul").is_err());
-    }
-
-    #[test]
-    fn json_parses_nested_values() {
-        let doc =
-            Json::parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": null, "d": true}}"#).expect("parses");
+        r.push(Metric::value("map_at_10", 0.998));
+        r.push(Metric::checksum("answers", "00ff00ff00ff00ff"));
+        r.push(Metric::value("opt12_n100", 35.0).with_checksum("0123456789abcdef"));
+        r.push(Metric::checksum("both", "fedcba9876543210").with_value(-0.1));
+        assert_eq!(r.file_name(), "BENCH_fig_test.json");
         assert_eq!(
-            doc.get("a").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(3)
+            r.render(),
+            r#"{
+  "target": "fig_test",
+  "scale": "quick",
+  "params": {"family": "chain", "tricky": "a\"b\\c\nd\te\u0001"},
+  "metrics": [
+    {"name": "map_at_10", "value": 0.998},
+    {"name": "answers", "checksum": "00ff00ff00ff00ff"},
+    {"name": "opt12_n100", "value": 35, "checksum": "0123456789abcdef"},
+    {"name": "both", "value": -0.1, "checksum": "fedcba9876543210"}
+  ]
+}
+"#
         );
-        assert_eq!(doc.get("b").and_then(|b| b.get("c")), Some(&Json::Null));
     }
 
     #[test]
-    fn metric_stats_computed_on_construction() {
-        let m = Metric::timing("t", vec![3.0, 1.0, 2.0]);
-        assert_eq!(m.median_ms, 2.0);
-        assert_eq!(m.mad_ms, 1.0);
+    fn numbers_render_shortest_and_integers_bare() {
+        let text = |n: f64| {
+            let mut s = String::new();
+            render_num(&mut s, n);
+            s
+        };
+        assert_eq!(text(429.0), "429");
+        assert_eq!(text(0.1 + 0.2), "0.30000000000000004");
+        assert_eq!(text(1e15), "1000000000000000");
+        assert_eq!(text(f64::NAN), "null");
     }
 
     #[test]
-    fn write_and_load_dir() {
+    fn write_creates_the_directory() {
         let dir = std::env::temp_dir().join(format!(
             "lapush_report_test_{}_{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let r = sample_report();
-        let path = r.write_to(&dir).expect("write");
-        assert!(path.ends_with("BENCH_fig_test.json"));
-        let loaded = load_dir(&dir).expect("load");
-        assert_eq!(loaded, vec![r]);
+        let mut r = Report::new("fig_test", Scale::Quick);
+        r.push(Metric::value("n", 1.0));
+        let path = r.write_to(&dir.join("nested")).expect("write");
+        assert!(path.ends_with("nested/BENCH_fig_test.json"));
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), r.render());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scale_names_round_trip() {
-        for s in [Scale::Quick, Scale::Normal, Scale::Full] {
-            assert_eq!(Scale::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Scale::from_name("bogus"), None);
     }
 }

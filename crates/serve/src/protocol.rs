@@ -22,7 +22,7 @@
 use lapush_engine::AnswerSet;
 use lapush_storage::Value;
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Version of the wire protocol implemented by this crate; reported by
 /// `STATS` as `proto.version`. Bump on any incompatible framing or
@@ -42,18 +42,28 @@ pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
     w.flush()
 }
 
+/// Longest well-formed header: the 20 decimal digits of `u64::MAX` and
+/// the `\n`. [`read_frame`] reads no further looking for the newline, so
+/// a peer cannot grow the header buffer by never sending one.
+const MAX_HEADER: u64 = 21;
+
 /// Read one frame. `Ok(None)` is a clean end-of-stream (the peer closed
-/// between frames); a malformed header, an over-`max` length, or EOF in
-/// the middle of a frame is an [`io::ErrorKind::InvalidData`] error.
+/// between frames); a malformed header (anything but ASCII digits, or no
+/// `\n` within 21 bytes) or an over-`max` length is an
+/// [`io::ErrorKind::InvalidData`] error, EOF inside the body an
+/// [`io::ErrorKind::UnexpectedEof`] one. At most `21 + max` bytes are ever
+/// buffered for one frame.
 pub fn read_frame(r: &mut impl BufRead, max: usize) -> io::Result<Option<String>> {
     let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    if r.by_ref().take(MAX_HEADER).read_line(&mut header)? == 0 {
         return Ok(None);
     }
+    // `usize::from_str` accepts a sign; the grammar is digits only.
     let len: usize = header
-        .trim_end_matches('\n')
-        .parse()
-        .map_err(|_| invalid(format!("bad frame header {:?}", header.trim_end())))?;
+        .strip_suffix('\n')
+        .filter(|digits| !digits.starts_with('+'))
+        .and_then(|digits| digits.parse().ok())
+        .ok_or_else(|| invalid(format!("bad frame header {:?}", header.trim_end())))?;
     if len > max {
         return Err(invalid(format!("frame of {len} bytes exceeds cap {max}")));
     }
@@ -277,6 +287,30 @@ mod tests {
         write_frame(&mut wire, "QUERY too big").unwrap();
         let mut r = BufReader::new(&wire[..]);
         assert!(read_frame(&mut r, 4).is_err());
+    }
+
+    #[test]
+    fn header_is_bounded_and_digits_only() {
+        // A peer that never sends the newline: refused after MAX_HEADER
+        // bytes, whatever `max` is, with the rest of the stream unread.
+        let flood = vec![b'1'; 4096];
+        let mut r = BufReader::new(&flood[..]);
+        let e = read_frame(&mut r, usize::MAX).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("bad frame header"), "{e}");
+        let mut rest = Vec::new();
+        r.read_to_end(&mut rest).unwrap();
+        assert!(flood.len() - rest.len() <= 32, "consumed too much");
+
+        let mut r = BufReader::new(&b"+5\nhello"[..]);
+        let e = read_frame(&mut r, 1024).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("bad frame header"), "{e}");
+
+        // The longest header there is still parses and meets the cap.
+        let mut r = BufReader::new(&b"10000000000000000000\nx"[..]);
+        let e = read_frame(&mut r, 1024).unwrap_err();
+        assert!(e.to_string().contains("exceeds cap"), "{e}");
     }
 
     #[test]

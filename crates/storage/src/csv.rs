@@ -134,7 +134,8 @@ pub fn relation_from_text(name: &str, text: &str, opts: CsvOptions) -> Result<Re
 }
 
 /// Load every `*.csv` file of a directory into a database: the file stem is
-/// the relation name.
+/// the relation name. A file that cannot be read or parsed is named in the
+/// error.
 pub fn database_from_dir(
     dir: &std::path::Path,
     opts: CsvOptions,
@@ -151,8 +152,10 @@ pub fn database_from_dir(
             .and_then(|s| s.to_str())
             .ok_or("bad file name")?
             .to_string();
-        let text = std::fs::read_to_string(&path)?;
-        let rel = relation_from_text(&name, &text, opts)?;
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let rel = relation_from_text(&name, &text, opts)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
         db.add_relation(rel)?;
     }
     Ok(db)

@@ -1,13 +1,13 @@
-//! The experiment-suite spec and process driver behind `lapush bench` and
-//! the `run_all` binary of `lapush-bench`.
+//! The experiment-suite spec and process driver behind `lapush bench`.
 //!
 //! The suite is the single source of truth for which experiment binaries
-//! exist and which variants each runs; both entry points spawn the
-//! binaries as sibling processes (they are built into the same target
-//! directory) and forward the scale (`--quick`/`--full`) and output
-//! (`--out DIR`) flags. Each binary writes one `BENCH_<target>.json`
-//! report per variant; `bench-diff` compares a directory of such reports
-//! against the committed baselines under `benches/baselines/`.
+//! exist and which variants each runs; `lapush bench` spawns the binaries
+//! as sibling processes (they are built into the same target directory)
+//! and forwards the scale (`--quick`/`--full`), output (`--out DIR`) and
+//! `--threads N` flags. Each binary writes one `BENCH_<target>.json`
+//! result file per variant — seeded results only, byte-reproducible — and
+//! `diff -r` of the output directory against the committed
+//! `benches/baselines/` is the gate.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -23,8 +23,8 @@ pub struct SuiteRun {
 }
 
 /// Every run of the full experiment suite, in execution order. Keep in
-/// sync with the binaries under `crates/bench/src/bin/` — `run_all` and
-/// `lapush bench` both iterate exactly this list.
+/// sync with the binaries under `crates/bench/src/bin/` — `lapush bench`
+/// iterates exactly this list.
 pub const SUITE: &[SuiteRun] = &[
     SuiteRun {
         bin: "fig2_counts",
@@ -126,7 +126,7 @@ impl SuiteOutcome {
 }
 
 /// Run every suite entry as a child process, forwarding `forwarded`
-/// (scale and `--out` flags) to each. Failures do not abort the suite —
+/// (scale, `--out` and `--threads` flags) to each. Failures do not abort the suite —
 /// every remaining run still executes, and all failures are reported in
 /// the outcome so callers can exit non-zero at the end.
 pub fn run_suite(bin_dir: &Path, forwarded: &[String]) -> SuiteOutcome {

@@ -27,15 +27,13 @@
 //! Answers are bit-identical at every thread count.
 //!
 //! The `bench` subcommand runs the whole experiment suite of the
-//! `lapush-bench` crate and writes one machine-readable
-//! `BENCH_<target>.json` report per experiment:
+//! `lapush-bench` crate and writes one `BENCH_<target>.json` result file
+//! per experiment — the same bytes on every run and at every `--threads`:
 //!
 //! ```console
 //! $ lapush bench --quick --out bench-out [--threads N]
+//! $ diff -r --exclude=README.md bench-out benches/baselines
 //! ```
-//!
-//! Compare the reports against committed baselines with the `bench-diff`
-//! binary (exits non-zero on regression).
 //!
 //! The `serve` subcommand runs the always-on query service (wire
 //! protocol in `docs/PROTOCOL.md`, operations guide in
@@ -273,8 +271,7 @@ fn split_requests(script: &str) -> Vec<String> {
 
 /// `lapush bench [--quick|--full] [--out DIR] [--threads N]`: run the
 /// experiment suite, forwarding the scale, output, and thread-count flags
-/// to every experiment binary (each records the thread count in its
-/// report metadata).
+/// to every experiment binary.
 fn run_bench() -> i32 {
     let usage = "usage: lapush bench [--quick|--full] [--out DIR] [--threads N]";
     let args: Vec<String> = std::env::args().skip(2).collect();

@@ -62,20 +62,20 @@
 //! ```
 //!
 //! runs every experiment binary of the `lapush-bench` crate (the
-//! [`benchsuite::SUITE`] list) and collects one machine-readable
-//! `BENCH_<target>.json` report per experiment in `--out` — wall-time
-//! samples with median + MAD, result checksums, and toolchain metadata
-//! under a versioned schema. `--quick` runs smoke sizes (what CI gates
-//! on), `--full` paper-scale sweeps; omit both for the defaults.
-//!
-//! The companion `bench-diff` binary compares a report directory against
-//! the committed baselines and exits non-zero on regression:
+//! [`benchsuite::SUITE`] list) and collects one `BENCH_<target>.json`
+//! result file per experiment in `--out` — the seeded results (counts, MAP
+//! scores, answer checksums) of the paper's figures, byte-reproducible at
+//! every `--threads` value. `--quick` runs smoke sizes (what CI gates on),
+//! `--full` paper-scale sweeps; omit both for the defaults. The gate is
+//! byte equality with the committed baselines:
 //!
 //! ```console
-//! $ ./target/release/bench-diff --baseline benches/baselines --current bench-out
+//! $ diff -r --exclude=README.md bench-out benches/baselines
 //! ```
 //!
-//! See `benches/baselines/README.md` for how baselines are regenerated.
+//! See `benches/baselines/README.md` for how baselines are regenerated and
+//! `docs/REPRODUCTION.md` for which figure each target reproduces. Run
+//! times are measured by `benchmark/` (see its README), nowhere else.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 #![forbid(unsafe_code)]

@@ -109,3 +109,33 @@ fn errors_exit_one_with_the_message_on_stderr() {
         );
     }
 }
+
+/// A data directory that fails to load says which file is at fault.
+fn assert_load_fails_naming(dir: &std::path::Path, file: &str, message: &str) {
+    assert_fails_with(
+        &lapush(&["--data", dir.to_str().unwrap(), "--query", QUERY]),
+        &format!("{}: {message}", dir.join(file).display()),
+    );
+}
+
+#[test]
+fn an_empty_file_among_many_is_named() {
+    let dir = data_dir(
+        "empty_file",
+        &[
+            ("R.csv", "1,2,0.5\n"),
+            ("S.csv", "# nothing\n"),
+            ("T.csv", "2,0.9\n"),
+        ],
+    );
+    assert_load_fails_naming(&dir, "S.csv", "no data rows");
+}
+
+#[test]
+fn a_bad_cell_is_named_with_its_file_and_line() {
+    let dir = data_dir(
+        "bad_cell",
+        &[("R.csv", "1,2,0.5\n"), ("T.csv", "2,0.9\n3,0.4\n4,often\n")],
+    );
+    assert_load_fails_naming(&dir, "T.csv", "line 3: bad probability `often`");
+}
