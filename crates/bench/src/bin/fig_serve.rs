@@ -18,11 +18,11 @@
 //! `--threads 4` leg of the `diff` gate checks. Latencies and throughput
 //! are printed, not recorded.
 //!
-//! The concurrent client drivers run as tasks on the engine's persistent
-//! work-stealing pool (`lapushdb::engine::pool`), sized by the *client*
-//! count — so the recorded pool-counter deltas (`pool_scopes`,
-//! `pool_tasks`) are one engaged scope and one task per client,
-//! independent of `--threads` and of scheduling.
+//! The concurrent client drivers run as tasks of one engine scope
+//! (`lapushdb::engine::pool`), sized by the *client* count — so the
+//! recorded pool-counter deltas (`pool_scopes`, `pool_tasks`) are one
+//! engaged scope and one task per client, independent of `--threads` and
+//! of scheduling.
 
 use lapush_bench::report::Metric;
 use lapush_bench::{arg, checksum_strings, ms, print_table, scale, threads, time, Bench, Scale};
@@ -187,8 +187,6 @@ fn main() {
     // concurrent phase: the drivers submit one pool scope of one task per
     // client, and the all-hits server does no evaluation — so the deltas
     // are workload-determined, identical at every `--threads` value.
-    // (`inline`/`steals` are scheduling-dependent and deliberately not
-    // reported; see `lapushdb::engine::pool`.)
     let pool_scopes = pool_after.scopes - pool_before.scopes;
     let pool_tasks = pool_after.tasks - pool_before.tasks;
     // A single client takes `run_scope`'s serial fast path: no engagement.

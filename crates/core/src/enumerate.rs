@@ -666,7 +666,7 @@ mod tests {
         // small k. NOTE: the paper's Figure 2 lists A001003
         // (1,3,11,45,197,903,4279), which counts only contiguous join
         // groupings and undercounts the full set of hierarchical
-        // dissociations; see EXPERIMENTS.md.
+        // dissociations; see docs/REPRODUCTION.md.
         let ap: Vec<u128> = (2..=8).map(|k| count_all_plans(&chain(k))).collect();
         assert_eq!(ap, vec![1, 3, 17, 150, 1872, 31252, 672230]);
     }

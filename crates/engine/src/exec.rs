@@ -66,11 +66,10 @@ pub struct ExecOptions {
     /// single plan (sound for plans produced by `lapush_core::single_plan`,
     /// whose equal subquery keys denote equal subplans).
     pub reuse_views: bool,
-    /// Morsel-parallelism budget: maximum concurrent tasks an evaluation
-    /// may run on the process-wide work-stealing pool ([`crate::pool`]),
-    /// which also sizes the pool's lazily-spawned worker set. `1` — the
-    /// default — is fully serial and never touches the pool. Any value
-    /// produces bit-identical results; see [`crate::rel`].
+    /// Morsel-parallelism budget: maximum threads one parallel step of an
+    /// evaluation may run on ([`crate::pool`]). `1` — the default — is
+    /// fully serial and never touches the pool. Any value produces
+    /// bit-identical results; see [`crate::rel`].
     pub threads: usize,
 }
 
@@ -390,8 +389,8 @@ impl<'a> Evaluator<'a> {
     /// memo (`Arc` clones) — one per task of the root-parallel loop. The
     /// relations are shared, not copied, so every fork joins them through
     /// the key orders the pre-pass built, and an order first needed inside
-    /// the loop is built by one fork for all (serial forks: building under
-    /// the relation's lock never waits on the pool).
+    /// the loop is built by one fork for all. Forks are serial because the
+    /// root loop already spends the thread budget, one task per thread.
     fn fork(&self) -> Evaluator<'a> {
         Evaluator {
             prepared: Arc::clone(&self.prepared),

@@ -53,8 +53,8 @@
 //!
 //! Execution is optionally parallel ([`exec::ExecOptions::threads`],
 //! default 1 = strictly serial): operators partition large batches into
-//! key-range morsels submitted as tasks to a persistent work-stealing
-//! pool ([`pool`]), and [`propagation_score`]'s outer loop over
+//! key-range morsels run as scoped tasks ([`pool`]), and
+//! [`propagation_score`]'s outer loop over
 //! minimal-plan roots runs in parallel after a serial pre-pass
 //! has evaluated every memo-shared subplan once. Results are
 //! **bit-identical at every thread count** — morsels never split a group
@@ -107,15 +107,11 @@
 //! construction: same code, same floats.
 
 #![deny(rustdoc::broken_intra_doc_links)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod delta;
 pub mod exec;
 pub mod kernels;
-// The one module allowed `unsafe`: the scoped pool erases task lifetimes
-// and writes result slots through raw pointers (each site carries its own
-// SAFETY comment). Everything else in the crate is safe code.
-#[allow(unsafe_code)]
 pub mod pool;
 pub mod prepare;
 pub mod rel;

@@ -1,516 +1,115 @@
-//! Persistent work-stealing execution pool.
+//! Scoped parallel tasks.
 //!
-//! Every parallel site in the engine used to spawn scoped threads per
-//! operator (`std::thread::scope`), which means `lapush serve` paid
-//! thread startup on every query. This module replaces those spawns
-//! with a **process-wide, lazily started pool** of workers, each owning
-//! a deque of tasks; idle workers steal from the back of other workers'
-//! deques (morsel-driven scheduling in the style of Leis et al.,
-//! "Morsel-Driven Parallelism"). Zero dependencies — deques are
-//! `Mutex<VecDeque>`, parking is one `Condvar`.
-//!
-//! # The scope contract
-//!
-//! [`run_scope`] is a drop-in replacement for the old scoped-thread
-//! pattern: it takes a vector of closures borrowing from the caller's
-//! stack, runs them to completion, and returns their results **in
-//! submission order**. Three properties make it safe and deterministic:
-//!
-//! * **No early return.** `run_scope` blocks until every task has
-//!   executed, even when one panics (the first panic payload is re-raised
-//!   at the caller *after* the stragglers finish). Borrowed data
-//!   therefore outlives every task, which is what makes the internal
-//!   lifetime erasure sound.
-//! * **Slot-addressed results.** Task `i` writes its result into slot
-//!   `i`; scheduling order is observationally irrelevant, so outputs are
-//!   bit-identical to a serial left-to-right execution no matter how
-//!   tasks interleave — the engine's "same floats at every thread count"
-//!   invariant does not depend on the scheduler.
-//! * **Submitters help.** The calling thread does not park while its
-//!   tasks are queued: it pops/steals and runs tasks itself until its
-//!   scope completes. A task that calls `run_scope` again (nested
-//!   submission) becomes such a helping submitter, so nesting can never
-//!   deadlock — in the worst case every queued task is executed by the
-//!   thread that is waiting on it.
+//! [`run_scope`] is the engine's one parallel primitive: it takes a vector
+//! of closures that may borrow from the caller's stack, runs them on
+//! threads of a `std::thread::scope`, and returns their results **in task
+//! order** — the same vector `tasks.into_iter().map(|f| f()).collect()`
+//! returns, so the engine's "same floats at every thread count" invariant
+//! does not depend on scheduling. Nothing outlives a call: a caller waits
+//! for its own tasks only and never runs anyone else's, so a task may open
+//! a scope of its own, and a thread may wait on its scope while holding a
+//! lock other evaluations need, without the scope causing a deadlock.
 //!
 //! # Counters
 //!
-//! The pool keeps process-lifetime counters, surfaced by `lapush serve`
-//! `STATS` and the `fig_serve` bench gate. `scopes` and `tasks` count
-//! pool-engaging scopes and the tasks they submitted — both are fully
-//! determined by the workload (never by scheduling), so they are
-//! CI-diffable exactly. `inline` (tasks run by a waiting submitter) and
-//! `steals` (tasks taken from another worker's deque) depend on thread
-//! timing and are reported for observability only.
+//! `scopes` (calls that ran in parallel) and `tasks` (the tasks those
+//! calls held) are process-wide, surfaced by `lapush serve` `STATS` and
+//! the `fig_serve` result file. Both are fully determined by the workload,
+//! never by scheduling, so they are gated exactly.
 
-use std::any::Any;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-/// Hard cap on pool workers; `threads` budgets are clamped to it.
+/// Hard cap on the threads one scope uses; `threads` budgets are clamped
+/// to it.
 pub const MAX_WORKERS: usize = 64;
 
-/// A unit of queued work: an erased task plus its scope's completion
-/// tracker. Units only ever live while their submitting `run_scope`
-/// frame is blocked, so the `'static` on the closure is a fiction the
-/// scope contract makes sound (see module docs).
-struct Unit {
-    run: Box<dyn FnOnce() + Send + 'static>,
-    scope: Arc<ScopeSync>,
-}
+static SCOPES: AtomicU64 = AtomicU64::new(0);
+static TASKS: AtomicU64 = AtomicU64::new(0);
 
-/// Completion tracking for one `run_scope` call.
-struct ScopeSync {
-    /// Tasks not yet finished; the scope is complete at zero.
-    remaining: AtomicUsize,
-    /// Mutex/condvar pair the submitter parks on when there is nothing
-    /// left to help with. The guarded bool is the done flag.
-    done: Mutex<bool>,
-    cv: Condvar,
-    /// First panic payload raised by a task, re-raised at the submitter.
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
-impl ScopeSync {
-    fn new(tasks: usize) -> ScopeSync {
-        ScopeSync {
-            remaining: AtomicUsize::new(tasks),
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    /// Record one finished task; on the last, flip the done flag and wake
-    /// the submitter. `AcqRel` orders every task's result-slot write
-    /// before the submitter's reads.
-    fn complete_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-            *done = true;
-            self.cv.notify_all();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
-    }
-}
-
-/// Lifetime counters (see module docs for which are deterministic).
+/// Process-lifetime counters of [`run_scope`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolCounters {
-    /// `run_scope` calls that engaged the pool (serial fast paths not
+    /// `run_scope` calls that ran in parallel (serial fast paths not
     /// included). Deterministic for a fixed workload and thread budget.
     pub scopes: u64,
-    /// Tasks executed through the pool. Deterministic likewise.
+    /// Tasks those calls ran. Deterministic likewise.
     pub tasks: u64,
-    /// Tasks executed by their submitting thread while it waited.
-    /// Scheduling-dependent.
-    pub inline: u64,
-    /// Tasks a worker took from another worker's deque.
-    /// Scheduling-dependent.
-    pub steals: u64,
 }
 
-struct Counters {
-    scopes: AtomicU64,
-    tasks: AtomicU64,
-    inline: AtomicU64,
-    steals: AtomicU64,
-}
-
-struct Inner {
-    /// Per-worker deques, fixed at `MAX_WORKERS` slots so growing the
-    /// worker set never reallocates under other threads' feet. Owners pop
-    /// the front; thieves (and helping submitters) pop the back.
-    queues: Vec<Mutex<VecDeque<Unit>>>,
-    /// Worker threads started so far (grow-only, ≤ `MAX_WORKERS`).
-    spawned: Mutex<usize>,
-    /// Round-robin submission cursor, so consecutive scopes spread tasks
-    /// across different workers.
-    next: AtomicUsize,
-    /// Parking lot for idle workers.
-    idle: Mutex<()>,
-    wake: Condvar,
-    /// Set only by [`Pool::drop`] (test pools); the global pool never stops.
-    stop: AtomicBool,
-    /// Distinguishes this pool's workers from other pools' in the
-    /// thread-local worker tag.
-    id: usize,
-    counters: Counters,
-}
-
-thread_local! {
-    /// `(pool id, worker index)` when the current thread is a pool worker.
-    static WORKER: std::cell::Cell<Option<(usize, usize)>> =
-        const { std::cell::Cell::new(None) };
-}
-
-static POOL_IDS: AtomicUsize = AtomicUsize::new(0);
-
-impl Inner {
-    fn new() -> Inner {
-        Inner {
-            queues: (0..MAX_WORKERS)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            spawned: Mutex::new(0),
-            next: AtomicUsize::new(0),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            stop: AtomicBool::new(false),
-            id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            counters: Counters {
-                scopes: AtomicU64::new(0),
-                tasks: AtomicU64::new(0),
-                inline: AtomicU64::new(0),
-                steals: AtomicU64::new(0),
-            },
-        }
-    }
-
-    /// Worker index of the current thread in *this* pool, if any.
-    fn my_worker(&self) -> Option<usize> {
-        WORKER
-            .with(|w| w.get())
-            .and_then(|(id, i)| (id == self.id).then_some(i))
-    }
-
-    /// Run one unit, catching its panic into the scope.
-    fn execute(&self, unit: Unit) {
-        self.counters.tasks.fetch_add(1, Ordering::Relaxed);
-        let scope = unit.scope;
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(unit.run)) {
-            let mut slot = scope.panic.lock().unwrap_or_else(|e| e.into_inner());
-            slot.get_or_insert(payload);
-        }
-        scope.complete_one();
-    }
-
-    fn pop_front(&self, q: usize) -> Option<Unit> {
-        self.queues[q]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
-    }
-
-    fn pop_back(&self, q: usize) -> Option<Unit> {
-        self.queues[q]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_back()
-    }
-
-    /// Take a unit from any deque, preferring `prefer`'s own front (if the
-    /// current thread is a worker), then stealing from the back of the
-    /// others starting after it.
-    fn grab(&self, spawned: usize, prefer: Option<usize>) -> Option<(Unit, bool)> {
-        if let Some(me) = prefer {
-            if let Some(u) = self.pop_front(me) {
-                return Some((u, false));
-            }
-        }
-        let start = prefer.map_or(0, |me| me + 1);
-        for off in 0..spawned {
-            let q = (start + off) % spawned.max(1);
-            if Some(q) == prefer {
-                continue;
-            }
-            if let Some(u) = self.pop_back(q) {
-                return Some((u, true));
-            }
-        }
-        None
-    }
-
-    fn spawned(&self) -> usize {
-        *self.spawned.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn any_queued(&self, spawned: usize) -> bool {
-        self.queues[..spawned]
-            .iter()
-            .any(|q| !q.lock().unwrap_or_else(|e| e.into_inner()).is_empty())
-    }
-
-    /// Main loop of worker `me`: drain own deque front-first, steal from
-    /// the back of others, park when the pool is empty.
-    fn worker_loop(self: &Arc<Inner>, me: usize) {
-        WORKER.with(|w| w.set(Some((self.id, me))));
-        loop {
-            let spawned = self.spawned();
-            if let Some((unit, stolen)) = self.grab(spawned, Some(me)) {
-                if stolen {
-                    self.counters.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                self.execute(unit);
-                continue;
-            }
-            let guard = self.idle.lock().unwrap_or_else(|e| e.into_inner());
-            if self.stop.load(Ordering::Acquire) {
-                return;
-            }
-            // Re-check under the lock: a submitter pushes, then notifies
-            // under this same lock, so either the re-check sees the unit or
-            // the wait sees the notification — no lost wakeups.
-            if self.any_queued(self.spawned()) {
-                continue;
-            }
-            drop(self.wake.wait(guard));
-            if self.stop.load(Ordering::Acquire) {
-                return;
-            }
-        }
+/// Snapshot of the process-wide counters.
+pub fn counters() -> PoolCounters {
+    PoolCounters {
+        scopes: SCOPES.load(Ordering::Relaxed),
+        tasks: TASKS.load(Ordering::Relaxed),
     }
 }
 
-/// A work-stealing pool. Engine code uses the process-wide [`global`]
-/// instance via [`run_scope`]; constructing a private `Pool` is for tests
-/// that need isolated, deterministic counters.
-pub struct Pool {
-    inner: Arc<Inner>,
-    handles: Mutex<Vec<thread::JoinHandle<()>>>,
-}
-
-/// Raw pointer wrapper so a result slot can cross into a task closure.
-/// Sound because the owning `run_scope` frame outlives the write (scope
-/// contract) and slots are disjoint per task.
-struct SlotPtr<T>(*mut Option<T>);
-// SAFETY: the pointee is only ever touched by the one task holding the
-// pointer, and `T: Send` is enforced by `run_scope`'s bounds.
-unsafe impl<T> Send for SlotPtr<T> {}
-
-impl<T> SlotPtr<T> {
-    /// # Safety
-    /// Must be called at most once, while the slot's owning vector is
-    /// alive and no other reference to the slot exists — guaranteed by
-    /// the scope contract (one pointer per task, `run_scope` blocks).
-    unsafe fn write(&self, value: T) {
-        *self.0 = Some(value);
+/// Run `tasks` under a parallelism budget of `threads` (the calling thread
+/// included), returning their results in task order.
+///
+/// With `g = min(threads, tasks.len(), MAX_WORKERS)` at most 1 the tasks
+/// run serially on the caller and nothing is counted. Otherwise they are
+/// cut into `g` contiguous groups of near-equal size; the caller runs the
+/// first group and one scoped thread runs each of the others. A task's
+/// panic is re-raised on the caller once every thread has been joined.
+pub fn run_scope<T, F>(threads: usize, tasks: Vec<F>) -> Vec<T>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    let n = tasks.len();
+    let g = threads.min(n).min(MAX_WORKERS);
+    if g <= 1 {
+        return tasks.into_iter().map(|f| f()).collect();
     }
-}
-
-impl Pool {
-    /// An empty pool; workers start lazily on the first engaging scope.
-    pub fn new() -> Pool {
-        Pool {
-            inner: Arc::new(Inner::new()),
-            handles: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A pool with `n` workers started eagerly (tests; also used to
-    /// prewarm the global pool at server startup).
-    pub fn with_workers(n: usize) -> Pool {
-        let pool = Pool::new();
-        pool.ensure_workers(n);
-        pool
-    }
-
-    /// Grow the worker set to at least `n` threads (clamped to
-    /// [`MAX_WORKERS`]). Grow-only; never shrinks.
-    pub fn ensure_workers(&self, n: usize) {
-        let n = n.min(MAX_WORKERS);
-        let mut spawned = self.inner.spawned.lock().unwrap_or_else(|e| e.into_inner());
-        let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
-        while *spawned < n {
-            let me = *spawned;
-            let inner = Arc::clone(&self.inner);
-            let handle = thread::Builder::new()
-                .name(format!("lapush-pool-{me}"))
-                .spawn(move || inner.worker_loop(me))
-                .expect("spawn pool worker");
-            handles.push(handle);
-            *spawned += 1;
-        }
-    }
-
-    /// Worker threads currently running.
-    pub fn workers(&self) -> usize {
-        self.inner.spawned()
-    }
-
-    /// Snapshot of the lifetime counters.
-    pub fn counters(&self) -> PoolCounters {
-        let c = &self.inner.counters;
-        PoolCounters {
-            scopes: c.scopes.load(Ordering::Relaxed),
-            tasks: c.tasks.load(Ordering::Relaxed),
-            inline: c.inline.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Run `tasks` under a parallelism budget of `threads`, returning the
-    /// results in task order. See the module docs for the full contract;
-    /// in short: blocks until all tasks ran, re-raises the first task
-    /// panic afterwards, never deadlocks on nested calls, and the output
-    /// is identical to `tasks.into_iter().map(|f| f()).collect()`.
-    pub fn scope<'env, T, F>(&self, threads: usize, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'env,
-        F: FnOnce() -> T + Send + 'env,
-    {
-        let n = tasks.len();
-        if threads <= 1 || n < 2 {
-            // Serial fast path: no queueing, no counters — small batches
-            // must stay free of synchronization entirely.
-            return tasks.into_iter().map(|f| f()).collect();
-        }
-        self.inner.counters.scopes.fetch_add(1, Ordering::Relaxed);
-        // The submitter helps, so `threads` budget needs `threads - 1`
-        // workers at most (and never more than one per task).
-        self.ensure_workers(threads.min(n).saturating_sub(1));
-
-        let mut results: Vec<Option<T>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        let sync = Arc::new(ScopeSync::new(n));
-        let mut units: Vec<Unit> = Vec::with_capacity(n);
-        for (task, slot) in tasks.into_iter().zip(results.iter_mut()) {
-            let slot = SlotPtr(slot as *mut Option<T>);
-            let run: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                let value = task();
-                // SAFETY: slot `i` is written exactly once, by this task,
-                // while the owning `results` vector is pinned in the
-                // blocked `run_scope` frame below.
-                unsafe { slot.write(value) };
-            });
-            // SAFETY: lifetime erasure per the scope contract — this frame
-            // does not return (and `results`/captured borrows stay alive)
-            // until every unit has executed, and units are never queued
-            // beyond their scope's completion.
-            let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(run) };
-            units.push(Unit {
-                run,
-                scope: Arc::clone(&sync),
-            });
-        }
-        self.submit(units);
-        self.help_until(&sync);
-
-        let payload = {
-            let mut slot = sync.panic.lock().unwrap_or_else(|e| e.into_inner());
-            slot.take()
-        };
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-        results
+    SCOPES.fetch_add(1, Ordering::Relaxed);
+    TASKS.fetch_add(n as u64, Ordering::Relaxed);
+    let run = |group: Vec<F>| group.into_iter().map(|f| f()).collect::<Vec<T>>();
+    let mut tasks = tasks.into_iter();
+    let mut groups: Vec<Vec<F>> = (0..g)
+        .map(|i| tasks.by_ref().take((i + 1) * n / g - i * n / g).collect())
+        .collect();
+    let first = groups.remove(0);
+    thread::scope(|s| {
+        let handles: Vec<_> = groups
             .into_iter()
-            .map(|r| r.expect("pool task completed without writing its slot"))
-            .collect()
-    }
-
-    /// Distribute units round-robin over the live worker deques and wake
-    /// everyone. With no workers yet (budget 1 after clamping) the units
-    /// land in deque 0 and the submitter runs them all inline.
-    fn submit(&self, units: Vec<Unit>) {
-        let spawned = self.inner.spawned().max(1);
-        for unit in units {
-            let q = self.inner.next.fetch_add(1, Ordering::Relaxed) % spawned;
-            self.inner.queues[q]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(unit);
-        }
-        let _guard = self.inner.idle.lock().unwrap_or_else(|e| e.into_inner());
-        self.inner.wake.notify_all();
-    }
-
-    /// Submitter wait loop: run queued tasks (own deque first when the
-    /// submitter is itself a worker) until `sync` completes; park only
-    /// when every deque is empty.
-    fn help_until(&self, sync: &ScopeSync) {
-        let me = self.inner.my_worker();
-        loop {
-            if sync.is_done() {
-                return;
-            }
-            let spawned = self.inner.spawned().max(1);
-            if let Some((unit, _)) = self.inner.grab(spawned, me) {
-                self.inner.counters.inline.fetch_add(1, Ordering::Relaxed);
-                self.inner.execute(unit);
-                continue;
-            }
-            // Nothing to help with: our tasks are running on workers. Park
-            // on the scope's condvar until the last one completes.
-            let done = sync.done.lock().unwrap_or_else(|e| e.into_inner());
-            drop(
-                sync.cv
-                    .wait_while(done, |finished| !*finished && !sync.is_done())
-                    .unwrap_or_else(|e| e.into_inner()),
+            .map(|group| s.spawn(move || run(group)))
+            .collect();
+        let mut out = run(first);
+        for handle in handles {
+            out.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
             );
         }
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::new()
-    }
-}
-
-impl Drop for Pool {
-    /// Stop and join the workers (test pools only; the global pool lives
-    /// for the process). Scopes still blocked in [`Pool::scope`] keep the
-    /// `Inner` alive via their units' `Arc`s, but dropping a pool with
-    /// live scopes is a test bug — workers exit and queued units leak.
-    fn drop(&mut self) {
-        {
-            let _guard = self.inner.idle.lock().unwrap_or_else(|e| e.into_inner());
-            self.inner.stop.store(true, Ordering::Release);
-            self.inner.wake.notify_all();
-        }
-        let handles = std::mem::take(&mut *self.handles.lock().unwrap_or_else(|e| e.into_inner()));
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-static GLOBAL: OnceLock<Pool> = OnceLock::new();
-
-/// The process-wide pool every engine call site shares.
-pub fn global() -> &'static Pool {
-    GLOBAL.get_or_init(Pool::new)
-}
-
-/// [`Pool::scope`] on the [`global`] pool — the drop-in replacement for
-/// the engine's former `std::thread::scope` sites.
-pub fn run_scope<'env, T, F>(threads: usize, tasks: Vec<F>) -> Vec<T>
-where
-    T: Send + 'env,
-    F: FnOnce() -> T + Send + 'env,
-{
-    global().scope(threads, tasks)
-}
-
-/// Counter snapshot of the [`global`] pool.
-pub fn counters() -> PoolCounters {
-    global().counters()
-}
-
-/// Start `threads - 1` global workers eagerly (e.g. at server startup),
-/// so the first parallel query does not pay thread spawns.
-pub fn prewarm(threads: usize) {
-    if threads > 1 {
-        global().ensure_workers(threads - 1);
-    }
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Barrier;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    /// Run `n` tasks under `threads`, each reporting its index and thread.
+    fn whereabouts(threads: usize, n: usize) -> Vec<(usize, ThreadId)> {
+        run_scope(
+            threads,
+            (0..n)
+                .map(|i| move || (i, thread::current().id()))
+                .collect::<Vec<_>>(),
+        )
+    }
 
     #[test]
     fn results_are_in_submission_order() {
-        let pool = Pool::new();
         let tasks: Vec<_> = (0..100)
             .map(|i| {
                 move || {
@@ -525,88 +124,65 @@ mod tests {
                 }
             })
             .collect();
-        let got = pool.scope(4, tasks);
+        let got = run_scope(4, tasks);
         let want: Vec<usize> = (0..100).map(|i| i * i).collect();
         assert_eq!(got, want);
     }
 
     #[test]
-    fn serial_fast_path_skips_the_pool() {
-        let pool = Pool::new();
-        let got = pool.scope(1, (0..8).map(|i| move || i + 1).collect::<Vec<_>>());
-        assert_eq!(got, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(pool.counters(), PoolCounters::default());
-        assert_eq!(pool.workers(), 0);
-        let one = pool.scope(8, vec![|| 41 + 1]);
-        assert_eq!(one, vec![42]);
-        assert_eq!(pool.counters(), PoolCounters::default());
-    }
-
-    #[test]
-    fn deterministic_counters_are_workload_determined() {
-        // scopes/tasks must not depend on worker count or scheduling.
-        let runs: Vec<PoolCounters> = [2, 3, 8]
-            .into_iter()
-            .map(|workers| {
-                let pool = Pool::with_workers(workers);
-                for round in 0..5 {
-                    let n = 3 + round;
-                    let out = pool.scope(
-                        workers + 1,
-                        (0..n).map(|i| move || i * 2).collect::<Vec<_>>(),
-                    );
-                    assert_eq!(out, (0..n).map(|i| i * 2).collect::<Vec<_>>());
-                }
-                pool.counters()
-            })
-            .collect();
-        for c in &runs {
-            assert_eq!(c.scopes, 5);
-            assert_eq!(c.tasks, (3 + 4 + 5 + 6 + 7) as u64);
-            // Every task ran exactly once somewhere; helpers and thieves
-            // can only account for a subset of them.
-            assert!(c.inline + c.steals <= c.tasks);
+    fn serial_fast_path_stays_on_the_calling_thread() {
+        let me = thread::current().id();
+        for (threads, n) in [(1, 8), (0, 3), (8, 1), (8, 0)] {
+            let got = whereabouts(threads, n);
+            assert_eq!(got.len(), n);
+            for (i, &(index, thread)) in got.iter().enumerate() {
+                assert_eq!((index, thread), (i, me), "threads={threads} n={n}");
+            }
         }
     }
 
     #[test]
-    fn nested_submission_does_not_deadlock_when_oversubscribed() {
-        // 2 workers, fan-out 4 at each of 3 levels: 4 + 16 + 64 tasks all
-        // in flight with most of them blocked on children — only
-        // submitter-helping keeps this live.
-        fn level(pool: &Pool, depth: usize, base: usize) -> usize {
+    fn groups_are_contiguous_and_the_caller_runs_the_first() {
+        // 7 tasks on 3 threads: groups 0..2, 2..4, 4..7.
+        let me = thread::current().id();
+        let got = whereabouts(3, 7);
+        assert_eq!(
+            got.iter().map(|r| r.0).collect::<Vec<_>>(),
+            (0..7).collect::<Vec<_>>()
+        );
+        let threads: Vec<ThreadId> = got.iter().map(|r| r.1).collect();
+        assert!(threads[..2].iter().all(|&t| t == me));
+        assert!(threads[2..4].iter().all(|&t| t == threads[2]));
+        assert!(threads[4..].iter().all(|&t| t == threads[4]));
+        assert_eq!(threads.iter().collect::<HashSet<_>>().len(), 3);
+    }
+
+    #[test]
+    fn nested_scopes_match_serial_recursion() {
+        // Fan-out 4 at each of 3 levels: 4 + 16 + 64 tasks, the inner
+        // levels opened from inside scoped threads.
+        fn level(depth: usize, base: usize) -> usize {
             if depth == 0 {
                 return base;
             }
-            pool.scope(
+            run_scope(
                 4,
                 (0..4usize)
-                    .map(|i| move || level(pool, depth - 1, base * 4 + i))
+                    .map(|i| move || level(depth - 1, base * 4 + i))
                     .collect::<Vec<_>>(),
             )
             .into_iter()
             .sum()
         }
-        let pool = Pool::with_workers(2);
-        let got = level(&pool, 3, 0);
         // Serial reference: sum over the 64 leaves of their base ids.
-        let mut want = 0usize;
-        for a in 0..4 {
-            for b in 0..4 {
-                for c in 0..4 {
-                    want += (a * 4 + b) * 4 + c;
-                }
-            }
-        }
-        assert_eq!(got, want);
+        assert_eq!(level(3, 0), (0..64).sum::<usize>());
     }
 
     #[test]
-    fn panic_in_task_propagates_and_pool_survives() {
-        let pool = Pool::with_workers(2);
+    fn panic_in_task_propagates_and_scopes_stay_usable() {
         let ran = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(
+            run_scope(
                 3,
                 (0..6)
                     .map(|i| {
@@ -626,97 +202,27 @@ mod tests {
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         assert!(msg.contains("task 3 exploded"), "unexpected payload: {msg}");
-        // No early return: every task ran before the panic re-raised.
+        // Task 3 ends its group (2..4), and every thread was joined before
+        // the panic reached the caller: all six tasks ran.
         assert_eq!(ran.load(Ordering::SeqCst), 6);
-        // And the pool still works.
-        let got = pool.scope(3, (0..4).map(|i| move || i).collect::<Vec<_>>());
+        let got = run_scope(3, (0..4).map(|i| move || i).collect::<Vec<_>>());
         assert_eq!(got, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn blocked_worker_tasks_get_stolen_or_helped() {
-        // One task parks on a barrier that only releases once the other
-        // two tasks have finished — those two must be run by someone other
-        // than the worker stuck on the first (steal or submitter help), or
-        // this test deadlocks.
-        let pool = Pool::with_workers(2);
-        let gate = Barrier::new(2);
-        let done = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(|| {
-                gate.wait();
-            }),
-            Box::new(|| {
-                done.fetch_add(1, Ordering::SeqCst);
-            }),
-            Box::new(|| {
-                done.fetch_add(1, Ordering::SeqCst);
-                gate.wait();
-            }),
-        ];
-        pool.scope(3, tasks);
-        assert_eq!(done.load(Ordering::SeqCst), 2);
-        let c = pool.counters();
-        assert_eq!(c.tasks, 3);
-        assert!(c.inline + c.steals <= c.tasks);
-    }
-
-    #[test]
-    fn round_robin_submission_bounds_queue_imbalance() {
-        // Steal fairness starts at submission: consecutive scopes must not
-        // pile onto one deque. Submit k scopes of one spinning task-pair
-        // each and check the cursor spread the load (the cursor is the
-        // only distribution mechanism, so its advance proves the bound).
-        let pool = Pool::with_workers(4);
-        let before = pool.inner.next.load(Ordering::Relaxed);
-        let mut total = 0;
-        for _ in 0..6 {
-            let out = pool.scope(4, (0..5).map(|i| move || i).collect::<Vec<_>>());
-            assert_eq!(out, vec![0, 1, 2, 3, 4]);
-            total += 5;
-        }
-        let after = pool.inner.next.load(Ordering::Relaxed);
-        // Every submitted unit advanced the cursor exactly once, so over
-        // `total` units no deque received more than ceil(total / workers)
-        // + (cursor phase) of them — the imbalance is bounded by 1 per
-        // wrap, not by the scope structure.
-        assert_eq!(after - before, total);
-        assert_eq!(pool.counters().tasks, total as u64);
-    }
-
-    #[test]
-    fn stress_many_scopes_from_many_threads() {
-        // Cross-thread stress used by the CI concurrency job: several OS
-        // threads hammer one pool with nested scopes concurrently.
-        let pool = Pool::with_workers(3);
-        thread::scope(|s| {
-            for t in 0..4 {
-                let pool = &pool;
-                s.spawn(move || {
-                    for round in 0..50 {
-                        let n = 2 + ((t + round) % 5);
-                        let got = pool.scope(
-                            3,
-                            (0..n)
-                                .map(|i| {
-                                    move || {
-                                        pool.scope(
-                                            2,
-                                            (0..2).map(|j| move || i * 10 + j).collect::<Vec<_>>(),
-                                        )
-                                        .into_iter()
-                                        .sum::<usize>()
-                                    }
-                                })
-                                .collect::<Vec<_>>(),
-                        );
-                        let want: Vec<usize> = (0..n).map(|i| i * 20 + 1).collect();
-                        assert_eq!(got, want, "thread {t} round {round}");
-                    }
-                });
-            }
-        });
-        let c = pool.counters();
-        assert!(c.tasks >= c.scopes, "{c:?}");
+    fn a_huge_budget_uses_at_most_max_workers_threads() {
+        let seen = Mutex::new(HashSet::new());
+        let tasks: Vec<_> = (0..1_000)
+            .map(|_| {
+                || {
+                    seen.lock()
+                        .expect("no task panics holding the set")
+                        .insert(thread::current().id());
+                }
+            })
+            .collect();
+        run_scope(10_000, tasks);
+        let used = seen.into_inner().expect("no task panicked").len();
+        assert!(used > 1 && used <= MAX_WORKERS, "{used} threads");
     }
 }

@@ -34,10 +34,9 @@
 //! Every operator takes a [`Par`] (pass [`Par::serial`] to stay on the
 //! calling thread): large batches are partitioned into contiguous morsels
 //! — by position for sorts and scans, by key range (never splitting a
-//! group or join block) for merges and folds — and the morsels are
-//! submitted as tasks to the persistent work-stealing pool
-//! ([`crate::pool::run_scope`]; zero dependencies, no per-operator thread
-//! spawns). Results are **bit-identical at every thread count**: morsel
+//! group or join block) for merges and folds — and the morsels run as
+//! scoped tasks ([`crate::pool::run_scope`]). Results are
+//! **bit-identical at every thread count**: morsel
 //! outputs are concatenated in partition order, a group's
 //! fold never straddles a morsel, and the sorted order is a total order
 //! (ties broken by row index), so the parallel plan computes literally the
@@ -57,10 +56,10 @@ use std::sync::{Arc, Mutex};
 ///
 /// `threads == 1` (the default) is fully serial. Operators only engage
 /// threads for batches of at least [`MIN_PAR_ROWS`] rows, so small
-/// intermediates never pay task-queueing overhead.
+/// intermediates never pay thread start-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Par {
-    /// Maximum concurrent pool tasks an operator may use (≥ 1).
+    /// Maximum threads an operator may use (≥ 1).
     pub threads: usize,
 }
 
@@ -94,8 +93,8 @@ impl Default for Par {
 }
 
 /// Batches below this many rows run serially even when threads are
-/// available: queueing and waking pool workers costs microseconds, which
-/// only amortizes over reasonably large morsels.
+/// available: starting scoped threads costs microseconds, which only
+/// amortizes over reasonably large morsels.
 pub const MIN_PAR_ROWS: usize = 8192;
 
 /// Join inputs below this many rows keep their key order in the caller's
@@ -159,12 +158,9 @@ pub struct Rel {
 ///   the view's rows, so it reads and fills the orders every other copy of
 ///   that view shares. Nothing is kept for a key that is a column prefix —
 ///   the canonical order is that key's order.
-/// * **Built** on the first join on that key, under the lock (a concurrent
-///   join on the same key waits and then shares the result; concurrent
-///   joins of one relation must therefore not themselves wait on the pool
-///   — the evaluator's forks are serial, and an order of a base view,
-///   which other *evaluations* join concurrently, is always sorted
-///   serially).
+/// * **Built** on the first join on that key, under the lock and with the
+///   joining caller's [`Par`] (a concurrent join on the same key waits and
+///   then shares the result; the sort's tasks never take the lock).
 /// * **Invalidated** by every mutator of the key columns (`push_row`,
 ///   `canonicalize`, the next-only rows of a `min`) — which also ends the
 ///   delegation to a view — never copied by `clone` (a clone is made to be
@@ -412,26 +408,23 @@ impl Rel {
         if key.iter().copied().eq(0..key.len()) {
             return RowOrder::Canonical;
         }
-        let sort = |par: Par, keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
+        let sort = |keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
             let cols: Vec<&[Vid]> = key.iter().map(|&c| self.col(c)).collect();
             sort_rows(&cols, self.len(), false, par, keys, ties);
         };
         if self.len() < MIN_SHARED_ORDER_ROWS {
-            sort(par, keys, ties);
+            sort(keys, ties);
             return RowOrder::Scratch(keys);
         }
-        let build = |par: Par, keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
-            sort(par, keys, ties);
+        let build = |keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
+            sort(keys, ties);
             #[cfg(test)]
             order_log::record(self, key);
             keys.iter().map(|e| e.row).collect::<Arc<[u32]>>()
         };
         let chain = match &self.orders {
-            // Serial: the view's lock is held meanwhile, and other
-            // evaluations join this view (see `BaseView::key_order`).
             KeyOrders::Base(view) => {
-                let serial = || build(Par::serial(), keys, ties);
-                return RowOrder::Shared(view.key_order(key, serial));
+                return RowOrder::Shared(view.key_order(key, || build(keys, ties)));
             }
             KeyOrders::Own(chain) => chain,
         };
@@ -442,7 +435,7 @@ impl Rel {
         if let Some(rows) = found {
             return RowOrder::Shared(rows);
         }
-        let rows = build(par, keys, ties);
+        let rows = build(keys, ties);
         *head = Some(Box::new(KeyOrder {
             key: key.into(),
             rows: Arc::clone(&rows),

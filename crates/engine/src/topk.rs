@@ -296,8 +296,8 @@ impl<'a> TopkEval<'a> {
     }
 }
 
-/// Surviving row indices (`hi ≥ τ`), ascending; morsel-parallel over the
-/// process pool when the budget allows.
+/// Surviving row indices (`hi ≥ τ`), ascending; morsel-parallel when the
+/// budget allows.
 fn prune_mask(hi: &[f64], tau: f64, par: Par) -> Vec<u32> {
     let n = hi.len();
     let chunk = n.div_ceil(par.morsels(n)).max(1);

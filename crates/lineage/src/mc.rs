@@ -50,9 +50,9 @@ pub fn monte_carlo(dnf: &Dnf, probs: &[f64], samples: usize, seed: u64) -> f64 {
 /// answers are independent, so the work is embarrassingly parallel and the
 /// returned estimates are **bit-identical at every thread count**. With
 /// `threads <= 1` the loop stays on the calling thread; otherwise the
-/// answers are cut into contiguous chunks submitted to the process-wide
-/// work-stealing pool (`lapush_engine::pool`) and the chunk results are
-/// concatenated in answer order.
+/// answers are cut into contiguous chunks run as scoped tasks
+/// (`lapush_engine::pool`) and the chunk results are concatenated in
+/// answer order.
 pub fn monte_carlo_each(
     dnfs: &[&Dnf],
     probs: &[f64],

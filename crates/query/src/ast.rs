@@ -4,6 +4,10 @@ use crate::varset::{VarSet, MAX_VARS};
 use lapush_storage::Value;
 use std::fmt;
 
+/// Maximum number of atoms per query: plan enumeration and top-k address
+/// atoms as bits of a `u64` mask.
+pub const MAX_ATOMS: usize = 64;
+
 /// A query variable, identified by its ordinal in the owning [`Query`]'s
 /// variable table.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -119,6 +123,8 @@ pub enum QueryError {
     UnboundPredicateVar(String),
     /// More than [`MAX_VARS`] distinct variables.
     TooManyVars,
+    /// More than [`MAX_ATOMS`] atoms.
+    TooManyAtoms,
     /// The query has no atoms.
     NoAtoms,
 }
@@ -139,6 +145,7 @@ impl fmt::Display for QueryError {
             QueryError::TooManyVars => {
                 write!(f, "queries support at most {MAX_VARS} distinct variables")
             }
+            QueryError::TooManyAtoms => write!(f, "queries support at most {MAX_ATOMS} atoms"),
             QueryError::NoAtoms => write!(f, "query has no atoms"),
         }
     }
@@ -176,6 +183,9 @@ impl Query {
         }
         if var_names.len() > MAX_VARS {
             return Err(QueryError::TooManyVars);
+        }
+        if atoms.len() > MAX_ATOMS {
+            return Err(QueryError::TooManyAtoms);
         }
         let mut seen = std::collections::HashSet::new();
         for a in &atoms {
@@ -507,6 +517,23 @@ mod tests {
             QueryBuilder::new("q").build(),
             Err(QueryError::NoAtoms)
         ));
+    }
+
+    #[test]
+    fn more_atoms_than_mask_bits_rejected() {
+        // Atom masks are `u64`: a 65th atom would alias atom 0.
+        let names: Vec<String> = (0..=MAX_ATOMS).map(|i| format!("R{i}")).collect();
+        let build = |n: usize| {
+            names[..n]
+                .iter()
+                .fold(QueryBuilder::new("q").head(&["x"]), |b, r| {
+                    b.atom(r, &["x"])
+                })
+                .build()
+        };
+        let widest = build(MAX_ATOMS).unwrap();
+        assert_eq!(widest.atoms_with_var(Var(0)), u64::MAX);
+        assert_eq!(build(MAX_ATOMS + 1), Err(QueryError::TooManyAtoms));
     }
 
     #[test]

@@ -119,11 +119,8 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Start accepting connections on a background thread. Prewarms the
-    /// process-wide execution pool to the configured `threads` budget so
-    /// the first parallel query does not pay worker spawns.
+    /// Start accepting connections on a background thread.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
-        lapush_engine::pool::prewarm(self.shared.threads);
         let addr = self.local_addr()?;
         let shared = self.shared.clone();
         let accept = thread::spawn(move || {
@@ -458,15 +455,14 @@ fn render_stats(shared: &Shared) -> String {
         )
     };
     // Execution-pool counters are process-wide (shared with any other
-    // server or engine call in this process) and cumulative since process
-    // start. `scopes`/`tasks` are workload-determined; `inline`/`steals`
-    // depend on scheduling and are informational only.
+    // server or engine call in this process), cumulative since process
+    // start, and workload-determined.
     let pool = lapush_engine::pool::counters();
     // `base_views.*` count publications of the database's base views (one
     // per scanned relation and database state, whoever built it), so they
     // are request-determined like the cache counters.
     format!(
-        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\npool.scopes={}\npool.tasks={}\npool.inline={}\npool.steals={}\nbase_views.resident={}\nbase_views.built={}\nbase_views.extended={}",
+        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\npool.scopes={}\npool.tasks={}\nbase_views.resident={}\nbase_views.built={}\nbase_views.extended={}",
         shared.queries_served.load(Ordering::SeqCst),
         cache_lines("plan_cache", plan_stats, plan_len),
         cache_lines("answer_cache", ans_stats, ans_len),
@@ -477,8 +473,6 @@ fn render_stats(shared: &Shared) -> String {
         shared.topk_pruned.load(Ordering::SeqCst),
         pool.scopes,
         pool.tasks,
-        pool.inline,
-        pool.steals,
         views.resident,
         views.built,
         views.extended,

@@ -89,10 +89,9 @@ impl BaseView {
     /// and kept for the life of the view.
     ///
     /// `sort` runs **under the view's lock** (a concurrent caller for any
-    /// key waits, then shares the result) and must therefore finish on the
-    /// calling thread: a sort that waited on a shared thread pool could be
-    /// handed another caller of this very method to run meanwhile, and the
-    /// lock is not reentrant.
+    /// key waits, then shares the result). It may spread its work over
+    /// threads of its own, but nothing it runs may call this method again:
+    /// the lock is not reentrant.
     pub fn key_order(&self, key: &[usize], sort: impl FnOnce() -> Arc<[u32]>) -> Arc<[u32]> {
         // The list only ever gains complete entries: safe to adopt after a
         // panic in some `sort`.

@@ -22,8 +22,7 @@
 //!
 //! `--threads N` (default 1) turns on the engine's morsel parallelism:
 //! large joins/scans are partitioned by key range and the outer loops
-//! (minimal-plan roots, per-answer sampling) run as tasks on a
-//! persistent work-stealing pool shared by the whole process.
+//! (minimal-plan roots, per-answer sampling) run as parallel tasks.
 //! Answers are bit-identical at every thread count.
 //!
 //! The `bench` subcommand runs the whole experiment suite of the

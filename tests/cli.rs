@@ -110,6 +110,28 @@ fn errors_exit_one_with_the_message_on_stderr() {
     }
 }
 
+#[test]
+fn a_query_with_more_than_64_atoms_is_refused() {
+    // Atom masks are 64 bits wide: a 65th atom used to alias the first and
+    // drop out of every plan, printing a wrong score.
+    let files: Vec<(String, &str)> = (0..65)
+        .map(|i| {
+            (
+                format!("R{i}.csv"),
+                if i == 64 { "1,0.1\n" } else { "1,0.99\n" },
+            )
+        })
+        .collect();
+    let files: Vec<(&str, &str)> = files.iter().map(|(f, t)| (f.as_str(), *t)).collect();
+    let dir = data_dir("too_many_atoms", &files);
+    let atoms: Vec<String> = (0..65).map(|i| format!("R{i}(x)")).collect();
+    let query = format!("q(x) :- {}", atoms.join(", "));
+    assert_fails_with(
+        &lapush(&["--data", dir.to_str().unwrap(), "--query", &query]),
+        "query parse error: queries support at most 64 atoms",
+    );
+}
+
 /// A data directory that fails to load says which file is at fault.
 fn assert_load_fails_naming(dir: &std::path::Path, file: &str, message: &str) {
     assert_fails_with(

@@ -104,8 +104,6 @@ fn concurrent_clients_get_bit_identical_answers_and_cache_hits() {
     let pool_tasks = stat(&stats, "pool.tasks").expect("STATS reports pool.tasks");
     let pool_scopes = stat(&stats, "pool.scopes").expect("STATS reports pool.scopes");
     assert!(pool_scopes >= 1 && pool_tasks >= CLIENTS as u64);
-    let helped = stat(&stats, "pool.inline").unwrap() + stat(&stats, "pool.steals").unwrap();
-    assert!(helped <= pool_tasks, "helpers can only run submitted tasks");
     handle.shutdown();
 }
 
