@@ -7,6 +7,8 @@
 //! * Optimizations 1–3 never change the computed score.
 //! * Schema-aware enumeration (DR/FD) computes the same `ρ(q)` with fewer
 //!   plans when the schema knowledge is valid.
+//! * Sandwich bounds (extension): the best single derivation's product
+//!   lower-bounds the true probability, and is the same for every plan.
 
 use lapushdb::core::{minimal_plans, minimal_plans_opts, EnumOptions, SchemaInfo};
 use lapushdb::prelude::*;
@@ -252,4 +254,61 @@ fn sandwich_bounds_contain_exact_on_random_instances() {
             assert!(lo > 0.0, "derived answers have a positive witness");
         }
     }
+}
+
+/// Each minimal plan's lower bound — the best single derivation's `∏ p`,
+/// folded along that plan — one answer set per plan.
+fn per_plan_lower_bounds(db: &Database, q: &Query) -> Vec<AnswerSet> {
+    use lapushdb::engine::eval_plan_id;
+    let set = minimal_plan_set(&QueryShape::of_query(q));
+    let opts = ExecOptions {
+        semantics: Semantics::LowerBound,
+        ..ExecOptions::default()
+    };
+    (set.roots.iter())
+        .map(|&root| eval_plan_id(db, q, &set.store, root, opts).unwrap())
+        .collect()
+}
+
+#[test]
+fn max_product_is_plan_independent() {
+    // The lower bound is the best derivation's product: `max` distributes
+    // over `×` for non-negative factors and every minimal plan uses each
+    // atom once, so all plans agree up to float association.
+    use lapushdb::workload::{chain_db, chain_query, star_db, star_query};
+    let mut cases: Vec<(String, Database, Query)> = Vec::new();
+    for seed in 0..40u64 {
+        let q = random_query(seed + 900, 2 + (seed % 4) as usize, 4);
+        let db = random_db_for_query(&q, seed * 19 + 4, 6, 3, 1.0).unwrap();
+        cases.push((format!("random seed {seed}"), db, q));
+    }
+    for k in 2..=6 {
+        for seed in 0..3u64 {
+            let db = chain_db(k, 12, 5, 1.0, seed + 10 * k as u64).unwrap();
+            cases.push((format!("chain k={k} seed {seed}"), db, chain_query(k)));
+        }
+    }
+    for k in 1..=4 {
+        for seed in 0..3u64 {
+            let db = star_db(k, 12, 4, 1.0, seed + 10 * k as u64).unwrap();
+            cases.push((format!("star k={k} seed {seed}"), db, star_query(k)));
+        }
+    }
+    let mut pairs = 0usize;
+    for (name, db, q) in &cases {
+        let per_plan = per_plan_lower_bounds(db, q);
+        let (first, rest) = per_plan.split_first().unwrap();
+        for other in rest {
+            assert_eq!(other.len(), first.len(), "{name}: answer sets differ");
+            for (key, &a) in &first.rows {
+                let b = other.score_of(key);
+                assert!(
+                    (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
+                    "{name} key {key:?}: {a} vs {b}"
+                );
+                pairs += 1;
+            }
+        }
+    }
+    assert!(pairs > 1000, "too few multi-plan comparisons: {pairs}");
 }
