@@ -37,7 +37,7 @@
 //! * **Project** — with group columns that are a prefix of the child's
 //!   canonical order (the batch fast path), a touched group is a
 //!   contiguous run of the merged child view, and refolding just that run
-//!   with the same kernel (`fold_run_or` / `fold_run_max`) replays the
+//!   with the same kernel (`fold_run_or`) replays the
 //!   exact operand sequence of a full re-projection. Non-prefix
 //!   projections recompute the node from the updated child.
 //! * **Min** — `f64::min` over non-negative scores is an
@@ -65,8 +65,8 @@ use crate::exec::{
 };
 use crate::prepare::{prepare_atoms, ScanShape};
 use crate::rel::{
-    diff_changed, fold_run_max, fold_run_or, join_fold, join_order, join_par, merge_upsert,
-    min_into_par, JoinState, Par, Rel, Scratch,
+    diff_changed, fold_run_or, join_fold, join_order, join_par, merge_upsert, min_into_par,
+    JoinState, Par, Rel, Scratch,
 };
 use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, Var};
@@ -439,7 +439,6 @@ fn refold_groups(child: &Rel, old: &Rel, d: &Rel, g: usize, sem: Semantics) -> R
         let run = child.prefix_run(&key);
         let score = match sem {
             Semantics::Probabilistic => fold_run_or(child, run.start, run.end),
-            Semantics::LowerBound => fold_run_max(child, run.start, run.end),
             Semantics::Deterministic => 1.0,
         };
         let changed = old

@@ -30,7 +30,7 @@
 use crate::prepare::{prepare_atoms, PrepareError, PreparedAtom, ScanShape};
 use crate::rel::{
     canonicalize_columns, join_fold, merge_sorted, min_combine_par, min_into_par, project_det_par,
-    project_max_par, project_prob_par, JoinState, Par, Rel, Scratch,
+    project_prob_par, JoinState, Par, Rel, Scratch,
 };
 use lapush_core::{NodeKind, Plan, PlanId, PlanNode, PlanStore};
 use lapush_query::{Query, QueryShape, Var};
@@ -46,12 +46,6 @@ pub enum Semantics {
     /// true probability (Corollary 19).
     #[default]
     Probabilistic,
-    /// Lower-bound semantics (extension): joins multiply, projections take
-    /// the *maximum* over the group. Sound because the events of a monotone
-    /// lineage are positively associated: `P(⋁ᵢ eᵢ) ≥ maxᵢ P(eᵢ)` and, by
-    /// the FKG inequality, `P(e ∧ e′) ≥ P(e)·P(e′)`. Together with
-    /// [`Semantics::Probabilistic`] this sandwiches the true probability.
-    LowerBound,
     /// Standard set semantics (every score is 1): the "deterministic SQL"
     /// baseline of the experiments.
     Deterministic,
@@ -243,20 +237,6 @@ impl AnswerSet {
             .collect()
     }
 
-    /// Combine with another answer set by per-tuple maximum (used to pick
-    /// the best lower bound across plans).
-    pub fn max_with(&mut self, other: &AnswerSet) {
-        debug_assert_eq!(self.vars, other.vars);
-        for (k, &s) in &other.rows {
-            match self.rows.get_mut(k) {
-                Some(cur) => *cur = cur.max(s),
-                None => {
-                    self.rows.insert(k.clone(), s);
-                }
-            }
-        }
-    }
-
     /// Combine with another answer set by per-tuple minimum.
     pub fn min_with(&mut self, other: &AnswerSet) {
         debug_assert_eq!(self.vars, other.vars);
@@ -317,8 +297,9 @@ pub(crate) type ShRel = Arc<Rel>;
 /// The plan evaluator: one memoized fold over the [`PlanStore`] DAG, and
 /// the only code that maps a [`NodeKind`] to scan / join / project / min
 /// for a full evaluation. [`eval_plan_id`], [`propagation_score_ids`],
-/// [`crate::TopkEval`] and [`crate::IncrementalEval::new`] are drivers over
-/// it; what differs between them is data held here, not a second walk:
+/// [`propagation_bounds_ids`], [`crate::TopkEval`] and
+/// [`crate::IncrementalEval::new`] are drivers over it; what differs
+/// between them is data held here, not a second walk:
 ///
 /// * **memo discipline** — scan nodes are always memoized (a scan depends
 ///   only on the database, the atom, and the semantics, all fixed for the
@@ -559,7 +540,6 @@ pub(crate) fn project(
 ) -> Rel {
     match sem {
         Semantics::Probabilistic => project_prob_par(child, keep, par, scratch),
-        Semantics::LowerBound => project_max_par(child, keep, par, scratch),
         Semantics::Deterministic => project_det_par(child, keep, par, scratch),
     }
 }
@@ -646,7 +626,7 @@ pub(crate) fn scan_atom(
             *slot = row[c];
         }
         let score = match sem {
-            Semantics::Probabilistic | Semantics::LowerBound => rel.prob(i),
+            Semantics::Probabilistic => rel.prob(i),
             Semantics::Deterministic => 1.0,
         };
         out.push_row(&row_buf, score);
@@ -676,7 +656,7 @@ pub(crate) fn scan_view(
 ) -> Rel {
     let view = base_view(db, prep, par, scratch);
     let scores = match sem {
-        Semantics::Probabilistic | Semantics::LowerBound => view.probs().to_vec(),
+        Semantics::Probabilistic => view.probs().to_vec(),
         Semantics::Deterministic => vec![1.0; view.len()],
     };
     Rel::from_view(vars, view, scores)
@@ -786,20 +766,19 @@ pub fn propagation_score(
 /// plan in isolation (a memo hit returns the same relation the
 /// recomputation would), only the repeated work disappears.
 ///
-/// With `opts.threads > 1` the plan roots are evaluated in parallel: a
-/// serial pre-pass first evaluates every subplan reachable from two or
-/// more roots (exactly the nodes the shared memo would deduplicate), then
-/// the roots are chunked across pool tasks, each with a read-only view
-/// of the pre-computed memo. Per-root results are folded with
+/// The roots are evaluated cheapest-first ([`order_plans_by_cost`]): the
+/// accumulator starts from the smallest evaluation. The pointwise `min`
+/// over probability scores (no NaNs, no signed zeros) is exactly
+/// commutative and associative, so the reordering is invisible in the
+/// result — every score stays bit-identical to the enumeration-order fold.
+///
+/// With `opts.threads > 1` the roots after the first are evaluated in
+/// parallel: a serial pre-pass evaluates every subplan reachable from two
+/// or more of them (exactly the nodes the shared memo would deduplicate),
+/// then they are chunked across pool tasks, each with a read-only view of
+/// the pre-computed memo. Per-root results are folded with
 /// [`min_into_par`] in root order, so the answer is bit-identical to the
 /// serial evaluation.
-///
-/// Multi-plan sets are evaluated cheapest-first ([`order_plans_by_cost`]):
-/// the accumulator starts from the smallest evaluation, and the anytime
-/// top-k driver's threshold tightens fastest. The pointwise `min` over
-/// probability scores (no NaNs, no signed zeros) is exactly commutative
-/// and associative, so the reordering is invisible in the result — every
-/// score stays bit-identical to the enumeration-order fold.
 pub fn propagation_score_ids(
     db: &Database,
     q: &Query,
@@ -807,32 +786,108 @@ pub fn propagation_score_ids(
     roots: &[PlanId],
     opts: ExecOptions,
 ) -> Result<AnswerSet, ExecError> {
-    assert!(!roots.is_empty(), "no plans to evaluate");
-    let ordered: Vec<PlanId>;
-    let roots: &[PlanId] = if roots.len() > 1 {
-        ordered = order_plans_by_cost(db, q, store, roots);
-        &ordered
-    } else {
-        roots
+    let (rho, _) = min_over_roots(db, q, store, roots, opts, false)?;
+    Ok(decode_answers(&rho, q.head(), &db.codec()))
+}
+
+/// Sandwich bounds `(lower, upper)` per answer from one evaluation of the
+/// plan set (extension beyond the paper).
+///
+/// `upper` is [`propagation_score_ids`] over the same roots, bit for bit.
+/// `lower` is the probability of the answer's best single derivation —
+/// `∏ p` over one consistent choice of tuples — which lower-bounds the true
+/// probability: the lineage is monotone, so `P(⋁ᵢ eᵢ) ≥ maxᵢ P(eᵢ)`, and
+/// its tuples are independent. It is the `lo` column of [`Rel`], carried
+/// by the cheapest root alone: `max` distributes over `×` for non-negative
+/// factors and every minimal plan uses each atom once, so every root
+/// computes the same bound up to float association. Each answer reports
+/// `min(lo, upper)`, as the anytime top-k bounds do. A root with a `min`
+/// node has no single derivation to follow; its answers get the trivial
+/// lower bound 0.
+pub fn propagation_bounds_ids(
+    db: &Database,
+    q: &Query,
+    store: &PlanStore,
+    roots: &[PlanId],
+    opts: ExecOptions,
+) -> Result<(AnswerSet, AnswerSet), ExecError> {
+    let (rho, lo) = min_over_roots(db, q, store, roots, opts, true)?;
+    let lo = lo.unwrap_or_default();
+    // The roots of one query produce one key set, so the min folds in
+    // place and `rho`'s rows stay aligned with the first root's.
+    debug_assert!(lo.is_empty() || lo.len() == rho.len());
+    let answers = || AnswerSet {
+        vars: q.head().to_vec(),
+        rows: FxHashMap::with_capacity_and_hasher(rho.len(), Default::default()),
     };
+    let (mut lower, mut upper) = (answers(), answers());
+    let codec = db.codec();
+    for (i, (key, hi)) in decoded_rows(&rho, q.head(), &codec).enumerate() {
+        lower
+            .rows
+            .insert(key.clone(), lo.get(i).map_or(0.0, |lo| lo.min(hi)));
+        upper.rows.insert(key, hi);
+    }
+    Ok((lower, upper))
+}
+
+/// How every plan-set evaluation starts ([`min_over_roots`],
+/// [`crate::TopkEval::new`]): the roots cheapest first, one evaluator
+/// memoizing across all of them, and the first root evaluated — with the
+/// lower-bound column when `lower`. Seeding is on before anything enters
+/// the memo, so no memo hit hands that root an input without the column;
+/// it stops after the root, so the other roots do not pay for the column.
+pub(crate) fn start_plan_set<'a>(
+    db: &'a Database,
+    q: &'a Query,
+    store: &'a PlanStore,
+    roots: &[PlanId],
+    opts: ExecOptions,
+    lower: bool,
+) -> Result<(Evaluator<'a>, Vec<PlanId>, ShRel), ExecError> {
+    assert!(!roots.is_empty(), "no plans to evaluate");
+    let roots = order_plans_by_cost(db, q, store, roots);
     let mut ev = Evaluator::new(db, q, store, opts, true)?;
+    ev.seed_lower_bounds(lower);
+    let first = ev.eval(roots[0]);
+    if lower {
+        ev.seed_lower_bounds(false);
+    }
+    Ok((ev, roots, first))
+}
+
+/// The plan-set loop behind [`propagation_score_ids`] and
+/// [`propagation_bounds_ids`]: after [`start_plan_set`], the other roots
+/// through the same memo, folded with the pointwise min in cost order.
+/// With `lower`, the first root's lower-bound column is returned alongside.
+fn min_over_roots(
+    db: &Database,
+    q: &Query,
+    store: &PlanStore,
+    roots: &[PlanId],
+    opts: ExecOptions,
+    lower: bool,
+) -> Result<(ShRel, Option<Vec<f64>>), ExecError> {
+    let (mut ev, roots, first) = start_plan_set(db, q, store, roots, opts, lower)?;
+    let lo = first.lower_bounds().map(<[f64]>::to_vec);
+    let rest = &roots[1..];
     let threads = ev.par.threads;
-    let per_root: Vec<ShRel> = if threads == 1 || roots.len() == 1 {
-        roots.iter().map(|&root| ev.eval(root)).collect()
+    let per_root: Vec<ShRel> = if threads == 1 || rest.len() < 2 {
+        rest.iter().map(|&root| ev.eval(root)).collect()
     } else {
         // Serial pre-pass: evaluate every memo-shared subplan (reachable
         // from ≥ 2 roots) once, with the full intra-operator parallelism
         // budget.
-        for id in shared_subplans(store, roots) {
+        for id in shared_subplans(store, rest) {
             ev.eval(id);
         }
         // Parallel outer loop: contiguous root chunks become pool tasks,
         // each with its own evaluator seeded from the shared memo. Nodes
-        // outside the pre-pass are by construction reachable from exactly
-        // one root, so no work is repeated across tasks.
+        // outside the memo are by construction reachable from exactly one
+        // root, so no work is repeated across tasks.
         let shared = &ev;
-        let tasks: Vec<_> = roots
-            .chunks(roots.len().div_ceil(threads))
+        let tasks: Vec<_> = rest
+            .chunks(rest.len().div_ceil(threads))
             .map(|chunk| {
                 move || {
                     let mut local = shared.fork();
@@ -846,15 +901,13 @@ pub fn propagation_score_ids(
     // Fold in root order with the pointwise min. The memo keeps every
     // node's Arc alive, so the first result can never be unwrapped in
     // place; clone it only when a second plan actually needs a mutable
-    // accumulator (single-plan sets decode it directly).
-    let (first, rest) = per_root.split_first().expect("roots are non-empty");
+    // accumulator (single-plan sets return it as is).
     let mut acc: Option<Rel> = None;
-    for next in rest {
-        let acc = acc.get_or_insert_with(|| (**first).clone());
+    for next in &per_root {
+        let acc = acc.get_or_insert_with(|| (*first).clone());
         min_into_par(acc, next, ev.par, &mut ev.scratch);
     }
-    let result = acc.as_ref().unwrap_or(first);
-    Ok(decode_answers(result, q.head(), &db.codec()))
+    Ok((acc.map_or(first, Arc::new), lo))
 }
 
 /// Plan nodes reachable from two or more of `roots`, in ascending id
@@ -1174,26 +1227,25 @@ mod tests {
     }
 
     #[test]
-    fn lower_bound_semantics_sandwiches_exact() {
-        // Example 17: exact = 83/512 ≈ 0.162; the best single derivation
-        // has probability 0.5⁴ = 0.0625.
+    fn one_pass_bounds_sandwich_exact() {
+        // Example 17: exact = 83/512 ≈ 0.162, ρ = 169/1024 ≈ 0.165; the
+        // best single derivation has probability 0.5⁴ = 0.0625.
         let db = example17_db();
         let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        let low_opts = ExecOptions {
-            semantics: Semantics::LowerBound,
-            ..ExecOptions::default()
-        };
-        for p in &plans {
-            let lo = eval_plan(&db, &q, p, low_opts).unwrap().boolean_score();
-            let hi = eval_plan(&db, &q, p, ExecOptions::default())
-                .unwrap()
-                .boolean_score();
-            assert!(lo <= 83.0 / 512.0 + 1e-12, "lower {lo} exceeds exact");
-            assert!(hi >= 83.0 / 512.0 - 1e-12);
-            assert!((lo - 0.0625).abs() < 1e-12, "best derivation: {lo}");
-        }
+        let mut store = PlanStore::new();
+        let roots: Vec<PlanId> = minimal_plans(&QueryShape::of_query(&q))
+            .iter()
+            .map(|p| store.intern_plan(p))
+            .collect();
+        assert_eq!(roots.len(), 2);
+        let opts = ExecOptions::default();
+        let (lower, upper) = propagation_bounds_ids(&db, &q, &store, &roots, opts).unwrap();
+        let (lo, hi) = (lower.boolean_score(), upper.boolean_score());
+        assert_eq!(lo, 0.0625, "best derivation");
+        assert!(lo <= 83.0 / 512.0 && 83.0 / 512.0 <= hi);
+        let rho = propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
+        assert_eq!(hi.to_bits(), rho.boolean_score().to_bits());
+        assert!((hi - 169.0 / 1024.0).abs() < 1e-12);
     }
 
     #[test]

@@ -121,7 +121,8 @@ pub mod topk;
 pub use delta::{DeltaOutcome, IncrementalEval};
 pub use exec::{
     deterministic_answers, eval_plan, eval_plan_id, order_plans_by_cost, plan_cost_estimates,
-    propagation_score, propagation_score_ids, AnswerSet, ExecError, ExecOptions, Semantics,
+    propagation_bounds_ids, propagation_score, propagation_score_ids, AnswerSet, ExecError,
+    ExecOptions, Semantics,
 };
 pub use rel::{Par, Rel, Scratch};
 pub use semijoin::reduce_database;

@@ -19,7 +19,7 @@
 //!   reads the *view's* orders, sorted once per database state for every
 //!   query, top-k pass and cached answer that scans the relation,
 //! * **projections** are grouped scans over key-sorted runs — independent-OR
-//!   / max / dedup fold over each run of equal group keys, no hash upserts,
+//!   / dedup fold over each run of equal group keys, no hash upserts,
 //! * **`min`** is a pointwise merge of two sorted batches, in place on the
 //!   accumulator when the key sets coincide (they do for plans of one
 //!   query),
@@ -135,7 +135,8 @@ pub struct Rel {
     /// Score of each row.
     scores: Vec<f64>,
     /// Optional lower-bound score of each row — the `lo` of the anytime
-    /// top-k `[lo, hi]` interval ([`crate::topk`]): the probability of the
+    /// top-k `[lo, hi]` interval ([`crate::topk`]) and of the sandwich
+    /// bounds ([`crate::propagation_bounds_ids`]): the probability of the
     /// row's best single derivation. Seeded on scans by
     /// [`Rel::seed_lower_bounds`]; an operator whose inputs all carry the
     /// column folds it in the same pass as the scores (joins multiply,
@@ -1235,16 +1236,14 @@ fn pick_next(remaining: &[(usize, &Rel)], acc_vars: &[Var]) -> usize {
 enum ProjFold {
     /// Independent-OR: accumulate `∏(1 − pᵢ)`, emit `1 − ∏`.
     IndependentOr,
-    /// Maximum score in the group.
-    Max,
     /// Constant 1 (deterministic `SELECT DISTINCT`).
     One,
 }
 
 /// The grouped scan behind every projection. A lower-bound column on the
 /// input folds over the same group runs, in the same pass, with `max` —
-/// the best single derivation, exactly [`project_max_par`]'s fold — while
-/// the scores fold as `fold` says, bit-identical to an input without it.
+/// the group's best single derivation — while the scores fold as `fold`
+/// says, bit-identical to an input without it.
 fn project_fold(input: &Rel, keep: &[Var], fold: ProjFold, par: Par, scratch: &mut Scratch) -> Rel {
     input.assert_canonical();
     let aux = input.lower_bounds();
@@ -1277,7 +1276,6 @@ fn project_fold(input: &Rel, keep: &[Var], fold: ProjFold, par: Par, scratch: &m
                     // order, so the float product is reproducible.
                     kernels::fold_or(input.scores(), &keys[pos..end])
                 }
-                ProjFold::Max => kernels::fold_max(input.scores(), &keys[pos..end]),
                 ProjFold::One => 1.0,
             };
             if let Some(a) = aux {
@@ -1361,12 +1359,6 @@ fn project_fold(input: &Rel, keep: &[Var], fold: ProjFold, par: Par, scratch: &m
 /// (`1 − ∏(1 − pᵢ)`).
 pub fn project_prob_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
     project_fold(input, keep, ProjFold::IndependentOr, par, scratch)
-}
-
-/// Max-projection: group by `keep`, keep the maximum score per group.
-/// Used by the lower-bound semantics: `P(⋁ᵢ eᵢ) ≥ maxᵢ P(eᵢ)`.
-pub fn project_max_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
-    project_fold(input, keep, ProjFold::Max, par, scratch)
 }
 
 /// Deterministic projection: group by `keep`, score 1 for every surviving
@@ -1682,14 +1674,6 @@ pub(crate) fn fold_run_or(rel: &Rel, lo: usize, hi: usize) -> f64 {
         .fold(1.0, |not_any, p| not_any * (1.0 - p))
 }
 
-/// Max fold over the contiguous row range `lo..hi` (the
-/// [`project_max_par`] group fold, [`kernels::fold_max`]).
-pub(crate) fn fold_run_max(rel: &Rel, lo: usize, hi: usize) -> f64 {
-    rel.scores[lo..hi]
-        .iter()
-        .fold(f64::NEG_INFINITY, |best, &p| best.max(p))
-}
-
 /// Every key order built in this test process, as `(vars, rows, key
 /// columns)` of the relation it was built on — how the tests tell that an
 /// evaluation sorted each (relation, key) once. Tests run concurrently:
@@ -1881,23 +1865,17 @@ mod tests {
     }
 
     #[test]
-    fn project_max_keeps_best_per_group() {
-        let r = rel(
+    fn projected_lower_bounds_keep_the_best_per_group() {
+        let mut r = rel(
             &[0, 1],
             &[(&[1, 10], 0.5), (&[1, 11], 0.8), (&[2, 12], 0.3)],
         );
-        let p = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
-        assert_eq!(p.len(), 2);
-        assert!((score_at(&p, &[1]) - 0.8).abs() < 1e-12);
-        assert!((score_at(&p, &[2]) - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn project_max_lower_bounds_project_prob() {
-        let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[1, 11], 0.8)]);
-        let lo = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
-        let hi = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
-        assert!(score_at(&lo, &[1]) <= score_at(&hi, &[1]));
+        r.seed_lower_bounds();
+        let p = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
+        assert_eq!(p.lower_bounds(), Some(&[0.8, 0.3][..]));
+        // The best derivation never beats the independent-OR of them all.
+        let lo = p.lower_bounds().unwrap();
+        assert!(lo.iter().zip(p.scores()).all(|(lo, hi)| lo <= hi));
     }
 
     #[test]
@@ -1914,15 +1892,15 @@ mod tests {
         assert_eq!(r.lower_bounds(), Some(r.scores()));
 
         // Join multiplies both columns; projection folds the scores with
-        // independent-OR and the bounds with max — project_max_par's fold.
+        // independent-OR and the bounds with max: rows (1,10), (1,11),
+        // (2,10) score 0.5·0.5, 0.8·0.25 and 0.3·0.5, and x0 = 1 keeps the
+        // better of its two.
         let j = join_par(&r, &s, par, &mut scratch);
         let p = project_prob_par(&j, &[v(0)], par, &mut scratch);
         let plain_j = join_par(&plain_r, &plain_s, par, &mut scratch);
         assert_eq!(j.lower_bounds(), Some(plain_j.scores()));
-        assert_eq!(
-            p.lower_bounds(),
-            Some(project_max_par(&plain_j, &[v(0)], par, &mut scratch).scores())
-        );
+        assert_eq!(j.lower_bounds(), Some(&[0.25, 0.2, 0.15][..]));
+        assert_eq!(p.lower_bounds(), Some(&[0.25, 0.15][..]));
         let bits = |r: &Rel| r.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&j), bits(&plain_j));
         assert_eq!(
@@ -2120,24 +2098,16 @@ mod tests {
         let p = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         let refolded = fold_run_or(&r, run.start, run.end);
         assert_eq!(refolded.to_bits(), score_at(&p, &[2]).to_bits());
-        let pm = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
-        let refolded_max = fold_run_max(&r, 0, 2);
-        assert_eq!(refolded_max.to_bits(), score_at(&pm, &[1]).to_bits());
 
         // Long runs too: the range fold multiplies the same chain.
         let mut rng = Rng(7);
         let long = random_rel(&mut rng, &[0, 1], 400, &[3, 1000]);
         let p = project_prob_par(&long, &[v(0)], Par::serial(), &mut Scratch::default());
-        let pm = project_max_par(&long, &[v(0)], Par::serial(), &mut Scratch::default());
         for g in 0..p.len() {
             let run = long.prefix_run(&[p.get(g, 0)]);
             assert!(run.len() > 64);
-            let (or, max) = (
-                fold_run_or(&long, run.start, run.end),
-                fold_run_max(&long, run.start, run.end),
-            );
+            let or = fold_run_or(&long, run.start, run.end);
             assert_eq!(or.to_bits(), p.score(g).to_bits());
-            assert_eq!(max.to_bits(), pm.score(g).to_bits());
         }
     }
 

@@ -20,11 +20,11 @@
 //!
 //! - **upper** `hi = score_{P₁}`: the min over plans can only shrink, so
 //!   the first plan's extensional score bounds `ρ` from above;
-//! - **lower** `lo`: the same plan evaluated with `max`-fold projections —
-//!   the probability of the best single derivation. Independent-OR folds
+//! - **lower** `lo`: the same plan with its groups folded by `max` — the
+//!   probability of the best single derivation. Independent-OR folds
 //!   dominate `max` folds and joins multiply in both, so by induction
 //!   *every* plan's extensional score is at least `lo`, hence `ρ ≥ lo`
-//!   (this is the [`Semantics::LowerBound`] bound, computed for free).
+//!   (the lower bound of [`crate::propagation_bounds_ids`] too).
 //!
 //! `lo` is the optional lower-bound column of [`Rel`]: scans seed it and
 //! the operators fold it in the same pass as the scores, so the scores
@@ -72,7 +72,7 @@
 //! unchanged.
 
 use crate::exec::{
-    decode_answers, decoded_rows, order_plans_by_cost, Evaluator, ExecError, ExecOptions, Semantics,
+    decode_answers, decoded_rows, start_plan_set, Evaluator, ExecError, ExecOptions, Semantics,
 };
 use crate::rel::{min_into_impl, Par, Rel};
 use crate::semijoin::reduce_rows;
@@ -148,21 +148,12 @@ impl<'a> TopkEval<'a> {
         k: usize,
         opts: ExecOptions,
     ) -> Result<Self, ExecError> {
-        let plans = if roots.len() > 1 {
-            order_plans_by_cost(db, q, store, roots)
-        } else {
-            roots.to_vec()
-        };
-        let &first = plans.first().expect("no plans to evaluate");
-        let mut ev = Evaluator::new(db, q, store, opts, true)?;
         // Bounds only pay off when there is something to prune (several
         // plans, more than k groups) and the ranked score actually is a
         // min of per-plan upper bounds.
-        ev.seed_lower_bounds(
-            opts.semantics == Semantics::Probabilistic && plans.len() > 1 && k > 0,
-        );
-        let mut acc = (*ev.eval(first)).clone();
-        ev.seed_lower_bounds(false);
+        let bounds = opts.semantics == Semantics::Probabilistic && roots.len() > 1 && k > 0;
+        let (ev, plans, first) = start_plan_set(db, q, store, roots, opts, bounds)?;
+        let mut acc = (*first).clone();
         let mut this = TopkEval {
             stats: TopkStats {
                 plans: plans.len() as u64,
@@ -426,16 +417,14 @@ mod tests {
     }
 
     #[test]
-    fn non_probabilistic_semantics_degrade() {
+    fn deterministic_semantics_degrade() {
         let (db, q) = chain_db(30);
-        for semantics in [Semantics::LowerBound, Semantics::Deterministic] {
-            let opts = ExecOptions {
-                semantics,
-                ..ExecOptions::default()
-            };
-            let stats = assert_topk_matches(&db, &q, 5, opts);
-            assert_eq!(stats.pruned, 0, "{semantics:?} must not prune");
-        }
+        let opts = ExecOptions {
+            semantics: Semantics::Deterministic,
+            ..ExecOptions::default()
+        };
+        let stats = assert_topk_matches(&db, &q, 5, opts);
+        assert_eq!(stats.pruned, 0, "set semantics must not prune");
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Extension: guaranteed intervals around each answer.
     let (lower, upper) = bound_answers(&db, &q, 1)?;
-    println!("\nsandwich bounds (lower from max-projection plans):");
+    println!("\nsandwich bounds (lower = best single derivation):");
     for (key, hi) in upper.ranked() {
         println!(
             "  {:<12} [{:.6}, {:.6}]",

@@ -10,8 +10,12 @@
 //! ```
 //!
 //! Methods: `diss` (propagation score, default), `bounds` (sandwich
-//! [low, ρ] interval), `exact` (WMC oracle), `mc` (Monte Carlo, with
-//! `--samples`), `sql` (deterministic answers), `plans` (print plans only).
+//! `[low, ρ]` interval, both ends from one evaluation of the plan set;
+//! `low` is the best single derivation's probability), `exact` (WMC
+//! oracle), `mc` (Monte Carlo, with `--samples`), `sql` (deterministic
+//! answers), `plans` (print plans only). An unknown method, or a flag the
+//! method does not read (`--top-k` outside `diss`, `--samples` outside
+//! `mc`), is refused before anything is loaded.
 //!
 //! `--top-k N` (with `--method diss`) ranks only the `N` best answers
 //! through the engine's anytime top-k driver: after one bounds pass over
@@ -76,6 +80,25 @@ fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
+/// The positive integer after `--name`, if the flag is given at all.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(name: &str) -> Result<Option<T>, String> {
+    if !flag(name) {
+        return Ok(None);
+    }
+    (arg(name).and_then(|v| v.parse().ok()))
+        .filter(|n| *n >= T::from(1))
+        .map(Some)
+        .ok_or_else(|| format!("--{name} needs a positive integer"))
+}
+
+/// Refuse `--name` unless `--method owner` runs, instead of dropping it.
+fn only_for_method(name: &str, owner: &str, method: &str) -> Result<(), String> {
+    match flag(name) && method != owner {
+        true => Err(format!("--{name} only applies to --method {owner}")),
+        false => Ok(()),
+    }
+}
+
 fn main() {
     match std::env::args().nth(1).as_deref() {
         Some("bench") => std::process::exit(run_bench()),
@@ -114,27 +137,9 @@ fn run_serve() -> Result<(), Box<dyn std::error::Error>> {
         bind: arg("bind").unwrap_or_else(|| "127.0.0.1:7878".into()),
         ..ServerConfig::default()
     };
-    if let Some(t) = arg("threads") {
-        config.threads = t
-            .parse()
-            .ok()
-            .filter(|&t| t >= 1)
-            .ok_or("--threads needs a positive integer")?;
-    }
-    if let Some(n) = arg("plan-cache") {
-        config.plan_cache_cap = n
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--plan-cache needs a positive integer")?;
-    }
-    if let Some(n) = arg("answer-cache") {
-        config.answer_cache_cap = n
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--answer-cache needs a positive integer")?;
-    }
+    config.threads = positive("threads")?.unwrap_or(config.threads);
+    config.plan_cache_cap = positive("plan-cache")?.unwrap_or(config.plan_cache_cap);
+    config.answer_cache_cap = positive("answer-cache")?.unwrap_or(config.answer_cache_cap);
     let db = match arg("data") {
         Some(dir) => {
             let deterministic = flag("no-probs");
@@ -165,14 +170,7 @@ fn run_serve() -> Result<(), Box<dyn std::error::Error>> {
 /// non-zero.
 fn run_client() -> Result<(), Box<dyn std::error::Error>> {
     let addr = arg("addr").ok_or("missing --addr HOST:PORT")?;
-    let retries: u32 = match arg("retry") {
-        Some(r) => r
-            .parse()
-            .ok()
-            .filter(|&r| r >= 1)
-            .ok_or("--retry needs a positive integer")?,
-        None => 1,
-    };
+    let retries = positive("retry")?.unwrap_or(1);
     let mut client = Client::connect_retry(
         addr.as_str(),
         retries,
@@ -199,23 +197,9 @@ fn run_client() -> Result<(), Box<dyn std::error::Error>> {
 fn run_ingest_cmd() -> Result<(), Box<dyn std::error::Error>> {
     let addr = arg("addr").ok_or("missing --addr HOST:PORT")?;
     let relation = arg("relation").ok_or("missing --relation NAME")?;
-    let batch: usize = match arg("batch") {
-        Some(b) => b
-            .parse()
-            .ok()
-            .filter(|&b| b >= 1)
-            .ok_or("--batch needs a positive integer")?,
-        None => 100,
-    };
+    let batch = positive("batch")?.unwrap_or(100);
     let stream_mode = flag("stream");
-    let retries: u32 = match arg("retry") {
-        Some(r) => r
-            .parse()
-            .ok()
-            .filter(|&r| r >= 1)
-            .ok_or("--retry needs a positive integer")?,
-        None => 1,
-    };
+    let retries = positive("retry")?.unwrap_or(1);
     let mut client = Client::connect_retry(
         addr.as_str(),
         retries,
@@ -315,52 +299,42 @@ fn run_bench() -> i32 {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
+    // Every flag is checked before anything is loaded or printed.
+    let method = arg("method").unwrap_or_else(|| "diss".into());
+    only_for_method("top-k", "diss", &method)?;
+    only_for_method("samples", "mc", &method)?;
+    let top_k = positive("top-k")?;
+    let samples = positive("samples")?.unwrap_or(1000);
+    let threads = positive("threads")?.unwrap_or(1);
     let query_text = arg("query").ok_or("missing --query '<datalog query>'")?;
     let q = parse_query(&query_text)?;
-    let method = arg("method").unwrap_or_else(|| "diss".into());
-    let threads: usize = match arg("threads") {
-        Some(t) => t
-            .parse()
-            .ok()
-            .filter(|&t| t >= 1)
-            .ok_or("--threads needs a positive integer")?,
-        None => 1,
+    let load = || -> Result<Database, Box<dyn std::error::Error>> {
+        let data = arg("data").ok_or("missing --data <dir of CSV relations>")?;
+        let deterministic = flag("no-probs");
+        let opts = CsvOptions {
+            prob_column: !deterministic,
+            deterministic,
+        };
+        let db = database_from_dir(std::path::Path::new(&data), opts)?;
+        eprintln!(
+            "loaded {} relations, {} tuples",
+            db.relation_count(),
+            db.tuple_count()
+        );
+        Ok(db)
     };
-
-    if method == "plans" {
-        let shape = QueryShape::of_query(&q);
-        let plans = minimal_plans(&shape);
-        println!("{} minimal plan(s):", plans.len());
-        for p in &plans {
-            println!("  {}", p.render(&q));
-        }
-        return Ok(());
-    }
-
-    let data = arg("data").ok_or("missing --data <dir of CSV relations>")?;
-    let deterministic = flag("no-probs");
-    let opts = CsvOptions {
-        prob_column: !deterministic,
-        deterministic,
-    };
-    let db = database_from_dir(std::path::Path::new(&data), opts)?;
-    eprintln!(
-        "loaded {} relations, {} tuples",
-        db.relation_count(),
-        db.tuple_count()
-    );
 
     match method.as_str() {
+        "plans" => {
+            let shape = QueryShape::of_query(&q);
+            let plans = minimal_plans(&shape);
+            println!("{} minimal plan(s):", plans.len());
+            for p in &plans {
+                println!("  {}", p.render(&q));
+            }
+        }
         "diss" => {
-            let top_k: Option<usize> = match arg("top-k") {
-                Some(k) => Some(
-                    k.parse()
-                        .ok()
-                        .filter(|&k| k >= 1)
-                        .ok_or("--top-k needs a positive integer")?,
-                ),
-                None => None,
-            };
+            let db = load()?;
             let opts = RankOptions {
                 threads,
                 top_k,
@@ -377,27 +351,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             print_answers(&ans, None);
         }
         "bounds" => {
-            let (lower, upper) = bound_answers(&db, &q, threads)?;
+            let (lower, upper) = bound_answers(&load()?, &q, threads)?;
             print_answers(&upper, Some(&lower));
         }
-        "exact" => {
-            let ans = exact_answers(&db, &q)?;
-            print_answers(&ans, None);
-        }
-        "mc" => {
-            let samples: usize = match arg("samples") {
-                Some(s) => s
-                    .parse()
-                    .ok()
-                    .filter(|&s| s >= 1)
-                    .ok_or("--samples needs a positive integer")?,
-                None => 1000,
-            };
-            let ans = mc_answers(&db, &q, samples, 42, threads)?;
-            print_answers(&ans, None);
-        }
+        "exact" => print_answers(&exact_answers(&load()?, &q)?, None),
+        "mc" => print_answers(&mc_answers(&load()?, &q, samples, 42, threads)?, None),
         "sql" => {
-            let ans = lapushdb::engine::deterministic_answers(&db, &q, threads)?;
+            let ans = lapushdb::engine::deterministic_answers(&load()?, &q, threads)?;
             for (key, _) in ans.ranked() {
                 println!("{}", render_key(&key));
             }

@@ -5,8 +5,8 @@ use lapush_core::{
     minimal_plan_set_opts, single_plan_id, EnumOptions, PlanSet, PlanStore, SchemaInfo,
 };
 use lapush_engine::{
-    eval_plan_id, propagation_score_ids, propagation_score_topk, reduce_database, AnswerSet,
-    ExecError, ExecOptions, Semantics, TopkEval, TopkResult, TopkStats,
+    eval_plan_id, propagation_bounds_ids, propagation_score_ids, propagation_score_topk,
+    reduce_database, AnswerSet, ExecError, ExecOptions, Semantics, TopkEval, TopkResult, TopkStats,
 };
 use lapush_lineage::{build_lineage, monte_carlo_each, ExactComputer, ExactStats, LineageError};
 use lapush_query::Query;
@@ -276,12 +276,11 @@ impl Iterator for AnytimeRank<'_> {
 /// Sandwich bounds (extension beyond the paper): for every answer, a
 /// guaranteed interval `[low, high]` around its true probability.
 ///
-/// `high` is the propagation score `ρ(q)` (Definition 14). `low` evaluates
-/// every minimal plan under [`Semantics::LowerBound`] (max-projections:
-/// each answer's score is the probability of one consistent derivation,
-/// hence a lower bound on the monotone lineage) and keeps the best bound
-/// per answer. `threads` is the morsel-parallelism budget (bit-identical
-/// bounds at every thread count).
+/// `high` is the propagation score `ρ(q)` (Definition 14); `low` is the
+/// probability of the answer's best single derivation, a lower bound on
+/// the monotone lineage. Both come from one evaluation of the minimal plan
+/// set ([`propagation_bounds_ids`]). `threads` is the morsel-parallelism
+/// budget (bit-identical bounds at every thread count).
 pub fn bound_answers(
     db: &Database,
     q: &Query,
@@ -289,31 +288,11 @@ pub fn bound_answers(
 ) -> Result<(AnswerSet, AnswerSet), DriverError> {
     let schema = SchemaInfo::from_query(q);
     let set = minimal_plan_set_opts(q, &schema, EnumOptions::default());
-    let upper = propagation_score_ids(
-        db,
-        q,
-        &set.store,
-        &set.roots,
-        ExecOptions {
-            threads,
-            ..ExecOptions::default()
-        },
-    )?;
-    let low_opts = ExecOptions {
-        semantics: Semantics::LowerBound,
-        reuse_views: false,
+    let opts = ExecOptions {
         threads,
+        ..ExecOptions::default()
     };
-    let mut lower: Option<AnswerSet> = None;
-    for &root in &set.roots {
-        let next = eval_plan_id(db, q, &set.store, root, low_opts)?;
-        match &mut lower {
-            None => lower = Some(next),
-            Some(acc) => acc.max_with(&next),
-        }
-    }
-    let lower = lower.expect("at least one plan");
-    Ok((lower, upper))
+    Ok(propagation_bounds_ids(db, q, &set.store, &set.roots, opts)?)
 }
 
 /// Exact answer probabilities via lineage + weighted model counting

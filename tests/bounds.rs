@@ -235,8 +235,8 @@ fn semijoin_reduction_is_transparent() {
 
 #[test]
 fn sandwich_bounds_contain_exact_on_random_instances() {
-    // Extension: lower-bound semantics (max-projection) + ρ(q) sandwich the
-    // true probability per answer.
+    // Extension: the best single derivation's product and ρ(q) sandwich
+    // the true probability per answer.
     use lapushdb::bound_answers;
     for seed in 0..25u64 {
         let q = random_query(seed + 700, 2 + (seed % 3) as usize, 4);
@@ -256,25 +256,12 @@ fn sandwich_bounds_contain_exact_on_random_instances() {
     }
 }
 
-/// Each minimal plan's lower bound — the best single derivation's `∏ p`,
-/// folded along that plan — one answer set per plan.
-fn per_plan_lower_bounds(db: &Database, q: &Query) -> Vec<AnswerSet> {
-    use lapushdb::engine::eval_plan_id;
-    let set = minimal_plan_set(&QueryShape::of_query(q));
-    let opts = ExecOptions {
-        semantics: Semantics::LowerBound,
-        ..ExecOptions::default()
-    };
-    (set.roots.iter())
-        .map(|&root| eval_plan_id(db, q, &set.store, root, opts).unwrap())
-        .collect()
-}
-
 #[test]
 fn max_product_is_plan_independent() {
     // The lower bound is the best derivation's product: `max` distributes
     // over `×` for non-negative factors and every minimal plan uses each
     // atom once, so all plans agree up to float association.
+    use lapushdb::engine::propagation_bounds_ids;
     use lapushdb::workload::{chain_db, chain_query, star_db, star_query};
     let mut cases: Vec<(String, Database, Query)> = Vec::new();
     for seed in 0..40u64 {
@@ -296,7 +283,13 @@ fn max_product_is_plan_independent() {
     }
     let mut pairs = 0usize;
     for (name, db, q) in &cases {
-        let per_plan = per_plan_lower_bounds(db, q);
+        // One root per call: each plan's own lower bound.
+        let set = minimal_plan_set(&QueryShape::of_query(q));
+        let opts = ExecOptions::default();
+        let per_plan: Vec<AnswerSet> = (set.roots.iter())
+            .map(|&root| propagation_bounds_ids(db, q, &set.store, &[root], opts))
+            .map(|bounds| bounds.unwrap().0)
+            .collect();
         let (first, rest) = per_plan.split_first().unwrap();
         for other in rest {
             assert_eq!(other.len(), first.len(), "{name}: answer sets differ");

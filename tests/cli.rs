@@ -111,6 +111,48 @@ fn errors_exit_one_with_the_message_on_stderr() {
 }
 
 #[test]
+fn unknown_methods_and_foreign_flags_are_refused_before_loading() {
+    // The data directory does not exist, so each refusal below must come
+    // before the load that would fail on it.
+    let missing = data_dir("refused", &[]).join("missing");
+    let missing = missing.to_str().unwrap();
+    let run = |extra: &[&str]| lapush(&[&["--data", missing, "--query", QUERY], extra].concat());
+    assert_fails_with(&run(&["--method", "bogus"]), "unknown --method `bogus`");
+    assert_fails_with(
+        &run(&["--top-k", "abc"]),
+        "--top-k needs a positive integer",
+    );
+    for method in ["exact", "bounds", "mc", "sql", "plans"] {
+        assert_fails_with(
+            &run(&["--method", method, "--top-k", "1"]),
+            "--top-k only applies to --method diss",
+        );
+    }
+    for method in ["diss", "exact", "bounds", "sql", "plans"] {
+        assert_fails_with(
+            &run(&["--method", method, "--samples", "10"]),
+            "--samples only applies to --method mc",
+        );
+    }
+}
+
+#[test]
+fn bounds_prints_an_interval_per_answer() {
+    let dir = data_dir(
+        "bounds",
+        &[
+            ("R.csv", "1,2,0.5\n1,3,0.5\n2,3,0.8\n"),
+            ("T.csv", "2,0.9\n3,0.4\n"),
+        ],
+    );
+    let args = ["--data", dir.to_str().unwrap(), "--query", QUERY];
+    let out = stdout(&lapush(&[&args[..], &["--method", "bounds"]].concat()));
+    // Answer 1 has two derivations; the best is 0.5·0.9, and the query is
+    // safe, so the upper end is exact: 1 − (1 − 0.45)(1 − 0.5·0.4).
+    assert_eq!(out, "1\t[0.450000, 0.560000]\n2\t[0.320000, 0.320000]\n");
+}
+
+#[test]
 fn a_query_with_more_than_64_atoms_is_refused() {
     // Atom masks are 64 bits wide: a 65th atom used to alias the first and
     // drop out of every plan, printing a wrong score.

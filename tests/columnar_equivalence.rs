@@ -81,7 +81,7 @@ mod reference {
         prep.for_each_surviving_row(rel, &shape, |i, row| {
             let key = RowKey::from_fn(shape.out_cols.len(), |j| row[shape.out_cols[j]]);
             let score = match sem {
-                Semantics::Probabilistic | Semantics::LowerBound => rel.prob(i),
+                Semantics::Probabilistic => rel.prob(i),
                 Semantics::Deterministic => 1.0,
             };
             out.insert_max(key, score);
@@ -164,11 +164,6 @@ mod reference {
                 }
                 for na in out.rows.values_mut() {
                     *na = 1.0 - *na;
-                }
-            }
-            Semantics::LowerBound => {
-                for (key, &score) in &input.rows {
-                    out.insert_max(group_key(key, &cols), score);
                 }
             }
             Semantics::Deterministic => {
@@ -346,11 +341,7 @@ fn check_all_paths(db: &Database, q: &Query) -> Result<(), TestCaseError> {
     // Every semantics, every minimal plan, serial and threaded (threaded
     // results must be bit-identical to serial, which in turn matches the
     // hash-map reference within tolerance).
-    for sem in [
-        Semantics::Probabilistic,
-        Semantics::LowerBound,
-        Semantics::Deterministic,
-    ] {
+    for sem in [Semantics::Probabilistic, Semantics::Deterministic] {
         for (i, p) in plans.iter().enumerate() {
             let opts = ExecOptions {
                 semantics: sem,

@@ -145,11 +145,7 @@ fn check_stream(
 ) -> Result<usize, TestCaseError> {
     let mut updated = 0;
     for shape in plan_shapes(q) {
-        for sem in [
-            Semantics::Probabilistic,
-            Semantics::LowerBound,
-            Semantics::Deterministic,
-        ] {
+        for sem in [Semantics::Probabilistic, Semantics::Deterministic] {
             for threads in [1usize, 4] {
                 let opts = ExecOptions {
                     semantics: sem,

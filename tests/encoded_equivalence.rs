@@ -7,7 +7,7 @@
 //! evaluated both by the production (encoded) engine and by a retained
 //! **value-based reference evaluator** — a faithful copy of the
 //! pre-refactor executor operating on `Box<[Value]>` rows — and the answer
-//! sets must agree across all three [`Semantics`] and all [`OptLevel`]s.
+//! sets must agree across both [`Semantics`] and all [`OptLevel`]s.
 //!
 //! Scores are compared to within `1e-12` rather than bitwise: hash-map
 //! iteration order differs between the two key representations, which
@@ -105,7 +105,7 @@ mod reference {
             }
             let key: Box<[Value]> = out_cols.iter().map(|&c| row[c].clone()).collect();
             let score = match sem {
-                Semantics::Probabilistic | Semantics::LowerBound => prob,
+                Semantics::Probabilistic => prob,
                 Semantics::Deterministic => 1.0,
             };
             out.insert_max(key, score);
@@ -186,12 +186,6 @@ mod reference {
                 }
                 for (group, na) in not_any {
                     out.rows.insert(group, 1.0 - na);
-                }
-            }
-            Semantics::LowerBound => {
-                for (key, &score) in &input.rows {
-                    let group: Box<[Value]> = cols.iter().map(|&c| key[c].clone()).collect();
-                    out.insert_max(group, score);
                 }
             }
             Semantics::Deterministic => {
@@ -352,11 +346,7 @@ fn check_all_paths(db: &Database, q: &Query) -> Result<(), TestCaseError> {
         assert_equiv(&rank(opt), &want_single, &format!("{opt:?}"))?;
     }
 
-    for sem in [
-        Semantics::Probabilistic,
-        Semantics::LowerBound,
-        Semantics::Deterministic,
-    ] {
+    for sem in [Semantics::Probabilistic, Semantics::Deterministic] {
         for (i, p) in plans.iter().enumerate() {
             let opts = ExecOptions {
                 semantics: sem,

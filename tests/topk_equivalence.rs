@@ -5,8 +5,8 @@
 //! the first `k` entries of the exhaustive ranking — same keys, same
 //! rank order, same float *bits* — across
 //!
-//! * every [`Semantics`] at the engine layer (pruning only engages for
-//!   `Probabilistic` multi-plan evaluation; the others must degrade to
+//! * both [`Semantics`] at the engine layer (pruning only engages for
+//!   `Probabilistic` multi-plan evaluation; set semantics must degrade to
 //!   exhaustive ranking without drift),
 //! * every [`OptLevel`] at the driver layer (`MultiPlan` routes through
 //!   the engine's anytime driver, single-plan levels truncate through
@@ -23,7 +23,8 @@ use lapushdb::core::PlanSet;
 use lapushdb::core::{minimal_plan_set_opts, EnumOptions, SchemaInfo};
 use lapushdb::engine::topk::LO_SLACK;
 use lapushdb::engine::{
-    propagation_score_ids, propagation_score_topk, AnswerSet, ExecOptions, Semantics, TopkEval,
+    propagation_bounds_ids, propagation_score_ids, propagation_score_topk, AnswerSet, ExecOptions,
+    Semantics, TopkEval,
 };
 use lapushdb::prelude::*;
 use lapushdb::workload::{
@@ -118,11 +119,7 @@ fn check_anytime_bounds(
 fn check_engine(db: &Database, q: &Query, ks: &[usize]) -> Result<(), TestCaseError> {
     let schema = SchemaInfo::from_query(q);
     let set = minimal_plan_set_opts(q, &schema, EnumOptions::default());
-    for sem in [
-        Semantics::Probabilistic,
-        Semantics::LowerBound,
-        Semantics::Deterministic,
-    ] {
+    for sem in [Semantics::Probabilistic, Semantics::Deterministic] {
         for threads in [1usize, 4] {
             let opts = ExecOptions {
                 semantics: sem,
@@ -131,6 +128,16 @@ fn check_engine(db: &Database, q: &Query, ks: &[usize]) -> Result<(), TestCaseEr
             };
             let full =
                 propagation_score_ids(db, q, &set.store, &set.roots, opts).expect("exhaustive");
+            // The one-pass sandwich: its upper bounds are the exhaustive
+            // scores to the bit, and every lower bound sits at or below.
+            let (lower, upper) =
+                propagation_bounds_ids(db, q, &set.store, &set.roots, opts).expect("bounds");
+            let what = format!("{sem:?} t{threads} bounds");
+            assert_prefix_bitwise(&upper.ranked(), &full.ranked(), &what)?;
+            prop_assert_eq!(lower.len(), full.len(), "{}: lower answers", what);
+            for (key, &lo) in &lower.rows {
+                prop_assert!(lo <= full.score_of(key), "{}: {:?} lo {}", what, key, lo);
+            }
             for &k in ks {
                 let res =
                     propagation_score_topk(db, q, &set.store, &set.roots, k, opts).expect("topk");
