@@ -60,13 +60,13 @@
 //! [`prob_epoch`]: lapush_storage::Relation::prob_epoch
 
 use crate::exec::{
-    decode_answers, decoded_rows, project, scan_atom, scan_view, AnswerSet, Evaluator, ExecError,
+    decode_answers, decoded_rows, scan_atom, scan_view, AnswerSet, Evaluator, ExecError,
     ExecOptions, ScanRows, Semantics, ShRel,
 };
 use crate::prepare::{prepare_atoms, ScanShape};
 use crate::rel::{
     diff_changed, fold_run_or, join_fold, join_order, join_par, merge_upsert, min_into_par,
-    JoinState, Par, Rel, Scratch,
+    project_fold, JoinState, Par, Rel, Scratch,
 };
 use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, Var};
@@ -191,6 +191,12 @@ impl IncrementalEval {
         views.chain(mids).map(Rel::cached_orders).sum()
     }
 
+    /// Whether the capture kept join node `id`'s view and fold state.
+    #[cfg(test)]
+    pub(crate) fn captured_join(&self, id: PlanId) -> bool {
+        self.views.contains_key(&id) && self.joins.contains_key(&id)
+    }
+
     /// The maintained answer set — after [`IncrementalEval::apply_deltas`],
     /// bit-identical to a fresh evaluation over the grown database.
     pub fn answers(&self) -> &AnswerSet {
@@ -291,7 +297,8 @@ impl IncrementalEval {
                         }
                         (merge_upsert(old, &nd), nd)
                     } else {
-                        let new = project(child, &keep, opts.semantics, par, &mut scratch);
+                        let fold = opts.semantics.into();
+                        let new = project_fold(child, &keep, fold, par, &mut scratch);
                         let nd = diff_changed(&new, old);
                         if nd.is_empty() {
                             continue;

@@ -21,7 +21,8 @@
 //! sorts once for all of them.
 //!
 //! Evaluation is optionally parallel ([`ExecOptions::threads`]): operators
-//! partition large batches into key-range morsels run as pool tasks, and
+//! partition large batches into key-range morsels run as pool tasks (a
+//! projection fused with the join below it runs serially), and
 //! [`propagation_score_ids`] additionally parallelizes its embarrassingly
 //! parallel outer loop — the minimal-plan roots — after a serial pre-pass
 //! has evaluated every memo-shared subplan once. Results are bit-identical
@@ -29,8 +30,8 @@
 
 use crate::prepare::{prepare_atoms, PrepareError, PreparedAtom, ScanShape};
 use crate::rel::{
-    canonicalize_columns, join_fold, merge_sorted, min_combine_par, min_into_par, project_det_par,
-    project_prob_par, JoinState, Par, Rel, Scratch,
+    canonicalize_columns, join_fold, join_fold_project, merge_sorted, min_combine_par,
+    min_into_par, project_fold, JoinState, Par, ProjFold, Rel, Scratch,
 };
 use lapush_core::{NodeKind, Plan, PlanId, PlanNode, PlanStore};
 use lapush_query::{Query, QueryShape, Var};
@@ -316,6 +317,10 @@ pub(crate) type ShRel = Arc<Rel>;
 ///   full results.
 /// * **capture** ([`Evaluator::capture_joins`]) — keeps each join's fold
 ///   order and intermediate accumulators for the incremental evaluator.
+///
+/// A projection directly over a join computes both in one operator
+/// ([`join_fold_project`]), so the join's result never exists — except in
+/// a restricted visit, and under capture, which keeps every join's view.
 pub(crate) struct Evaluator<'a> {
     pub(crate) db: &'a Database,
     pub(crate) q: &'a Query,
@@ -334,6 +339,8 @@ pub(crate) struct Evaluator<'a> {
     /// Restricted visits answered by a full evaluation instead (see
     /// [`Evaluator::reassociates`]).
     pub(crate) fallback_nodes: u64,
+    /// Projections evaluated fused with the join below them.
+    pub(crate) fused_steps: u64,
     pub(crate) joins: Option<FxHashMap<PlanId, JoinState>>,
 }
 
@@ -362,6 +369,7 @@ impl<'a> Evaluator<'a> {
             filtered_mask: 0,
             restricted: FxHashMap::default(),
             fallback_nodes: 0,
+            fused_steps: 0,
             joins: None,
         })
     }
@@ -486,10 +494,24 @@ impl<'a> Evaluator<'a> {
                 rel
             }
             NodeKind::Project { input } => {
-                let child = self.node(*input, restricted);
                 let keep: Vec<Var> = node.head.iter().collect();
-                let sem = self.opts.semantics;
-                project(&child, &keep, sem, self.par, &mut self.scratch)
+                let fold = ProjFold::from(self.opts.semantics);
+                match &store.node(*input).kind {
+                    // Nothing else reads the join's result: its last
+                    // pairwise step fuses into this projection. A
+                    // survivor-restricted visit, and a capture (whose
+                    // join states hold the join's view), keep the pair.
+                    NodeKind::Join { inputs } if !restricted && self.joins.is_none() => {
+                        let children = self.nodes(inputs, false);
+                        let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
+                        self.fused_steps += 1;
+                        join_fold_project(&refs, &keep, fold, self.par, &mut self.scratch)
+                    }
+                    _ => {
+                        let child = self.node(*input, restricted);
+                        project_fold(&child, &keep, fold, self.par, &mut self.scratch)
+                    }
+                }
             }
             NodeKind::Join { inputs } => {
                 let children = self.nodes(inputs, restricted);
@@ -529,18 +551,14 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// The projection `sem` folds groups with — the one place score semantics
-/// choose an operator.
-pub(crate) fn project(
-    child: &Rel,
-    keep: &[Var],
-    sem: Semantics,
-    par: Par,
-    scratch: &mut Scratch,
-) -> Rel {
-    match sem {
-        Semantics::Probabilistic => project_prob_par(child, keep, par, scratch),
-        Semantics::Deterministic => project_det_par(child, keep, par, scratch),
+/// How `sem` folds projection groups — the one place score semantics choose
+/// an operator.
+impl From<Semantics> for ProjFold {
+    fn from(sem: Semantics) -> Self {
+        match sem {
+            Semantics::Probabilistic => ProjFold::IndependentOr,
+            Semantics::Deterministic => ProjFold::One,
+        }
     }
 }
 
@@ -1223,6 +1241,56 @@ mod tests {
         assert_eq!(answers[0].len(), answers[1].len());
         for (key, &score) in &answers[0].rows {
             assert_eq!(answers[1].score_of(key).to_bits(), score.to_bits());
+        }
+    }
+
+    #[test]
+    fn plan_set_fuses_every_projected_join() {
+        // The 7-chain's 132 minimal plans share 294 joins, each under one
+        // projection: a plan-set evaluation fuses every one of them, so no
+        // join result is ever made, let alone memoized. A capture keeps
+        // them all, since the incremental evaluator needs their views.
+        let k = 7;
+        let atoms: Vec<String> = (1..=k).map(|i| format!("R{i}(x{}, x{i})", i - 1)).collect();
+        let q = parse_query(&format!("q(x0, x{k}) :- {}", atoms.join(", "))).unwrap();
+        let mut db = Database::new();
+        for i in 1..=k {
+            let rel = db.create_relation(format!("R{i}"), 2).unwrap();
+            for j in 0..40i64 {
+                let p = ((j * 37 + i as i64) % 99 + 1) as f64 / 100.0;
+                db.relation_mut(rel)
+                    .push(tuple([j % 9, (j * 7) % 11]), p)
+                    .unwrap();
+            }
+        }
+        let mut store = PlanStore::new();
+        let roots: Vec<PlanId> = minimal_plans(&QueryShape::of_query(&q))
+            .iter()
+            .map(|p| store.intern_plan(p))
+            .collect();
+        assert_eq!(roots.len(), 132);
+        let is_join = |id: &PlanId| matches!(store.node(*id).kind, NodeKind::Join { .. });
+        let joins: Vec<PlanId> = store
+            .reachable(&roots)
+            .into_iter()
+            .filter(is_join)
+            .collect();
+        assert_eq!(joins.len(), 294);
+
+        let opts = ExecOptions::default();
+        let (mut ev, order, _) = start_plan_set(&db, &q, &store, &roots, opts, false).unwrap();
+        for &root in &order[1..] {
+            ev.eval(root);
+        }
+        assert!(!ev.memo.keys().any(is_join), "a join was materialized");
+        assert_eq!(ev.fused_steps, joins.len() as u64);
+
+        let inc = crate::IncrementalEval::new(&db, &q, &store, &roots, opts).unwrap();
+        assert!(joins.iter().all(|&id| inc.captured_join(id)));
+        let full = propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
+        assert!(!full.is_empty());
+        for (key, &score) in &full.rows {
+            assert_eq!(inc.answers().score_of(key).to_bits(), score.to_bits());
         }
     }
 

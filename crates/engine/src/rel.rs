@@ -19,7 +19,14 @@
 //!   reads the *view's* orders, sorted once per database state for every
 //!   query, top-k pass and cached answer that scans the relation,
 //! * **projections** are grouped scans over key-sorted runs — independent-OR
-//!   / dedup fold over each run of equal group keys, no hash upserts,
+//!   (or 1 under deterministic semantics) over each run of equal group
+//!   keys, a lower-bound column by `max`, no hash upserts,
+//! * **a projection directly over a join** (`join_project`) is one
+//!   operator: the join's merge emits one packed key (kept columns, then
+//!   dropped ones) and the product score per matching pair, one sort orders
+//!   them, and each run of equal kept columns folds as a projection group —
+//!   the join's result is never materialized, and the bits are the two
+//!   operators' bits,
 //! * **`min`** is a pointwise merge of two sorted batches, in place on the
 //!   accumulator when the key sets coincide (they do for plans of one
 //!   query),
@@ -31,8 +38,9 @@
 //!
 //! # Morsel parallelism
 //!
-//! Every operator takes a [`Par`] (pass [`Par::serial`] to stay on the
-//! calling thread): large batches are partitioned into contiguous morsels
+//! Every operator but the fused join-projection, which runs serially,
+//! takes a [`Par`] (pass [`Par::serial`] to stay on the calling thread):
+//! large batches are partitioned into contiguous morsels
 //! — by position for sorts and scans, by key range (never splitting a
 //! group or join block) for merges and folds — and the morsels run as
 //! scoped tasks ([`crate::pool::run_scope`]). Results are
@@ -50,6 +58,7 @@
 use crate::kernels::{self, Key};
 use lapush_query::Var;
 use lapush_storage::{BaseView, Vid};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// Operator-level parallelism budget.
@@ -118,6 +127,9 @@ pub struct Scratch {
     keys: Vec<Key>,
     /// Same, for the secondary (right/next) input.
     rkeys: Vec<Key>,
+    /// The packed output keys of a fused join-projection
+    /// ([`join_project`]), which reads its inputs through the two above.
+    pairs: Vec<Key>,
     /// Recycled per-run buffers for tie resolution of keys wider than four
     /// columns (one buffer per active recursion depth; see
     /// [`resolve_ties`]).
@@ -898,80 +910,75 @@ impl<'a> KeyView<'a> {
     }
 }
 
-/// Natural join of two intermediate relations; scores multiply
-/// (independent-AND). Joins on all shared variables; preserves left column
-/// order, then right-only columns.
-///
-/// A sort-merge join: each input is read in join-key order — free when the
-/// key is a column prefix (the canonical sort then already is key order),
-/// otherwise through the input's own key order ([`Rel`] sorts each key
-/// once and keeps it, so a relation joined by many plans is sorted by one
-/// of them) — matching key blocks are enumerated by a galloping merge
-/// (`O(small · log big)` steps when the sides are lopsided), and the
-/// cross product of each block pair is emitted. Large outputs are
-/// partitioned by key range (whole blocks, never splitting one) across
-/// pool tasks writing disjoint output ranges.
-///
-/// When both inputs carry a lower-bound column it multiplies through the
-/// same pass and rides the same output permutation; the scores are
-/// bit-identical either way.
-pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel {
-    left.assert_canonical();
-    right.assert_canonical();
-    let aux = left.lower_bounds().zip(right.lower_bounds());
-    // Determine shared and right-only columns.
-    let (lkey, rkey): (Vec<usize>, Vec<usize>) = left
-        .vars
-        .iter()
-        .enumerate()
-        .filter_map(|(li, &v)| right.col_of(v).map(|ri| (li, ri)))
-        .unzip();
-    let right_only: Vec<usize> = (0..right.vars.len())
-        .filter(|ri| !rkey.contains(ri))
-        .collect();
-    let mut out_vars = left.vars.clone();
-    out_vars.extend(right_only.iter().map(|&ri| right.vars[ri]));
+/// The column layout of `left ⋈ right`: the join key — the shared
+/// variables, in left column order — as column positions on either side,
+/// and the right-only columns, which follow the left columns in the output.
+struct JoinCols {
+    lkey: Vec<usize>,
+    rkey: Vec<usize>,
+    right_only: Vec<usize>,
+}
 
-    let Scratch { keys, rkeys, ties } = &mut *scratch;
-    let lorder = left.key_order(&lkey, par, keys, ties);
-    let rorder = right.key_order(&rkey, par, rkeys, ties);
-    let (l, r) = (
-        KeyView::new(left, &lkey, &lorder),
-        KeyView::new(right, &rkey, &rorder),
-    );
-
-    // Enumerate matching key blocks and their output offsets. Mismatching
-    // sides advance by galloping on the packed key: the skip lands on the
-    // first position whose packed prefix could match (exact for keys of up
-    // to four columns; a safe underestimate for wider keys, whose unpacked
-    // tail the next `cmp_tail` re-checks).
-    struct Block {
-        l0: usize,
-        l1: usize,
-        r0: usize,
-        r1: usize,
-        out: usize,
+impl JoinCols {
+    fn of(left: &Rel, right: &Rel) -> Self {
+        let (lkey, rkey): (Vec<usize>, Vec<usize>) = (left.vars.iter().enumerate())
+            .filter_map(|(li, &v)| right.col_of(v).map(|ri| (li, ri)))
+            .unzip();
+        let right_only = (0..right.arity()).filter(|ri| !rkey.contains(ri)).collect();
+        JoinCols {
+            lkey,
+            rkey,
+            right_only,
+        }
     }
+
+    /// The join's output variables: left columns, then right-only ones.
+    fn out_vars(&self, left: &Rel, right: &Rel) -> Vec<Var> {
+        let mut out = left.vars.clone();
+        out.extend(self.right_only.iter().map(|&ri| right.vars[ri]));
+        out
+    }
+}
+
+/// One matching key block of a merge join: positions `l0..l1` of the left
+/// key order and `r0..r1` of the right one share a join key, and their
+/// cross product is output rows `out..` of the join.
+struct Block {
+    l0: usize,
+    l1: usize,
+    r0: usize,
+    r1: usize,
+    out: usize,
+}
+
+/// The merge of every join: the matching key blocks of `l` and `r` in key
+/// order, and the number of output rows they make. Mismatching sides
+/// advance by galloping on the packed key: the skip lands on the first
+/// position whose packed prefix could match (exact for keys of up to four
+/// columns; a safe underestimate for wider keys, whose unpacked tail the
+/// next `cmp_tail` re-checks).
+fn match_blocks(l: &KeyView<'_>, r: &KeyView<'_>) -> (Vec<Block>, usize) {
+    let (ln, rn) = (l.rel.len(), r.rel.len());
     let mut blocks: Vec<Block> = Vec::new();
     let mut m = 0usize;
     let (mut i, mut j) = (0usize, 0usize);
     // The packed keys at `i` and `j`, carried from step to step: every
     // position the merge visits is packed once.
     let (mut lk, mut rk) = (0u128, 0u128);
-    if !left.is_empty() && !right.is_empty() {
+    if ln > 0 && rn > 0 {
         (lk, rk) = (l.packed(0), r.packed(0));
     }
-    while i < left.len() && j < right.len() {
-        match lk.cmp(&rk).then_with(|| l.cmp_tail(i, &r, j)) {
+    while i < ln && j < rn {
+        match lk.cmp(&rk).then_with(|| l.cmp_tail(i, r, j)) {
             std::cmp::Ordering::Less => {
                 i = l.gallop_ge(i + 1, rk);
-                if i < left.len() {
+                if i < ln {
                     lk = l.packed(i);
                 }
             }
             std::cmp::Ordering::Greater => {
                 j = r.gallop_ge(j + 1, lk);
-                if j < right.len() {
+                if j < rn {
                     rk = r.packed(j);
                 }
             }
@@ -990,6 +997,42 @@ pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel
             }
         }
     }
+    (blocks, m)
+}
+
+/// Natural join of two intermediate relations; scores multiply
+/// (independent-AND). Joins on all shared variables; preserves left column
+/// order, then right-only columns.
+///
+/// A sort-merge join: each input is read in join-key order — free when the
+/// key is a column prefix (the canonical sort then already is key order),
+/// otherwise through the input's own key order ([`Rel`] sorts each key
+/// once and keeps it, so a relation joined by many plans is sorted by one
+/// of them) — matching key blocks are enumerated by a galloping merge
+/// (`match_blocks`; `O(small · log big)` steps when the sides are
+/// lopsided), and the cross product of each block pair is emitted. Large
+/// outputs are partitioned by key range (whole blocks, never splitting one)
+/// across pool tasks writing disjoint output ranges.
+///
+/// When both inputs carry a lower-bound column it multiplies through the
+/// same pass and rides the same output permutation; the scores are
+/// bit-identical either way.
+pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel {
+    left.assert_canonical();
+    right.assert_canonical();
+    let aux = left.lower_bounds().zip(right.lower_bounds());
+    let jc = JoinCols::of(left, right);
+    let (out_vars, right_only) = (jc.out_vars(left, right), &jc.right_only);
+    let Scratch {
+        keys, rkeys, ties, ..
+    } = &mut *scratch;
+    let lorder = left.key_order(&jc.lkey, par, keys, ties);
+    let rorder = right.key_order(&jc.rkey, par, rkeys, ties);
+    let (l, r) = (
+        KeyView::new(left, &jc.lkey, &lorder),
+        KeyView::new(right, &jc.rkey, &rorder),
+    );
+    let (blocks, m) = match_blocks(&l, &r);
 
     // Materialize the output columns; morsels are contiguous block ranges.
     let w_left = left.arity();
@@ -1156,20 +1199,180 @@ pub(crate) fn join_fold(
 ) -> (Rel, JoinState) {
     let order = join_order(inputs);
     let mut mids: Vec<Rel> = Vec::new();
-    let acc = if inputs.len() == 1 {
-        inputs[0].clone()
-    } else {
-        let mut acc = join_par(inputs[order[0]], inputs[order[1]], par, scratch);
-        for &ix in &order[2..] {
-            let next = join_par(&acc, inputs[ix], par, scratch);
-            let mid = std::mem::replace(&mut acc, next);
-            if keep_mids {
-                mids.push(mid);
+    let mids_out = keep_mids.then_some(&mut mids);
+    let acc = join_in_order(inputs, &order, mids_out, par, scratch).into_owned();
+    (acc, JoinState { order, mids })
+}
+
+/// `π_keep` over the join of `inputs`: [`join_fold`]'s pairwise steps in
+/// [`join_order`], the last one fused into the projection
+/// ([`join_project`]), so the join's result is never materialized.
+pub(crate) fn join_fold_project(
+    inputs: &[&Rel],
+    keep: &[Var],
+    fold: ProjFold,
+    par: Par,
+    scratch: &mut Scratch,
+) -> Rel {
+    let order = join_order(inputs);
+    let (&last, init) = order.split_last().expect("non-empty");
+    if init.is_empty() {
+        return project_fold(inputs[last], keep, fold, par, scratch);
+    }
+    let acc = join_in_order(inputs, init, None, par, scratch);
+    join_project(&acc, inputs[last], keep, fold, scratch)
+}
+
+/// Join `inputs` pairwise in `order` (non-empty), pushing every owned
+/// accumulator but the last to `mids` when given; one input is returned
+/// as is.
+fn join_in_order<'r>(
+    inputs: &[&'r Rel],
+    order: &[usize],
+    mut mids: Option<&mut Vec<Rel>>,
+    par: Par,
+    scratch: &mut Scratch,
+) -> Cow<'r, Rel> {
+    let mut acc = Cow::Borrowed(inputs[order[0]]);
+    for &ix in &order[1..] {
+        let next = Cow::Owned(join_par(&acc, inputs[ix], par, scratch));
+        if let (Cow::Owned(mid), Some(mids)) =
+            (std::mem::replace(&mut acc, next), mids.as_deref_mut())
+        {
+            mids.push(mid);
+        }
+    }
+    acc
+}
+
+/// `π_keep(left ⋈ right)` in one merge, one sort and one fold, bit-identical
+/// to `project_fold(&join_par(left, right, ..), keep, fold, ..)`.
+///
+/// The merge walks the join's matching key blocks ([`match_blocks`]) and
+/// emits, per matching pair, one packed key — the kept columns first, in
+/// `keep` order, then the dropped ones in the join's output-column order —
+/// and the product score (and lower bound, when both inputs carry one).
+/// One sort orders the pairs by that key; each run of equal kept columns
+/// then folds as a projection group folds. The bits cannot move: join rows
+/// are distinct, so the two-step path folds a group in canonical join
+/// order, which — the kept columns being equal — is the order of the
+/// dropped columns in output-column order: the fused key order.
+///
+/// Serial: it takes no [`Par`]. A join wider than four columns does not fit
+/// one packed key and takes the two-step path.
+pub(crate) fn join_project(
+    left: &Rel,
+    right: &Rel,
+    keep: &[Var],
+    fold: ProjFold,
+    scratch: &mut Scratch,
+) -> Rel {
+    left.assert_canonical();
+    right.assert_canonical();
+    let jc = JoinCols::of(left, right);
+    let out_vars = jc.out_vars(left, right);
+    let width = out_vars.len();
+    if width > 4 {
+        let joined = join_par(left, right, Par::serial(), scratch);
+        return project_fold(&joined, keep, fold, Par::serial(), scratch);
+    }
+    let mut key_order: Vec<usize> = (keep.iter())
+        .map(|&v| out_vars.iter().position(|&u| u == v))
+        .collect::<Option<_>>()
+        .expect("projection var missing");
+    let dropped: Vec<usize> = (0..width).filter(|c| !key_order.contains(c)).collect();
+    key_order.extend(dropped);
+    // Each output column's vids, and where they sit in the packed key.
+    let shift = |c: usize| {
+        let at = key_order
+            .iter()
+            .position(|&k| k == c)
+            .expect("every column");
+        32 * (width - 1 - at)
+    };
+    let lparts: Vec<(&[Vid], usize)> = (0..left.arity()).map(|c| (left.col(c), shift(c))).collect();
+    let rparts: Vec<(&[Vid], usize)> = (jc.right_only.iter().enumerate())
+        .map(|(i, &rc)| (right.col(rc), shift(left.arity() + i)))
+        .collect();
+    let pack = |parts: &[(&[Vid], usize)], row: usize| {
+        (parts.iter()).fold(0u128, |k, &(col, s)| k | ((col[row] as u128) << s))
+    };
+
+    let aux = left.lower_bounds().zip(right.lower_bounds());
+    let Scratch {
+        keys,
+        rkeys,
+        ties,
+        pairs,
+    } = &mut *scratch;
+    let lorder = left.key_order(&jc.lkey, Par::serial(), keys, ties);
+    let rorder = right.key_order(&jc.rkey, Par::serial(), rkeys, ties);
+    let (l, r) = (
+        KeyView::new(left, &jc.lkey, &lorder),
+        KeyView::new(right, &jc.rkey, &rorder),
+    );
+    let (blocks, m) = match_blocks(&l, &r);
+    pairs.clear();
+    pairs.reserve(m);
+    let mut scores: Vec<f64> = Vec::with_capacity(m);
+    let mut lo: Vec<f64> = Vec::with_capacity(if aux.is_some() { m } else { 0 });
+    for b in &blocks {
+        for lpos in b.l0..b.l1 {
+            let lrow = l.row(lpos);
+            let (lk, ls) = (pack(&lparts, lrow), left.score(lrow));
+            for rpos in b.r0..b.r1 {
+                let rrow = r.row(rpos);
+                let row = scores.len() as u32;
+                pairs.push(Key {
+                    k: lk | pack(&rparts, rrow),
+                    row,
+                });
+                scores.push(ls * right.score(rrow));
+                if let Some((la, ra)) = aux {
+                    lo.push(la[lrow] * ra[rrow]);
+                }
             }
         }
-        acc
+    }
+    // Packed keys are distinct (join rows are), so this is the key order.
+    pairs.sort_unstable();
+
+    let kept = keep.len();
+    let group = |k: u128| match kept {
+        0 => 0,
+        _ => k >> (32 * (width - kept)),
     };
-    (acc, JoinState { order, mids })
+    let mut out_cols: Vec<Vec<Vid>> = vec![Vec::new(); kept];
+    let (mut out_scores, mut out_lo) = (Vec::new(), Vec::new());
+    let mut pos = 0usize;
+    while pos < pairs.len() {
+        let g = group(pairs[pos].k);
+        let mut end = pos + 1;
+        while end < pairs.len() && group(pairs[end].k) == g {
+            end += 1;
+        }
+        let run = &pairs[pos..end];
+        out_scores.push(match fold {
+            ProjFold::IndependentOr => kernels::fold_or(&scores, run),
+            ProjFold::One => 1.0,
+        });
+        if aux.is_some() {
+            out_lo.push(kernels::fold_max(&lo, run));
+        }
+        for (i, col) in out_cols.iter_mut().enumerate() {
+            col.push((g >> (32 * (kept - 1 - i))) as Vid);
+        }
+        pos = end;
+    }
+    let out = Rel {
+        vars: keep.to_vec(),
+        cols: out_cols,
+        scores: out_scores,
+        lo: aux.map(|_| out_lo),
+        orders: KeyOrders::default(),
+    };
+    out.assert_canonical();
+    out
 }
 
 /// The greedy fold order [`join_many_par`] uses, as original input
@@ -1232,8 +1435,8 @@ fn pick_next(remaining: &[(usize, &Rel)], acc_vars: &[Var]) -> usize {
 // ---------------------------------------------------------------------------
 
 /// How a projection folds the scores of one group.
-#[derive(Clone, Copy)]
-enum ProjFold {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ProjFold {
     /// Independent-OR: accumulate `∏(1 − pᵢ)`, emit `1 − ∏`.
     IndependentOr,
     /// Constant 1 (deterministic `SELECT DISTINCT`).
@@ -1244,7 +1447,13 @@ enum ProjFold {
 /// input folds over the same group runs, in the same pass, with `max` —
 /// the group's best single derivation — while the scores fold as `fold`
 /// says, bit-identical to an input without it.
-fn project_fold(input: &Rel, keep: &[Var], fold: ProjFold, par: Par, scratch: &mut Scratch) -> Rel {
+pub(crate) fn project_fold(
+    input: &Rel,
+    keep: &[Var],
+    fold: ProjFold,
+    par: Par,
+    scratch: &mut Scratch,
+) -> Rel {
     input.assert_canonical();
     let aux = input.lower_bounds();
     let cols_idx: Vec<usize> = keep
@@ -1361,12 +1570,6 @@ pub fn project_prob_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scrat
     project_fold(input, keep, ProjFold::IndependentOr, par, scratch)
 }
 
-/// Deterministic projection: group by `keep`, score 1 for every surviving
-/// group (standard SQL `SELECT DISTINCT`).
-pub fn project_det_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
-    project_fold(input, keep, ProjFold::One, par, scratch)
-}
-
 // ---------------------------------------------------------------------------
 // Pointwise min: sorted merges
 // ---------------------------------------------------------------------------
@@ -1414,7 +1617,9 @@ pub(crate) fn min_into_impl(
     // Bring `next` into acc-column order (free when the orders agree) and
     // pack acc's rows too (canonical order *is* key order, so the pack is
     // a presorted pass): the merge below then compares packed keys.
-    let Scratch { keys, rkeys, ties } = scratch;
+    let Scratch {
+        keys, rkeys, ties, ..
+    } = scratch;
     sort_rows(&next_cols, next.len(), identity, par, rkeys, ties);
     let nkeys = &*rkeys;
     let acc_cols: Vec<&[Vid]> = acc.cols.iter().map(Vec::as_slice).collect();
@@ -1829,7 +2034,8 @@ mod tests {
     #[test]
     fn project_det_dedups() {
         let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[1, 11], 0.9)]);
-        let p = project_det_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
+        let (fold, par) = (ProjFold::One, Par::serial());
+        let p = project_fold(&r, &[v(0)], fold, par, &mut Scratch::default());
         assert_eq!(p.len(), 1);
         assert_eq!(p.score(0), 1.0);
     }
@@ -2280,6 +2486,105 @@ mod tests {
         right.seed_lower_bounds();
         let got = warm_equals_cold(&left, &right, Par::serial(), "lower bounds");
         assert_eq!(got.lower_bounds(), Some(got.scores()));
+    }
+
+    #[test]
+    fn key_order_fused_join_projection_is_join_then_projection() {
+        // `join_project` against `project_fold(join_par(..))`, bit for bit,
+        // on inputs of 0–300 rows (above MIN_SHARED_ORDER_ROWS a non-prefix
+        // join key reads a shared key order, below it a `Scratch` sort),
+        // over small domains (join blocks and groups of many rows), with 0,
+        // 1 or 2 shared variables, every kept subset and column prefix,
+        // lower bounds on neither, either or both sides, both folds.
+        let domain = [5, 700, 4, 600, 3];
+        let shapes: [(&[u32], &[u32]); 8] = [
+            (&[0, 1], &[2, 1]),
+            (&[1, 0], &[1, 2]),
+            (&[0, 1], &[0, 2]),
+            (&[0, 1, 2], &[3, 2]),
+            (&[0, 1, 2], &[2, 0, 3]),
+            (&[0, 2], &[2, 0]),
+            (&[0], &[2]),
+            (&[0, 1], &[]),
+        ];
+        let mut rng = Rng(0x3c6ef372fe94f82b);
+        let (mut scratch, mut shared_orders) = (Scratch::default(), 0);
+        let two_steps = |l: &Rel, r: &Rel, keep: &[Var], fold, scratch: &mut Scratch| {
+            let joined = join_par(l, r, Par::serial(), scratch);
+            project_fold(&joined, keep, fold, Par::serial(), scratch)
+        };
+        for (lv, rv) in shapes {
+            let doms = |vars: &[u32]| vars.iter().map(|&x| domain[x as usize]).collect::<Vec<_>>();
+            for (ln, rn) in [(0, 17), (17, 0), (23, 41), (300, 9), (300, 300)] {
+                let plain_l = random_rel(&mut rng, lv, ln, &doms(lv));
+                let plain_r = random_rel(&mut rng, rv, rn, &doms(rv));
+                let out_vars = JoinCols::of(&plain_l, &plain_r).out_vars(&plain_l, &plain_r);
+                let mut sorted = out_vars.clone();
+                sorted.sort_unstable();
+                let subsets = (0..1u32 << sorted.len()).map(|mask| {
+                    (sorted.iter().enumerate())
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, &v)| v)
+                        .collect::<Vec<_>>()
+                });
+                let prefixes = (1..out_vars.len()).map(|p| out_vars[..p].to_vec());
+                let keeps: Vec<Vec<Var>> = subsets.chain(prefixes).collect();
+                for lo in [(false, false), (true, false), (false, true), (true, true)] {
+                    let (mut l, mut r) = (plain_l.clone(), plain_r.clone());
+                    if lo.0 {
+                        l.seed_lower_bounds();
+                    }
+                    if lo.1 {
+                        r.seed_lower_bounds();
+                    }
+                    for keep in &keeps {
+                        for fold in [ProjFold::IndependentOr, ProjFold::One] {
+                            let what = format!(
+                                "{lv:?} x {rv:?}, {} x {} rows, keep {keep:?}, lo {lo:?}, {fold:?}",
+                                l.len(),
+                                r.len()
+                            );
+                            let fused = join_project(&l, &r, keep, fold, &mut scratch);
+                            let want = two_steps(&l, &r, keep, fold, &mut scratch);
+                            assert_same(&fused, &want, &what);
+                            assert_eq!(fused.vars, *keep, "{what}");
+                        }
+                    }
+                    shared_orders += l.cached_orders() + r.cached_orders();
+                }
+            }
+        }
+        assert!(shared_orders > 0, "no input read a shared key order");
+
+        // Three inputs: `join_fold`'s first step, then the fused last one.
+        for n in [0, 40, 300] {
+            let ins: Vec<Rel> = [[0, 1], [1, 2], [2, 3]]
+                .iter()
+                .map(|vars| random_rel(&mut rng, vars, n, &[5, 40, 40, 5]))
+                .collect();
+            let refs: Vec<&Rel> = ins.iter().collect();
+            for keep in [vec![v(0)], vec![v(0), v(3)], vec![]] {
+                let fold = ProjFold::IndependentOr;
+                let joined = join_many_par(&refs, Par::serial(), &mut scratch);
+                let want = project_fold(&joined, &keep, fold, Par::serial(), &mut scratch);
+                let got = join_fold_project(&refs, &keep, fold, Par::new(4), &mut scratch);
+                assert_same(
+                    &got,
+                    &want,
+                    &format!("three inputs of {n} rows, keep {keep:?}"),
+                );
+            }
+        }
+
+        // Wider than four columns: the two-step path, same bits.
+        let l = random_rel(&mut rng, &[0, 1, 2], 120, &[4, 9, 3]);
+        let r = random_rel(&mut rng, &[2, 3, 4], 120, &[3, 9, 4]);
+        for keep in [vec![v(0), v(4)], vec![], vec![v(0), v(1), v(2), v(3), v(4)]] {
+            let fold = ProjFold::IndependentOr;
+            let fused = join_project(&l, &r, &keep, fold, &mut scratch);
+            let want = two_steps(&l, &r, &keep, fold, &mut scratch);
+            assert_same(&fused, &want, &format!("five columns, keep {keep:?}"));
+        }
     }
 
     #[test]

@@ -186,7 +186,12 @@ pub fn parse_request(body: &str) -> Result<Request, (ErrorCode, String)> {
                 return Err(usage());
             }
             let (count, text) = args.split_once(char::is_whitespace).ok_or_else(usage)?;
-            let k: usize = count.parse().ok().filter(|&k| k >= 1).ok_or_else(usage)?;
+            // `usize::from_str` accepts a sign; `<k>` is digits only.
+            let k: usize = Some(count)
+                .filter(|count| !count.starts_with('+'))
+                .and_then(|count| count.parse().ok())
+                .filter(|&k| k >= 1)
+                .ok_or_else(usage)?;
             let text = text.trim();
             if text.is_empty() {
                 return Err(usage());
@@ -349,6 +354,7 @@ mod tests {
             "TOPK 5",
             "TOPK 0 q :- R(x)",
             "TOPK five q :- R(x)",
+            "TOPK +5 q :- R(x)",
             "TOPK 5 q :- R(x)\nextra line",
         ] {
             assert_eq!(

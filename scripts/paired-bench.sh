@@ -14,6 +14,12 @@
 #   parent median → change median (relative change, IQR = the parent's own
 #   quartile distance as a share of its median, pairs the change won)
 #
+# followed by the protocol's verdicts, with each metric's `bound` from
+# BENCHMARK.json: **unresolved** when the parent's IQR exceeds the bound,
+# **worse** when the change median is worse by more than the bound, and
+# **gain** when the change won ≥ 9 of 10 pairs and its median moved by
+# more than the parent's quartile distance. No tag: none of these holds.
+#
 # and the unseen-seed pair as parent → change. Everything is kept under
 # .bench_build/paired/ (git-ignored); a run at the defaults takes ≈ 45 min.
 # Needs python3 (standard library only) for the table.
@@ -71,7 +77,7 @@ spec_path, runs, pairs, sha, seed0, unseen_seed = sys.argv[1:]
 pairs = int(pairs)
 spec = json.load(open(spec_path))
 workloads = [w["name"] for w in spec["workloads"]]
-metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
 def load(side, workload, pair):
@@ -99,13 +105,21 @@ def fmt(x):
     return f"{x:.4g}"
 
 
-def cell(name, better, parent, change):
+def cell(better, bound, parent, change):
     sign = 1 if better == "lower" else -1
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     pm, cm = quantile(parent, 0.5), quantile(change, 0.5)
     iqr = quantile(parent, 0.75) - quantile(parent, 0.25)
+    worse_by = sign * (cm - pm) / pm
+    verdicts = []
+    if iqr / pm > bound:
+        verdicts.append("**unresolved**")
+    if worse_by > bound:
+        verdicts.append("**worse**")
+    if 10 * won >= 9 * len(parent) and -sign * (cm - pm) > iqr:
+        verdicts.append("**gain**")
     return (f"{fmt(pm)} → {fmt(cm)} ({100 * (cm - pm) / pm:+.1f}%, "
-            f"IQR {100 * iqr / pm:.0f}%, {won}/{len(parent)})")
+            f"IQR {100 * iqr / pm:.0f}%, {won}/{len(parent)})" + "".join(" " + v for v in verdicts))
 
 
 print(f"parent {sha[:7]} → working tree: {pairs} pairs, seeds {seed0}…{int(seed0) + pairs - 1}, "
@@ -120,8 +134,8 @@ for w in workloads:
 print()
 print("| metric | " + " | ".join(workloads) + " |")
 print("|---|" + "---|" * len(workloads))
-for name, better in metrics:
-    cells = [cell(name, better,
+for name, better, bound in metrics:
+    cells = [cell(better, bound,
                   [r[name] for r in data["parent", w]],
                   [r[name] for r in data["change", w]]) for w in workloads]
     print(f"| `{name}` | " + " | ".join(cells) + " |")
@@ -131,7 +145,7 @@ print()
 print("| metric | " + " | ".join(workloads) + " |")
 print("|---|" + "---|" * len(workloads))
 unseen = {(s, w): load(s, w, "unseen") for s in ("parent", "change") for w in workloads}
-for name, _ in metrics:
+for name, _, _ in metrics:
     cells = []
     for w in workloads:
         p, c = unseen["parent", w], unseen["change", w]

@@ -1,7 +1,8 @@
 //! `docs/REPRODUCTION.md` names the tests and targets that check each paper
 //! item; a rename or deletion that leaves a name stale fails here. Every
 //! `` `file.rs::name` `` (and each `` `::name` `` after it) is a `fn name`
-//! in `tests/file.rs`, `::*` needs only the file; every ``target `x` `` (or
+//! in `tests/file.rs` — or, for a path like `crates/x/src/file.rs`, in that
+//! file — and `::*` needs only the file; every ``target `x` `` (or
 //! ``targets `x`, `y` ``) is a [`SUITE`] `bin` or a variant with a committed
 //! `benches/baselines/BENCH_x.json`, and every ``binary `x` `` is a `bin`.
 
@@ -44,10 +45,14 @@ fn every_named_test_and_target_exists() {
         }
         checked += 1;
         let f = file.unwrap_or("<no file named before>");
-        match repo_file(&format!("tests/{f}")) {
-            None => stale.push(format!("`{span}`: no file tests/{f}")),
+        let path = match f.contains('/') {
+            true => f.to_string(),
+            false => format!("tests/{f}"),
+        };
+        match repo_file(&path) {
+            None => stale.push(format!("`{span}`: no file {path}")),
             Some(text) if name != "*" && !text.contains(&format!("fn {name}(")) => {
-                stale.push(format!("`{span}`: no `fn {name}` in tests/{f}"))
+                stale.push(format!("`{span}`: no `fn {name}` in {path}"))
             }
             Some(_) => {}
         }
