@@ -7,7 +7,6 @@
 
 use lapush_bench::report::Metric;
 use lapush_bench::{checksum_strings, print_table, Bench};
-use lapushdb::core::{minimal_plans_opts, EnumOptions, SchemaInfo};
 use lapushdb::prelude::*;
 use lapushdb::query::{VarFd, VarSet};
 
@@ -68,8 +67,8 @@ fn main() {
                 rhs: VarSet::single(q.var_by_name(rhs).expect("var")),
             });
         }
-        let none = minimal_plans_opts(&q, &schema, EnumOptions::default()).len();
-        let dr = minimal_plans_opts(
+        let none = minimal_plan_set_opts(&q, &schema, EnumOptions::default()).len();
+        let dr = minimal_plan_set_opts(
             &q,
             &schema,
             EnumOptions {
@@ -78,7 +77,7 @@ fn main() {
             },
         )
         .len();
-        let full = minimal_plans_opts(&q, &schema, EnumOptions::full()).len();
+        let full = minimal_plan_set_opts(&q, &schema, EnumOptions::full()).len();
         table.push((label.to_string(), key.to_string(), none, dr, full));
     }
     for (label, key, none, dr, full) in &table {

@@ -21,9 +21,9 @@ use lapushdb::workload::{chain_query, star_query};
 /// recurrences above promise. Fixed k keeps the metric names
 /// scale-independent.
 fn enumerate(bench: &mut Bench) {
-    let n_chain = minimal_plans(&QueryShape::of_query(&chain_query(7))).len();
+    let n_chain = minimal_plan_set(&QueryShape::of_query(&chain_query(7))).len();
     bench.push(Metric::value("enumerate_chain_k7_plans", n_chain as f64));
-    let n_star = minimal_plans(&QueryShape::of_query(&star_query(5))).len();
+    let n_star = minimal_plan_set(&QueryShape::of_query(&star_query(5))).len();
     bench.push(Metric::value("enumerate_star_k5_plans", n_star as f64));
     println!("\nenumerated: chain k=7 ({n_chain} plans), star k=5 ({n_star} plans)");
 }

@@ -12,7 +12,7 @@ use lapush_bench::report::Metric;
 use lapush_bench::{
     ap_against, checksum_f64s, controlled_rst_db, print_table, scale, Bench, Scale,
 };
-use lapushdb::core::{delta_of_plan, minimal_plans};
+use lapushdb::core::delta_of_plan_id;
 use lapushdb::exact_answers;
 use lapushdb::prelude::*;
 use lapushdb::rank::mean_std;
@@ -38,17 +38,19 @@ fn main() {
             for rep in 0..repeats {
                 let (db, q) = controlled_rst_db(answers, 3, d, 2.0 * avg_pi, 700 + rep as u64);
                 let shape = QueryShape::of_query(&q);
-                let plans = minimal_plans(&shape);
+                let plans = minimal_plan_set(&shape);
                 // Pick the plan that dissociates R (atom 0) on y.
-                let r_plan = plans
+                let r_plan = *plans
+                    .roots
                     .iter()
-                    .find(|p| {
-                        delta_of_plan(p, &shape)
+                    .find(|&&p| {
+                        delta_of_plan_id(&plans.store, p, &shape)
                             .map(|delta| !delta.0[0].is_empty())
                             .unwrap_or(false)
                     })
                     .expect("R-dissociating plan exists");
-                let sys = eval_plan(&db, &q, r_plan, ExecOptions::default()).expect("eval");
+                let sys = eval_plan_id(&db, &q, &plans.store, r_plan, ExecOptions::default())
+                    .expect("eval");
                 let gt = exact_answers(&db, &q).expect("exact");
                 aps.push(ap_against(&sys, &gt, 10));
             }

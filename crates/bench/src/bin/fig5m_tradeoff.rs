@@ -12,7 +12,7 @@ use lapush_bench::report::Metric;
 use lapush_bench::{
     ap_against, checksum_strings, controlled_rst_db, print_table, scale, Bench, Scale,
 };
-use lapushdb::core::{delta_of_plan, minimal_plans};
+use lapushdb::core::delta_of_plan_id;
 use lapushdb::prelude::*;
 use lapushdb::rank::mean_std;
 use lapushdb::{exact_answers, mc_answers};
@@ -43,16 +43,18 @@ fn main() {
                 let gt = exact_answers(&db, &q).expect("exact");
                 // Per-plan quality: the R-dissociating plan (avg[d] = d).
                 let shape = QueryShape::of_query(&q);
-                let plans = minimal_plans(&shape);
-                let r_plan = plans
+                let plans = minimal_plan_set(&shape);
+                let r_plan = *plans
+                    .roots
                     .iter()
-                    .find(|p| {
-                        delta_of_plan(p, &shape)
+                    .find(|&&p| {
+                        delta_of_plan_id(&plans.store, p, &shape)
                             .map(|delta| !delta.0[0].is_empty())
                             .unwrap_or(false)
                     })
                     .expect("R-dissociating plan exists");
-                let diss = eval_plan(&db, &q, r_plan, ExecOptions::default()).expect("eval");
+                let diss = eval_plan_id(&db, &q, &plans.store, r_plan, ExecOptions::default())
+                    .expect("eval");
                 diss_aps.push(ap_against(&diss, &gt, 10));
                 for (i, &x) in mc_budgets.iter().enumerate() {
                     let mc = mc_answers(&db, &q, x, 31 + rep as u64, 1).expect("mc");

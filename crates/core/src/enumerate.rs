@@ -6,12 +6,9 @@
 //! recursion is memoized on the subquery key `(atoms_mask, head)`, so each
 //! subquery's plan set is derived once no matter how many cut sequences
 //! reach it, and the per-subquery sort/dedup compares dense [`PlanId`]s
-//! instead of deep trees. The tree-returning entry points decode the DAG
-//! at the end (sorted structurally, exactly as the tree-level enumeration
-//! always returned); [`minimal_plan_set`] and friends expose the shared
-//! [`PlanStore`] directly for id-based evaluation.
+//! instead of deep trees. [`minimal_plan_set`] and friends return the
+//! shared [`PlanStore`] with the root ids, ascending — enumeration order.
 
-use crate::plan::Plan;
 use crate::schema::SchemaInfo;
 use crate::store::{PlanId, PlanSet, PlanStore};
 use lapush_query::{
@@ -145,26 +142,9 @@ pub fn chase_shape(shape: &QueryShape, fds: &[VarFd]) -> QueryShape {
 }
 
 /// Algorithm 1 with no schema knowledge: all minimal plans of the query
-/// shape. If the query is safe this returns exactly one plan — its safe
-/// plan (conservativity, Section 3.2).
-pub fn minimal_plans(shape: &QueryShape) -> Vec<Plan> {
-    minimal_plans_with(shape, &[], EnumOptions::default())
-}
-
-/// Algorithm 1 with schema knowledge taken from `schema` (Theorems 24/27).
-pub fn minimal_plans_opts(q: &Query, schema: &SchemaInfo, opts: EnumOptions) -> Vec<Plan> {
-    let shape = schema.shape(q);
-    minimal_plans_with(&shape, &schema.fds, opts)
-}
-
-/// Algorithm 1 over an explicit shape + FDs, returning materialized trees
-/// (sorted structurally — the classic output order).
-pub fn minimal_plans_with(shape: &QueryShape, fds: &[VarFd], opts: EnumOptions) -> Vec<Plan> {
-    minimal_plan_set_with(shape, fds, opts).plans()
-}
-
-/// Algorithm 1 with no schema knowledge, as a [`PlanSet`] over a fresh
-/// hash-consed store.
+/// shape, as a [`PlanSet`] over a fresh hash-consed store. If the query is
+/// safe this is exactly one plan — its safe plan (conservativity,
+/// Section 3.2).
 ///
 /// ```
 /// use lapush_core::minimal_plan_set;
@@ -193,31 +173,19 @@ pub fn minimal_plan_set_opts(q: &Query, schema: &SchemaInfo, opts: EnumOptions) 
     minimal_plan_set_with(&shape, &schema.fds, opts)
 }
 
-/// [`minimal_plan_set`] over an explicit shape + FDs.
-pub fn minimal_plan_set_with(shape: &QueryShape, fds: &[VarFd], opts: EnumOptions) -> PlanSet {
-    let mut store = PlanStore::new();
-    let roots = minimal_plan_ids_with(&mut store, shape, fds, opts);
-    PlanSet { store, roots }
-}
-
-/// Algorithm 1 interning into an existing store; the returned root ids are
+/// [`minimal_plan_set`] over an explicit shape + FDs. The root ids are
 /// ascending and deduplicated (id equality is structural equality).
-pub fn minimal_plan_ids_with(
-    store: &mut PlanStore,
-    shape: &QueryShape,
-    fds: &[VarFd],
-    opts: EnumOptions,
-) -> Vec<PlanId> {
+pub fn minimal_plan_set_with(shape: &QueryShape, fds: &[VarFd], opts: EnumOptions) -> PlanSet {
     let enum_shape = if opts.use_fds {
         chase_shape(shape, fds)
     } else {
         shape.clone()
     };
     let atoms = enum_shape.all_atoms();
-    let head = enum_shape.head;
-    let mut ctx = EnumCtx::new(&enum_shape, shape, opts.use_deterministic, store);
-    let roots = ctx.mp_rec(&atoms, head);
-    roots.as_ref().clone()
+    let mut store = PlanStore::new();
+    let mut ctx = EnumCtx::new(&enum_shape, shape, opts.use_deterministic, &mut store);
+    let roots = ctx.mp_rec(&atoms, enum_shape.head).as_ref().clone();
+    PlanSet { store, roots }
 }
 
 impl EnumCtx<'_> {
@@ -311,15 +279,8 @@ fn cartesian_join(
 /// non-contiguous merges and non-canonical projection placements. The
 /// minimal-plan counts (`#MP`, the ones all experiments depend on) agree
 /// exactly.
-pub fn all_plans(shape: &QueryShape) -> Vec<Plan> {
-    let mut store = PlanStore::new();
-    let roots = all_plan_ids(&mut store, shape);
-    let set = PlanSet { store, roots };
-    set.plans()
-}
-
-/// [`all_plans`] interning into an existing store; root ids ascending and
-/// deduplicated.
+///
+/// Interns into an existing store; root ids ascending and deduplicated.
 pub fn all_plan_ids(store: &mut PlanStore, shape: &QueryShape) -> Vec<PlanId> {
     let atoms = shape.all_atoms();
     let head = shape.head;
@@ -471,7 +432,7 @@ fn count_minimal_rec(
 }
 
 /// Count all plans (= all safe dissociations per Definitions 10/13;
-/// see the note on [`all_plans`] about the paper's Figure 2 `#P` column).
+/// see the note on [`all_plan_ids`] about the paper's Figure 2 `#P` column).
 pub fn count_all_plans(shape: &QueryShape) -> u128 {
     let atoms = shape.all_atoms();
     let mut memo = FxHashMap::default();
@@ -543,8 +504,21 @@ fn count_join_case(
 mod tests {
     use super::*;
     use crate::dissociation::{naive_minimal_safe_dissociations, Dissociation};
-    use crate::plan::{delta_of_plan, plan_for_dissociation};
+    use crate::plan::{delta_of_plan_id, plan_id_for_dissociation};
     use lapush_query::{parse_query, QueryBuilder};
+
+    /// Every plan of the shape (= every safe dissociation), in one store.
+    fn all_plan_set(shape: &QueryShape) -> PlanSet {
+        let mut store = PlanStore::new();
+        let roots = all_plan_ids(&mut store, shape);
+        PlanSet { store, roots }
+    }
+
+    /// The dissociation of every root (none contains a `min`).
+    fn deltas(set: &PlanSet, shape: &QueryShape) -> Vec<Dissociation> {
+        let delta = |&p: &PlanId| delta_of_plan_id(&set.store, p, shape).unwrap();
+        set.roots.iter().map(delta).collect()
+    }
 
     fn shape_of(text: &str) -> QueryShape {
         QueryShape::of_query(&parse_query(text).unwrap())
@@ -582,17 +556,20 @@ mod tests {
     fn safe_query_yields_single_plan() {
         // Conservativity: hierarchical query → exactly one (safe) plan.
         let s = shape_of("q(z) :- R(z, x), S(x, y), K(x, y)");
-        let plans = minimal_plans(&s);
-        assert_eq!(plans.len(), 1);
-        assert_eq!(Some(plans[0].clone()), crate::plan::safe_plan(&s));
+        let PlanSet { mut store, roots } = minimal_plan_set(&s);
+        assert_eq!(roots.len(), 1);
+        let bottom = Dissociation::bottom(s.num_atoms());
+        assert_eq!(
+            plan_id_for_dissociation(&mut store, &s, &bottom),
+            Some(roots[0])
+        );
     }
 
     #[test]
     fn example_17_two_minimal_plans() {
         let s = shape_of("q :- R(x), S(x), T(x, y), U(y)");
-        let plans = minimal_plans(&s);
-        assert_eq!(plans.len(), 2);
-        assert_eq!(all_plans(&s).len(), 5);
+        assert_eq!(minimal_plan_set(&s).len(), 2);
+        assert_eq!(all_plan_set(&s).len(), 5);
     }
 
     #[test]
@@ -606,11 +583,7 @@ mod tests {
             "q :- R(x, y), S(y), T(y, z), U(x)",
         ] {
             let s = shape_of(text);
-            let plans = minimal_plans(&s);
-            let mut from_alg: Vec<Dissociation> = plans
-                .iter()
-                .map(|p| delta_of_plan(p, &s).unwrap())
-                .collect();
+            let mut from_alg = deltas(&minimal_plan_set(&s), &s);
             from_alg.sort();
             let mut naive = naive_minimal_safe_dissociations(&s, 20).unwrap();
             naive.sort();
@@ -626,12 +599,11 @@ mod tests {
             "q(z) :- R(z, x), S(x, y), T(y)",
         ] {
             let s = shape_of(text);
-            let plans = all_plans(&s);
+            let mut plans = all_plan_set(&s);
             // Every plan's dissociation is safe and maps back to the plan.
-            for p in &plans {
-                let d = delta_of_plan(p, &s).unwrap();
+            for (d, p) in deltas(&plans, &s).into_iter().zip(plans.roots.clone()) {
                 assert!(d.is_safe(&s), "query {text}: {d:?}");
-                assert_eq!(plan_for_dissociation(&s, &d).unwrap(), *p);
+                assert_eq!(plan_id_for_dissociation(&mut plans.store, &s, &d), Some(p));
             }
             // Count matches the lattice.
             let safe_count = crate::dissociation::all_dissociations(&s, 20)
@@ -708,13 +680,13 @@ mod tests {
     fn enumeration_matches_counts() {
         for k in 2..=5 {
             let s = chain(k);
-            assert_eq!(minimal_plans(&s).len() as u128, count_minimal_plans(&s));
-            assert_eq!(all_plans(&s).len() as u128, count_all_plans(&s));
+            assert_eq!(minimal_plan_set(&s).len() as u128, count_minimal_plans(&s));
+            assert_eq!(all_plan_set(&s).len() as u128, count_all_plans(&s));
         }
         for k in 1..=4 {
             let s = star(k);
-            assert_eq!(minimal_plans(&s).len() as u128, count_minimal_plans(&s));
-            assert_eq!(all_plans(&s).len() as u128, count_all_plans(&s));
+            assert_eq!(minimal_plan_set(&s).len() as u128, count_minimal_plans(&s));
+            assert_eq!(all_plan_set(&s).len() as u128, count_all_plans(&s));
         }
     }
 
@@ -728,12 +700,8 @@ mod tests {
             "q(z) :- R(z, x), S(x, y), T(y)",
         ] {
             let s = shape_of(text);
-            let all: Vec<Dissociation> = all_plans(&s)
-                .iter()
-                .map(|p| delta_of_plan(p, &s).unwrap())
-                .collect();
-            for p in minimal_plans(&s) {
-                let d = delta_of_plan(&p, &s).unwrap();
+            let all = deltas(&all_plan_set(&s), &s);
+            for d in deltas(&minimal_plan_set(&s), &s) {
                 assert!(
                     all.iter().all(|other| !(other.leq(&d) && *other != d)),
                     "{text}: {d:?} is not minimal"
@@ -752,14 +720,14 @@ mod tests {
             use_deterministic: true,
             use_fds: false,
         };
-        let plans = minimal_plans_opts(&q, &schema, opts);
+        let plans = minimal_plan_set_opts(&q, &schema, opts);
         assert_eq!(plans.len(), 1);
-        let rendered = plans[0].render(&q);
+        let rendered = plans.store.render(plans.roots[0], &q);
         // P∆2 = π_{-x} ⋈[R(x), π_{-y} ⋈[S(x,y), T(y)]].
         assert!(rendered.contains("π-[y] ⋈[S(x,y), T(y)]"), "{rendered}");
 
         // Without DR knowledge: two plans.
-        let plans2 = minimal_plans_opts(&q, &schema, EnumOptions::default());
+        let plans2 = minimal_plan_set_opts(&q, &schema, EnumOptions::default());
         assert_eq!(plans2.len(), 2);
     }
 
@@ -769,7 +737,7 @@ mod tests {
         // π ⋈[R, S, T] (the "top" plan P∆3 of Fig. 3c).
         let q = parse_query("q :- R^d(x), S(x, y), T^d(y)").unwrap();
         let schema = SchemaInfo::from_query(&q);
-        let plans = minimal_plans_opts(
+        let plans = minimal_plan_set_opts(
             &q,
             &schema,
             EnumOptions {
@@ -778,7 +746,7 @@ mod tests {
             },
         );
         assert_eq!(plans.len(), 1);
-        let rendered = plans[0].render(&q);
+        let rendered = plans.store.render(plans.roots[0], &q);
         assert_eq!(rendered, "π-[x,y] ⋈[R(x), S(x,y), T(y)]");
     }
 
@@ -795,10 +763,10 @@ mod tests {
             lhs: VarSet::single(x),
             rhs: VarSet::single(y),
         });
-        let plans = minimal_plans_opts(&q, &schema, EnumOptions::full());
+        let plans = minimal_plan_set_opts(&q, &schema, EnumOptions::full());
         assert_eq!(plans.len(), 1);
         // Without FDs: two plans.
-        let plans2 = minimal_plans_opts(
+        let plans2 = minimal_plan_set_opts(
             &q,
             &schema,
             EnumOptions {
@@ -838,14 +806,12 @@ mod tests {
         // dissociations R^y, S^x, and {R^y, S^x} merges the components into
         // a single connected safe query whose plan projects at the top.
         let s = shape_of("q :- R(x), S(y)");
-        let plans = minimal_plans(&s);
-        assert_eq!(plans.len(), 1);
-        let all = all_plans(&s);
+        assert_eq!(minimal_plan_set(&s).len(), 1);
+        let mut all = all_plan_set(&s);
         assert_eq!(all.len(), 4);
-        for p in &all {
-            let d = delta_of_plan(p, &s).unwrap();
+        for (d, p) in deltas(&all, &s).into_iter().zip(all.roots.clone()) {
             assert!(d.is_safe(&s));
-            assert_eq!(plan_for_dissociation(&s, &d).unwrap(), *p);
+            assert_eq!(plan_id_for_dissociation(&mut all.store, &s, &d), Some(p));
         }
     }
 
@@ -854,6 +820,6 @@ mod tests {
         // q :- R(x,z), S(y,u), T(z), U(u), M(x,y,z,u) has 6 minimal plans
         // (Figure 4a).
         let s = shape_of("q :- R(x, z), S(y, u), T(z), U(u), M(x, y, z, u)");
-        assert_eq!(minimal_plans(&s).len(), 6);
+        assert_eq!(minimal_plan_set(&s).len(), 6);
     }
 }

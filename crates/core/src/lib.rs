@@ -16,14 +16,14 @@
 //! * [`dissociation`] — dissociations `Δ`, the partial dissociation order
 //!   (Definition 15), the lattice enumeration, and a naive reference
 //!   algorithm for minimal safe dissociations.
-//! * [`plan`] — the plan algebra of Definition 4 (scan / probabilistic
-//!   project / k-ary join, plus the `min` operator of Optimization 1), the
-//!   1-to-1 mappings between safe dissociations and plans (Theorem 18),
-//!   and unique safe-plan construction (Lemma 3).
-//! * [`store`] — the hash-consed plan DAG: a [`PlanStore`] arena interning
-//!   every structurally distinct plan node once to a dense [`PlanId`].
-//!   Minimal plans share almost all of their subplans; the DAG is the
-//!   natural representation, with [`Plan`] trees as its decoded form.
+//! * [`store`] — the hash-consed plan DAG, the one representation of a
+//!   plan: a [`PlanStore`] arena interning every structurally distinct
+//!   node of the plan algebra of Definition 4 (scan / probabilistic
+//!   project / k-ary join, plus the `min` operator of Optimization 1) once
+//!   to a dense [`PlanId`]. Minimal plans share almost all of their
+//!   subplans; two plans of one store are equal iff their ids are.
+//! * [`plan`] — the 1-to-1 mappings between safe dissociations and plans
+//!   (Theorem 18), and unique safe-plan construction (Lemma 3).
 //! * [`schema`] — schema knowledge: which relations are probabilistic and
 //!   the variable-level FDs (Section 3.3).
 //! * [`enumerate`] — Algorithm 1 (`MP`, EnumerateMinimalPlans) with the DR
@@ -53,14 +53,10 @@ pub use dissociation::{
     all_dissociations, count_dissociations, naive_minimal_safe_dissociations, Dissociation,
 };
 pub use enumerate::{
-    all_plan_ids, all_plans, count_all_plans, count_minimal_plans, minimal_plan_ids_with,
-    minimal_plan_set, minimal_plan_set_opts, minimal_plan_set_with, minimal_plans,
-    minimal_plans_opts, minimal_plans_with, EnumOptions,
+    all_plan_ids, count_all_plans, count_minimal_plans, minimal_plan_set, minimal_plan_set_opts,
+    minimal_plan_set_with, EnumOptions,
 };
-pub use opt::{shared_subqueries, shared_subqueries_in, single_plan, single_plan_id, SubqueryKey};
-pub use plan::{
-    delta_of_plan, delta_of_plan_id, plan_for_dissociation, plan_id_for_dissociation, safe_plan,
-    Plan, PlanKind,
-};
+pub use opt::{shared_subqueries_in, single_plan_id, SubqueryKey};
+pub use plan::{delta_of_plan_id, plan_id_for_dissociation};
 pub use schema::SchemaInfo;
 pub use store::{NodeKind, PlanId, PlanNode, PlanSet, PlanStore, ShapeKey};

@@ -1,10 +1,10 @@
 //! Multi-query optimizations (Section 4).
 //!
-//! * **Optimization 1** ([`single_plan`], Algorithm 2): instead of
+//! * **Optimization 1** ([`single_plan_id`], Algorithm 2): instead of
 //!   evaluating every minimal plan and taking the minimum of their final
 //!   scores, push the `min` operator down into the leaves, producing one
 //!   single plan whose shared structure is evaluated once.
-//! * **Optimization 2** ([`shared_subqueries`], Algorithm 3): subplans of
+//! * **Optimization 2** ([`shared_subqueries_in`], Algorithm 3): subplans of
 //!   the single plan are identified by their *subquery key* (atom set +
 //!   head variables); keys occurring more than once are materialized as
 //!   views by the engine and evaluated only once. Because plan construction
@@ -14,36 +14,21 @@
 //!   and lives in `lapush-engine`.
 
 use crate::enumerate::{chase_shape, mask_of, EnumOptions};
-use crate::plan::{Plan, PlanKind};
 use crate::schema::SchemaInfo;
 use crate::store::{NodeKind, PlanId, PlanStore};
-use lapush_query::{components, min_cuts, min_pcuts, Query, QueryShape, VarFd, VarSet};
+use lapush_query::{components, min_cuts, min_pcuts, Query, QueryShape, VarSet};
 use lapush_storage::FxHashMap;
 
 /// Identity of a subquery: (bitmask of atoms, head variables). Plan nodes
 /// with equal keys compute the same result (for plans produced by
-/// [`single_plan`]); the engine's view cache is keyed by this.
+/// [`single_plan_id`]); the engine's view cache is keyed by this.
 pub type SubqueryKey = (u64, VarSet);
 
 /// Optimization 1 / Algorithm 2: the single combined plan computing the
 /// propagation score `ρ(q)`, with `min` operators pushed down to the point
-/// where minimal plans diverge.
-pub fn single_plan(q: &Query, schema: &SchemaInfo, opts: EnumOptions) -> Plan {
-    let shape = schema.shape(q);
-    single_plan_with(&shape, &schema.fds, opts)
-}
-
-/// [`single_plan`] over an explicit shape + FDs.
-pub fn single_plan_with(shape: &QueryShape, fds: &[VarFd], opts: EnumOptions) -> Plan {
-    let mut store = PlanStore::new();
-    let root = single_plan_id_with(&mut store, shape, fds, opts);
-    store.plan(root)
-}
-
-/// [`single_plan`] interning into an existing store instead of
-/// materializing a tree: the natural input for the engine's id-based
-/// evaluation, where the hash-consed ids make Optimization 2's view
-/// sharing a plain node memo.
+/// where minimal plans diverge, interned into `store` — the natural input
+/// for the engine's evaluation, where the hash-consed ids make
+/// Optimization 2's view sharing a plain node memo.
 pub fn single_plan_id(
     store: &mut PlanStore,
     q: &Query,
@@ -51,31 +36,20 @@ pub fn single_plan_id(
     opts: EnumOptions,
 ) -> PlanId {
     let shape = schema.shape(q);
-    single_plan_id_with(store, &shape, &schema.fds, opts)
-}
-
-/// [`single_plan_id`] over an explicit shape + FDs.
-pub fn single_plan_id_with(
-    store: &mut PlanStore,
-    shape: &QueryShape,
-    fds: &[VarFd],
-    opts: EnumOptions,
-) -> PlanId {
     let enum_shape = if opts.use_fds {
-        chase_shape(shape, fds)
+        chase_shape(&shape, &schema.fds)
     } else {
         shape.clone()
     };
     let atoms = enum_shape.all_atoms();
     let mut sp = SpCtx {
         enum_shape: &enum_shape,
-        orig: shape,
+        orig: &shape,
         use_det: opts.use_deterministic,
         store,
         memo: FxHashMap::default(),
     };
-    let head = enum_shape.head;
-    sp.rec(&atoms, head)
+    sp.rec(&atoms, enum_shape.head)
 }
 
 /// Single-plan recursion state: like `enumerate::EnumCtx`, the result of a
@@ -156,33 +130,11 @@ impl SpCtx<'_> {
 }
 
 /// Optimization 2 / Algorithm 3 (analysis part): count how many times each
-/// subquery key occurs as a non-leaf node of the plan. Keys with count ≥ 2
-/// are the common subplans worth materializing as views; the engine caches
-/// on exactly these keys.
-pub fn shared_subqueries(plan: &Plan) -> Vec<(SubqueryKey, usize)> {
-    let mut counts: FxHashMap<SubqueryKey, usize> = FxHashMap::default();
-    fn walk(p: &Plan, counts: &mut FxHashMap<SubqueryKey, usize>) {
-        match &p.kind {
-            PlanKind::Scan { .. } => return,
-            PlanKind::Project { input } => walk(input, counts),
-            PlanKind::Join { inputs } | PlanKind::Min { inputs } => {
-                for c in inputs {
-                    walk(c, counts);
-                }
-            }
-        }
-        *counts.entry((p.atoms_mask, p.head)).or_insert(0) += 1;
-    }
-    walk(plan, &mut counts);
-    let mut out: Vec<(SubqueryKey, usize)> = counts.into_iter().collect();
-    out.sort();
-    out
-}
-
-/// [`shared_subqueries`] on the DAG form, without materializing a tree.
-/// Counts *tree occurrences* (what the tree walk counts), computed in one
-/// reverse-topological pass: a node's multiplicity is the sum of its
-/// parents' multiplicities.
+/// subquery key occurs as a non-leaf node of the plan rooted at `root`,
+/// counting *tree occurrences* — a shared node once per path to it. Keys
+/// with count ≥ 2 are the common subplans worth materializing as views;
+/// the engine caches on exactly these keys. One reverse-topological pass:
+/// a node's multiplicity is the sum of its parents' multiplicities.
 pub fn shared_subqueries_in(store: &PlanStore, root: PlanId) -> Vec<(SubqueryKey, usize)> {
     let mut mult = vec![0usize; store.len()];
     mult[root.index()] = 1;
@@ -211,18 +163,11 @@ pub fn shared_subqueries_in(store: &PlanStore, root: PlanId) -> Vec<(SubqueryKey
     out
 }
 
-/// Number of view-worthy subqueries (shared at least twice).
-pub fn view_count(plan: &Plan) -> usize {
-    shared_subqueries(plan)
-        .iter()
-        .filter(|(_, c)| *c >= 2)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::minimal_plans;
+    use crate::dissociation::Dissociation;
+    use crate::enumerate::minimal_plan_set;
     use lapush_query::parse_query;
 
     fn setup(text: &str) -> (Query, QueryShape) {
@@ -231,20 +176,35 @@ mod tests {
         (q, s)
     }
 
+    fn single_plan_of(store: &mut PlanStore, q: &Query, opts: EnumOptions) -> PlanId {
+        single_plan_id(store, q, &SchemaInfo::from_query(q), opts)
+    }
+
+    fn has_min(store: &PlanStore, root: PlanId) -> bool {
+        let is_min = |&id: &PlanId| matches!(store.node(id).kind, NodeKind::Min { .. });
+        store.reachable(&[root]).iter().any(is_min)
+    }
+
     #[test]
     fn safe_query_single_plan_has_no_min() {
         let (q, s) = setup("q(z) :- R(z, x), S(x, y), K(x, y)");
-        let sp = single_plan(&q, &SchemaInfo::from_query(&q), EnumOptions::default());
-        assert!(!sp.has_min());
-        assert_eq!(Some(sp), crate::plan::safe_plan(&s));
+        let mut store = PlanStore::new();
+        let sp = single_plan_of(&mut store, &q, EnumOptions::default());
+        assert!(!has_min(&store, sp));
+        let bottom = Dissociation::bottom(s.num_atoms());
+        assert_eq!(
+            crate::plan::plan_id_for_dissociation(&mut store, &s, &bottom),
+            Some(sp)
+        );
     }
 
     #[test]
     fn example_17_single_plan_is_min_of_two() {
         let (q, _) = setup("q :- R(x), S(x), T(x, y), U(y)");
-        let sp = single_plan(&q, &SchemaInfo::from_query(&q), EnumOptions::default());
-        match &sp.kind {
-            PlanKind::Min { inputs } => assert_eq!(inputs.len(), 2),
+        let mut store = PlanStore::new();
+        let sp = single_plan_of(&mut store, &q, EnumOptions::default());
+        match &store.node(sp).kind {
+            NodeKind::Min { inputs } => assert_eq!(inputs.len(), 2),
             other => panic!("expected min at root, got {other:?}"),
         }
     }
@@ -254,16 +214,23 @@ mod tests {
         // Every minimal plan corresponds to one way of resolving the min
         // choices; for Example 29 the min-resolutions number 6.
         let (q, s) = setup("q :- R(x, z), S(y, u), T(z), U(u), M(x, y, z, u)");
-        let sp = single_plan(&q, &SchemaInfo::from_query(&q), EnumOptions::default());
-        assert_eq!(count_min_resolutions(&sp), minimal_plans(&s).len());
+        let mut store = PlanStore::new();
+        let sp = single_plan_of(&mut store, &q, EnumOptions::default());
+        assert_eq!(
+            count_min_resolutions(&store, sp),
+            minimal_plan_set(&s).len()
+        );
     }
 
-    fn count_min_resolutions(p: &Plan) -> usize {
-        match &p.kind {
-            PlanKind::Scan { .. } => 1,
-            PlanKind::Project { input } => count_min_resolutions(input),
-            PlanKind::Join { inputs } => inputs.iter().map(count_min_resolutions).product(),
-            PlanKind::Min { inputs } => inputs.iter().map(count_min_resolutions).sum(),
+    fn count_min_resolutions(store: &PlanStore, id: PlanId) -> usize {
+        let kind = &store.node(id).kind;
+        let counts = kind
+            .inputs()
+            .iter()
+            .map(|&c| count_min_resolutions(store, c));
+        match kind {
+            NodeKind::Min { .. } => counts.sum(),
+            _ => counts.product(),
         }
     }
 
@@ -272,55 +239,38 @@ mod tests {
         // Fig. 4c: V1 = π ⋈[S, M] and V2 = π ⋈[R, M] are each used twice
         // (directly and inside V3).
         let (q, _) = setup("q :- R(x, z), S(y, u), T(z), U(u), M(x, y, z, u)");
-        let sp = single_plan(&q, &SchemaInfo::from_query(&q), EnumOptions::default());
-        assert!(view_count(&sp) >= 2, "shared: {:?}", shared_subqueries(&sp));
+        let mut store = PlanStore::new();
+        let sp = single_plan_of(&mut store, &q, EnumOptions::default());
+        let shared = shared_subqueries_in(&store, sp);
+        let views = shared.iter().filter(|(_, c)| *c >= 2).count();
+        assert!(views >= 2, "shared: {shared:?}");
     }
 
     #[test]
     fn deterministic_knowledge_shrinks_single_plan() {
         let (q, _) = setup("q :- R(x), S(x, y), T^d(y)");
-        let schema = SchemaInfo::from_query(&q);
-        let plain = single_plan(&q, &schema, EnumOptions::default());
-        let with_dr = single_plan(
+        let mut store = PlanStore::new();
+        let plain = single_plan_of(&mut store, &q, EnumOptions::default());
+        let with_dr = single_plan_of(
+            &mut store,
             &q,
-            &schema,
             EnumOptions {
                 use_deterministic: true,
                 use_fds: false,
             },
         );
-        assert!(plain.has_min());
-        assert!(!with_dr.has_min());
-        assert!(with_dr.size() < plain.size());
-    }
-
-    #[test]
-    fn shared_subqueries_in_matches_tree_walk() {
-        // The DAG multiplicity pass must count exactly what the tree walk
-        // counts, for every options combination.
-        for text in [
-            "q :- R(x), S(x), T(x, y), U(y)",
-            "q :- R(x), S(x, y), T(y)",
-            "q :- R(x, z), S(y, u), T(z), U(u), M(x, y, z, u)",
-            "q(z) :- R(z, x), S(x, y), K(x, y)",
-        ] {
-            let (q, _) = setup(text);
-            let schema = SchemaInfo::from_query(&q);
-            let mut store = crate::store::PlanStore::new();
-            let root = super::single_plan_id(&mut store, &q, &schema, EnumOptions::default());
-            assert_eq!(
-                shared_subqueries_in(&store, root),
-                shared_subqueries(&store.plan(root)),
-                "{text}"
-            );
-        }
+        assert!(has_min(&store, plain));
+        assert!(!has_min(&store, with_dr));
+        let sizes = store.tree_sizes();
+        assert!(sizes[with_dr.index()] < sizes[plain.index()]);
     }
 
     #[test]
     fn shared_subqueries_counts_nodes_not_scans() {
         let (q, _) = setup("q :- R(x), S(x, y), T(y)");
-        let sp = single_plan(&q, &SchemaInfo::from_query(&q), EnumOptions::default());
-        for ((mask, _), _) in shared_subqueries(&sp) {
+        let mut store = PlanStore::new();
+        let sp = single_plan_of(&mut store, &q, EnumOptions::default());
+        for ((mask, _), _) in shared_subqueries_in(&store, sp) {
             assert!(mask.count_ones() >= 1);
         }
     }

@@ -1,13 +1,12 @@
-//! The plan algebra of Definition 4 and the 1-to-1 correspondence between
-//! safe dissociations and query plans (Theorem 18).
+//! The 1-to-1 correspondence between safe dissociations and query plans
+//! (Theorem 18), and unique safe-plan construction (Lemma 3).
 //!
-//! Plans here are *executable* ("stripped") plans over the **original**
-//! relations: every node's `head` is expressed in original query variables.
-//! The dissociation a plan realizes is implicit in its structure and can be
-//! recovered with [`delta_of_plan`] (the map `P ↦ Δ_P`); conversely
-//! [`plan_for_dissociation`] builds the unique safe plan of `q^Δ` and strips
-//! it (the map `Δ ↦ P_Δ`). Property tests verify these maps are mutually
-//! inverse, as Theorem 18(1) states.
+//! Plans are nodes of a [`PlanStore`] (the algebra of Definition 4 is
+//! [`crate::store::NodeKind`]). The dissociation a plan realizes is
+//! implicit in its structure and is recovered with [`delta_of_plan_id`]
+//! (the map `P ↦ Δ_P`); conversely [`plan_id_for_dissociation`] builds the
+//! unique safe plan of `q^Δ` and strips it (the map `Δ ↦ P_Δ`). Property
+//! tests verify these maps are mutually inverse, as Theorem 18(1) states.
 //!
 //! The extensional score semantics (`score`, Definition 4) is implemented in
 //! `lapush-engine`; by Corollary 19 the score of *any* plan upper-bounds the
@@ -17,231 +16,15 @@ use crate::dissociation::Dissociation;
 use crate::store::{NodeKind, PlanId, PlanStore};
 use lapush_query::{components, separator_vars, QueryShape, VarSet};
 
-/// Plan node payload. See [`Plan`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum PlanKind {
-    /// Leaf: scan one atom of the query (by atom index).
-    Scan {
-        /// Atom index in the original query.
-        atom: usize,
-    },
-    /// Probabilistic projection with duplicate elimination (`π^p`): group by
-    /// the node's `head` and combine group scores with independent-OR.
-    Project {
-        /// Input plan.
-        input: Box<Plan>,
-    },
-    /// Natural k-ary join (`⋈^p`): scores multiply.
-    Join {
-        /// Input plans (canonically ordered; ≥ 2 entries).
-        inputs: Vec<Plan>,
-    },
-    /// The `min` operator of Optimization 1 (Algorithm 2): all inputs
-    /// compute the same subquery; per output tuple, take the minimum score.
-    Min {
-        /// Alternative plans for the same subquery (≥ 2 entries).
-        inputs: Vec<Plan>,
-    },
-}
-
-/// A query plan. `head` is the set of output variables (in original query
-/// variables); `atoms_mask` is the bitmask of atom indices covered by the
-/// subtree — together they form the *subquery key* used by Optimization 2.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Plan {
-    /// Node payload.
-    pub kind: PlanKind,
-    /// Output variables of this node (stripped level).
-    pub head: VarSet,
-    /// Bitmask of atom indices covered by this subtree.
-    pub atoms_mask: u64,
-}
-
-impl Plan {
-    /// Leaf scan of atom `atom`; its head is the atom's (original) variables.
-    pub fn scan(orig: &QueryShape, atom: usize) -> Plan {
-        Plan {
-            kind: PlanKind::Scan { atom },
-            head: orig.atom_vars[atom],
-            atoms_mask: 1u64 << atom,
-        }
-    }
-
-    /// Probabilistic projection of `input` onto `keep`.
-    /// `keep` must be a subset of the input's head. A no-op projection
-    /// (`keep == input.head`) returns the input unchanged.
-    pub fn project(keep: VarSet, input: Plan) -> Plan {
-        debug_assert!(keep.is_subset(input.head), "projection widens head");
-        if keep == input.head {
-            return input;
-        }
-        let atoms_mask = input.atoms_mask;
-        Plan {
-            kind: PlanKind::Project {
-                input: Box::new(input),
-            },
-            head: keep,
-            atoms_mask,
-        }
-    }
-
-    /// Natural join of `inputs` (flattening nested joins, canonically
-    /// ordering children by their smallest atom index). A join of one input
-    /// is the input itself.
-    pub fn join(inputs: Vec<Plan>) -> Plan {
-        let mut flat: Vec<Plan> = Vec::with_capacity(inputs.len());
-        for p in inputs {
-            match p.kind {
-                PlanKind::Join { inputs: nested } => flat.extend(nested),
-                _ => flat.push(p),
-            }
-        }
-        if flat.len() == 1 {
-            return flat.pop().expect("one element");
-        }
-        flat.sort_by_key(|p| p.atoms_mask.trailing_zeros());
-        let head = flat.iter().fold(VarSet::EMPTY, |h, p| h.union(p.head));
-        let atoms_mask = flat.iter().fold(0u64, |m, p| m | p.atoms_mask);
-        Plan {
-            kind: PlanKind::Join { inputs: flat },
-            head,
-            atoms_mask,
-        }
-    }
-
-    /// `min` of alternative plans for the same subquery. Inputs must agree
-    /// on head and atom set; duplicates are removed; a single distinct input
-    /// is returned unchanged.
-    pub fn min_of(inputs: Vec<Plan>) -> Plan {
-        let mut distinct: Vec<Plan> = Vec::with_capacity(inputs.len());
-        for p in inputs {
-            if !distinct.contains(&p) {
-                distinct.push(p);
-            }
-        }
-        if distinct.len() == 1 {
-            return distinct.pop().expect("one element");
-        }
-        let head = distinct[0].head;
-        let atoms_mask = distinct[0].atoms_mask;
-        debug_assert!(
-            distinct
-                .iter()
-                .all(|p| p.head == head && p.atoms_mask == atoms_mask),
-            "min over mismatched subqueries"
-        );
-        distinct.sort();
-        Plan {
-            kind: PlanKind::Min { inputs: distinct },
-            head,
-            atoms_mask,
-        }
-    }
-
-    /// Atom indices covered by this subtree, ascending.
-    pub fn atoms(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut m = self.atoms_mask;
-        while m != 0 {
-            out.push(m.trailing_zeros() as usize);
-            m &= m - 1;
-        }
-        out
-    }
-
-    /// True if the plan contains a [`PlanKind::Min`] node.
-    pub fn has_min(&self) -> bool {
-        match &self.kind {
-            PlanKind::Scan { .. } => false,
-            PlanKind::Project { input } => input.has_min(),
-            PlanKind::Join { inputs } => inputs.iter().any(Plan::has_min),
-            PlanKind::Min { .. } => true,
-        }
-    }
-
-    /// Number of nodes in the plan tree.
-    pub fn size(&self) -> usize {
-        1 + match &self.kind {
-            PlanKind::Scan { .. } => 0,
-            PlanKind::Project { input } => input.size(),
-            PlanKind::Join { inputs } | PlanKind::Min { inputs } => {
-                inputs.iter().map(Plan::size).sum()
-            }
-        }
-    }
-
-    /// Render with variable/relation names from the query, in the paper's
-    /// notation, e.g. `π⁻ˣ ⋈ [R(x), π⁻ʸ ⋈ [S(x,y), T(y)]]`.
-    pub fn render(&self, q: &lapush_query::Query) -> String {
-        match &self.kind {
-            PlanKind::Scan { atom } => {
-                let a = &q.atoms()[*atom];
-                let vars: Vec<&str> = a
-                    .terms
-                    .iter()
-                    .map(|t| match t {
-                        lapush_query::Term::Var(v) => q.var_name(*v),
-                        lapush_query::Term::Const(_) => "·",
-                    })
-                    .collect();
-                format!("{}({})", a.relation, vars.join(","))
-            }
-            PlanKind::Project { input } => {
-                let away: Vec<&str> = input
-                    .head
-                    .minus(self.head)
-                    .iter()
-                    .map(|v| q.var_name(v))
-                    .collect();
-                format!("π-[{}] {}", away.join(","), input.render(q))
-            }
-            PlanKind::Join { inputs } => {
-                let parts: Vec<String> = inputs.iter().map(|p| p.render(q)).collect();
-                format!("⋈[{}]", parts.join(", "))
-            }
-            PlanKind::Min { inputs } => {
-                let parts: Vec<String> = inputs.iter().map(|p| p.render(q)).collect();
-                format!("min[{}]", parts.join(" | "))
-            }
-        }
-    }
-}
-
 /// The map `P ↦ Δ_P` (Section 3.2): recover the dissociation a plan
 /// realizes. For each join, every input is dissociated on the join variables
 /// it is missing (`JVar − HVar(P_j)`), excluding head variables of the query
 /// (those are per-answer constants) and variables the atom already contains.
+/// The per-join contributions are idempotent unions, so visiting a shared
+/// node once per parent is sound.
 ///
 /// Returns `None` for plans containing `min` nodes (they realize a *set* of
 /// dissociations, one per branch).
-pub fn delta_of_plan(plan: &Plan, shape: &QueryShape) -> Option<Dissociation> {
-    let mut delta = Dissociation::bottom(shape.num_atoms());
-    fn walk(p: &Plan, shape: &QueryShape, delta: &mut Dissociation) -> bool {
-        match &p.kind {
-            PlanKind::Scan { .. } => true,
-            PlanKind::Project { input } => walk(input, shape, delta),
-            PlanKind::Join { inputs } => {
-                let jvar = inputs.iter().fold(VarSet::EMPTY, |h, c| h.union(c.head));
-                for c in inputs {
-                    let missing = jvar.minus(c.head).minus(shape.head);
-                    if !missing.is_empty() {
-                        for atom in c.atoms() {
-                            let add = missing.minus(shape.atom_vars[atom]);
-                            delta.0[atom] = delta.0[atom].union(add);
-                        }
-                    }
-                }
-                inputs.iter().all(|c| walk(c, shape, delta))
-            }
-            PlanKind::Min { .. } => false,
-        }
-    }
-    walk(plan, shape, &mut delta).then_some(delta)
-}
-
-/// [`delta_of_plan`] on the DAG form, without materializing a tree. The
-/// per-join contributions are idempotent unions, so visiting a shared node
-/// once per parent is sound.
 pub fn delta_of_plan_id(store: &PlanStore, id: PlanId, shape: &QueryShape) -> Option<Dissociation> {
     let mut delta = Dissociation::bottom(shape.num_atoms());
     fn walk(store: &PlanStore, id: PlanId, shape: &QueryShape, delta: &mut Dissociation) -> bool {
@@ -277,14 +60,9 @@ pub fn delta_of_plan_id(store: &PlanStore, id: PlanId, shape: &QueryShape) -> Op
 /// The map `Δ ↦ P_Δ` (Section 3.2): if `q^Δ` is hierarchical, build its
 /// unique safe plan (per the recursive characterization of Lemma 3) and
 /// strip the dissociated variables, yielding an executable plan over the
-/// original relations. Returns `None` when the dissociation is unsafe.
-pub fn plan_for_dissociation(orig: &QueryShape, delta: &Dissociation) -> Option<Plan> {
-    let mut store = PlanStore::new();
-    plan_id_for_dissociation(&mut store, orig, delta).map(|id| store.plan(id))
-}
-
-/// [`plan_for_dissociation`] interning into an existing store instead of
-/// materializing a tree.
+/// original relations, interned into `store`. Returns `None` when the
+/// dissociation is unsafe; with `Δ = Δ⊥` this is the query's own safe plan,
+/// if it has one.
 pub fn plan_id_for_dissociation(
     store: &mut PlanStore,
     orig: &QueryShape,
@@ -293,11 +71,6 @@ pub fn plan_id_for_dissociation(
     let dshape = delta.apply(orig);
     let atoms = dshape.all_atoms();
     safe_plan_rec(store, &dshape, orig, &atoms, dshape.head)
-}
-
-/// The unique safe plan of a shape, if it is hierarchical (`Δ = Δ⊥`).
-pub fn safe_plan(shape: &QueryShape) -> Option<Plan> {
-    plan_for_dissociation(shape, &Dissociation::bottom(shape.num_atoms()))
 }
 
 /// Lemma 3 recursion over the *dissociated* shape, interning nodes whose
@@ -348,13 +121,18 @@ mod tests {
         (q, s)
     }
 
+    fn safe_plan_of(store: &mut PlanStore, s: &QueryShape) -> Option<PlanId> {
+        plan_id_for_dissociation(store, s, &Dissociation::bottom(s.num_atoms()))
+    }
+
     #[test]
     fn safe_plan_of_hierarchical_query() {
         // q1(z) :- R(z,x), S(x,y), K(x,y) has safe plan
         // π_z( R ⋈_x (π_x (S ⋈_{x,y} K)) )  (paper, Introduction).
         let (q, s) = setup("q(z) :- R(z, x), S(x, y), K(x, y)");
-        let p = safe_plan(&s).expect("query is safe");
-        let txt = p.render(&q);
+        let mut store = PlanStore::new();
+        let p = safe_plan_of(&mut store, &s).expect("query is safe");
+        let txt = store.render(p, &q);
         assert!(txt.contains("R(z,x)"), "got {txt}");
         assert!(txt.contains("π-[y] ⋈[S(x,y), K(x,y)]"), "got {txt}");
     }
@@ -362,7 +140,7 @@ mod tests {
     #[test]
     fn unsafe_query_has_no_safe_plan() {
         let (_, s) = setup("q :- R(x), S(x, y), T(y)");
-        assert!(safe_plan(&s).is_none());
+        assert!(safe_plan_of(&mut PlanStore::new(), &s).is_none());
     }
 
     #[test]
@@ -371,26 +149,26 @@ mod tests {
         let (q, s) = setup("q :- R(x), S(x, y), T(y)");
         let x = q.var_by_name("x").unwrap();
         let y = q.var_by_name("y").unwrap();
+        let mut store = PlanStore::new();
+        let [r, sc, t] = [0, 1, 2].map(|a| store.scan(&s, a));
 
         // P∆2 = π_{-x} ⋈[R(x), π_{-y} ⋈[S(x,y), T(y)]]: T gains x.
-        let inner = Plan::project(
-            VarSet::single(x),
-            Plan::join(vec![Plan::scan(&s, 1), Plan::scan(&s, 2)]),
-        );
-        let p2 = Plan::project(VarSet::EMPTY, Plan::join(vec![Plan::scan(&s, 0), inner]));
-        let d2 = delta_of_plan(&p2, &s).unwrap();
+        let st = store.join(vec![sc, t]);
+        let inner = store.project(VarSet::single(x), st);
+        let top = store.join(vec![r, inner]);
+        let p2 = store.project(VarSet::EMPTY, top);
+        let d2 = delta_of_plan_id(&store, p2, &s).unwrap();
         assert_eq!(
             d2,
             Dissociation(vec![VarSet::EMPTY, VarSet::EMPTY, VarSet::single(x)])
         );
 
         // P∆1 = π_{-y} ⋈[π_{-x} ⋈[R(x), S(x,y)], T(y)]: R gains y.
-        let inner = Plan::project(
-            VarSet::single(y),
-            Plan::join(vec![Plan::scan(&s, 0), Plan::scan(&s, 1)]),
-        );
-        let p1 = Plan::project(VarSet::EMPTY, Plan::join(vec![inner, Plan::scan(&s, 2)]));
-        let d1 = delta_of_plan(&p1, &s).unwrap();
+        let rs = store.join(vec![r, sc]);
+        let inner = store.project(VarSet::single(y), rs);
+        let top = store.join(vec![inner, t]);
+        let p1 = store.project(VarSet::EMPTY, top);
+        let d1 = delta_of_plan_id(&store, p1, &s).unwrap();
         assert_eq!(
             d1,
             Dissociation(vec![VarSet::single(y), VarSet::EMPTY, VarSet::EMPTY])
@@ -404,15 +182,13 @@ mod tests {
         let (q, s) = setup("q(z) :- R(z, x), S(x, y), T(y)");
         let y = q.var_by_name("y").unwrap();
         let z = q.var_by_name("z").unwrap();
-        let inner = Plan::project(
-            VarSet::from_iter([z, y]),
-            Plan::join(vec![Plan::scan(&s, 0), Plan::scan(&s, 1)]),
-        );
-        let p = Plan::project(
-            VarSet::single(z),
-            Plan::join(vec![inner, Plan::scan(&s, 2)]),
-        );
-        let d = delta_of_plan(&p, &s).unwrap();
+        let mut store = PlanStore::new();
+        let [r, sc, t] = [0, 1, 2].map(|a| store.scan(&s, a));
+        let rs = store.join(vec![r, sc]);
+        let inner = store.project(VarSet::from_iter([z, y]), rs);
+        let top = store.join(vec![inner, t]);
+        let p = store.project(VarSet::single(z), top);
+        let d = delta_of_plan_id(&store, p, &s).unwrap();
         assert_eq!(
             d,
             Dissociation(vec![VarSet::single(y), VarSet::EMPTY, VarSet::EMPTY])
@@ -422,47 +198,22 @@ mod tests {
     #[test]
     fn maps_are_mutually_inverse_on_example_17() {
         // For every safe dissociation Δ of Example 17:
-        // delta_of_plan(plan_for_dissociation(Δ)) == Δ.
-        let (_, s) = setup("q :- R(x), S(x), T(x, y), U(y)");
+        // delta_of_plan_id(plan_id_for_dissociation(Δ)) == Δ.
+        let (q, s) = setup("q :- R(x), S(x), T(x, y), U(y)");
+        let mut store = PlanStore::new();
         let mut safe_count = 0;
         for d in all_dissociations(&s, 10).unwrap() {
-            let Some(p) = plan_for_dissociation(&s, &d) else {
+            let Some(p) = plan_id_for_dissociation(&mut store, &s, &d) else {
                 assert!(!d.is_safe(&s));
                 continue;
             };
             assert!(d.is_safe(&s));
             safe_count += 1;
-            let d2 = delta_of_plan(&p, &s).unwrap();
-            assert_eq!(d, d2, "plan {p:?}");
+            let d2 = delta_of_plan_id(&store, p, &s).unwrap();
+            assert_eq!(d, d2, "plan {}", store.render(p, &q));
         }
         assert_eq!(safe_count, 5); // Fig. 1a: 5 safe dissociations
-    }
-
-    #[test]
-    fn delta_of_plan_id_matches_tree_walk() {
-        // The DAG walk must recover the same dissociation as the tree walk
-        // for every plan, and reject `min` nodes the same way.
-        for text in [
-            "q :- R(x), S(x), T(x, y), U(y)",
-            "q :- R(x), S(x, y), T(y)",
-            "q(z) :- R(z, x), S(x, y), T(y)",
-            "q :- R(x), S(y)",
-        ] {
-            let (_, s) = setup(text);
-            let mut store = PlanStore::new();
-            let roots = crate::enumerate::all_plan_ids(&mut store, &s);
-            assert!(!roots.is_empty(), "{text}");
-            for &id in &roots {
-                assert_eq!(
-                    delta_of_plan_id(&store, id, &s),
-                    delta_of_plan(&store.plan(id), &s),
-                    "{text}"
-                );
-            }
-        }
-        // Plans containing `min` have no single dissociation.
-        let (q, s) = setup("q :- R(x), S(x), T(x, y), U(y)");
-        let mut store = PlanStore::new();
+                                   // The single plan's `min` realizes two dissociations, not one.
         let sp = crate::opt::single_plan_id(
             &mut store,
             &q,
@@ -470,70 +221,80 @@ mod tests {
             crate::enumerate::EnumOptions::default(),
         );
         assert_eq!(delta_of_plan_id(&store, sp, &s), None);
-        assert_eq!(delta_of_plan(&store.plan(sp), &s), None);
     }
 
     #[test]
     fn top_dissociation_plan_joins_all_then_projects() {
         let (_, s) = setup("q :- R(x), S(x), T(x, y), U(y)");
         let top = Dissociation::top(&s);
-        let p = plan_for_dissociation(&s, &top).unwrap();
+        let mut store = PlanStore::new();
+        let p = plan_id_for_dissociation(&mut store, &s, &top).unwrap();
         // π_{-x,y} ⋈[R, S, T, U]: one projection over one 4-way join.
-        match &p.kind {
-            PlanKind::Project { input } => match &input.kind {
-                PlanKind::Join { inputs } => assert_eq!(inputs.len(), 4),
+        match &store.node(p).kind {
+            NodeKind::Project { input } => match &store.node(*input).kind {
+                NodeKind::Join { inputs } => assert_eq!(inputs.len(), 4),
                 other => panic!("expected join, got {other:?}"),
             },
             other => panic!("expected projection, got {other:?}"),
         }
-        assert_eq!(p.head, VarSet::EMPTY);
+        assert_eq!(store.node(p).head, VarSet::EMPTY);
     }
 
     #[test]
     fn join_flattens_and_orders() {
         let (_, s) = setup("q :- R(x), S(x), T(x, y), U(y)");
-        let j1 = Plan::join(vec![Plan::scan(&s, 2), Plan::scan(&s, 0)]);
-        let j2 = Plan::join(vec![j1, Plan::scan(&s, 1)]);
-        match &j2.kind {
-            PlanKind::Join { inputs } => {
-                assert_eq!(inputs.len(), 3);
-                let atoms: Vec<_> = inputs.iter().map(|p| p.atoms()[0]).collect();
-                assert_eq!(atoms, vec![0, 1, 2]);
-            }
+        let mut store = PlanStore::new();
+        let [r, sc, t] = [0, 1, 2].map(|a| store.scan(&s, a));
+        let j1 = store.join(vec![t, r]);
+        let j2 = store.join(vec![j1, sc]);
+        match &store.node(j2).kind {
+            NodeKind::Join { inputs } => assert_eq!(**inputs, [r, sc, t]),
             other => panic!("expected join, got {other:?}"),
         }
-        assert_eq!(j2.atoms(), vec![0, 1, 2]);
+        assert_eq!(store.node(j2).atoms_mask, 0b111);
     }
 
     #[test]
     fn min_dedups_and_unwraps() {
-        let (_, s) = setup("q :- R(x), S(x)");
-        let p1 = Plan::project(
-            VarSet::EMPTY,
-            Plan::join(vec![Plan::scan(&s, 0), Plan::scan(&s, 1)]),
-        );
-        let m = Plan::min_of(vec![p1.clone(), p1.clone()]);
-        assert_eq!(m, p1);
-        assert!(!m.has_min());
+        // Example 17's two minimal plans: `min` keeps each once, in id
+        // order, and a `min` of one distinct plan is that plan.
+        let (_, s) = setup("q :- R(x), S(x), T(x, y), U(y)");
+        let crate::PlanSet { mut store, roots } = crate::minimal_plan_set(&s);
+        let [a, b] = roots[..] else {
+            panic!("two minimal plans")
+        };
+        assert_eq!(store.min_of(vec![a, a]), a);
+        let m = store.min_of(vec![b, a, b]);
+        assert_eq!(store.node(m).kind.inputs(), [a, b]);
+        assert_eq!(store.min_of(vec![a, b]), m);
     }
 
     #[test]
     fn noop_projection_elided() {
-        let (_, s) = setup("q :- R(x), S(x)");
-        let scan = Plan::scan(&s, 0);
-        let p = Plan::project(scan.head, scan.clone());
-        assert_eq!(p, scan);
+        // No plan of Example 17 projects onto its input's whole head.
+        let (_, s) = setup("q :- R(x), S(x), T(x, y), U(y)");
+        let mut store = PlanStore::new();
+        let roots = crate::enumerate::all_plan_ids(&mut store, &s);
+        assert_eq!(roots.len(), 5);
+        for id in store.reachable(&roots) {
+            if let NodeKind::Project { input } = store.node(id).kind {
+                assert_ne!(store.node(id).head, store.node(input).head);
+            }
+        }
+        let scan = store.scan(&s, 0);
+        assert_eq!(store.project(s.atom_vars[0], scan), scan);
     }
 
     #[test]
     fn plan_size_counts_nodes() {
         let (_, s) = setup("q :- R(x), S(x, y), T(y)");
-        let inner = Plan::project(
-            VarSet::single(s.atom_vars[0].iter().next().unwrap()),
-            Plan::join(vec![Plan::scan(&s, 1), Plan::scan(&s, 2)]),
-        );
-        let p = Plan::project(VarSet::EMPTY, Plan::join(vec![Plan::scan(&s, 0), inner]));
+        let mut store = PlanStore::new();
+        let [r, sc, t] = [0, 1, 2].map(|a| store.scan(&s, a));
+        let st = store.join(vec![sc, t]);
+        let inner = store.project(s.atom_vars[0], st);
+        let top = store.join(vec![r, inner]);
+        let p = store.project(VarSet::EMPTY, top);
         // scan,scan,join,project,scan,join,project = 7
-        assert_eq!(p.size(), 7);
+        assert_eq!(store.tree_sizes()[p.index()], 7);
     }
 }

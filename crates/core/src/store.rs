@@ -1,5 +1,5 @@
-//! Hash-consed plan DAG: the arena-interned representation behind plan
-//! enumeration and execution.
+//! Hash-consed plan DAG: the one representation of a plan, behind plan
+//! enumeration, execution and printing.
 //!
 //! Minimal plans of a query share almost all of their subplans — the 132
 //! minimal plans of the 7-chain query are built from a few hundred distinct
@@ -9,23 +9,18 @@
 //!
 //! * enumeration memoizes each `(atoms_mask, head)` subquery once and
 //!   reuses its plan ids across every cut that reaches it,
-//! * sorting/deduplication compare `u32` ids instead of deep trees,
+//! * sorting/deduplication compare `u32` ids instead of deep trees, and
+//!   two plans interned into one store are equal iff their ids are,
 //! * the engine's memo keyed by [`PlanId`] evaluates each distinct subplan
 //!   once per evaluation — Optimization 2's view sharing falls out of the
-//!   representation (equal subquery keys in a [`crate::opt::single_plan`]
+//!   representation (equal subquery keys in a [`crate::opt::single_plan_id`]
 //!   imply equal subplans, hence equal ids),
 //! * interned plans are cheap to retain across calls, unblocking
 //!   multi-query plan caching.
-//!
-//! The tree type [`Plan`] remains the public materialized form —
-//! [`PlanStore::plan`] decodes an id to a tree and
-//! [`PlanStore::intern_plan`] encodes a tree back, and the two are
-//! mutually inverse on normalized plans.
 
 use crate::enumerate::EnumOptions;
-use crate::plan::{Plan, PlanKind};
 use crate::schema::SchemaInfo;
-use lapush_query::{Query, QueryShape, VarFd, VarSet};
+use lapush_query::{Query, QueryShape, Term, VarFd, VarSet};
 use lapush_storage::FxHashMap;
 
 /// Dense handle of one interned plan node inside a [`PlanStore`].
@@ -44,8 +39,8 @@ impl PlanId {
     }
 }
 
-/// Node payload of the DAG form; children are [`PlanId`]s instead of owned
-/// subtrees. Mirrors [`PlanKind`] exactly.
+/// Node payload: the plan algebra of Definition 4 plus the `min` operator
+/// of Optimization 1. Children are [`PlanId`]s of the same store.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Leaf: scan one atom of the query (by atom index).
@@ -53,17 +48,21 @@ pub enum NodeKind {
         /// Atom index in the original query.
         atom: usize,
     },
-    /// Probabilistic projection onto the node's `head`.
+    /// Probabilistic projection with duplicate elimination (`π^p`): group by
+    /// the node's `head` and combine group scores with independent-OR.
     Project {
         /// Input plan.
         input: PlanId,
     },
-    /// Natural k-ary join (canonically ordered; ≥ 2 entries).
+    /// Natural k-ary join (`⋈^p`): scores multiply. Inputs are canonically
+    /// ordered by their smallest atom index; ≥ 2 entries.
     Join {
         /// Input plans.
         inputs: Box<[PlanId]>,
     },
-    /// The `min` operator of Optimization 1 (≥ 2 distinct entries).
+    /// The `min` operator of Optimization 1 (Algorithm 2): all inputs
+    /// compute the same subquery; per output tuple, take the minimum score.
+    /// ≥ 2 distinct entries, ascending by id.
     Min {
         /// Alternative plans for the same subquery.
         inputs: Box<[PlanId]>,
@@ -84,7 +83,9 @@ impl NodeKind {
 }
 
 /// One interned plan node: payload plus the subquery key
-/// `(atoms_mask, head)` it computes.
+/// `(atoms_mask, head)` it computes. Plans are executable ("stripped")
+/// plans over the original relations: `head` is expressed in original
+/// query variables.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanNode {
     /// Node payload.
@@ -143,7 +144,7 @@ impl PlanStore {
         id
     }
 
-    // -- smart constructors (normalizing, mirroring the `Plan` ones) -------
+    // -- smart constructors (normalizing) -----------------------------------
 
     /// Leaf scan of atom `atom`; its head is the atom's (original) variables.
     pub fn scan(&mut self, orig: &QueryShape, atom: usize) -> PlanId {
@@ -154,8 +155,9 @@ impl PlanStore {
         })
     }
 
-    /// Probabilistic projection of `input` onto `keep`; a no-op projection
-    /// returns `input` unchanged (same normalization as [`Plan::project`]).
+    /// Probabilistic projection of `input` onto `keep`, which must be a
+    /// subset of the input's head; a no-op projection returns `input`
+    /// unchanged.
     pub fn project(&mut self, keep: VarSet, input: PlanId) -> PlanId {
         let node = self.node(input);
         debug_assert!(keep.is_subset(node.head), "projection widens head");
@@ -171,8 +173,8 @@ impl PlanStore {
     }
 
     /// Natural join, flattening nested joins and canonically ordering the
-    /// children by their smallest atom index (same as [`Plan::join`]). A
-    /// join of one input is the input itself.
+    /// children by their smallest atom index. A join of one input is the
+    /// input itself.
     pub fn join(&mut self, inputs: Vec<PlanId>) -> PlanId {
         let mut flat: Vec<PlanId> = Vec::with_capacity(inputs.len());
         for id in inputs {
@@ -200,11 +202,10 @@ impl PlanStore {
         })
     }
 
-    /// `min` of alternative plans for the same subquery. Duplicates (now
-    /// simply equal ids) are removed; a single distinct input is returned
-    /// unchanged. Inputs are ordered by id — deterministic because
-    /// construction order is — where [`Plan::min_of`] ordered structurally;
-    /// `min` is commutative, so results are unaffected.
+    /// `min` of alternative plans for the same subquery; inputs must agree
+    /// on head and atom set. Duplicates (equal ids) are removed; a single
+    /// distinct input is returned unchanged. Inputs are ordered by id —
+    /// deterministic because construction order is.
     pub fn min_of(&mut self, inputs: Vec<PlanId>) -> PlanId {
         let mut distinct: Vec<PlanId> = Vec::with_capacity(inputs.len());
         for id in inputs {
@@ -233,55 +234,36 @@ impl PlanStore {
         })
     }
 
-    // -- encode / decode ----------------------------------------------------
-
-    /// Materialize the tree form of `id`. Shared DAG nodes are expanded
-    /// into independent subtrees (the tree can be exponentially larger than
-    /// the DAG; see [`PlanStore::tree_sizes`]).
-    pub fn plan(&self, id: PlanId) -> Plan {
+    /// Render `id` with variable/relation names from the query, in the
+    /// paper's notation, e.g. `π-[x] ⋈[R(x), π-[y] ⋈[S(x,y), T(y)]]`. A
+    /// shared node is printed once per occurrence.
+    pub fn render(&self, id: PlanId, q: &Query) -> String {
         let node = self.node(id);
-        let kind = match &node.kind {
-            NodeKind::Scan { atom } => PlanKind::Scan { atom: *atom },
-            NodeKind::Project { input } => PlanKind::Project {
-                input: Box::new(self.plan(*input)),
-            },
-            NodeKind::Join { inputs } => PlanKind::Join {
-                inputs: inputs.iter().map(|&c| self.plan(c)).collect(),
-            },
-            NodeKind::Min { inputs } => PlanKind::Min {
-                inputs: inputs.iter().map(|&c| self.plan(c)).collect(),
-            },
+        let list = |inputs: &[PlanId], sep: &str| -> String {
+            let parts: Vec<String> = inputs.iter().map(|&c| self.render(c, q)).collect();
+            parts.join(sep)
         };
-        Plan {
-            kind,
-            head: node.head,
-            atoms_mask: node.atoms_mask,
+        match &node.kind {
+            NodeKind::Scan { atom } => {
+                let a = &q.atoms()[*atom];
+                let vars: Vec<&str> = a
+                    .terms
+                    .iter()
+                    .map(|t| match t {
+                        Term::Var(v) => q.var_name(*v),
+                        Term::Const(_) => "·",
+                    })
+                    .collect();
+                format!("{}({})", a.relation, vars.join(","))
+            }
+            NodeKind::Project { input } => {
+                let away = self.node(*input).head.minus(node.head);
+                let away: Vec<&str> = away.iter().map(|v| q.var_name(v)).collect();
+                format!("π-[{}] {}", away.join(","), self.render(*input, q))
+            }
+            NodeKind::Join { inputs } => format!("⋈[{}]", list(inputs, ", ")),
+            NodeKind::Min { inputs } => format!("min[{}]", list(inputs, " | ")),
         }
-    }
-
-    /// Intern a tree verbatim (no re-normalization: the tree's own
-    /// structure is preserved node for node, so evaluating the returned id
-    /// is exactly evaluating the tree). Structurally equal subtrees —
-    /// within this plan or across previously interned ones — collapse to
-    /// shared ids.
-    pub fn intern_plan(&mut self, plan: &Plan) -> PlanId {
-        let kind = match &plan.kind {
-            PlanKind::Scan { atom } => NodeKind::Scan { atom: *atom },
-            PlanKind::Project { input } => NodeKind::Project {
-                input: self.intern_plan(input),
-            },
-            PlanKind::Join { inputs } => NodeKind::Join {
-                inputs: inputs.iter().map(|c| self.intern_plan(c)).collect(),
-            },
-            PlanKind::Min { inputs } => NodeKind::Min {
-                inputs: inputs.iter().map(|c| self.intern_plan(c)).collect(),
-            },
-        };
-        self.intern(PlanNode {
-            kind,
-            head: plan.head,
-            atoms_mask: plan.atoms_mask,
-        })
     }
 
     // -- DAG statistics -----------------------------------------------------
@@ -306,10 +288,11 @@ impl PlanStore {
         out
     }
 
-    /// Per-node materialized-tree sizes (what [`Plan::size`] would return
-    /// after decoding), computed bottom-up in one pass — the node vector is
-    /// topologically ordered, children before parents. `u128` because
-    /// shared nodes make trees exponentially larger than the DAG.
+    /// Per-node materialized-tree sizes — the node count of the tree that
+    /// expands every shared node once per occurrence — computed bottom-up
+    /// in one pass: the node vector is topologically ordered, children
+    /// before parents. `u128` because shared nodes make trees exponentially
+    /// larger than the DAG.
     pub fn tree_sizes(&self) -> Vec<u128> {
         let mut sizes: Vec<u128> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
@@ -342,7 +325,7 @@ pub struct ShapeKey {
 
 impl ShapeKey {
     /// Key of an explicit shape + FDs + enumeration options (the same
-    /// triple the `*_with` enumeration entry points consume).
+    /// triple [`crate::minimal_plan_set_with`] consumes).
     pub fn new(shape: &QueryShape, fds: &[VarFd], opts: EnumOptions) -> Self {
         ShapeKey {
             shape: shape.clone(),
@@ -387,14 +370,6 @@ impl PlanSet {
         self.roots.is_empty()
     }
 
-    /// Materialize every plan as a tree, sorted structurally (the exact
-    /// order the tree-level enumeration APIs have always returned).
-    pub fn plans(&self) -> Vec<Plan> {
-        let mut plans: Vec<Plan> = self.roots.iter().map(|&id| self.store.plan(id)).collect();
-        plans.sort();
-        plans
-    }
-
     /// Distinct interned nodes reachable from the roots — the DAG size.
     pub fn dag_node_count(&self) -> usize {
         self.store.reachable(&self.roots).len()
@@ -429,35 +404,6 @@ mod tests {
         let j2 = store.join(vec![s2, s1]);
         assert_eq!(j1, j2, "join order is canonical");
         assert_eq!(store.len(), 4); // three scans + one join
-    }
-
-    #[test]
-    fn decode_matches_tree_constructors() {
-        let s = shape_of("q :- R(x), S(x, y), T(y)");
-        let mut store = PlanStore::new();
-        let scan_s = store.scan(&s, 1);
-        let scan_t = store.scan(&s, 2);
-        let join = store.join(vec![scan_s, scan_t]);
-        let x = s.atom_vars[0];
-        let proj = store.project(x, join);
-        let tree = Plan::project(x, Plan::join(vec![Plan::scan(&s, 1), Plan::scan(&s, 2)]));
-        assert_eq!(store.plan(proj), tree);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let s = shape_of("q :- R(x), S(x, y), T(y)");
-        let inner = Plan::project(
-            s.atom_vars[0],
-            Plan::join(vec![Plan::scan(&s, 0), Plan::scan(&s, 1)]),
-        );
-        let p = Plan::project(VarSet::EMPTY, Plan::join(vec![inner, Plan::scan(&s, 2)]));
-        let mut store = PlanStore::new();
-        let id = store.intern_plan(&p);
-        assert_eq!(store.plan(id), p);
-        // Re-interning is a no-op.
-        let id2 = store.intern_plan(&p);
-        assert_eq!(id, id2);
     }
 
     #[test]
@@ -520,9 +466,40 @@ mod tests {
             let j = store.join(vec![r, inner]);
             store.project(VarSet::EMPTY, j)
         };
+        // scan, scan, join, project, scan, join, project.
         let sizes = store.tree_sizes();
-        assert_eq!(sizes[root.index()], store.plan(root).size() as u128);
+        assert_eq!(sizes[root.index()], 7);
         assert_eq!(store.reachable(&[root]).len(), store.len());
+        // Example 17's two minimal plans share their four scans: 16 tree
+        // nodes, 12 interned ones.
+        let set = crate::minimal_plan_set(&shape_of("q :- R(x), S(x), T(x, y), U(y)"));
+        assert_eq!(set.tree_node_count(), 16);
+        assert_eq!(set.dag_node_count(), 12);
+    }
+
+    #[test]
+    fn render_prints_the_paper_notation() {
+        let q = parse_query("q :- R(x), S(x, 3), T(x, y), U(y)").unwrap();
+        let s = QueryShape::of_query(&q);
+        let mut store = PlanStore::new();
+        let [r, sc, t, u] = [0, 1, 2, 3].map(|a| store.scan(&s, a));
+        let tu = store.join(vec![u, t]);
+        let x = store.project(s.atom_vars[0], tu);
+        let all = store.join(vec![x, sc, r]);
+        let a = store.project(VarSet::EMPTY, all);
+        assert_eq!(
+            store.render(a, &q),
+            "π-[x] ⋈[R(x), S(x,·), π-[y] ⋈[T(x,y), U(y)]]"
+        );
+        let rst = store.join(vec![r, sc, t]);
+        let y = store.project(s.atom_vars[3], rst);
+        let yu = store.join(vec![y, u]);
+        let b = store.project(VarSet::EMPTY, yu);
+        let m = store.min_of(vec![b, a]);
+        assert_eq!(
+            store.render(m, &q),
+            format!("min[{} | {}]", store.render(a, &q), store.render(b, &q))
+        );
     }
 
     #[test]

@@ -525,7 +525,7 @@ fn refold_min(vars: &[Var], old: &Rel, keys: &[Vec<Vid>], inputs: &[&Rel]) -> Re
 mod tests {
     use super::*;
     use crate::exec::propagation_score_ids;
-    use lapush_core::{minimal_plans, PlanStore};
+    use lapush_core::{minimal_plan_set, PlanSet, PlanStore};
     use lapush_query::{parse_query, QueryShape};
     use lapush_storage::tuple::tuple;
 
@@ -539,12 +539,7 @@ mod tests {
 
     fn setup(q_text: &str) -> (lapush_query::Query, PlanStore, Vec<PlanId>) {
         let q = parse_query(q_text).unwrap();
-        let s = QueryShape::of_query(&q);
-        let mut store = PlanStore::new();
-        let roots: Vec<PlanId> = minimal_plans(&s)
-            .iter()
-            .map(|p| store.intern_plan(p))
-            .collect();
+        let PlanSet { store, roots } = minimal_plan_set(&QueryShape::of_query(&q));
         (q, store, roots)
     }
 

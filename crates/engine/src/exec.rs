@@ -33,7 +33,7 @@ use crate::rel::{
     canonicalize_columns, join_fold, join_fold_project, merge_sorted, min_combine_par,
     min_into_par, project_fold, JoinState, Par, ProjFold, Rel, Scratch,
 };
-use lapush_core::{NodeKind, Plan, PlanId, PlanNode, PlanStore};
+use lapush_core::{NodeKind, PlanId, PlanNode, PlanStore};
 use lapush_query::{Query, QueryShape, Var};
 use lapush_storage::{BaseView, Database, DbCodec, DeltaBatch, FxHashMap, Relation, Value, Vid};
 use std::fmt;
@@ -58,7 +58,7 @@ pub struct ExecOptions {
     /// Score semantics.
     pub semantics: Semantics,
     /// Optimization 2: memoize shared subquery results while evaluating a
-    /// single plan (sound for plans produced by `lapush_core::single_plan`,
+    /// single plan (sound for plans produced by `lapush_core::single_plan_id`,
     /// whose equal subquery keys denote equal subplans).
     pub reuse_views: bool,
     /// Morsel-parallelism budget: maximum threads one parallel step of an
@@ -237,45 +237,19 @@ impl AnswerSet {
             .map(|Entry(key, s)| (Box::from(key), s))
             .collect()
     }
-
-    /// Combine with another answer set by per-tuple minimum.
-    pub fn min_with(&mut self, other: &AnswerSet) {
-        debug_assert_eq!(self.vars, other.vars);
-        for (k, &s) in &other.rows {
-            match self.rows.get_mut(k) {
-                Some(cur) => *cur = cur.min(s),
-                None => {
-                    self.rows.insert(k.clone(), s);
-                }
-            }
-        }
-    }
 }
 
-/// Evaluate one plan against the database.
+/// Evaluate one plan of `store` against the database.
 ///
 /// The returned [`AnswerSet`] is keyed by the query's head variables in head
 /// order. With [`Semantics::Probabilistic`] the scores are the extensional
 /// scores of the plan (upper bounds on the answer probabilities,
 /// Corollary 19).
-pub fn eval_plan(
-    db: &Database,
-    q: &Query,
-    plan: &Plan,
-    opts: ExecOptions,
-) -> Result<AnswerSet, ExecError> {
-    let mut store = PlanStore::new();
-    let root = store.intern_plan(plan);
-    eval_plan_id(db, q, &store, root, opts)
-}
-
-/// Evaluate one interned plan of `store` against the database — the
-/// id-based core behind [`eval_plan`].
 ///
 /// With `reuse_views` the evaluation memoizes every node result by
 /// [`PlanId`]: hash-consing makes id equality structural equality, so this
 /// is Optimization 2's view sharing (for plans from
-/// `lapush_core::single_plan`, equal subquery keys denote equal subplans,
+/// `lapush_core::single_plan_id`, equal subquery keys denote equal subplans,
 /// hence equal ids) and is sound for *any* plan, not only single plans.
 pub fn eval_plan_id(
     db: &Database,
@@ -759,27 +733,13 @@ pub fn order_plans_by_cost(
     est.into_iter().map(|(root, _)| root).collect()
 }
 
-/// Evaluate a set of plans and combine their scores with a per-tuple
-/// minimum: the propagation score `ρ(q)` when given all minimal plans
-/// (Definition 14).
+/// Evaluate a set of plans of `store` and combine their scores with a
+/// per-tuple minimum: the propagation score `ρ(q)` when given all minimal
+/// plans (Definition 14).
 ///
-/// The plans are interned into one hash-consed store first, so subplans
-/// shared across minimal plans — for chain queries, almost all of them —
-/// evaluate exactly once (see [`propagation_score_ids`]).
-pub fn propagation_score(
-    db: &Database,
-    q: &Query,
-    plans: &[Plan],
-    opts: ExecOptions,
-) -> Result<AnswerSet, ExecError> {
-    let mut store = PlanStore::new();
-    let roots: Vec<PlanId> = plans.iter().map(|p| store.intern_plan(p)).collect();
-    propagation_score_ids(db, q, &store, &roots, opts)
-}
-
-/// [`propagation_score`] over interned plans: one [`PlanId`]-keyed memo
-/// spans the whole plan set, so every distinct subplan — scans, shared
-/// views, entire subtrees common to several minimal plans — is evaluated
+/// One [`PlanId`]-keyed memo spans the whole plan set, so every distinct
+/// subplan — scans, shared views, entire subtrees common to several
+/// minimal plans (for chain queries, almost all of them) — is evaluated
 /// exactly once per call. Results are bit-identical to evaluating each
 /// plan in isolation (a memo hit returns the same relation the
 /// recomputation would), only the repeated work disappears.
@@ -975,9 +935,25 @@ pub fn deterministic_answers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lapush_core::{minimal_plans, safe_plan};
+    use lapush_core::{minimal_plan_set, PlanSet};
     use lapush_query::{parse_query, QueryShape};
     use lapush_storage::tuple::tuple;
+
+    fn plan_set(q: &Query) -> PlanSet {
+        minimal_plan_set(&QueryShape::of_query(q))
+    }
+
+    /// `ρ(q)` over all minimal plans.
+    fn propagation(db: &Database, q: &Query, opts: ExecOptions) -> Result<AnswerSet, ExecError> {
+        let set = plan_set(q);
+        propagation_score_ids(db, q, &set.store, &set.roots, opts)
+    }
+
+    /// The first minimal plan of a query, alone.
+    fn eval_first(db: &Database, q: &Query) -> Result<AnswerSet, ExecError> {
+        let set = plan_set(q);
+        eval_plan_id(db, q, &set.store, set.roots[0], ExecOptions::default())
+    }
 
     /// Example 7 of the paper: q :- R(x), S(x,y) over
     /// D = {R(1), R(2), S(1,4), S(1,5)}.
@@ -999,8 +975,10 @@ mod tests {
         let db = example7_db();
         let q = parse_query("q :- R(x), S(x, y)").unwrap();
         let s = QueryShape::of_query(&q);
-        let p = safe_plan(&s).unwrap();
-        let ans = eval_plan(&db, &q, &p, ExecOptions::default()).unwrap();
+        let bottom = lapush_core::Dissociation::bottom(s.num_atoms());
+        let mut store = PlanStore::new();
+        let p = lapush_core::plan_id_for_dissociation(&mut store, &s, &bottom).unwrap();
+        let ans = eval_plan_id(&db, &q, &store, p, ExecOptions::default()).unwrap();
         assert!((ans.boolean_score() - 0.375).abs() < 1e-12);
     }
 
@@ -1008,10 +986,8 @@ mod tests {
     fn non_boolean_head_ordering() {
         let db = example7_db();
         let q = parse_query("q(y) :- R(x), S(x, y)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        assert_eq!(plans.len(), 1); // safe: x is a separator
-        let ans = eval_plan(&db, &q, &plans[0], ExecOptions::default()).unwrap();
+        assert_eq!(plan_set(&q).len(), 1); // safe: x is a separator
+        let ans = eval_first(&db, &q).unwrap();
         assert_eq!(ans.len(), 2);
         // Answers y=4 and y=5, each with probability 0.25.
         assert!((ans.score_of(&[Value::Int(4)]) - 0.25).abs() < 1e-12);
@@ -1043,13 +1019,13 @@ mod tests {
         // propagation score ρ(q) = min ≈ 0.165.
         let db = example17_db();
         let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        assert_eq!(plans.len(), 2);
-        let mut scores: Vec<f64> = plans
+        let set = plan_set(&q);
+        assert_eq!(set.len(), 2);
+        let mut scores: Vec<f64> = set
+            .roots
             .iter()
-            .map(|p| {
-                eval_plan(&db, &q, p, ExecOptions::default())
+            .map(|&p| {
+                eval_plan_id(&db, &q, &set.store, p, ExecOptions::default())
                     .unwrap()
                     .boolean_score()
             })
@@ -1058,7 +1034,7 @@ mod tests {
         assert!((scores[0] - 169.0 / 1024.0).abs() < 1e-12, "{scores:?}");
         assert!((scores[1] - 353.0 / 2048.0).abs() < 1e-12, "{scores:?}");
 
-        let rho = propagation_score(&db, &q, &plans, ExecOptions::default())
+        let rho = propagation(&db, &q, ExecOptions::default())
             .unwrap()
             .boolean_score();
         assert!((rho - 169.0 / 1024.0).abs() < 1e-12);
@@ -1068,12 +1044,12 @@ mod tests {
     fn single_plan_equals_multi_plan_min() {
         let db = example17_db();
         let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        let rho = propagation_score(&db, &q, &plans, ExecOptions::default())
+        let rho = propagation(&db, &q, ExecOptions::default())
             .unwrap()
             .boolean_score();
-        let sp = lapush_core::single_plan(
+        let mut store = PlanStore::new();
+        let sp = lapush_core::single_plan_id(
+            &mut store,
             &q,
             &lapush_core::SchemaInfo::from_query(&q),
             lapush_core::EnumOptions::default(),
@@ -1083,7 +1059,8 @@ mod tests {
                 reuse_views: reuse,
                 ..ExecOptions::default()
             };
-            let got = eval_plan(&db, &q, &sp, opts).unwrap().boolean_score();
+            let got = eval_plan_id(&db, &q, &store, sp, opts).unwrap();
+            let got = got.boolean_score();
             assert!((got - rho).abs() < 1e-12, "reuse={reuse}");
         }
     }
@@ -1092,15 +1069,13 @@ mod tests {
     fn parallel_propagation_matches_serial_bitwise() {
         let db = example17_db();
         let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        let serial = propagation_score(&db, &q, &plans, ExecOptions::default()).unwrap();
+        let serial = propagation(&db, &q, ExecOptions::default()).unwrap();
         for threads in [2, 4, 7] {
             let opts = ExecOptions {
                 threads,
                 ..ExecOptions::default()
             };
-            let par = propagation_score(&db, &q, &plans, opts).unwrap();
+            let par = propagation(&db, &q, opts).unwrap();
             assert_eq!(par.len(), serial.len());
             for (k, &v) in &serial.rows {
                 assert_eq!(par.score_of(k).to_bits(), v.to_bits(), "threads={threads}");
@@ -1113,12 +1088,7 @@ mod tests {
         // Two minimal plans of the same query share at least their scans.
         let db = example17_db();
         let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let mut store = PlanStore::new();
-        let roots: Vec<PlanId> = minimal_plans(&s)
-            .iter()
-            .map(|p| store.intern_plan(p))
-            .collect();
+        let PlanSet { store, roots } = plan_set(&q);
         let shared = shared_subplans(&store, &roots);
         assert!(!shared.is_empty());
         let scan_count = shared
@@ -1173,17 +1143,12 @@ mod tests {
             }
             db
         };
-        let plan_set = |q: &Query| {
-            let mut store = PlanStore::new();
-            let roots: Vec<PlanId> = minimal_plans(&QueryShape::of_query(q))
-                .iter()
-                .map(|p| store.intern_plan(p))
-                .collect();
-            assert_eq!(roots.len(), 132);
-            (store, roots)
-        };
-        let (store, roots) = plan_set(&q);
-        let (renamed_store, renamed_roots) = plan_set(&renamed);
+        let PlanSet { store, roots } = plan_set(&q);
+        let PlanSet {
+            store: renamed_store,
+            roots: renamed_roots,
+        } = plan_set(&renamed);
+        assert_eq!((roots.len(), renamed_roots.len()), (132, 132));
         assert_eq!(q.atoms()[1].relation, renamed.atoms()[k - 2].relation);
         assert_ne!(
             ScanShape::of(&q, &q.atoms()[1]).out_vars,
@@ -1263,11 +1228,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let mut store = PlanStore::new();
-        let roots: Vec<PlanId> = minimal_plans(&QueryShape::of_query(&q))
-            .iter()
-            .map(|p| store.intern_plan(p))
-            .collect();
+        let PlanSet { store, roots } = plan_set(&q);
         assert_eq!(roots.len(), 132);
         let is_join = |id: &PlanId| matches!(store.node(*id).kind, NodeKind::Join { .. });
         let joins: Vec<PlanId> = store
@@ -1300,11 +1261,7 @@ mod tests {
         // best single derivation has probability 0.5⁴ = 0.0625.
         let db = example17_db();
         let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
-        let mut store = PlanStore::new();
-        let roots: Vec<PlanId> = minimal_plans(&QueryShape::of_query(&q))
-            .iter()
-            .map(|p| store.intern_plan(p))
-            .collect();
+        let PlanSet { store, roots } = plan_set(&q);
         assert_eq!(roots.len(), 2);
         let opts = ExecOptions::default();
         let (lower, upper) = propagation_bounds_ids(&db, &q, &store, &roots, opts).unwrap();
@@ -1329,9 +1286,7 @@ mod tests {
     fn constants_in_atoms_filter_rows() {
         let db = example7_db();
         let q = parse_query("q :- R(1), S(1, y)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        let ans = propagation_score(&db, &q, &plans, ExecOptions::default()).unwrap();
+        let ans = propagation(&db, &q, ExecOptions::default()).unwrap();
         // F = R(1) ∧ (S(1,4) ∨ S(1,5)): 0.5 * 0.75 = 0.375 (safe: exact).
         assert!((ans.boolean_score() - 0.375).abs() < 1e-12);
     }
@@ -1340,9 +1295,7 @@ mod tests {
     fn predicates_filter_rows() {
         let db = example7_db();
         let q = parse_query("q :- R(x), S(x, y), y <= 4").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        let ans = propagation_score(&db, &q, &plans, ExecOptions::default()).unwrap();
+        let ans = propagation(&db, &q, ExecOptions::default()).unwrap();
         // Only S(1,4) survives: 0.5 * 0.5.
         assert!((ans.boolean_score() - 0.25).abs() < 1e-12);
     }
@@ -1354,9 +1307,7 @@ mod tests {
         db.relation_mut(t).push(tuple([1, 1]), 0.5).unwrap();
         db.relation_mut(t).push(tuple([1, 2]), 0.9).unwrap();
         let q = parse_query("q :- T(x, x)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        let ans = propagation_score(&db, &q, &plans, ExecOptions::default()).unwrap();
+        let ans = propagation(&db, &q, ExecOptions::default()).unwrap();
         assert!((ans.boolean_score() - 0.5).abs() < 1e-12);
     }
 
@@ -1364,10 +1315,8 @@ mod tests {
     fn unknown_relation_error() {
         let db = Database::new();
         let q = parse_query("q :- Z(x)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
         assert!(matches!(
-            eval_plan(&db, &q, &plans[0], ExecOptions::default()),
+            eval_first(&db, &q),
             Err(ExecError::UnknownRelation(_))
         ));
     }
@@ -1377,10 +1326,8 @@ mod tests {
         let mut db = Database::new();
         db.create_relation("R", 2).unwrap();
         let q = parse_query("q :- R(x)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
         assert!(matches!(
-            eval_plan(&db, &q, &plans[0], ExecOptions::default()),
+            eval_first(&db, &q),
             Err(ExecError::AtomArity { .. })
         ));
     }
@@ -1391,9 +1338,7 @@ mod tests {
         db.create_relation("R", 1).unwrap();
         db.create_relation("S", 2).unwrap();
         let q = parse_query("q(y) :- R(x), S(x, y)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        let ans = propagation_score(&db, &q, &plans, ExecOptions::default()).unwrap();
+        let ans = propagation(&db, &q, ExecOptions::default()).unwrap();
         assert!(ans.is_empty());
         let det = deterministic_answers(&db, &q, 1).unwrap();
         assert!(det.is_empty());
@@ -1405,14 +1350,12 @@ mod tests {
         // path too, not a panic.
         let db = Database::new();
         let q = parse_query("q :- Z(x)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
         let opts = ExecOptions {
             threads: 4,
             ..ExecOptions::default()
         };
         assert!(matches!(
-            propagation_score(&db, &q, &plans, opts),
+            propagation(&db, &q, opts),
             Err(ExecError::UnknownRelation(_))
         ));
     }

@@ -8,7 +8,7 @@
 //!
 //! By Corollary 19, the score of any plan upper-bounds the true query
 //! probability; the minimum over all minimal plans is the propagation score
-//! `ρ(q)` ([`propagation_score`]).
+//! `ρ(q)` ([`propagation_score_ids`]).
 //!
 //! Engine-level features:
 //! * [`exec::ExecOptions::reuse_views`] — Optimization 2 (Algorithm 3):
@@ -57,7 +57,7 @@
 //! default 1 = strictly serial): operators partition large batches into
 //! key-range morsels run as scoped tasks ([`pool`]) — all but the fused
 //! join-projection, which runs serially — and
-//! [`propagation_score`]'s outer loop over
+//! [`propagation_score_ids`]'s outer loop over
 //! minimal-plan roots runs in parallel after a serial pre-pass
 //! has evaluated every memo-shared subplan once. Results are
 //! **bit-identical at every thread count** — morsels never split a group
@@ -77,16 +77,17 @@
 //! ## One plan evaluator
 //!
 //! Plans arrive as ids into a `lapush_core::PlanStore` — a hash-consed DAG
-//! in which structurally equal subplans share one `lapush_core::PlanId`
-//! (the tree entry points intern their input first). One memoized fold
+//! in which structurally equal subplans share one `lapush_core::PlanId`.
+//! One memoized fold
 //! over that DAG (`exec::Evaluator`) is the only code that maps a plan
 //! node to scan / join / project / min; every entry point is a driver over
 //! it. Its memo is keyed by `PlanId`: scans always (a scan depends only on
 //! the database, atom, and semantics); every node under
 //! [`exec::ExecOptions::reuse_views`] (Optimization 2 — equal subquery keys
-//! of a `lapush_core::single_plan` are equal ids, and `min` branches have
-//! their own, so it is sound for arbitrary plans); and across the *whole
-//! set* in plan-set evaluation ([`propagation_score`], top-k, capture), so
+//! of a `lapush_core::single_plan_id` are equal ids, and `min` branches
+//! have their own, so it is sound for arbitrary plans); and across the
+//! *whole set* in plan-set evaluation ([`propagation_score_ids`], top-k,
+//! capture), so
 //! a subplan occurring in many minimal plans is evaluated once per call.
 //!
 //! A hit hands out the same reference-counted relation the recomputation
@@ -123,9 +124,8 @@ pub mod topk;
 
 pub use delta::{DeltaOutcome, IncrementalEval};
 pub use exec::{
-    deterministic_answers, eval_plan, eval_plan_id, order_plans_by_cost, plan_cost_estimates,
-    propagation_bounds_ids, propagation_score, propagation_score_ids, AnswerSet, ExecError,
-    ExecOptions, Semantics,
+    deterministic_answers, eval_plan_id, order_plans_by_cost, plan_cost_estimates,
+    propagation_bounds_ids, propagation_score_ids, AnswerSet, ExecError, ExecOptions, Semantics,
 };
 pub use rel::{Par, Rel, Scratch};
 pub use semijoin::reduce_database;

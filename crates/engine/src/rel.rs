@@ -1576,7 +1576,7 @@ pub fn project_prob_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scrat
 
 /// Fold `next` into `acc` by per-tuple minimum, aligning `next`'s columns
 /// to `acc`'s order. The incremental form of [`min_combine_par`], used by
-/// `propagation_score` to accumulate the min over plans.
+/// `propagation_score_ids` to accumulate the min over plans.
 ///
 /// Both inputs are sorted, so this is a pointwise merge. When the key sets
 /// coincide — they do for plans of the same query, the only caller on the

@@ -233,7 +233,8 @@ fn semijoin_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lapush_core::minimal_plans;
+    use crate::exec::propagation_score_ids;
+    use lapush_core::minimal_plan_set;
     use lapush_query::{parse_query, QueryShape};
     use lapush_storage::tuple::tuple;
 
@@ -266,11 +267,11 @@ mod tests {
     fn reduction_preserves_scores() {
         let db = chain_db();
         let q = parse_query("q(a, d) :- R(a, b), S(b, c), T(c, d)").unwrap();
-        let s = QueryShape::of_query(&q);
-        let plans = minimal_plans(&s);
-        let full = crate::exec::propagation_score(&db, &q, &plans, Default::default()).unwrap();
+        let set = minimal_plan_set(&QueryShape::of_query(&q));
+        let rho = |db| propagation_score_ids(db, &q, &set.store, &set.roots, Default::default());
+        let full = rho(&db).unwrap();
         let red = reduce_database(&db, &q);
-        let reduced = crate::exec::propagation_score(&red, &q, &plans, Default::default()).unwrap();
+        let reduced = rho(&red).unwrap();
         assert_eq!(full.len(), reduced.len());
         for (k, &v) in &full.rows {
             assert!((reduced.score_of(k) - v).abs() < 1e-12);

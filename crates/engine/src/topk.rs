@@ -328,7 +328,7 @@ pub fn propagation_score_topk(
 mod tests {
     use super::*;
     use crate::exec::propagation_score_ids;
-    use lapush_core::minimal_plans;
+    use lapush_core::{minimal_plan_set, PlanSet};
     use lapush_query::{parse_query, QueryShape};
     use lapush_storage::tuple::tuple;
 
@@ -362,10 +362,7 @@ mod tests {
     }
 
     fn assert_topk_matches(db: &Database, q: &Query, k: usize, opts: ExecOptions) -> TopkStats {
-        let shape = QueryShape::of_query(q);
-        let plans = minimal_plans(&shape);
-        let mut store = PlanStore::new();
-        let roots: Vec<PlanId> = plans.iter().map(|p| store.intern_plan(p)).collect();
+        let PlanSet { store, roots } = minimal_plan_set(&QueryShape::of_query(q));
         let full = propagation_score_ids(db, q, &store, &roots, opts).unwrap();
         let expected = full.ranked_top(k);
         let got = propagation_score_topk(db, q, &store, &roots, k, opts).unwrap();
@@ -451,10 +448,7 @@ mod tests {
     #[test]
     fn anytime_intervals_shrink_and_converge() {
         let (db, q) = chain_db(60);
-        let shape = QueryShape::of_query(&q);
-        let plans = minimal_plans(&shape);
-        let mut store = PlanStore::new();
-        let roots: Vec<PlanId> = plans.iter().map(|p| store.intern_plan(p)).collect();
+        let PlanSet { store, roots } = minimal_plan_set(&QueryShape::of_query(&q));
         let opts = ExecOptions::default();
         let mut eval = TopkEval::new(&db, &q, &store, &roots, 5, opts).unwrap();
         type Snapshot = Vec<(Box<[Value]>, f64, f64)>;

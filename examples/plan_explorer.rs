@@ -6,12 +6,11 @@
 //! Run with:
 //! `cargo run --example plan_explorer -- 'q(z) :- R(z, x), S(x, y), T(y)'`
 //!
-//! The expected output for the default query is reproduced in
-//! `docs/ARCHITECTURE.md`.
+//! The output for the default query is the fenced block in
+//! `docs/ARCHITECTURE.md` §3; CI's example-smoke job diffs the two.
 
 use lapushdb::core::{
-    count_all_plans, count_dissociations, count_minimal_plans, minimal_plan_set,
-    shared_subqueries_in, single_plan_id, EnumOptions, SchemaInfo,
+    count_all_plans, count_dissociations, count_minimal_plans, shared_subqueries_in,
 };
 use lapushdb::engine::plan_cost_estimates;
 use lapushdb::prelude::*;
@@ -42,11 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  safe dissociations:     {}", count_all_plans(&shape));
     println!("  minimal plans:          {}", count_minimal_plans(&shape));
 
+    // Plans are numbered by their position in `set.roots` (enumeration
+    // order), here and in the evaluation order below.
     let set = minimal_plan_set(&shape);
-    let plans = set.plans();
     println!("\nminimal plans (each an upper bound; ρ(q) = their minimum):");
-    for (i, p) in plans.iter().enumerate() {
-        println!("  P{}: {}", i + 1, p.render(&q));
+    for (i, &root) in set.roots.iter().enumerate() {
+        println!("  P{}: {}", i + 1, set.store.render(root, &q));
     }
 
     // Hash-consing statistics: the enumerator interns structurally equal
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {}. P{pos} (cost {cost}): {}",
             rank + 1,
-            set.store.plan(*root).render(&q)
+            set.store.render(*root, &q)
         );
     }
 
@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sp_store = PlanStore::new();
     let sp = single_plan_id(&mut sp_store, &q, &schema, EnumOptions::default());
     println!("\nsingle plan (Optimization 1):");
-    println!("  {}", sp_store.plan(sp).render(&q));
+    println!("  {}", sp_store.render(sp, &q));
 
     let shared: Vec<_> = shared_subqueries_in(&sp_store, sp)
         .into_iter()
@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Schema-aware enumeration if any atom is marked deterministic.
     if q.atoms().iter().any(|a| a.declared_deterministic) {
-        let plans_dr = lapushdb::core::minimal_plans_opts(
+        let plans_dr = minimal_plan_set_opts(
             &q,
             &schema,
             EnumOptions {
@@ -122,8 +122,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\nwith deterministic-relation knowledge: {} plan(s)",
             plans_dr.len()
         );
-        for p in &plans_dr {
-            println!("  {}", p.render(&q));
+        for &root in &plans_dr.roots {
+            println!("  {}", plans_dr.store.render(root, &q));
         }
     }
     Ok(())

@@ -53,11 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("query: {}\n", q.display());
 
     // Minimal safe dissociations / plans:
-    let shape = QueryShape::of_query(&q);
-    let plans = minimal_plans(&shape);
+    let plans = minimal_plan_set(&QueryShape::of_query(&q));
     println!("{} minimal plans:", plans.len());
-    for p in &plans {
-        println!("  {}", p.render(&q));
+    for &root in &plans.roots {
+        println!("  {}", plans.store.render(root, &q));
     }
 
     // Propagation score (upper bound, evaluated purely with plans):

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --example schema_knowledge`
 
-use lapushdb::core::{minimal_plans_opts, EnumOptions, SchemaInfo};
 use lapushdb::prelude::*;
 use lapushdb::storage::Fd;
 use lapushdb::{exact_answers, rank_by_dissociation, OptLevel, RankOptions};
@@ -43,16 +42,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Without schema knowledge: two minimal plans.
     let plain = SchemaInfo::from_query(&q);
-    let plans_plain = minimal_plans_opts(&q, &plain, EnumOptions::default());
+    let plans_plain = minimal_plan_set_opts(&q, &plain, EnumOptions::default());
     println!("\nwithout schema knowledge: {} plans", plans_plain.len());
-    for p in &plans_plain {
-        println!("  {}", p.render(&q));
-    }
+    print_plans(&plans_plain, &q);
 
     // With the catalog: Room is deterministic → the query is SAFE and a
     // single plan computes the exact probability (Example 23).
     let schema = SchemaInfo::from_db(&q, &db);
-    let plans_dr = minimal_plans_opts(
+    let plans_dr = minimal_plan_set_opts(
         &q,
         &schema,
         EnumOptions {
@@ -64,9 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nwith deterministic-relation knowledge: {} plan",
         plans_dr.len()
     );
-    for p in &plans_dr {
-        println!("  {}", p.render(&q));
-    }
+    print_plans(&plans_dr, &q);
 
     let rho = rank_by_dissociation(
         &db,
@@ -106,17 +101,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .satisfies_fd(&Fd::new([0], [1])));
 
     let schema_fd = SchemaInfo::from_db(&q, &db2);
-    let plans_fd = minimal_plans_opts(&q, &schema_fd, EnumOptions::full());
+    let plans_fd = minimal_plan_set_opts(&q, &schema_fd, EnumOptions::full());
     println!(
         "\nwith the FD Placed: sensor → room: {} plan",
         plans_fd.len()
     );
-    for p in &plans_fd {
-        println!("  {}", p.render(&q));
-    }
-    let rho_fd = propagation_score(&db2, &q, &plans_fd, ExecOptions::default())?.boolean_score();
+    print_plans(&plans_fd, &q);
+    let opts = ExecOptions::default();
+    let rho_fd = propagation_score_ids(&db2, &q, &plans_fd.store, &plans_fd.roots, opts)?;
+    let rho_fd = rho_fd.boolean_score();
     let exact_fd = exact_answers(&db2, &q)?.boolean_score();
     println!("ρ(q) = {rho_fd:.6}, P(q) = {exact_fd:.6} (equal: safe under the FD)");
     assert!((rho_fd - exact_fd).abs() < 1e-12);
     Ok(())
+}
+
+fn print_plans(set: &PlanSet, q: &Query) {
+    for &root in &set.roots {
+        println!("  {}", set.store.render(root, q));
+    }
 }

@@ -327,11 +327,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     match method.as_str() {
         "plans" => {
-            let shape = QueryShape::of_query(&q);
-            let plans = minimal_plans(&shape);
-            println!("{} minimal plan(s):", plans.len());
-            for p in &plans {
-                println!("  {}", p.render(&q));
+            let set = minimal_plan_set(&QueryShape::of_query(&q));
+            println!("{} minimal plan(s):", set.len());
+            for &root in &set.roots {
+                println!("  {}", set.store.render(root, &q));
             }
         }
         "diss" => {

@@ -125,9 +125,6 @@ pub fn rank_by_dissociation(
         db
     };
 
-    // Plans stay in their hash-consed DAG form end to end: the enumerators
-    // intern into a `PlanStore` and the engine evaluates ids against it —
-    // no plan trees are materialized on this path.
     let exec_default = ExecOptions {
         threads: opts.threads,
         ..ExecOptions::default()

@@ -104,11 +104,11 @@ pub mod prelude {
         exact_answers, lineage_stats, mc_answers, rank_by_dissociation, OptLevel, RankOptions,
     };
     pub use lapush_core::{
-        minimal_plan_set, minimal_plans, minimal_plans_opts, single_plan, EnumOptions, Plan,
-        PlanId, PlanSet, PlanStore, SchemaInfo,
+        minimal_plan_set, minimal_plan_set_opts, single_plan_id, EnumOptions, PlanId, PlanSet,
+        PlanStore, SchemaInfo,
     };
     pub use lapush_engine::{
-        deterministic_answers, eval_plan, propagation_score, reduce_database, AnswerSet,
+        deterministic_answers, eval_plan_id, propagation_score_ids, reduce_database, AnswerSet,
         ExecOptions, Semantics,
     };
     pub use lapush_lineage::{build_lineage, exact_prob, monte_carlo, Dnf};

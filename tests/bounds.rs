@@ -10,10 +10,14 @@
 //! * Sandwich bounds (extension): the best single derivation's product
 //!   lower-bounds the true probability, and is the same for every plan.
 
-use lapushdb::core::{minimal_plans, minimal_plans_opts, EnumOptions, SchemaInfo};
 use lapushdb::prelude::*;
 use lapushdb::workload::{random_db_for_query, random_query};
 use lapushdb::{rank_by_dissociation, OptLevel, RankOptions};
+
+/// `ρ(q)` over one enumerated plan set.
+fn rho(db: &Database, q: &Query, plans: &PlanSet) -> AnswerSet {
+    propagation_score_ids(db, q, &plans.store, &plans.roots, ExecOptions::default()).unwrap()
+}
 
 #[test]
 fn dissociation_upper_bounds_exact_on_random_instances() {
@@ -43,8 +47,7 @@ fn safe_queries_are_computed_exactly() {
         ("q :- R0(x), R1(y)", 4),
     ] {
         let q = parse_query(text).unwrap();
-        let shape = QueryShape::of_query(&q);
-        let plans = minimal_plans(&shape);
+        let plans = minimal_plan_set(&QueryShape::of_query(&q));
         assert_eq!(plans.len(), 1, "{text} should be safe");
         let db = random_db_for_query(&q, seed, 6, 3, 1.0).unwrap();
         let rho = rank_by_dissociation(&db, &q, RankOptions::default()).unwrap();
@@ -128,8 +131,8 @@ fn deterministic_relations_preserve_rho_with_fewer_plans() {
 
         let schema_plain = SchemaInfo::all_probabilistic(&q);
         let schema_dr = SchemaInfo::from_db(&q, &db);
-        let plans_plain = minimal_plans_opts(&q, &schema_plain, EnumOptions::default());
-        let plans_dr = minimal_plans_opts(
+        let plans_plain = minimal_plan_set_opts(&q, &schema_plain, EnumOptions::default());
+        let plans_dr = minimal_plan_set_opts(
             &q,
             &schema_dr,
             EnumOptions {
@@ -143,8 +146,8 @@ fn deterministic_relations_preserve_rho_with_fewer_plans() {
             plans_dr.len(),
             plans_plain.len()
         );
-        let rho_plain = propagation_score(&db, &q, &plans_plain, ExecOptions::default()).unwrap();
-        let rho_dr = propagation_score(&db, &q, &plans_dr, ExecOptions::default()).unwrap();
+        let rho_plain = rho(&db, &q, &plans_plain);
+        let rho_dr = rho(&db, &q, &plans_dr);
         for (key, &s) in &rho_plain.rows {
             assert!(
                 (rho_dr.score_of(key) - s).abs() < 1e-10,
@@ -186,17 +189,17 @@ fn fd_knowledge_preserves_rho_when_fd_holds() {
         .satisfies_fd(&lapushdb::storage::Fd::new([0], [1])));
 
     let schema = SchemaInfo::from_db(&q, &db);
-    let plans_fd = minimal_plans_opts(&q, &schema, EnumOptions::full());
+    let plans_fd = minimal_plan_set_opts(&q, &schema, EnumOptions::full());
     assert_eq!(plans_fd.len(), 1);
-    let rho = propagation_score(&db, &q, &plans_fd, ExecOptions::default()).unwrap();
+    let rho_fd = rho(&db, &q, &plans_fd);
     let exact = exact_answers(&db, &q).unwrap();
-    assert!((rho.boolean_score() - exact.boolean_score()).abs() < 1e-10);
+    assert!((rho_fd.boolean_score() - exact.boolean_score()).abs() < 1e-10);
 
     // And it agrees with the 2-plan plain enumeration.
-    let plans_plain = minimal_plans_opts(&q, &schema, EnumOptions::default());
+    let plans_plain = minimal_plan_set_opts(&q, &schema, EnumOptions::default());
     assert_eq!(plans_plain.len(), 2);
-    let rho_plain = propagation_score(&db, &q, &plans_plain, ExecOptions::default()).unwrap();
-    assert!((rho.boolean_score() - rho_plain.boolean_score()).abs() < 1e-10);
+    let rho_plain = rho(&db, &q, &plans_plain);
+    assert!((rho_fd.boolean_score() - rho_plain.boolean_score()).abs() < 1e-10);
 }
 
 #[test]

@@ -118,11 +118,11 @@ fn star_rho_upper_bounds_exact_small_scale() {
 
 #[test]
 fn chain_star_plan_counts_match_figure2_at_runtime() {
-    use lapushdb::core::minimal_plans;
+    use lapushdb::core::minimal_plan_set;
     let q7 = chain_query(7);
     let s7 = QueryShape::of_query(&q7);
-    assert_eq!(minimal_plans(&s7).len(), 132);
+    assert_eq!(minimal_plan_set(&s7).len(), 132);
     let q4s = star_query(4);
     let s4s = QueryShape::of_query(&q4s);
-    assert_eq!(minimal_plans(&s4s).len(), 24);
+    assert_eq!(minimal_plan_set(&s4s).len(), 24);
 }

@@ -153,6 +153,45 @@ fn bounds_prints_an_interval_per_answer() {
 }
 
 #[test]
+fn plans_prints_the_minimal_plans_without_loading_data() {
+    // Example 17: two minimal plans, one per minimal safe dissociation.
+    let out = stdout(&lapush(&[
+        "--method",
+        "plans",
+        "--query",
+        "q :- R(x), S(x), T(x, y), U(y)",
+    ]));
+    assert_eq!(
+        out,
+        "2 minimal plan(s):\n\
+         \x20 π-[x] ⋈[R(x), S(x), π-[y] ⋈[T(x,y), U(y)]]\n\
+         \x20 π-[y] ⋈[π-[x] ⋈[R(x), S(x), T(x,y)], U(y)]\n"
+    );
+
+    // Example 29 (Figure 4a): six minimal plans, compared as a set.
+    let out = stdout(&lapush(&[
+        "--method",
+        "plans",
+        "--query",
+        "q :- R(x, z), S(y, u), T(z), U(u), M(x, y, z, u)",
+    ]));
+    let mut lines = out.lines();
+    assert_eq!(lines.next(), Some("6 minimal plan(s):"));
+    let mut plans: Vec<&str> = lines.collect();
+    plans.sort_unstable();
+    let mut want = [
+        "  π-[z] ⋈[π-[x] ⋈[R(x,z), π-[u] ⋈[π-[y] ⋈[S(y,u), M(x,y,z,u)], U(u)]], T(z)]",
+        "  π-[u] ⋈[π-[z] ⋈[π-[x] ⋈[R(x,z), π-[y] ⋈[S(y,u), M(x,y,z,u)]], T(z)], U(u)]",
+        "  π-[z] ⋈[π-[u] ⋈[π-[x] ⋈[R(x,z), π-[y] ⋈[S(y,u), M(x,y,z,u)]], U(u)], T(z)]",
+        "  π-[u] ⋈[π-[z] ⋈[π-[y] ⋈[π-[x] ⋈[R(x,z), M(x,y,z,u)], S(y,u)], T(z)], U(u)]",
+        "  π-[z] ⋈[π-[u] ⋈[π-[y] ⋈[π-[x] ⋈[R(x,z), M(x,y,z,u)], S(y,u)], U(u)], T(z)]",
+        "  π-[u] ⋈[π-[y] ⋈[π-[z] ⋈[π-[x] ⋈[R(x,z), M(x,y,z,u)], T(z)], S(y,u)], U(u)]",
+    ];
+    want.sort_unstable();
+    assert_eq!(plans, want);
+}
+
+#[test]
 fn a_query_with_more_than_64_atoms_is_refused() {
     // Atom masks are 64 bits wide: a 65th atom used to alias the first and
     // drop out of every plan, printing a wrong score.

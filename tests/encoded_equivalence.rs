@@ -14,8 +14,9 @@
 //! legitimately reassociates the floating-point products inside group-by
 //! aggregation (independent-OR accumulates in iteration order).
 
-use lapushdb::core::{minimal_plans, Plan, PlanKind};
-use lapushdb::engine::{deterministic_answers, eval_plan, AnswerSet, ExecOptions, Semantics};
+mod common;
+
+use lapushdb::engine::{deterministic_answers, eval_plan_id, AnswerSet, ExecOptions, Semantics};
 use lapushdb::prelude::*;
 use lapushdb::workload::{
     chain_db, chain_query, random_db_for_query, random_query, star_db, star_query,
@@ -26,7 +27,7 @@ use proptest::prelude::*;
 /// as an oracle. Operates on `Box<[Value]>` rows end to end; never touches
 /// the interner.
 mod reference {
-    use super::{Plan, PlanKind};
+    use lapushdb::core::{NodeKind, PlanId, PlanStore};
     use lapushdb::engine::{AnswerSet, Semantics};
     use lapushdb::query::{Atom, Query, Term, Var};
     use lapushdb::storage::{Database, FxHashMap, Value};
@@ -221,22 +222,18 @@ mod reference {
         out
     }
 
-    fn eval_node(db: &Database, q: &Query, plan: &Plan, sem: Semantics) -> VRel {
-        match &plan.kind {
-            PlanKind::Scan { atom } => scan_atom(db, q, &q.atoms()[*atom], sem),
-            PlanKind::Project { input } => {
-                let child = eval_node(db, q, input, sem);
-                let keep: Vec<Var> = plan.head.iter().collect();
+    fn eval_node(db: &Database, q: &Query, store: &PlanStore, id: PlanId, sem: Semantics) -> VRel {
+        let node = store.node(id);
+        let children = || (node.kind.inputs().iter()).map(|&c| eval_node(db, q, store, c, sem));
+        match &node.kind {
+            NodeKind::Scan { atom } => scan_atom(db, q, &q.atoms()[*atom], sem),
+            NodeKind::Project { input } => {
+                let child = eval_node(db, q, store, *input, sem);
+                let keep: Vec<Var> = node.head.iter().collect();
                 project(&child, &keep, sem)
             }
-            PlanKind::Join { inputs } => {
-                let children = inputs.iter().map(|c| eval_node(db, q, c, sem)).collect();
-                join_many(children)
-            }
-            PlanKind::Min { inputs } => {
-                let children: Vec<VRel> = inputs.iter().map(|c| eval_node(db, q, c, sem)).collect();
-                min_combine(&children)
-            }
+            NodeKind::Join { .. } => join_many(children().collect()),
+            NodeKind::Min { .. } => min_combine(&children().collect::<Vec<_>>()),
         }
     }
 
@@ -257,17 +254,22 @@ mod reference {
     }
 
     /// Reference evaluation of one plan under one semantics.
-    pub fn eval_plan(db: &Database, q: &Query, plan: &Plan, sem: Semantics) -> AnswerSet {
-        to_answers(eval_node(db, q, plan, sem), q.head())
+    pub fn eval_plan(
+        db: &Database,
+        q: &Query,
+        store: &PlanStore,
+        id: PlanId,
+        sem: Semantics,
+    ) -> AnswerSet {
+        to_answers(eval_node(db, q, store, id, sem), q.head())
     }
 
     /// Reference propagation score: per-answer minimum over all plans.
-    pub fn propagation(db: &Database, q: &Query, plans: &[Plan]) -> AnswerSet {
-        let mut acc = eval_plan(db, q, &plans[0], Semantics::Probabilistic);
-        for p in &plans[1..] {
-            acc.min_with(&eval_plan(db, q, p, Semantics::Probabilistic));
-        }
-        acc
+    pub fn propagation(db: &Database, q: &Query, store: &PlanStore, roots: &[PlanId]) -> AnswerSet {
+        let per_plan = roots
+            .iter()
+            .map(|&p| eval_plan(db, q, store, p, Semantics::Probabilistic));
+        super::common::min_over(per_plan)
     }
 
     /// Reference deterministic SQL baseline: flat join + distinct project.
@@ -320,8 +322,7 @@ fn assert_equiv(got: &AnswerSet, want: &AnswerSet, what: &str) -> Result<(), Tes
 /// differed by ~1e-4 on star queries — so each encoded path must match the
 /// value-based evaluation of its own plan, not a common oracle).
 fn check_all_paths(db: &Database, q: &Query) -> Result<(), TestCaseError> {
-    let shape = QueryShape::of_query(q);
-    let plans = minimal_plans(&shape);
+    let plans = minimal_plan_set(&QueryShape::of_query(q));
 
     let rank = |opt| {
         rank_by_dissociation(
@@ -337,24 +338,30 @@ fn check_all_paths(db: &Database, q: &Query) -> Result<(), TestCaseError> {
         .expect("rank")
     };
 
-    let want_multi = reference::propagation(db, q, &plans);
+    let want_multi = reference::propagation(db, q, &plans.store, &plans.roots);
     assert_equiv(&rank(OptLevel::MultiPlan), &want_multi, "MultiPlan")?;
 
-    let sp = single_plan(q, &SchemaInfo::from_query(q), EnumOptions::default());
-    let want_single = reference::eval_plan(db, q, &sp, Semantics::Probabilistic);
+    let mut sp_store = PlanStore::new();
+    let sp = single_plan_id(
+        &mut sp_store,
+        q,
+        &SchemaInfo::from_query(q),
+        EnumOptions::default(),
+    );
+    let want_single = reference::eval_plan(db, q, &sp_store, sp, Semantics::Probabilistic);
     for opt in [OptLevel::Opt1, OptLevel::Opt12, OptLevel::Opt123] {
         assert_equiv(&rank(opt), &want_single, &format!("{opt:?}"))?;
     }
 
     for sem in [Semantics::Probabilistic, Semantics::Deterministic] {
-        for (i, p) in plans.iter().enumerate() {
+        for (i, &p) in plans.roots.iter().enumerate() {
             let opts = ExecOptions {
                 semantics: sem,
                 reuse_views: false,
                 threads: 1,
             };
-            let got = eval_plan(db, q, p, opts).expect("eval");
-            let want = reference::eval_plan(db, q, p, sem);
+            let got = eval_plan_id(db, q, &plans.store, p, opts).expect("eval");
+            let want = reference::eval_plan(db, q, &plans.store, p, sem);
             assert_equiv(&got, &want, &format!("{sem:?} plan {i}"))?;
         }
     }
@@ -417,9 +424,8 @@ fn string_values_intern_and_decode() {
             .unwrap();
     }
     let q = parse_query("q(x) :- R(x, c), S(c, b)").unwrap();
-    let shape = QueryShape::of_query(&q);
-    let plans = minimal_plans(&shape);
-    let want = reference::propagation(&db, &q, &plans);
+    let plans = minimal_plan_set(&QueryShape::of_query(&q));
+    let want = reference::propagation(&db, &q, &plans.store, &plans.roots);
     let got = rank_by_dissociation(&db, &q, RankOptions::default()).unwrap();
     assert_eq!(got.len(), 3);
     for (key, &w) in &want.rows {

@@ -1,8 +1,7 @@
 //! End-to-end reproduction of the paper's worked examples.
 
 use lapushdb::core::{
-    count_all_plans, count_dissociations, count_minimal_plans, minimal_plans, minimal_plans_opts,
-    single_plan, EnumOptions, SchemaInfo,
+    count_all_plans, count_dissociations, count_minimal_plans, shared_subqueries_in, NodeKind,
 };
 use lapushdb::prelude::*;
 use lapushdb::{exact_answers, rank_by_dissociation, RankOptions};
@@ -39,13 +38,14 @@ fn example_7_and_9() {
 
     // Example 9/11: the dissociation Δ = ({y}, ∅) gives
     // P(F′) = pq + pr − p²qr = 0.4375.
-    use lapushdb::core::{plan_for_dissociation, Dissociation};
+    use lapushdb::core::{plan_id_for_dissociation, Dissociation};
     use lapushdb::query::VarSet;
     let shape = QueryShape::of_query(&q);
     let y = q.var_by_name("y").unwrap();
     let delta = Dissociation(vec![VarSet::single(y), VarSet::EMPTY]);
-    let plan = plan_for_dissociation(&shape, &delta).expect("safe dissociation");
-    let score = eval_plan(&db, &q, &plan, ExecOptions::default())
+    let mut store = PlanStore::new();
+    let plan = plan_id_for_dissociation(&mut store, &shape, &delta).expect("safe dissociation");
+    let score = eval_plan_id(&db, &q, &store, plan, ExecOptions::default())
         .unwrap()
         .boolean_score();
     let expect = 0.5 * 0.5 + 0.5 * 0.5 - 0.5 * 0.5 * 0.5 * 0.5;
@@ -125,28 +125,23 @@ fn example_23_deterministic_relation() {
     let schema = SchemaInfo::from_db(&q, &db);
 
     // DR-aware enumeration: single plan; exact.
-    let plans = minimal_plans_opts(
-        &q,
-        &schema,
-        EnumOptions {
-            use_deterministic: true,
-            use_fds: false,
-        },
-    );
-    assert_eq!(plans.len(), 1);
-    let rho = propagation_score(&db, &q, &plans, ExecOptions::default())
-        .unwrap()
-        .boolean_score();
+    let rho = |opts| {
+        let plans = minimal_plan_set_opts(&q, &schema, opts);
+        let rho = propagation_score_ids(&db, &q, &plans.store, &plans.roots, Default::default());
+        (plans.len(), rho.unwrap().boolean_score())
+    };
+    let (plans, rho_dr) = rho(EnumOptions {
+        use_deterministic: true,
+        use_fds: false,
+    });
+    assert_eq!(plans, 1);
     let exact = exact_answers(&db, &q).unwrap().boolean_score();
-    assert!((rho - exact).abs() < 1e-12);
+    assert!((rho_dr - exact).abs() < 1e-12);
 
     // Plain enumeration needs two plans but reaches the same minimum on
     // this database (Lemma 22: the T-dissociating plan is exact here).
-    let plans_plain = minimal_plans_opts(&q, &schema, EnumOptions::default());
-    assert_eq!(plans_plain.len(), 2);
-    let rho_plain = propagation_score(&db, &q, &plans_plain, ExecOptions::default())
-        .unwrap()
-        .boolean_score();
+    let (plans_plain, rho_plain) = rho(EnumOptions::default());
+    assert_eq!(plans_plain, 2);
     assert!((rho_plain - exact).abs() < 1e-12);
 }
 
@@ -156,25 +151,32 @@ fn example_23_deterministic_relation() {
 #[test]
 fn example_29_optimizations() {
     let q = parse_query("q :- R(x, z), S(y, u), T(z), U(u), M(x, y, z, u)").unwrap();
-    let shape = QueryShape::of_query(&q);
-    let plans = minimal_plans(&shape);
+    let plans = minimal_plan_set(&QueryShape::of_query(&q));
     assert_eq!(plans.len(), 6);
 
-    let sp = single_plan(&q, &SchemaInfo::from_query(&q), EnumOptions::default());
-    assert!(sp.has_min());
-    assert!(lapushdb::core::shared_subqueries(&sp)
+    let mut store = PlanStore::new();
+    let sp = single_plan_id(
+        &mut store,
+        &q,
+        &SchemaInfo::from_query(&q),
+        Default::default(),
+    );
+    let is_min = |&id: &PlanId| matches!(store.node(id).kind, NodeKind::Min { .. });
+    assert!(store.reachable(&[sp]).iter().any(is_min));
+    assert!(shared_subqueries_in(&store, sp)
         .iter()
         .any(|(_, c)| *c >= 2));
 
     // All strategies agree on data.
     let db = lapushdb::workload::random_db_for_query(&q, 17, 6, 3, 0.8).unwrap();
-    let multi = propagation_score(&db, &q, &plans, ExecOptions::default())
+    let multi = propagation_score_ids(&db, &q, &plans.store, &plans.roots, Default::default())
         .unwrap()
         .boolean_score();
-    let single = eval_plan(
+    let single = eval_plan_id(
         &db,
         &q,
-        &sp,
+        &store,
+        sp,
         ExecOptions {
             semantics: Semantics::Probabilistic,
             reuse_views: true,
@@ -193,10 +195,9 @@ fn example_29_optimizations() {
 #[test]
 fn introduction_safe_plan_example() {
     let q = parse_query("q(z) :- R(z, x), S(x, y), K(x, y)").unwrap();
-    let shape = QueryShape::of_query(&q);
-    let plans = minimal_plans(&shape);
+    let plans = minimal_plan_set(&QueryShape::of_query(&q));
     assert_eq!(plans.len(), 1);
-    let rendered = plans[0].render(&q);
+    let rendered = plans.store.render(plans.roots[0], &q);
     assert!(
         rendered.contains("π-[y] ⋈[S(x,y), K(x,y)]"),
         "unexpected plan {rendered}"

@@ -1,27 +1,31 @@
 //! Equivalence of the hash-consed DAG enumerator with the original
-//! tree-level Algorithm 1.
+//! un-memoized Algorithm 1.
 //!
 //! The DAG enumerator memoizes subqueries and dedups by interned id; this
-//! suite pins down that its *decoded* plan sets are exactly the plan sets
-//! the unmemoized tree recursion produces (sorted structurally), across
-//! every [`EnumOptions`] combination, for the paper's chain/star families
-//! and for random query shapes. The `reference` module below is a faithful
-//! copy of the pre-DAG recursion, kept tree-level on purpose.
+//! suite pins down that its plan sets are exactly the plan sets the
+//! un-memoized recursion produces, across every [`EnumOptions`]
+//! combination, for the paper's chain/star families and for random query
+//! shapes. The `reference` module below is a faithful copy of the pre-DAG
+//! recursion: no memo, every subplan rebuilt on every visit, dedup at the
+//! top only. It builds through the store's normalizing constructors into
+//! the store the enumerator filled, so the two plan sets are equal exactly
+//! when their root ids are.
+
+mod common;
 
 use lapushdb::core::enumerate::chase_shape;
 use lapushdb::core::{
-    all_plans, count_all_plans, count_minimal_plans, minimal_plan_set, minimal_plans_opts,
-    minimal_plans_with, EnumOptions, SchemaInfo,
+    all_plan_ids, count_all_plans, count_minimal_plans, minimal_plan_set, minimal_plan_set_opts,
+    minimal_plan_set_with, EnumOptions, SchemaInfo,
 };
 use lapushdb::prelude::*;
 use lapushdb::query::VarFd;
 use lapushdb::workload::random_query;
 use proptest::prelude::*;
 
-/// The seed (pre-DAG) enumeration: plain trees, no memoization, dedup by
-/// structural sort at the top only.
+/// The seed (pre-DAG) enumeration: no memoization, dedup at the top only.
 mod reference {
-    use lapushdb::core::Plan;
+    use lapushdb::core::{PlanId, PlanStore};
     use lapushdb::query::{
         components, min_cuts, min_pcuts, separator_vars, QueryShape, VarFd, VarSet,
     };
@@ -30,6 +34,7 @@ mod reference {
         pub enum_shape: &'a QueryShape,
         pub orig: &'a QueryShape,
         pub use_det: bool,
+        pub store: &'a mut PlanStore,
     }
 
     impl Ctx<'_> {
@@ -46,14 +51,17 @@ mod reference {
                 .count()
         }
 
-        fn join_all(&self, atoms: &[usize], head: VarSet) -> Plan {
-            let scans: Vec<Plan> = atoms.iter().map(|&a| Plan::scan(self.orig, a)).collect();
-            let joined = Plan::join(scans);
-            let keep = head.intersect(joined.head);
-            Plan::project(keep, joined)
+        fn join_all(&mut self, atoms: &[usize], head: VarSet) -> PlanId {
+            let scans: Vec<PlanId> = atoms
+                .iter()
+                .map(|&a| self.store.scan(self.orig, a))
+                .collect();
+            let joined = self.store.join(scans);
+            let keep = head.intersect(self.store.node(joined).head);
+            self.store.project(keep, joined)
         }
 
-        fn dr_stop_plan(&self, atoms: &[usize], head: VarSet) -> Plan {
+        fn dr_stop_plan(&mut self, atoms: &[usize], head: VarSet) -> PlanId {
             let sub_vars = self.enum_shape.vars_of(atoms);
             let mut temp = self.enum_shape.clone();
             for &a in atoms {
@@ -61,68 +69,77 @@ mod reference {
                     temp.atom_vars[a] = temp.atom_vars[a].union(sub_vars);
                 }
             }
-            safe_plan_rec(&temp, self.orig, atoms, head)
+            safe_plan_rec(self.store, &temp, self.orig, atoms, head)
                 .expect("m_p ≤ 1 subquery is hierarchical after dissociating DRs")
+        }
+
+        fn project(&mut self, keep: VarSet, p: PlanId) -> PlanId {
+            let keep = keep.intersect(self.store.node(p).head);
+            self.store.project(keep, p)
         }
     }
 
-    /// Tree-level Lemma 3 recursion (unique safe plan of a shape).
+    /// Lemma 3 recursion (unique safe plan of a shape).
     fn safe_plan_rec(
+        store: &mut PlanStore,
         dshape: &QueryShape,
         orig: &QueryShape,
         atoms: &[usize],
         head: VarSet,
-    ) -> Option<Plan> {
+    ) -> Option<PlanId> {
         if atoms.len() == 1 {
             let a = atoms[0];
-            let scan = Plan::scan(orig, a);
+            let scan = store.scan(orig, a);
             let keep = head.intersect(orig.atom_vars[a]);
-            return Some(Plan::project(keep, scan));
+            return Some(store.project(keep, scan));
         }
         let comps = components(dshape, atoms, head);
         if comps.len() > 1 {
             let mut children = Vec::with_capacity(comps.len());
             for comp in &comps {
                 let child_head = head.intersect(dshape.vars_of(comp));
-                children.push(safe_plan_rec(dshape, orig, comp, child_head)?);
+                children.push(safe_plan_rec(store, dshape, orig, comp, child_head)?);
             }
-            Some(Plan::join(children))
+            Some(store.join(children))
         } else {
             let sep = separator_vars(dshape, atoms, head);
             if sep.is_empty() {
                 return None;
             }
-            let child = safe_plan_rec(dshape, orig, atoms, head.union(sep))?;
-            let keep = head.intersect(child.head);
-            Some(Plan::project(keep, child))
+            let child = safe_plan_rec(store, dshape, orig, atoms, head.union(sep))?;
+            let keep = head.intersect(store.node(child).head);
+            Some(store.project(keep, child))
         }
     }
 
-    /// Algorithm 1 over plain trees (the seed `mp_rec`).
+    /// Algorithm 1 without a memo (the seed `mp_rec`), interning into
+    /// `store`; root ids ascending and deduplicated.
     pub fn minimal_plans_with(
+        store: &mut PlanStore,
         shape: &QueryShape,
         fds: &[VarFd],
         use_det: bool,
         use_fds: bool,
-    ) -> Vec<Plan> {
+    ) -> Vec<PlanId> {
         let enum_shape = if use_fds {
             super::chase_shape(shape, fds)
         } else {
             shape.clone()
         };
-        let ctx = Ctx {
+        let mut ctx = Ctx {
             enum_shape: &enum_shape,
             orig: shape,
             use_det,
+            store,
         };
         let atoms = enum_shape.all_atoms();
-        let mut plans = mp_rec(&ctx, &atoms, enum_shape.head);
-        plans.sort();
+        let mut plans = mp_rec(&mut ctx, &atoms, enum_shape.head);
+        plans.sort_unstable();
         plans.dedup();
         plans
     }
 
-    fn mp_rec(ctx: &Ctx<'_>, atoms: &[usize], head: VarSet) -> Vec<Plan> {
+    fn mp_rec(ctx: &mut Ctx<'_>, atoms: &[usize], head: VarSet) -> Vec<PlanId> {
         if atoms.len() == 1 {
             return vec![ctx.join_all(atoms, head)];
         }
@@ -131,7 +148,7 @@ mod reference {
         }
         let comps = components(ctx.enum_shape, atoms, head);
         if comps.len() > 1 {
-            let per_comp: Vec<Vec<Plan>> = comps
+            let per_comp: Vec<Vec<PlanId>> = comps
                 .iter()
                 .map(|comp| {
                     let child_head = head.intersect(ctx.enum_shape.vars_of(comp));
@@ -139,7 +156,7 @@ mod reference {
                 })
                 .collect();
             let mut out = Vec::new();
-            cartesian_join(&per_comp, 0, &mut Vec::new(), &mut out);
+            cartesian_join(ctx.store, &per_comp, 0, &mut Vec::new(), &mut out);
             out
         } else {
             let cuts = if ctx.use_det {
@@ -151,47 +168,55 @@ mod reference {
             let mut out = Vec::new();
             for &y in &cuts {
                 for p in mp_rec(ctx, atoms, head.union(y)) {
-                    out.push(Plan::project(keep.intersect(p.head), p));
+                    out.push(ctx.project(keep, p));
                 }
             }
             out
         }
     }
 
-    fn cartesian_join(per_comp: &[Vec<Plan>], i: usize, acc: &mut Vec<Plan>, out: &mut Vec<Plan>) {
+    fn cartesian_join(
+        store: &mut PlanStore,
+        per_comp: &[Vec<PlanId>],
+        i: usize,
+        acc: &mut Vec<PlanId>,
+        out: &mut Vec<PlanId>,
+    ) {
         if i == per_comp.len() {
-            out.push(Plan::join(acc.clone()));
+            out.push(store.join(acc.clone()));
             return;
         }
-        for p in &per_comp[i] {
-            acc.push(p.clone());
-            cartesian_join(per_comp, i + 1, acc, out);
+        for &p in &per_comp[i] {
+            acc.push(p);
+            cartesian_join(store, per_comp, i + 1, acc, out);
             acc.pop();
         }
     }
 
-    /// All-plans enumeration over plain trees (the seed version).
-    pub fn all_plans(shape: &QueryShape) -> Vec<Plan> {
-        let ctx = Ctx {
+    /// All-plans enumeration without a memo (the seed version), interning
+    /// into `store`; root ids ascending and deduplicated.
+    pub fn all_plans(store: &mut PlanStore, shape: &QueryShape) -> Vec<PlanId> {
+        let mut ctx = Ctx {
             enum_shape: shape,
             orig: shape,
             use_det: false,
+            store,
         };
         let atoms = shape.all_atoms();
         let comps = components(shape, &atoms, shape.head);
         let mut plans = if comps.len() > 1 {
-            let mut out = join_case(&ctx, &comps, shape.head);
-            out.extend(connected_plans(&ctx, &atoms, shape.head));
+            let mut out = join_case(&mut ctx, &comps, shape.head);
+            out.extend(connected_plans(&mut ctx, &atoms, shape.head));
             out
         } else {
-            connected_plans(&ctx, &atoms, shape.head)
+            connected_plans(&mut ctx, &atoms, shape.head)
         };
-        plans.sort();
+        plans.sort_unstable();
         plans.dedup();
         plans
     }
 
-    fn connected_plans(ctx: &Ctx<'_>, atoms: &[usize], head: VarSet) -> Vec<Plan> {
+    fn connected_plans(ctx: &mut Ctx<'_>, atoms: &[usize], head: VarSet) -> Vec<PlanId> {
         if atoms.len() == 1 {
             return vec![ctx.join_all(atoms, head)];
         }
@@ -207,16 +232,16 @@ mod reference {
                 continue;
             }
             for jp in join_case(ctx, &comps, head.union(y)) {
-                out.push(Plan::project(keep.intersect(jp.head), jp));
+                out.push(ctx.project(keep, jp));
             }
         }
         out
     }
 
-    fn join_case(ctx: &Ctx<'_>, comps: &[Vec<usize>], head: VarSet) -> Vec<Plan> {
+    fn join_case(ctx: &mut Ctx<'_>, comps: &[Vec<usize>], head: VarSet) -> Vec<PlanId> {
         let mut out = Vec::new();
         for partition in partitions_min_blocks(comps.len(), 2) {
-            let mut per_group: Vec<Vec<Plan>> = Vec::with_capacity(partition.len());
+            let mut per_group: Vec<Vec<PlanId>> = Vec::with_capacity(partition.len());
             let mut dead = false;
             for block in &partition {
                 let mut group_atoms: Vec<usize> = block
@@ -235,7 +260,7 @@ mod reference {
             if dead {
                 continue;
             }
-            cartesian_join(&per_group, 0, &mut Vec::new(), &mut out);
+            cartesian_join(ctx.store, &per_group, 0, &mut Vec::new(), &mut out);
         }
         out
     }
@@ -282,10 +307,23 @@ const ALL_OPTS: [EnumOptions; 4] = [
     },
 ];
 
+/// The DAG enumerator's roots and the reference's, interned into one store.
+fn both_enumerations(
+    dag: PlanSet,
+    shape: &QueryShape,
+    fds: &[VarFd],
+    opts: EnumOptions,
+) -> (Vec<PlanId>, Vec<PlanId>) {
+    let PlanSet { mut store, roots } = dag;
+    let (det, chase) = (opts.use_deterministic, opts.use_fds);
+    let reference = reference::minimal_plans_with(&mut store, shape, fds, det, chase);
+    (roots, reference)
+}
+
 fn assert_enumerators_agree(shape: &QueryShape, fds: &[VarFd], label: &str) {
     for opts in ALL_OPTS {
-        let dag = minimal_plans_with(shape, fds, opts);
-        let tree = reference::minimal_plans_with(shape, fds, opts.use_deterministic, opts.use_fds);
+        let dag = minimal_plan_set_with(shape, fds, opts);
+        let (dag, tree) = both_enumerations(dag, shape, fds, opts);
         assert_eq!(dag, tree, "{label}, opts {opts:?}");
     }
 }
@@ -345,16 +383,9 @@ fn deterministic_marked_queries_match_reference() {
         assert_enumerators_agree(&shape, &schema.fds, text);
         // The schema-level entry point agrees too.
         for opts in ALL_OPTS {
-            assert_eq!(
-                minimal_plans_opts(&q, &schema, opts),
-                reference::minimal_plans_with(
-                    &shape,
-                    &schema.fds,
-                    opts.use_deterministic,
-                    opts.use_fds
-                ),
-                "{text}, opts {opts:?}"
-            );
+            let dag = minimal_plan_set_opts(&q, &schema, opts);
+            let (dag, tree) = both_enumerations(dag, &shape, &schema.fds, opts);
+            assert_eq!(dag, tree, "{text}, opts {opts:?}");
         }
     }
 }
@@ -382,7 +413,7 @@ fn counts_consistent_with_enumeration_and_figure2() {
         let s = chain(k);
         assert_eq!(count_minimal_plans(&s), expect, "chain k={k}");
         assert_eq!(
-            minimal_plans(&s).len() as u128,
+            minimal_plan_set(&s).len() as u128,
             expect,
             "chain k={k} enumeration"
         );
@@ -392,7 +423,7 @@ fn counts_consistent_with_enumeration_and_figure2() {
         let s = star(k);
         assert_eq!(count_minimal_plans(&s), expect, "star k={k}");
         assert_eq!(
-            minimal_plans(&s).len() as u128,
+            minimal_plan_set(&s).len() as u128,
             expect,
             "star k={k} enumeration"
         );
@@ -403,7 +434,10 @@ fn counts_consistent_with_enumeration_and_figure2() {
 fn dag_is_never_larger_than_the_forest() {
     for shape in [chain(4), chain(6), chain(7), star(3), star(5)] {
         let set = minimal_plan_set(&shape);
-        assert_eq!(set.plans().len(), set.roots.len(), "roots are distinct");
+        assert!(
+            set.roots.windows(2).all(|w| w[0] < w[1]),
+            "roots are ascending and distinct"
+        );
         assert!(
             (set.dag_node_count() as u128) <= set.tree_node_count(),
             "DAG larger than its own materialization?"
@@ -412,27 +446,25 @@ fn dag_is_never_larger_than_the_forest() {
 }
 
 /// The 7-chain's 132 plans, evaluated two ways over relations large enough
-/// to keep join key orders: the reference recursion's *trees*, one
-/// isolated evaluation each (its own scans, nothing shared, so every join
-/// sorts for itself), min-folded at the value level — against the DAG's
+/// to keep join key orders: the reference recursion's plans, one isolated
+/// evaluation each (its own scans, nothing shared, so every join sorts for
+/// itself), min-folded at the value level — against the DAG's
 /// plan set through one shared memo, where a scan is sorted on a key once
 /// and the order serves every plan and, at 4 threads, every fork. Same
 /// keys, same score bits.
 #[test]
 fn chain7_plan_set_scores_match_plan_at_a_time_evaluation() {
-    use lapushdb::engine::{eval_plan, propagation_score_ids, ExecOptions};
+    use lapushdb::engine::{eval_plan_id, propagation_score_ids, ExecOptions};
     use lapushdb::workload::{chain_db, chain_query, find_chain_domain};
     let q = chain_query(7);
     let shape = QueryShape::of_query(&q);
     let n = 600;
     let db = chain_db(7, n, find_chain_domain(7, n, 35.0), 1.0, 20150901).expect("db");
-    let trees = reference::minimal_plans_with(&shape, &[], false, false);
-    assert_eq!(trees.len(), 132);
-    let mut per_plan = trees
-        .iter()
-        .map(|p| eval_plan(&db, &q, p, ExecOptions::default()).expect("eval"));
-    let mut want = per_plan.next().expect("132 plans");
-    per_plan.for_each(|next| want.min_with(&next));
+    let mut store = PlanStore::new();
+    let plans = reference::minimal_plans_with(&mut store, &shape, &[], false, false);
+    assert_eq!(plans.len(), 132);
+    let eval = |&p: &PlanId| eval_plan_id(&db, &q, &store, p, ExecOptions::default());
+    let want = common::min_over(plans.iter().map(|p| eval(p).expect("eval")));
     assert!(!want.is_empty());
 
     let set = minimal_plan_set(&shape);
@@ -456,29 +488,29 @@ fn chain7_plan_set_scores_match_plan_at_a_time_evaluation() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random shapes: the DAG enumerator's decoded, sorted plan set equals
-    /// the tree recursion's, under every options combination.
+    /// Random shapes: the DAG enumerator's plan set equals the
+    /// un-memoized recursion's, under every options combination.
     #[test]
     fn random_shapes_match_reference(seed in 0u64..5000, atoms in 2usize..5) {
         let q = random_query(seed, atoms, 4);
         let shape = QueryShape::of_query(&q);
         for opts in ALL_OPTS {
-            let dag = minimal_plans_with(&shape, &[], opts);
-            let tree = reference::minimal_plans_with(
-                &shape, &[], opts.use_deterministic, opts.use_fds,
-            );
+            let dag = minimal_plan_set_with(&shape, &[], opts);
+            let (dag, tree) = both_enumerations(dag, &shape, &[], opts);
             prop_assert_eq!(&dag, &tree, "seed {} opts {:?}", seed, opts);
         }
     }
 
     /// Random shapes: all-plans enumeration (= all safe dissociations)
-    /// agrees with the tree version, and the count function with both.
+    /// agrees with the un-memoized version, and the count function with
+    /// both.
     #[test]
     fn random_shapes_all_plans_match_reference(seed in 0u64..5000, atoms in 2usize..4) {
         let q = random_query(seed, atoms, 4);
         let shape = QueryShape::of_query(&q);
-        let dag = all_plans(&shape);
-        let tree = reference::all_plans(&shape);
+        let mut store = PlanStore::new();
+        let dag = all_plan_ids(&mut store, &shape);
+        let tree = reference::all_plans(&mut store, &shape);
         prop_assert_eq!(&dag, &tree, "seed {}", seed);
         prop_assert_eq!(dag.len() as u128, count_all_plans(&shape), "seed {}", seed);
     }

@@ -2,8 +2,8 @@
 //! formulas: the paper's theorems as executable invariants.
 
 use lapushdb::core::{
-    all_plans, delta_of_plan, minimal_plans, naive_minimal_safe_dissociations,
-    plan_for_dissociation,
+    all_plan_ids, delta_of_plan_id, naive_minimal_safe_dissociations, plan_id_for_dissociation,
+    Dissociation,
 };
 use lapushdb::lineage::{brute_force_prob, exact_prob, karp_luby, Dnf};
 use lapushdb::prelude::*;
@@ -37,9 +37,11 @@ proptest! {
             return Ok(()); // lattice too large for the oracle
         };
         naive.sort();
-        let mut from_plans: Vec<_> = minimal_plans(&shape)
+        let set = minimal_plan_set(&shape);
+        let mut from_plans: Vec<_> = set
+            .roots
             .iter()
-            .map(|p| delta_of_plan(p, &shape).unwrap())
+            .map(|&p| delta_of_plan_id(&set.store, p, &shape).unwrap())
             .collect();
         from_plans.sort();
         prop_assert_eq!(naive, from_plans);
@@ -51,14 +53,15 @@ proptest! {
     fn plan_dissociation_bijection(seed in 0u64..5000, atoms in 2usize..4) {
         let q = random_query(seed, atoms, 4);
         let shape = QueryShape::of_query(&q);
-        let plans = all_plans(&shape);
+        let mut store = PlanStore::new();
+        let plans = all_plan_ids(&mut store, &shape);
         // Distinct plans ↔ distinct dissociations.
         let mut deltas: Vec<_> = Vec::new();
-        for p in &plans {
-            let d = delta_of_plan(p, &shape).unwrap();
+        for &p in &plans {
+            let d = delta_of_plan_id(&store, p, &shape).unwrap();
             prop_assert!(d.is_safe(&shape));
-            let back = plan_for_dissociation(&shape, &d).unwrap();
-            prop_assert_eq!(&back, p);
+            let back = plan_id_for_dissociation(&mut store, &shape, &d);
+            prop_assert_eq!(back, Some(p));
             deltas.push(d);
         }
         deltas.sort();
@@ -109,13 +112,14 @@ proptest! {
         let shape = QueryShape::of_query(&q);
         let all = shape.all_atoms();
         let hierarchical = lapushdb::query::is_hierarchical(&shape, &all, shape.head);
-        let plan = lapushdb::core::safe_plan(&shape);
+        let PlanSet { mut store, roots } = minimal_plan_set(&shape);
+        let bottom = Dissociation::bottom(shape.num_atoms());
+        let plan = plan_id_for_dissociation(&mut store, &shape, &bottom);
         prop_assert_eq!(hierarchical, plan.is_some());
         if hierarchical {
             // Conservativity: Algorithm 1 returns exactly the safe plan.
-            let plans = minimal_plans(&shape);
-            prop_assert_eq!(plans.len(), 1);
-            prop_assert_eq!(Some(plans[0].clone()), plan);
+            prop_assert_eq!(roots.len(), 1);
+            prop_assert_eq!(Some(roots[0]), plan);
         }
     }
 
@@ -126,11 +130,12 @@ proptest! {
         let q = random_query(seed, 3, 4);
         let shape = QueryShape::of_query(&q);
         let db = random_db_for_query(&q, seed ^ 0x5a5a, 4, 3, 1.0).unwrap();
-        let plans = all_plans(&shape);
-        let mut scored: Vec<(lapushdb::core::Dissociation, f64)> = Vec::new();
-        for p in &plans {
-            let d = delta_of_plan(p, &shape).unwrap();
-            let s = eval_plan(&db, &q, p, ExecOptions::default())
+        let mut store = PlanStore::new();
+        let plans = all_plan_ids(&mut store, &shape);
+        let mut scored: Vec<(Dissociation, f64)> = Vec::new();
+        for &p in &plans {
+            let d = delta_of_plan_id(&store, p, &shape).unwrap();
+            let s = eval_plan_id(&db, &q, &store, p, ExecOptions::default())
                 .unwrap()
                 .boolean_score();
             scored.push((d, s));

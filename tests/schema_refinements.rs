@@ -2,9 +2,16 @@
 //! including the edge case of the `m_p ≤ 1` stopping rule where the single
 //! probabilistic relation does NOT contain all existential variables.
 
-use lapushdb::core::{minimal_plans_opts, single_plan, EnumOptions, SchemaInfo};
+use lapushdb::core::NodeKind;
 use lapushdb::prelude::*;
 use lapushdb::{exact_answers, rank_by_dissociation, OptLevel, RankOptions};
+
+/// `ρ(q)` over one enumerated plan set, for a Boolean query.
+fn rho(db: &Database, q: &Query, plans: &PlanSet) -> f64 {
+    propagation_score_ids(db, q, &plans.store, &plans.roots, ExecOptions::default())
+        .unwrap()
+        .boolean_score()
+}
 
 /// Build q :- R(x), S^d(x,y), T^d(y) with a fan-out in S: some x pairs with
 /// several y. The paper's literal stopping rule ("join all, project head")
@@ -42,7 +49,7 @@ fn mp_stop_rule_stays_exact_with_partial_probabilistic_atom() {
     let schema = SchemaInfo::from_db(&q, &db);
     // m_p = 1 (only R probabilistic) → the DR-aware algorithm returns one
     // plan, and it must be exact: P(q) = 1 − (1−0.5)(1−0.7) = 0.85.
-    let plans = minimal_plans_opts(
+    let plans = minimal_plan_set_opts(
         &q,
         &schema,
         EnumOptions {
@@ -51,9 +58,7 @@ fn mp_stop_rule_stays_exact_with_partial_probabilistic_atom() {
         },
     );
     assert_eq!(plans.len(), 1);
-    let rho = propagation_score(&db, &q, &plans, ExecOptions::default())
-        .unwrap()
-        .boolean_score();
+    let rho = rho(&db, &q, &plans);
     let exact = exact_answers(&db, &q).unwrap().boolean_score();
     assert!((exact - 0.85).abs() < 1e-12);
     assert!(
@@ -64,13 +69,12 @@ fn mp_stop_rule_stays_exact_with_partial_probabilistic_atom() {
     // The literal "flat join-all" plan would instead compute
     // 1 − (1−0.5)²(1−0.7) = 0.925 — strictly worse. Verify the flat plan is
     // indeed the looser bound (so this test is actually discriminating).
-    use lapushdb::core::Plan;
     let shape = schema.shape(&q);
-    let flat = Plan::project(
-        lapushdb::query::VarSet::EMPTY,
-        Plan::join((0..3).map(|a| Plan::scan(&shape, a)).collect()),
-    );
-    let flat_score = eval_plan(&db, &q, &flat, ExecOptions::default())
+    let mut store = PlanStore::new();
+    let scans = (0..3).map(|a| store.scan(&shape, a)).collect();
+    let join = store.join(scans);
+    let flat = store.project(lapushdb::query::VarSet::EMPTY, join);
+    let flat_score = eval_plan_id(&db, &q, &store, flat, ExecOptions::default())
         .unwrap()
         .boolean_score();
     assert!((flat_score - 0.925).abs() < 1e-12);
@@ -80,7 +84,9 @@ fn mp_stop_rule_stays_exact_with_partial_probabilistic_atom() {
 fn single_plan_uses_same_stop_rule() {
     let (db, q) = fanout_db();
     let schema = SchemaInfo::from_db(&q, &db);
-    let sp = single_plan(
+    let mut store = PlanStore::new();
+    let sp = single_plan_id(
+        &mut store,
         &q,
         &schema,
         EnumOptions {
@@ -88,8 +94,9 @@ fn single_plan_uses_same_stop_rule() {
             use_fds: false,
         },
     );
-    assert!(!sp.has_min());
-    let got = eval_plan(&db, &q, &sp, ExecOptions::default())
+    let is_min = |&id: &PlanId| matches!(store.node(id).kind, NodeKind::Min { .. });
+    assert!(!store.reachable(&[sp]).iter().any(is_min));
+    let got = eval_plan_id(&db, &q, &store, sp, ExecOptions::default())
         .unwrap()
         .boolean_score();
     let exact = exact_answers(&db, &q).unwrap().boolean_score();
@@ -103,7 +110,7 @@ fn all_probabilistic_flat_stop_rule_matches_paper_form() {
     // paper's literal flat plan.
     let q = parse_query("q :- R^d(x), S(x, y), T^d(y)").unwrap();
     let schema = SchemaInfo::from_query(&q);
-    let plans = minimal_plans_opts(
+    let plans = minimal_plan_set_opts(
         &q,
         &schema,
         EnumOptions {
@@ -112,7 +119,10 @@ fn all_probabilistic_flat_stop_rule_matches_paper_form() {
         },
     );
     assert_eq!(plans.len(), 1);
-    assert_eq!(plans[0].render(&q), "π-[x,y] ⋈[R(x), S(x,y), T(y)]");
+    assert_eq!(
+        plans.store.render(plans.roots[0], &q),
+        "π-[x,y] ⋈[R(x), S(x,y), T(y)]"
+    );
 }
 
 #[test]
@@ -177,16 +187,12 @@ fn fd_chase_composes_with_dr_knowledge() {
         .unwrap();
 
     let schema = SchemaInfo::from_db(&q, &db);
-    let plans_plain = minimal_plans_opts(&q, &schema, EnumOptions::default());
-    let plans_full = minimal_plans_opts(&q, &schema, EnumOptions::full());
+    let plans_plain = minimal_plan_set_opts(&q, &schema, EnumOptions::default());
+    let plans_full = minimal_plan_set_opts(&q, &schema, EnumOptions::full());
     assert!(plans_full.len() <= plans_plain.len());
 
-    let rho_plain = propagation_score(&db, &q, &plans_plain, ExecOptions::default())
-        .unwrap()
-        .boolean_score();
-    let rho_full = propagation_score(&db, &q, &plans_full, ExecOptions::default())
-        .unwrap()
-        .boolean_score();
+    let rho_plain = rho(&db, &q, &plans_plain);
+    let rho_full = rho(&db, &q, &plans_full);
     assert!(
         (rho_plain - rho_full).abs() < 1e-12,
         "plain {rho_plain} vs full {rho_full}"

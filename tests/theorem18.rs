@@ -11,16 +11,17 @@
 mod common;
 
 use common::materialize_dissociation;
-use lapushdb::core::{delta_of_plan, minimal_plans};
-use lapushdb::engine::{eval_plan, ExecOptions};
+use lapushdb::core::{all_plan_ids, delta_of_plan_id};
 use lapushdb::prelude::*;
 use lapushdb::workload::{random_db_for_query, random_query};
 
 fn check_query_on_db(q: &Query, db: &Database, tol: f64) {
     let shape = QueryShape::of_query(q);
-    for plan in minimal_plans(&shape) {
-        let scores = eval_plan(db, q, &plan, ExecOptions::default()).expect("eval ok");
-        let delta = delta_of_plan(&plan, &shape).expect("pure plan");
+    let set = minimal_plan_set(&shape);
+    for &plan in &set.roots {
+        let scores =
+            eval_plan_id(db, q, &set.store, plan, ExecOptions::default()).expect("eval ok");
+        let delta = delta_of_plan_id(&set.store, plan, &shape).expect("pure plan");
         let (diss_db, diss_q) = materialize_dissociation(db, q, &delta);
         let exact = exact_answers(&diss_db, &diss_q).expect("exact ok");
         assert_eq!(
@@ -100,9 +101,10 @@ fn all_plans_realize_their_dissociations() {
     let q = parse_query("q :- R0(x), R1(x, y), R2(y)").unwrap();
     let db = random_db_for_query(&q, 99, 4, 3, 1.0).unwrap();
     let shape = QueryShape::of_query(&q);
-    for plan in lapushdb::core::all_plans(&shape) {
-        let scores = eval_plan(&db, &q, &plan, ExecOptions::default()).unwrap();
-        let delta = delta_of_plan(&plan, &shape).unwrap();
+    let mut store = PlanStore::new();
+    for plan in all_plan_ids(&mut store, &shape) {
+        let scores = eval_plan_id(&db, &q, &store, plan, ExecOptions::default()).unwrap();
+        let delta = delta_of_plan_id(&store, plan, &shape).unwrap();
         let (diss_db, diss_q) = materialize_dissociation(&db, &q, &delta);
         let exact = exact_answers(&diss_db, &diss_q).unwrap();
         assert!((scores.boolean_score() - exact.boolean_score()).abs() < 1e-10);

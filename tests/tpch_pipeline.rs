@@ -22,7 +22,7 @@ fn pipeline_produces_nation_ranking() {
     let shape = QueryShape::of_query(&q);
     // The query is unsafe with exactly two minimal plans (S-dissociating
     // and P-dissociating), as stated in Setup 1.
-    assert_eq!(lapushdb::core::minimal_plans(&shape).len(), 2);
+    assert_eq!(lapushdb::core::minimal_plan_set(&shape).len(), 2);
 
     let rho = rank_by_dissociation(&db, &q, RankOptions::default()).unwrap();
     assert!(!rho.is_empty());

@@ -7,7 +7,7 @@
 //! dependency fails here first, with a readable error, instead of deep
 //! inside a theorem test.
 
-use lapushdb::core::{delta_of_plan, minimal_plans, plan_for_dissociation};
+use lapushdb::core::{delta_of_plan_id, plan_id_for_dissociation};
 use lapushdb::prelude::*;
 use lapushdb::query::is_hierarchical;
 use lapushdb::workload::{chain_db, chain_query};
@@ -42,18 +42,19 @@ fn parse_plan_dissociate_rank_across_all_crates() {
     );
 
     // core: enumerate minimal plans; plans ↔ dissociations round-trip.
-    let plans = minimal_plans(&shape);
+    let PlanSet { mut store, roots } = minimal_plan_set(&shape);
     assert_eq!(
-        plans.len(),
+        roots.len(),
         2,
         "core crate: RST has exactly two minimal safe dissociations"
     );
-    for p in &plans {
-        let delta = delta_of_plan(p, &shape).expect("core crate: plan has a dissociation");
+    for p in roots {
+        let delta =
+            delta_of_plan_id(&store, p, &shape).expect("core crate: plan has a dissociation");
         assert!(delta.is_safe(&shape), "core crate: dissociation is safe");
-        let back = plan_for_dissociation(&shape, &delta)
+        let back = plan_id_for_dissociation(&mut store, &shape, &delta)
             .expect("core crate: dissociation maps back to a plan");
-        assert_eq!(&back, p, "core crate: Theorem 18 round-trip");
+        assert_eq!(back, p, "core crate: Theorem 18 round-trip");
     }
 
     // engine (via the driver): propagation score ρ(q).
