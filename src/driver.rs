@@ -1,14 +1,12 @@
 //! High-level drivers tying the crates together: one call from query text
 //! to ranked answers, for each of the paper's evaluation methods.
 
-use lapush_core::{
-    minimal_plan_set_opts, single_plan_id, EnumOptions, PlanSet, PlanStore, SchemaInfo,
-};
+use lapush_core::{minimal_plan_set_opts, single_plan_id, EnumOptions, PlanStore, SchemaInfo};
 use lapush_engine::{
     eval_plan_id, propagation_bounds_ids, propagation_score_ids, propagation_score_topk,
-    reduce_database, AnswerSet, ExecError, ExecOptions, Semantics, TopkEval, TopkResult, TopkStats,
+    reduce_database, AnswerSet, ExecError, ExecOptions, Semantics,
 };
-use lapush_lineage::{build_lineage, monte_carlo_each, ExactComputer, ExactStats, LineageError};
+use lapush_lineage::{build_lineage, monte_carlo_each, ExactComputer, LineageError};
 use lapush_query::Query;
 use lapush_storage::{Database, FxHashMap, Value};
 use std::fmt;
@@ -174,102 +172,6 @@ fn answers_from_ranked(q: &Query, ranked: Vec<(Box<[Value]>, f64)>) -> AnswerSet
     }
 }
 
-/// Enumerate the minimal plan set for [`anytime_rank`], with the same
-/// schema treatment as [`rank_by_dissociation`]'s `MultiPlan` path. The
-/// set must outlive the [`AnytimeRank`] stepping over it (the stepper
-/// borrows the plan arena).
-pub fn topk_plan_set(db: &Database, q: &Query, opts: RankOptions) -> PlanSet {
-    let (schema, enum_opts) = schema_knowledge(db, q, opts.use_schema);
-    minimal_plan_set_opts(q, &schema, enum_opts)
-}
-
-/// Start an anytime top-k ranking over a prepared plan set: an iterator
-/// of refinement snapshots whose `[lo, hi]` score intervals shrink as
-/// plans are folded in, converging to the exact propagation scores.
-///
-/// `opts.opt` is ignored — anytime ranking is inherently multi-plan
-/// (each folded plan tightens the upper bound).
-pub fn anytime_rank<'a>(
-    db: &'a Database,
-    q: &'a Query,
-    set: &'a PlanSet,
-    k: usize,
-    opts: RankOptions,
-) -> Result<AnytimeRank<'a>, DriverError> {
-    let exec = ExecOptions {
-        threads: opts.threads,
-        ..ExecOptions::default()
-    };
-    Ok(AnytimeRank {
-        eval: TopkEval::new(db, q, &set.store, &set.roots, k, exec)?,
-        started: false,
-        failed: false,
-    })
-}
-
-/// An in-flight anytime top-k ranking (see [`anytime_rank`]).
-///
-/// Each `next()` yields an [`AnytimeSnapshot`]; the first is available
-/// after only the cheapest plan, and the last — when
-/// [`AnytimeSnapshot::remaining`] reaches zero — carries exact scores
-/// (`lo == hi`). Stop early for a fast approximate ranking, or drain it
-/// (equivalently call [`AnytimeRank::finish`]) for the top-k set
-/// bit-identical to exhaustive ranking.
-pub struct AnytimeRank<'a> {
-    eval: TopkEval<'a>,
-    started: bool,
-    failed: bool,
-}
-
-/// One refinement snapshot from [`AnytimeRank`].
-#[derive(Debug, Clone)]
-pub struct AnytimeSnapshot {
-    /// Surviving candidate answers with `[lo, hi]` score intervals,
-    /// sorted best upper bound first.
-    pub bounds: Vec<(Box<[Value]>, f64, f64)>,
-    /// Plans not yet folded in; `0` means `bounds` is exact.
-    pub remaining: usize,
-}
-
-impl AnytimeRank<'_> {
-    /// Pruning counters so far.
-    pub fn stats(&self) -> TopkStats {
-        self.eval.stats()
-    }
-
-    /// Fold in every remaining plan and return the final ranked top-k
-    /// answers with their pruning counters.
-    pub fn finish(self) -> Result<TopkResult, DriverError> {
-        Ok(self.eval.finish()?)
-    }
-}
-
-impl Iterator for AnytimeRank<'_> {
-    type Item = Result<AnytimeSnapshot, DriverError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        if self.started {
-            match self.eval.step() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e.into()));
-                }
-            }
-        } else {
-            self.started = true;
-        }
-        Some(Ok(AnytimeSnapshot {
-            bounds: self.eval.bounds(),
-            remaining: self.eval.remaining(),
-        }))
-    }
-}
-
 /// Sandwich bounds (extension beyond the paper): for every answer, a
 /// guaranteed interval `[low, high]` around its true probability.
 ///
@@ -299,28 +201,16 @@ pub fn bound_answers(
 /// memo built for one answer's lineage serves every later answer (their
 /// DNFs share the same global variable numbering and usually overlap).
 pub fn exact_answers(db: &Database, q: &Query) -> Result<AnswerSet, DriverError> {
-    exact_answers_with_stats(db, q).map(|(ans, _)| ans)
-}
-
-/// [`exact_answers`] plus cumulative model-counting statistics — the
-/// cross-answer memo hits show up in [`ExactStats::cache_hits`].
-pub fn exact_answers_with_stats(
-    db: &Database,
-    q: &Query,
-) -> Result<(AnswerSet, ExactStats), DriverError> {
     let lin = build_lineage(db, q)?;
     let mut comp = ExactComputer::new(&lin.var_probs);
     let mut rows: FxHashMap<Box<[Value]>, f64> = FxHashMap::default();
     for a in &lin.answers {
         rows.insert(a.key.clone(), comp.prob(&a.dnf));
     }
-    Ok((
-        AnswerSet {
-            vars: q.head().to_vec(),
-            rows,
-        },
-        comp.stats(),
-    ))
+    Ok(AnswerSet {
+        vars: q.head().to_vec(),
+        rows,
+    })
 }
 
 /// Budgeted exact answers: `None` if any answer's model count exceeds
@@ -490,8 +380,7 @@ mod tests {
         use lapush_lineage::exact_prob;
         let db = rst_db();
         let q = parse_query("q(x) :- R(x), S(x, y), T(y)").unwrap();
-        let (ans, stats) = exact_answers_with_stats(&db, &q).unwrap();
-        assert!(stats.calls > 0);
+        let ans = exact_answers(&db, &q).unwrap();
         // The shared-memo answers are bit-identical to fresh per-answer
         // model counting.
         let lin = lapush_lineage::build_lineage(&db, &q).unwrap();
@@ -547,49 +436,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn anytime_iterator_shrinks_to_exact() {
-        let db = rst_db();
-        // The Boolean variant is unsafe and has two minimal plans.
-        let q = parse_query("q :- R(x), S(x, y), T(y)").unwrap();
-        let opts = RankOptions::default();
-        let set = topk_plan_set(&db, &q, opts);
-        assert!(set.roots.len() > 1, "query must be multi-plan");
-
-        let snaps: Vec<AnytimeSnapshot> = anytime_rank(&db, &q, &set, 1, opts)
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        // One snapshot per plan, with `remaining` counting down to exact.
-        assert_eq!(snaps.len(), set.roots.len());
-        for (i, snap) in snaps.iter().enumerate() {
-            assert_eq!(snap.remaining, set.roots.len() - 1 - i);
-            for (_, lo, hi) in &snap.bounds {
-                assert!(lo <= hi, "interval must be ordered");
-            }
-        }
-        for (_, lo, hi) in &snaps.last().unwrap().bounds {
-            assert_eq!(lo.to_bits(), hi.to_bits(), "final bounds are exact");
-        }
-
-        // Draining via `finish` reproduces exhaustive ranking bitwise.
-        let fresh = anytime_rank(&db, &q, &set, 1, opts).unwrap();
-        let res = fresh.finish().unwrap();
-        let full = rank_by_dissociation(
-            &db,
-            &q,
-            RankOptions {
-                opt: OptLevel::MultiPlan,
-                ..opts
-            },
-        )
-        .unwrap();
-        let want = full.ranked_top(1);
-        assert_eq!(res.ranked.len(), want.len());
-        assert_eq!(res.ranked[0].0, want[0].0);
-        assert_eq!(res.ranked[0].1.to_bits(), want[0].1.to_bits());
     }
 
     #[test]

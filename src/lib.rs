@@ -93,9 +93,8 @@ pub mod benchsuite;
 pub mod driver;
 
 pub use driver::{
-    anytime_rank, bound_answers, exact_answers, exact_answers_bounded, exact_answers_with_stats,
-    lineage_stats, mc_answers, rank_by_dissociation, topk_plan_set, AnytimeRank, AnytimeSnapshot,
-    DriverError, OptLevel, RankOptions,
+    bound_answers, exact_answers, exact_answers_bounded, lineage_stats, mc_answers,
+    rank_by_dissociation, DriverError, OptLevel, RankOptions,
 };
 
 /// Commonly used items in one import.

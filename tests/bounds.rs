@@ -3,13 +3,20 @@
 //!
 //! * Corollary 19: every plan's score upper-bounds the true probability;
 //!   hence `ρ(q) ≥ P(q)` per answer.
-//! * Proposition 6 / conservativity: safe query ⇒ one plan ⇒ exact.
-//! * Optimizations 1–3 never change the computed score.
+//! * Proposition 6 / conservativity: safe query ⇒ one plan ⇒ exact, both
+//!   against lineage model counting and the oracle's possible worlds.
+//! * Optimizations 1–3 never change the computed score on these
+//!   instances; the single min-pushdown plan is in general only
+//!   sandwiched, `P ≤ score ≤ ρ`, and strictly below `ρ` on two fixed
+//!   shapes.
 //! * Schema-aware enumeration (DR/FD) computes the same `ρ(q)` with fewer
 //!   plans when the schema knowledge is valid.
 //! * Sandwich bounds (extension): the best single derivation's product
 //!   lower-bounds the true probability, and is the same for every plan.
 
+mod common;
+
+use common::oracle;
 use lapushdb::prelude::*;
 use lapushdb::workload::{random_db_for_query, random_query};
 use lapushdb::{rank_by_dissociation, OptLevel, RankOptions};
@@ -52,12 +59,12 @@ fn safe_queries_are_computed_exactly() {
         let db = random_db_for_query(&q, seed, 6, 3, 1.0).unwrap();
         let rho = rank_by_dissociation(&db, &q, RankOptions::default()).unwrap();
         let exact = exact_answers(&db, &q).unwrap();
+        let worlds = oracle::exact(&db, &q);
+        assert_eq!(rho.len(), worlds.len(), "{text}");
         for (key, &r) in &rho.rows {
-            assert!(
-                (r - exact.score_of(key)).abs() < 1e-10,
-                "{text}: {r} vs {}",
-                exact.score_of(key)
-            );
+            for p in [exact.score_of(key), worlds.score_of(key)] {
+                assert!((r - p).abs() < 1e-10, "{text}: {r} vs {p}");
+            }
         }
     }
 }
@@ -95,6 +102,43 @@ fn optimization_levels_agree_on_random_instances() {
                 assert!(
                     (got.score_of(key) - s).abs() < 1e-10,
                     "seed {seed} {opt:?} key {key:?}"
+                );
+            }
+        }
+    }
+}
+
+/// What the single min-pushdown plan computes (Opt1–Opt123): on these two
+/// 5-atom Boolean shapes it is strictly below `ρ`, by 0.47% and 0.95%,
+/// and still above the exact `P`. So the single-plan levels do not
+/// compute `ρ` in general; they are sandwiched, `P ≤ score ≤ ρ`.
+#[test]
+fn single_plan_sits_between_exact_and_rho() {
+    for (s, want) in [
+        (255u64, [0.37126, 0.38738, 0.38923]),
+        (379, [0.51585, 0.53147, 0.53658]),
+    ] {
+        let q = random_query(9000 + s, 5, 6);
+        let db = random_db_for_query(&q, 7 * s + 1, 6, 4, 1.0).unwrap();
+        let score = |opt| {
+            let opts = RankOptions {
+                opt,
+                ..RankOptions::default()
+            };
+            rank_by_dissociation(&db, &q, opts).unwrap().boolean_score()
+        };
+        let p = exact_answers(&db, &q).unwrap().boolean_score();
+        let rho = score(OptLevel::MultiPlan);
+        for opt in [OptLevel::Opt1, OptLevel::Opt12, OptLevel::Opt123] {
+            let single = score(opt);
+            assert!(
+                p <= single && single < rho,
+                "s = {s} {opt:?}: {p} ≤ {single} < {rho}"
+            );
+            for (got, want) in [p, single, rho].into_iter().zip(want) {
+                assert!(
+                    (got - want).abs() < 5e-6,
+                    "s = {s} {opt:?}: {got} vs {want}"
                 );
             }
         }

@@ -3,8 +3,10 @@
 // Every test binary compiles this module and uses only some of it.
 #![allow(dead_code)]
 
+pub mod agree;
+pub mod oracle;
+
 use lapushdb::core::Dissociation;
-use lapushdb::engine::AnswerSet;
 use lapushdb::query::{Query, QueryBuilder, Term, Var};
 use lapushdb::storage::{Database, Value};
 
@@ -105,20 +107,4 @@ pub fn materialize_dissociation(
         builder = builder.pred(q.var_name(p.var), p.op, p.value.clone());
     }
     (new_db, builder.build().expect("valid dissociated query"))
-}
-
-/// The per-answer minimum of answer sets over the same head: the
-/// value-level reference for the engine's min over plans. An answer
-/// missing from a set does not lower the minimum.
-pub fn min_over(sets: impl IntoIterator<Item = AnswerSet>) -> AnswerSet {
-    let mut sets = sets.into_iter();
-    let mut acc = sets.next().expect("at least one answer set");
-    for other in sets {
-        debug_assert_eq!(acc.vars, other.vars);
-        for (k, s) in other.rows {
-            let cur = acc.rows.entry(k).or_insert(s);
-            *cur = cur.min(s);
-        }
-    }
-    acc
 }

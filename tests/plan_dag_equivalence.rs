@@ -464,7 +464,7 @@ fn chain7_plan_set_scores_match_plan_at_a_time_evaluation() {
     let plans = reference::minimal_plans_with(&mut store, &shape, &[], false, false);
     assert_eq!(plans.len(), 132);
     let eval = |&p: &PlanId| eval_plan_id(&db, &q, &store, p, ExecOptions::default());
-    let want = common::min_over(plans.iter().map(|p| eval(p).expect("eval")));
+    let want = common::oracle::min_over(plans.iter().map(|p| eval(p).expect("eval")));
     assert!(!want.is_empty());
 
     let set = minimal_plan_set(&shape);

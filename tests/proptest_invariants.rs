@@ -1,6 +1,9 @@
 //! Property-based tests over randomly generated queries, databases, and
 //! formulas: the paper's theorems as executable invariants.
 
+mod common;
+
+use common::oracle;
 use lapushdb::core::{
     all_plan_ids, delta_of_plan_id, naive_minimal_safe_dissociations, plan_id_for_dissociation,
     Dissociation,
@@ -8,22 +11,44 @@ use lapushdb::core::{
 use lapushdb::lineage::{brute_force_prob, exact_prob, karp_luby, Dnf};
 use lapushdb::prelude::*;
 use lapushdb::workload::{random_db_for_query, random_query};
-use lapushdb::{exact_answers, rank_by_dissociation, RankOptions};
+use lapushdb::{exact_answers, rank_by_dissociation, OptLevel, RankOptions};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Corollary 19 + Definition 14: ρ(q) upper-bounds P(q) per answer.
+    /// Corollary 19 + Definition 14, against the possible-worlds `P(q)`:
+    /// every minimal plan's score upper-bounds `P`, `ρ` (the min over the
+    /// plans) is at most every plan's score, and the single min-pushdown
+    /// plan sits between them, `P ≤ Opt12 ≤ ρ`. The lineage model counter
+    /// computes the same `P`.
     #[test]
     fn rho_upper_bounds_exact(seed in 0u64..5000, atoms in 2usize..5) {
         let q = random_query(seed, atoms, 4);
         let db = random_db_for_query(&q, seed ^ 0xabcdef, 4, 3, 1.0).unwrap();
-        let rho = rank_by_dissociation(&db, &q, RankOptions::default()).unwrap();
-        let exact = exact_answers(&db, &q).unwrap();
+        let exact = oracle::exact(&db, &q);
+        let lineage = exact_answers(&db, &q).unwrap();
+        let plans = minimal_plan_set(&QueryShape::of_query(&q));
+        let scores: Vec<AnswerSet> = (plans.roots.iter())
+            .map(|&p| eval_plan_id(&db, &q, &plans.store, p, ExecOptions::default()).unwrap())
+            .collect();
+        let rank = |opt| {
+            let opts = RankOptions { opt, ..RankOptions::default() };
+            rank_by_dissociation(&db, &q, opts).unwrap()
+        };
+        let (rho, opt12) = (rank(OptLevel::MultiPlan), rank(OptLevel::Opt12));
         prop_assert_eq!(rho.len(), exact.len());
-        for (key, &r) in &rho.rows {
-            prop_assert!(r >= exact.score_of(key) - 1e-9);
+        prop_assert_eq!(opt12.len(), exact.len());
+        prop_assert_eq!(lineage.len(), exact.len());
+        for (key, &p) in &exact.rows {
+            prop_assert!((lineage.score_of(key) - p).abs() <= 1e-9, "{:?}", key);
+            let r = rho.score_of(key);
+            for s in &scores {
+                prop_assert!(s.score_of(key) >= p - 1e-9, "plan below P at {:?}", key);
+                prop_assert!(r <= s.score_of(key) + 1e-12, "ρ above a plan at {:?}", key);
+            }
+            let single = opt12.score_of(key);
+            prop_assert!(p - 1e-9 <= single && single <= r + 1e-12, "{} ≤ {} ≤ {}", p, single, r);
             prop_assert!(r <= 1.0 + 1e-12);
         }
     }
