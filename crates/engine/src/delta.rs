@@ -3,8 +3,8 @@
 //!
 //! [`IncrementalEval`] evaluates a plan set once — with the batch
 //! evaluator itself (`crate::exec::Evaluator`), keeping its `PlanId`-keyed
-//! memo as a persistent cached-view store plus each join's fold order and
-//! intermediates — and then consumes append-only database growth as sorted
+//! memo as a persistent cached-view store plus each join's intermediate
+//! accumulators — and then consumes append-only database growth as sorted
 //! [`DeltaBatch`] appendices, propagating per-node *effective deltas* (new
 //! rows plus rows whose score changed) up the plan DAG instead of
 //! re-evaluating from scratch.
@@ -29,11 +29,10 @@
 //!   and scores multiply ([`join_par`] computes `ls · rs`; IEEE
 //!   multiplication is commutative bitwise), so the delta of one fold step
 //!   `acc ⋈ in` is `(Δacc ⋈ in') ∪ (acc' ⋈ Δin)` over the *updated*
-//!   operands — both terms agree bitwise where they overlap. The greedy
-//!   fold order is data-dependent ([`join_order`]); it is recomputed from
-//!   the updated input sizes and, when it no longer matches the cached
-//!   per-step accumulators, the node is recomputed wholesale and the
-//!   change still propagates as a [`diff_changed`] delta.
+//!   operands — both terms agree bitwise where they overlap. The fold
+//!   order ([`join_order`]) is a function of the inputs' variables, so
+//!   the captured per-step accumulators line up with it for the view's
+//!   whole life.
 //! * **Project** — with group columns that are a prefix of the child's
 //!   canonical order (the batch fast path), a touched group is a
 //!   contiguous run of the merged child view, and refolding just that run
@@ -65,8 +64,8 @@ use crate::exec::{
 };
 use crate::prepare::{prepare_atoms, ScanShape};
 use crate::rel::{
-    diff_changed, fold_run_or, join_fold, join_order, join_par, merge_upsert, min_into_par,
-    project_fold, JoinState, Par, Rel, Scratch,
+    diff_changed, fold_run_or, join_order, join_par, merge_upsert, min_into_par, project_fold, Par,
+    Rel, Scratch,
 };
 use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, Var};
@@ -111,8 +110,9 @@ pub struct IncrementalEval {
     atoms: Vec<AtomSnap>,
     /// Every reachable node's materialized result (the evaluator's memo).
     views: FxHashMap<PlanId, ShRel>,
-    /// Fold order and intermediate accumulators of every `Join` node.
-    joins: FxHashMap<PlanId, JoinState>,
+    /// Intermediate accumulators of every `Join` node, in
+    /// [`join_order`].
+    joins: FxHashMap<PlanId, Vec<Rel>>,
     /// Min-fold over the root views, in root order.
     root_acc: Rel,
     /// Shared with whoever serves the answers ([`Self::shared_answers`]);
@@ -178,7 +178,7 @@ impl IncrementalEval {
             if let NodeKind::Join { inputs } = &store.node(id).kind {
                 inputs.iter().for_each(|c| self.views[c].drop_orders());
             }
-            self.joins[&id].mids.iter().for_each(Rel::drop_orders);
+            self.joins[&id].iter().for_each(Rel::drop_orders);
         }
     }
 
@@ -186,7 +186,7 @@ impl IncrementalEval {
     /// themselves (not those of the database's base views): zero whenever
     /// no call is in progress (what the equivalence suite checks).
     pub fn cached_orders(&self) -> usize {
-        let mids = self.joins.values().flat_map(|j| &j.mids);
+        let mids = self.joins.values().flatten();
         let views = self.views.values().map(|v| &**v);
         views.chain(mids).map(Rel::cached_orders).sum()
     }
@@ -312,72 +312,37 @@ impl IncrementalEval {
                     }
                     joined.push(id);
                     let refs: Vec<&Rel> = inputs.iter().map(|c| &*views[c]).collect();
-                    let state = self.joins.get_mut(&id).expect("join state captured");
+                    let mids = self.joins.get_mut(&id).expect("join state captured");
                     let order = join_order(&refs);
-                    if order != state.order {
-                        // The greedy order moved with the data: the cached
-                        // accumulators no longer line up. Recompute the
-                        // node, refresh the state, diff to keep
-                        // propagating.
-                        let (new, new_state) = join_fold(&refs, true, par, &mut scratch);
-                        *state = new_state;
-                        let nd = diff_changed(&new, &views[&id]);
-                        if nd.is_empty() {
-                            self.views.insert(id, Arc::new(new));
-                            continue;
-                        }
-                        (new, nd)
-                    } else {
-                        let k = inputs.len();
-                        if k == 1 {
-                            let Some(d) = deltas.get(&inputs[0]) else {
-                                continue;
-                            };
-                            (merge_upsert(&views[&id], d), d.clone())
-                        } else {
-                            let mut acc_delta: Option<Rel> = deltas.get(&inputs[order[0]]).cloned();
-                            let mut final_view: Option<Rel> = None;
-                            for s in 1..k {
-                                let in_new = refs[order[s]];
-                                let d_in = deltas.get(&inputs[order[s]]);
-                                let a_new: &Rel = if s == 1 {
-                                    refs[order[0]]
-                                } else {
-                                    &state.mids[s - 2]
-                                };
-                                let step = match (acc_delta.as_ref(), d_in) {
-                                    (None, None) => None,
-                                    (Some(da), None) => {
-                                        nonempty(join_par(da, in_new, par, &mut scratch))
-                                    }
-                                    (None, Some(di)) => {
-                                        nonempty(join_par(a_new, di, par, &mut scratch))
-                                    }
-                                    (Some(da), Some(di)) => {
-                                        // Both terms compute any shared key
-                                        // from updated operands, so the
-                                        // upsert order cannot matter.
-                                        let t1 = join_par(da, in_new, par, &mut scratch);
-                                        let t2 = join_par(a_new, di, par, &mut scratch);
-                                        nonempty(merge_upsert(&t2, &t1))
-                                    }
-                                };
-                                if let Some(sd) = &step {
-                                    if s == k - 1 {
-                                        final_view = Some(merge_upsert(&views[&id], sd));
-                                    } else {
-                                        let merged = merge_upsert(&state.mids[s - 1], sd);
-                                        state.mids[s - 1] = merged;
-                                    }
-                                }
-                                acc_delta = step;
+                    let mut acc_delta: Option<Rel> = deltas.get(&inputs[order[0]]).cloned();
+                    for s in 1..order.len() {
+                        let in_new = refs[order[s]];
+                        let d_in = deltas.get(&inputs[order[s]]);
+                        let a_new: &Rel = match s {
+                            1 => refs[order[0]],
+                            _ => &mids[s - 2],
+                        };
+                        let step = match (acc_delta.as_ref(), d_in) {
+                            (None, None) => None,
+                            (Some(da), None) => nonempty(join_par(da, in_new, par, &mut scratch)),
+                            (None, Some(di)) => nonempty(join_par(a_new, di, par, &mut scratch)),
+                            (Some(da), Some(di)) => {
+                                // Both terms compute any shared key from
+                                // updated operands, so the upsert order
+                                // cannot matter.
+                                let t1 = join_par(da, in_new, par, &mut scratch);
+                                let t2 = join_par(a_new, di, par, &mut scratch);
+                                nonempty(merge_upsert(&t2, &t1))
                             }
-                            let (Some(new), Some(nd)) = (final_view, acc_delta) else {
-                                continue;
-                            };
-                            (new, nd)
+                        };
+                        // Every step but the last updates its accumulator.
+                        if let (Some(sd), Some(mid)) = (&step, mids.get_mut(s - 1)) {
+                            *mid = merge_upsert(mid, sd);
                         }
+                        acc_delta = step;
                     }
+                    let Some(nd) = acc_delta else { continue };
+                    (merge_upsert(&views[&id], &nd), nd)
                 }
                 NodeKind::Min { inputs } => {
                     if !inputs.iter().any(|c| deltas.contains_key(c)) {
@@ -683,6 +648,89 @@ mod tests {
         let same = db.base_view(1, |_| unreachable!("R2 did not change"));
         assert!(Arc::ptr_eq(&r2_view, &same));
         assert_eq!(same.cached_orders(), 1);
+    }
+
+    #[test]
+    fn round_robin_growth_keeps_join_layout() {
+        // Three equal-sized relations grown round-robin, 10 fresh rows per
+        // batch — the serving benchmark's write pattern. Each batch makes
+        // one relation the largest, so an order keyed on sizes would swap
+        // the inputs of `R1 ⋈ R2` and `R2 ⋈ R3` batch after batch. The
+        // order is a function of the plan: every captured join keeps the
+        // layout it had at capture, and the answers track a fresh
+        // evaluation bitwise.
+        use lapush_core::{single_plan_id, EnumOptions, SchemaInfo};
+        use std::collections::HashSet;
+        let q = parse_query("q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)").unwrap();
+        let set = minimal_plan_set(&QueryShape::of_query(&q));
+        let mut single = PlanStore::new();
+        let schema = SchemaInfo::from_query(&q);
+        let root = single_plan_id(&mut single, &q, &schema, EnumOptions::default());
+        let shapes = [(set.store, set.roots), (single, vec![root])];
+
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let domain = 40u64;
+        let mut seen: HashSet<(RelId, i64, i64)> = HashSet::new();
+        let mut fresh_row = |rel: RelId, next: &mut dyn FnMut() -> u64| loop {
+            let (u, v) = ((next() % domain) as i64, (next() % domain) as i64);
+            if seen.insert((rel, u, v)) {
+                let p = (next() % 999 + 1) as f64 / 1000.0;
+                return (tuple([u, v]), p);
+            }
+        };
+        let mut base = Database::new();
+        for i in 1..=3 {
+            let rel = base.create_relation(format!("R{i}"), 2).unwrap();
+            for _ in 0..100 {
+                let (row, p) = fresh_row(rel, &mut next);
+                base.relation_mut(rel).push(row, p).unwrap();
+            }
+        }
+        let batches: Vec<Vec<_>> = (0..9)
+            .map(|b| {
+                let rel = (b % 3) as RelId;
+                (0..10).map(|_| (rel, fresh_row(rel, &mut next))).collect()
+            })
+            .collect();
+
+        for (store, roots) in &shapes {
+            for threads in [1, 4] {
+                let opts = ExecOptions {
+                    threads,
+                    ..ExecOptions::default()
+                };
+                let mut db = base.clone();
+                let mut inc = IncrementalEval::new(&db, &q, store, roots, opts).unwrap();
+                let join_vars = |inc: &IncrementalEval| -> Vec<(PlanId, Vec<Var>)> {
+                    (inc.nodes.iter())
+                        .filter(|&&id| matches!(store.node(id).kind, NodeKind::Join { .. }))
+                        .map(|&id| (id, inc.views[&id].vars.clone()))
+                        .collect()
+                };
+                let captured = join_vars(&inc);
+                assert!(!captured.is_empty(), "the plans join");
+                for (b, batch) in batches.iter().enumerate() {
+                    for (rel, (row, p)) in batch {
+                        db.relation_mut(*rel).push(row.clone(), *p).unwrap();
+                    }
+                    let out = inc.apply_deltas(&db, &q, store).unwrap();
+                    assert_ne!(out, DeltaOutcome::Fallback, "batch {b}");
+                    let full = propagation_score_ids(&db, &q, store, roots, opts).unwrap();
+                    assert_bitwise(inc.answers(), &full);
+                    assert_eq!(
+                        join_vars(&inc),
+                        captured,
+                        "t{threads} batch {b}: join layout"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

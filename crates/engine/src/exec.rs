@@ -31,9 +31,9 @@
 use crate::prepare::{prepare_atoms, PrepareError, PreparedAtom, ScanShape};
 use crate::rel::{
     canonicalize_columns, join_fold, join_fold_project, merge_sorted, min_combine_par,
-    min_into_par, project_fold, JoinState, Par, ProjFold, Rel, Scratch,
+    min_into_par, project_fold, Par, ProjFold, Rel, Scratch,
 };
-use lapush_core::{NodeKind, PlanId, PlanNode, PlanStore};
+use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, QueryShape, Var};
 use lapush_storage::{BaseView, Database, DbCodec, DeltaBatch, FxHashMap, Relation, Value, Vid};
 use std::fmt;
@@ -288,9 +288,12 @@ pub(crate) type ShRel = Arc<Rel>;
 /// * **survivor restriction** ([`Evaluator::restrict_to`]) — per-atom
 ///   surviving row lists replace the full scans of a *restricted*
 ///   evaluation ([`Evaluator::eval_restricted`]), memoized apart from the
-///   full results.
-/// * **capture** ([`Evaluator::capture_joins`]) — keeps each join's fold
-///   order and intermediate accumulators for the incremental evaluator.
+///   full results. Every node shape is restricted: join order and column
+///   layout are functions of the plan ([`crate::rel::join_order`]), so a
+///   restricted visit multiplies and folds each surviving group exactly
+///   as the full one does.
+/// * **capture** ([`Evaluator::capture_joins`]) — keeps each join's
+///   intermediate accumulators for the incremental evaluator.
 ///
 /// A projection directly over a join computes both in one operator
 /// ([`join_fold_project`]), so the join's result never exists — except in
@@ -310,12 +313,9 @@ pub(crate) struct Evaluator<'a> {
     survivors: Vec<Vec<u32>>,
     filtered_mask: u64,
     restricted: FxHashMap<PlanId, ShRel>,
-    /// Restricted visits answered by a full evaluation instead (see
-    /// [`Evaluator::reassociates`]).
-    pub(crate) fallback_nodes: u64,
     /// Projections evaluated fused with the join below them.
     pub(crate) fused_steps: u64,
-    pub(crate) joins: Option<FxHashMap<PlanId, JoinState>>,
+    pub(crate) joins: Option<FxHashMap<PlanId, Vec<Rel>>>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -342,7 +342,6 @@ impl<'a> Evaluator<'a> {
             survivors: Vec::new(),
             filtered_mask: 0,
             restricted: FxHashMap::default(),
-            fallback_nodes: 0,
             fused_steps: 0,
             joins: None,
         })
@@ -388,7 +387,7 @@ impl<'a> Evaluator<'a> {
         self.filtered_mask = filtered_mask;
     }
 
-    /// Keep every join's fold order and intermediates from here on.
+    /// Keep every join's intermediate accumulators from here on.
     pub(crate) fn capture_joins(&mut self) {
         self.joins = Some(FxHashMap::default());
     }
@@ -405,39 +404,12 @@ impl<'a> Evaluator<'a> {
         self.node(id, true)
     }
 
-    /// Node shapes whose float products could reassociate under the
-    /// survivor-filtered cardinalities, and which a restricted evaluation
-    /// therefore evaluates in full: joins of three or more inputs (the
-    /// greedy [`crate::rel::join_order`] may pick a different order) and
-    /// projections eliminating two or more variables directly over a join
-    /// (the within-group fold order follows the join's column layout, which
-    /// may flip). A flipped *binary* join multiplies the same two factors,
-    /// and a single-variable projection folds each group in the eliminated
-    /// variable's order whatever the layout. `Min` does not occur in
-    /// minimal plan sets.
-    fn reassociates(&self, node: &PlanNode) -> bool {
-        match &node.kind {
-            NodeKind::Scan { .. } => false,
-            NodeKind::Project { input } => {
-                let child = self.store.node(*input);
-                matches!(child.kind, NodeKind::Join { .. })
-                    && child.head.len() >= node.head.len() + 2
-            }
-            NodeKind::Join { inputs } => inputs.len() > 2,
-            NodeKind::Min { .. } => true,
-        }
-    }
-
     fn node(&mut self, id: PlanId, restricted: bool) -> ShRel {
         let store = self.store;
         let node = store.node(id);
         // A subtree scanning no filtered atom is the same either way, and
         // shares the full memo.
-        let mut restricted = restricted && node.atoms_mask & self.filtered_mask != 0;
-        if restricted && self.reassociates(node) {
-            self.fallback_nodes += 1;
-            restricted = false;
-        }
+        let restricted = restricted && node.atoms_mask & self.filtered_mask != 0;
         let cacheable = restricted || self.memo_all || matches!(node.kind, NodeKind::Scan { .. });
         if cacheable {
             if let Some(hit) = self.memo_mut(restricted).get(&id) {
@@ -491,9 +463,9 @@ impl<'a> Evaluator<'a> {
                 let children = self.nodes(inputs, restricted);
                 let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
                 let (par, scratch) = (self.par, &mut self.scratch);
-                let (rel, state) = join_fold(&refs, self.joins.is_some(), par, scratch);
+                let (rel, mids) = join_fold(&refs, self.joins.is_some(), par, scratch);
                 if let Some(joins) = &mut self.joins {
-                    joins.insert(id, state);
+                    joins.insert(id, mids);
                 }
                 rel
             }

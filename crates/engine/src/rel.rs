@@ -288,21 +288,6 @@ impl Rel {
         }
     }
 
-    /// Build from unsorted columns: sorts into canonical order and combines
-    /// duplicate rows with `max` (set semantics keeps the strongest
-    /// derivation).
-    pub fn from_unsorted_columns(vars: Vec<Var>, cols: Vec<Vec<Vid>>, scores: Vec<f64>) -> Self {
-        let mut rel = Rel {
-            vars,
-            cols,
-            scores,
-            lo: None,
-            orders: KeyOrders::default(),
-        };
-        rel.canonicalize(Par::serial(), &mut Scratch::default());
-        rel
-    }
-
     /// A private copy of a database base view under a query's variable
     /// names: `vars[c]` names the relation's column `c`, `scores` gives
     /// each row's score (the view's probabilities, or whatever the score
@@ -1172,36 +1157,28 @@ fn block_cmp(
 
 /// Join many relations (borrowed: the evaluator shares children through
 /// its memo and must not clone them to join). Children are folded pairwise
-/// along the greedy [`join_order`], which keeps the accumulated result
-/// connected (avoids cartesian products when possible) and starts from the
-/// smallest input.
+/// along [`join_order`], which keeps the accumulated result connected
+/// (avoids cartesian products when possible).
 pub fn join_many_par(inputs: &[&Rel], par: Par, scratch: &mut Scratch) -> Rel {
     join_fold(inputs, false, par, scratch).0
 }
 
-/// How one multi-way join was folded: the greedy order and, when asked
-/// for, every intermediate accumulator except the final one (which is the
-/// join's result). The incremental evaluator keeps both to replay the fold
-/// on deltas.
-pub(crate) struct JoinState {
-    pub(crate) order: Vec<usize>,
-    pub(crate) mids: Vec<Rel>,
-}
-
-/// The one multi-way join fold behind [`join_many_par`]; `keep_mids`
-/// retains the intermediate accumulators in the returned [`JoinState`]
-/// instead of dropping them as the fold advances.
+/// The one multi-way join fold behind [`join_many_par`]. With `keep_mids`,
+/// every intermediate accumulator but the final one (the join's result)
+/// is returned too, in [`join_order`], instead of being dropped as the
+/// fold advances: the incremental evaluator replays the fold on deltas
+/// against them.
 pub(crate) fn join_fold(
     inputs: &[&Rel],
     keep_mids: bool,
     par: Par,
     scratch: &mut Scratch,
-) -> (Rel, JoinState) {
+) -> (Rel, Vec<Rel>) {
     let order = join_order(inputs);
     let mut mids: Vec<Rel> = Vec::new();
     let mids_out = keep_mids.then_some(&mut mids);
     let acc = join_in_order(inputs, &order, mids_out, par, scratch).into_owned();
-    (acc, JoinState { order, mids })
+    (acc, mids)
 }
 
 /// `π_keep` over the join of `inputs`: [`join_fold`]'s pairwise steps in
@@ -1375,37 +1352,29 @@ pub(crate) fn join_project(
     out
 }
 
-/// The greedy fold order [`join_many_par`] uses, as original input
-/// indices: start from the smallest input, then repeatedly take the
-/// smallest input sharing a variable with the accumulated result (else —
-/// a cartesian product is unavoidable — the smallest input overall, to
-/// keep the blow-up minimal). The order
-/// depends only on the inputs' variables and row counts, so callers
-/// maintaining cached per-step accumulators (the incremental evaluator)
-/// can recompute it cheaply to detect when their cache matches the order
-/// a fresh evaluation would pick.
+/// The fold order of every multi-way join, as input indices: a function
+/// of the inputs' variables alone, so a plan's join keeps one order and
+/// one column layout whatever the row counts. Start from the first input
+/// whose leading column is a variable another input shares — its
+/// canonical sort order is then already the first step's key order —
+/// else from input 0; then repeatedly take the first remaining input
+/// sharing a variable with the columns joined so far, else (a cartesian
+/// product is unavoidable) the first remaining input.
 pub fn join_order(inputs: &[&Rel]) -> Vec<usize> {
     assert!(!inputs.is_empty(), "join of zero inputs");
-    if inputs.len() == 1 {
-        return vec![0];
-    }
-    let mut remaining: Vec<(usize, &Rel)> = inputs.iter().copied().enumerate().collect();
-    // Start with the smallest relation.
-    let start = remaining
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, (_, r))| r.len())
-        .map(|(i, _)| i)
-        .expect("non-empty");
-    let (i0, first) = remaining.swap_remove(start);
-    let mut order = Vec::with_capacity(inputs.len());
-    order.push(i0);
-    // Accumulated variables stand in for the accumulator itself: the pick
-    // is keyed on connectivity and input size only.
-    let mut acc_vars: Vec<Var> = first.vars.clone();
+    let shared =
+        |i: usize, v: Var| (inputs.iter().enumerate()).any(|(j, r)| j != i && r.vars.contains(&v));
+    let start = (0..inputs.len())
+        .find(|&i| inputs[i].vars.first().is_some_and(|&v| shared(i, v)))
+        .unwrap_or(0);
+    let mut remaining: Vec<usize> = (0..inputs.len()).filter(|&i| i != start).collect();
+    let mut order = vec![start];
+    let mut acc_vars: Vec<Var> = inputs[start].vars.clone();
     while !remaining.is_empty() {
-        let (ix, rel) = remaining.swap_remove(pick_next(&remaining, &acc_vars));
-        for &v in &rel.vars {
+        let connected = |&i: &usize| inputs[i].vars.iter().any(|v| acc_vars.contains(v));
+        let at = remaining.iter().position(connected).unwrap_or(0);
+        let ix = remaining.remove(at);
+        for &v in &inputs[ix].vars {
             if !acc_vars.contains(&v) {
                 acc_vars.push(v);
             }
@@ -1413,21 +1382,6 @@ pub fn join_order(inputs: &[&Rel]) -> Vec<usize> {
         order.push(ix);
     }
     order
-}
-
-/// Greedy pick for [`join_order`]: the smallest input sharing a variable
-/// with the accumulator, else (cartesian product unavoidable) the smallest
-/// input overall — one pass, keyed (disconnected, len).
-fn pick_next(remaining: &[(usize, &Rel)], acc_vars: &[Var]) -> usize {
-    remaining
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, (_, r))| {
-            let disconnected = r.vars.iter().all(|v| !acc_vars.contains(v));
-            (disconnected, r.len())
-        })
-        .map(|(i, _)| i)
-        .expect("non-empty")
 }
 
 // ---------------------------------------------------------------------------
@@ -1831,27 +1785,15 @@ pub fn merge_upsert(base: &Rel, delta: &Rel) -> Rel {
 
 /// The effective delta taking `old` to `new`: every row of `new` that is
 /// absent from `old` or whose score differs **bitwise**. Both inputs must
-/// be canonical over the same variable *set*; `old`'s key set must be a
-/// subset of `new`'s (views only grow under append-only ingest). Used by
-/// the incremental evaluator when a node had to be recomputed wholesale
-/// and the change must still propagate as a delta.
-///
-/// A recomputed join can emit its columns in a different *order* than the
-/// captured view (the greedy join order moved with the data); comparing
-/// rows positionally across permuted layouts would mislabel rows, so
-/// `old` is first permuted into `new`'s layout and re-sorted.
+/// be canonical in the same column layout (a plan node's layout is fixed
+/// by the plan); `old`'s key set must be a subset of `new`'s (views only
+/// grow under append-only ingest). Used by the incremental evaluator when
+/// a node had to be recomputed wholesale and the change must still
+/// propagate as a delta.
 pub fn diff_changed(new: &Rel, old: &Rel) -> Rel {
     new.assert_canonical();
     old.assert_canonical();
-    if new.vars != old.vars {
-        let cols: Vec<Vec<Vid>> = new
-            .vars
-            .iter()
-            .map(|&v| old.cols[old.col_of(v).expect("same variable set")].clone())
-            .collect();
-        let aligned = Rel::from_unsorted_columns(new.vars.clone(), cols, old.scores.clone());
-        return diff_changed(new, &aligned);
-    }
+    debug_assert_eq!(new.vars, old.vars);
     let mut out = Rel::empty(new.vars.clone());
     let mut i = 0usize;
     for j in 0..new.len() {
@@ -1971,31 +1913,19 @@ mod tests {
     }
 
     #[test]
-    fn join_many_cartesian_fallback_picks_smallest() {
-        // Three disconnected components: {v0}, {v4}, and {v1, v2}. The
-        // start pick is `a_small` (first 1-row input), which shares no
-        // variable with anything, so the very next pick is the cartesian
-        // fallback: it must take the 1-row `b` (v1), not index 0 (`a_big`,
-        // v0, 3 rows). `c` then joins `b` on v1 and `a_big` comes last.
-        let a_big = rel(&[0], &[(&[1], 0.5), (&[2], 0.5), (&[3], 0.5)]);
-        let a_small = rel(&[4], &[(&[9], 0.5)]);
-        let b = rel(&[1], &[(&[5], 0.5)]);
-        let c = rel(&[1, 2], &[(&[5, 6], 0.5), (&[5, 7], 0.5)]);
-        let j = join_many_par(
-            &[&a_big, &a_small, &b, &c],
-            Par::serial(),
-            &mut Scratch::default(),
-        );
-        // Result is the full cartesian product either way; the fallback
-        // order only shows in the output column layout (joins append the
-        // right input's new columns).
-        assert_eq!(j.len(), 6);
-        let pos = |var: Var| j.vars.iter().position(|&u| u == var).unwrap();
-        assert!(
-            pos(v(1)) < pos(v(0)),
-            "smallest disconnected input should join first: vars {:?}",
-            j.vars
-        );
+    fn join_order_defers_a_disconnected_input() {
+        // No input leads with a shared variable (v0, v9 and v2 lead), so
+        // the fold starts at input 0. `d` (v9) shares nothing with it and
+        // waits: the first later connected input, `b` (on v1), joins
+        // first, and the cartesian product with `d` comes last.
+        let a = rel(&[0, 1], &[(&[1, 5], 0.5), (&[2, 5], 0.5), (&[3, 6], 0.5)]);
+        let d = rel(&[9], &[(&[7], 0.5), (&[8], 0.5)]);
+        let b = rel(&[2, 1], &[(&[4, 5], 0.5)]);
+        let inputs = [&a, &d, &b];
+        assert_eq!(join_order(&inputs), vec![0, 2, 1]);
+        let j = join_many_par(&inputs, Par::serial(), &mut Scratch::default());
+        assert_eq!(j.len(), 4);
+        assert_eq!(j.vars, vec![v(0), v(1), v(2), v(9)]);
     }
 
     #[test]
@@ -2217,13 +2147,27 @@ mod tests {
 
     #[test]
     fn join_order_matches_join_many_fold() {
+        // Prefix-first: in R(x0, x1) ⋈ S(x1, x2) the fold starts at S,
+        // whose leading column is the join key, whichever input is larger.
+        let small = rel(&[0, 1], &[(&[1, 2], 0.5)]);
+        let big = rel(&[0, 1], &[(&[1, 2], 0.5), (&[2, 3], 0.4), (&[4, 3], 0.2)]);
+        let s = rel(&[1, 2], &[(&[2, 3], 0.5), (&[3, 4], 0.25)]);
+        assert_eq!(join_order(&[&small, &s]), vec![1, 0]);
+        assert_eq!(join_order(&[&big, &s]), vec![1, 0]);
+        // Connected inputs follow in index order, not by size: all three
+        // lead with the shared x0, so the fold starts at input 0 and
+        // takes 1 (three rows) before 2 (one row).
+        let a = rel(&[0, 1], &[(&[1, 2], 0.5), (&[2, 3], 0.4)]);
+        let b = rel(&[0, 2], &[(&[1, 4], 0.5), (&[1, 5], 0.6), (&[9, 9], 0.1)]);
+        let c = rel(&[0, 3], &[(&[1, 7], 0.3)]);
+        assert_eq!(join_order(&[&a, &b, &c]), vec![0, 1, 2]);
+        // A chain given out of order starts at the first input leading
+        // with a shared variable (t, on x2), then takes s, then r.
         let r = rel(&[0, 1], &[(&[1, 2], 0.5), (&[2, 3], 0.4)]);
-        let s = rel(&[1, 2], &[(&[2, 3], 0.5)]);
         let t = rel(&[2, 3], &[(&[3, 4], 0.5), (&[3, 5], 0.6), (&[9, 9], 0.1)]);
         let inputs = [&r, &t, &s];
         let order = join_order(&inputs);
-        // Smallest first (s), then connected picks.
-        assert_eq!(order[0], 2);
+        assert_eq!(order, vec![1, 2, 0]);
         let mut scratch = Scratch::default();
         let mut acc = join_par(
             inputs[order[0]],
@@ -2239,6 +2183,34 @@ mod tests {
         for (a, b) in acc.scores().iter().zip(direct.scores()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn join_order_ignores_input_sizes() {
+        // One derivation of R(x0, x1) ⋈ S(x1, x2) ⋈ T(x2, x3), with R and
+        // T padded by rows that join nothing — to 1 and 500 rows, both
+        // ways round. The factors 0.1 · 0.7 · 0.3 round differently
+        // under different associations, so an order keyed on sizes would
+        // move the bits; this one moves neither them nor the layout.
+        let padded = |vars: &[u32], row: [i64; 2], p: f64, n: i64| {
+            let pad: Vec<[i64; 2]> = (1..n).map(|i| [1_000 + i, 2_000 + i]).collect();
+            let mut rows: Vec<(&[i64], f64)> = vec![(&row[..], p)];
+            rows.extend(pad.iter().map(|r| (&r[..], 0.5)));
+            rel(vars, &rows)
+        };
+        let s = rel(&[1, 2], &[(&[2, 3], 0.7)]);
+        let joined = |n_r: i64, n_t: i64| {
+            let r = padded(&[0, 1], [1, 2], 0.1, n_r);
+            let t = padded(&[2, 3], [3, 4], 0.3, n_t);
+            let inputs = [&r, &s, &t];
+            let j = join_many_par(&inputs, Par::serial(), &mut Scratch::default());
+            assert_eq!(j.len(), 1);
+            (join_order(&inputs), j.vars.clone(), j.score(0).to_bits())
+        };
+        let want = joined(1, 1);
+        assert_eq!(joined(500, 1), want);
+        assert_eq!(joined(1, 500), want);
+        assert_eq!(joined(500, 500), want);
     }
 
     #[test]
@@ -2267,23 +2239,6 @@ mod tests {
         assert!(d.score_of_row(&[vid(1)]).is_none());
         // No change: empty diff.
         assert!(diff_changed(&old, &old).is_empty());
-    }
-
-    #[test]
-    fn diff_changed_aligns_permuted_column_layouts() {
-        // A recomputed join can emit its columns in a different order than
-        // the captured view; the diff must align by variable, not position.
-        // Rows (x=1,y=2) and (x=2,y=1) coincide positionally once the
-        // layouts are swapped, so a positional diff would mislabel both.
-        let old = rel(&[0, 1], &[(&[1, 2], 0.5), (&[2, 1], 0.25)]);
-        let new = rel(&[1, 0], &[(&[2, 1], 0.5), (&[1, 2], 0.25), (&[3, 3], 0.1)]);
-        let d = diff_changed(&new, &old);
-        assert_eq!(d.vars, new.vars);
-        assert_eq!(d.len(), 1);
-        assert!((score_at(&d, &[3, 3]) - 0.1).abs() < 1e-12);
-        // Same rows in permuted layout: empty diff.
-        let same = rel(&[1, 0], &[(&[2, 1], 0.5), (&[1, 2], 0.25)]);
-        assert!(diff_changed(&same, &old).is_empty());
     }
 
     #[test]
@@ -2726,11 +2681,10 @@ mod tests {
         let mine = |(vars, rows, _): &order_log::Built| *vars == b.vars && *rows == b.len();
         assert!(!order_log::snapshot()[sorted..].iter().any(mine));
         assert_eq!(view.probs(), plain.scores(), "scores stay the copy's");
-        let mut certain = Rel::from_unsorted_columns(
-            vec![v(5), v(1)],
-            plain.cols.clone(),
-            vec![1.0; plain.len()],
-        );
+        let mut certain = Rel::with_capacity(vec![v(5), v(1)], plain.len());
+        for r in 0..plain.len() {
+            certain.push_row(&[plain.get(r, 0), plain.get(r, 1)], 1.0);
+        }
         certain.seed_lower_bounds();
         let want_certain = join_par(&certain, &right_lo.clone(), par, &mut Scratch::default());
         assert_same(&got, &want_certain, "second copy");

@@ -60,11 +60,11 @@
 //! variable only after joining every atom containing it, so a removed row
 //! — dangling on some variable — is dropped at that variable's join (or
 //! its fold group is, carrying the dangling value) before reaching the
-//! root. Two node shapes could still reassociate float products under the
-//! filtered cardinalities and are evaluated unrestricted instead, sharing
-//! the first plan's memo (`Evaluator::reassociates`, counted in
-//! [`TopkStats::fallback_nodes`]). Final scores fold with the pointwise
-//! min of the exhaustive path, dropping keys outside the survivor set.
+//! root. Nor can the filtered cardinalities reassociate a float product:
+//! join order and column layout are functions of the plan
+//! ([`crate::rel::join_order`]), so every node shape is evaluated
+//! restricted. Final scores fold with the pointwise min of the exhaustive
+//! path, dropping keys outside the survivor set.
 //!
 //! Non-probabilistic semantics, single-plan sets, plan sets with `min`
 //! nodes, and answer sets with at most `k` groups degrade to the
@@ -96,10 +96,9 @@ pub struct TopkStats {
     pub pruned: u64,
     /// Plans in the (cost-ordered) plan set.
     pub plans: u64,
-    /// Plan nodes whose shape forced a full (unrestricted) evaluation
-    /// during the restricted phase — ≥ 3-way joins and multi-variable
-    /// projections over joins (see module docs). High values mean the
-    /// plan set largely escapes the survivor filters.
+    /// Always 0: no node shape forces an unrestricted evaluation any
+    /// more (see module docs). Kept only because the benchmark's trace
+    /// still reports it; it goes with that reader.
     pub fallback_nodes: u64,
 }
 
@@ -244,7 +243,6 @@ impl<'a> TopkEval<'a> {
         // Restricted plans may still produce rows for pruned groups (the
         // reducer restricts rows, not answer tuples): those are dropped.
         min_into_impl(&mut self.acc, &next, ev.par, &mut ev.scratch, !self.pruning);
-        self.stats.fallback_nodes = ev.fallback_nodes;
         Ok(true)
     }
 

@@ -16,11 +16,12 @@
 //! Adversarial shapes get dedicated tests: exact score ties straddling
 //! the k-boundary (the deterministic key-order tiebreak must make the
 //! prefix unambiguous), `k = 0`, `k ≥` the answer count (degraded mode:
-//! nothing to prune, everything evaluated), and a Boolean query (single
-//! answer group).
+//! nothing to prune, everything evaluated), a Boolean query (single
+//! answer group), and the node shapes whose float products an order keyed
+//! on row counts could reassociate under the survivor filter.
 
 use lapushdb::core::PlanSet;
-use lapushdb::core::{minimal_plan_set_opts, EnumOptions, SchemaInfo};
+use lapushdb::core::{minimal_plan_set_opts, EnumOptions, NodeKind, SchemaInfo};
 use lapushdb::engine::topk::LO_SLACK;
 use lapushdb::engine::{
     propagation_bounds_ids, propagation_score_ids, propagation_score_topk, AnswerSet, ExecOptions,
@@ -318,5 +319,57 @@ fn k_zero_and_k_beyond_answer_count() {
             assert_eq!(gk, wk, "k={k}");
             assert_eq!(gs.to_bits(), ws.to_bits(), "k={k}");
         }
+    }
+}
+
+/// The node shapes a restricted top-k visit used to evaluate in full,
+/// because a join order keyed on row counts could reassociate them under
+/// the survivor filter: a join of three or more inputs, and a projection
+/// dropping two or more variables directly over a join. Join order and
+/// column layout are functions of the plan, so both now run restricted —
+/// the plan sets must contain them and the pruning must engage, or the
+/// case is vacuous — and keep the exhaustive prefix bitwise. (The star
+/// family's plan sets join pairwise only; hierarchical subqueries are
+/// where the wide joins are.)
+#[test]
+fn restricted_visits_cover_wide_joins_and_wide_projections() {
+    for (text, wide_projection) in [
+        ("q(h) :- A(h, x), B(h, x), C(h, x), D(x, y), E(y)", false),
+        ("q(h) :- R(h, x), S(x, y), T(y, z), U(x, y, z)", true),
+    ] {
+        let q = parse_query(text).expect("query");
+        let schema = SchemaInfo::from_query(&q);
+        let set = minimal_plan_set_opts(&q, &schema, EnumOptions::default());
+        assert!(set.roots.len() > 1, "{text}: a single plan never prunes");
+        let store = &set.store;
+        let nodes = store.reachable(&set.roots);
+        let joins_wide =
+            |id| matches!(&store.node(id).kind, NodeKind::Join { inputs } if inputs.len() >= 3);
+        let projects_wide = |id| {
+            let node = store.node(id);
+            let NodeKind::Project { input } = node.kind else {
+                return false;
+            };
+            let child = store.node(input);
+            matches!(child.kind, NodeKind::Join { .. }) && child.head.len() >= node.head.len() + 2
+        };
+        assert!(
+            nodes.iter().any(|&id| joins_wide(id)),
+            "{text}: ≥ 3-input join"
+        );
+        assert_eq!(
+            nodes.iter().any(|&id| projects_wide(id)),
+            wide_projection,
+            "{text}: projection dropping ≥ 2 variables over a join"
+        );
+        let mut pruned = 0;
+        for seed in 0..4 {
+            let db = random_db_for_query(&q, seed, 20, 6, 1.0).expect("db");
+            check_engine(&db, &q, &[1, 3, 1000]).unwrap();
+            let opts = ExecOptions::default();
+            let res = propagation_score_topk(&db, &q, store, &set.roots, 1, opts).expect("topk");
+            pruned += res.stats.pruned;
+        }
+        assert!(pruned > 0, "{text}: the restricted phase never ran");
     }
 }
