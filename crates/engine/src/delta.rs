@@ -33,12 +33,13 @@
 //!   order ([`join_order`]) is a function of the inputs' variables, so
 //!   the captured per-step accumulators line up with it for the view's
 //!   whole life.
-//! * **Project** — with group columns that are a prefix of the child's
-//!   canonical order (the batch fast path), a touched group is a
-//!   contiguous run of the merged child view, and refolding just that run
-//!   with the same kernel (`fold_run_or`) replays the
-//!   exact operand sequence of a full re-projection. Non-prefix
-//!   projections recompute the node from the updated child.
+//! * **Project** — a *touched group* is a distinct group key of the
+//!   child's delta, and each one refolds from all of its operands in the
+//!   updated child view: one contiguous run ([`Rel::prefix_run`]) when the
+//!   group columns are a prefix of the child's canonical order, else
+//!   collected in one pass over the child. The batch projection's kernel
+//!   ([`kernels::fold_or`]) is order-free, so wherever the operands sat,
+//!   the refold computes the full re-projection's bits.
 //! * **Min** — `f64::min` over non-negative scores is an
 //!   order-insensitive selection, and key sets only grow, so the affected
 //!   keys (the union of the input deltas) are re-folded left-to-right
@@ -53,8 +54,7 @@
 //! probability mutation (duplicate insert raising a probability,
 //! `set_prob`, `scale_probs`) invalidates cached scan scores, which the
 //! append-only delta algebra cannot repair. Everything else is handled
-//! incrementally, degrading per node to recompute-and-diff where noted
-//! above.
+//! incrementally.
 //!
 //! [`prob_epoch`]: lapush_storage::Relation::prob_epoch
 
@@ -62,11 +62,9 @@ use crate::exec::{
     decode_answers, decoded_rows, scan_atom, scan_view, AnswerSet, Evaluator, ExecError,
     ExecOptions, ScanRows, Semantics, ShRel,
 };
+use crate::kernels;
 use crate::prepare::{prepare_atoms, ScanShape};
-use crate::rel::{
-    diff_changed, fold_run_or, join_order, join_par, merge_upsert, min_into_par, project_fold, Par,
-    Rel, Scratch,
-};
+use crate::rel::{join_order, join_par, merge_upsert, min_into_par, Par, Rel, Scratch};
 use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, Var};
 use lapush_storage::{Database, DeltaBatch, FxHashMap, RelId, Vid};
@@ -282,29 +280,12 @@ impl IncrementalEval {
                 }
                 NodeKind::Project { input } => {
                     let Some(d) = deltas.get(input) else { continue };
-                    let child = &views[input];
                     let old = &views[&id];
-                    let keep: Vec<Var> = node.head.iter().collect();
-                    let cols_idx: Vec<usize> = keep
-                        .iter()
-                        .map(|&v| child.col_of(v).expect("projection var missing"))
-                        .collect();
-                    if cols_idx.iter().enumerate().all(|(i, &c)| c == i) {
-                        // Prefix groups: refold only the touched runs.
-                        let nd = refold_groups(child, old, d, keep.len(), opts.semantics);
-                        if nd.is_empty() {
-                            continue;
-                        }
-                        (merge_upsert(old, &nd), nd)
-                    } else {
-                        let fold = opts.semantics.into();
-                        let new = project_fold(child, &keep, fold, par, &mut scratch);
-                        let nd = diff_changed(&new, old);
-                        if nd.is_empty() {
-                            continue;
-                        }
-                        (new, nd)
+                    let nd = refold_groups(&views[input], old, d, opts.semantics);
+                    if nd.is_empty() {
+                        continue;
                     }
+                    (merge_upsert(old, &nd), nd)
                 }
                 NodeKind::Join { inputs } => {
                     if !inputs.iter().any(|c| deltas.contains_key(c)) {
@@ -391,36 +372,77 @@ fn nonempty(rel: Rel) -> Option<Rel> {
     (!rel.is_empty()).then_some(rel)
 }
 
-/// Refold the projection groups touched by the child delta `d`: each
-/// distinct length-`g` prefix of `d` names one contiguous run of the
-/// updated child view, and the run refolds with the same kernel call the
-/// batch projection would make. Returns the rows whose score is new or
+/// Refold every projection group the child delta `d` touches — each
+/// distinct key of `d` over the projection's columns (`old.vars`) — from
+/// all of its operands in the updated child view. Group columns that are a
+/// prefix of the child's canonical order name one contiguous run; any
+/// other layout collects the operands in one pass over the child, checked
+/// against the sorted touched keys. Returns the rows whose score is new or
 /// changed bitwise, in canonical order.
-fn refold_groups(child: &Rel, old: &Rel, d: &Rel, g: usize, sem: Semantics) -> Rel {
+fn refold_groups(child: &Rel, old: &Rel, d: &Rel, sem: Semantics) -> Rel {
+    let cols: Vec<usize> = (old.vars.iter())
+        .map(|&v| child.col_of(v).expect("projection var missing"))
+        .collect();
+    let mut touched: Vec<Vec<Vid>> = (0..d.len())
+        .map(|r| cols.iter().map(|&c| d.get(r, c)).collect())
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    #[cfg(test)]
+    refold_log::record(touched.len());
+    // (touched group, operand score), grouped by touched group.
+    let mut operands: Vec<(usize, f64)> = Vec::new();
+    if cols.iter().copied().eq(0..cols.len()) {
+        for (g, key) in touched.iter().enumerate() {
+            let run = &child.scores()[child.prefix_run(key)];
+            operands.extend(run.iter().map(|&p| (g, p)));
+        }
+    } else {
+        let mut probe: Vec<Vid> = vec![0; cols.len()];
+        for row in 0..child.len() {
+            for (slot, &c) in probe.iter_mut().zip(&cols) {
+                *slot = child.get(row, c);
+            }
+            if let Ok(g) = touched.binary_search(&probe) {
+                operands.push((g, child.score(row)));
+            }
+        }
+        operands.sort_unstable_by_key(|&(g, _)| g);
+    }
     let mut nd = Rel::empty(old.vars.clone());
-    let mut key: Vec<Vid> = vec![0; g];
-    let mut last: Option<Vec<Vid>> = None;
-    for r in 0..d.len() {
-        for (c, slot) in key.iter_mut().enumerate() {
-            *slot = d.get(r, c);
-        }
-        if last.as_deref() == Some(&key[..]) {
-            continue;
-        }
-        last = Some(key.clone());
-        let run = child.prefix_run(&key);
+    let mut rest = &operands[..];
+    while let Some(&(g, _)) = rest.first() {
+        let (run, tail) = rest.split_at(rest.partition_point(|&(h, _)| h == g));
+        rest = tail;
+        let key = &touched[g];
         let score = match sem {
-            Semantics::Probabilistic => fold_run_or(child, run.start, run.end),
+            Semantics::Probabilistic => kernels::fold_or(run.iter().map(|&(_, p)| p)),
             Semantics::Deterministic => 1.0,
         };
         let changed = old
-            .score_of_row(&key)
+            .score_of_row(key)
             .map_or(true, |s| s.to_bits() != score.to_bits());
         if changed {
-            nd.push_row(&key, score);
+            nd.push_row(key, score);
         }
     }
     nd
+}
+
+/// Projection groups refolded on this thread: the refold runs on the
+/// thread calling [`IncrementalEval::apply_deltas`], and tests run
+/// concurrently.
+#[cfg(test)]
+pub(crate) mod refold_log {
+    std::thread_local!(static GROUPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
+
+    pub(super) fn record(groups: usize) {
+        GROUPS.set(GROUPS.get() + groups);
+    }
+
+    pub(crate) fn groups() -> usize {
+        GROUPS.get()
+    }
 }
 
 /// Distinct keys touched by any of the given deltas, permuted into `vars`
@@ -730,6 +752,36 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn projection_delta_refolds_touched_groups_only() {
+        // `π_y T(x, y)` groups on the scan's second column, not a prefix of
+        // the child's order: 400 groups of five operands. Each 10-row batch
+        // touches 10 of them, and refolds those and no others.
+        let (q, store, roots) = setup("q(y) :- T(x, y)");
+        let mut db = Database::new();
+        let t = db.create_relation("T", 2).unwrap();
+        let p = |i: i64| ((i * 37) % 997 + 1) as f64 / 1000.0;
+        for i in 0..2000 {
+            db.relation_mut(t)
+                .push(tuple([i / 400, i % 400]), p(i))
+                .unwrap();
+        }
+        let opts = ExecOptions::default();
+        let mut inc = IncrementalEval::new(&db, &q, &store, &roots, opts).unwrap();
+        for batch in 0..3i64 {
+            for i in 0..10 {
+                let row = tuple([5 + batch, 37 * i + batch]);
+                db.relation_mut(t).push(row, p(i + batch)).unwrap();
+            }
+            let before = refold_log::groups();
+            let out = inc.apply_deltas(&db, &q, &store).unwrap();
+            assert_eq!(out, DeltaOutcome::Updated { rows: 10 });
+            assert_eq!(refold_log::groups() - before, 10, "batch {batch}");
+            let full = propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
+            assert_bitwise(inc.answers(), &full);
         }
     }
 

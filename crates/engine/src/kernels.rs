@@ -14,7 +14,7 @@
 //! * [`gallop_ge`] — galloping (exponential + binary) advance to the
 //!   first key ≥ a target, the blocked skip of the merge-join loop;
 //! * [`fold_or`] / [`fold_max`] — the independent-OR score fold
-//!   `1 − ∏(1 − pᵢ)` (and the max fold) over one run of rows.
+//!   `1 − ∏(1 − pᵢ)` (and the max fold) over one group's operands.
 //!
 //! # Why these shapes
 //!
@@ -27,13 +27,15 @@
 //!
 //! # Determinism
 //!
-//! The integer kernels are exact by construction. [`fold_or`] multiplies
-//! in **strict serial association**, in entry order: float
-//! multiplication is not associative, so any regrouping (pairwise trees,
-//! per-lane partial products) would move score bits. Entry order is the
-//! sorted `(key, row)` order, which does not depend on the thread count —
-//! that is what lets the engine promise bit-identical scores across
-//! threads, incremental maintenance and pruning.
+//! The integer kernels are exact by construction. [`fold_or`] is
+//! **order-free**: float multiplication is not associative, so it fixes
+//! the order itself instead of taking the order its operands arrive in —
+//! a group of three or more multiplies its factors in ascending score
+//! order, one left-associated chain, never regrouped. A group's score is
+//! therefore a function of its operand *set*: not of the thread count,
+//! not of the sorted-vid order (which follows the order values were
+//! first seen), and not of where an incremental refold found the
+//! operands.
 
 use lapush_storage::Vid;
 
@@ -260,16 +262,47 @@ pub(crate) fn gallop_ge_by(
 // score folds
 // ---------------------------------------------------------------------------
 
-/// Independent-OR fold over one run: `1 − ∏ᵢ (1 − scores[keys[i].row])`,
-/// multiplied **in entry order** as one left-associated chain
-/// `((1·(1−p₀))·(1−p₁))·…` — never regrouped, so the result bits depend
-/// only on the entries and their order.
-#[inline]
-pub fn fold_or(scores: &[f64], keys: &[Key]) -> f64 {
-    let mut not_any = 1.0f64;
-    for e in keys {
-        not_any *= 1.0 - scores[e.row as usize];
-    }
+/// Runs up to this long sort on the stack; longer ones in [`LONG_RUN`].
+const SHORT_RUN: usize = 32;
+
+std::thread_local! {
+    static LONG_RUN: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Independent-OR fold over one group's scores: `1 − ∏ᵢ (1 − pᵢ)`, in the
+/// one order that does not depend on the order the scores arrive in. A
+/// group of three or more sorts its scores ascending (`f64::total_cmp`:
+/// scores are non-negative, so bit order is value order), then multiplies
+/// `((1·(1−p₍₀₎))·(1−p₍₁₎))·…` left to right. One or two operands need no
+/// sort: `(1 − a)(1 − b)` is bitwise symmetric. The empty group folds
+/// to 0.
+pub fn fold_or<I>(scores: I) -> f64
+where
+    I: IntoIterator<Item = f64>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let chain = |not_any: f64, p: f64| not_any * (1.0 - p);
+    let product = |ps: &mut [f64]| {
+        ps.sort_unstable_by(f64::total_cmp);
+        ps.iter().copied().fold(1.0, chain)
+    };
+    let scores = scores.into_iter();
+    let n = scores.len();
+    let not_any = if n <= 2 {
+        scores.fold(1.0, chain)
+    } else if n <= SHORT_RUN {
+        let mut buf = [0.0f64; SHORT_RUN];
+        for (slot, p) in buf.iter_mut().zip(scores) {
+            *slot = p;
+        }
+        product(&mut buf[..n])
+    } else {
+        LONG_RUN.with_borrow_mut(|buf| {
+            buf.clear();
+            buf.extend(scores);
+            product(buf)
+        })
+    };
     1.0 - not_any
 }
 
@@ -384,13 +417,24 @@ mod tests {
     }
 
     #[test]
-    fn folds_follow_entry_rows() {
-        // Dyadic scores: every product below is exact.
-        let scores = [0.5, 0.25, 0.0, 0.5];
-        let keys: Vec<Key> = [3u32, 0, 1].iter().map(|&row| Key { k: 0, row }).collect();
-        assert_eq!(fold_or(&scores, &keys), 1.0 - 0.5 * 0.5 * 0.75);
-        assert_eq!(fold_max(&scores, &keys), 0.5);
-        assert_eq!(fold_or(&scores, &[]), 0.0, "empty run");
+    fn folds_are_order_free() {
+        // Entry order would fold (0.7, 0.33, 0.1, 0.9) one ulp away from
+        // the ascending chain; every permutation folds to the chain's bits.
+        let scores = [0.1, 0.7, 0.33, 0.9];
+        let chain = |ps: &[f64]| 1.0 - ps.iter().fold(1.0, |n, p| n * (1.0 - p));
+        let want = chain(&[0.1, 0.33, 0.7, 0.9]);
+        assert_ne!(chain(&[0.7, 0.33, 0.1, 0.9]).to_bits(), want.to_bits());
+        // Every permutation of the four rows.
+        let perms = (0..256u32)
+            .map(|c| [0, 2, 4, 6].map(|s| c >> s & 3))
+            .filter(|p| (0..4).all(|row| p.contains(&row)));
+        for rows in perms {
+            let keys = rows.map(|row| Key { k: 0, row });
+            let run = keys.iter().map(|e| scores[e.row as usize]);
+            assert_eq!(fold_or(run).to_bits(), want.to_bits(), "{rows:?}");
+            assert_eq!(fold_max(&scores, &keys), 0.9);
+        }
+        assert_eq!(fold_or([]), 0.0, "empty run");
         assert_eq!(fold_max(&scores, &[]), f64::NEG_INFINITY, "empty run");
     }
 }

@@ -26,7 +26,7 @@
 //!   dropped ones) and the product score per matching pair, one sort orders
 //!   them, and each run of equal kept columns folds as a projection group —
 //!   the join's result is never materialized, and the bits are the two
-//!   operators' bits,
+//!   operators' bits (a group folds the same operand set either way),
 //! * **`min`** is a pointwise merge of two sorted batches, in place on the
 //!   accumulator when the key sets coincide (they do for plans of one
 //!   query),
@@ -50,10 +50,11 @@
 //! (ties broken by row index), so the parallel plan computes literally the
 //! same floats as the serial one.
 //!
-//! Determinism note: because rows are visited in canonical sorted order,
-//! group folds accumulate in a *defined* order — unlike the previous
-//! hash-map representation, where float accumulation followed hash
-//! iteration order.
+//! Determinism note: a projection group's score is a function of its
+//! operand set — [`kernels::fold_or`] fixes the multiplication order
+//! itself — so it does not depend on the thread count, on the canonical
+//! (sorted-vid) order the rows are visited in, or on the order the
+//! database first saw its values.
 
 use crate::kernels::{self, Key};
 use lapush_query::Var;
@@ -478,8 +479,9 @@ impl Rel {
 
     /// Range of rows whose first `key.len()` columns equal `key`, via
     /// binary search over the canonical order. With group columns that are
-    /// a prefix of the column order — the layout [`project_prob_par`]'s
-    /// fast path relies on — this is exactly one projection group's run.
+    /// a prefix of the column order this is exactly one projection group's
+    /// operands — how the incremental evaluator finds a touched group
+    /// without a pass over the relation.
     pub fn prefix_run(&self, key: &[Vid]) -> std::ops::Range<usize> {
         debug_assert!(key.len() <= self.arity());
         let cmp = |row: usize| -> std::cmp::Ordering {
@@ -1230,10 +1232,9 @@ fn join_in_order<'r>(
 /// `keep` order, then the dropped ones in the join's output-column order —
 /// and the product score (and lower bound, when both inputs carry one).
 /// One sort orders the pairs by that key; each run of equal kept columns
-/// then folds as a projection group folds. The bits cannot move: join rows
-/// are distinct, so the two-step path folds a group in canonical join
-/// order, which — the kept columns being equal — is the order of the
-/// dropped columns in output-column order: the fused key order.
+/// then folds as a projection group folds. The bits cannot move: a run
+/// holds exactly the scores of the two-step path's group, and the fold is
+/// order-free.
 ///
 /// Serial: it takes no [`Par`]. A join wider than four columns does not fit
 /// one packed key and takes the two-step path.
@@ -1330,7 +1331,7 @@ pub(crate) fn join_project(
         }
         let run = &pairs[pos..end];
         out_scores.push(match fold {
-            ProjFold::IndependentOr => kernels::fold_or(&scores, run),
+            ProjFold::IndependentOr => kernels::fold_or(run.iter().map(|e| scores[e.row as usize])),
             ProjFold::One => 1.0,
         });
         if aux.is_some() {
@@ -1432,17 +1433,15 @@ pub(crate) fn project_fold(
         let mut pos = lo;
         while pos < hi {
             let end = run_end_full(&key_cols, keys, pos).min(hi);
+            let run = &keys[pos..end];
             let score = match fold {
                 ProjFold::IndependentOr => {
-                    // Folded in sorted-run order (strict serial
-                    // association inside the kernel): a defined, total
-                    // order, so the float product is reproducible.
-                    kernels::fold_or(input.scores(), &keys[pos..end])
+                    kernels::fold_or(run.iter().map(|e| input.scores()[e.row as usize]))
                 }
                 ProjFold::One => 1.0,
             };
             if let Some(a) = aux {
-                out_aux.push(kernels::fold_max(a, &keys[pos..end]));
+                out_aux.push(kernels::fold_max(a, run));
             }
             let row = keys[pos].row as usize;
             for (out, &kc) in out_cols.iter_mut().zip(&key_cols) {
@@ -1462,8 +1461,7 @@ pub(crate) fn project_fold(
         (out_cols, out_scores, out_aux)
     } else {
         // Advance each cut to the next group boundary so no run straddles
-        // two morsels (the fold order inside a group is then identical to
-        // the serial pass).
+        // two morsels (each group then folds all of its operands at once).
         let mut bounds: Vec<usize> = Vec::with_capacity(morsels + 1);
         bounds.push(0);
         for (_, cut) in chunk_ranges(n, morsels).into_iter().take(morsels - 1) {
@@ -1670,27 +1668,6 @@ pub fn min_combine_par(inputs: &[&Rel], par: Par, scratch: &mut Scratch) -> Rel 
 // Delta merges: the incremental evaluator's primitives
 // ---------------------------------------------------------------------------
 
-/// Compare row `i` of `a` with row `j` of `b` lexicographically. Both
-/// relations must have the same column layout.
-fn cmp_rows(a: &Rel, i: usize, b: &Rel, j: usize) -> std::cmp::Ordering {
-    debug_assert_eq!(a.vars, b.vars);
-    for (ac, bc) in a.cols.iter().zip(&b.cols) {
-        match ac[i].cmp(&bc[j]) {
-            std::cmp::Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-fn push_from(out: &mut Rel, src: &Rel, row: usize) {
-    out.orders.clear();
-    for (col, sc) in out.cols.iter_mut().zip(&src.cols) {
-        col.push(sc[row]);
-    }
-    out.scores.push(src.scores[row]);
-}
-
 /// Merge sorted delta rows into sorted base rows, both given as columns
 /// plus one score per row: rows only in the base stay, rows only in the
 /// delta are inserted, and where both hold a row the delta's score wins.
@@ -1781,44 +1758,6 @@ pub fn merge_upsert(base: &Rel, delta: &Rel) -> Rel {
     };
     out.assert_canonical();
     out
-}
-
-/// The effective delta taking `old` to `new`: every row of `new` that is
-/// absent from `old` or whose score differs **bitwise**. Both inputs must
-/// be canonical in the same column layout (a plan node's layout is fixed
-/// by the plan); `old`'s key set must be a subset of `new`'s (views only
-/// grow under append-only ingest). Used by the incremental evaluator when
-/// a node had to be recomputed wholesale and the change must still
-/// propagate as a delta.
-pub fn diff_changed(new: &Rel, old: &Rel) -> Rel {
-    new.assert_canonical();
-    old.assert_canonical();
-    debug_assert_eq!(new.vars, old.vars);
-    let mut out = Rel::empty(new.vars.clone());
-    let mut i = 0usize;
-    for j in 0..new.len() {
-        while i < old.len() && cmp_rows(old, i, new, j) == std::cmp::Ordering::Less {
-            i += 1;
-        }
-        let unchanged = i < old.len()
-            && cmp_rows(old, i, new, j) == std::cmp::Ordering::Equal
-            && old.scores[i].to_bits() == new.scores[j].to_bits();
-        if !unchanged {
-            push_from(&mut out, new, j);
-        }
-    }
-    out.assert_canonical();
-    out
-}
-
-/// Independent-OR fold over the contiguous row range `lo..hi` of a
-/// canonical relation: the chain `((1·(1−p₀))·(1−p₁))·…` in row order —
-/// the strict serial association [`kernels::fold_or`] multiplies, so the
-/// bits equal [`project_prob_par`]'s grouped fold of that run.
-pub(crate) fn fold_run_or(rel: &Rel, lo: usize, hi: usize) -> f64 {
-    1.0 - rel.scores[lo..hi]
-        .iter()
-        .fold(1.0, |not_any, p| not_any * (1.0 - p))
 }
 
 /// Every key order built in this test process, as `(vars, rows, key
@@ -2139,7 +2078,7 @@ mod tests {
         let p_serial = project_prob_par(&j_serial, &[v(0)], Par::serial(), &mut Scratch::default());
         let p_par = project_prob_par(&j_par, &[v(0)], par, &mut scratch);
         assert_eq!(p_serial, p_par);
-        // Bitwise, not approximate: the fold order must be identical.
+        // Bitwise, not approximate.
         for (a, b) in p_serial.scores().iter().zip(p_par.scores()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -2229,19 +2168,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_changed_detects_bitwise_changes() {
-        let old = rel(&[0], &[(&[1], 0.5), (&[2], 0.25)]);
-        let new = rel(&[0], &[(&[1], 0.5), (&[2], 0.75), (&[3], 0.1)]);
-        let d = diff_changed(&new, &old);
-        assert_eq!(d.len(), 2);
-        assert!((score_at(&d, &[2]) - 0.75).abs() < 1e-12);
-        assert!((score_at(&d, &[3]) - 0.1).abs() < 1e-12);
-        assert!(d.score_of_row(&[vid(1)]).is_none());
-        // No change: empty diff.
-        assert!(diff_changed(&old, &old).is_empty());
-    }
-
-    #[test]
     fn prefix_run_and_refold_match_projection() {
         let r = rel(
             &[0, 1],
@@ -2257,17 +2183,17 @@ mod tests {
         assert_eq!(run, 2..5);
         assert_eq!(r.prefix_run(&[vid(9)]), 5..5);
         let p = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
-        let refolded = fold_run_or(&r, run.start, run.end);
+        let refolded = kernels::fold_or(r.scores()[run].iter().copied());
         assert_eq!(refolded.to_bits(), score_at(&p, &[2]).to_bits());
 
-        // Long runs too: the range fold multiplies the same chain.
+        // Long runs too, read in any order.
         let mut rng = Rng(7);
         let long = random_rel(&mut rng, &[0, 1], 400, &[3, 1000]);
         let p = project_prob_par(&long, &[v(0)], Par::serial(), &mut Scratch::default());
         for g in 0..p.len() {
             let run = long.prefix_run(&[p.get(g, 0)]);
             assert!(run.len() > 64);
-            let or = fold_run_or(&long, run.start, run.end);
+            let or = kernels::fold_or(long.scores()[run].iter().rev().copied());
             assert_eq!(or.to_bits(), p.score(g).to_bits());
         }
     }

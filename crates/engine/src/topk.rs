@@ -29,9 +29,10 @@
 //! `lo` is the optional lower-bound column of [`Rel`]: scans seed it and
 //! the operators fold it in the same pass as the scores, so the scores
 //! stay bit-identical to a plain evaluation at ~10% extra cost, instead of
-//! the 2× of a second pass. Both bounds hold mathematically; `lo` is
-//! folded in a different order than any plan's score, so it may sit a few
-//! ulps above — which the threshold below allows for.
+//! the 2× of a second pass. Both bounds hold mathematically, but not in
+//! floating point: a group's score is `1 − (1 − p)` where its `lo` is `p`
+//! itself, and the two roundings differ, so `lo` may sit a few ulps above
+//! the score — which the threshold below allows for.
 //!
 //! ## Pruning soundness
 //!
@@ -82,8 +83,9 @@ use lapush_storage::{Database, Value, Vid};
 
 /// Relative slack between a lower bound and the scores it bounds: the `lo`
 /// fold is only mathematically, not bitwise, dominated by every plan's
-/// score (different association orders round differently; the bound holds
-/// to ~1e-12 relative). The pruning threshold is shaved by this much.
+/// score (a score's `1 − (1 − p)` and its bound's `p` round differently;
+/// the bound holds to ~1e-12 relative). The pruning threshold is shaved by
+/// this much.
 pub const LO_SLACK: f64 = 1e-9;
 
 /// Counters describing one top-k evaluation, surfaced as `topk.*` STATS

@@ -122,8 +122,10 @@ pub enum Request {
         text: String,
     },
     /// `TOPK <k> <datalog>` — rank only the `k` best answers through the
-    /// engine's anytime top-k driver (bit-identical to the first `k`
-    /// lines of the corresponding `QUERY` response).
+    /// engine's anytime top-k driver: bit-identical to the first `k` of the
+    /// `OptLevel::MultiPlan` ranking (multi-plan ρ). `QUERY` ranks with the
+    /// single Opt12 plan, which can score below ρ, so this is not always a
+    /// prefix of the `QUERY` response (ROADMAP.md, item 15).
     Topk {
         /// How many answers to rank (≥ 1).
         k: usize,

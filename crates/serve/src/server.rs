@@ -310,8 +310,10 @@ fn run_query(shared: &Shared, text: &str) -> String {
 
 /// `TOPK`: the `k` best answers by propagation score, evaluated over the
 /// full minimal plan set through the engine's anytime top-k driver
-/// (bound-propagation pruning before the multi-plan min-combine; the
-/// response is bit-identical to the first `k` lines of `QUERY`). Results
+/// (bound-propagation pruning before the multi-plan min-combine). The
+/// response is bit-identical to the first `k` lines of the
+/// `OptLevel::MultiPlan` ranking — not always of `QUERY`, whose single
+/// plan can score below multi-plan ρ (ROADMAP.md, item 15). Results
 /// are answer-cached under a `TOPK <k> `-prefixed key, but **without**
 /// incremental state: a pruned evaluation has no full per-node views to
 /// maintain, so the next `INGEST` drops the entry — recorded in

@@ -52,7 +52,7 @@ pub use delta::DeltaBatch;
 pub use error::StorageError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use intern::{pack_vids, RowKey, ValueInterner, Vid};
-pub use prob::{clamp01, independent_and, independent_or};
+pub use prob::clamp01;
 pub use relation::{Fd, Relation};
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;

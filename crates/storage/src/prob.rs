@@ -1,8 +1,6 @@
-//! Probability arithmetic helpers for the extensional semantics.
-//!
-//! The paper's `score` (Definition 4) multiplies probabilities at joins
-//! (independent-AND) and combines duplicates at projections with
-//! independent-OR: `1 − ∏(1 − pᵢ)`.
+//! Probability validation. The arithmetic of the paper's `score`
+//! (Definition 4) lives in the engine: products at joins, and the
+//! independent-OR `1 − ∏(1 − pᵢ)` at projections (`kernels::fold_or`).
 
 /// Clamp a floating-point probability into `[0, 1]`, mapping NaN to 0.
 #[inline]
@@ -12,19 +10,6 @@ pub fn clamp01(p: f64) -> f64 {
     } else {
         p.clamp(0.0, 1.0)
     }
-}
-
-/// Independent conjunction: `∏ pᵢ` (empty product = 1).
-#[inline]
-pub fn independent_and<I: IntoIterator<Item = f64>>(ps: I) -> f64 {
-    ps.into_iter().product()
-}
-
-/// Independent disjunction: `1 − ∏(1 − pᵢ)` (empty = 0).
-#[inline]
-pub fn independent_or<I: IntoIterator<Item = f64>>(ps: I) -> f64 {
-    let not_any: f64 = ps.into_iter().map(|p| 1.0 - p).product();
-    1.0 - not_any
 }
 
 /// Validate that `p` is a probability; returns an error message otherwise.
@@ -39,27 +24,6 @@ pub fn validate(p: f64) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn and_empty_is_one() {
-        assert_eq!(independent_and(std::iter::empty()), 1.0);
-    }
-
-    #[test]
-    fn or_empty_is_zero() {
-        assert_eq!(independent_or(std::iter::empty()), 0.0);
-    }
-
-    #[test]
-    fn or_single_is_identity() {
-        assert!((independent_or([0.3]) - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn or_two_matches_inclusion_exclusion() {
-        let (p, q) = (0.3, 0.5);
-        assert!((independent_or([p, q]) - (p + q - p * q)).abs() < 1e-12);
-    }
 
     #[test]
     fn clamp_handles_nan_and_overflow() {

@@ -22,7 +22,9 @@
 //! the cheapest plan, answer groups that provably cannot reach the k-th
 //! best lower bound are pruned before the remaining plans are evaluated.
 //! The printed answers are bit-identical to the first `N` lines of the
-//! exhaustive ranking.
+//! exhaustive multi-plan ranking (`OptLevel::MultiPlan`, ρ) — which is not
+//! always the prefix of plain `--method diss`: that ranks with the single
+//! Opt12 plan, which can score below ρ (ROADMAP.md, item 15).
 //!
 //! `--threads N` (default 1) turns on the engine's morsel parallelism:
 //! large joins/scans are partitioned by key range and the outer loops

@@ -47,7 +47,10 @@ pub struct RankOptions {
     /// upper bound provably cannot reach the k-th best lower bound are
     /// pruned before the expensive multi-plan min-combine. Every other
     /// level evaluates fully and truncates. Either way the returned set
-    /// is bit-identical to the first `k` entries of exhaustive ranking.
+    /// is bit-identical to the first `k` entries of the same level's
+    /// exhaustive ranking — so `top_k` under `MultiPlan` is not always the
+    /// prefix of the default level's ranking: the single Opt12 plan can
+    /// score below multi-plan ρ (ROADMAP.md, item 15).
     pub top_k: Option<usize>,
 }
 

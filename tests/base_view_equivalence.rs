@@ -26,41 +26,6 @@ use lapushdb::workload::{chain_db, chain_query, star_db, star_query};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
-/// The relation every database of this suite lists all its values in, and
-/// every database scans first ([`pin_vids`]).
-const DICT: &str = "Dict";
-
-/// Add the dictionary relation: every value occurring in `db`, in sorted
-/// order, then `extra` (the values later appends will bring).
-fn add_dict(db: &mut Database, extra: &[Value]) {
-    let mut values: Vec<Value> = (db.relations())
-        .flat_map(|(_, rel)| (0..rel.arity()).flat_map(move |c| rel.column_domain(c)))
-        .collect();
-    values.sort();
-    values.dedup();
-    for value in extra {
-        if !values.contains(value) {
-            values.push(value.clone());
-        }
-    }
-    let dict = db.create_relation(DICT, 1).unwrap();
-    for value in values {
-        db.relation_mut(dict).push(Box::new([value]), 1.0).unwrap();
-    }
-}
-
-/// Make `db` number its values in dictionary order, whatever it is asked
-/// afterwards. Scores are folded in sorted-vid order and vids are handed
-/// out on first sight, so two databases only owe each other equal *bits*
-/// if they saw their values in the same order; the warmed database and the
-/// one rebuilt from its rows would not (an appended row's value is new to
-/// the first, but met mid-relation by the second).
-fn pin_vids(db: &Database) {
-    let q = parse_query(&format!("q(v) :- {DICT}(v)")).unwrap();
-    let all = rank_by_dissociation(db, &q, RankOptions::default()).unwrap();
-    assert_eq!(all.len(), db.relation_by_name(DICT).unwrap().len());
-}
-
 /// A database holding `db`'s rows — each relation's in the order `arrange`
 /// leaves them — that no evaluation has scanned: no base view, no key order.
 fn copied(db: &Database, mut arrange: impl FnMut(&mut Vec<(Box<[Value]>, f64)>)) -> Database {
@@ -81,17 +46,9 @@ fn copied(db: &Database, mut arrange: impl FnMut(&mut Vec<(Box<[Value]>, f64)>))
     fresh
 }
 
-/// `db`'s rows, in `db`'s order, in a database nothing has scanned except to
-/// pin the vids.
+/// `db`'s rows, in `db`'s order, in a database nothing has scanned.
 fn rebuilt(db: &Database) -> Database {
-    let fresh = copied(db, |_| {});
-    pin_vids(&fresh);
-    assert_eq!(
-        fresh.base_view_stats().resident,
-        1,
-        "only {DICT} was scanned"
-    );
-    fresh
+    copied(db, |_| {})
 }
 
 /// One evaluation entry point, by name.
@@ -234,15 +191,13 @@ fn chains_agree_cold_warm_and_after_appends() {
     for (seed, threads) in [(11, 1), (12, 4)] {
         // 320 rows per relation: above the 256-row order-sharing threshold.
         let mut db = chain_db(3, 320, 45, 1.0, seed).unwrap();
-        add_dict(&mut db, &fresh_values());
-        pin_vids(&db);
         let q = chain_query(3);
         let what = format!("chain-3 seed {seed}");
         check_all_calls(&db, &q, threads, &format!("{what} as loaded"));
         let scanned = db.base_view_stats();
         assert_eq!(
             (scanned.resident, scanned.built, scanned.extended),
-            (4, 4, 0)
+            (3, 3, 0)
         );
 
         // Appends interleaved with evaluations: one relation at a time,
@@ -266,7 +221,7 @@ fn chains_agree_cold_warm_and_after_appends() {
             let stats = db.base_view_stats();
             assert_eq!(
                 (stats.resident, stats.built, stats.extended),
-                (4, 4, extended),
+                (3, 3, extended),
                 "{what}: grown relations are extended, once, and nothing is rebuilt"
             );
         }
@@ -280,12 +235,10 @@ fn stars_agree_cold_warm_and_after_appends() {
         // columns; R2 and R3 are small; R1('a', x1) is filtered by a
         // constant and never goes through a view.
         let mut db = star_db(3, 400, 30, 1.0, seed).unwrap();
-        add_dict(&mut db, &fresh_values());
-        pin_vids(&db);
         let q = star_query(3);
         let what = format!("star-3 seed {seed}");
         check_all_calls(&db, &q, threads, &format!("{what} as loaded"));
-        assert_eq!(db.base_view_stats().resident, 4, "{DICT}, R2, R3, R0");
+        assert_eq!(db.base_view_stats().resident, 3, "R2, R3, R0");
 
         let mut rows = Appends {
             state: 0xd1b54a32d192ed03 ^ seed,
@@ -298,7 +251,7 @@ fn stars_agree_cold_warm_and_after_appends() {
             check_all_calls(&db, &q, threads, &format!("{what} after round {round}"));
         }
         let stats = db.base_view_stats();
-        assert_eq!((stats.resident, stats.built), (4, 4));
+        assert_eq!((stats.resident, stats.built), (3, 3));
         assert!(stats.extended >= 2, "R0 grew twice: {stats:?}");
     }
 }
@@ -314,9 +267,7 @@ fn concurrent_cold_evaluations_publish_each_view_once() {
     // the same views on their own threads with the whole budget. A hard
     // timeout turns a caller waiting for the pool under a view's lock —
     // and being handed a root chunk that needs that lock — into a failure.
-    let mut db = chain_db(4, 9000, 7000, 1.0, 91).unwrap();
-    add_dict(&mut db, &[]);
-    pin_vids(&db);
+    let db = chain_db(4, 9000, 7000, 1.0, 91).unwrap();
     let q = chain_query(4);
     let threads = 4;
     let callers = [CALLS[1], CALLS[2], CALLS[1], CALLS[0]];
@@ -353,7 +304,7 @@ fn concurrent_cold_evaluations_publish_each_view_once() {
         assert_bitwise(got, want, &format!("concurrent {name}"));
     }
     let stats = shared.base_view_stats();
-    assert_eq!((stats.resident, stats.built, stats.extended), (5, 5, 0));
+    assert_eq!((stats.resident, stats.built, stats.extended), (4, 4, 0));
     assert_eq!(view_of(&shared, "R2").cached_orders(), 1);
 }
 
@@ -367,57 +318,22 @@ fn shuffled(db: &Database, seed: u64) -> Database {
     })
 }
 
-/// What bit-identity is relative to: the load history, not the row set.
-/// The same rows met in a different order number their values differently,
-/// so the sorted-vid folds associate differently — scores move by a few
-/// units in the last place *of 1.0* (`1 − ∏(1 − p)` subtracts from 1, so a
-/// small score carries the rounding of a product near 1, which is many of
-/// its own ulps) and only answers that close can swap ranks. Pin the
-/// numbering and the order the rows arrived in is invisible.
+/// What bit-identity is relative to: the tuple set and the plan, not the
+/// load history. The same rows met in another order number their values
+/// differently, so every sorted-vid order differs; but a projection group
+/// folds its scores in ascending order whatever order it meets them in,
+/// so every entry point returns the same bits.
 #[test]
-fn load_order_moves_scores_by_ulps_only() {
-    const BOUND: f64 = 4.0 * f64::EPSILON;
+fn load_order_does_not_move_scores() {
     let base = chain_db(3, 320, 45, 1.0, 41).unwrap();
     let q = chain_query(3);
     for threads in [1, 4] {
         let (a, b) = (shuffled(&base, 0x51ed), shuffled(&base, 0xfade));
-        let mut moved = 0;
-        for (name, call) in CALLS {
-            let (got, want) = (call(&a, &q, threads), call(&b, &q, threads));
-            for (got, want) in got.iter().zip(&want) {
-                assert_eq!(got.len(), want.len(), "{name}: answer count");
-                for (key, &w) in &want.rows {
-                    let g = got.score_of(key);
-                    assert!(
-                        (g - w).abs() <= BOUND,
-                        "{name}, threads {threads}: {key:?} scored {g} vs {w}"
-                    );
-                    moved += u64::from(g.to_bits() != w.to_bits());
-                }
-                // Same ranking up to ties: where the two lists name
-                // different answers, the two were as good as tied.
-                for ((gk, _), (wk, ws)) in got.ranked().iter().zip(want.ranked().iter()) {
-                    assert!(
-                        gk == wk || (want.score_of(gk) - ws).abs() <= 2.0 * BOUND,
-                        "{name}, threads {threads}: {gk:?} outranks {wk:?}"
-                    );
-                }
-            }
-        }
-        assert!(moved > 0, "the two orders fold alike: nothing is tested");
-
-        let pinned = |seed| {
-            let mut db = shuffled(&base, seed);
-            add_dict(&mut db, &[]);
-            pin_vids(&db);
-            db
-        };
-        let (a, b) = (pinned(0x51ed), pinned(0xfade));
         for (name, call) in CALLS {
             assert_bitwise(
                 &call(&a, &q, threads),
                 &call(&b, &q, threads),
-                &format!("pinned, threads {threads}: {name}"),
+                &format!("threads {threads}: {name}"),
             );
         }
     }
@@ -429,9 +345,7 @@ fn scores_and_lower_bounds_never_reach_the_view() {
     // bounds pass seeds a lower-bound column on its scans; both work on
     // copies. A probabilistic evaluation before, between and after them
     // must read the same probabilities.
-    let mut db = chain_db(3, 300, 40, 1.0, 41).unwrap();
-    add_dict(&mut db, &[]);
-    pin_vids(&db);
+    let db = chain_db(3, 300, 40, 1.0, 41).unwrap();
     let q = chain_query(3);
     let reference = rebuilt(&db);
     let (rank, top, det) = (CALLS[0].1, CALLS[2].1, CALLS[4].1);
@@ -453,12 +367,10 @@ fn scores_and_lower_bounds_never_reach_the_view() {
 #[test]
 fn in_place_probability_changes_force_a_rebuild() {
     let mut db = chain_db(3, 300, 40, 0.5, 51).unwrap();
-    add_dict(&mut db, &[]);
-    pin_vids(&db);
     let q = chain_query(3);
     check_all_calls(&db, &q, 1, "as loaded");
     let mut built = db.base_view_stats().built;
-    assert_eq!(built, 4);
+    assert_eq!(built, 3);
 
     let r2 = db.rel_id("R2").unwrap();
     let stale = view_of(&db, "R2");
@@ -496,12 +408,10 @@ fn in_place_probability_changes_force_a_rebuild() {
 
     db.scale_probs(0.5);
     check_all_calls(&db, &q, 1, "after scale_probs");
-    // Every relation changed; a view is replaced when its relation is next
-    // scanned, and nothing above scans the dictionary again.
-    assert_eq!(db.base_view_stats().built, built + 3);
-    pin_vids(&db);
+    // Every relation changed, and each view is replaced when its relation
+    // is next scanned.
     let stats = db.base_view_stats();
-    assert_eq!((stats.resident, stats.built), (4, built + 4));
+    assert_eq!((stats.resident, stats.built), (3, built + 3));
 }
 
 #[test]
@@ -510,9 +420,7 @@ fn two_namings_of_one_relation_share_each_key_order() {
     // (v2, v3) in the 3-chain, (v1, v2) in the query without R1, and
     // (v2, v1) in the prefix below. All three read one view of R2, and the
     // order of its second column — which `R2 ⋈ R3` needs — is sorted once.
-    let mut db = chain_db(3, 320, 45, 1.0, 61).unwrap();
-    add_dict(&mut db, &[]);
-    pin_vids(&db);
+    let db = chain_db(3, 320, 45, 1.0, 61).unwrap();
     let queries = [
         "q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)",
         "q(x1) :- R2(x1, x2), R3(x2, x3)",
@@ -536,14 +444,12 @@ fn two_namings_of_one_relation_share_each_key_order() {
         }
     }
     let stats = db.base_view_stats();
-    assert_eq!((stats.resident, stats.built, stats.extended), (4, 4, 0));
+    assert_eq!((stats.resident, stats.built, stats.extended), (3, 3, 0));
 }
 
 #[test]
 fn clones_share_views_until_they_diverge() {
-    let mut db = chain_db(3, 300, 40, 1.0, 71).unwrap();
-    add_dict(&mut db, &fresh_values());
-    pin_vids(&db);
+    let db = chain_db(3, 300, 40, 1.0, 71).unwrap();
     let q = chain_query(3);
     check_all_calls(&db, &q, 1, "original");
 
@@ -594,8 +500,6 @@ fn degenerate_relations() {
         if with_z {
             db.relation_mut(z).push(Box::new([]), 0.75).unwrap();
         }
-        add_dict(&mut db, &fresh_values());
-        pin_vids(&db);
         db
     };
     let small = parse_query("q(x0, y) :- R1(x0, x1), R2(x1, x2), S(x2, y)").unwrap();

@@ -21,10 +21,10 @@
 //!    identical, element for element, to serial recursive execution at
 //!    every worker count, oversubscribed included.
 //!
-//! Scores against the oracle are compared to within `1e-12` rather than
-//! bitwise: the engine folds a projection group in vid order, the oracle
-//! in ascending value order, which legitimately reassociates the
-//! floating-point products.
+//! Scores against the oracle are compared **bitwise**: both fold a
+//! projection group of three or more scores in ascending score order, so
+//! a score is a function of the tuple set and the plan, and neither side's
+//! numbering of its values reaches it.
 
 mod common;
 
@@ -50,7 +50,7 @@ proptest! {
         let q = chain_query(k);
         let domain = (n as i64 / 3).max(4);
         let db = chain_db(k, n, domain, 1.0, seed).expect("db");
-        check_all_paths(&db, &q)?;
+        check_all_paths(&db, &q);
     }
 
     /// Star workloads.
@@ -59,7 +59,7 @@ proptest! {
         let q = star_query(k);
         let domain = (n as i64 / 2).max(4);
         let db = star_db(k, n, domain, 1.0, seed).expect("db");
-        check_all_paths(&db, &q)?;
+        check_all_paths(&db, &q);
     }
 
     /// Random-shape queries over random databases.
@@ -67,7 +67,7 @@ proptest! {
     fn random_workloads_agree(seed in 0u64..10_000, atoms in 2usize..5) {
         let q = random_query(seed, atoms, 4);
         let db = random_db_for_query(&q, seed ^ 0x5eed, 12, 5, 1.0).expect("db");
-        check_all_paths(&db, &q)?;
+        check_all_paths(&db, &q);
     }
 }
 

@@ -5,8 +5,8 @@
 //! no dictionary, no sort-merge, no hashing. Every intermediate is a
 //! [`Table`]: its variables in ascending order and a `BTreeMap` from each
 //! distinct row to its score. A join is a nested loop that extends one
-//! variable binding input by input; a projection folds each group in
-//! ascending row order. From the engine it takes only the two types its
+//! variable binding input by input; a projection folds each group's
+//! scores in ascending order. From the engine it takes only the two types its
 //! answers are stated in, [`AnswerSet`] and [`Semantics`];
 //! `columnar_equivalence.rs::oracle_shares_no_code_with_the_engine` keeps
 //! it that way.
@@ -136,18 +136,24 @@ fn visit(
     }
 }
 
-/// Independent-OR per group of `keep` (ascending): `1 − Π(1 − s)`, folded
-/// in ascending row order. On 0/1 scores this is duplicate elimination.
+/// Independent-OR per group of `keep` (ascending): `1 − Π(1 − s)`, the
+/// group's scores taken in ascending order — the documented fold order,
+/// which makes a score a function of the group's scores alone. On 0/1
+/// scores this is duplicate elimination.
 fn project(input: &Table, keep: &[Var]) -> Table {
     let cols: Vec<usize> = (keep.iter())
         .map(|v| input.vars.binary_search(v).expect("projection var"))
         .collect();
-    let mut none: BTreeMap<Vec<Value>, f64> = BTreeMap::new();
+    let mut groups: BTreeMap<Vec<Value>, Vec<f64>> = BTreeMap::new();
     for (row, &s) in &input.rows {
         let group = cols.iter().map(|&c| row[c].clone()).collect();
-        *none.entry(group).or_insert(1.0) *= 1.0 - s;
+        groups.entry(group).or_default().push(s);
     }
-    let rows = none.into_iter().map(|(g, n)| (g, 1.0 - n)).collect();
+    let fold = |mut scores: Vec<f64>| {
+        scores.sort_by(|a, b| a.partial_cmp(b).expect("scores are numbers"));
+        1.0 - scores.iter().fold(1.0, |none, s| none * (1.0 - s))
+    };
+    let rows = groups.into_iter().map(|(g, s)| (g, fold(s))).collect();
     Table {
         vars: keep.to_vec(),
         rows,

@@ -6,8 +6,9 @@
 //! 0–4 packed directly, 5–6 through the rekey recursion the sort uses),
 //! buffers with runs of equal keys, and empty and single-row edges.
 //! Integer kernels must match exactly; the float folds must match a
-//! strict one-multiply-at-a-time serial loop *in bits*, not within a
-//! tolerance.
+//! strict one-multiply-at-a-time serial loop in the canonical fold order
+//! (a run of three or more operands ascending by score) *in bits*, not
+//! within a tolerance.
 
 use lapushdb::engine::kernels::{self, Key};
 use lapushdb::storage::Vid;
@@ -187,7 +188,8 @@ proptest! {
     }
 
     /// The float folds are bit-identical (not approximately equal) to a
-    /// strict one-element-at-a-time serial loop.
+    /// strict one-element-at-a-time serial loop, taking a run of three or
+    /// more operands in ascending order.
     #[test]
     fn folds_bitwise_match_serial_reference(
         seed in 0u64..1_000_000,
@@ -199,17 +201,48 @@ proptest! {
         let keys: Vec<Key> = (0..n)
             .map(|i| Key { k: 7, row: (mix(seed ^ 0x60 ^ i as u64) % scores.len() as u64) as u32 })
             .collect();
-        let mut not_any = 1.0f64;
-        for e in &keys {
-            not_any *= 1.0 - scores[e.row as usize];
-        }
-        let want_or = 1.0 - not_any;
+        let run: Vec<f64> = keys.iter().map(|e| scores[e.row as usize]).collect();
+        let want_or = ref_fold_or(&run);
         let want_max = keys
             .iter()
             .fold(f64::NEG_INFINITY, |b, e| b.max(scores[e.row as usize]));
-        prop_assert_eq!(kernels::fold_or(&scores, &keys).to_bits(), want_or.to_bits(), "fold_or");
+        prop_assert_eq!(kernels::fold_or(run.iter().copied()).to_bits(), want_or.to_bits(), "fold_or");
         prop_assert_eq!(kernels::fold_max(&scores, &keys).to_bits(), want_max.to_bits(), "fold_max");
     }
+}
+
+/// Reference independent-OR: a run of three or more operands sorted
+/// ascending, then `1 − (1 − p₀)(1 − p₁)…` one multiply at a time.
+fn ref_fold_or(run: &[f64]) -> f64 {
+    let mut ordered = run.to_vec();
+    if ordered.len() >= 3 {
+        ordered.sort_by(|a, b| a.partial_cmp(b).expect("scores are numbers"));
+    }
+    let mut not_any = 1.0f64;
+    for p in ordered {
+        not_any *= 1.0 - p;
+    }
+    1.0 - not_any
+}
+
+/// A run whose entry-order and ascending-order products differ in bits:
+/// random scores rarely tell the two orders apart (about 0.2% of runs),
+/// so this one pins the canonical order on its own.
+#[test]
+fn fold_or_takes_ascending_order_not_entry_order() {
+    let entry = [0.7, 0.33, 0.1, 0.9];
+    let mut not_any = 1.0f64;
+    for p in entry {
+        not_any *= 1.0 - p;
+    }
+    let entry_order = 1.0 - not_any;
+    let want = ref_fold_or(&entry);
+    assert_ne!(
+        entry_order.to_bits(),
+        want.to_bits(),
+        "the two orders agree"
+    );
+    assert_eq!(kernels::fold_or(entry).to_bits(), want.to_bits());
 }
 
 /// Empty and single-row edges of every kernel.
@@ -218,7 +251,7 @@ fn empty_and_single_row_edges() {
     let empty: &[Key] = &[];
     assert_eq!(kernels::run_end(empty, 0), 0);
     assert_eq!(kernels::gallop_ge(empty, 0, 42), 0);
-    assert_eq!(kernels::fold_or(&[], empty), 0.0);
+    assert_eq!(kernels::fold_or([]), 0.0);
     assert_eq!(kernels::fold_max(&[], empty), f64::NEG_INFINITY);
     let mut out = Vec::new();
     kernels::gather_u32(&[], &[], &mut out);
@@ -230,7 +263,7 @@ fn empty_and_single_row_edges() {
     assert_eq!(kernels::run_end(&one, 0), 1);
     assert_eq!(kernels::gallop_ge(&one, 0, 9), 0);
     assert_eq!(kernels::gallop_ge(&one, 0, 10), 1);
-    assert_eq!(kernels::fold_or(&[0.25], &one), 0.25);
+    assert_eq!(kernels::fold_or([0.25]), 0.25);
     assert_eq!(kernels::fold_max(&[0.25], &one), 0.25);
     kernels::gather_u32(&[7], &[0], &mut out);
     assert_eq!(out, vec![7]);
