@@ -296,8 +296,8 @@ pub(crate) type ShRel = Arc<Rel>;
 ///   intermediate accumulators for the incremental evaluator.
 ///
 /// A projection directly over a join computes both in one operator
-/// ([`join_fold_project`]), so the join's result never exists — except in
-/// a restricted visit, and under capture, which keeps every join's view.
+/// ([`join_fold_project`]), so the join's result never exists — except
+/// under capture, which keeps every join's view.
 pub(crate) struct Evaluator<'a> {
     pub(crate) db: &'a Database,
     pub(crate) q: &'a Query,
@@ -312,7 +312,7 @@ pub(crate) struct Evaluator<'a> {
     /// Surviving row ordinals per atom, and the atoms they restrict.
     survivors: Vec<Vec<u32>>,
     filtered_mask: u64,
-    restricted: FxHashMap<PlanId, ShRel>,
+    pub(crate) restricted: FxHashMap<PlanId, ShRel>,
     /// Projections evaluated fused with the join below them.
     pub(crate) fused_steps: u64,
     pub(crate) joins: Option<FxHashMap<PlanId, Vec<Rel>>>,
@@ -444,11 +444,11 @@ impl<'a> Evaluator<'a> {
                 let fold = ProjFold::from(self.opts.semantics);
                 match &store.node(*input).kind {
                     // Nothing else reads the join's result: its last
-                    // pairwise step fuses into this projection. A
-                    // survivor-restricted visit, and a capture (whose
-                    // join states hold the join's view), keep the pair.
-                    NodeKind::Join { inputs } if !restricted && self.joins.is_none() => {
-                        let children = self.nodes(inputs, false);
+                    // pairwise step fuses into this projection. A capture
+                    // (whose join states hold the join's view) keeps the
+                    // pair.
+                    NodeKind::Join { inputs } if self.joins.is_none() => {
+                        let children = self.nodes(inputs, restricted);
                         let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
                         self.fused_steps += 1;
                         join_fold_project(&refs, &keep, fold, self.par, &mut self.scratch)
@@ -905,7 +905,7 @@ pub fn deterministic_answers(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lapush_core::{minimal_plan_set, PlanSet};
     use lapush_query::{parse_query, QueryShape};
@@ -913,6 +913,26 @@ mod tests {
 
     fn plan_set(q: &Query) -> PlanSet {
         minimal_plan_set(&QueryShape::of_query(q))
+    }
+
+    /// The 7-chain `q(x0, x7) :- R1(x0, x1), …, R7(x6, x7)` over 40 rows
+    /// per relation: 132 minimal plans sharing 294 joins, each under one
+    /// projection.
+    pub(crate) fn chain7() -> (Database, Query) {
+        let k = 7;
+        let atoms: Vec<String> = (1..=k).map(|i| format!("R{i}(x{}, x{i})", i - 1)).collect();
+        let q = parse_query(&format!("q(x0, x{k}) :- {}", atoms.join(", "))).unwrap();
+        let mut db = Database::new();
+        for i in 1..=k {
+            let rel = db.create_relation(format!("R{i}"), 2).unwrap();
+            for j in 0..40i64 {
+                let p = ((j * 37 + i as i64) % 99 + 1) as f64 / 100.0;
+                db.relation_mut(rel)
+                    .push(tuple([j % 9, (j * 7) % 11]), p)
+                    .unwrap();
+            }
+        }
+        (db, q)
     }
 
     /// `ρ(q)` over all minimal plans.
@@ -1187,19 +1207,7 @@ mod tests {
         // projection: a plan-set evaluation fuses every one of them, so no
         // join result is ever made, let alone memoized. A capture keeps
         // them all, since the incremental evaluator needs their views.
-        let k = 7;
-        let atoms: Vec<String> = (1..=k).map(|i| format!("R{i}(x{}, x{i})", i - 1)).collect();
-        let q = parse_query(&format!("q(x0, x{k}) :- {}", atoms.join(", "))).unwrap();
-        let mut db = Database::new();
-        for i in 1..=k {
-            let rel = db.create_relation(format!("R{i}"), 2).unwrap();
-            for j in 0..40i64 {
-                let p = ((j * 37 + i as i64) % 99 + 1) as f64 / 100.0;
-                db.relation_mut(rel)
-                    .push(tuple([j % 9, (j * 7) % 11]), p)
-                    .unwrap();
-            }
-        }
+        let (db, q) = chain7();
         let PlanSet { store, roots } = plan_set(&q);
         assert_eq!(roots.len(), 132);
         let is_join = |id: &PlanId| matches!(store.node(*id).kind, NodeKind::Join { .. });

@@ -64,7 +64,9 @@
 //! root. Nor can the filtered cardinalities reassociate a float product:
 //! join order and column layout are functions of the plan
 //! ([`crate::rel::join_order`]), so every node shape is evaluated
-//! restricted. Final scores fold with the pointwise min of the exhaustive
+//! restricted. A projection over a join runs fused (`join_fold_project`)
+//! as in the full visit, so a restricted join's result never exists
+//! either. Final scores fold with the pointwise min of the exhaustive
 //! path, dropping keys outside the survivor set.
 //!
 //! Non-probabilistic semantics, single-plan sets, plan sets with `min`
@@ -75,7 +77,7 @@
 use crate::exec::{
     decode_answers, decoded_rows, start_plan_set, Evaluator, ExecError, ExecOptions, Semantics,
 };
-use crate::rel::{min_into_impl, Par, Rel};
+use crate::rel::{min_into_impl, Rel};
 use crate::semijoin::reduce_rows;
 use lapush_core::{PlanId, PlanStore};
 use lapush_query::{Query, Var};
@@ -189,7 +191,7 @@ impl<'a> TopkEval<'a> {
             b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
         });
         let tau = *kth * (1.0 - LO_SLACK);
-        let keep = prune_mask(self.acc.scores(), tau, self.ev.par);
+        let keep = prune_mask(self.acc.scores(), tau);
         if keep.len() == self.acc.len() {
             // Nothing pruned: restricting the scans would remove next to
             // nothing, so run the cheaper unrestricted fold.
@@ -287,24 +289,12 @@ impl<'a> TopkEval<'a> {
     }
 }
 
-/// Surviving row indices (`hi ≥ τ`), ascending; morsel-parallel when the
-/// budget allows.
-fn prune_mask(hi: &[f64], tau: f64, par: Par) -> Vec<u32> {
-    let n = hi.len();
-    let chunk = n.div_ceil(par.morsels(n)).max(1);
-    let tasks: Vec<_> = (0..n)
-        .step_by(chunk)
-        .map(|start| {
-            let end = (start + chunk).min(n);
-            move || -> Vec<u32> {
-                (start..end)
-                    .filter(|&i| hi[i] >= tau)
-                    .map(|i| i as u32)
-                    .collect()
-            }
-        })
-        .collect();
-    crate::pool::run_scope(par.threads, tasks).concat()
+/// Surviving row indices (`hi ≥ τ`), ascending.
+fn prune_mask(hi: &[f64], tau: f64) -> Vec<u32> {
+    (0..hi.len())
+        .filter(|&i| hi[i] >= tau)
+        .map(|i| i as u32)
+        .collect()
 }
 
 /// Top-k propagation-score ranking with early termination: the first `k`
@@ -328,7 +318,7 @@ pub fn propagation_score_topk(
 mod tests {
     use super::*;
     use crate::exec::propagation_score_ids;
-    use lapush_core::{minimal_plan_set, PlanSet};
+    use lapush_core::{minimal_plan_set, NodeKind, PlanSet};
     use lapush_query::{parse_query, QueryShape};
     use lapush_storage::tuple::tuple;
 
@@ -443,6 +433,47 @@ mod tests {
         let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
         let got = assert_topk_matches(&db, &q, 1, ExecOptions::default());
         assert_eq!(got.evaluated, 1);
+    }
+
+    #[test]
+    fn restricted_visits_fuse_every_projected_join() {
+        // The 7-chain's 132 minimal plans share 294 joins, each under one
+        // projection. A pruned top-k evaluates its first plan in full and
+        // every other plan restricted to the survivors; both visits fuse
+        // each projection with the join below it, so neither memo ever
+        // holds a join result.
+        let (db, q) = crate::exec::tests::chain7();
+        let PlanSet { store, roots } = minimal_plan_set(&QueryShape::of_query(&q));
+        assert_eq!(roots.len(), 132);
+        let is_join = |id: &PlanId| matches!(store.node(*id).kind, NodeKind::Join { .. });
+        let joins_of =
+            |plans: &[PlanId]| store.reachable(plans).into_iter().filter(is_join).count();
+        assert_eq!(joins_of(&roots), 294);
+
+        let (k, opts) = (3, ExecOptions::default());
+        let mut eval = TopkEval::new(&db, &q, &store, &roots, k, opts).unwrap();
+        assert!(eval.stats().pruned > 0, "expected pruning");
+        while eval.step().unwrap() {}
+        let ev = &eval.ev;
+        assert!(!ev.restricted.is_empty());
+        assert!(
+            !ev.restricted.keys().any(is_join),
+            "a restricted join was materialized"
+        );
+        assert!(!ev.memo.keys().any(is_join), "a join was materialized");
+        // One fused visit per projected join of the full first plan, and
+        // one per projected join the restricted plans reach.
+        let fused = joins_of(&eval.plans[..1]) + joins_of(&eval.plans[1..]);
+        assert_eq!(ev.fused_steps, fused as u64);
+
+        let full = propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
+        let expected = full.ranked_top(k);
+        let got = eval.finish().unwrap();
+        assert_eq!(got.ranked.len(), expected.len());
+        for ((gk, gs), (ek, es)) in got.ranked.iter().zip(&expected) {
+            assert_eq!(gk, ek);
+            assert_eq!(gs.to_bits(), es.to_bits());
+        }
     }
 
     #[test]

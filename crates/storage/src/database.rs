@@ -5,13 +5,13 @@ use crate::error::StorageError;
 use crate::fxhash::FxHashMap;
 use crate::intern::{ValueInterner, Vid};
 use crate::relation::Relation;
-use crate::tuple::TupleId;
 use crate::value::Value;
 use crate::view::{BaseView, BaseViewStats};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Ordinal of a relation inside a [`Database`] (matches [`TupleId::rel`]).
+/// Ordinal of a relation inside a [`Database`] (matches
+/// [`TupleId::rel`](crate::TupleId::rel)).
 pub type RelId = u32;
 
 /// The database's value dictionary plus per-relation encoded columns and
@@ -134,8 +134,9 @@ impl DbCodec<'_> {
 ///
 /// Owns its [`Relation`]s and provides name-based lookup. The database is the
 /// unit over which queries are evaluated and over which lineage tuple ids
-/// ([`TupleId`]) are scoped. It also owns the [`ValueInterner`] that backs
-/// dictionary-encoded execution; see [`Database::codec`].
+/// ([`TupleId`](crate::TupleId)) are scoped. It also owns the
+/// [`ValueInterner`] that backs dictionary-encoded execution; see
+/// [`Database::codec`].
 #[derive(Default)]
 pub struct Database {
     relations: Vec<Relation>,
@@ -341,16 +342,6 @@ impl Database {
             .map(|(i, r)| (i as RelId, r))
     }
 
-    /// Probability of a base tuple.
-    pub fn tuple_prob(&self, id: TupleId) -> f64 {
-        self.relation(id.rel).prob(id.row)
-    }
-
-    /// Payload of a base tuple.
-    pub fn tuple_values(&self, id: TupleId) -> &[Value] {
-        self.relation(id.rel).row(id.row)
-    }
-
     /// Multiply every tuple probability in every relation by `f`
     /// (the scaling operation of the paper's Proposition 21 / Result 7).
     pub fn scale_probs(&mut self, f: f64) {
@@ -409,14 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn tuple_access_via_ids() {
-        let db = sample_db();
-        let id = TupleId::new(0, 1);
-        assert_eq!(db.tuple_prob(id), 0.6);
-        assert_eq!(db.tuple_values(id), &[Value::Int(2)][..]);
-    }
-
-    #[test]
     fn counts_and_avg_prob() {
         let db = sample_db();
         assert_eq!(db.relation_count(), 2);
@@ -429,8 +412,8 @@ mod tests {
     fn scale_probs_applies_everywhere() {
         let mut db = sample_db();
         db.scale_probs(0.5);
-        assert_eq!(db.tuple_prob(TupleId::new(0, 0)), 0.2);
-        assert_eq!(db.tuple_prob(TupleId::new(1, 0)), 0.5);
+        assert_eq!(db.relation(0).prob(0), 0.2);
+        assert_eq!(db.relation(1).prob(0), 0.5);
         assert!(!db.relation(1).is_deterministic());
     }
 

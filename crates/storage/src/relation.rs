@@ -267,14 +267,6 @@ impl Relation {
     pub fn prob_epoch(&self) -> u64 {
         self.prob_epoch
     }
-
-    /// Active domain of one column: the distinct values appearing in it.
-    pub fn column_domain(&self, col: usize) -> Vec<Value> {
-        let mut vals: Vec<Value> = self.rows.iter().map(|r| r[col].clone()).collect();
-        vals.sort();
-        vals.dedup();
-        vals
-    }
 }
 
 #[cfg(test)]
@@ -389,15 +381,5 @@ mod tests {
         let fd = Fd::key([0], 3);
         assert_eq!(fd.lhs, vec![0]);
         assert_eq!(fd.rhs, vec![1, 2]);
-    }
-
-    #[test]
-    fn column_domain_sorted_distinct() {
-        let mut r = Relation::new("R", 2);
-        r.push(tuple([2, 1]), 0.5).unwrap();
-        r.push(tuple([1, 1]), 0.5).unwrap();
-        r.push(tuple([2, 3]), 0.5).unwrap();
-        assert_eq!(r.column_domain(0), vec![Value::Int(1), Value::Int(2)],);
-        assert_eq!(r.column_domain(1), vec![Value::Int(1), Value::Int(3)],);
     }
 }

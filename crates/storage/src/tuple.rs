@@ -35,20 +35,6 @@ impl TupleId {
     pub fn new(rel: u32, row: u32) -> Self {
         TupleId { rel, row }
     }
-
-    /// Pack into a single `u64` (relation in the high half). Useful as a
-    /// compact hash-map key.
-    pub fn pack(self) -> u64 {
-        (u64::from(self.rel) << 32) | u64::from(self.row)
-    }
-
-    /// Inverse of [`TupleId::pack`].
-    pub fn unpack(packed: u64) -> Self {
-        TupleId {
-            rel: (packed >> 32) as u32,
-            row: packed as u32,
-        }
-    }
 }
 
 impl fmt::Debug for TupleId {
@@ -67,14 +53,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t[0], Value::Int(1));
         assert_eq!(t[1], Value::str("a"));
-    }
-
-    #[test]
-    fn tuple_id_pack_roundtrip() {
-        for (rel, row) in [(0, 0), (1, 2), (u32::MAX, u32::MAX), (7, 123456)] {
-            let id = TupleId::new(rel, row);
-            assert_eq!(TupleId::unpack(id.pack()), id);
-        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! the k-boundary (the deterministic key-order tiebreak must make the
 //! prefix unambiguous), `k = 0`, `k ≥` the answer count (degraded mode:
 //! nothing to prune, everything evaluated), a Boolean query (single
-//! answer group), and the node shapes whose float products an order keyed
-//! on row counts could reassociate under the survivor filter.
+//! answer group), the node shapes whose float products an order keyed
+//! on row counts could reassociate under the survivor filter, and a chain
+//! of permutations whose every node holds the same number of rows.
 
 use lapushdb::core::PlanSet;
 use lapushdb::core::{minimal_plan_set_opts, EnumOptions, NodeKind, SchemaInfo};
@@ -28,11 +29,15 @@ use lapushdb::engine::{
     Semantics, TopkEval,
 };
 use lapushdb::prelude::*;
+use lapushdb::storage::tuple::tuple;
 use lapushdb::workload::{
     chain_db, chain_query, random_db_for_query, random_query, star_db, star_query,
 };
 use lapushdb::{rank_by_dissociation, OptLevel, RankOptions};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 /// Ranked prefixes compared entry by entry: same keys in the same order,
 /// scores equal to the bit.
@@ -372,4 +377,32 @@ fn restricted_visits_cover_wide_joins_and_wide_projections() {
         }
         assert!(pruned > 0, "{text}: the restricted phase never ran");
     }
+}
+
+/// A `k`-chain whose relations are each a random permutation of `1..=n`
+/// (tuples `(u, π(u))`): in a full visit every join and projection along
+/// the chain has exactly `n` rows, and the survivor-restricted pass fuses
+/// each projection over a join on the few rows pruning leaves. The ranked
+/// prefix must stay the exhaustive one bitwise.
+#[test]
+fn permutation_chain_topk_matches_exhaustive_prefix() {
+    let (k, n) = (6, 30);
+    let q = chain_query(k);
+    let mut rng = StdRng::seed_from_u64(701);
+    let mut db = Database::new();
+    for i in 1..=k {
+        let rel = db.create_relation(format!("R{i}"), 2).expect("relation");
+        let mut image: Vec<i64> = (1..=n).collect();
+        image.shuffle(&mut rng);
+        for (u, v) in (1..).zip(image) {
+            let p = rng.gen_range(0.05..1.0);
+            db.relation_mut(rel).push(tuple([u, v]), p).expect("row");
+        }
+    }
+    check_engine(&db, &q, &[1, 3, 10]).unwrap();
+    let schema = SchemaInfo::from_query(&q);
+    let set = minimal_plan_set_opts(&q, &schema, EnumOptions::default());
+    let opts = ExecOptions::default();
+    let res = propagation_score_topk(&db, &q, &set.store, &set.roots, 10, opts).expect("topk");
+    assert!(res.stats.pruned > 0, "the restricted phase never ran");
 }
