@@ -7,22 +7,28 @@
 //! evicted. The hash-consed [`PlanStore`] makes a hit near-free — the
 //! server reuses the interned DAG verbatim.
 //!
-//! **Answer cache** — keyed by the query's canonical display text and
-//! stamped with the [`DbStamp`] (relation, cell, and probability-epoch
-//! counts) the answer was computed against. Relations are append-only —
-//! tuples are never removed — and the epoch component covers the one kind
-//! of in-place rewrite that exists (a duplicate insert raising a tuple's
-//! probability), so "the stamp still matches" is a *complete* freshness
-//! check (the cell half is the same argument that lets the storage codec
-//! reuse encoded column prefixes). A lookup under a newer stamp drops the
+//! **Answer cache** — keyed by the query's canonical display text, holding
+//! the query's rendered response body ([`render_answers`]) and stamped
+//! with the [`DbStamp`] (relation, cell, and probability-epoch counts) the
+//! answer was computed against. A hit writes the stored bytes; nothing is
+//! sorted or formatted again until the answers change. Relations are
+//! append-only — tuples are never removed — and the epoch component
+//! covers the one kind of in-place rewrite that exists (a duplicate
+//! insert raising a tuple's probability), so "the stamp still matches" is
+//! a *complete* freshness check (the cell half is the same argument that
+//! lets the storage codec reuse encoded column prefixes). A lookup under a newer stamp drops the
 //! stale entry and counts an invalidation — but entries rarely go stale:
 //! each one carries the [`IncrementalEval`] state it was computed with,
 //! and [`AnswerCache::apply_deltas`] (run by `INGEST` under the database
 //! write lock) merges the appended tuples into the cached answers in
-//! place, re-stamping them fresh. Only batches the delta algebra cannot
-//! absorb (an in-place probability mutation) drop the entry and force the
-//! next lookup to recompute; the `delta.*` counters in `STATS` report
-//! both paths.
+//! place, re-stamping them fresh. A batch that changed no answer keeps the
+//! stored body; one that did clears it, and the next hit renders the new
+//! answers once — outside the cache lock, under the database read lock
+//! the hit already holds ([`AnswerCache::hit`]) — so `INGEST` itself
+//! renders nothing. Only batches the delta algebra cannot absorb (an
+//! in-place probability mutation) drop the entry and force the next
+//! lookup to recompute; the `delta.*` counters in `STATS` report both
+//! paths.
 //!
 //! Both caches evict least-recently-used entries beyond a fixed capacity
 //! and expose their counters through [`CacheStats`] for the `STATS`
@@ -30,11 +36,12 @@
 //! history (no clocks), which is what lets the CI smoke script and the
 //! `fig_serve` bench gate them exactly.
 
+use crate::protocol::render_answers;
 use lapush_core::{PlanId, PlanStore, ShapeKey};
 use lapush_engine::{AnswerSet, DeltaOutcome, IncrementalEval};
 use lapush_query::Query;
 use lapush_storage::{Database, FxHashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Hit/miss/eviction counters of one cache (see the `STATS` command).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -201,17 +208,27 @@ pub struct CachedState {
 
 struct Entry {
     stamp: DbStamp,
-    /// What lookups hand out. For an entry with state this is the state's
-    /// own set ([`IncrementalEval::shared_answers`]), not a second copy.
-    answers: Arc<AnswerSet>,
+    /// The rendered response. `None` only on an entry with state whose
+    /// answers an ingest changed since they were last rendered.
+    body: Option<Arc<str>>,
     /// `None` entries (inserted without state) cannot be maintained and
-    /// are dropped — counted as fallbacks — on the next ingest.
+    /// are dropped — counted as fallbacks — on the next ingest. The
+    /// state holds the entry's one answer set.
     state: Option<CachedState>,
 }
 
-/// Answer/score cache: canonical query text → scored answers, stamped
-/// with the database state they were computed against and carrying the
-/// incremental state that lets [`AnswerCache::apply_deltas`] keep them
+/// What [`AnswerCache::lookup`] finds under a fresh stamp.
+enum Hit {
+    /// The stored response body.
+    Body(Arc<str>),
+    /// Answers an ingest changed since they were last rendered: render
+    /// them and hand the bytes to [`AnswerCache::store_body`].
+    Render(Arc<AnswerSet>),
+}
+
+/// Answer/score cache: canonical query text → rendered response, stamped
+/// with the database state it was computed against and carrying the
+/// incremental state that lets [`AnswerCache::apply_deltas`] keep it
 /// fresh across ingests.
 pub struct AnswerCache {
     cap: usize,
@@ -233,17 +250,37 @@ impl AnswerCache {
         }
     }
 
+    /// The whole hit path: `key`'s response body under `stamp`, or `None`
+    /// on a miss. An entry whose answers changed since they were last
+    /// rendered is rendered here, with the cache unlocked in between, so
+    /// other lookups go on meanwhile. Call it under the database read lock
+    /// that `stamp` was taken under: that lock keeps `INGEST` from
+    /// changing the answers while they render.
+    pub fn hit(cache: &Mutex<AnswerCache>, key: &str, stamp: DbStamp) -> Option<Arc<str>> {
+        let lock = || cache.lock().unwrap_or_else(|e| e.into_inner());
+        let answers = match lock().lookup(key, stamp)? {
+            Hit::Body(body) => return Some(body),
+            Hit::Render(answers) => answers,
+        };
+        let body = render_answers(&answers).into();
+        Some(lock().store_body(key, stamp, body))
+    }
+
     /// Look up `key` under the current database stamp. A stale entry
     /// (stamp mismatch) is dropped, counted as an invalidation, and
     /// reported as a miss — the caller recomputes and re-inserts.
-    pub fn lookup(&mut self, key: &str, stamp: DbStamp) -> Option<Arc<AnswerSet>> {
+    fn lookup(&mut self, key: &str, stamp: DbStamp) -> Option<Hit> {
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(key) {
             Some((last, entry)) if entry.stamp == stamp => {
                 *last = tick;
                 self.stats.hits += 1;
-                Some(entry.answers.clone())
+                Some(match (&entry.body, &entry.state) {
+                    (Some(body), _) => Hit::Body(body.clone()),
+                    (None, Some(state)) => Hit::Render(state.eval.shared_answers()),
+                    (None, None) => unreachable!("a stateless entry keeps its body"),
+                })
             }
             Some(_) => {
                 self.map.remove(key);
@@ -258,17 +295,27 @@ impl AnswerCache {
         }
     }
 
-    /// Insert a freshly computed answer, evicting the least-recently-used
-    /// entry when at capacity. `state` is the incremental-evaluation
-    /// state that will keep the entry fresh across ingests — pass its
-    /// [`IncrementalEval::shared_answers`] as `ans`, so the entry holds
-    /// one answer set, not two; entries inserted without state are dropped
-    /// on the next ingest instead.
+    /// Keep `body`, rendered from a [`Hit::Render`] under `stamp`, as the
+    /// entry's response, and return the body the entry now holds: a
+    /// concurrent hit that stored its rendering first wins, with the same
+    /// bytes. An entry that is gone or re-stamped stores nothing.
+    fn store_body(&mut self, key: &str, stamp: DbStamp, body: Arc<str>) -> Arc<str> {
+        match self.map.get_mut(key) {
+            Some((_, entry)) if entry.stamp == stamp => entry.body.get_or_insert(body).clone(),
+            _ => body,
+        }
+    }
+
+    /// Insert a freshly computed answer's rendered response `body`,
+    /// evicting the least-recently-used entry when at capacity. `state`
+    /// is the incremental-evaluation state that will keep the entry fresh
+    /// across ingests; entries inserted without state are dropped on the
+    /// next ingest instead.
     pub fn insert(
         &mut self,
         key: String,
         stamp: DbStamp,
-        ans: Arc<AnswerSet>,
+        body: Arc<str>,
         state: Option<CachedState>,
     ) {
         self.tick += 1;
@@ -278,7 +325,7 @@ impl AnswerCache {
         }
         let entry = Entry {
             stamp,
-            answers: ans,
+            body: Some(body),
             state,
         };
         self.map.insert(key, (self.tick, entry));
@@ -292,38 +339,35 @@ impl AnswerCache {
     /// evaluation error, or a stateless entry — are dropped and counted
     /// in [`DeltaStats::fallbacks`]; every surviving entry is re-stamped
     /// to `stamp` (fresh), so mixed query/ingest workloads keep hitting
-    /// the cache instead of recomputing.
+    /// the cache instead of recomputing. An entry keeps its body when the
+    /// batch changed none of its answers and loses it otherwise; nothing
+    /// is rendered here.
+    ///
+    /// The state holds the only handle on its answers (a hit rendering
+    /// them holds another only under the database read lock, which
+    /// excludes this call), so a changed set is extended in place.
     pub fn apply_deltas(&mut self, db: &Database, stamp: DbStamp) {
-        let keys: Vec<String> = self.map.keys().cloned().collect();
-        for key in keys {
-            let (tick, entry) = self.map.remove(&key).expect("key just listed");
-            // The entry's handle on the answers goes first: the state then
-            // holds the only one and extends the set in place (readers
-            // hold theirs under the database read lock, which excludes
-            // this call).
-            drop(entry.answers);
-            let Some(mut state) = entry.state else {
-                self.delta.fallbacks += 1;
-                continue;
+        let delta = &mut self.delta;
+        self.map.retain(|_, (_, entry)| {
+            let Some(state) = &mut entry.state else {
+                delta.fallbacks += 1;
+                return false;
             };
             match state.eval.apply_deltas(db, &state.query, &state.plan.store) {
-                Ok(DeltaOutcome::Unchanged) => self.delta.batches += 1,
+                Ok(DeltaOutcome::Unchanged) => delta.batches += 1,
                 Ok(DeltaOutcome::Updated { rows }) => {
-                    self.delta.batches += 1;
-                    self.delta.rows += rows as u64;
+                    delta.batches += 1;
+                    delta.rows += rows as u64;
+                    entry.body = None;
                 }
                 Ok(DeltaOutcome::Fallback) | Err(_) => {
-                    self.delta.fallbacks += 1;
-                    continue;
+                    delta.fallbacks += 1;
+                    return false;
                 }
             }
-            let entry = Entry {
-                stamp,
-                answers: state.eval.shared_answers(),
-                state: Some(state),
-            };
-            self.map.insert(key, (tick, entry));
-        }
+            entry.stamp = stamp;
+            true
+        });
     }
 
     /// Number of cached answers.
@@ -393,17 +437,17 @@ mod tests {
         db
     }
 
+    fn empty_body() -> Arc<str> {
+        Arc::from("OK 0 answers")
+    }
+
     #[test]
     fn answer_cache_invalidates_on_ingest() {
         let mut db = tiny_db();
         let mut cache = AnswerCache::new(8);
-        let ans = Arc::new(AnswerSet {
-            vars: vec![],
-            rows: FxHashMap::default(),
-        });
         let stamp = DbStamp::of(&db);
         assert!(cache.lookup("q", stamp).is_none());
-        cache.insert("q".into(), stamp, ans.clone(), None);
+        cache.insert("q".into(), stamp, empty_body(), None);
         assert!(cache.lookup("q", stamp).is_some());
         // Append-only growth changes the stamp and invalidates.
         db.relation_mut(0)
@@ -421,13 +465,9 @@ mod tests {
     fn answer_cache_evicts_at_capacity() {
         let db = tiny_db();
         let stamp = DbStamp::of(&db);
-        let ans = Arc::new(AnswerSet {
-            vars: vec![],
-            rows: FxHashMap::default(),
-        });
         let mut cache = AnswerCache::new(2);
         for key in ["a", "b", "c"] {
-            cache.insert(key.into(), stamp, ans.clone(), None);
+            cache.insert(key.into(), stamp, empty_body(), None);
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
@@ -460,7 +500,9 @@ mod tests {
         assert_eq!(after.epochs, 1);
     }
 
-    fn state_for(db: &Database, text: &str) -> (String, CachedState) {
+    /// A cache entry's key, state and rendered response for `text`
+    /// evaluated over `db` — what the server's miss path inserts.
+    fn state_for(db: &Database, text: &str) -> (String, CachedState, Arc<str>) {
         let q = parse_query(text).unwrap();
         let key = q.display();
         let schema = SchemaInfo::from_query(&q);
@@ -475,31 +517,31 @@ mod tests {
             lapush_engine::ExecOptions::default(),
         )
         .unwrap();
-        (
-            key,
-            CachedState {
-                query: q,
-                plan,
-                eval,
-            },
-        )
+        let body = render_answers(eval.answers()).into();
+        let state = CachedState {
+            query: q,
+            plan,
+            eval,
+        };
+        (key, state, body)
     }
 
     #[test]
     fn apply_deltas_keeps_entries_fresh_across_ingest() {
         let mut db = tiny_db();
         let mut cache = AnswerCache::new(8);
-        let (key, state) = state_for(&db, "q(x) :- R(x)");
-        let ans = state.eval.shared_answers();
-        cache.insert(key.clone(), DbStamp::of(&db), ans, Some(state));
+        let (key, state, body) = state_for(&db, "q(x) :- R(x)");
+        cache.insert(key.clone(), DbStamp::of(&db), body, Some(state));
         db.relation_mut(0)
             .push(Box::new([Value::Int(2)]), 0.25)
             .unwrap();
         let grown = DbStamp::of(&db);
         cache.apply_deltas(&db, grown);
         // The entry was merged and re-stamped: the lookup hits (no
-        // invalidation) and sees the new answer.
-        let got = cache.lookup(&key, grown).expect("merged entry must hit");
+        // invalidation) and hands out the new answers to render.
+        let Some(Hit::Render(got)) = cache.lookup(&key, grown) else {
+            panic!("a merged entry must hit, with its body cleared");
+        };
         assert_eq!(got.len(), 2);
         assert_eq!(got.score_of(&[Value::Int(2)]), 0.25);
         let d = cache.delta_stats();
@@ -511,17 +553,12 @@ mod tests {
     fn apply_deltas_drops_what_it_cannot_maintain() {
         let mut db = tiny_db();
         let mut cache = AnswerCache::new(8);
-        let empty = Arc::new(AnswerSet {
-            vars: vec![],
-            rows: FxHashMap::default(),
-        });
         let stamp = DbStamp::of(&db);
         // A stateless entry is dropped on the next ingest.
-        cache.insert("stateless".into(), stamp, empty, None);
+        cache.insert("stateless".into(), stamp, empty_body(), None);
         // A stateful entry survives growth but not an in-place mutation.
-        let (key, state) = state_for(&db, "q(x) :- R(x)");
-        let ans = state.eval.shared_answers();
-        cache.insert(key.clone(), stamp, ans, Some(state));
+        let (key, state, body) = state_for(&db, "q(x) :- R(x)");
+        cache.insert(key, stamp, body, Some(state));
         db.relation_mut(0)
             .push(Box::new([Value::Int(1)]), 0.9)
             .unwrap();
@@ -529,5 +566,64 @@ mod tests {
         assert_eq!(cache.len(), 0);
         let d = cache.delta_stats();
         assert_eq!((d.batches, d.rows, d.fallbacks), (0, 0, 2));
+    }
+
+    #[test]
+    fn a_body_is_rendered_once_per_answer_state() {
+        let mut db = Database::new();
+        for name in ["R", "S"] {
+            let id = db.create_relation(name, 1).unwrap();
+            db.relation_mut(id)
+                .push(Box::new([Value::Int(1)]), 0.5)
+                .unwrap();
+        }
+        let (key, state, body) = state_for(&db, "q(x) :- R(x), S(x)");
+        let cache = Mutex::new(AnswerCache::new(8));
+        let stamp = DbStamp::of(&db);
+        cache
+            .lock()
+            .unwrap()
+            .insert(key.clone(), stamp, body.clone(), Some(state));
+        let hit = |stamp| AnswerCache::hit(&cache, &key, stamp).expect("entry must hit");
+        // Two hits hand out the body the miss path stored.
+        assert!(Arc::ptr_eq(&hit(stamp), &body));
+        assert!(Arc::ptr_eq(&hit(stamp), &body));
+
+        // S(2) joins no R tuple: the batch changes no answer and the
+        // entry keeps its body.
+        db.relation_mut(1)
+            .push(Box::new([Value::Int(2)]), 0.5)
+            .unwrap();
+        let stamp = DbStamp::of(&db);
+        cache.lock().unwrap().apply_deltas(&db, stamp);
+        assert_eq!(cache.lock().unwrap().delta_stats().rows, 0);
+        assert!(Arc::ptr_eq(&hit(stamp), &body));
+
+        // R(2) completes a new answer: the next hit renders the merged
+        // answers once, and later hits reuse that rendering.
+        db.relation_mut(0)
+            .push(Box::new([Value::Int(2)]), 0.8)
+            .unwrap();
+        let stamp = DbStamp::of(&db);
+        cache.lock().unwrap().apply_deltas(&db, stamp);
+        assert_eq!(cache.lock().unwrap().delta_stats().rows, 1);
+        let updated = hit(stamp);
+        assert!(!Arc::ptr_eq(&updated, &body));
+        assert_eq!(*updated, *state_for(&db, "q(x) :- R(x), S(x)").2);
+        assert!(updated.starts_with("OK 2 answers"));
+        assert!(Arc::ptr_eq(&hit(stamp), &updated));
+
+        // Raising R(1)'s probability in place: the entry falls back and
+        // is dropped, so the next lookup misses.
+        db.relation_mut(0)
+            .push(Box::new([Value::Int(1)]), 0.9)
+            .unwrap();
+        let stamp = DbStamp::of(&db);
+        cache.lock().unwrap().apply_deltas(&db, stamp);
+        assert_eq!(cache.lock().unwrap().delta_stats().fallbacks, 1);
+        assert!(cache.lock().unwrap().is_empty());
+        assert!(AnswerCache::hit(&cache, &key, stamp).is_none());
+        let s = cache.lock().unwrap().stats();
+        assert_eq!((s.hits, s.misses, s.invalidations), (5, 1, 0));
     }
 }

@@ -14,10 +14,11 @@
 //!   enumeration depends only on the query's *shape*, so every
 //!   same-shaped query (different constants, renamed relations, …)
 //!   reuses one hash-consed plan DAG;
-//! * **an answer cache** keyed by the query's canonical text and stamped
-//!   with the database's relation/cell counts — relations are
-//!   append-only, so count equality is a complete freshness check and
-//!   ingest invalidates exactly the answers it must;
+//! * **an answer cache** keyed by the query's canonical text, holding
+//!   the rendered response, and stamped with the database's relation/cell
+//!   counts — relations are append-only, so count equality is a complete
+//!   freshness check — and kept fresh across ingests by merging the
+//!   appended tuples into each cached answer set in place;
 //! * **deterministic `STATS` counters** (hits, misses, evictions,
 //!   invalidations — never clocks), so cache behavior is scriptable and
 //!   CI-gateable.

@@ -21,7 +21,7 @@
 
 use lapush_engine::AnswerSet;
 use lapush_storage::Value;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, Read, Write};
 
 /// Version of the wire protocol implemented by this crate; reported by
@@ -234,16 +234,24 @@ pub fn err_response(code: ErrorCode, msg: &str) -> String {
     format!("ERR {code} {}", flat.trim())
 }
 
-/// Render one answer key the way the `lapush` CLI does: values joined by
-/// `", "`, the Boolean query's empty tuple as `(true)`.
+/// Render one answer key, on the wire and in the `lapush` CLI alike:
+/// values joined by `", "`, the Boolean query's empty tuple as `(true)`.
 pub fn render_key(key: &[Value]) -> String {
+    let mut out = String::new();
+    write_key(&mut out, key);
+    out
+}
+
+/// [`render_key`], appended to `out`.
+fn write_key(out: &mut String, key: &[Value]) {
     if key.is_empty() {
-        "(true)".to_string()
-    } else {
-        key.iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
+        out.push_str("(true)");
+    }
+    for (i, v) in key.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write!(out, "{v}").expect("writing to a String cannot fail");
     }
 }
 
@@ -253,13 +261,25 @@ pub fn render_key(key: &[Value]) -> String {
 /// Scores use Rust's shortest round-trip float formatting, so the wire
 /// text preserves the answer's exact `f64` bits — "bit-identical to
 /// direct evaluation" is checkable from the outside.
+///
+/// The rows are [`AnswerSet::ranked`]'s, in its order, but sorted as
+/// borrowed `(key, score)` pairs and written straight into one buffer:
+/// no key is cloned and no row or score gets a `String` of its own.
 pub fn render_answers(ans: &AnswerSet) -> String {
-    let mut out = format!("OK {} answers", ans.len());
-    for (key, score) in ans.ranked() {
+    let mut rows: Vec<(&[Value], f64)> = ans.rows.iter().map(|(k, &s)| (&**k, s)).collect();
+    rows.sort_unstable_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.0.cmp(b.0))
+    });
+    // ≈ 29 bytes a row on the TPC-H workload's 43 475-answer query; a
+    // short guess costs one reallocation, never a second pass.
+    let mut out = String::with_capacity(32 * (rows.len() + 1));
+    write!(out, "OK {} answers", rows.len()).expect("writing to a String cannot fail");
+    for (key, score) in rows {
         out.push('\n');
-        out.push_str(&render_key(&key));
-        out.push('\t');
-        out.push_str(&score.to_string());
+        write_key(&mut out, key);
+        write!(out, "\t{score}").expect("writing to a String cannot fail");
     }
     out
 }
@@ -372,5 +392,69 @@ mod tests {
         let resp = err_response(ErrorCode::Parse, "line 1\nline 2");
         assert_eq!(resp, "ERR PARSE line 1 line 2");
         assert_eq!(resp.lines().count(), 1);
+    }
+
+    /// The renderer before it wrote into one buffer: `ranked()`, then a
+    /// `String` per key, per value and per score.
+    fn render_answers_by_ranked(ans: &AnswerSet) -> String {
+        let mut out = format!("OK {} answers", ans.len());
+        for (key, score) in ans.ranked() {
+            out.push('\n');
+            if key.is_empty() {
+                out.push_str("(true)");
+            } else {
+                let vals: Vec<String> = key.iter().map(ToString::to_string).collect();
+                out.push_str(&vals.join(", "));
+            }
+            out.push('\t');
+            out.push_str(&score.to_string());
+        }
+        out
+    }
+
+    #[test]
+    fn one_buffer_render_writes_the_ranked_bytes() {
+        let set = |rows: Vec<(Vec<Value>, f64)>| AnswerSet {
+            vars: vec![],
+            rows: rows
+                .into_iter()
+                .map(|(k, s)| (k.into_boxed_slice(), s))
+                .collect(),
+        };
+        let cases = [
+            set(vec![]),
+            // Boolean query: the empty tuple.
+            set(vec![(vec![], 0.1 + 0.2)]),
+            // Int keys, tied scores broken by key, awkward float bits.
+            set(vec![
+                (vec![Value::Int(3)], 0.5),
+                (vec![Value::Int(-1)], 0.5),
+                (vec![Value::Int(2)], 1.0),
+                (vec![Value::Int(10)], 1e-7),
+                (vec![Value::Int(7)], 0.0),
+                (vec![Value::Int(4)], 0.30000000000000004),
+            ]),
+            // String keys, float-looking ones included, and mixed arity-2
+            // keys with tied scores.
+            set(vec![
+                (vec![Value::str("b")], 0.25),
+                (vec![Value::str("a")], 0.25),
+                (vec![Value::str("1.5")], 0.75),
+                (vec![Value::str("0.25")], 2.0 / 3.0),
+            ]),
+            set(vec![
+                (vec![Value::Int(1), Value::str("x")], 0.125),
+                (vec![Value::Int(1), Value::Int(2)], 0.125),
+                (vec![Value::str("y"), Value::Int(0)], 0.999),
+            ]),
+        ];
+        for ans in &cases {
+            assert_eq!(render_answers(ans), render_answers_by_ranked(ans));
+        }
+        assert_eq!(
+            render_answers(&cases[1]),
+            "OK 1 answers\n(true)\t0.30000000000000004"
+        );
+        assert_eq!(render_key(&[Value::Int(1), Value::str("x")]), "1, x");
     }
 }

@@ -8,8 +8,13 @@
 //! answer in place ([`AnswerCache::apply_deltas`]) — plus the
 //! [`PlanCache`] and [`AnswerCache`] behind mutexes held only for
 //! lookups/inserts/merges (and, for the plan cache, the query-level
-//! enumeration on a miss), never across plan *execution*. The lock order
-//! is always database before answer cache.
+//! enumeration on a miss), never across plan *execution* or response
+//! rendering. The lock order is always database before answer cache.
+//!
+//! The answer cache stores each entry's rendered response, so a hit
+//! writes stored bytes to the socket. A miss renders once and stores the
+//! body; `INGEST` renders nothing, and the first hit after an ingest that
+//! changed an entry's answers renders them again ([`AnswerCache::hit`]).
 //!
 //! Connections are `std::thread`-per-connection and detached: a
 //! connection thread exits when its client disconnects or sends `QUIT`.
@@ -221,29 +226,30 @@ fn serve_conn(stream: TcpStream, shared: &Shared) {
 }
 
 /// Dispatch one request body; returns the response body and whether the
-/// connection should close.
-fn handle_request(shared: &Shared, body: &str) -> (String, bool) {
+/// connection should close. A `QUERY` / `TOPK` body is shared with the
+/// answer cache, so a hit is written without a copy.
+fn handle_request(shared: &Shared, body: &str) -> (Arc<str>, bool) {
     let request = match parse_request(body) {
         Ok(r) => r,
-        Err((code, msg)) => return (err_response(code, &msg), false),
+        Err((code, msg)) => return (err_response(code, &msg).into(), false),
     };
     match request {
         Request::Ping => ("OK pong".into(), false),
         Request::Quit => ("OK bye".into(), true),
-        Request::Stats => (render_stats(shared), false),
+        Request::Stats => (render_stats(shared).into(), false),
         Request::Query { text } => (run_query(shared, &text), false),
         Request::Topk { k, text } => (run_topk(shared, k, &text), false),
-        Request::Ingest { relation, rows } => (run_ingest(shared, &relation, &rows), false),
+        Request::Ingest { relation, rows } => (run_ingest(shared, &relation, &rows).into(), false),
     }
 }
 
 /// `QUERY`: propagation score under Optimizations 1+2, served from the
 /// answer cache when the database hasn't grown since, with plans from
 /// the shape-keyed plan cache.
-fn run_query(shared: &Shared, text: &str) -> String {
+fn run_query(shared: &Shared, text: &str) -> Arc<str> {
     let q = match parse_query(text) {
         Ok(q) => q,
-        Err(e) => return err_response(ErrorCode::Parse, &e.to_string()),
+        Err(e) => return err_response(ErrorCode::Parse, &e.to_string()).into(),
     };
     // Canonical text: parse-then-display normalizes whitespace, so
     // differently-spaced spellings of one query share a cache entry.
@@ -254,14 +260,9 @@ fn run_query(shared: &Shared, text: &str) -> String {
     // is. Readers don't block each other; queries still run concurrently.
     let db = shared.db.read().unwrap_or_else(|e| e.into_inner());
     let stamp = DbStamp::of(&db);
-    if let Some(ans) = shared
-        .answers
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .lookup(&key, stamp)
-    {
+    if let Some(body) = AnswerCache::hit(&shared.answers, &key, stamp) {
         shared.queries_served.fetch_add(1, Ordering::SeqCst);
-        return render_answers(&ans);
+        return body;
     }
 
     let schema = SchemaInfo::from_query(&q);
@@ -287,9 +288,9 @@ fn run_query(shared: &Shared, text: &str) -> String {
     let eval =
         match IncrementalEval::new(&db, &q, &plan.store, std::slice::from_ref(&plan.root), exec) {
             Ok(eval) => eval,
-            Err(e) => return err_response(ErrorCode::Exec, &e.to_string()),
+            Err(e) => return err_response(ErrorCode::Exec, &e.to_string()).into(),
         };
-    let ans = eval.shared_answers();
+    let body: Arc<str> = render_answers(eval.answers()).into();
     shared
         .answers
         .lock()
@@ -297,7 +298,7 @@ fn run_query(shared: &Shared, text: &str) -> String {
         .insert(
             key,
             stamp,
-            ans.clone(),
+            body.clone(),
             Some(CachedState {
                 query: q,
                 plan,
@@ -305,7 +306,7 @@ fn run_query(shared: &Shared, text: &str) -> String {
             }),
         );
     shared.queries_served.fetch_add(1, Ordering::SeqCst);
-    render_answers(&ans)
+    body
 }
 
 /// `TOPK`: the `k` best answers by propagation score, evaluated over the
@@ -315,26 +316,22 @@ fn run_query(shared: &Shared, text: &str) -> String {
 /// `OptLevel::MultiPlan` ranking — not always of `QUERY`, whose single
 /// plan can score below multi-plan ρ (ROADMAP.md, item 15). Results
 /// are answer-cached under a `TOPK <k> `-prefixed key, but **without**
-/// incremental state: a pruned evaluation has no full per-node views to
-/// maintain, so the next `INGEST` drops the entry — recorded in
-/// `delta.fallbacks` — and the next `TOPK` re-evaluates from scratch.
-fn run_topk(shared: &Shared, k: usize, text: &str) -> String {
+/// incremental state — the entry is its rendered response only: a pruned
+/// evaluation has no full per-node views to maintain, so the next
+/// `INGEST` drops the entry — recorded in `delta.fallbacks` — and the
+/// next `TOPK` re-evaluates from scratch.
+fn run_topk(shared: &Shared, k: usize, text: &str) -> Arc<str> {
     let q = match parse_query(text) {
         Ok(q) => q,
-        Err(e) => return err_response(ErrorCode::Parse, &e.to_string()),
+        Err(e) => return err_response(ErrorCode::Parse, &e.to_string()).into(),
     };
     let key = format!("TOPK {k} {}", q.display());
 
     let db = shared.db.read().unwrap_or_else(|e| e.into_inner());
     let stamp = DbStamp::of(&db);
-    if let Some(ans) = shared
-        .answers
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .lookup(&key, stamp)
-    {
+    if let Some(body) = AnswerCache::hit(&shared.answers, &key, stamp) {
         shared.queries_served.fetch_add(1, Ordering::SeqCst);
-        return render_answers(&ans);
+        return body;
     }
 
     // The plan cache holds single-plan entries (Optimizations 1+2); the
@@ -349,7 +346,7 @@ fn run_topk(shared: &Shared, k: usize, text: &str) -> String {
     };
     let res = match propagation_score_topk(&db, &q, &set.store, &set.roots, k, exec) {
         Ok(r) => r,
-        Err(e) => return err_response(ErrorCode::Exec, &e.to_string()),
+        Err(e) => return err_response(ErrorCode::Exec, &e.to_string()).into(),
     };
     shared
         .topk_evaluated
@@ -357,24 +354,26 @@ fn run_topk(shared: &Shared, k: usize, text: &str) -> String {
     shared
         .topk_pruned
         .fetch_add(res.stats.pruned, Ordering::SeqCst);
-    let ans = Arc::new(AnswerSet {
+    let body: Arc<str> = render_answers(&AnswerSet {
         vars: q.head().to_vec(),
         rows: res.ranked.into_iter().collect(),
-    });
+    })
+    .into();
     shared
         .answers
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .insert(key, stamp, ans.clone(), None);
+        .insert(key, stamp, body.clone(), None);
     shared.queries_served.fetch_add(1, Ordering::SeqCst);
-    render_answers(&ans)
+    body
 }
 
 /// `INGEST`: append CSV rows (last column = probability) to a relation,
 /// creating it when new, then merge the appended tuples into every cached
 /// answer in place ([`AnswerCache::apply_deltas`]) while still holding
 /// the database write lock — surviving entries come out re-stamped fresh,
-/// so interleaved queries keep hitting the cache. Entries the delta
+/// so interleaved queries keep hitting the cache. Nothing is rendered
+/// here: an entry whose answers changed is rendered by its next hit. Entries the delta
 /// algebra cannot maintain (an in-place probability raise from a
 /// duplicate insert) are dropped and recomputed on their next lookup. A
 /// batch is atomic: it is validated as a whole against the relation it

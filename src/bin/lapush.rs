@@ -63,7 +63,7 @@
 #![forbid(unsafe_code)]
 
 use lapushdb::prelude::*;
-use lapushdb::serve::{Client, Server, ServerConfig};
+use lapushdb::serve::{render_key, Client, Server, ServerConfig};
 use lapushdb::storage::{database_from_dir, CsvOptions};
 use lapushdb::{
     benchsuite, bound_answers, exact_answers, mc_answers, rank_by_dissociation, RankOptions,
@@ -367,17 +367,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         other => return Err(format!("unknown --method `{other}`").into()),
     }
     Ok(())
-}
-
-fn render_key(key: &[Value]) -> String {
-    if key.is_empty() {
-        "(true)".to_string()
-    } else {
-        key.iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
 }
 
 fn print_answers(ans: &AnswerSet, lower: Option<&AnswerSet>) {

@@ -128,39 +128,39 @@ fn ingest_between_repeated_queries_merges_deltas_in_place() {
     // Ingest must change the answers (a fresh x=5 chain with p=1 tuples
     // scores 0.5 through S and outranks every existing answer). Each
     // append is merged into the cached answer in place: the first two
-    // complete no new chain (Unchanged), the T tuple finishes one.
-    let resp = client.request("INGEST R\n5,1.0").unwrap();
-    assert_eq!(resp, "OK ingested 1 tuples into R (total 5)");
-    client.request("INGEST S\n5,5,0.5").unwrap();
-    client.request("INGEST T\n5,1.0").unwrap();
-
-    let after = client.request(query).unwrap();
-    assert_ne!(after, before, "ingest must update the cached answer");
+    // complete no new chain (Unchanged, so the stored response stays),
+    // the T tuple finishes one (Updated, so the next hit renders anew).
+    // A query after every ingest must read the mirrored database.
     let mut grown = db.clone();
-    grown
-        .relation_mut(0)
-        .push(Box::new([Value::Int(5)]), 1.0)
-        .unwrap();
-    grown
-        .relation_mut(1)
-        .push(Box::new([Value::Int(5), Value::Int(5)]), 0.5)
-        .unwrap();
-    grown
-        .relation_mut(2)
-        .push(Box::new([Value::Int(5)]), 1.0)
-        .unwrap();
-    assert_eq!(
-        after,
-        expected_response(&grown, "q(x) :- R(x), S(x, y), T(y)")
-    );
+    let mut after = String::new();
+    for (name, rel, row, p) in [
+        ("R", 0, vec![5], 1.0),
+        ("S", 1, vec![5, 5], 0.5),
+        ("T", 2, vec![5], 1.0),
+    ] {
+        let csv: Vec<String> = row.iter().map(ToString::to_string).collect();
+        let resp = client
+            .request(&format!("INGEST {name}\n{},{p:?}", csv.join(",")))
+            .unwrap();
+        assert!(resp.starts_with(&format!("OK ingested 1 tuples into {name} ")));
+        let row = row.into_iter().map(Value::Int).collect();
+        grown.relation_mut(rel).push(row, p).unwrap();
+        after = client.request(query).unwrap();
+        assert_eq!(
+            after,
+            expected_response(&grown, "q(x) :- R(x), S(x, y), T(y)"),
+            "after INGEST {name}"
+        );
+    }
+    assert_ne!(after, before, "ingest must update the cached answer");
 
     let stats = client.request("STATS").unwrap();
     // Nothing was invalidated: all three ingests were absorbed by the
-    // delta path, so the post-ingest re-query was an answer-cache *hit*
-    // (2 hits total with the earlier repeat) and the plan cache was never
+    // delta path, so every post-ingest query was an answer-cache *hit*
+    // (4 hits total with the earlier repeat) and the plan cache was never
     // consulted again.
     assert_eq!(stat(&stats, "answer_cache.invalidations"), Some(0));
-    assert_eq!(stat(&stats, "answer_cache.hits"), Some(2));
+    assert_eq!(stat(&stats, "answer_cache.hits"), Some(4));
     assert_eq!(stat(&stats, "answer_cache.misses"), Some(1));
     assert_eq!(stat(&stats, "plan_cache.misses"), Some(1));
     assert_eq!(stat(&stats, "plan_cache.hits"), Some(0));
