@@ -165,16 +165,26 @@ impl AnswerSet {
     /// Answers sorted by descending score, ties broken by tuple value for
     /// determinism.
     ///
-    /// Sorts borrowed entries and clones each key once, on output; the
-    /// (score, key) order is total, so the unstable sort is deterministic.
+    /// [`AnswerSet::ranked_refs`] with each key cloned once, on output.
     pub fn ranked(&self) -> Vec<(Box<[Value]>, f64)> {
-        let mut v: Vec<(&Box<[Value]>, f64)> = self.rows.iter().map(|(k, &s)| (k, s)).collect();
+        self.ranked_refs()
+            .into_iter()
+            .map(|(k, s)| (Box::from(k), s))
+            .collect()
+    }
+
+    /// The rank order of [`AnswerSet::ranked`] over borrowed keys, for
+    /// callers that only read them (the wire renderer): no key is cloned.
+    /// The (score, key) order is total, so the unstable sort is
+    /// deterministic.
+    pub fn ranked_refs(&self) -> Vec<(&[Value], f64)> {
+        let mut v: Vec<(&[Value], f64)> = self.rows.iter().map(|(k, &s)| (&**k, s)).collect();
         v.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.0.cmp(b.0))
         });
-        v.into_iter().map(|(k, s)| (k.clone(), s)).collect()
+        v
     }
 
     /// The top `k` of [`AnswerSet::ranked`] without sorting — or cloning —

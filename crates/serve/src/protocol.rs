@@ -262,16 +262,11 @@ fn write_key(out: &mut String, key: &[Value]) {
 /// text preserves the answer's exact `f64` bits — "bit-identical to
 /// direct evaluation" is checkable from the outside.
 ///
-/// The rows are [`AnswerSet::ranked`]'s, in its order, but sorted as
-/// borrowed `(key, score)` pairs and written straight into one buffer:
-/// no key is cloned and no row or score gets a `String` of its own.
+/// The rows are [`AnswerSet::ranked_refs`]', written straight into one
+/// buffer: no key is cloned and no row or score gets a `String` of its
+/// own.
 pub fn render_answers(ans: &AnswerSet) -> String {
-    let mut rows: Vec<(&[Value], f64)> = ans.rows.iter().map(|(k, &s)| (&**k, s)).collect();
-    rows.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(b.0))
-    });
+    let rows = ans.ranked_refs();
     // ≈ 29 bytes a row on the TPC-H workload's 43 475-answer query; a
     // short guess costs one reallocation, never a second pass.
     let mut out = String::with_capacity(32 * (rows.len() + 1));

@@ -142,9 +142,15 @@ fn ingest_between_repeated_queries_merges_deltas_in_place() {
         let resp = client
             .request(&format!("INGEST {name}\n{},{p:?}", csv.join(",")))
             .unwrap();
-        assert!(resp.starts_with(&format!("OK ingested 1 tuples into {name} ")));
         let row = row.into_iter().map(Value::Int).collect();
         grown.relation_mut(rel).push(row, p).unwrap();
+        assert_eq!(
+            resp,
+            format!(
+                "OK ingested 1 tuples into {name} (total {})",
+                grown.relation(rel).len()
+            )
+        );
         after = client.request(query).unwrap();
         assert_eq!(
             after,
