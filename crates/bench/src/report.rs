@@ -60,12 +60,6 @@ impl Metric {
         self.checksum = Some(checksum.into());
         self
     }
-
-    /// Attach a scalar result.
-    pub fn with_value(mut self, value: f64) -> Metric {
-        self.value = Some(value);
-        self
-    }
 }
 
 /// Everything `BENCH_<target>.json` carries.
@@ -193,7 +187,7 @@ mod tests {
         r.push(Metric::value("map_at_10", 0.998));
         r.push(Metric::checksum("answers", "00ff00ff00ff00ff"));
         r.push(Metric::value("opt12_n100", 35.0).with_checksum("0123456789abcdef"));
-        r.push(Metric::checksum("both", "fedcba9876543210").with_value(-0.1));
+        r.push(Metric::value("both", -0.1).with_checksum("fedcba9876543210"));
         assert_eq!(r.file_name(), "BENCH_fig_test.json");
         assert_eq!(
             r.render(),

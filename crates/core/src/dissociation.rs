@@ -11,7 +11,7 @@
 //! and the *naive* minimal-safe-dissociation algorithm used as a test oracle
 //! for Algorithm 1 (`crate::enumerate`).
 
-use lapush_query::{is_hierarchical, QueryShape, VarFd, VarSet};
+use lapush_query::{is_hierarchical, QueryShape, VarSet};
 
 /// A dissociation: one added-variable set per atom.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,41 +32,6 @@ impl Dissociation {
     /// Pointwise-subset partial order `Δ ⪯ Δ′` (Definition 15).
     pub fn leq(&self, other: &Dissociation) -> bool {
         self.0.iter().zip(&other.0).all(|(a, b)| a.is_subset(*b))
-    }
-
-    /// The probabilistic preorder `⪯_p` (Section 3.3.1): compare only on
-    /// probabilistic atoms — dissociating a deterministic relation does not
-    /// change the probability (Lemma 22).
-    pub fn leq_p(&self, other: &Dissociation, probabilistic: &[bool]) -> bool {
-        self.0
-            .iter()
-            .zip(&other.0)
-            .zip(probabilistic)
-            .all(|((a, b), &p)| !p || a.is_subset(*b))
-    }
-
-    /// The FD-refined preorder `⪯_p′` (Section 3.3.2): variables inside the
-    /// FD-closure of an atom are ignored — dissociating on them does not
-    /// change the probability (Lemma 25).
-    pub fn leq_p_fd(
-        &self,
-        other: &Dissociation,
-        probabilistic: &[bool],
-        shape: &QueryShape,
-        fds: &[VarFd],
-    ) -> bool {
-        self.0
-            .iter()
-            .zip(&other.0)
-            .zip(probabilistic)
-            .enumerate()
-            .all(|(i, ((a, b), &p))| {
-                if !p {
-                    return true;
-                }
-                let closure = lapush_query::var_closure(shape.atom_vars[i], fds);
-                a.minus(closure).is_subset(b.minus(closure))
-            })
     }
 
     /// Is this dissociation safe on the given shape (i.e. is `q^Δ`
@@ -256,47 +221,6 @@ mod tests {
         let (_, s) = shape_of("q :- R(x), S(x, y)");
         let mins = naive_minimal_safe_dissociations(&s, 10).unwrap();
         assert_eq!(mins, vec![Dissociation::bottom(2)]);
-    }
-
-    #[test]
-    fn preorder_with_deterministic_relations() {
-        // q :- R(x), S(x,y), T^d(y) (Example 23): Δ2 (T gains x) ⪯_p Δ1
-        // (R gains y) because T is deterministic, but not under plain ⪯.
-        let q = parse_query("q :- R(x), S(x, y), T^d(y)").unwrap();
-        let s = lapush_query::QueryShape::of_query(&q);
-        let x = q.var_by_name("x").unwrap();
-        let y = q.var_by_name("y").unwrap();
-        let d1 = Dissociation(vec![VarSet::single(y), VarSet::EMPTY, VarSet::EMPTY]);
-        let d2 = Dissociation(vec![VarSet::EMPTY, VarSet::EMPTY, VarSet::single(x)]);
-        assert!(!d2.leq(&d1));
-        assert!(d2.leq_p(&d1, &s.probabilistic));
-        assert!(!d1.leq_p(&d2, &s.probabilistic));
-        // Δ2 ≡_p Δ0.
-        let d0 = Dissociation::bottom(3);
-        assert!(d2.leq_p(&d0, &s.probabilistic));
-        assert!(d0.leq_p(&d2, &s.probabilistic));
-    }
-
-    #[test]
-    fn fd_preorder_ignores_closure_vars() {
-        // q :- R(x), S(x,y), T(y) with FD x→y on S: dissociating R on y is
-        // within R's closure {x}+ = {x,y}… R's vars are {x}; closure adds y.
-        let q = parse_query("q :- R(x), S(x, y), T(y)").unwrap();
-        let s = lapush_query::QueryShape::of_query(&q);
-        let x = q.var_by_name("x").unwrap();
-        let y = q.var_by_name("y").unwrap();
-        let fds = vec![VarFd {
-            lhs: VarSet::single(x),
-            rhs: VarSet::single(y),
-        }];
-        let d0 = Dissociation::bottom(3);
-        let d_r = Dissociation(vec![VarSet::single(y), VarSet::EMPTY, VarSet::EMPTY]);
-        // R ∪ {y} is inside R's closure → equivalent to bottom under ⪯_p'.
-        assert!(d_r.leq_p_fd(&d0, &s.probabilistic, &s, &fds));
-        assert!(d0.leq_p_fd(&d_r, &s.probabilistic, &s, &fds));
-        // T gains x: x is NOT in T's closure ({y}+ = {y}) → not equivalent.
-        let d_t = Dissociation(vec![VarSet::EMPTY, VarSet::EMPTY, VarSet::single(x)]);
-        assert!(!d_t.leq_p_fd(&d0, &s.probabilistic, &s, &fds));
     }
 
     #[test]

@@ -19,14 +19,6 @@ pub struct SchemaInfo {
 }
 
 impl SchemaInfo {
-    /// No schema knowledge: every atom probabilistic, no FDs.
-    pub fn all_probabilistic(q: &Query) -> Self {
-        SchemaInfo {
-            probabilistic: vec![true; q.atoms().len()],
-            fds: Vec::new(),
-        }
-    }
-
     /// Take determinism markers (`R^d`) from the query text; no FDs.
     pub fn from_query(q: &Query) -> Self {
         SchemaInfo {
@@ -80,13 +72,6 @@ mod tests {
         let s = SchemaInfo::from_query(&q);
         assert_eq!(s.probabilistic, vec![true, true, false]);
         assert!(s.fds.is_empty());
-    }
-
-    #[test]
-    fn all_probabilistic_ignores_markers() {
-        let q = parse_query("q :- R(x), T^d(y)").unwrap();
-        let s = SchemaInfo::all_probabilistic(&q);
-        assert_eq!(s.probabilistic, vec![true, true]);
     }
 
     #[test]

@@ -26,13 +26,14 @@
 //!   refreshed view. In-place probability mutations are excluded up front
 //!   (see *Fallback rules*).
 //! * **Join** — a join output row determines its contributing input pair,
-//!   and scores multiply ([`join_par`] computes `ls · rs`; IEEE
-//!   multiplication is commutative bitwise), so the delta of one fold step
-//!   `acc ⋈ in` is `(Δacc ⋈ in') ∪ (acc' ⋈ Δin)` over the *updated*
-//!   operands — both terms agree bitwise where they overlap. The fold
-//!   order ([`join_order`]) is a function of the inputs' variables, so
-//!   the captured per-step accumulators line up with it for the view's
-//!   whole life.
+//!   and scores multiply (the join kernel, `rel::join_project` with every
+//!   column kept, copies `ls · rs` unfolded; IEEE multiplication is
+//!   commutative bitwise), so the delta of one fold step `acc ⋈ in` is
+//!   `(Δacc ⋈ in') ∪ (acc' ⋈ Δin)` over the *updated* operands — both
+//!   terms agree bitwise where they overlap, and each is one call of the
+//!   kernel the batch fold steps through. The fold order ([`join_order`])
+//!   is a function of the inputs' variables, so the captured per-step
+//!   accumulators line up with it for the view's whole life.
 //! * **Project** — a *touched group* is a distinct group key of the
 //!   child's delta, and each one refolds from all of its operands in the
 //!   updated child view: one contiguous run ([`Rel::prefix_run`]) when the
@@ -64,7 +65,7 @@ use crate::exec::{
 };
 use crate::kernels;
 use crate::prepare::{prepare_atoms, ScanShape};
-use crate::rel::{join_order, join_par, merge_upsert, min_into_par, Par, Rel, Scratch};
+use crate::rel::{join_order, join_project, merge_upsert, min_into_par, Par, Rel, Scratch};
 use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, Var};
 use lapush_storage::{Database, DeltaBatch, FxHashMap, RelId, Vid};
@@ -303,16 +304,19 @@ impl IncrementalEval {
                             1 => refs[order[0]],
                             _ => &mids[s - 2],
                         };
+                        // One step of the batch fold: the kernel with
+                        // every column kept.
+                        let mut join = |a: &Rel, b: &Rel| join_project(a, b, None, &mut scratch);
                         let step = match (acc_delta.as_ref(), d_in) {
                             (None, None) => None,
-                            (Some(da), None) => nonempty(join_par(da, in_new, par, &mut scratch)),
-                            (None, Some(di)) => nonempty(join_par(a_new, di, par, &mut scratch)),
+                            (Some(da), None) => nonempty(join(da, in_new)),
+                            (None, Some(di)) => nonempty(join(a_new, di)),
                             (Some(da), Some(di)) => {
                                 // Both terms compute any shared key from
                                 // updated operands, so the upsert order
                                 // cannot matter.
-                                let t1 = join_par(da, in_new, par, &mut scratch);
-                                let t2 = join_par(a_new, di, par, &mut scratch);
+                                let t1 = join(da, in_new);
+                                let t2 = join(a_new, di);
                                 nonempty(merge_upsert(&t2, &t1))
                             }
                         };

@@ -20,18 +20,18 @@
 //! query's variable names (`scan_view`), joined through key orders the view
 //! sorts once for all of them.
 //!
-//! Evaluation is optionally parallel ([`ExecOptions::threads`]): operators
-//! partition large batches into key-range morsels run as pool tasks (a
-//! projection fused with the join below it runs serially), and
-//! [`propagation_score_ids`] additionally parallelizes its embarrassingly
-//! parallel outer loop — the minimal-plan roots — after a serial pre-pass
-//! has evaluated every memo-shared subplan once. Results are bit-identical
-//! at every thread count; `threads: 1` (the default) never touches the pool.
+//! Evaluation is optionally parallel ([`ExecOptions::threads`]): sorts,
+//! projections and `min` partition large batches into key-range morsels
+//! run as pool tasks (joins run serially), and [`propagation_score_ids`]
+//! additionally parallelizes its embarrassingly parallel outer loop — the
+//! minimal-plan roots — after a serial pre-pass has evaluated every
+//! memo-shared subplan once. Results are bit-identical at every thread
+//! count; `threads: 1` (the default) never touches the pool.
 
 use crate::prepare::{prepare_atoms, PrepareError, PreparedAtom, ScanShape};
 use crate::rel::{
-    canonicalize_columns, join_fold, join_fold_project, merge_sorted, min_combine_par,
-    min_into_par, project_fold, Par, ProjFold, Rel, Scratch,
+    canonicalize_columns, join_fold, merge_sorted, min_combine_par, min_into_par, project_fold,
+    Par, ProjFold, Rel, Scratch,
 };
 use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, QueryShape, Var};
@@ -62,7 +62,8 @@ pub struct ExecOptions {
     /// whose equal subquery keys denote equal subplans).
     pub reuse_views: bool,
     /// Morsel-parallelism budget: maximum threads one parallel step of an
-    /// evaluation may run on ([`crate::pool`]). `1` — the default — is
+    /// evaluation (a sort, projection or `min`, or the root loop; joins run
+    /// serially) may run on ([`crate::pool`]). `1` — the default — is
     /// fully serial and never touches the pool. Any value produces
     /// bit-identical results; see [`crate::rel`].
     pub threads: usize,
@@ -305,9 +306,12 @@ pub(crate) type ShRel = Arc<Rel>;
 /// * **capture** ([`Evaluator::capture_joins`]) — keeps each join's
 ///   intermediate accumulators for the incremental evaluator.
 ///
-/// A projection directly over a join computes both in one operator
-/// ([`join_fold_project`]), so the join's result never exists — except
-/// under capture, which keeps every join's view.
+/// Every join runs through one pairwise fold ([`join_fold`]) of one
+/// kernel ([`crate::rel::join_project`]): a Join node keeps every column
+/// and copies each row's product, and a projection directly over a join
+/// is the same fold whose last step takes the projection's keep list, so
+/// the join's result never exists — except under capture, which keeps
+/// every join's view.
 pub(crate) struct Evaluator<'a> {
     pub(crate) db: &'a Database,
     pub(crate) q: &'a Query,
@@ -461,7 +465,7 @@ impl<'a> Evaluator<'a> {
                         let children = self.nodes(inputs, restricted);
                         let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
                         self.fused_steps += 1;
-                        join_fold_project(&refs, &keep, fold, self.par, &mut self.scratch)
+                        join_fold(&refs, Some((&keep, fold)), None, &mut self.scratch)
                     }
                     _ => {
                         let child = self.node(*input, restricted);
@@ -472,8 +476,9 @@ impl<'a> Evaluator<'a> {
             NodeKind::Join { inputs } => {
                 let children = self.nodes(inputs, restricted);
                 let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
-                let (par, scratch) = (self.par, &mut self.scratch);
-                let (rel, mids) = join_fold(&refs, self.joins.is_some(), par, scratch);
+                let mut mids = Vec::new();
+                let keep_mids = self.joins.is_some().then_some(&mut mids);
+                let rel = join_fold(&refs, None, keep_mids, &mut self.scratch);
                 if let Some(joins) = &mut self.joins {
                     joins.insert(id, mids);
                 }
@@ -892,8 +897,10 @@ fn shared_subplans(store: &PlanStore, roots: &[PlanId]) -> Vec<PlanId> {
 
 /// The "standard SQL" baseline: evaluate the query under set semantics —
 /// one flat join of every atom followed by a distinct projection onto the
-/// head, no probabilistic arithmetic at all — with a morsel-parallelism
-/// budget of `threads` (results are identical at every thread count).
+/// head, no probabilistic arithmetic at all. The join folds pairwise and
+/// its last step projects, like every projection over a join. `threads`
+/// is the morsel budget of the scans' sorts; joins run serially, and the
+/// results are identical at every thread count.
 pub fn deterministic_answers(
     db: &Database,
     q: &Query,
@@ -1243,6 +1250,44 @@ pub(crate) mod tests {
         for (key, &score) in &full.rows {
             assert_eq!(inc.answers().score_of(key).to_bits(), score.to_bits());
         }
+
+        // A star around x: its plans join three inputs under one
+        // projection, two pairwise steps of which the last is fused — so
+        // again no join reaches the memo outside a capture, and a capture
+        // keeps them.
+        let q = parse_query("q :- R(x), S1(x, y1), S2(x, y2)").unwrap();
+        let mut db = Database::new();
+        for (name, arity) in [("R", 1), ("S1", 2), ("S2", 2)] {
+            let rel = db.create_relation(name, arity).unwrap();
+            for j in 0..60i64 {
+                let p = ((j * 37 + arity as i64) % 99 + 1) as f64 / 100.0;
+                let row: Vec<i64> = (0..arity as i64).map(|c| (j * (c + 3)) % 7).collect();
+                db.relation_mut(rel).push(tuple(row), p).unwrap();
+            }
+        }
+        let PlanSet { store, roots } = plan_set(&q);
+        let is_join = |id: &PlanId| matches!(store.node(*id).kind, NodeKind::Join { .. });
+        let joins: Vec<PlanId> = store
+            .reachable(&roots)
+            .into_iter()
+            .filter(is_join)
+            .collect();
+        let arity = |id: &PlanId| store.node(*id).kind.inputs().len();
+        assert!(joins.iter().any(|id| arity(id) == 3), "no 3-ary join");
+        let (mut ev, order, _) = start_plan_set(&db, &q, &store, &roots, opts, false).unwrap();
+        for &root in &order[1..] {
+            ev.eval(root);
+        }
+        assert!(
+            !ev.memo.keys().any(is_join),
+            "a star's join was materialized"
+        );
+        assert_eq!(ev.fused_steps, joins.len() as u64);
+        let inc = crate::IncrementalEval::new(&db, &q, &store, &roots, opts).unwrap();
+        assert!(joins.iter().all(|&id| inc.captured_join(id)));
+        let full = propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
+        let score = inc.answers().boolean_score();
+        assert_eq!(score.to_bits(), full.boolean_score().to_bits());
     }
 
     #[test]

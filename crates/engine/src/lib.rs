@@ -34,10 +34,11 @@
 //! intermediate [`Rel`] is a **sorted columnar batch** — one dense vid
 //! vector per variable plus a score column, rows kept in canonical
 //! lexicographic order — and all operators are sort/merge algorithms:
-//! merge joins on shared-variable keys, grouped-scan projections over
-//! runs of equal group keys (a projection directly over a join folds the
-//! join's merge output itself, so that join result is never
-//! materialized), pointwise sorted merges for `min`, and merge-based
+//! one merge-join kernel on shared-variable keys, folded pairwise for
+//! every join (a plain join keeps every column; a projection directly
+//! over a join folds the join's merge output itself, so that join result
+//! is never materialized), grouped-scan projections over runs of equal
+//! group keys, pointwise sorted merges for `min`, and merge-based
 //! semi-join membership. A join reads an input whose key is
 //! not a column prefix through that relation's *key order*, which the
 //! relation builds on first use and keeps: nothing is sorted twice per
@@ -54,9 +55,9 @@
 //! ## Morsel parallelism
 //!
 //! Execution is optionally parallel ([`exec::ExecOptions::threads`],
-//! default 1 = strictly serial): operators partition large batches into
-//! key-range morsels run as scoped tasks ([`pool`]) — all but the fused
-//! join-projection, which runs serially — and
+//! default 1 = strictly serial): sorts, projections and `min` partition
+//! large batches into key-range morsels run as scoped tasks ([`pool`]) —
+//! joins, all through one serial kernel, do not — and
 //! [`propagation_score_ids`]'s outer loop over
 //! minimal-plan roots runs in parallel after a serial pre-pass
 //! has evaluated every memo-shared subplan once. Results are

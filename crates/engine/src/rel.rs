@@ -8,25 +8,29 @@
 //! order, duplicates eliminated. Every operator both consumes and restores
 //! that invariant, so the physical algebra is pure sort/merge:
 //!
-//! * **joins** merge the two inputs on their shared-variable key. An input
-//!   whose key is a column prefix is consumed in place; any other key needs
-//!   a *key order* — the row permutation sorting the relation by that key —
-//!   which the relation itself builds on first use and keeps
-//!   ([`Rel`]'s key orders), so nothing is sorted twice per evaluation:
-//!   every later join of that relation on that key, from any plan, merges
-//!   against the same order. The copy of a database base view
-//!   (`Rel::from_view` — every unfiltered scan) goes one step further and
-//!   reads the *view's* orders, sorted once per database state for every
-//!   query, top-k pass and cached answer that scans the relation,
+//! * **joins** — every join, with or without a projection over it — run
+//!   through one kernel, `join_project`, folded pairwise along
+//!   [`join_order`] (`join_fold`). The kernel merges its two inputs on
+//!   their shared-variable key. An input whose key is a column prefix is
+//!   consumed in place; any other key needs a *key order* — the row
+//!   permutation sorting the relation by that key — which the relation
+//!   itself builds on first use and keeps ([`Rel`]'s key orders), so
+//!   nothing is sorted twice per evaluation: every later join of that
+//!   relation on that key, from any plan, merges against the same order.
+//!   The copy of a database base view (`Rel::from_view` — every unfiltered
+//!   scan) goes one step further and reads the *view's* orders, sorted once
+//!   per database state for every query, top-k pass and cached answer that
+//!   scans the relation. The merge emits one sort key (the kept columns,
+//!   then the dropped ones) and the product score per matching pair, one
+//!   sort orders them, and each run of equal kept columns is one output
+//!   row: a plain join keeps every column, so a run is one join row and its
+//!   product is copied; a **projection directly over a join** folds the run
+//!   as a projection group — the join's result is never materialized, and
+//!   the bits are the two operators' bits (a group folds the same operand
+//!   set either way),
 //! * **projections** are grouped scans over key-sorted runs — independent-OR
 //!   (or 1 under deterministic semantics) over each run of equal group
 //!   keys, a lower-bound column by `max`, no hash upserts,
-//! * **a projection directly over a join** (`join_project`) is one
-//!   operator: the join's merge emits one packed key (kept columns, then
-//!   dropped ones) and the product score per matching pair, one sort orders
-//!   them, and each run of equal kept columns folds as a projection group —
-//!   the join's result is never materialized, and the bits are the two
-//!   operators' bits (a group folds the same operand set either way),
 //! * **`min`** is a pointwise merge of two sorted batches, in place on the
 //!   accumulator when the key sets coincide (they do for plans of one
 //!   query),
@@ -38,17 +42,15 @@
 //!
 //! # Morsel parallelism
 //!
-//! Every operator but the fused join-projection, which runs serially,
-//! takes a [`Par`] (pass [`Par::serial`] to stay on the calling thread):
-//! large batches are partitioned into contiguous morsels
-//! — by position for sorts and scans, by key range (never splitting a
-//! group or join block) for merges and folds — and the morsels run as
-//! scoped tasks ([`crate::pool::run_scope`]). Results are
-//! **bit-identical at every thread count**: morsel
-//! outputs are concatenated in partition order, a group's
-//! fold never straddles a morsel, and the sorted order is a total order
-//! (ties broken by row index), so the parallel plan computes literally the
-//! same floats as the serial one.
+//! Joins run serially. Every other operator takes a [`Par`] (pass
+//! [`Par::serial`] to stay on the calling thread): large batches are
+//! partitioned into contiguous morsels — by position for sorts and scans,
+//! by key range (never splitting a group) for projection folds — and the
+//! morsels run as scoped tasks ([`crate::pool::run_scope`]). Results are
+//! **bit-identical at every thread count**: morsel outputs are concatenated
+//! in partition order, a group's fold never straddles a morsel, and the
+//! sorted order is a total order (ties broken by row index), so the
+//! parallel plan computes literally the same floats as the serial one.
 //!
 //! Determinism note: a projection group's score is a function of its
 //! operand set — [`kernels::fold_or`] fixes the multiplication order
@@ -59,7 +61,6 @@
 use crate::kernels::{self, Key};
 use lapush_query::Var;
 use lapush_storage::{BaseView, Vid};
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// Operator-level parallelism budget.
@@ -128,8 +129,8 @@ pub struct Scratch {
     keys: Vec<Key>,
     /// Same, for the secondary (right/next) input.
     rkeys: Vec<Key>,
-    /// The packed output keys of a fused join-projection
-    /// ([`join_project`]), which reads its inputs through the two above.
+    /// The output sort keys of the join kernel ([`join_project`]), which
+    /// reads its inputs through the two above.
     pairs: Vec<Key>,
     /// Recycled per-run buffers for tie resolution of keys wider than four
     /// columns (one buffer per active recursion depth; see
@@ -163,7 +164,7 @@ pub struct Rel {
 /// The lazily built **key orders** of one canonical relation: per set of
 /// key columns a join has asked for, the permutation listing the rows in
 /// `(key columns, row index)` order — a total order, so the permutation is
-/// unique and does not depend on who built it, or on how many threads.
+/// unique and does not depend on who built it.
 ///
 /// * **Owned** by the relation, so every holder of a shared relation (the
 ///   evaluator's memo, its forks, the incremental evaluator's views) sees
@@ -172,9 +173,8 @@ pub struct Rel {
 ///   the view's rows, so it reads and fills the orders every other copy of
 ///   that view shares. Nothing is kept for a key that is a column prefix —
 ///   the canonical order is that key's order.
-/// * **Built** on the first join on that key, under the lock and with the
-///   joining caller's [`Par`] (a concurrent join on the same key waits and
-///   then shares the result; the sort's tasks never take the lock).
+/// * **Built** on the first join on that key, serially and under the lock
+///   (a concurrent join on the same key waits and then shares the result).
 /// * **Invalidated** by every mutator of the key columns (`push_row`,
 ///   `canonicalize`, the next-only rows of a `min`) — which also ends the
 ///   delegation to a view — never copied by `clone` (a clone is made to be
@@ -400,7 +400,6 @@ impl Rel {
     fn key_order<'s>(
         &self,
         key: &[usize],
-        par: Par,
         keys: &'s mut Vec<Key>,
         ties: &mut Vec<Vec<Key>>,
     ) -> RowOrder<'s> {
@@ -409,7 +408,7 @@ impl Rel {
         }
         let sort = |keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
             let cols: Vec<&[Vid]> = key.iter().map(|&c| self.col(c)).collect();
-            sort_rows(&cols, self.len(), false, par, keys, ties);
+            sort_rows(&cols, self.len(), false, Par::serial(), keys, ties);
         };
         if self.len() < MIN_SHARED_ORDER_ROWS {
             sort(keys, ties);
@@ -928,14 +927,13 @@ impl JoinCols {
 }
 
 /// One matching key block of a merge join: positions `l0..l1` of the left
-/// key order and `r0..r1` of the right one share a join key, and their
-/// cross product is output rows `out..` of the join.
+/// key order and `r0..r1` of the right one share a join key, and each pair
+/// of their cross product is one join row.
 struct Block {
     l0: usize,
     l1: usize,
     r0: usize,
     r1: usize,
-    out: usize,
 }
 
 /// The merge of every join: the matching key blocks of `l` and `r` in key
@@ -977,7 +975,6 @@ fn match_blocks(l: &KeyView<'_>, r: &KeyView<'_>) -> (Vec<Block>, usize) {
                     l1: i1,
                     r0: j,
                     r1: j1,
-                    out: m,
                 });
                 m += (i1 - i) * (j1 - j);
                 (i, lk, j, rk) = (i1, lnext, j1, rnext);
@@ -985,147 +982,6 @@ fn match_blocks(l: &KeyView<'_>, r: &KeyView<'_>) -> (Vec<Block>, usize) {
         }
     }
     (blocks, m)
-}
-
-/// Natural join of two intermediate relations; scores multiply
-/// (independent-AND). Joins on all shared variables; preserves left column
-/// order, then right-only columns.
-///
-/// A sort-merge join: each input is read in join-key order — free when the
-/// key is a column prefix (the canonical sort then already is key order),
-/// otherwise through the input's own key order ([`Rel`] sorts each key
-/// once and keeps it, so a relation joined by many plans is sorted by one
-/// of them) — matching key blocks are enumerated by a galloping merge
-/// (`match_blocks`; `O(small · log big)` steps when the sides are
-/// lopsided), and the cross product of each block pair is emitted. Large
-/// outputs are partitioned by key range (whole blocks, never splitting one)
-/// across pool tasks writing disjoint output ranges.
-///
-/// When both inputs carry a lower-bound column it multiplies through the
-/// same pass and rides the same output permutation; the scores are
-/// bit-identical either way.
-pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel {
-    left.assert_canonical();
-    right.assert_canonical();
-    let aux = left.lower_bounds().zip(right.lower_bounds());
-    let jc = JoinCols::of(left, right);
-    let (out_vars, right_only) = (jc.out_vars(left, right), &jc.right_only);
-    let Scratch {
-        keys, rkeys, ties, ..
-    } = &mut *scratch;
-    let lorder = left.key_order(&jc.lkey, par, keys, ties);
-    let rorder = right.key_order(&jc.rkey, par, rkeys, ties);
-    let (l, r) = (
-        KeyView::new(left, &jc.lkey, &lorder),
-        KeyView::new(right, &jc.rkey, &rorder),
-    );
-    let (blocks, m) = match_blocks(&l, &r);
-
-    // Materialize the output columns; morsels are contiguous block ranges.
-    let w_left = left.arity();
-    let mut out_cols: Vec<Vec<Vid>> = vec![vec![0; m]; out_vars.len()];
-    let mut out_scores: Vec<f64> = vec![0.0; m];
-    let mut out_aux: Vec<f64> = if aux.is_some() {
-        vec![0.0; m]
-    } else {
-        Vec::new()
-    };
-    let fill = |blocks: &[Block],
-                cols: &mut [&mut [Vid]],
-                scores: &mut [f64],
-                auxs: &mut [f64],
-                base: usize| {
-        for b in blocks {
-            let mut at = b.out - base;
-            for lpos in b.l0..b.l1 {
-                let lrow = l.row(lpos);
-                let ls = left.score(lrow);
-                for rpos in b.r0..b.r1 {
-                    let rrow = r.row(rpos);
-                    for (c, col) in cols.iter_mut().enumerate() {
-                        col[at] = if c < w_left {
-                            left.get(lrow, c)
-                        } else {
-                            right.get(rrow, right_only[c - w_left])
-                        };
-                    }
-                    scores[at] = ls * right.score(rrow);
-                    if let Some((la, ra)) = aux {
-                        auxs[at] = la[lrow] * ra[rrow];
-                    }
-                    at += 1;
-                }
-            }
-        }
-    };
-    let morsels = par.morsels(m).min(blocks.len().max(1));
-    if morsels <= 1 {
-        let mut col_slices: Vec<&mut [Vid]> =
-            out_cols.iter_mut().map(|c| c.as_mut_slice()).collect();
-        fill(&blocks, &mut col_slices, &mut out_scores, &mut out_aux, 0);
-    } else {
-        // Cut the block list so each morsel owns a near-equal share of the
-        // output rows; blocks stay whole, so writes are disjoint ranges.
-        let mut cuts: Vec<usize> = vec![0]; // indices into `blocks`
-        let per = m.div_ceil(morsels);
-        let mut next_target = per;
-        for (bi, b) in blocks.iter().enumerate().skip(1) {
-            if b.out >= next_target {
-                cuts.push(bi);
-                next_target = b.out + per;
-            }
-        }
-        cuts.push(blocks.len());
-        let mut col_rests: Vec<&mut [Vid]> =
-            out_cols.iter_mut().map(|c| c.as_mut_slice()).collect();
-        let mut score_rest: &mut [f64] = &mut out_scores;
-        let mut aux_rest: &mut [f64] = &mut out_aux;
-        let mut tasks = Vec::with_capacity(cuts.len());
-        for w in cuts.windows(2) {
-            let (b0, b1) = (w[0], w[1]);
-            if b0 == b1 {
-                continue;
-            }
-            let base = blocks[b0].out;
-            let end = blocks.get(b1).map_or(m, |b| b.out);
-            let take = end - base;
-            let mut outs: Vec<&mut [Vid]> = Vec::with_capacity(col_rests.len());
-            col_rests = col_rests
-                .into_iter()
-                .map(|r| {
-                    let (a, b) = r.split_at_mut(take);
-                    outs.push(a);
-                    b
-                })
-                .collect();
-            let (sc, tail) = score_rest.split_at_mut(take);
-            score_rest = tail;
-            // The aux buffer is empty when no aux columns ride along; the
-            // zero-length split keeps the task signature uniform.
-            let (ax, atail) = aux_rest.split_at_mut(if aux.is_some() { take } else { 0 });
-            aux_rest = atail;
-            let chunk = &blocks[b0..b1];
-            let fill = &fill;
-            tasks.push(move || {
-                let mut outs = outs;
-                fill(chunk, &mut outs, sc, ax, base);
-            });
-        }
-        crate::pool::run_scope(par.threads, tasks);
-    }
-
-    let mut out = Rel {
-        vars: out_vars,
-        cols: out_cols,
-        scores: out_scores,
-        lo: aux.map(|_| out_aux),
-        orders: KeyOrders::default(),
-    };
-    // Join rows are distinct (the key plus both rests determine the pair),
-    // but the emission order is (join key, left, right) — restore the
-    // canonical lexicographic order.
-    out.canonicalize(par, scratch);
-    out
 }
 
 /// Compare the key at sorted position `i` of the left order with the key at
@@ -1158,123 +1014,92 @@ fn block_cmp(
 }
 
 /// Join many relations (borrowed: the evaluator shares children through
-/// its memo and must not clone them to join). Children are folded pairwise
-/// along [`join_order`], which keeps the accumulated result connected
-/// (avoids cartesian products when possible).
-pub fn join_many_par(inputs: &[&Rel], par: Par, scratch: &mut Scratch) -> Rel {
-    join_fold(inputs, false, par, scratch).0
+/// its memo and must not clone them to join): `join_fold` with every
+/// column kept. Joins are serial, so `_par` is unused; the benchmark's
+/// layer harness still passes one, and ROADMAP item 1b removes it.
+pub fn join_many_par(inputs: &[&Rel], _par: Par, scratch: &mut Scratch) -> Rel {
+    join_fold(inputs, None, None, scratch)
 }
 
-/// The one multi-way join fold behind [`join_many_par`]. With `keep_mids`,
-/// every intermediate accumulator but the final one (the join's result)
-/// is returned too, in [`join_order`], instead of being dropped as the
-/// fold advances: the incremental evaluator replays the fold on deltas
-/// against them.
+/// The one multi-way join: `inputs` fold pairwise through [`join_project`]
+/// in [`join_order`]. Every step keeps every column but the last, which
+/// takes `proj` — so a projection over a join never materializes the
+/// join's result, and a plain join is the same fold with nothing dropped.
+/// With `mids`, every intermediate accumulator (each step's result but the
+/// last) is pushed there, in [`join_order`]: the incremental evaluator
+/// replays the fold on deltas against them.
 pub(crate) fn join_fold(
     inputs: &[&Rel],
-    keep_mids: bool,
-    par: Par,
-    scratch: &mut Scratch,
-) -> (Rel, Vec<Rel>) {
-    let order = join_order(inputs);
-    let mut mids: Vec<Rel> = Vec::new();
-    let mids_out = keep_mids.then_some(&mut mids);
-    let acc = join_in_order(inputs, &order, mids_out, par, scratch).into_owned();
-    (acc, mids)
-}
-
-/// `π_keep` over the join of `inputs`: [`join_fold`]'s pairwise steps in
-/// [`join_order`], the last one fused into the projection
-/// ([`join_project`]), so the join's result is never materialized.
-pub(crate) fn join_fold_project(
-    inputs: &[&Rel],
-    keep: &[Var],
-    fold: ProjFold,
-    par: Par,
+    proj: Option<(&[Var], ProjFold)>,
+    mut mids: Option<&mut Vec<Rel>>,
     scratch: &mut Scratch,
 ) -> Rel {
     let order = join_order(inputs);
-    let (&last, init) = order.split_last().expect("non-empty");
-    if init.is_empty() {
-        return project_fold(inputs[last], keep, fold, par, scratch);
-    }
-    let acc = join_in_order(inputs, init, None, par, scratch);
-    join_project(&acc, inputs[last], keep, fold, scratch)
-}
-
-/// Join `inputs` pairwise in `order` (non-empty), pushing every owned
-/// accumulator but the last to `mids` when given; one input is returned
-/// as is.
-fn join_in_order<'r>(
-    inputs: &[&'r Rel],
-    order: &[usize],
-    mut mids: Option<&mut Vec<Rel>>,
-    par: Par,
-    scratch: &mut Scratch,
-) -> Cow<'r, Rel> {
-    let mut acc = Cow::Borrowed(inputs[order[0]]);
-    for &ix in &order[1..] {
-        let next = Cow::Owned(join_par(&acc, inputs[ix], par, scratch));
-        if let (Cow::Owned(mid), Some(mids)) =
-            (std::mem::replace(&mut acc, next), mids.as_deref_mut())
-        {
+    let mut acc: Option<Rel> = None;
+    for (step, &ix) in order.iter().enumerate().skip(1) {
+        let step_proj = proj.filter(|_| step + 1 == order.len());
+        let left = acc.as_ref().unwrap_or(inputs[order[0]]);
+        let next = join_project(left, inputs[ix], step_proj, scratch);
+        if let (Some(mid), Some(mids)) = (acc.replace(next), mids.as_deref_mut()) {
             mids.push(mid);
         }
     }
-    acc
+    // A join of one input is the input (the plan store never builds one).
+    acc.unwrap_or_else(|| match proj {
+        None => inputs[0].clone(),
+        Some((keep, fold)) => project_fold(inputs[0], keep, fold, Par::serial(), scratch),
+    })
 }
 
-/// `π_keep(left ⋈ right)` in one merge, one sort and one fold, bit-identical
-/// to `project_fold(&join_par(left, right, ..), keep, fold, ..)`.
+/// The one join kernel: `left ⋈ right` — or, with `proj` =
+/// `Some((keep, fold))`, `π_keep(left ⋈ right)` — in one merge, one sort
+/// and one pass over the sorted runs. Scores multiply (independent-AND);
+/// a lower-bound column, when both inputs carry one, multiplies in the
+/// same pass. The output columns are `left`'s variables, then `right`'s
+/// new ones — or `keep`, in `keep` order.
 ///
-/// The merge walks the join's matching key blocks ([`match_blocks`]) and
-/// emits, per matching pair, one packed key — the kept columns first, in
-/// `keep` order, then the dropped ones in the join's output-column order —
-/// and the product score (and lower bound, when both inputs carry one).
-/// One sort orders the pairs by that key; each run of equal kept columns
-/// then folds as a projection group folds. The bits cannot move: a run
-/// holds exactly the scores of the two-step path's group, and the fold is
-/// order-free.
+/// A sort-merge join: each input is read in join-key order — free when the
+/// key is a column prefix (the canonical sort then already is key order),
+/// otherwise through the input's own key order ([`Rel`] sorts each key
+/// once and keeps it, so a relation joined by many plans is sorted by one
+/// of them) — and the matching key blocks are enumerated by a galloping
+/// merge ([`match_blocks`]; `O(small · log big)` steps when the sides are
+/// lopsided). Per matching pair it emits a sort key and the product score;
+/// one sort orders the pairs by the kept columns, and each run of equal
+/// kept columns becomes one output row:
 ///
-/// Serial: it takes no [`Par`]. A join wider than four columns does not fit
-/// one packed key and takes the two-step path.
+/// * a join (`proj` = `None`) keeps every column, so each run is one join
+///   row — join rows are distinct — and its product is copied, unfolded;
+/// * a projection folds each run as [`project_fold`] folds a group, even a
+///   run of one (`1 − (1 − p)` need not be `p`): a run holds exactly the
+///   group's operands and the fold is order-free, so the bits are those of
+///   `project_fold` over the join.
+///
+/// A join of up to four columns packs each pair's key into one `u128` —
+/// the kept columns first, in `keep` order, then the dropped ones; a wider
+/// one emits its kept columns and sorts them as every wide sort does
+/// ([`sort_rows`], tie resolution beyond the packed four). Serial: joins
+/// take no [`Par`].
 pub(crate) fn join_project(
     left: &Rel,
     right: &Rel,
-    keep: &[Var],
-    fold: ProjFold,
+    proj: Option<(&[Var], ProjFold)>,
     scratch: &mut Scratch,
 ) -> Rel {
     left.assert_canonical();
     right.assert_canonical();
     let jc = JoinCols::of(left, right);
     let out_vars = jc.out_vars(left, right);
+    let (keep, fold) = match proj {
+        Some((keep, fold)) => (keep, Some(fold)),
+        None => (out_vars.as_slice(), None),
+    };
     let width = out_vars.len();
-    if width > 4 {
-        let joined = join_par(left, right, Par::serial(), scratch);
-        return project_fold(&joined, keep, fold, Par::serial(), scratch);
-    }
     let mut key_order: Vec<usize> = (keep.iter())
         .map(|&v| out_vars.iter().position(|&u| u == v))
         .collect::<Option<_>>()
         .expect("projection var missing");
-    let dropped: Vec<usize> = (0..width).filter(|c| !key_order.contains(c)).collect();
-    key_order.extend(dropped);
-    // Each output column's vids, and where they sit in the packed key.
-    let shift = |c: usize| {
-        let at = key_order
-            .iter()
-            .position(|&k| k == c)
-            .expect("every column");
-        32 * (width - 1 - at)
-    };
-    let lparts: Vec<(&[Vid], usize)> = (0..left.arity()).map(|c| (left.col(c), shift(c))).collect();
-    let rparts: Vec<(&[Vid], usize)> = (jc.right_only.iter().enumerate())
-        .map(|(i, &rc)| (right.col(rc), shift(left.arity() + i)))
-        .collect();
-    let pack = |parts: &[(&[Vid], usize)], row: usize| {
-        (parts.iter()).fold(0u128, |k, &(col, s)| k | ((col[row] as u128) << s))
-    };
+    let kept = keep.len();
 
     let aux = left.lower_bounds().zip(right.lower_bounds());
     let Scratch {
@@ -1283,64 +1108,126 @@ pub(crate) fn join_project(
         ties,
         pairs,
     } = &mut *scratch;
-    let lorder = left.key_order(&jc.lkey, Par::serial(), keys, ties);
-    let rorder = right.key_order(&jc.rkey, Par::serial(), rkeys, ties);
+    let lorder = left.key_order(&jc.lkey, keys, ties);
+    let rorder = right.key_order(&jc.rkey, rkeys, ties);
     let (l, r) = (
         KeyView::new(left, &jc.lkey, &lorder),
         KeyView::new(right, &jc.rkey, &rorder),
     );
     let (blocks, m) = match_blocks(&l, &r);
-    pairs.clear();
-    pairs.reserve(m);
     let mut scores: Vec<f64> = Vec::with_capacity(m);
     let mut lo: Vec<f64> = Vec::with_capacity(if aux.is_some() { m } else { 0 });
-    for b in &blocks {
-        for lpos in b.l0..b.l1 {
-            let lrow = l.row(lpos);
-            let (lk, ls) = (pack(&lparts, lrow), left.score(lrow));
-            for rpos in b.r0..b.r1 {
-                let rrow = r.row(rpos);
-                let row = scores.len() as u32;
-                pairs.push(Key {
-                    k: lk | pack(&rparts, rrow),
-                    row,
-                });
-                scores.push(ls * right.score(rrow));
-                if let Some((la, ra)) = aux {
-                    lo.push(la[lrow] * ra[rrow]);
+    let columns = |n: usize| {
+        (0..kept)
+            .map(|_| Vec::with_capacity(n))
+            .collect::<Vec<Vec<Vid>>>()
+    };
+    // A join's output is sized exactly: captured joins stay resident.
+    let out_rows = if fold.is_none() { m } else { 0 };
+    let mut out_cols = columns(out_rows);
+    let mut out_scores = Vec::with_capacity(out_rows);
+    let mut out_lo = Vec::with_capacity(if aux.is_some() { out_rows } else { 0 });
+
+    if width > 4 {
+        // Emit the kept columns of every pair, sort them, fold the runs.
+        let mut cols = columns(m);
+        for b in &blocks {
+            for lpos in b.l0..b.l1 {
+                let lrow = l.row(lpos);
+                for rpos in b.r0..b.r1 {
+                    let rrow = r.row(rpos);
+                    for (col, &c) in cols.iter_mut().zip(&key_order) {
+                        col.push(match c.checked_sub(left.arity()) {
+                            None => left.get(lrow, c),
+                            Some(ri) => right.get(rrow, jc.right_only[ri]),
+                        });
+                    }
+                    scores.push(left.score(lrow) * right.score(rrow));
+                    if let Some((la, ra)) = aux {
+                        lo.push(la[lrow] * ra[rrow]);
+                    }
                 }
             }
         }
-    }
-    // Packed keys are distinct (join rows are), so this is the key order.
-    pairs.sort_unstable();
+        let views: Vec<&[Vid]> = cols.iter().map(Vec::as_slice).collect();
+        sort_rows(&views, m, false, Par::serial(), pairs, ties);
+        let mut pos = 0usize;
+        while pos < m {
+            let end = run_end_full(&views, pairs, pos);
+            let run = &pairs[pos..end];
+            out_scores.push(fold_run(fold, &scores, run));
+            if aux.is_some() {
+                out_lo.push(kernels::fold_max(&lo, run));
+            }
+            let row = pairs[pos].row as usize;
+            for (out, col) in out_cols.iter_mut().zip(&views) {
+                out.push(col[row]);
+            }
+            pos = end;
+        }
+    } else {
+        let dropped: Vec<usize> = (0..width).filter(|c| !key_order.contains(c)).collect();
+        key_order.extend(dropped);
+        // Each output column's vids, and where they sit in the packed key.
+        let shift = |c: usize| {
+            let at = key_order
+                .iter()
+                .position(|&k| k == c)
+                .expect("every column");
+            32 * (width - 1 - at)
+        };
+        let lparts: Vec<(&[Vid], usize)> =
+            (0..left.arity()).map(|c| (left.col(c), shift(c))).collect();
+        let rparts: Vec<(&[Vid], usize)> = (jc.right_only.iter().enumerate())
+            .map(|(i, &rc)| (right.col(rc), shift(left.arity() + i)))
+            .collect();
+        let pack = |parts: &[(&[Vid], usize)], row: usize| {
+            (parts.iter()).fold(0u128, |k, &(col, s)| k | ((col[row] as u128) << s))
+        };
+        pairs.clear();
+        pairs.reserve(m);
+        for b in &blocks {
+            for lpos in b.l0..b.l1 {
+                let lrow = l.row(lpos);
+                let (lk, ls) = (pack(&lparts, lrow), left.score(lrow));
+                for rpos in b.r0..b.r1 {
+                    let rrow = r.row(rpos);
+                    let row = scores.len() as u32;
+                    pairs.push(Key {
+                        k: lk | pack(&rparts, rrow),
+                        row,
+                    });
+                    scores.push(ls * right.score(rrow));
+                    if let Some((la, ra)) = aux {
+                        lo.push(la[lrow] * ra[rrow]);
+                    }
+                }
+            }
+        }
+        // Packed keys are distinct (join rows are), so this is the key order.
+        pairs.sort_unstable();
 
-    let kept = keep.len();
-    let group = |k: u128| match kept {
-        0 => 0,
-        _ => k >> (32 * (width - kept)),
-    };
-    let mut out_cols: Vec<Vec<Vid>> = vec![Vec::new(); kept];
-    let (mut out_scores, mut out_lo) = (Vec::new(), Vec::new());
-    let mut pos = 0usize;
-    while pos < pairs.len() {
-        let g = group(pairs[pos].k);
-        let mut end = pos + 1;
-        while end < pairs.len() && group(pairs[end].k) == g {
-            end += 1;
+        let group = |k: u128| match kept {
+            0 => 0,
+            _ => k >> (32 * (width - kept)),
+        };
+        let mut pos = 0usize;
+        while pos < pairs.len() {
+            let g = group(pairs[pos].k);
+            let mut end = pos + 1;
+            while end < pairs.len() && group(pairs[end].k) == g {
+                end += 1;
+            }
+            let run = &pairs[pos..end];
+            out_scores.push(fold_run(fold, &scores, run));
+            if aux.is_some() {
+                out_lo.push(kernels::fold_max(&lo, run));
+            }
+            for (i, col) in out_cols.iter_mut().enumerate() {
+                col.push((g >> (32 * (kept - 1 - i))) as Vid);
+            }
+            pos = end;
         }
-        let run = &pairs[pos..end];
-        out_scores.push(match fold {
-            ProjFold::IndependentOr => kernels::fold_or(run.iter().map(|e| scores[e.row as usize])),
-            ProjFold::One => 1.0,
-        });
-        if aux.is_some() {
-            out_lo.push(kernels::fold_max(&lo, run));
-        }
-        for (i, col) in out_cols.iter_mut().enumerate() {
-            col.push((g >> (32 * (kept - 1 - i))) as Vid);
-        }
-        pos = end;
     }
     let out = Rel {
         vars: keep.to_vec(),
@@ -1351,6 +1238,21 @@ pub(crate) fn join_project(
     };
     out.assert_canonical();
     out
+}
+
+/// The score of one output row from the `scores` of its run: a projection
+/// folds them; a join's run is one row, whose product is copied.
+fn fold_run(fold: Option<ProjFold>, scores: &[f64], run: &[Key]) -> f64 {
+    match fold {
+        None => {
+            debug_assert_eq!(run.len(), 1, "join rows are distinct");
+            scores[run[0].row as usize]
+        }
+        Some(ProjFold::IndependentOr) => {
+            kernels::fold_or(run.iter().map(|e| scores[e.row as usize]))
+        }
+        Some(ProjFold::One) => 1.0,
+    }
 }
 
 /// The fold order of every multi-way join, as input indices: a function
@@ -1434,12 +1336,7 @@ pub(crate) fn project_fold(
         while pos < hi {
             let end = run_end_full(&key_cols, keys, pos).min(hi);
             let run = &keys[pos..end];
-            let score = match fold {
-                ProjFold::IndependentOr => {
-                    kernels::fold_or(run.iter().map(|e| input.scores()[e.row as usize]))
-                }
-                ProjFold::One => 1.0,
-            };
+            let score = fold_run(Some(fold), input.scores(), run);
             if let Some(a) = aux {
                 out_aux.push(kernels::fold_max(a, run));
             }
@@ -1813,12 +1710,17 @@ mod tests {
         r.score_of_row(&row).expect("row present")
     }
 
+    /// A Join node's step: the kernel with every column kept.
+    fn join(left: &Rel, right: &Rel, scratch: &mut Scratch) -> Rel {
+        join_project(left, right, None, scratch)
+    }
+
     #[test]
     fn join_on_shared_var() {
         // R(x=0, y=1) ⋈ S(y=1, z=2)
         let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[2, 20], 0.4)]);
         let s = rel(&[1, 2], &[(&[10, 100], 0.5), (&[10, 101], 1.0)]);
-        let j = join_par(&r, &s, Par::serial(), &mut Scratch::default());
+        let j = join(&r, &s, &mut Scratch::default());
         assert_eq!(j.vars, vec![v(0), v(1), v(2)]);
         assert_eq!(j.len(), 2);
         assert!((score_at(&j, &[1, 10, 100]) - 0.25).abs() < 1e-12);
@@ -1828,7 +1730,7 @@ mod tests {
     fn join_cartesian_when_disjoint() {
         let r = rel(&[0], &[(&[1], 0.5), (&[2], 0.5)]);
         let s = rel(&[1], &[(&[10], 0.5)]);
-        let j = join_par(&r, &s, Par::serial(), &mut Scratch::default());
+        let j = join(&r, &s, &mut Scratch::default());
         assert_eq!(j.len(), 2);
     }
 
@@ -1836,7 +1738,7 @@ mod tests {
     fn join_empty_result() {
         let r = rel(&[0], &[(&[1], 0.5)]);
         let s = rel(&[0], &[(&[2], 0.5)]);
-        assert!(join_par(&r, &s, Par::serial(), &mut Scratch::default()).is_empty());
+        assert!(join(&r, &s, &mut Scratch::default()).is_empty());
     }
 
     #[test]
@@ -1970,9 +1872,9 @@ mod tests {
         // independent-OR and the bounds with max: rows (1,10), (1,11),
         // (2,10) score 0.5·0.5, 0.8·0.25 and 0.3·0.5, and x0 = 1 keeps the
         // better of its two.
-        let j = join_par(&r, &s, par, &mut scratch);
+        let j = join(&r, &s, &mut scratch);
         let p = project_prob_par(&j, &[v(0)], par, &mut scratch);
-        let plain_j = join_par(&plain_r, &plain_s, par, &mut scratch);
+        let plain_j = join(&plain_r, &plain_s, &mut scratch);
         assert_eq!(j.lower_bounds(), Some(plain_j.scores()));
         assert_eq!(j.lower_bounds(), Some(&[0.25, 0.2, 0.15][..]));
         assert_eq!(p.lower_bounds(), Some(&[0.25, 0.15][..]));
@@ -1984,9 +1886,7 @@ mod tests {
         );
 
         // One input without the column, or a min over alternatives, drops it.
-        assert!(join_par(&r, &plain_s, par, &mut scratch)
-            .lower_bounds()
-            .is_none());
+        assert!(join(&r, &plain_s, &mut scratch).lower_bounds().is_none());
         assert!(min_combine_par(&[&p, &p], par, &mut scratch)
             .lower_bounds()
             .is_none());
@@ -2012,7 +1912,7 @@ mod tests {
         // joining must fall through to the tie-resolution path.
         let r = rel(&[0, 1, 2, 3, 4], &[(&[1, 2, 3, 4, 5], 0.5)]);
         let s = rel(&[4, 5], &[(&[5, 6], 0.5)]);
-        let j = join_par(&r, &s, Par::serial(), &mut Scratch::default());
+        let j = join(&r, &s, &mut Scratch::default());
         assert_eq!(j.len(), 1);
         assert_eq!(j.vars.len(), 6);
         assert!((score_at(&j, &[1, 2, 3, 4, 5, 6]) - 0.25).abs() < 1e-12);
@@ -2072,11 +1972,9 @@ mod tests {
         assert_eq!(left, left_par);
         assert_eq!(right, right_par);
 
-        let j_serial = join_par(&left, &right, Par::serial(), &mut Scratch::default());
-        let j_par = join_par(&left, &right, par, &mut scratch);
-        assert_eq!(j_serial, j_par);
-        let p_serial = project_prob_par(&j_serial, &[v(0)], Par::serial(), &mut Scratch::default());
-        let p_par = project_prob_par(&j_par, &[v(0)], par, &mut scratch);
+        let j = join(&left, &right, &mut scratch);
+        let p_serial = project_prob_par(&j, &[v(0)], Par::serial(), &mut Scratch::default());
+        let p_par = project_prob_par(&j, &[v(0)], par, &mut scratch);
         assert_eq!(p_serial, p_par);
         // Bitwise, not approximate.
         for (a, b) in p_serial.scores().iter().zip(p_par.scores()) {
@@ -2108,14 +2006,9 @@ mod tests {
         let order = join_order(&inputs);
         assert_eq!(order, vec![1, 2, 0]);
         let mut scratch = Scratch::default();
-        let mut acc = join_par(
-            inputs[order[0]],
-            inputs[order[1]],
-            Par::serial(),
-            &mut scratch,
-        );
+        let mut acc = join(inputs[order[0]], inputs[order[1]], &mut scratch);
         for &ix in &order[2..] {
-            acc = join_par(&acc, inputs[ix], Par::serial(), &mut scratch);
+            acc = join(&acc, inputs[ix], &mut scratch);
         }
         let direct = join_many_par(&inputs, Par::serial(), &mut scratch);
         assert_eq!(acc, direct);
@@ -2227,8 +2120,8 @@ mod tests {
         r
     }
 
-    /// Nested-loop reference join sharing nothing with `join_par` but the
-    /// closing canonicalization.
+    /// Nested-loop reference join sharing nothing with the join kernel but
+    /// the closing canonicalization.
     fn naive_join(left: &Rel, right: &Rel) -> Rel {
         let shared: Vec<(usize, usize)> = (0..left.arity())
             .filter_map(|li| right.col_of(left.vars[li]).map(|ri| (li, ri)))
@@ -2239,6 +2132,9 @@ mod tests {
         let mut vars = left.vars.clone();
         vars.extend(right_only.iter().map(|&ri| right.vars[ri]));
         let mut out = Rel::empty(vars);
+        // Lower bounds multiply too, when both sides carry them.
+        let aux = left.lower_bounds().zip(right.lower_bounds());
+        let mut lo = Vec::new();
         for i in 0..left.len() {
             for j in 0..right.len() {
                 if shared
@@ -2248,9 +2144,13 @@ mod tests {
                     let mut row: Vec<Vid> = (0..left.arity()).map(|c| left.get(i, c)).collect();
                     row.extend(right_only.iter().map(|&c| right.get(j, c)));
                     out.push_row(&row, left.score(i) * right.score(j));
+                    if let Some((la, ra)) = aux {
+                        lo.push(la[i] * ra[j]);
+                    }
                 }
             }
         }
+        out.lo = aux.map(|_| lo);
         out.canonicalize(Par::serial(), &mut Scratch::default());
         out
     }
@@ -2269,12 +2169,12 @@ mod tests {
     /// Join `left ⋈ right` cold (fresh copies, no orders), again on the
     /// originals (builds their orders), and warm (reuses them): all three,
     /// and `join_many_par` both ways, must be one relation. Returns it.
-    fn warm_equals_cold(left: &Rel, right: &Rel, par: Par, what: &str) -> Rel {
-        let mut scratch = Scratch::default();
-        let cold = join_par(&left.clone(), &right.clone(), par, &mut Scratch::default());
-        let first = join_par(left, right, par, &mut scratch);
+    fn warm_equals_cold(left: &Rel, right: &Rel, what: &str) -> Rel {
+        let (par, mut scratch) = (Par::serial(), Scratch::default());
+        let cold = join(&left.clone(), &right.clone(), &mut Scratch::default());
+        let first = join(left, right, &mut scratch);
         let built = (left.cached_orders(), right.cached_orders());
-        let warm = join_par(left, right, par, &mut scratch);
+        let warm = join(left, right, &mut scratch);
         assert_eq!(
             (left.cached_orders(), right.cached_orders()),
             built,
@@ -2338,7 +2238,7 @@ mod tests {
                 let left = random_rel(&mut rng, lv, ln, ld);
                 let right = random_rel(&mut rng, rv, rn, rd);
                 let what = format!("{what}, {} x {} rows", left.len(), right.len());
-                let got = warm_equals_cold(&left, &right, Par::serial(), &what);
+                let got = warm_equals_cold(&left, &right, &what);
                 assert_same(
                     &got,
                     &naive_join(&left, &right),
@@ -2356,8 +2256,8 @@ mod tests {
         // An empty side, either side.
         let left = random_rel(&mut rng, &[0, 1], n, &[40, 40]);
         let none = Rel::empty(vec![v(2), v(1)]);
-        assert!(warm_equals_cold(&left, &none, Par::serial(), "empty right").is_empty());
-        assert!(warm_equals_cold(&none, &left, Par::serial(), "empty left").is_empty());
+        assert!(warm_equals_cold(&left, &none, "empty right").is_empty());
+        assert!(warm_equals_cold(&none, &left, "empty left").is_empty());
 
         // A lower-bound column on both sides multiplies through the same
         // shared order.
@@ -2365,13 +2265,14 @@ mod tests {
         let mut right = random_rel(&mut rng, &[2, 1], n, &[40, 40]);
         left.seed_lower_bounds();
         right.seed_lower_bounds();
-        let got = warm_equals_cold(&left, &right, Par::serial(), "lower bounds");
+        let got = warm_equals_cold(&left, &right, "lower bounds");
         assert_eq!(got.lower_bounds(), Some(got.scores()));
     }
 
     #[test]
     fn key_order_fused_join_projection_is_join_then_projection() {
-        // `join_project` against `project_fold(join_par(..))`, bit for bit,
+        // The kernel with a projection against `project_fold` over the
+        // kernel's plain join, bit for bit,
         // on inputs of 0–300 rows (above MIN_SHARED_ORDER_ROWS a non-prefix
         // join key reads a shared key order, below it a `Scratch` sort),
         // over small domains (join blocks and groups of many rows), with 0,
@@ -2391,7 +2292,7 @@ mod tests {
         let mut rng = Rng(0x3c6ef372fe94f82b);
         let (mut scratch, mut shared_orders) = (Scratch::default(), 0);
         let two_steps = |l: &Rel, r: &Rel, keep: &[Var], fold, scratch: &mut Scratch| {
-            let joined = join_par(l, r, Par::serial(), scratch);
+            let joined = join(l, r, scratch);
             project_fold(&joined, keep, fold, Par::serial(), scratch)
         };
         for (lv, rv) in shapes {
@@ -2425,7 +2326,7 @@ mod tests {
                                 l.len(),
                                 r.len()
                             );
-                            let fused = join_project(&l, &r, keep, fold, &mut scratch);
+                            let fused = join_project(&l, &r, Some((keep, fold)), &mut scratch);
                             let want = two_steps(&l, &r, keep, fold, &mut scratch);
                             assert_same(&fused, &want, &what);
                             assert_eq!(fused.vars, *keep, "{what}");
@@ -2448,7 +2349,7 @@ mod tests {
                 let fold = ProjFold::IndependentOr;
                 let joined = join_many_par(&refs, Par::serial(), &mut scratch);
                 let want = project_fold(&joined, &keep, fold, Par::serial(), &mut scratch);
-                let got = join_fold_project(&refs, &keep, fold, Par::new(4), &mut scratch);
+                let got = join_fold(&refs, Some((&keep, fold)), None, &mut scratch);
                 assert_same(
                     &got,
                     &want,
@@ -2457,40 +2358,94 @@ mod tests {
             }
         }
 
-        // Wider than four columns: the two-step path, same bits.
+        // Wider than four columns: the kept columns sort with tie
+        // resolution, same bits.
         let l = random_rel(&mut rng, &[0, 1, 2], 120, &[4, 9, 3]);
         let r = random_rel(&mut rng, &[2, 3, 4], 120, &[3, 9, 4]);
         for keep in [vec![v(0), v(4)], vec![], vec![v(0), v(1), v(2), v(3), v(4)]] {
             let fold = ProjFold::IndependentOr;
-            let fused = join_project(&l, &r, &keep, fold, &mut scratch);
+            let fused = join_project(&l, &r, Some((&keep, fold)), &mut scratch);
             let want = two_steps(&l, &r, &keep, fold, &mut scratch);
             assert_same(&fused, &want, &format!("five columns, keep {keep:?}"));
         }
     }
 
     #[test]
-    fn key_order_is_thread_count_independent() {
-        // Above MIN_PAR_ROWS the order is sorted by pool tasks and the
-        // output filled by key-range morsels; the order built by one thread
-        // count must serve the other.
-        let mut rng = Rng(0xd1b54a32d192ed03);
-        let n = MIN_PAR_ROWS + 1500;
-        let left = random_rel(&mut rng, &[0, 1], n, &[1 << 20, 4000]);
-        let right = random_rel(&mut rng, &[2, 1], n, &[1 << 20, 4000]);
-        assert!(left.len() >= MIN_PAR_ROWS && right.len() >= MIN_PAR_ROWS);
-        let serial = warm_equals_cold(&left, &right, Par::serial(), "serial");
-        assert!(
-            serial.len() >= MIN_PAR_ROWS,
-            "the output is filled by morsels"
-        );
-        // `left` and `right` now hold serially built orders.
-        let mixed = join_par(&left, &right, Par::new(4), &mut Scratch::default());
-        assert_same(&mixed, &serial, "4 threads over serially built orders");
-        let (l4, r4) = (left.clone(), right.clone());
-        let par = warm_equals_cold(&l4, &r4, Par::new(4), "4 threads");
-        assert_same(&par, &serial, "4 threads vs serial");
-        let back = join_par(&l4, &r4, Par::serial(), &mut Scratch::default());
-        assert_same(&back, &serial, "serial over orders built by 4 threads");
+    fn a_join_copies_its_products_and_a_projection_folds_them() {
+        // R(x) ⋈ S(x, y) over p = 0.1 and 1: each join row's product is
+        // 0.1 exactly, and a plain join copies it. A projection folds even
+        // a group of one: 1 − (1 − 0.1) is 0.09999999999999998.
+        let r = rel(&[0], &[(&[1], 0.1), (&[2], 0.1)]);
+        let s = rel(&[0, 1], &[(&[1, 10], 1.0), (&[2, 20], 1.0)]);
+        let folded = 1.0 - (1.0 - 0.1f64);
+        assert_eq!(folded, 0.09999999999999998);
+        let mut scratch = Scratch::default();
+        let joined = join_fold(&[&r, &s], None, None, &mut scratch);
+        assert_eq!(joined.vars, vec![v(0), v(1)]);
+        assert!(joined
+            .scores()
+            .iter()
+            .all(|p| p.to_bits() == 0.1f64.to_bits()));
+        for keep in [vec![v(0)], vec![v(0), v(1)]] {
+            let fold = ProjFold::IndependentOr;
+            let p = join_fold(&[&r, &s], Some((&keep, fold)), None, &mut scratch);
+            assert_eq!(p.len(), 2, "keep {keep:?}");
+            assert!(p.scores().iter().all(|p| p.to_bits() == folded.to_bits()));
+            let two_steps = project_fold(&joined, &keep, fold, Par::serial(), &mut scratch);
+            assert_same(&p, &two_steps, &format!("keep {keep:?}"));
+        }
+    }
+
+    /// `naive_join` folded over `inputs` in [`join_order`].
+    fn naive_fold(inputs: &[&Rel]) -> Rel {
+        let order = join_order(inputs);
+        (order[1..].iter()).fold(inputs[order[0]].clone(), |acc, &ix| {
+            naive_join(&acc, inputs[ix])
+        })
+    }
+
+    #[test]
+    fn join_kernel_matches_the_nested_loop_reference() {
+        // Every join the kernel runs, against `naive_join` in `join_order`
+        // then `project_fold`: columns, score bits and lower-bound bits.
+        let mut rng = Rng(0x510e527fade682d1);
+        let fold = ProjFold::IndependentOr;
+        let mut scratch = Scratch::default();
+        for n in [0, 30, 300] {
+            // A 3-input chain under a projection (two steps, the last one
+            // fused), with lower bounds on every input.
+            let mut ins: Vec<Rel> = [[2, 3], [0, 1], [1, 2]]
+                .iter()
+                .map(|vars| random_rel(&mut rng, vars, n, &[5, 30, 30, 5]))
+                .collect();
+            ins.iter_mut().for_each(Rel::seed_lower_bounds);
+            let refs: Vec<&Rel> = ins.iter().collect();
+            let naive = naive_fold(&refs);
+            let what = format!("three inputs of {n} rows");
+            assert_same(&join_fold(&refs, None, None, &mut scratch), &naive, &what);
+            for keep in [vec![v(0)], vec![v(3), v(0)], vec![]] {
+                let want = project_fold(&naive, &keep, fold, Par::serial(), &mut scratch);
+                let got = join_fold(&refs, Some((&keep, fold)), None, &mut scratch);
+                assert_same(&got, &want, &format!("{what}, keep {keep:?}"));
+            }
+
+            // A root join of six columns: every column kept, no fold; and
+            // projections of it, narrow and wide.
+            let mut l = random_rel(&mut rng, &[0, 1, 2, 3], n, &[3, 2, 3, 2]);
+            let mut r = random_rel(&mut rng, &[3, 4, 5], n, &[2, 3, 2]);
+            l.seed_lower_bounds();
+            r.seed_lower_bounds();
+            let naive = naive_fold(&[&l, &r]);
+            let what = format!("six columns of {n} rows");
+            let got = join_fold(&[&l, &r], None, None, &mut scratch);
+            assert_same(&got, &naive, &what);
+            assert!(got.lower_bounds().is_some(), "{what}");
+            for keep in [vec![v(5), v(0)], (0..5).map(v).collect(), vec![]] {
+                let want = project_fold(&naive, &keep, fold, Par::serial(), &mut scratch);
+                let got = join_fold(&[&l, &r], Some((&keep, fold)), None, &mut scratch);
+                assert_same(&got, &want, &format!("{what}, keep {keep:?}"));
+            }
+        }
     }
 
     #[test]
@@ -2500,7 +2455,7 @@ mod tests {
         let (par, mut scratch) = (Par::serial(), Scratch::default());
         let mut left = random_rel(&mut rng, &[0, 1], n, &[40, 40]);
         let right = random_rel(&mut rng, &[2, 1], n, &[40, 40]);
-        join_par(&left, &right, par, &mut scratch);
+        join(&left, &right, &mut scratch);
         assert_eq!(left.cached_orders(), 1);
         // A copy starts without orders, and orders are not part of the value.
         let copy = left.clone();
@@ -2522,10 +2477,10 @@ mod tests {
             f.canonicalize(par, &mut Scratch::default());
             f
         };
-        let again = join_par(&left, &right, par, &mut scratch);
+        let again = join(&left, &right, &mut scratch);
         assert_same(
             &again,
-            &join_par(&fresh, &right, par, &mut scratch),
+            &join(&fresh, &right, &mut scratch),
             "after push_row",
         );
         assert_same(
@@ -2540,7 +2495,7 @@ mod tests {
         assert_eq!(left.cached_orders(), 0, "canonicalize invalidates");
 
         // The next-only rows of a min grow the accumulator in place.
-        join_par(&left, &right, par, &mut scratch);
+        join(&left, &right, &mut scratch);
         let mut wider = left.clone();
         wider.push_row(&[3, 1 << 21], 0.125);
         wider.canonicalize(par, &mut scratch);
@@ -2548,7 +2503,7 @@ mod tests {
         assert_eq!(left.len(), wider.len());
         assert_eq!(left.cached_orders(), 0, "min extras invalidate");
         assert_same(
-            &join_par(&left, &right, par, &mut scratch),
+            &join(&left, &right, &mut scratch),
             &naive_join(&left, &right),
             "after min extras",
         );
@@ -2559,7 +2514,7 @@ mod tests {
         // drop_orders forgets; the next join rebuilds.
         left.drop_orders();
         assert_eq!(left.cached_orders(), 0);
-        let rebuilt = join_par(&left, &right, par, &mut scratch);
+        let rebuilt = join(&left, &right, &mut scratch);
         assert_same(&rebuilt, &naive_join(&left, &right), "after drop_orders");
 
         // merge_upsert's output is a new relation.
@@ -2587,12 +2542,8 @@ mod tests {
         // is the view's, not its own.
         let a = copy(&[0, 1], view.probs().to_vec());
         assert_eq!(a, plain);
-        let want = join_par(&plain.clone(), &right, par, &mut Scratch::default());
-        assert_same(
-            &join_par(&a, &right, par, &mut scratch),
-            &want,
-            "first copy",
-        );
+        let want = join(&plain.clone(), &right, &mut Scratch::default());
+        assert_same(&join(&a, &right, &mut scratch), &want, "first copy");
         assert_eq!((a.cached_orders(), view.cached_orders()), (0, 1));
 
         // Other names, other scores, a lower-bound column: same rows, same
@@ -2602,7 +2553,7 @@ mod tests {
         b.seed_lower_bounds();
         let mut right_lo = right.clone();
         right_lo.seed_lower_bounds();
-        let got = join_par(&b, &right_lo, par, &mut scratch);
+        let got = join(&b, &right_lo, &mut scratch);
         assert_eq!((b.cached_orders(), view.cached_orders()), (0, 1));
         let mine = |(vars, rows, _): &order_log::Built| *vars == b.vars && *rows == b.len();
         assert!(!order_log::snapshot()[sorted..].iter().any(mine));
@@ -2612,7 +2563,7 @@ mod tests {
             certain.push_row(&[plain.get(r, 0), plain.get(r, 1)], 1.0);
         }
         certain.seed_lower_bounds();
-        let want_certain = join_par(&certain, &right_lo.clone(), par, &mut Scratch::default());
+        let want_certain = join(&certain, &right_lo.clone(), &mut Scratch::default());
         assert_same(&got, &want_certain, "second copy");
 
         // Dropping a copy's orders is not dropping the view's.
@@ -2621,7 +2572,7 @@ mod tests {
 
         // A clone is made to be changed: it owns what it builds.
         let c = a.clone();
-        assert_same(&join_par(&c, &right, par, &mut scratch), &want, "clone");
+        assert_same(&join(&c, &right, &mut scratch), &want, "clone");
         assert_eq!((c.cached_orders(), view.cached_orders()), (1, 1));
 
         // Every mutator of the rows ends the delegation: the view's orders
@@ -2631,7 +2582,7 @@ mod tests {
         m.push_row(&[0, 0], 0.5);
         m.canonicalize(par, &mut scratch);
         assert_same(
-            &join_par(&m, &right, par, &mut scratch),
+            &join(&m, &right, &mut scratch),
             &naive_join(&m, &right),
             "after push_row",
         );
@@ -2643,7 +2594,7 @@ mod tests {
         min_into_par(&mut acc, &wider, par, &mut scratch);
         assert_eq!(acc.len(), view.len() + 1);
         assert_same(
-            &join_par(&acc, &right, par, &mut scratch),
+            &join(&acc, &right, &mut scratch),
             &naive_join(&acc, &right),
             "after min extras",
         );
@@ -2654,7 +2605,7 @@ mod tests {
         let small = Arc::new(BaseView::new(few.cols.clone(), few.scores.clone(), 0));
         let s = Rel::from_view(few.vars.clone(), Arc::clone(&small), few.scores.clone());
         assert_same(
-            &join_par(&s, &right, par, &mut scratch),
+            &join(&s, &right, &mut scratch),
             &naive_join(&few, &right),
             "small view",
         );

@@ -64,9 +64,9 @@
 //! root. Nor can the filtered cardinalities reassociate a float product:
 //! join order and column layout are functions of the plan
 //! ([`crate::rel::join_order`]), so every node shape is evaluated
-//! restricted. A projection over a join runs fused (`join_fold_project`)
-//! as in the full visit, so a restricted join's result never exists
-//! either. Final scores fold with the pointwise min of the exhaustive
+//! restricted. A projection over a join runs fused (the pairwise join
+//! fold, `rel::join_fold`, whose last step projects) as in the full visit,
+//! so a restricted join's result never exists either. Final scores fold with the pointwise min of the exhaustive
 //! path, dropping keys outside the survivor set.
 //!
 //! Non-probabilistic semantics, single-plan sets, plan sets with `min`

@@ -51,6 +51,7 @@ impl Lineage {
 
     /// The Boolean query's lineage (the single empty-key answer), or an
     /// empty (false) DNF.
+    #[cfg(test)]
     pub fn boolean_dnf(&self) -> Dnf {
         self.answer(&[]).map(|a| a.dnf.clone()).unwrap_or_default()
     }
@@ -58,11 +59,6 @@ impl Lineage {
     /// Maximum lineage size across answers (the paper's `max[lin]`).
     pub fn max_size(&self) -> usize {
         self.answers.iter().map(|a| a.dnf.len()).max().unwrap_or(0)
-    }
-
-    /// Total number of implicants across answers.
-    pub fn total_size(&self) -> usize {
-        self.answers.iter().map(|a| a.dnf.len()).sum()
     }
 }
 
@@ -394,7 +390,6 @@ mod tests {
             assert!((exact_prob(&a.dnf, &lin.var_probs) - 0.25).abs() < 1e-12);
         }
         assert_eq!(lin.max_size(), 1);
-        assert_eq!(lin.total_size(), 2);
     }
 
     #[test]

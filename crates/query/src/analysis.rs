@@ -57,11 +57,6 @@ pub fn components(shape: &QueryShape, atoms: &[usize], head: VarSet) -> Vec<Vec<
     groups.into_iter().map(|(_, g)| g).collect()
 }
 
-/// Is the subquery connected (single component)?
-pub fn is_connected(shape: &QueryShape, atoms: &[usize], head: VarSet) -> bool {
-    components(shape, atoms, head).len() <= 1
-}
-
 /// The hierarchy test (Definition 1): for any two existential variables
 /// `x, y`, the atom sets `at(x)` and `at(y)` (restricted to `atoms`) must be
 /// nested or disjoint. By Theorem 2 this characterizes safe (PTIME) sjfCQs.
@@ -199,7 +194,6 @@ mod tests {
         assert_eq!(comps.len(), 2);
         assert!(comps.contains(&vec![0]));
         assert!(comps.contains(&vec![1, 2]));
-        assert!(!is_connected(&s, &s.all_atoms(), s.head));
     }
 
     #[test]
@@ -329,7 +323,7 @@ mod tests {
         // Subquery {S, T} with head {x}: connected via y, hierarchical.
         let x = q.var_by_name("x").unwrap();
         let head = VarSet::single(x);
-        assert!(is_connected(&s, &[1, 2], head));
+        assert_eq!(components(&s, &[1, 2], head).len(), 1);
         assert!(is_hierarchical(&s, &[1, 2], head));
         let sep = separator_vars(&s, &[1, 2], head);
         assert_eq!(sep.len(), 1);

@@ -233,11 +233,6 @@ impl Query {
         self.head.iter().copied().collect()
     }
 
-    /// True if the query has an empty head.
-    pub fn is_boolean(&self) -> bool {
-        self.head.is_empty()
-    }
-
     /// The atoms.
     pub fn atoms(&self) -> &[Atom] {
         &self.atoms
@@ -277,18 +272,6 @@ impl Query {
             .iter()
             .position(|n| n == name)
             .map(|i| Var(i as u32))
-    }
-
-    /// The atoms containing variable `x` (`at(x)` in the paper), as a bitmask
-    /// over atom indices.
-    pub fn atoms_with_var(&self, x: Var) -> u64 {
-        let mut mask = 0u64;
-        for (i, a) in self.atoms.iter().enumerate() {
-            if a.var_set().contains(x) {
-                mask |= 1 << i;
-            }
-        }
-        mask
     }
 
     /// Render in datalog-ish syntax (re-parsable by the parser).
@@ -403,6 +386,7 @@ impl QueryBuilder {
     }
 
     /// Add a deterministic atom (the paper's `R^d`) with variable arguments.
+    #[cfg(test)]
     pub fn det_atom(mut self, relation: &str, vars: &[&str]) -> Self {
         let terms = vars.iter().map(|n| Term::Var(self.var(n))).collect();
         self.atoms.push(Atom {
@@ -480,7 +464,7 @@ mod tests {
             .unwrap();
         assert_eq!(q.head_set().len(), 1);
         assert_eq!(q.existential_vars().len(), 2);
-        assert!(!q.is_boolean());
+        assert!(!q.head().is_empty());
     }
 
     #[test]
@@ -490,7 +474,7 @@ mod tests {
             .atom("S", &["x", "y"])
             .build()
             .unwrap();
-        assert!(q.is_boolean());
+        assert!(q.head().is_empty());
         assert_eq!(q.existential_vars().len(), 2);
     }
 
@@ -532,22 +516,8 @@ mod tests {
                 .build()
         };
         let widest = build(MAX_ATOMS).unwrap();
-        assert_eq!(widest.atoms_with_var(Var(0)), u64::MAX);
+        assert_eq!(widest.atoms().len(), MAX_ATOMS);
         assert_eq!(build(MAX_ATOMS + 1), Err(QueryError::TooManyAtoms));
-    }
-
-    #[test]
-    fn atoms_with_var_mask() {
-        let q = QueryBuilder::new("q")
-            .atom("R", &["x"])
-            .atom("S", &["x", "y"])
-            .atom("T", &["y"])
-            .build()
-            .unwrap();
-        let x = q.var_by_name("x").unwrap();
-        let y = q.var_by_name("y").unwrap();
-        assert_eq!(q.atoms_with_var(x), 0b011);
-        assert_eq!(q.atoms_with_var(y), 0b110);
     }
 
     #[test]

@@ -319,13 +319,13 @@ mod tests {
     #[test]
     fn parse_boolean_no_parens() {
         let q = parse_query("q :- R(x), S(x, y)").unwrap();
-        assert!(q.is_boolean());
+        assert!(q.head().is_empty());
     }
 
     #[test]
     fn parse_boolean_empty_parens() {
         let q = parse_query("q() :- R(x), S(x, y)").unwrap();
-        assert!(q.is_boolean());
+        assert!(q.head().is_empty());
     }
 
     #[test]

@@ -35,17 +35,6 @@ impl VarSet {
         s
     }
 
-    /// Set of the first `n` variables `{0, 1, …, n−1}`.
-    #[inline]
-    pub fn first_n(n: usize) -> Self {
-        debug_assert!(n <= MAX_VARS);
-        if n == MAX_VARS {
-            VarSet(u64::MAX)
-        } else {
-            VarSet((1u64 << n) - 1)
-        }
-    }
-
     /// Number of variables in the set.
     #[inline]
     pub fn len(self) -> usize {
@@ -98,12 +87,6 @@ impl VarSet {
     #[inline]
     pub fn is_subset(self, other: VarSet) -> bool {
         self.0 & !other.0 == 0
-    }
-
-    /// Strict subset test `self ⊂ other`.
-    #[inline]
-    pub fn is_strict_subset(self, other: VarSet) -> bool {
-        self != other && self.is_subset(other)
     }
 
     /// Disjointness test.
@@ -200,8 +183,6 @@ mod tests {
         assert_eq!(a.intersect(b), vs(&[2]));
         assert_eq!(a.minus(b), vs(&[0, 1]));
         assert!(vs(&[1]).is_subset(a));
-        assert!(vs(&[1]).is_strict_subset(a));
-        assert!(!a.is_strict_subset(a));
         assert!(a.is_subset(a));
         assert!(vs(&[0]).is_disjoint(vs(&[1])));
     }
@@ -211,13 +192,6 @@ mod tests {
         let s = vs(&[5, 1, 9]);
         let got: Vec<u32> = s.iter().map(|v| v.0).collect();
         assert_eq!(got, vec![1, 5, 9]);
-    }
-
-    #[test]
-    fn first_n() {
-        assert_eq!(VarSet::first_n(0), VarSet::EMPTY);
-        assert_eq!(VarSet::first_n(3), vs(&[0, 1, 2]));
-        assert_eq!(VarSet::first_n(64).len(), 64);
     }
 
     #[test]

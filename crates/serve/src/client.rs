@@ -3,17 +3,18 @@
 //! bench drive the server with.
 
 use crate::protocol::{read_frame, write_frame, DEFAULT_MAX_FRAME};
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// One connection to a `lapush serve` server.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    // Buffered so each frame leaves in one `write(2)` — combined with
-    // TCP_NODELAY this keeps request latency free of Nagle/delayed-ACK
-    // stalls on the ~tens-of-bytes frames the protocol mostly carries.
-    writer: BufWriter<TcpStream>,
+    // Unbuffered: `write_frame` sends each frame in one vectored write —
+    // combined with TCP_NODELAY this keeps request latency free of
+    // Nagle/delayed-ACK stalls on the ~tens-of-bytes frames the protocol
+    // mostly carries.
+    writer: TcpStream,
     max_frame: usize,
 }
 
@@ -25,7 +26,7 @@ impl Client {
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
             max_frame: DEFAULT_MAX_FRAME,
         })
     }

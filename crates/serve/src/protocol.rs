@@ -22,7 +22,7 @@
 use lapush_engine::AnswerSet;
 use lapush_storage::Value;
 use std::fmt::{self, Write as _};
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
 
 /// Version of the wire protocol implemented by this crate; reported by
 /// `STATS` as `proto.version`. Bump on any incompatible framing or
@@ -35,10 +35,27 @@ pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Write one frame: decimal length header, `\n`, body, then flush (a
 /// frame is only useful to the peer once it is fully on the wire).
+///
+/// Header and body go out in one vectored write, so a frame written
+/// straight to a socket is one `writev(2)` — with `TCP_NODELAY`, a large
+/// body no longer trails a segment carrying its header alone. A short
+/// write resumes where it stopped.
 pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
-    w.write_all(body.len().to_string().as_bytes())?;
-    w.write_all(b"\n")?;
-    w.write_all(body.as_bytes())?;
+    let header = format!("{}\n", body.len());
+    let (header, body) = (header.as_bytes(), body.as_bytes());
+    let mut sent = 0;
+    while sent < header.len() + body.len() {
+        let parts = match sent.checked_sub(header.len()) {
+            None => [IoSlice::new(&header[sent..]), IoSlice::new(body)],
+            Some(at) => [IoSlice::new(&body[at..]), IoSlice::new(&[])],
+        };
+        match w.write_vectored(&parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -283,6 +300,62 @@ pub fn render_answers(ans: &AnswerSet) -> String {
 mod tests {
     use super::*;
     use std::io::BufReader;
+
+    /// Counts `write_vectored` calls, taking at most `cap` bytes per call.
+    struct Wire {
+        bytes: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.cap;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.cap - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write() {
+        let body = "x".repeat(1 << 20);
+        let want = format!("{}\n{body}", body.len()).into_bytes();
+        let mut whole = Wire {
+            bytes: Vec::new(),
+            calls: 0,
+            cap: usize::MAX,
+        };
+        write_frame(&mut whole, &body).unwrap();
+        assert_eq!(whole.calls, 1, "header and body in one call");
+        assert_eq!(whole.bytes, want);
+        // A peer taking 7 bytes a call gets the same bytes, resumed
+        // mid-header and mid-body.
+        let mut short = Wire {
+            bytes: Vec::new(),
+            calls: 0,
+            cap: 7,
+        };
+        write_frame(&mut short, &body).unwrap();
+        assert_eq!(short.bytes, want);
+        assert_eq!(short.calls, want.len().div_ceil(7));
+        // An empty body is its header alone.
+        let mut empty = Vec::new();
+        write_frame(&mut empty, "").unwrap();
+        assert_eq!(empty, b"0\n");
+    }
 
     #[test]
     fn frames_round_trip() {

@@ -196,18 +196,18 @@ impl Drop for ServerHandle {
 
 /// Per-connection loop: read one frame, answer one frame, until EOF,
 /// `QUIT`, or a framing error (answered with `ERR BADCMD…` then closed).
-fn serve_conn(stream: TcpStream, shared: &Shared) {
+fn serve_conn(mut stream: TcpStream, shared: &Shared) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    // Buffered writer: one `write(2)` per response frame (see `Client`).
-    let mut writer = std::io::BufWriter::new(stream);
+    // Unbuffered: `write_frame` sends each response frame in one vectored
+    // write, header and body together.
     loop {
         match read_frame(&mut reader, shared.max_frame) {
             Ok(Some(body)) => {
                 let (response, quit) = handle_request(shared, &body);
-                if write_frame(&mut writer, &response).is_err() || quit {
+                if write_frame(&mut stream, &response).is_err() || quit {
                     return;
                 }
             }
@@ -215,7 +215,7 @@ fn serve_conn(stream: TcpStream, shared: &Shared) {
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 // Framing is unrecoverable mid-stream: report and close.
                 let _ = write_frame(
-                    &mut writer,
+                    &mut stream,
                     &err_response(ErrorCode::BadCommand, &format!("bad frame: {e}")),
                 );
                 return;

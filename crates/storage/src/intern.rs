@@ -130,6 +130,7 @@ impl RowKey {
     }
 
     /// Build from a slice of vids.
+    #[cfg(test)]
     pub fn from_slice(vids: &[Vid]) -> Self {
         Self::from_fn(vids.len(), |i| vids[i])
     }

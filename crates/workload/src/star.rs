@@ -96,7 +96,7 @@ mod tests {
     fn query_shape() {
         let q = star_query(3);
         assert_eq!(q.atoms().len(), 4); // R1, R2, R3, R0
-        assert!(q.is_boolean());
+        assert!(q.head().is_empty());
         assert_eq!(q.existential_vars().len(), 3);
         // R1's first term is the constant 'a'.
         assert!(matches!(

@@ -145,18 +145,6 @@ impl Default for TpchConfig {
     }
 }
 
-impl TpchConfig {
-    /// Scale relative to TPC-H scale factor 1 (10k suppliers, 200k parts).
-    pub fn at_scale(scale: f64, pi_max: f64, seed: u64) -> Self {
-        TpchConfig {
-            suppliers: ((10_000.0 * scale) as usize).max(1),
-            parts: ((200_000.0 * scale) as usize).max(1),
-            pi_max,
-            seed,
-        }
-    }
-}
-
 /// Generate the three-table database: `S(s_suppkey, s_nationkey)`,
 /// `PS(ps_suppkey, ps_partkey)`, `P(p_partkey, p_name)`.
 pub fn tpch_db(cfg: TpchConfig) -> Result<Database, StorageError> {
@@ -379,12 +367,5 @@ mod tests {
         assert_eq!(q.atoms().len(), 4);
         assert_eq!(q.predicates().len(), 1);
         assert_eq!(q.head().len(), 1);
-    }
-
-    #[test]
-    fn at_scale_ratios() {
-        let cfg = TpchConfig::at_scale(0.01, 0.5, 9);
-        assert_eq!(cfg.suppliers, 100);
-        assert_eq!(cfg.parts, 2000);
     }
 }

@@ -27,10 +27,10 @@
 //! Opt12 plan, which can score below ρ (ROADMAP.md, item 15).
 //!
 //! `--threads N` (default 1) turns on the engine's morsel parallelism:
-//! large joins/scans are partitioned by key range and the outer loops
-//! (minimal-plan roots, per-answer sampling) run as parallel tasks. A
-//! projection fused with the join below it runs serially. Answers are
-//! bit-identical at every thread count.
+//! large sorts, scans and projections are partitioned by key range and
+//! the outer loops (minimal-plan roots, per-answer sampling) run as
+//! parallel tasks. Joins run serially. Answers are bit-identical at every
+//! thread count.
 //!
 //! The `bench` subcommand runs the whole experiment suite of the
 //! `lapush-bench` crate and writes one `BENCH_<target>.json` result file

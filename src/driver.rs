@@ -38,7 +38,8 @@ pub struct RankOptions {
     /// the number of plans (Section 3.3).
     pub use_schema: bool,
     /// Morsel-parallelism budget forwarded to the engine
-    /// (`ExecOptions::threads`). `1` — the default — is strictly serial;
+    /// (`ExecOptions::threads`: sorts, projections, `min` and the root
+    /// loop; joins run serially). `1` — the default — is strictly serial;
     /// any value yields bit-identical answers.
     pub threads: usize,
     /// Rank only the `k` best answers. Under [`OptLevel::MultiPlan`] this
@@ -182,7 +183,8 @@ fn answers_from_ranked(q: &Query, ranked: Vec<(Box<[Value]>, f64)>) -> AnswerSet
 /// probability of the answer's best single derivation, a lower bound on
 /// the monotone lineage. Both come from one evaluation of the minimal plan
 /// set ([`propagation_bounds_ids`]). `threads` is the morsel-parallelism
-/// budget (bit-identical bounds at every thread count).
+/// budget of everything but the joins, which run serially (bit-identical
+/// bounds at every thread count).
 pub fn bound_answers(
     db: &Database,
     q: &Query,

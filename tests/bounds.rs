@@ -173,7 +173,10 @@ fn deterministic_relations_preserve_rho_with_fewer_plans() {
         }
         db = db2;
 
-        let schema_plain = SchemaInfo::all_probabilistic(&q);
+        let schema_plain = SchemaInfo {
+            probabilistic: vec![true; q.atoms().len()],
+            fds: Vec::new(),
+        };
         let schema_dr = SchemaInfo::from_db(&q, &db);
         let plans_plain = minimal_plan_set_opts(&q, &schema_plain, EnumOptions::default());
         let plans_dr = minimal_plan_set_opts(

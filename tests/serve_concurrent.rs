@@ -415,8 +415,8 @@ fn ingest_order_does_not_change_response_bytes() {
 #[test]
 fn cold_parallel_server_stays_live_and_exact_under_mixed_traffic() {
     // 9 000 rows per relation: above the engine's morsel threshold, so at
-    // `threads: 4` the scans, sorts and joins of every connection run as
-    // tasks on the one shared pool — whose waiting submitters execute each
+    // `threads: 4` the scans, sorts and projections of every connection
+    // run as tasks on the one shared pool — whose waiting submitters execute each
     // other's tasks — while the same connections build, extend and join
     // through the database's base views, which are shared too. Nothing in
     // there may wait for the pool while holding a view's lock; a hard
