@@ -88,8 +88,9 @@ pub fn scale() -> Scale {
     }
 }
 
-/// Morsel-parallelism budget selected on the command line (`--threads N`,
-/// default 1 = strictly serial). Results do not depend on it, so it is not
+/// Thread budget selected on the command line (`--threads N`, default 1 =
+/// strictly serial): the engine's loop over minimal-plan roots and Monte
+/// Carlo sampling. Results do not depend on it, so it is not
 /// recorded: a `--threads 4` run writes the files a `--threads 1` run does.
 pub fn threads() -> usize {
     arg("threads")

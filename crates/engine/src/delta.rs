@@ -147,7 +147,7 @@ impl IncrementalEval {
         let mut root_acc = (*ev.eval(roots[0])).clone();
         for &r in &roots[1..] {
             let next = ev.eval(r);
-            min_into_par(&mut root_acc, &next, ev.par, &mut ev.scratch);
+            min_into_par(&mut root_acc, &next, Par::serial(), &mut ev.scratch);
         }
         let answers = Arc::new(decode_answers(&root_acc, q.head(), &db.codec()));
         let this = IncrementalEval {
@@ -234,7 +234,6 @@ impl IncrementalEval {
             }
         }
         let opts = self.opts;
-        let par = Par::new(opts.threads.max(1));
         let mut scratch = Scratch::default();
 
         // Filtered scan deltas, one per query atom, in scan-output layout.
@@ -250,7 +249,7 @@ impl IncrementalEval {
                 let batch: DeltaBatch = codec.delta_batch(prep.rel, snap.base_rows);
                 let shape = ScanShape::of(q, atom);
                 let (rows, sem) = (ScanRows::Delta(&batch), opts.semantics);
-                let out = scan_atom(rel, prep, &shape, rows, sem, Par::serial(), &mut scratch);
+                let out = scan_atom(rel, prep, &shape, rows, sem, &mut scratch);
                 scan_deltas.push((!out.is_empty()).then_some(out));
             }
         }
@@ -272,9 +271,7 @@ impl IncrementalEval {
                     let prep = &prepared[*atom];
                     let shape = ScanShape::of(q, &q.atoms()[*atom]);
                     let new = match shape.is_unfiltered(prep) {
-                        true => {
-                            scan_view(db, prep, shape.out_vars, opts.semantics, par, &mut scratch)
-                        }
+                        true => scan_view(db, prep, shape.out_vars, opts.semantics, &mut scratch),
                         false => merge_upsert(&views[&id], d),
                     };
                     (new, d.clone())

@@ -20,13 +20,11 @@
 //! query's variable names (`scan_view`), joined through key orders the view
 //! sorts once for all of them.
 //!
-//! Evaluation is optionally parallel ([`ExecOptions::threads`]): sorts,
-//! projections and `min` partition large batches into key-range morsels
-//! run as pool tasks (joins run serially), and [`propagation_score_ids`]
-//! additionally parallelizes its embarrassingly parallel outer loop — the
-//! minimal-plan roots — after a serial pre-pass has evaluated every
-//! memo-shared subplan once. Results are bit-identical at every thread
-//! count; `threads: 1` (the default) never touches the pool.
+//! Every operator runs serially. The one parallel loop is the plan-set
+//! loop over independent minimal-plan roots ([`ExecOptions::threads`]),
+//! after a serial pre-pass has evaluated every memo-shared subplan once.
+//! Results are bit-identical at every thread count; `threads: 1` (the
+//! default) never touches the pool.
 
 use crate::prepare::{prepare_atoms, PrepareError, PreparedAtom, ScanShape};
 use crate::rel::{
@@ -61,11 +59,11 @@ pub struct ExecOptions {
     /// single plan (sound for plans produced by `lapush_core::single_plan_id`,
     /// whose equal subquery keys denote equal subplans).
     pub reuse_views: bool,
-    /// Morsel-parallelism budget: maximum threads one parallel step of an
-    /// evaluation (a sort, projection or `min`, or the root loop; joins run
-    /// serially) may run on ([`crate::pool`]). `1` — the default — is
-    /// fully serial and never touches the pool. Any value produces
-    /// bit-identical results; see [`crate::rel`].
+    /// Maximum threads the loop over minimal-plan roots of
+    /// [`propagation_score_ids`] and [`propagation_bounds_ids`] runs on
+    /// ([`crate::pool`]); every operator, and every other entry point,
+    /// runs serially. `1` — the default — never touches the pool. Any
+    /// value produces bit-identical results.
     pub threads: usize,
 }
 
@@ -318,7 +316,6 @@ pub(crate) struct Evaluator<'a> {
     store: &'a PlanStore,
     pub(crate) prepared: Arc<[PreparedAtom]>,
     opts: ExecOptions,
-    pub(crate) par: Par,
     pub(crate) scratch: Scratch,
     memo_all: bool,
     pub(crate) memo: FxHashMap<PlanId, ShRel>,
@@ -348,7 +345,6 @@ impl<'a> Evaluator<'a> {
             store,
             prepared: prepare_atoms(db, q)?.into(),
             opts,
-            par: Par::new(opts.threads),
             scratch: Scratch::default(),
             memo_all,
             memo: FxHashMap::default(),
@@ -365,12 +361,10 @@ impl<'a> Evaluator<'a> {
     /// memo (`Arc` clones) — one per task of the root-parallel loop. The
     /// relations are shared, not copied, so every fork joins them through
     /// the key orders the pre-pass built, and an order first needed inside
-    /// the loop is built by one fork for all. Forks are serial because the
-    /// root loop already spends the thread budget, one task per thread.
+    /// the loop is built by one fork for all.
     fn fork(&self) -> Evaluator<'a> {
         Evaluator {
             prepared: Arc::clone(&self.prepared),
-            par: Par::serial(),
             scratch: Scratch::default(),
             memo: self.memo.clone(),
             survivors: Vec::new(),
@@ -434,18 +428,18 @@ impl<'a> Evaluator<'a> {
             NodeKind::Scan { atom } => {
                 let prep = &self.prepared[*atom];
                 let shape = ScanShape::of(self.q, &self.q.atoms()[*atom]);
-                let (sem, par, scratch) = (self.opts.semantics, self.par, &mut self.scratch);
+                let (sem, scratch) = (self.opts.semantics, &mut self.scratch);
                 let rows = match restricted {
                     true => ScanRows::Listed(&self.survivors[*atom]),
                     false => ScanRows::All,
                 };
                 let mut rel = match rows {
                     ScanRows::All if shape.is_unfiltered(prep) => {
-                        scan_view(self.db, prep, shape.out_vars, sem, par, scratch)
+                        scan_view(self.db, prep, shape.out_vars, sem, scratch)
                     }
                     rows => {
                         let base = self.db.relation(prep.rel);
-                        scan_atom(base, prep, &shape, rows, sem, par, scratch)
+                        scan_atom(base, prep, &shape, rows, sem, scratch)
                     }
                 };
                 if self.seed_lo {
@@ -469,7 +463,7 @@ impl<'a> Evaluator<'a> {
                     }
                     _ => {
                         let child = self.node(*input, restricted);
-                        project_fold(&child, &keep, fold, self.par, &mut self.scratch)
+                        project_fold(&child, &keep, fold, &mut self.scratch)
                     }
                 }
             }
@@ -489,7 +483,7 @@ impl<'a> Evaluator<'a> {
             NodeKind::Min { inputs } => {
                 let children = self.nodes(inputs, restricted);
                 let refs: Vec<&Rel> = children.iter().map(Arc::as_ref).collect();
-                min_combine_par(&refs, self.par, &mut self.scratch)
+                min_combine_par(&refs, Par::serial(), &mut self.scratch)
             }
         };
         let rel = Arc::new(rel);
@@ -578,17 +572,16 @@ pub(crate) enum ScanRows<'r> {
 /// atom was resolved and encoded by [`prepare_atoms`] from `rel`; no lock
 /// is held here. Whichever [`ScanRows`] drives the scan, rows are appended
 /// in storage order by the same emitter with the same scoring, and the
-/// closing canonicalization (a key-range-partitioned sort when `par`
-/// allows) establishes the operators' sorted invariant — so a row comes out
-/// bit-identical from a full, a listed and a delta scan, and from a base
-/// view, whose builder sorts the same rows with the same sort.
+/// closing canonicalization establishes the operators' sorted invariant —
+/// so a row comes out bit-identical from a full, a listed and a delta
+/// scan, and from a base view, whose builder sorts the same rows with the
+/// same sort.
 pub(crate) fn scan_atom(
     rel: &Relation,
     prep: &PreparedAtom,
     shape: &ScanShape<'_>,
     rows: ScanRows<'_>,
     sem: Semantics,
-    par: Par,
     scratch: &mut Scratch,
 ) -> Rel {
     // Pre-size the output only where the size is known (exact up to
@@ -615,7 +608,7 @@ pub(crate) fn scan_atom(
         ScanRows::Listed(list) => list.iter().for_each(|&i| emit(i, prep.row(i))),
         ScanRows::Delta(batch) => prep.for_each_surviving_delta_row(rel, batch, shape, emit),
     }
-    out.canonicalize(par, scratch);
+    out.canonicalize(Par::serial(), scratch);
     out
 }
 
@@ -630,10 +623,9 @@ pub(crate) fn scan_view(
     prep: &PreparedAtom,
     vars: Vec<Var>,
     sem: Semantics,
-    par: Par,
     scratch: &mut Scratch,
 ) -> Rel {
-    let view = base_view(db, prep, par, scratch);
+    let view = base_view(db, prep, scratch);
     let scores = match sem {
         Semantics::Probabilistic => view.probs().to_vec(),
         Semantics::Deterministic => vec![1.0; view.len()],
@@ -651,7 +643,7 @@ pub(crate) fn scan_view(
 ///   was made, by merging the sorted appended rows in. Tuples of a relation
 ///   are distinct, so the appended rows are fresh keys and the merge equals
 ///   a rescan — the Scan rule of [`crate::delta`].
-fn base_view(db: &Database, prep: &PreparedAtom, par: Par, scratch: &mut Scratch) -> Arc<BaseView> {
+fn base_view(db: &Database, prep: &PreparedAtom, scratch: &mut Scratch) -> Arc<BaseView> {
     let rel = db.relation(prep.rel);
     db.base_view(prep.rel, |stale| {
         let (cols, probs) = match stale {
@@ -665,7 +657,7 @@ fn base_view(db: &Database, prep: &PreparedAtom, par: Par, scratch: &mut Scratch
                     .map(|c| column(c).copied().collect())
                     .collect();
                 let mut probs = rel.probs().to_vec();
-                canonicalize_columns(&mut cols, &mut probs, None, par, scratch);
+                canonicalize_columns(&mut cols, &mut probs, None, scratch);
                 (cols, probs)
             }
         };
@@ -836,13 +828,12 @@ fn min_over_roots(
     let (mut ev, roots, first) = start_plan_set(db, q, store, roots, opts, lower)?;
     let lo = first.lower_bounds().map(<[f64]>::to_vec);
     let rest = &roots[1..];
-    let threads = ev.par.threads;
+    let threads = opts.threads.max(1);
     let per_root: Vec<ShRel> = if threads == 1 || rest.len() < 2 {
         rest.iter().map(|&root| ev.eval(root)).collect()
     } else {
         // Serial pre-pass: evaluate every memo-shared subplan (reachable
-        // from ≥ 2 roots) once, with the full intra-operator parallelism
-        // budget.
+        // from ≥ 2 roots) once.
         for id in shared_subplans(store, rest) {
             ev.eval(id);
         }
@@ -870,7 +861,7 @@ fn min_over_roots(
     let mut acc: Option<Rel> = None;
     for next in &per_root {
         let acc = acc.get_or_insert_with(|| (*first).clone());
-        min_into_par(acc, next, ev.par, &mut ev.scratch);
+        min_into_par(acc, next, Par::serial(), &mut ev.scratch);
     }
     Ok((acc.map_or(first, Arc::new), lo))
 }
@@ -898,9 +889,8 @@ fn shared_subplans(store: &PlanStore, roots: &[PlanId]) -> Vec<PlanId> {
 /// The "standard SQL" baseline: evaluate the query under set semantics —
 /// one flat join of every atom followed by a distinct projection onto the
 /// head, no probabilistic arithmetic at all. The join folds pairwise and
-/// its last step projects, like every projection over a join. `threads`
-/// is the morsel budget of the scans' sorts; joins run serially, and the
-/// results are identical at every thread count.
+/// its last step projects, like every projection over a join. One plan
+/// has no root loop, so `threads` changes nothing: it runs serially.
 pub fn deterministic_answers(
     db: &Database,
     q: &Query,

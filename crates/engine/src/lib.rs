@@ -52,18 +52,14 @@
 //! galloping merge advance, and the score folds — live in [`kernels`],
 //! one safe loop each.
 //!
-//! ## Morsel parallelism
+//! ## Parallelism
 //!
-//! Execution is optionally parallel ([`exec::ExecOptions::threads`],
-//! default 1 = strictly serial): sorts, projections and `min` partition
-//! large batches into key-range morsels run as scoped tasks ([`pool`]) —
-//! joins, all through one serial kernel, do not — and
-//! [`propagation_score_ids`]'s outer loop over
-//! minimal-plan roots runs in parallel after a serial pre-pass
-//! has evaluated every memo-shared subplan once. Results are
-//! **bit-identical at every thread count** — morsels never split a group
-//! and are concatenated in key order, so the parallel evaluation computes
-//! literally the same floats as the serial one.
+//! Every operator runs serially. [`exec::ExecOptions::threads`] (default
+//! 1 = strictly serial) reaches one loop: [`propagation_score_ids`]'s and
+//! [`propagation_bounds_ids`]'s loop over minimal-plan roots, which runs
+//! as scoped tasks ([`pool`]) after a serial pre-pass has evaluated every
+//! memo-shared subplan once. Per-root results fold in root order, so the
+//! answers are **bit-identical at every thread count**.
 //!
 //! **Decode-at-the-boundary invariant:** vids become `Value`s exactly once
 //! per evaluation, when the final encoded relation is turned into the

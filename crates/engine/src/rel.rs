@@ -40,73 +40,33 @@
 //! four vid columns into one `u128` (wider rows recurse on the remaining
 //! columns), so sorting and merging compare plain integers.
 //!
-//! # Morsel parallelism
-//!
-//! Joins run serially. Every other operator takes a [`Par`] (pass
-//! [`Par::serial`] to stay on the calling thread): large batches are
-//! partitioned into contiguous morsels — by position for sorts and scans,
-//! by key range (never splitting a group) for projection folds — and the
-//! morsels run as scoped tasks ([`crate::pool::run_scope`]). Results are
-//! **bit-identical at every thread count**: morsel outputs are concatenated
-//! in partition order, a group's fold never straddles a morsel, and the
-//! sorted order is a total order (ties broken by row index), so the
-//! parallel plan computes literally the same floats as the serial one.
+//! Every operator runs on the calling thread: the only parallel loop of an
+//! evaluation is the one over independent minimal plans
+//! (`exec::min_over_roots`), so nothing here reads a thread budget.
 //!
 //! Determinism note: a projection group's score is a function of its
 //! operand set — [`kernels::fold_or`] fixes the multiplication order
-//! itself — so it does not depend on the thread count, on the canonical
-//! (sorted-vid) order the rows are visited in, or on the order the
-//! database first saw its values.
+//! itself — so it does not depend on the canonical (sorted-vid) order the
+//! rows are visited in, or on the order the database first saw its values.
 
 use crate::kernels::{self, Key};
 use lapush_query::Var;
 use lapush_storage::{BaseView, Vid};
 use std::sync::{Arc, Mutex};
 
-/// Operator-level parallelism budget.
-///
-/// `threads == 1` (the default) is fully serial. Operators only engage
-/// threads for batches of at least [`MIN_PAR_ROWS`] rows, so small
-/// intermediates never pay thread start-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Par {
-    /// Maximum threads an operator may use (≥ 1).
-    pub threads: usize,
-}
+/// The retired operator-parallelism budget: no operator reads it, every
+/// operator runs serially. [`Rel::canonicalize`] and the `_par` entry
+/// points still take one because the repo benchmark's layer harness
+/// passes it; ROADMAP item 1b drops it with their suffix.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Par;
 
 impl Par {
-    /// Serial execution.
+    /// Serial execution — the only kind there is.
     pub fn serial() -> Par {
-        Par { threads: 1 }
-    }
-
-    /// Clamp a requested thread count to at least 1.
-    pub fn new(threads: usize) -> Par {
-        Par {
-            threads: threads.max(1),
-        }
-    }
-
-    /// How many morsels to cut `n` rows into (1 = stay serial).
-    pub(crate) fn morsels(self, n: usize) -> usize {
-        if self.threads <= 1 || n < MIN_PAR_ROWS {
-            1
-        } else {
-            self.threads.min(n / (MIN_PAR_ROWS / 2)).max(1)
-        }
+        Par
     }
 }
-
-impl Default for Par {
-    fn default() -> Self {
-        Par::serial()
-    }
-}
-
-/// Batches below this many rows run serially even when threads are
-/// available: starting scoped threads costs microseconds, which only
-/// amortizes over reasonably large morsels.
-pub const MIN_PAR_ROWS: usize = 8192;
 
 /// Join inputs below this many rows keep their key order in the caller's
 /// [`Scratch`] instead of on the relation: the order is then sorted per
@@ -279,7 +239,7 @@ impl Rel {
     /// Empty relation with room for `cap` rows (scans know their input
     /// size; avoids grow-and-move during the fill).
     pub fn with_capacity(vars: Vec<Var>, cap: usize) -> Self {
-        let cols = vec![Vec::with_capacity(cap); vars.len()];
+        let cols = columns(vars.len(), cap);
         Rel {
             vars,
             cols,
@@ -408,7 +368,7 @@ impl Rel {
         }
         let sort = |keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
             let cols: Vec<&[Vid]> = key.iter().map(|&c| self.col(c)).collect();
-            sort_rows(&cols, self.len(), false, Par::serial(), keys, ties);
+            sort_rows(&cols, self.len(), false, keys, ties);
         };
         if self.len() < MIN_SHARED_ORDER_ROWS {
             sort(keys, ties);
@@ -527,15 +487,9 @@ impl Rel {
     /// Restore the canonical invariant: sort rows lexicographically by all
     /// columns and combine duplicates with `max` (a lower-bound column
     /// rides the same permutation and folds the same way).
-    pub fn canonicalize(&mut self, par: Par, scratch: &mut Scratch) {
+    pub fn canonicalize(&mut self, _par: Par, scratch: &mut Scratch) {
         self.orders.clear();
-        canonicalize_columns(
-            &mut self.cols,
-            &mut self.scores,
-            self.lo.as_mut(),
-            par,
-            scratch,
-        );
+        canonicalize_columns(&mut self.cols, &mut self.scores, self.lo.as_mut(), scratch);
     }
 
     /// Debug check of the canonical invariant (sorted, distinct).
@@ -564,7 +518,6 @@ pub(crate) fn canonicalize_columns(
     cols: &mut [Vec<Vid>],
     scores: &mut Vec<f64>,
     lo: Option<&mut Vec<f64>>,
-    par: Par,
     scratch: &mut Scratch,
 ) {
     let n = scores.len();
@@ -574,7 +527,7 @@ pub(crate) fn canonicalize_columns(
     }
     let views: Vec<&[Vid]> = cols.iter().map(Vec::as_slice).collect();
     let Scratch { keys, ties, .. } = scratch;
-    sort_rows(&views, n, false, par, keys, ties);
+    sort_rows(&views, n, false, keys, ties);
     // Keep the first row of every distinct run; fold duplicate scores
     // with max (order-independent, so dedup order cannot matter).
     let keys = &*keys;
@@ -612,38 +565,24 @@ pub(crate) fn canonicalize_columns(
 
 /// Fill `keys` with `(packed key, row)` entries for rows `0..n`, sorted by
 /// the key columns and then by row index (a total order, so the resulting
-/// permutation is unique and thread-count-independent). With `presorted`
-/// the rows are known to already be in key order and only the packing
-/// happens. Keys wider than four columns are resolved by recursion on the
-/// equal-prefix runs, reusing the per-depth `ties` buffers.
+/// permutation is unique). With `presorted` the rows are known to already
+/// be in key order and only the packing happens. Keys wider than four
+/// columns are resolved by recursion on the equal-prefix runs, reusing the
+/// per-depth `ties` buffers.
 fn sort_rows(
     cols: &[&[Vid]],
     n: usize,
     presorted: bool,
-    par: Par,
     keys: &mut Vec<Key>,
     ties: &mut Vec<Vec<Key>>,
 ) {
     keys.clear();
     keys.resize(n, Key { k: 0, row: 0 });
-    let prefix = &cols[..cols.len().min(4)];
-    let morsels = par.morsels(n);
-    if morsels <= 1 {
-        kernels::pack_keys(prefix, 0, n as u32, keys);
-    } else {
-        let mut rest: &mut [Key] = keys;
-        let mut tasks = Vec::with_capacity(morsels);
-        for (lo, hi) in chunk_ranges(n, morsels) {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            tasks.push(move || kernels::pack_keys(prefix, lo as u32, hi as u32, chunk));
-        }
-        crate::pool::run_scope(par.threads, tasks);
-    }
+    kernels::pack_keys(&cols[..cols.len().min(4)], 0, n as u32, keys);
     if presorted {
         return;
     }
-    par_sort(keys, par);
+    keys.sort_unstable();
     if cols.len() > 4 {
         resolve_ties(cols, keys, 4, ties, 0);
     }
@@ -683,18 +622,6 @@ fn resolve_ties(
     }
 }
 
-/// Are the rows at sorted positions `a` and `b` equal on every key column?
-/// The packed prefix decides for keys of up to four columns; wider keys
-/// fall back to comparing the remaining columns directly.
-#[inline]
-fn keys_eq(cols: &[&[Vid]], keys: &[Key], a: usize, b: usize) -> bool {
-    if keys[a].k != keys[b].k {
-        return false;
-    }
-    let (ra, rb) = (keys[a].row as usize, keys[b].row as usize);
-    cols.len() <= 4 || cols[4..].iter().all(|c| c[ra] == c[rb])
-}
-
 /// End of the run of entries equal to `keys[start]` on **every** key
 /// column. [`kernels::run_end`] decides on the packed prefix; keys wider
 /// than four columns additionally split the packed run on the unpacked
@@ -715,94 +642,21 @@ fn run_end_full(cols: &[&[Vid]], keys: &[Key], start: usize) -> usize {
     e
 }
 
-/// Near-equal contiguous `(start, end)` ranges covering `0..n`.
-fn chunk_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.clamp(1, n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
+/// `arity` empty columns with room for `rows` rows each.
+fn columns(arity: usize, rows: usize) -> Vec<Vec<Vid>> {
+    (0..arity).map(|_| Vec::with_capacity(rows)).collect()
 }
 
-/// Parallel unstable sort: sort contiguous chunks as pool tasks, then
-/// merge run pairs (also pool tasks) until one run remains. The
-/// element order is total for our `(key, row)` pairs, so the result is the
-/// unique sorted sequence — identical at every thread count.
-fn par_sort<T: Copy + Ord + Send + Sync>(v: &mut Vec<T>, par: Par) {
-    let n = v.len();
-    let morsels = par.morsels(n);
-    if morsels <= 1 {
-        v.sort_unstable();
-        return;
+/// Number of runs [`run_end_full`] cuts the sorted `keys` into — the
+/// output rows of a fold over them, counted before its columns are
+/// allocated so that they hold no slack.
+fn count_runs(cols: &[&[Vid]], keys: &[Key]) -> usize {
+    let (mut runs, mut pos) = (0, 0);
+    while pos < keys.len() {
+        pos = run_end_full(cols, keys, pos);
+        runs += 1;
     }
-    let mut runs = chunk_ranges(n, morsels);
-    {
-        let mut rest: &mut [T] = v;
-        let mut tasks = Vec::with_capacity(runs.len());
-        for &(lo, hi) in &runs {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            tasks.push(move || chunk.sort_unstable());
-        }
-        crate::pool::run_scope(par.threads, tasks);
-    }
-    let mut buf: Vec<T> = v.clone();
-    let mut src_is_v = true;
-    while runs.len() > 1 {
-        let (src, dst): (&[T], &mut Vec<T>) = if src_is_v {
-            (v.as_slice(), &mut buf)
-        } else {
-            (buf.as_slice(), v)
-        };
-        let mut next_runs = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut rest: &mut [T] = dst;
-        let mut tasks = Vec::with_capacity(next_runs.capacity());
-        let mut i = 0;
-        while i < runs.len() {
-            // Pair up adjacent runs; an odd tail run merges with an empty
-            // right side, which degenerates to a copy.
-            let (a0, a1) = runs[i];
-            let (b0, b1) = if i + 1 < runs.len() {
-                runs[i + 1]
-            } else {
-                (a1, a1)
-            };
-            debug_assert_eq!(a1, b0);
-            let (out, tail) = rest.split_at_mut(b1 - a0);
-            rest = tail;
-            let (left, right) = (&src[a0..a1], &src[b0..b1]);
-            tasks.push(move || merge_into(left, right, out));
-            next_runs.push((a0, b1));
-            i += 2;
-        }
-        crate::pool::run_scope(par.threads, tasks);
-        runs = next_runs;
-        src_is_v = !src_is_v;
-    }
-    if !src_is_v {
-        v.copy_from_slice(&buf);
-    }
-}
-
-/// Merge two sorted runs into `out` (`out.len() == a.len() + b.len()`).
-fn merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        let take_a = i < a.len() && (j >= b.len() || a[i] <= b[j]);
-        if take_a {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
-        }
-    }
+    runs
 }
 
 // ---------------------------------------------------------------------------
@@ -1015,8 +869,7 @@ fn block_cmp(
 
 /// Join many relations (borrowed: the evaluator shares children through
 /// its memo and must not clone them to join): `join_fold` with every
-/// column kept. Joins are serial, so `_par` is unused; the benchmark's
-/// layer harness still passes one, and ROADMAP item 1b removes it.
+/// column kept.
 pub fn join_many_par(inputs: &[&Rel], _par: Par, scratch: &mut Scratch) -> Rel {
     join_fold(inputs, None, None, scratch)
 }
@@ -1047,7 +900,7 @@ pub(crate) fn join_fold(
     // A join of one input is the input (the plan store never builds one).
     acc.unwrap_or_else(|| match proj {
         None => inputs[0].clone(),
-        Some((keep, fold)) => project_fold(inputs[0], keep, fold, Par::serial(), scratch),
+        Some((keep, fold)) => project_fold(inputs[0], keep, fold, scratch),
     })
 }
 
@@ -1078,8 +931,7 @@ pub(crate) fn join_fold(
 /// A join of up to four columns packs each pair's key into one `u128` —
 /// the kept columns first, in `keep` order, then the dropped ones; a wider
 /// one emits its kept columns and sorts them as every wide sort does
-/// ([`sort_rows`], tie resolution beyond the packed four). Serial: joins
-/// take no [`Par`].
+/// ([`sort_rows`], tie resolution beyond the packed four).
 pub(crate) fn join_project(
     left: &Rel,
     right: &Rel,
@@ -1117,20 +969,20 @@ pub(crate) fn join_project(
     let (blocks, m) = match_blocks(&l, &r);
     let mut scores: Vec<f64> = Vec::with_capacity(m);
     let mut lo: Vec<f64> = Vec::with_capacity(if aux.is_some() { m } else { 0 });
-    let columns = |n: usize| {
-        (0..kept)
-            .map(|_| Vec::with_capacity(n))
-            .collect::<Vec<Vec<Vid>>>()
+    // The output is sized exactly, once its row count is known after the
+    // sort (a join's is `m`): memoized and captured results stay resident.
+    let outputs = |rows: usize| {
+        let lo_rows = if aux.is_some() { rows } else { 0 };
+        (
+            columns(kept, rows),
+            Vec::with_capacity(rows),
+            Vec::with_capacity(lo_rows),
+        )
     };
-    // A join's output is sized exactly: captured joins stay resident.
-    let out_rows = if fold.is_none() { m } else { 0 };
-    let mut out_cols = columns(out_rows);
-    let mut out_scores = Vec::with_capacity(out_rows);
-    let mut out_lo = Vec::with_capacity(if aux.is_some() { out_rows } else { 0 });
 
-    if width > 4 {
+    let (out_cols, out_scores, out_lo) = if width > 4 {
         // Emit the kept columns of every pair, sort them, fold the runs.
-        let mut cols = columns(m);
+        let mut cols = columns(kept, m);
         for b in &blocks {
             for lpos in b.l0..b.l1 {
                 let lrow = l.row(lpos);
@@ -1150,7 +1002,9 @@ pub(crate) fn join_project(
             }
         }
         let views: Vec<&[Vid]> = cols.iter().map(Vec::as_slice).collect();
-        sort_rows(&views, m, false, Par::serial(), pairs, ties);
+        sort_rows(&views, m, false, pairs, ties);
+        let rows = fold.map_or(m, |_| count_runs(&views, pairs));
+        let (mut out_cols, mut out_scores, mut out_lo) = outputs(rows);
         let mut pos = 0usize;
         while pos < m {
             let end = run_end_full(&views, pairs, pos);
@@ -1165,6 +1019,7 @@ pub(crate) fn join_project(
             }
             pos = end;
         }
+        (out_cols, out_scores, out_lo)
     } else {
         let dropped: Vec<usize> = (0..width).filter(|c| !key_order.contains(c)).collect();
         key_order.extend(dropped);
@@ -1211,6 +1066,14 @@ pub(crate) fn join_project(
             0 => 0,
             _ => k >> (32 * (width - kept)),
         };
+        let rows = match fold {
+            None => m,
+            Some(_) => {
+                let starts = pairs.windows(2).filter(|w| group(w[0].k) != group(w[1].k));
+                starts.count() + usize::from(m > 0)
+            }
+        };
+        let (mut out_cols, mut out_scores, mut out_lo) = outputs(rows);
         let mut pos = 0usize;
         while pos < pairs.len() {
             let g = group(pairs[pos].k);
@@ -1228,7 +1091,8 @@ pub(crate) fn join_project(
             }
             pos = end;
         }
-    }
+        (out_cols, out_scores, out_lo)
+    };
     let out = Rel {
         vars: keep.to_vec(),
         cols: out_cols,
@@ -1308,7 +1172,6 @@ pub(crate) fn project_fold(
     input: &Rel,
     keep: &[Var],
     fold: ProjFold,
-    par: Par,
     scratch: &mut Scratch,
 ) -> Rel {
     input.assert_canonical();
@@ -1321,83 +1184,28 @@ pub(crate) fn project_fold(
     // When the group columns are a prefix of the canonical order the input
     // is already grouped — the "sort" is a plain packing pass.
     let presorted = cols_idx.iter().enumerate().all(|(i, &c)| c == i);
-    let n = input.len();
     let Scratch { keys, ties, .. } = scratch;
-    sort_rows(&key_cols, n, presorted, par, keys, ties);
+    sort_rows(&key_cols, input.len(), presorted, keys, ties);
     let keys = &*keys;
 
-    // Find group run boundaries; morsels take whole runs.
-    let run_fold = |lo: usize,
-                    hi: usize,
-                    out_cols: &mut Vec<Vec<Vid>>,
-                    out_scores: &mut Vec<f64>,
-                    out_aux: &mut Vec<f64>| {
-        let mut pos = lo;
-        while pos < hi {
-            let end = run_end_full(&key_cols, keys, pos).min(hi);
-            let run = &keys[pos..end];
-            let score = fold_run(Some(fold), input.scores(), run);
-            if let Some(a) = aux {
-                out_aux.push(kernels::fold_max(a, run));
-            }
-            let row = keys[pos].row as usize;
-            for (out, &kc) in out_cols.iter_mut().zip(&key_cols) {
-                out.push(kc[row]);
-            }
-            out_scores.push(score);
-            pos = end;
+    let groups = count_runs(&key_cols, keys);
+    let mut out_cols = columns(keep.len(), groups);
+    let mut out_scores: Vec<f64> = Vec::with_capacity(groups);
+    let mut out_aux: Vec<f64> = Vec::with_capacity(if aux.is_some() { groups } else { 0 });
+    let mut pos = 0usize;
+    while pos < keys.len() {
+        let end = run_end_full(&key_cols, keys, pos);
+        let run = &keys[pos..end];
+        out_scores.push(fold_run(Some(fold), input.scores(), run));
+        if let Some(a) = aux {
+            out_aux.push(kernels::fold_max(a, run));
         }
-    };
-
-    let morsels = par.morsels(n);
-    let (out_cols, out_scores, out_aux) = if morsels <= 1 {
-        let mut out_cols: Vec<Vec<Vid>> = vec![Vec::new(); keep.len()];
-        let mut out_scores: Vec<f64> = Vec::new();
-        let mut out_aux: Vec<f64> = Vec::new();
-        run_fold(0, n, &mut out_cols, &mut out_scores, &mut out_aux);
-        (out_cols, out_scores, out_aux)
-    } else {
-        // Advance each cut to the next group boundary so no run straddles
-        // two morsels (each group then folds all of its operands at once).
-        let mut bounds: Vec<usize> = Vec::with_capacity(morsels + 1);
-        bounds.push(0);
-        for (_, cut) in chunk_ranges(n, morsels).into_iter().take(morsels - 1) {
-            let mut b = cut;
-            while b < n && b > 0 && keys_eq(&key_cols, keys, b - 1, b) {
-                b += 1;
-            }
-            if b > *bounds.last().expect("non-empty") && b < n {
-                bounds.push(b);
-            }
+        let row = keys[pos].row as usize;
+        for (out, &kc) in out_cols.iter_mut().zip(&key_cols) {
+            out.push(kc[row]);
         }
-        bounds.push(n);
-        // Per-morsel partial output: group key columns, primary scores,
-        // and lower bounds.
-        type BoundsPart = (Vec<Vec<Vid>>, Vec<f64>, Vec<f64>);
-        let mut parts: Vec<BoundsPart> = bounds
-            .windows(2)
-            .map(|_| (vec![Vec::new(); keep.len()], Vec::new(), Vec::new()))
-            .collect();
-        let mut tasks = Vec::with_capacity(parts.len());
-        for (w, part) in bounds.windows(2).zip(parts.iter_mut()) {
-            let (lo, hi) = (w[0], w[1]);
-            let run_fold = &run_fold;
-            tasks.push(move || run_fold(lo, hi, &mut part.0, &mut part.1, &mut part.2));
-        }
-        crate::pool::run_scope(par.threads, tasks);
-        // Concatenate morsel outputs in key order.
-        let mut out_cols: Vec<Vec<Vid>> = vec![Vec::new(); keep.len()];
-        let mut out_scores: Vec<f64> = Vec::new();
-        let mut out_aux: Vec<f64> = Vec::new();
-        for (cols, scores, auxs) in parts {
-            for (out, col) in out_cols.iter_mut().zip(cols) {
-                out.extend(col);
-            }
-            out_scores.extend(scores);
-            out_aux.extend(auxs);
-        }
-        (out_cols, out_scores, out_aux)
-    };
+        pos = end;
+    }
 
     let out = Rel {
         vars: keep.to_vec(),
@@ -1415,8 +1223,8 @@ pub(crate) fn project_fold(
 /// Probabilistic projection with duplicate elimination: group by `keep`
 /// columns, combine group members with independent-OR
 /// (`1 − ∏(1 − pᵢ)`).
-pub fn project_prob_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
-    project_fold(input, keep, ProjFold::IndependentOr, par, scratch)
+pub fn project_prob_par(input: &Rel, keep: &[Var], _par: Par, scratch: &mut Scratch) -> Rel {
+    project_fold(input, keep, ProjFold::IndependentOr, scratch)
 }
 
 // ---------------------------------------------------------------------------
@@ -1434,8 +1242,8 @@ pub fn project_prob_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scrat
 /// in `next` are collected and merged in with one allocation per column.
 /// The scratch is only touched when `next`'s column order differs from
 /// `acc`'s and a key re-sort is needed.
-pub fn min_into_par(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch) {
-    min_into_impl(acc, next, par, scratch, true);
+pub fn min_into_par(acc: &mut Rel, next: &Rel, _par: Par, scratch: &mut Scratch) {
+    min_into_impl(acc, next, scratch, true);
 }
 
 /// [`min_into_par`], or with `keep_extras` off its restriction to `acc`'s
@@ -1445,13 +1253,7 @@ pub fn min_into_par(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch) 
 /// that may still produce rows for already-pruned groups. Matching keys
 /// take the exact same in-place pointwise min either way, so surviving
 /// scores stay bit-identical.
-pub(crate) fn min_into_impl(
-    acc: &mut Rel,
-    next: &Rel,
-    par: Par,
-    scratch: &mut Scratch,
-    keep_extras: bool,
-) {
+pub(crate) fn min_into_impl(acc: &mut Rel, next: &Rel, scratch: &mut Scratch, keep_extras: bool) {
     acc.assert_canonical();
     next.assert_canonical();
     // A min over alternatives has no single best derivation to track.
@@ -1469,10 +1271,10 @@ pub(crate) fn min_into_impl(
     let Scratch {
         keys, rkeys, ties, ..
     } = scratch;
-    sort_rows(&next_cols, next.len(), identity, par, rkeys, ties);
+    sort_rows(&next_cols, next.len(), identity, rkeys, ties);
     let nkeys = &*rkeys;
     let acc_cols: Vec<&[Vid]> = acc.cols.iter().map(Vec::as_slice).collect();
-    sort_rows(&acc_cols, acc.len(), true, par, keys, ties);
+    sort_rows(&acc_cols, acc.len(), true, keys, ties);
     let akeys = &*keys;
 
     // In-place pointwise min; extras are the next-only keys.
@@ -1503,7 +1305,7 @@ pub(crate) fn min_into_impl(
     // Rare path (plans of different queries / tests): merge the next-only
     // rows in, keeping the canonical order.
     let total = acc.len() + extras.len();
-    let mut merged_cols: Vec<Vec<Vid>> = vec![Vec::with_capacity(total); acc.arity()];
+    let mut merged_cols = columns(acc.arity(), total);
     let mut merged_scores: Vec<f64> = Vec::with_capacity(total);
     let (mut i, mut j) = (0usize, 0usize);
     let push_acc = |cols: &mut [Vec<Vid>], scores: &mut Vec<f64>, acc: &Rel, i: usize| {
@@ -1552,11 +1354,11 @@ pub(crate) fn min_into_impl(
 /// variables (column order may differ) and, for plans of the same query,
 /// the same key set. One clone of the first input seeds the accumulator;
 /// every following input folds in via the in-place [`min_into_par`].
-pub fn min_combine_par(inputs: &[&Rel], par: Par, scratch: &mut Scratch) -> Rel {
+pub fn min_combine_par(inputs: &[&Rel], _par: Par, scratch: &mut Scratch) -> Rel {
     assert!(!inputs.is_empty(), "min of zero inputs");
     let mut out = inputs[0].clone();
     for rel in &inputs[1..] {
-        min_into_par(&mut out, rel, par, scratch);
+        min_into_impl(&mut out, rel, scratch, true);
     }
     out
 }
@@ -1805,8 +1607,7 @@ mod tests {
     #[test]
     fn project_det_dedups() {
         let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[1, 11], 0.9)]);
-        let (fold, par) = (ProjFold::One, Par::serial());
-        let p = project_fold(&r, &[v(0)], fold, par, &mut Scratch::default());
+        let p = project_fold(&r, &[v(0)], ProjFold::One, &mut Scratch::default());
         assert_eq!(p.len(), 1);
         assert_eq!(p.score(0), 1.0);
     }
@@ -1937,49 +1738,6 @@ mod tests {
         let col4: Vec<Vid> = r.col(4).to_vec();
         assert_eq!(col4, vec![3, 7, 9]);
         r.assert_canonical();
-    }
-
-    #[test]
-    fn parallel_ops_match_serial_bitwise() {
-        // Deterministic pseudo-random batch, large enough to engage the
-        // morsel paths.
-        let n = 3 * MIN_PAR_ROWS;
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut left = Rel::with_capacity(vec![v(0), v(1)], n);
-        let mut right = Rel::with_capacity(vec![v(1), v(2)], n);
-        for _ in 0..n {
-            let a = (next() % 97) as Vid;
-            let b = (next() % 53) as Vid;
-            let c = (next() % 41) as Vid;
-            let p = (next() % 1000) as f64 / 1000.0;
-            left.push_row(&[a, b], p);
-            right.push_row(&[b, c], 1.0 - p / 2.0);
-        }
-        let par = Par::new(4);
-        let mut scratch = Scratch::default();
-        let mut left_par = left.clone();
-        left_par.canonicalize(par, &mut scratch);
-        left.canonicalize(Par::serial(), &mut Scratch::default());
-        let mut right_par = right.clone();
-        right_par.canonicalize(par, &mut scratch);
-        right.canonicalize(Par::serial(), &mut Scratch::default());
-        assert_eq!(left, left_par);
-        assert_eq!(right, right_par);
-
-        let j = join(&left, &right, &mut scratch);
-        let p_serial = project_prob_par(&j, &[v(0)], Par::serial(), &mut Scratch::default());
-        let p_par = project_prob_par(&j, &[v(0)], par, &mut scratch);
-        assert_eq!(p_serial, p_par);
-        // Bitwise, not approximate.
-        for (a, b) in p_serial.scores().iter().zip(p_par.scores()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -2293,7 +2051,7 @@ mod tests {
         let (mut scratch, mut shared_orders) = (Scratch::default(), 0);
         let two_steps = |l: &Rel, r: &Rel, keep: &[Var], fold, scratch: &mut Scratch| {
             let joined = join(l, r, scratch);
-            project_fold(&joined, keep, fold, Par::serial(), scratch)
+            project_fold(&joined, keep, fold, scratch)
         };
         for (lv, rv) in shapes {
             let doms = |vars: &[u32]| vars.iter().map(|&x| domain[x as usize]).collect::<Vec<_>>();
@@ -2348,7 +2106,7 @@ mod tests {
             for keep in [vec![v(0)], vec![v(0), v(3)], vec![]] {
                 let fold = ProjFold::IndependentOr;
                 let joined = join_many_par(&refs, Par::serial(), &mut scratch);
-                let want = project_fold(&joined, &keep, fold, Par::serial(), &mut scratch);
+                let want = project_fold(&joined, &keep, fold, &mut scratch);
                 let got = join_fold(&refs, Some((&keep, fold)), None, &mut scratch);
                 assert_same(
                     &got,
@@ -2391,8 +2149,45 @@ mod tests {
             let p = join_fold(&[&r, &s], Some((&keep, fold)), None, &mut scratch);
             assert_eq!(p.len(), 2, "keep {keep:?}");
             assert!(p.scores().iter().all(|p| p.to_bits() == folded.to_bits()));
-            let two_steps = project_fold(&joined, &keep, fold, Par::serial(), &mut scratch);
+            let two_steps = project_fold(&joined, &keep, fold, &mut scratch);
             assert_same(&p, &two_steps, &format!("keep {keep:?}"));
+        }
+    }
+
+    #[test]
+    fn projection_outputs_are_sized_exactly() {
+        // A projection — the grouped scan, and the fused one over a join of
+        // up to and of more than four columns — and a plain join allocate
+        // exactly their output rows: the memo and captured views keep no
+        // growth slack.
+        let exact = |r: &Rel, what: &str| {
+            let n = r.len();
+            assert!(r.cols.iter().all(|c| c.capacity() == n), "{what}: columns");
+            assert_eq!(r.scores.capacity(), n, "{what}: scores");
+            assert_eq!(
+                r.lo.as_ref().map(Vec::capacity),
+                r.lo.as_ref().map(|_| n),
+                "{what}"
+            );
+        };
+        let mut rng = Rng(0x1f83d9abfb41bd6b);
+        let mut scratch = Scratch::default();
+        let fold = ProjFold::IndependentOr;
+        let shapes: [(&[u32], &[u32]); 2] = [(&[0, 1], &[1, 2]), (&[0, 1, 2], &[2, 3, 4])];
+        for (lv, rv) in shapes {
+            let mut l = random_rel(&mut rng, lv, 300, &[6, 9, 6]);
+            let mut r = random_rel(&mut rng, rv, 300, &[6, 9, 6]);
+            l.seed_lower_bounds();
+            r.seed_lower_bounds();
+            let joined = join(&l, &r, &mut scratch);
+            exact(&joined, &format!("{lv:?} x {rv:?}: join"));
+            for keep in [vec![v(0)], vec![v(2), v(0)], vec![]] {
+                let what = format!("{lv:?} x {rv:?}, keep {keep:?}");
+                let fused = join_project(&l, &r, Some((&keep, fold)), &mut scratch);
+                assert!(fused.len() < joined.len(), "{what}: groups of one only");
+                exact(&fused, &format!("{what}: fused"));
+                exact(&project_fold(&joined, &keep, fold, &mut scratch), &what);
+            }
         }
     }
 
@@ -2424,7 +2219,7 @@ mod tests {
             let what = format!("three inputs of {n} rows");
             assert_same(&join_fold(&refs, None, None, &mut scratch), &naive, &what);
             for keep in [vec![v(0)], vec![v(3), v(0)], vec![]] {
-                let want = project_fold(&naive, &keep, fold, Par::serial(), &mut scratch);
+                let want = project_fold(&naive, &keep, fold, &mut scratch);
                 let got = join_fold(&refs, Some((&keep, fold)), None, &mut scratch);
                 assert_same(&got, &want, &format!("{what}, keep {keep:?}"));
             }
@@ -2441,7 +2236,7 @@ mod tests {
             assert_same(&got, &naive, &what);
             assert!(got.lower_bounds().is_some(), "{what}");
             for keep in [vec![v(5), v(0)], (0..5).map(v).collect(), vec![]] {
-                let want = project_fold(&naive, &keep, fold, Par::serial(), &mut scratch);
+                let want = project_fold(&naive, &keep, fold, &mut scratch);
                 let got = join_fold(&[&l, &r], Some((&keep, fold)), None, &mut scratch);
                 assert_same(&got, &want, &format!("{what}, keep {keep:?}"));
             }
@@ -2670,22 +2465,6 @@ mod tests {
                 &merge_by_rows(&base, &delta),
                 &what,
             );
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for n in [0usize, 1, 7, 100] {
-            for parts in [1usize, 2, 3, 8] {
-                let ranges = chunk_ranges(n, parts);
-                let mut at = 0;
-                for (lo, hi) in &ranges {
-                    assert_eq!(*lo, at);
-                    assert!(hi >= lo);
-                    at = *hi;
-                }
-                assert_eq!(at, n);
-            }
         }
     }
 }

@@ -246,7 +246,7 @@ impl<'a> TopkEval<'a> {
         };
         // Restricted plans may still produce rows for pruned groups (the
         // reducer restricts rows, not answer tuples): those are dropped.
-        min_into_impl(&mut self.acc, &next, ev.par, &mut ev.scratch, !self.pruning);
+        min_into_impl(&mut self.acc, &next, &mut ev.scratch, !self.pruning);
         Ok(true)
     }
 

@@ -45,8 +45,11 @@ pub struct ServerConfig {
     /// Bind address. Port 0 picks an ephemeral port — read the real one
     /// from [`ServerHandle::addr`].
     pub bind: String,
-    /// Morsel-parallelism budget forwarded to the engine for each query
-    /// (`1` = strictly serial; answers are bit-identical at any value).
+    /// Thread budget forwarded to the engine for each request. No serve
+    /// path runs a parallel step today: `QUERY` evaluates one plan,
+    /// `TOPK` runs the pruned top-k driver and `INGEST` the delta rules,
+    /// all serially, so the value changes nothing (answers are
+    /// bit-identical at any value).
     pub threads: usize,
     /// Plan cache capacity, in distinct query shapes.
     pub plan_cache_cap: usize,

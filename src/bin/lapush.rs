@@ -26,11 +26,11 @@
 //! always the prefix of plain `--method diss`: that ranks with the single
 //! Opt12 plan, which can score below ρ (ROADMAP.md, item 15).
 //!
-//! `--threads N` (default 1) turns on the engine's morsel parallelism:
-//! large sorts, scans and projections are partitioned by key range and
-//! the outer loops (minimal-plan roots, per-answer sampling) run as
-//! parallel tasks. Joins run serially. Answers are bit-identical at every
-//! thread count.
+//! `--threads N` (default 1) runs two loops of independent units as
+//! parallel tasks: the loop over minimal-plan roots of `--method bounds`
+//! and per-answer sampling of `--method mc`. Every operator, and every
+//! other method (`diss` evaluates one plan, or the pruned top-k driver),
+//! runs serially. Answers are bit-identical at every thread count.
 //!
 //! The `bench` subcommand runs the whole experiment suite of the
 //! `lapush-bench` crate and writes one `BENCH_<target>.json` result file

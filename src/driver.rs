@@ -37,10 +37,11 @@ pub struct RankOptions {
     /// `^d` markers; functional dependencies from the catalog) to reduce
     /// the number of plans (Section 3.3).
     pub use_schema: bool,
-    /// Morsel-parallelism budget forwarded to the engine
-    /// (`ExecOptions::threads`: sorts, projections, `min` and the root
-    /// loop; joins run serially). `1` — the default — is strictly serial;
-    /// any value yields bit-identical answers.
+    /// Thread budget forwarded to the engine (`ExecOptions::threads`): the
+    /// loop over minimal-plan roots, which only [`OptLevel::MultiPlan`]
+    /// without `top_k` runs; every other level is one plan, or the pruned
+    /// top-k driver, and runs serially. `1` — the default — is strictly
+    /// serial; any value yields bit-identical answers.
     pub threads: usize,
     /// Rank only the `k` best answers. Under [`OptLevel::MultiPlan`] this
     /// routes through the engine's anytime top-k driver
@@ -182,9 +183,9 @@ fn answers_from_ranked(q: &Query, ranked: Vec<(Box<[Value]>, f64)>) -> AnswerSet
 /// `high` is the propagation score `ρ(q)` (Definition 14); `low` is the
 /// probability of the answer's best single derivation, a lower bound on
 /// the monotone lineage. Both come from one evaluation of the minimal plan
-/// set ([`propagation_bounds_ids`]). `threads` is the morsel-parallelism
-/// budget of everything but the joins, which run serially (bit-identical
-/// bounds at every thread count).
+/// set ([`propagation_bounds_ids`]). `threads` is the thread budget of
+/// its loop over minimal-plan roots; every operator runs serially
+/// (bit-identical bounds at every thread count).
 pub fn bound_answers(
     db: &Database,
     q: &Query,

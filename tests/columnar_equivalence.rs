@@ -2,8 +2,9 @@
 //!
 //! The engine interns every value into a dense vid, stores every
 //! intermediate as a sorted columnar batch, and runs joins, projections,
-//! `min` and duplicate elimination as sort/merge algorithms (optionally
-//! partitioned across threads). This suite pins it down three times over:
+//! `min` and duplicate elimination as sort/merge algorithms, serially; the
+//! loop over minimal-plan roots and Monte Carlo sampling run across
+//! threads. This suite pins it down three times over:
 //!
 //! 1. **Against the oracle** (`tests/common/oracle.rs`), a value-level
 //!    evaluator with nested-loop joins that shares no code with the
@@ -14,8 +15,8 @@
 //!    same workloads).
 //! 2. **Across thread counts**: `threads: 1` vs `threads: 4` answers must
 //!    be *bit-identical* (not approximately equal) on the same workloads
-//!    and on chain, star and TPC-H workloads large enough to engage the
-//!    morsel paths: parallelism may never change a float.
+//!    and on chain, star and TPC-H workloads whose multi-plan levels run
+//!    the root loop in parallel: parallelism may never change a float.
 //! 3. **At the scheduler itself**: randomized task DAGs (nested fan-outs
 //!    of uneven tasks) through [`pool::run_scope`] must return results
 //!    identical, element for element, to serial recursive execution at
@@ -72,8 +73,9 @@ proptest! {
 }
 
 /// threads=1 vs threads=4 result equality on fixed chain / star / TPC-H
-/// workloads at a size that actually engages the morsel paths of the
-/// larger intermediates. Bitwise equality, every opt level.
+/// workloads, every opt level: the multi-plan level and the bounds spread
+/// their minimal-plan roots over threads, Monte Carlo its answers.
+/// Bitwise equality.
 #[test]
 fn thread_counts_agree_on_chain_star_tpch() {
     let chain = {

@@ -414,13 +414,12 @@ fn ingest_order_does_not_change_response_bytes() {
 
 #[test]
 fn cold_parallel_server_stays_live_and_exact_under_mixed_traffic() {
-    // 9 000 rows per relation: above the engine's morsel threshold, so at
-    // `threads: 4` the scans, sorts and projections of every connection
-    // run as tasks on the one shared pool — whose waiting submitters execute each
-    // other's tasks — while the same connections build, extend and join
-    // through the database's base views, which are shared too. Nothing in
-    // there may wait for the pool while holding a view's lock; a hard
-    // timeout turns a deadlock into a failure.
+    // 9 000 rows per relation, four connections at `threads: 4`, all cold:
+    // the connections build, extend and join through the database's base
+    // views, which they share, and through the key orders those views
+    // keep, while ingests take the write lock. Nothing in there may wait
+    // on another connection while holding a view's lock; a hard timeout
+    // turns a deadlock into a failure.
     const ROWS: usize = 9000;
     const DOMAIN: i64 = 6000;
     const CLIENTS: usize = 4;
