@@ -8,6 +8,9 @@
 //! * [`pack_keys`] / [`pack_rekey`] — build the `(u128, u32)` packed-key
 //!   buffer ([`Key`]) by streaming whole columns, width-specialized for
 //!   1–4 key columns (no per-row iteration over a column *list*);
+//! * [`sort_keys`] — the one sort of a packed-key buffer: a stable radix
+//!   sort over the bytes of the keys that vary, comparison-sorting only
+//!   below [`RADIX_CUTOFF`] entries;
 //! * [`run_end`] — find the end of a run of equal packed keys;
 //! * [`gather_u32`] — apply a row permutation to a `Vid` column
 //!   (the payload gather of a permutation sort);
@@ -18,12 +21,14 @@
 //!
 //! # Why these shapes
 //!
-//! Up to four 32-bit vids pack into one `u128`, so sorting, run
-//! detection and merge-join comparison on the common key widths are
-//! single integer compares instead of per-column walks; wider keys
-//! recurse on the tail columns (see `crate::rel`). Galloping makes a
-//! merge-join skip cost `O(log gap)` instead of one compare per skipped
-//! key.
+//! Up to four 32-bit vids pack into one `u128`, so run detection and
+//! merge-join comparison on the common key widths are single integer
+//! compares instead of per-column walks; wider keys recurse on the tail
+//! columns (see `crate::rel`). A sort entry is 32 bytes, but a key of dense
+//! dictionary ids varies in only a few of its sixteen bytes, so a radix
+//! sort that skips the constant bytes moves each entry a few times instead
+//! of comparing it `log n` times. Galloping makes a merge-join skip cost
+//! `O(log gap)` instead of one compare per skipped key.
 //!
 //! # Determinism
 //!
@@ -43,7 +48,10 @@ use lapush_storage::Vid;
 ///
 /// The derived ordering is lexicographic `(k, row)` — a total order,
 /// which is what makes every sort in [`crate::rel`]
-/// thread-count-independent.
+/// thread-count-independent. Every buffer of them is sorted by
+/// [`sort_keys`], which takes its entries in ascending `row` order (every
+/// builder numbers rows upwards) and sorts stably by `k`: ties on `k` then
+/// stay in row order, so the stable sort is the derived order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
     /// Up to four vid columns packed 32 bits each, first column most
@@ -163,6 +171,77 @@ pub fn pack_rekey(cols: &[&[Vid]], src: &[Key], out: &mut Vec<Key>) {
             }
         })),
         _ => unreachable!("pack_rekey called with more than four columns"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// sort
+// ---------------------------------------------------------------------------
+
+/// Buffers shorter than this sort by comparison in [`sort_keys`]: the
+/// radix sort's fixed costs — a pass to find the varying bytes, sixteen
+/// 256-bucket histograms to clear, a scatter buffer to fill — are not
+/// repaid by a few hundred entries. The nodes of a large plan set (the
+/// repo benchmark's `plans-wide`: at most 100 rows each) stay on
+/// `sort_unstable`.
+pub const RADIX_CUTOFF: usize = 256;
+
+/// Sort `keys` into the derived [`Key`] order, `(k, row)`. Every caller
+/// hands the entries over in ascending `row` order — [`pack_keys`] numbers
+/// rows upwards, the join kernel numbers pairs as it emits them,
+/// [`pack_rekey`] keeps the order of a sorted run — so a **stable** sort by
+/// `k` alone yields that order, and that is what runs from
+/// [`RADIX_CUTOFF`] entries up: a least-significant-digit radix sort over
+/// only the bytes of `k` that vary. One pass finds them (the bits where
+/// some two keys differ), one builds their histograms, and one stable
+/// scatter per varying byte ping-pongs between `keys` and `spare`. Dense
+/// dictionary ids vary in the low bytes of each 32-bit column only: a key
+/// of three ids under 2²⁴ takes at most nine passes, not sixteen.
+///
+/// `spare` is caller-owned scatter space, so a sort allocates nothing in
+/// steady state: it is overwritten, and the two buffers may trade
+/// allocations.
+pub fn sort_keys(keys: &mut Vec<Key>, spare: &mut Vec<Key>) {
+    debug_assert!(
+        keys.windows(2).all(|w| w[0].row < w[1].row),
+        "sort_keys takes its entries in ascending row order"
+    );
+    let n = keys.len();
+    if n < RADIX_CUTOFF {
+        keys.sort_unstable();
+        return;
+    }
+    let (any, all) = (keys.iter()).fold((0u128, !0u128), |(any, all), e| (any | e.k, all & e.k));
+    let varying = any ^ all;
+    let mut digits = [0usize; 16];
+    let mut passes = 0;
+    for (byte, &b) in varying.to_le_bytes().iter().enumerate() {
+        if b != 0 {
+            digits[passes] = byte;
+            passes += 1;
+        }
+    }
+    let digits = &digits[..passes];
+    let mut counts = [[0u32; 256]; 16];
+    for e in keys.iter() {
+        let bytes = e.k.to_le_bytes();
+        for (count, &d) in counts.iter_mut().zip(digits) {
+            count[bytes[d] as usize] += 1;
+        }
+    }
+    spare.clear();
+    spare.resize(n, Key { k: 0, row: 0 });
+    for (count, &d) in counts.iter_mut().zip(digits) {
+        let mut at = 0u32;
+        for slot in count.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        for e in keys.iter() {
+            let slot = &mut count[e.k.to_le_bytes()[d] as usize];
+            spare[*slot as usize] = *e;
+            *slot += 1;
+        }
+        std::mem::swap(keys, spare);
     }
 }
 

@@ -20,14 +20,14 @@
 //!   The copy of a database base view (`Rel::from_view` — every unfiltered
 //!   scan) goes one step further and reads the *view's* orders, sorted once
 //!   per database state for every query, top-k pass and cached answer that
-//!   scans the relation. The merge emits one sort key (the kept columns,
-//!   then the dropped ones) and the product score per matching pair, one
-//!   sort orders them, and each run of equal kept columns is one output
-//!   row: a plain join keeps every column, so a run is one join row and its
-//!   product is copied; a **projection directly over a join** folds the run
-//!   as a projection group — the join's result is never materialized, and
-//!   the bits are the two operators' bits (a group folds the same operand
-//!   set either way),
+//!   scans the relation. The merge emits one sort key (the kept columns
+//!   alone) and the product score per matching pair, one sort orders them,
+//!   and each run of equal kept columns is one output row: a plain join
+//!   keeps every column, so a run is one join row and its product is
+//!   copied; a **projection directly over a join** folds the run as a
+//!   projection group — the join's result is never materialized, and the
+//!   bits are the two operators' bits (a group folds the same operand set
+//!   either way, so the order of the pairs inside a run does not matter),
 //! * **projections** are grouped scans over key-sorted runs — independent-OR
 //!   (or 1 under deterministic semantics) over each run of equal group
 //!   keys, a lower-bound column by `max`, no hash upserts,
@@ -38,7 +38,11 @@
 //!
 //! Nothing on these paths hashes or allocates per row: sort keys pack up to
 //! four vid columns into one `u128` (wider rows recurse on the remaining
-//! columns), so sorting and merging compare plain integers.
+//! columns), so merging compares plain integers, and every sort of a packed
+//! key buffer — canonical sorts, key orders, tie runs and the join's pairs —
+//! is one kernel, [`kernels::sort_keys`]: a radix sort over the bytes that
+//! vary, scattering through a [`Scratch`] buffer that is idle at that
+//! moment.
 //!
 //! Every operator runs on the calling thread: the only parallel loop of an
 //! evaluation is the one over independent minimal plans
@@ -83,14 +87,19 @@ pub(crate) const MIN_SHARED_ORDER_ROWS: usize = 256;
 /// One `Scratch` lives in the evaluator's context and is threaded through
 /// all operator calls of an evaluation, so projections and joins reuse the
 /// same allocations instead of growing a fresh key vector per operator.
+/// A sort ([`kernels::sort_keys`]) scatters through whichever buffer is
+/// idle at that moment, named at each call, so no sort allocates its own.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Packed `(key, row)` pairs for the primary input of an operator.
+    /// Packed `(key, row)` pairs for the primary input of an operator; the
+    /// scatter space of the join kernel's pair sort, once its merge is done.
     keys: Vec<Key>,
-    /// Same, for the secondary (right/next) input.
+    /// Same, for the secondary (right/next) input; the scatter space of a
+    /// projection's and a canonicalization's sort of `keys`.
     rkeys: Vec<Key>,
     /// The output sort keys of the join kernel ([`join_project`]), which
-    /// reads its inputs through the two above.
+    /// reads its inputs through the two above; the scatter space of their
+    /// sorts (key orders, `min`'s re-sort), which come before any pair.
     pairs: Vec<Key>,
     /// Recycled per-run buffers for tie resolution of keys wider than four
     /// columns (one buffer per active recursion depth; see
@@ -356,33 +365,34 @@ impl Rel {
     /// otherwise the relation's key order ([`KeyOrders`]: its own, or its
     /// base view's), sorted on first use — or, under
     /// [`MIN_SHARED_ORDER_ROWS`] rows, a sort into `keys` that nobody else
-    /// sees.
+    /// sees. A sort scatters through `spare`.
     fn key_order<'s>(
         &self,
         key: &[usize],
         keys: &'s mut Vec<Key>,
+        spare: &mut Vec<Key>,
         ties: &mut Vec<Vec<Key>>,
     ) -> RowOrder<'s> {
         if key.iter().copied().eq(0..key.len()) {
             return RowOrder::Canonical;
         }
-        let sort = |keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
+        let mut sort = |keys: &mut Vec<Key>| {
             let cols: Vec<&[Vid]> = key.iter().map(|&c| self.col(c)).collect();
-            sort_rows(&cols, self.len(), false, keys, ties);
+            sort_rows(&cols, self.len(), false, keys, spare, ties);
         };
         if self.len() < MIN_SHARED_ORDER_ROWS {
-            sort(keys, ties);
+            sort(keys);
             return RowOrder::Scratch(keys);
         }
-        let build = |keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>| {
-            sort(keys, ties);
+        let mut build = |keys: &mut Vec<Key>| {
+            sort(keys);
             #[cfg(test)]
             order_log::record(self, key);
             keys.iter().map(|e| e.row).collect::<Arc<[u32]>>()
         };
         let chain = match &self.orders {
             KeyOrders::Base(view) => {
-                return RowOrder::Shared(view.key_order(key, || build(keys, ties)));
+                return RowOrder::Shared(view.key_order(key, || build(keys)));
             }
             KeyOrders::Own(chain) => chain,
         };
@@ -393,7 +403,7 @@ impl Rel {
         if let Some(rows) = found {
             return RowOrder::Shared(rows);
         }
-        let rows = build(keys, ties);
+        let rows = build(keys);
         *head = Some(Box::new(KeyOrder {
             key: key.into(),
             rows: Arc::clone(&rows),
@@ -526,8 +536,10 @@ pub(crate) fn canonicalize_columns(
         return;
     }
     let views: Vec<&[Vid]> = cols.iter().map(Vec::as_slice).collect();
-    let Scratch { keys, ties, .. } = scratch;
-    sort_rows(&views, n, false, keys, ties);
+    let Scratch {
+        keys, rkeys, ties, ..
+    } = scratch;
+    sort_rows(&views, n, false, keys, rkeys, ties);
     // Keep the first row of every distinct run; fold duplicate scores
     // with max (order-independent, so dedup order cannot matter).
     let keys = &*keys;
@@ -565,15 +577,16 @@ pub(crate) fn canonicalize_columns(
 
 /// Fill `keys` with `(packed key, row)` entries for rows `0..n`, sorted by
 /// the key columns and then by row index (a total order, so the resulting
-/// permutation is unique). With `presorted` the rows are known to already
-/// be in key order and only the packing happens. Keys wider than four
-/// columns are resolved by recursion on the equal-prefix runs, reusing the
-/// per-depth `ties` buffers.
+/// permutation is unique) through `spare`. With `presorted` the rows are
+/// known to already be in key order and only the packing happens. Keys
+/// wider than four columns are resolved by recursion on the equal-prefix
+/// runs, reusing the per-depth `ties` buffers.
 fn sort_rows(
     cols: &[&[Vid]],
     n: usize,
     presorted: bool,
     keys: &mut Vec<Key>,
+    spare: &mut Vec<Key>,
     ties: &mut Vec<Vec<Key>>,
 ) {
     keys.clear();
@@ -582,20 +595,22 @@ fn sort_rows(
     if presorted {
         return;
     }
-    keys.sort_unstable();
+    kernels::sort_keys(keys, spare);
     if cols.len() > 4 {
-        resolve_ties(cols, keys, 4, ties, 0);
+        resolve_ties(cols, keys, 4, spare, ties, 0);
     }
 }
 
 /// Sort the equal-packed-prefix runs of `keys` by the columns from `depth`
 /// on (recursing in groups of four), finally by row index. Each recursion
 /// level reuses one scratch buffer from `ties` ([`kernels::pack_rekey`]
-/// clears it), so tie resolution allocates nothing in steady state.
+/// clears it) and every run scatters through `spare`, so tie resolution
+/// allocates nothing in steady state.
 fn resolve_ties(
     cols: &[&[Vid]],
     keys: &mut [Key],
     depth: usize,
+    spare: &mut Vec<Key>,
     ties: &mut Vec<Vec<Key>>,
     level: usize,
 ) {
@@ -609,9 +624,9 @@ fn resolve_ties(
         if end - start > 1 {
             let mut buf = std::mem::take(&mut ties[level]);
             kernels::pack_rekey(deeper, &keys[start..end], &mut buf);
-            buf.sort_unstable();
+            kernels::sort_keys(&mut buf, spare);
             if depth + 4 < cols.len() {
-                resolve_ties(cols, &mut buf, depth + 4, ties, level + 1);
+                resolve_ties(cols, &mut buf, depth + 4, spare, ties, level + 1);
             }
             for (slot, e) in keys[start..end].iter_mut().zip(&buf) {
                 slot.row = e.row;
@@ -928,9 +943,10 @@ pub(crate) fn join_fold(
 ///   group's operands and the fold is order-free, so the bits are those of
 ///   `project_fold` over the join.
 ///
-/// A join of up to four columns packs each pair's key into one `u128` —
-/// the kept columns first, in `keep` order, then the dropped ones; a wider
-/// one emits its kept columns and sorts them as every wide sort does
+/// A pair's sort key is its kept columns alone, in `keep` order: up to four
+/// pack into one `u128`, so the runs are the runs of equal packed keys
+/// ([`kernels::sort_keys`]; keeping nothing makes one run, and no sort);
+/// more are emitted as columns and sorted as every wide sort is
 /// ([`sort_rows`], tie resolution beyond the packed four).
 pub(crate) fn join_project(
     left: &Rel,
@@ -942,17 +958,33 @@ pub(crate) fn join_project(
     right.assert_canonical();
     let jc = JoinCols::of(left, right);
     let out_vars = jc.out_vars(left, right);
-    let (keep, fold) = match proj {
-        Some((keep, fold)) => (keep, Some(fold)),
-        None => (out_vars.as_slice(), None),
-    };
-    let width = out_vars.len();
-    let mut key_order: Vec<usize> = (keep.iter())
+    let keep = proj.map_or(out_vars.as_slice(), |(keep, _)| keep);
+    let fold = proj.map(|(_, fold)| fold);
+    // Each kept variable's join output column: a column of `left`, or past
+    // `left.arity()` a right-only one.
+    let kept_cols: Vec<usize> = (keep.iter())
         .map(|&v| out_vars.iter().position(|&u| u == v))
         .collect::<Option<_>>()
         .expect("projection var missing");
     let kept = keep.len();
+    let packed = kept <= 4;
+    // Where each packed kept column sits in the key, per side.
+    let mut lparts: Vec<(&[Vid], usize)> = Vec::new();
+    let mut rparts: Vec<(&[Vid], usize)> = Vec::new();
+    for (i, &c) in kept_cols.iter().enumerate().filter(|_| packed) {
+        let shift = 32 * (kept - 1 - i);
+        match c.checked_sub(left.arity()) {
+            None => lparts.push((left.col(c), shift)),
+            Some(ri) => rparts.push((right.col(jc.right_only[ri]), shift)),
+        }
+    }
+    let pack = |parts: &[(&[Vid], usize)], row: usize| {
+        (parts.iter()).fold(0u128, |k, &(col, s)| k | ((col[row] as u128) << s))
+    };
 
+    // Merge, and emit per matching pair its product score and its kept
+    // columns: packed into `pairs`, numbered in emission order, or as
+    // columns.
     let aux = left.lower_bounds().zip(right.lower_bounds());
     let Scratch {
         keys,
@@ -960,98 +992,45 @@ pub(crate) fn join_project(
         ties,
         pairs,
     } = &mut *scratch;
-    let lorder = left.key_order(&jc.lkey, keys, ties);
-    let rorder = right.key_order(&jc.rkey, rkeys, ties);
-    let (l, r) = (
-        KeyView::new(left, &jc.lkey, &lorder),
-        KeyView::new(right, &jc.rkey, &rorder),
-    );
-    let (blocks, m) = match_blocks(&l, &r);
-    let mut scores: Vec<f64> = Vec::with_capacity(m);
-    let mut lo: Vec<f64> = Vec::with_capacity(if aux.is_some() { m } else { 0 });
-    // The output is sized exactly, once its row count is known after the
-    // sort (a join's is `m`): memoized and captured results stay resident.
-    let outputs = |rows: usize| {
-        let lo_rows = if aux.is_some() { rows } else { 0 };
-        (
-            columns(kept, rows),
-            Vec::with_capacity(rows),
-            Vec::with_capacity(lo_rows),
-        )
-    };
-
-    let (out_cols, out_scores, out_lo) = if width > 4 {
-        // Emit the kept columns of every pair, sort them, fold the runs.
-        let mut cols = columns(kept, m);
-        for b in &blocks {
-            for lpos in b.l0..b.l1 {
-                let lrow = l.row(lpos);
-                for rpos in b.r0..b.r1 {
-                    let rrow = r.row(rpos);
-                    for (col, &c) in cols.iter_mut().zip(&key_order) {
-                        col.push(match c.checked_sub(left.arity()) {
-                            None => left.get(lrow, c),
-                            Some(ri) => right.get(rrow, jc.right_only[ri]),
-                        });
-                    }
-                    scores.push(left.score(lrow) * right.score(rrow));
-                    if let Some((la, ra)) = aux {
-                        lo.push(la[lrow] * ra[rrow]);
-                    }
-                }
-            }
+    let mut wide_cols: Vec<Vec<Vid>> = Vec::new();
+    let mut scores: Vec<f64> = Vec::new();
+    let mut lo: Vec<f64> = Vec::new();
+    {
+        // A small input's key order sorts into `keys` or `rkeys` and is
+        // read from there until every pair is out.
+        let lorder = left.key_order(&jc.lkey, keys, pairs, ties);
+        let rorder = right.key_order(&jc.rkey, rkeys, pairs, ties);
+        let (l, r) = (
+            KeyView::new(left, &jc.lkey, &lorder),
+            KeyView::new(right, &jc.rkey, &rorder),
+        );
+        let (blocks, m) = match_blocks(&l, &r);
+        scores.reserve_exact(m);
+        lo.reserve_exact(if aux.is_some() { m } else { 0 });
+        if packed {
+            pairs.clear();
+            pairs.reserve(m);
+        } else {
+            wide_cols = columns(kept, m);
         }
-        let views: Vec<&[Vid]> = cols.iter().map(Vec::as_slice).collect();
-        sort_rows(&views, m, false, pairs, ties);
-        let rows = fold.map_or(m, |_| count_runs(&views, pairs));
-        let (mut out_cols, mut out_scores, mut out_lo) = outputs(rows);
-        let mut pos = 0usize;
-        while pos < m {
-            let end = run_end_full(&views, pairs, pos);
-            let run = &pairs[pos..end];
-            out_scores.push(fold_run(fold, &scores, run));
-            if aux.is_some() {
-                out_lo.push(kernels::fold_max(&lo, run));
-            }
-            let row = pairs[pos].row as usize;
-            for (out, col) in out_cols.iter_mut().zip(&views) {
-                out.push(col[row]);
-            }
-            pos = end;
-        }
-        (out_cols, out_scores, out_lo)
-    } else {
-        let dropped: Vec<usize> = (0..width).filter(|c| !key_order.contains(c)).collect();
-        key_order.extend(dropped);
-        // Each output column's vids, and where they sit in the packed key.
-        let shift = |c: usize| {
-            let at = key_order
-                .iter()
-                .position(|&k| k == c)
-                .expect("every column");
-            32 * (width - 1 - at)
-        };
-        let lparts: Vec<(&[Vid], usize)> =
-            (0..left.arity()).map(|c| (left.col(c), shift(c))).collect();
-        let rparts: Vec<(&[Vid], usize)> = (jc.right_only.iter().enumerate())
-            .map(|(i, &rc)| (right.col(rc), shift(left.arity() + i)))
-            .collect();
-        let pack = |parts: &[(&[Vid], usize)], row: usize| {
-            (parts.iter()).fold(0u128, |k, &(col, s)| k | ((col[row] as u128) << s))
-        };
-        pairs.clear();
-        pairs.reserve(m);
         for b in &blocks {
             for lpos in b.l0..b.l1 {
                 let lrow = l.row(lpos);
                 let (lk, ls) = (pack(&lparts, lrow), left.score(lrow));
                 for rpos in b.r0..b.r1 {
                     let rrow = r.row(rpos);
-                    let row = scores.len() as u32;
-                    pairs.push(Key {
-                        k: lk | pack(&rparts, rrow),
-                        row,
-                    });
+                    if packed {
+                        let row = scores.len() as u32;
+                        let k = lk | pack(&rparts, rrow);
+                        pairs.push(Key { k, row });
+                    } else {
+                        for (col, &c) in wide_cols.iter_mut().zip(&kept_cols) {
+                            col.push(match c.checked_sub(left.arity()) {
+                                None => left.get(lrow, c),
+                                Some(ri) => right.get(rrow, jc.right_only[ri]),
+                            });
+                        }
+                    }
                     scores.push(ls * right.score(rrow));
                     if let Some((la, ra)) = aux {
                         lo.push(la[lrow] * ra[rrow]);
@@ -1059,40 +1038,43 @@ pub(crate) fn join_project(
                 }
             }
         }
-        // Packed keys are distinct (join rows are), so this is the key order.
-        pairs.sort_unstable();
+    }
 
-        let group = |k: u128| match kept {
-            0 => 0,
-            _ => k >> (32 * (width - kept)),
-        };
-        let rows = match fold {
-            None => m,
-            Some(_) => {
-                let starts = pairs.windows(2).filter(|w| group(w[0].k) != group(w[1].k));
-                starts.count() + usize::from(m > 0)
-            }
-        };
-        let (mut out_cols, mut out_scores, mut out_lo) = outputs(rows);
-        let mut pos = 0usize;
-        while pos < pairs.len() {
-            let g = group(pairs[pos].k);
-            let mut end = pos + 1;
-            while end < pairs.len() && group(pairs[end].k) == g {
-                end += 1;
-            }
-            let run = &pairs[pos..end];
-            out_scores.push(fold_run(fold, &scores, run));
-            if aux.is_some() {
-                out_lo.push(kernels::fold_max(&lo, run));
-            }
-            for (i, col) in out_cols.iter_mut().enumerate() {
-                col.push((g >> (32 * (kept - 1 - i))) as Vid);
-            }
-            pos = end;
+    // Sort the pairs by their kept columns (the key orders are done with
+    // `keys`: it is the scatter space now) and fold each run into one row.
+    // Runs are exactly the groups, and a group folds order-free, so the
+    // order inside a run does not matter; a join's runs are single rows.
+    let m = scores.len();
+    let views: Vec<&[Vid]> = wide_cols.iter().map(Vec::as_slice).collect();
+    if !packed {
+        sort_rows(&views, m, false, pairs, keys, ties);
+    } else if kept > 0 {
+        kernels::sort_keys(pairs, keys);
+    }
+    // The output is sized exactly, once its row count is known (a join's
+    // is `m`): memoized and captured results stay resident.
+    let rows = fold.map_or(m, |_| count_runs(&views, pairs));
+    let mut out_cols = columns(kept, rows);
+    let mut out_scores: Vec<f64> = Vec::with_capacity(rows);
+    let mut out_lo: Vec<f64> = Vec::with_capacity(if aux.is_some() { rows } else { 0 });
+    let mut pos = 0usize;
+    while pos < m {
+        let end = run_end_full(&views, pairs, pos);
+        let run = &pairs[pos..end];
+        out_scores.push(fold_run(fold, &scores, run));
+        if aux.is_some() {
+            out_lo.push(kernels::fold_max(&lo, run));
         }
-        (out_cols, out_scores, out_lo)
-    };
+        let Key { k, row } = pairs[pos];
+        for (i, out) in out_cols.iter_mut().enumerate() {
+            out.push(if packed {
+                (k >> (32 * (kept - 1 - i))) as Vid
+            } else {
+                views[i][row as usize]
+            });
+        }
+        pos = end;
+    }
     let out = Rel {
         vars: keep.to_vec(),
         cols: out_cols,
@@ -1184,8 +1166,10 @@ pub(crate) fn project_fold(
     // When the group columns are a prefix of the canonical order the input
     // is already grouped — the "sort" is a plain packing pass.
     let presorted = cols_idx.iter().enumerate().all(|(i, &c)| c == i);
-    let Scratch { keys, ties, .. } = scratch;
-    sort_rows(&key_cols, input.len(), presorted, keys, ties);
+    let Scratch {
+        keys, rkeys, ties, ..
+    } = scratch;
+    sort_rows(&key_cols, input.len(), presorted, keys, rkeys, ties);
     let keys = &*keys;
 
     let groups = count_runs(&key_cols, keys);
@@ -1269,12 +1253,15 @@ pub(crate) fn min_into_impl(acc: &mut Rel, next: &Rel, scratch: &mut Scratch, ke
     // pack acc's rows too (canonical order *is* key order, so the pack is
     // a presorted pass): the merge below then compares packed keys.
     let Scratch {
-        keys, rkeys, ties, ..
+        keys,
+        rkeys,
+        pairs,
+        ties,
     } = scratch;
-    sort_rows(&next_cols, next.len(), identity, rkeys, ties);
+    sort_rows(&next_cols, next.len(), identity, rkeys, pairs, ties);
     let nkeys = &*rkeys;
     let acc_cols: Vec<&[Vid]> = acc.cols.iter().map(Vec::as_slice).collect();
-    sort_rows(&acc_cols, acc.len(), true, keys, ties);
+    sort_rows(&acc_cols, acc.len(), true, keys, pairs, ties);
     let akeys = &*keys;
 
     // In-place pointwise min; extras are the next-only keys.
@@ -2236,6 +2223,61 @@ mod tests {
             assert_same(&got, &naive, &what);
             assert!(got.lower_bounds().is_some(), "{what}");
             for keep in [vec![v(5), v(0)], (0..5).map(v).collect(), vec![]] {
+                let want = project_fold(&naive, &keep, fold, &mut scratch);
+                let got = join_fold(&[&l, &r], Some((&keep, fold)), None, &mut scratch);
+                assert_same(&got, &want, &format!("{what}, keep {keep:?}"));
+            }
+        }
+
+        // Above the radix cutoff: ≥ 2 000 pairs per join, at every packed
+        // width, over vids of three bytes — the join key's 40 values spread
+        // out too — so several bytes of every kept column vary; keeping
+        // nothing, one column, and all columns but one.
+        let vid = |rng: &mut Rng, x: u32| match x {
+            1 => (1 << 16) + 104_729 * (rng.next() % 40) as Vid,
+            _ => (1 << 16) + (rng.next() % (1 << 22)) as Vid,
+        };
+        let big = |rng: &mut Rng, vars: &[u32], n: usize| {
+            let mut r = Rel::empty(vars.iter().map(|&x| v(x)).collect());
+            for _ in 0..n {
+                let row: Vec<Vid> = vars.iter().map(|&x| vid(rng, x)).collect();
+                r.push_row(&row, (rng.next() % 999 + 1) as f64 / 1000.0);
+            }
+            r.canonicalize(Par::serial(), &mut Scratch::default());
+            r.seed_lower_bounds();
+            r
+        };
+        // (left vars, right vars, rows per side); variable 1 is the join key.
+        let shapes: [(&[u32], &[u32], usize); 4] = [
+            (&[1], &[1], 0),
+            (&[0, 1], &[1], 2_400),
+            (&[0, 1], &[1, 2], 400),
+            (&[0, 1, 3], &[1, 2], 400),
+        ];
+        for (lv, rv, n) in shapes {
+            let (l, r) = if lv.len() == 1 {
+                // Width 1: a join of two unary relations is their
+                // intersection, so build one of 2 000 rows on purpose.
+                let unary = |from: u32, to: u32| {
+                    let mut r = Rel::empty(vec![v(1)]);
+                    for i in from..to {
+                        r.push_row(&[(1 << 16) + 97 * i], 0.5 + (i % 7) as f64 / 16.0);
+                    }
+                    r.seed_lower_bounds();
+                    r
+                };
+                (unary(0, 2_500), unary(500, 3_000))
+            } else {
+                (big(&mut rng, lv, n), big(&mut rng, rv, n))
+            };
+            let naive = naive_fold(&[&l, &r]);
+            let width = naive.arity();
+            let what = format!("width {width}, {} pairs", naive.len());
+            assert!(naive.len() >= 2_000, "{what}: too few pairs");
+            let got = join_fold(&[&l, &r], None, None, &mut scratch);
+            assert_same(&got, &naive, &what);
+            let keeps = [vec![], vec![naive.vars[0]], naive.vars[1..].to_vec()];
+            for keep in keeps {
                 let want = project_fold(&naive, &keep, fold, &mut scratch);
                 let got = join_fold(&[&l, &r], Some((&keep, fold)), None, &mut scratch);
                 assert_same(&got, &want, &format!("{what}, keep {keep:?}"));

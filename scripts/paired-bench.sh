@@ -2,13 +2,16 @@
 # The paired protocol of benchmark/README.md ("Protocol for later claims"),
 # end to end: this working tree (the change) against a parent revision.
 #
-#   scripts/paired-bench.sh <parent-rev> [pairs=10] [seconds=20]
+#   scripts/paired-bench.sh <parent-rev> [pairs=10] [seconds=20] [workload...]
 #
 # Exports <parent-rev> into a directory of its own, builds each side into
 # its own CARGO_TARGET_DIR, and runs `benchmark/run.sh --trace 0` on every
-# workload of BENCHMARK.json, <pairs> times per side: one seed per pair,
-# the side that goes first alternating from pair to pair. One more pair
-# runs on a seed taken from the clock, which nobody can have tuned against.
+# workload of BENCHMARK.json — or only on the workloads named after
+# <seconds>, to re-run one alone — <pairs> times per side: one seed per
+# pair. Within a pair each workload runs on both sides back to back, so a
+# noisy minute of the box lands on both runs it compares; the side that
+# goes first alternates from pair to pair. One more pair runs on a seed
+# taken from the clock, which nobody can have tuned against.
 # Prints one table cell per (metric, workload):
 #
 #   parent median → change median (relative change, IQR = the parent's own
@@ -25,10 +28,11 @@
 # Needs python3 (standard library only) for the table.
 set -euo pipefail
 
-usage="usage: scripts/paired-bench.sh <parent-rev> [pairs=10] [seconds=20]"
+usage="usage: scripts/paired-bench.sh <parent-rev> [pairs=10] [seconds=20] [workload...]"
 parent_rev="${1:?$usage}"
 pairs="${2:-10}"
 seconds="${3:-20}"
+shift $(($# < 3 ? $# : 3))
 root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
 work="$root/.bench_build/paired"
 runs="$work/runs"
@@ -40,22 +44,27 @@ rm -rf "$work/parent" "$runs"
 mkdir -p "$work/parent" "$runs"
 git -C "$root" archive "$sha" | tar -x -C "$work/parent"
 
+# The named workloads, in BENCHMARK.json order; an unknown name is an error.
 mapfile -t workloads < <(python3 -c '
 import json, sys
-print("\n".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))
-' "$root/BENCHMARK.json")
+known = [w["name"] for w in json.load(open(sys.argv[1]))["workloads"]]
+wanted = sys.argv[2:] or known
+unknown = [w for w in wanted if w not in known]
+if unknown:
+    sys.exit(f"unknown workload(s) {unknown}; BENCHMARK.json has {known}")
+print("\n".join(w for w in known if w in wanted))
+' "$root/BENCHMARK.json" "$@")
+((${#workloads[@]})) || exit 1
 
-# run_side <parent|change> <pair label> <seed>
+# run_side <parent|change> <workload> <pair label> <seed>
 run_side() {
-  local side="$1" pair="$2" seed="$3" dir="$root"
+  local side="$1" w="$2" pair="$3" seed="$4" dir="$root"
   [[ "$side" == parent ]] && dir="$work/parent"
-  for w in "${workloads[@]}"; do
-    echo "pair $pair ($seed): $side $w" >&2
-    # The harness exits non-zero when a check fails; the table reports it.
-    (cd "$dir" && CARGO_TARGET_DIR="$work/target-$side" \
-      bash benchmark/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 ||
-      true) | tail -n 1 >"$runs/$side-$w-$pair.json"
-  done
+  echo "pair $pair ($seed): $side $w" >&2
+  # The harness exits non-zero when a check fails; the table reports it.
+  (cd "$dir" && CARGO_TARGET_DIR="$work/target-$side" \
+    bash benchmark/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 ||
+    true) | tail -n 1 >"$runs/$side-$w-$pair.json"
 }
 
 for pair in $(seq 1 "$pairs") unseen; do
@@ -66,17 +75,18 @@ for pair in $(seq 1 "$pairs") unseen; do
     seed=$((seed0 + pair - 1))
     if ((pair % 2)); then first=parent second=change; else first=change second=parent; fi
   fi
-  run_side "$first" "$pair" "$seed"
-  run_side "$second" "$pair" "$seed"
+  for w in "${workloads[@]}"; do
+    run_side "$first" "$w" "$pair" "$seed"
+    run_side "$second" "$w" "$pair" "$seed"
+  done
 done
 
-python3 - "$root/BENCHMARK.json" "$runs" "$pairs" "$sha" "$seed0" "$unseen_seed" <<'PY'
+python3 - "$root/BENCHMARK.json" "$runs" "$pairs" "$sha" "$seed0" "$unseen_seed" "${workloads[@]}" <<'PY'
 import json, sys
 
-spec_path, runs, pairs, sha, seed0, unseen_seed = sys.argv[1:]
+spec_path, runs, pairs, sha, seed0, unseen_seed, *workloads = sys.argv[1:]
 pairs = int(pairs)
 spec = json.load(open(spec_path))
-workloads = [w["name"] for w in spec["workloads"]]
 metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
@@ -123,7 +133,7 @@ def cell(better, bound, parent, change):
 
 
 print(f"parent {sha[:7]} → working tree: {pairs} pairs, seeds {seed0}…{int(seed0) + pairs - 1}, "
-      f"sides alternating; unseen seed {unseen_seed}")
+      f"each workload's two sides back to back, the first alternating; unseen seed {unseen_seed}")
 data = {}
 for w in workloads:
     for side in ("parent", "change"):

@@ -4,7 +4,9 @@
 //! Every kernel is checked against an independent in-test reference that
 //! shares no code with `kernels.rs`, on randomized columns (key widths
 //! 0–4 packed directly, 5–6 through the rekey recursion the sort uses),
-//! buffers with runs of equal keys, and empty and single-row edges.
+//! buffers with runs of equal keys, and empty and single-row edges; the
+//! radix sort also on full-range, duplicate, equal, presorted and reversed
+//! keys at lengths on both sides of its cutoff.
 //! Integer kernels must match exactly; the float folds must match a
 //! strict one-multiply-at-a-time serial loop in the canonical fold order
 //! (a run of three or more operands ascending by score) *in bits*, not
@@ -208,6 +210,111 @@ proptest! {
             .fold(f64::NEG_INFINITY, |b, e| b.max(scores[e.row as usize]));
         prop_assert_eq!(kernels::fold_or(run.iter().copied()).to_bits(), want_or.to_bits(), "fold_or");
         prop_assert_eq!(kernels::fold_max(&scores, &keys).to_bits(), want_max.to_bits(), "fold_max");
+    }
+}
+
+/// Reference for `sort_keys`: a comparison sort of the `(k, row)` tuple,
+/// sharing no code with the kernel.
+fn ref_sort(keys: &[Key]) -> Vec<Key> {
+    let mut want = keys.to_vec();
+    want.sort_by_key(|e| (e.k, e.row));
+    want
+}
+
+/// The runs of equal `k` of a sorted buffer, each as its key and its set
+/// of rows.
+fn runs(keys: &[Key]) -> Vec<(u128, Vec<u32>)> {
+    let mut runs: Vec<(u128, Vec<u32>)> = Vec::new();
+    for e in keys {
+        match runs.last_mut() {
+            Some((k, rows)) if *k == e.k => rows.push(e.row),
+            _ => runs.push((e.k, vec![e.row])),
+        }
+    }
+    for (_, rows) in &mut runs {
+        rows.sort_unstable();
+    }
+    runs
+}
+
+/// `sort_keys` on one buffer of `width`-column keys against the reference;
+/// then on the keys cut to their leading `kept` columns, as the join kernel
+/// packs a projection's pairs: each run of equal kept columns must hold
+/// the rows of that run in the full sort. The scatter buffer starts out
+/// holding junk.
+fn check_sort_keys(keys: &[Key], width: usize, what: &str) {
+    let mut spare = vec![Key { k: 3, row: 3 }; keys.len() / 3 + 1];
+    let mut got = keys.to_vec();
+    kernels::sort_keys(&mut got, &mut spare);
+    let full = ref_sort(keys);
+    assert_eq!(got, full, "{what}");
+    for kept in 0..width {
+        let cut = |keys: &[Key]| -> Vec<Key> {
+            let shift = 32 * (width - kept) as u32;
+            (keys.iter())
+                .map(|e| Key {
+                    k: e.k.checked_shr(shift).unwrap_or(0),
+                    row: e.row,
+                })
+                .collect()
+        };
+        let mut got = cut(keys);
+        kernels::sort_keys(&mut got, &mut spare);
+        let what = format!("{what}, {kept} columns kept");
+        assert_eq!(got, ref_sort(&cut(keys)), "{what}");
+        assert_eq!(runs(&got), runs(&cut(&full)), "{what}: runs");
+    }
+}
+
+/// `n` entries of `width` packed columns, drawn by `vid(column, entry)`,
+/// in ascending row order with gaps (a tie-resolution run's rows are not
+/// contiguous).
+fn keys_of(width: usize, n: usize, vid: impl Fn(usize, usize) -> Vid) -> Vec<Key> {
+    (0..n)
+        .map(|i| Key {
+            k: (0..width).fold(0u128, |k, c| (k << 32) | vid(c, i) as u128),
+            row: 7 + 3 * i as u32,
+        })
+        .collect()
+}
+
+#[test]
+fn sort_keys_matches_a_tuple_sort_on_every_shape() {
+    let cutoff = kernels::RADIX_CUTOFF;
+    for width in 0..=4usize {
+        for n in [0, 1, 2, cutoff - 1, cutoff, 10_000] {
+            let seed = (width * 100_000 + n) as u64;
+            // Full-range vids: every byte of every column varies.
+            let full = keys_of(width, n, |c, i| {
+                mix(seed ^ ((c as u64) << 40) ^ i as u64) as Vid
+            });
+            // Heavy duplicates: four values per column, spread over its bytes.
+            let dups = keys_of(width, n, |c, i| {
+                (mix(seed ^ 0x77 ^ ((c as u64) << 40) ^ i as u64) % 4) as Vid * 0x0101_0101
+            });
+            let equal = keys_of(width, n, |c, _| 0x00c0_ffee ^ c as Vid);
+            // Presorted and reversed keys (rows stay ascending).
+            let mut presorted = full.clone();
+            presorted.sort_unstable_by_key(|e| e.k);
+            for (i, e) in presorted.iter_mut().enumerate() {
+                e.row = i as u32;
+            }
+            let mut reversed = presorted.clone();
+            reversed.reverse();
+            for (i, e) in reversed.iter_mut().enumerate() {
+                e.row = i as u32;
+            }
+            let shapes = [
+                ("full-range", &full),
+                ("duplicates", &dups),
+                ("all equal", &equal),
+                ("presorted", &presorted),
+                ("reversed", &reversed),
+            ];
+            for (shape, keys) in shapes {
+                check_sort_keys(keys, width, &format!("{shape}, width {width}, {n} entries"));
+            }
+        }
     }
 }
 
