@@ -60,11 +60,7 @@ fn main() {
             // no extra evaluation cost.
             let metric = if m == Method::Opt12 {
                 let timed = measure::run(bench.spec(), || {
-                    let opts = RankOptions {
-                        threads: lapush_bench::threads(),
-                        ..RankOptions::default()
-                    };
-                    rank_by_dissociation(&db, &q, opts).expect("diss")
+                    rank_by_dissociation(&db, &q, RankOptions::default()).expect("diss")
                 });
                 answers = answers.max(timed.value.len());
                 cells.push(format!("{:.2}", timed.median_ms()));

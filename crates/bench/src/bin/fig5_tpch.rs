@@ -71,7 +71,7 @@ fn main() {
         let q = tpch_query(p1, param2);
 
         let t_sql = measure::run(bench.spec(), || {
-            lapushdb::engine::deterministic_answers(&db, &q, lapush_bench::threads()).expect("sql")
+            lapushdb::engine::deterministic_answers(&db, &q).expect("sql")
         });
         let t_diss = measure::run(bench.spec(), || {
             rank_by_dissociation(
@@ -79,9 +79,7 @@ fn main() {
                 &q,
                 RankOptions {
                     opt: OptLevel::Opt12,
-                    use_schema: false,
-                    threads: lapush_bench::threads(),
-                    top_k: None,
+                    ..RankOptions::default()
                 },
             )
             .expect("diss")
@@ -92,9 +90,7 @@ fn main() {
                 &q,
                 RankOptions {
                     opt: OptLevel::Opt123,
-                    use_schema: false,
-                    threads: lapush_bench::threads(),
-                    top_k: None,
+                    ..RankOptions::default()
                 },
             )
             .expect("diss+opt3")

@@ -23,7 +23,7 @@
 //! as the batch approaches the update churn the capture can absorb.
 
 use lapush_bench::report::Metric;
-use lapush_bench::{checksum_answers, ms, print_table, scale, threads, time, Bench, Scale};
+use lapush_bench::{checksum_answers, ms, print_table, scale, time, Bench, Scale};
 use lapushdb::core::{single_plan_id, EnumOptions, PlanStore, SchemaInfo};
 use lapushdb::engine::{
     propagation_score_ids, DeltaOutcome, ExecOptions, IncrementalEval, Semantics,
@@ -58,7 +58,7 @@ fn main() {
     let opts = ExecOptions {
         semantics: Semantics::Probabilistic,
         reuse_views: true,
-        threads: threads(),
+        ..ExecOptions::default()
     };
 
     // Capture once; the cached per-node views are what every subsequent

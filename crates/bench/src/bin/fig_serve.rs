@@ -25,7 +25,7 @@
 //! of scheduling.
 
 use lapush_bench::report::Metric;
-use lapush_bench::{arg, checksum_strings, ms, print_table, scale, threads, time, Bench, Scale};
+use lapush_bench::{arg, checksum_strings, ms, print_table, scale, time, Bench, Scale};
 use lapush_serve::{stat, Client, Server, ServerConfig};
 use lapushdb::engine::pool;
 use lapushdb::workload::{chain_db, chain_query, find_chain_domain};
@@ -74,11 +74,7 @@ fn main() {
         "database: 3-chain, {n} tuples/table, domain {domain}; {clients} clients × {reqs} requests"
     );
 
-    let config = ServerConfig {
-        threads: threads(),
-        ..ServerConfig::default()
-    };
-    let handle = Server::bind_with_db(db, config)
+    let handle = Server::bind_with_db(db, ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn");

@@ -22,7 +22,7 @@
 
 use lapush_bench::measure::{self, MeasureSpec};
 use lapush_bench::report::Metric;
-use lapush_bench::{checksum_strings, print_table, scale, threads, Bench, Scale};
+use lapush_bench::{checksum_strings, print_table, scale, Bench, Scale};
 use lapushdb::core::{minimal_plan_set_opts, EnumOptions, SchemaInfo};
 use lapushdb::engine::{propagation_score_ids, propagation_score_topk, ExecOptions};
 use lapushdb::workload::{
@@ -85,10 +85,7 @@ fn main() {
         ("tpch_chain", db, tpch_chain_query_pairs(suppliers as i64))
     };
 
-    let exec = ExecOptions {
-        threads: threads(),
-        ..ExecOptions::default()
-    };
+    let exec = ExecOptions::default();
     let mut rows = Vec::new();
     for (name, db, q) in [chain, star, tpch] {
         let schema = SchemaInfo::from_query(&q);

@@ -89,8 +89,8 @@ pub fn scale() -> Scale {
 }
 
 /// Thread budget selected on the command line (`--threads N`, default 1 =
-/// strictly serial): the engine's loop over minimal-plan roots and Monte
-/// Carlo sampling. Results do not depend on it, so it is not
+/// strictly serial). It reaches Monte Carlo sampling only (the engine
+/// reads no thread budget). Results do not depend on it, so it is not
 /// recorded: a `--threads 4` run writes the files a `--threads 1` run does.
 pub fn threads() -> usize {
     arg("threads")
@@ -381,17 +381,13 @@ impl Method {
     }
 }
 
-/// Run one strategy, returning the number of answers. Honors the
-/// `--threads` flag of the calling experiment binary.
+/// Run one strategy, returning the number of answers.
 pub fn run_method(db: &Database, q: &Query, m: Method) -> usize {
     use lapushdb::engine::deterministic_answers;
     use lapushdb::{rank_by_dissociation, OptLevel, RankOptions};
-    let threads = threads();
     let opts = |opt| RankOptions {
         opt,
-        use_schema: false,
-        threads,
-        top_k: None,
+        ..RankOptions::default()
     };
     match m {
         Method::AllPlans => rank_by_dissociation(db, q, opts(OptLevel::MultiPlan))
@@ -406,9 +402,7 @@ pub fn run_method(db: &Database, q: &Query, m: Method) -> usize {
         Method::Opt123 => rank_by_dissociation(db, q, opts(OptLevel::Opt123))
             .expect("eval ok")
             .len(),
-        Method::Sql => deterministic_answers(db, q, threads)
-            .expect("eval ok")
-            .len(),
+        Method::Sql => deterministic_answers(db, q).expect("eval ok").len(),
     }
 }
 

@@ -13,7 +13,7 @@
 //!
 //! Every rule below reproduces the batch operator **bitwise**, which the
 //! equivalence suite (`tests/delta_equivalence.rs`) enforces across
-//! semantics, opt levels and thread counts:
+//! semantics and plan shapes:
 //!
 //! * **Scan** — relations are append-only and a scan's output key (its
 //!   distinct variables) determines the full base row once the atom's
@@ -722,36 +722,27 @@ mod tests {
             })
             .collect();
 
+        let opts = ExecOptions::default();
         for (store, roots) in &shapes {
-            for threads in [1, 4] {
-                let opts = ExecOptions {
-                    threads,
-                    ..ExecOptions::default()
-                };
-                let mut db = base.clone();
-                let mut inc = IncrementalEval::new(&db, &q, store, roots, opts).unwrap();
-                let join_vars = |inc: &IncrementalEval| -> Vec<(PlanId, Vec<Var>)> {
-                    (inc.nodes.iter())
-                        .filter(|&&id| matches!(store.node(id).kind, NodeKind::Join { .. }))
-                        .map(|&id| (id, inc.views[&id].vars.clone()))
-                        .collect()
-                };
-                let captured = join_vars(&inc);
-                assert!(!captured.is_empty(), "the plans join");
-                for (b, batch) in batches.iter().enumerate() {
-                    for (rel, (row, p)) in batch {
-                        db.relation_mut(*rel).push(row.clone(), *p).unwrap();
-                    }
-                    let out = inc.apply_deltas(&db, &q, store).unwrap();
-                    assert_ne!(out, DeltaOutcome::Fallback, "batch {b}");
-                    let full = propagation_score_ids(&db, &q, store, roots, opts).unwrap();
-                    assert_bitwise(inc.answers(), &full);
-                    assert_eq!(
-                        join_vars(&inc),
-                        captured,
-                        "t{threads} batch {b}: join layout"
-                    );
+            let mut db = base.clone();
+            let mut inc = IncrementalEval::new(&db, &q, store, roots, opts).unwrap();
+            let join_vars = |inc: &IncrementalEval| -> Vec<(PlanId, Vec<Var>)> {
+                (inc.nodes.iter())
+                    .filter(|&&id| matches!(store.node(id).kind, NodeKind::Join { .. }))
+                    .map(|&id| (id, inc.views[&id].vars.clone()))
+                    .collect()
+            };
+            let captured = join_vars(&inc);
+            assert!(!captured.is_empty(), "the plans join");
+            for (b, batch) in batches.iter().enumerate() {
+                for (rel, (row, p)) in batch {
+                    db.relation_mut(*rel).push(row.clone(), *p).unwrap();
                 }
+                let out = inc.apply_deltas(&db, &q, store).unwrap();
+                assert_ne!(out, DeltaOutcome::Fallback, "batch {b}");
+                let full = propagation_score_ids(&db, &q, store, roots, opts).unwrap();
+                assert_bitwise(inc.answers(), &full);
+                assert_eq!(join_vars(&inc), captured, "batch {b}: join layout");
             }
         }
     }

@@ -20,11 +20,9 @@
 //! query's variable names (`scan_view`), joined through key orders the view
 //! sorts once for all of them.
 //!
-//! Every operator runs serially. The one parallel loop is the plan-set
-//! loop over independent minimal-plan roots ([`ExecOptions::threads`]),
-//! after a serial pre-pass has evaluated every memo-shared subplan once.
-//! Results are bit-identical at every thread count; `threads: 1` (the
-//! default) never touches the pool.
+//! Every evaluation runs on the calling thread: the plan-set loop visits
+//! the minimal-plan roots one after another through one shared memo, and
+//! no function here reads a thread budget or touches [`crate::pool`].
 
 use crate::prepare::{prepare_atoms, PrepareError, PreparedAtom, ScanShape};
 use crate::rel::{
@@ -59,11 +57,9 @@ pub struct ExecOptions {
     /// single plan (sound for plans produced by `lapush_core::single_plan_id`,
     /// whose equal subquery keys denote equal subplans).
     pub reuse_views: bool,
-    /// Maximum threads the loop over minimal-plan roots of
-    /// [`propagation_score_ids`] and [`propagation_bounds_ids`] runs on
-    /// ([`crate::pool`]); every operator, and every other entry point,
-    /// runs serially. `1` — the default — never touches the pool. Any
-    /// value produces bit-identical results.
+    /// Read by nothing: every evaluation runs on the calling thread, at any
+    /// value. The field stays only because the benchmark harness sets it
+    /// in struct literals; ROADMAP item 1b removes it.
     pub threads: usize,
 }
 
@@ -274,8 +270,8 @@ pub fn eval_plan_id(
 
 /// Evaluation results are shared, not copied: memo hits (scans, reused
 /// views) hand out another reference to the same relation. `Arc`, not
-/// `Rc`: the memo crosses task boundaries in the parallel outer
-/// loop of [`propagation_score_ids`].
+/// `Rc`: the incremental evaluator keeps these relations as its views,
+/// and a server's answer cache shares that state between connections.
 pub(crate) type ShRel = Arc<Rel>;
 
 /// The plan evaluator: one memoized fold over the [`PlanStore`] DAG, and
@@ -314,7 +310,7 @@ pub(crate) struct Evaluator<'a> {
     pub(crate) db: &'a Database,
     pub(crate) q: &'a Query,
     store: &'a PlanStore,
-    pub(crate) prepared: Arc<[PreparedAtom]>,
+    pub(crate) prepared: Vec<PreparedAtom>,
     opts: ExecOptions,
     pub(crate) scratch: Scratch,
     memo_all: bool,
@@ -343,7 +339,7 @@ impl<'a> Evaluator<'a> {
             db,
             q,
             store,
-            prepared: prepare_atoms(db, q)?.into(),
+            prepared: prepare_atoms(db, q)?,
             opts,
             scratch: Scratch::default(),
             memo_all,
@@ -355,23 +351,6 @@ impl<'a> Evaluator<'a> {
             fused_steps: 0,
             joins: None,
         })
-    }
-
-    /// A serial evaluator over the same inputs, seeded with this one's
-    /// memo (`Arc` clones) — one per task of the root-parallel loop. The
-    /// relations are shared, not copied, so every fork joins them through
-    /// the key orders the pre-pass built, and an order first needed inside
-    /// the loop is built by one fork for all.
-    fn fork(&self) -> Evaluator<'a> {
-        Evaluator {
-            prepared: Arc::clone(&self.prepared),
-            scratch: Scratch::default(),
-            memo: self.memo.clone(),
-            survivors: Vec::new(),
-            restricted: FxHashMap::default(),
-            joins: None,
-            ..*self
-        }
     }
 
     /// Make scans start the lower-bound column (`on`), or stop and strip
@@ -723,19 +702,12 @@ pub fn order_plans_by_cost(
 /// plan in isolation (a memo hit returns the same relation the
 /// recomputation would), only the repeated work disappears.
 ///
-/// The roots are evaluated cheapest-first ([`order_plans_by_cost`]): the
-/// accumulator starts from the smallest evaluation. The pointwise `min`
-/// over probability scores (no NaNs, no signed zeros) is exactly
-/// commutative and associative, so the reordering is invisible in the
-/// result — every score stays bit-identical to the enumeration-order fold.
-///
-/// With `opts.threads > 1` the roots after the first are evaluated in
-/// parallel: a serial pre-pass evaluates every subplan reachable from two
-/// or more of them (exactly the nodes the shared memo would deduplicate),
-/// then they are chunked across pool tasks, each with a read-only view of
-/// the pre-computed memo. Per-root results are folded with
-/// [`min_into_par`] in root order, so the answer is bit-identical to the
-/// serial evaluation.
+/// The roots are evaluated cheapest-first ([`order_plans_by_cost`]), one
+/// after another on the calling thread: the accumulator starts from the
+/// smallest evaluation. The pointwise `min` over probability scores (no
+/// NaNs, no signed zeros) is exactly commutative and associative, so the
+/// reordering is invisible in the result — every score stays
+/// bit-identical to the enumeration-order fold.
 pub fn propagation_score_ids(
     db: &Database,
     q: &Query,
@@ -827,75 +799,24 @@ fn min_over_roots(
 ) -> Result<(ShRel, Option<Vec<f64>>), ExecError> {
     let (mut ev, roots, first) = start_plan_set(db, q, store, roots, opts, lower)?;
     let lo = first.lower_bounds().map(<[f64]>::to_vec);
-    let rest = &roots[1..];
-    let threads = opts.threads.max(1);
-    let per_root: Vec<ShRel> = if threads == 1 || rest.len() < 2 {
-        rest.iter().map(|&root| ev.eval(root)).collect()
-    } else {
-        // Serial pre-pass: evaluate every memo-shared subplan (reachable
-        // from ≥ 2 roots) once.
-        for id in shared_subplans(store, rest) {
-            ev.eval(id);
-        }
-        // Parallel outer loop: contiguous root chunks become pool tasks,
-        // each with its own evaluator seeded from the shared memo. Nodes
-        // outside the memo are by construction reachable from exactly one
-        // root, so no work is repeated across tasks.
-        let shared = &ev;
-        let tasks: Vec<_> = rest
-            .chunks(rest.len().div_ceil(threads))
-            .map(|chunk| {
-                move || {
-                    let mut local = shared.fork();
-                    chunk.iter().map(|&root| local.eval(root)).collect()
-                }
-            })
-            .collect();
-        let evaluated: Vec<Vec<ShRel>> = crate::pool::run_scope(threads, tasks);
-        evaluated.concat()
-    };
     // Fold in root order with the pointwise min. The memo keeps every
     // node's Arc alive, so the first result can never be unwrapped in
     // place; clone it only when a second plan actually needs a mutable
     // accumulator (single-plan sets return it as is).
     let mut acc: Option<Rel> = None;
-    for next in &per_root {
+    for &root in &roots[1..] {
+        let next = ev.eval(root);
         let acc = acc.get_or_insert_with(|| (*first).clone());
-        min_into_par(acc, next, Par::serial(), &mut ev.scratch);
+        min_into_par(acc, &next, Par::serial(), &mut ev.scratch);
     }
     Ok((acc.map_or(first, Arc::new), lo))
-}
-
-/// Plan nodes reachable from two or more of `roots`, in ascending id
-/// order (children before parents). These are exactly the nodes whose
-/// results the shared memo of [`propagation_score_ids`] deduplicates; the
-/// parallel path evaluates them serially up front so no two threads race
-/// to compute the same subplan.
-fn shared_subplans(store: &PlanStore, roots: &[PlanId]) -> Vec<PlanId> {
-    let mut count: Vec<u8> = vec![0; store.len()];
-    let mut shared: Vec<PlanId> = Vec::new();
-    for &root in roots {
-        for id in store.reachable(&[root]) {
-            count[id.index()] = count[id.index()].saturating_add(1);
-            if count[id.index()] == 2 {
-                shared.push(id);
-            }
-        }
-    }
-    shared.sort_unstable();
-    shared
 }
 
 /// The "standard SQL" baseline: evaluate the query under set semantics —
 /// one flat join of every atom followed by a distinct projection onto the
 /// head, no probabilistic arithmetic at all. The join folds pairwise and
-/// its last step projects, like every projection over a join. One plan
-/// has no root loop, so `threads` changes nothing: it runs serially.
-pub fn deterministic_answers(
-    db: &Database,
-    q: &Query,
-    threads: usize,
-) -> Result<AnswerSet, ExecError> {
+/// its last step projects, like every projection over a join.
+pub fn deterministic_answers(db: &Database, q: &Query) -> Result<AnswerSet, ExecError> {
     let shape = QueryShape::of_query(q);
     let mut store = PlanStore::new();
     let scans = (0..q.atoms().len())
@@ -905,8 +826,7 @@ pub fn deterministic_answers(
     let root = store.project(shape.head, join);
     let opts = ExecOptions {
         semantics: Semantics::Deterministic,
-        reuse_views: false,
-        threads,
+        ..ExecOptions::default()
     };
     eval_plan_id(db, q, &store, root, opts)
 }
@@ -1065,52 +985,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn parallel_propagation_matches_serial_bitwise() {
-        let db = example17_db();
-        let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
-        let serial = propagation(&db, &q, ExecOptions::default()).unwrap();
-        for threads in [2, 4, 7] {
-            let opts = ExecOptions {
-                threads,
-                ..ExecOptions::default()
-            };
-            let par = propagation(&db, &q, opts).unwrap();
-            assert_eq!(par.len(), serial.len());
-            for (k, &v) in &serial.rows {
-                assert_eq!(par.score_of(k).to_bits(), v.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn shared_subplans_cover_scans() {
-        // Two minimal plans of the same query share at least their scans.
-        let db = example17_db();
-        let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
-        let PlanSet { store, roots } = plan_set(&q);
-        let shared = shared_subplans(&store, &roots);
-        assert!(!shared.is_empty());
-        let scan_count = shared
-            .iter()
-            .filter(|&&id| matches!(store.node(id).kind, NodeKind::Scan { .. }))
-            .count();
-        assert_eq!(scan_count, q.atoms().len(), "all scans are shared");
-        // Ascending id order (children before parents).
-        assert!(shared.windows(2).all(|w| w[0] < w[1]));
-        let _ = &db;
-    }
-
-    #[test]
     fn plan_set_sorts_each_scan_key_once() {
         // The 7-chain: 132 minimal plans over one 595-node DAG, every scan
         // joined on its second column by dozens of them. The first
         // evaluation of a database must build that key order once per scan
-        // — serially and with the roots spread over pool tasks (forks share
-        // the scans, hence their orders; two tasks needing an unbuilt order
-        // wait on each other) — and, the scans being copies of the
-        // database's base views, every later evaluation must find it built:
-        // the same plan set again sorts nothing, and the same relations
-        // under other variable numbers re-sort nothing either.
+        // and, the scans being copies of the database's base views, every
+        // later evaluation must find it built: the same plan set again
+        // sorts nothing, and the same relations under other variable
+        // numbers re-sort nothing either.
         use crate::rel::{order_log, MIN_SHARED_ORDER_ROWS};
         let k = 7;
         let atoms: Vec<String> = (1..=k).map(|i| format!("R{i}(x{}, x{i})", i - 1)).collect();
@@ -1167,44 +1049,29 @@ pub(crate) mod tests {
             (answers, built)
         };
 
-        let mut answers: Vec<AnswerSet> = Vec::new();
-        for threads in [1, 4] {
-            let opts = ExecOptions {
-                threads,
-                ..ExecOptions::default()
-            };
-            // Never scanned: the first evaluation builds views and orders.
-            let db = fresh_db();
-            let eval = || propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
-            let (first, mut built) = built_by(&eval);
-            // Every scan but the last is joined on its second column.
-            assert!(built.len() >= k - 1, "threads={threads}: {built:?}");
-            let (again, rebuilt) = built_by(&eval);
-            assert_eq!(rebuilt, [], "threads={threads}: a second evaluation sorted");
-            let (other, more) = built_by(&|| {
-                propagation_score_ids(&db, &renamed, &renamed_store, &renamed_roots, opts).unwrap()
-            });
-            built.extend(more);
-            let total = built.len();
-            built.sort();
-            built.dedup();
-            assert_eq!(
-                built.len(),
-                total,
-                "threads={threads}: an order was rebuilt"
-            );
-            assert_eq!(first.len(), other.len());
-            for (key, &score) in &first.rows {
-                assert_eq!(again.score_of(key).to_bits(), score.to_bits());
-                // Other plans' floats: equal up to rounding, not bitwise.
-                assert!((other.score_of(key) - score).abs() < 1e-12);
-            }
-            answers.push(first);
-        }
-        assert!(!answers[0].is_empty());
-        assert_eq!(answers[0].len(), answers[1].len());
-        for (key, &score) in &answers[0].rows {
-            assert_eq!(answers[1].score_of(key).to_bits(), score.to_bits());
+        let opts = ExecOptions::default();
+        // Never scanned: the first evaluation builds views and orders.
+        let db = fresh_db();
+        let eval = || propagation_score_ids(&db, &q, &store, &roots, opts).unwrap();
+        let (first, mut built) = built_by(&eval);
+        // Every scan but the last is joined on its second column.
+        assert!(built.len() >= k - 1, "{built:?}");
+        let (again, rebuilt) = built_by(&eval);
+        assert_eq!(rebuilt, [], "a second evaluation sorted");
+        let (other, more) = built_by(&|| {
+            propagation_score_ids(&db, &renamed, &renamed_store, &renamed_roots, opts).unwrap()
+        });
+        built.extend(more);
+        let total = built.len();
+        built.sort();
+        built.dedup();
+        assert_eq!(built.len(), total, "an order was rebuilt");
+        assert!(!first.is_empty());
+        assert_eq!(first.len(), other.len());
+        for (key, &score) in &first.rows {
+            assert_eq!(again.score_of(key).to_bits(), score.to_bits());
+            // Other plans' floats: equal up to rounding, not bitwise.
+            assert!((other.score_of(key) - score).abs() < 1e-12);
         }
     }
 
@@ -1302,7 +1169,7 @@ pub(crate) mod tests {
     fn deterministic_baseline_counts_answers() {
         let db = example7_db();
         let q = parse_query("q(y) :- R(x), S(x, y)").unwrap();
-        let ans = deterministic_answers(&db, &q, 1).unwrap();
+        let ans = deterministic_answers(&db, &q).unwrap();
         assert_eq!(ans.len(), 2);
         assert_eq!(ans.score_of(&[Value::Int(4)]), 1.0);
     }
@@ -1365,22 +1232,18 @@ pub(crate) mod tests {
         let q = parse_query("q(y) :- R(x), S(x, y)").unwrap();
         let ans = propagation(&db, &q, ExecOptions::default()).unwrap();
         assert!(ans.is_empty());
-        let det = deterministic_answers(&db, &q, 1).unwrap();
+        let det = deterministic_answers(&db, &q).unwrap();
         assert!(det.is_empty());
     }
 
     #[test]
-    fn parallel_errors_propagate() {
-        // A missing relation must surface as an error from the threaded
-        // path too, not a panic.
+    fn plan_set_errors_propagate() {
+        // A missing relation must surface as an error from the plan-set
+        // loop too, not a panic.
         let db = Database::new();
         let q = parse_query("q :- Z(x)").unwrap();
-        let opts = ExecOptions {
-            threads: 4,
-            ..ExecOptions::default()
-        };
         assert!(matches!(
-            propagation(&db, &q, opts),
+            propagation(&db, &q, ExecOptions::default()),
             Err(ExecError::UnknownRelation(_))
         ));
     }

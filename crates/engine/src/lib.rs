@@ -54,12 +54,11 @@
 //!
 //! ## Parallelism
 //!
-//! Every operator runs serially. [`exec::ExecOptions::threads`] (default
-//! 1 = strictly serial) reaches one loop: [`propagation_score_ids`]'s and
-//! [`propagation_bounds_ids`]'s loop over minimal-plan roots, which runs
-//! as scoped tasks ([`pool`]) after a serial pre-pass has evaluated every
-//! memo-shared subplan once. Per-root results fold in root order, so the
-//! answers are **bit-identical at every thread count**.
+//! None: every evaluation runs on the calling thread, and no engine
+//! function reads a thread budget ([`exec::ExecOptions::threads`] is
+//! unread). [`pool`] stays here as the scoped-task primitive of Monte
+//! Carlo sampling (`lapush_lineage::monte_carlo_each`) and of the
+//! `fig_serve` client fan-out.
 //!
 //! **Decode-at-the-boundary invariant:** vids become `Value`s exactly once
 //! per evaluation, when the final encoded relation is turned into the

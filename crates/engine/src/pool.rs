@@ -1,11 +1,11 @@
 //! Scoped parallel tasks.
 //!
-//! [`run_scope`] is the engine's one parallel primitive: it takes a vector
+//! [`run_scope`] is the workspace's one parallel primitive: it takes a vector
 //! of closures that may borrow from the caller's stack, runs them on
 //! threads of a `std::thread::scope`, and returns their results **in task
 //! order** — the same vector `tasks.into_iter().map(|f| f()).collect()`
-//! returns, so the engine's "same floats at every thread count" invariant
-//! does not depend on scheduling. Nothing outlives a call: a caller waits
+//! returns, so Monte Carlo's "same estimates at every thread count"
+//! invariant does not depend on scheduling. Nothing outlives a call: a caller waits
 //! for its own tasks only and never runs anyone else's, so a task may open
 //! a scope of its own, and a thread may wait on its scope while holding a
 //! lock other evaluations need, without the scope causing a deadlock.
@@ -13,9 +13,13 @@
 //! # Counters
 //!
 //! `scopes` (calls that ran in parallel) and `tasks` (the tasks those
-//! calls held) are process-wide, surfaced by `lapush serve` `STATS` and
-//! the `fig_serve` result file. Both are fully determined by the workload,
+//! calls held) are process-wide, surfaced by the `fig_serve` result file
+//! and the benchmark's trace. Both are fully determined by the workload,
 //! never by scheduling, so they are gated exactly.
+//!
+//! No evaluation calls [`run_scope`]: outside tests its callers are Monte
+//! Carlo sampling (`lapush_lineage::monte_carlo_each`, one task per
+//! answer) and `fig_serve`'s client fan-out.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};

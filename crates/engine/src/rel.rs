@@ -44,9 +44,8 @@
 //! vary, scattering through a [`Scratch`] buffer that is idle at that
 //! moment.
 //!
-//! Every operator runs on the calling thread: the only parallel loop of an
-//! evaluation is the one over independent minimal plans
-//! (`exec::min_over_roots`), so nothing here reads a thread budget.
+//! Every operator runs on the calling thread, and nothing here reads a
+//! thread budget.
 //!
 //! Determinism note: a projection group's score is a function of its
 //! operand set — [`kernels::fold_or`] fixes the multiplication order
@@ -136,7 +135,7 @@ pub struct Rel {
 /// unique and does not depend on who built it.
 ///
 /// * **Owned** by the relation, so every holder of a shared relation (the
-///   evaluator's memo, its forks, the incremental evaluator's views) sees
+///   evaluator's memo, the incremental evaluator's views) sees
 ///   the orders any other holder built — or, for the untouched copy of a
 ///   database base view ([`Rel::from_view`]), **the view's**: its rows are
 ///   the view's rows, so it reads and fills the orders every other copy of

@@ -45,14 +45,12 @@ pub fn monte_carlo(dnf: &Dnf, probs: &[f64], samples: usize, seed: u64) -> f64 {
 
 /// Per-answer Monte Carlo over many DNFs, optionally in parallel.
 ///
-/// DNF `i` is estimated with its own RNG seeded `seed + i`
-/// (wrapping), exactly like the serial per-answer loop of the drivers —
-/// answers are independent, so the work is embarrassingly parallel and the
-/// returned estimates are **bit-identical at every thread count**. With
-/// `threads <= 1` the loop stays on the calling thread; otherwise the
-/// answers are cut into contiguous chunks run as scoped tasks
-/// (`lapush_engine::pool`) and the chunk results are concatenated in
-/// answer order.
+/// DNF `i` is estimated with its own RNG seeded `seed + i` (wrapping),
+/// exactly like the serial per-answer loop of the drivers. Each answer is
+/// one task of one [`lapush_engine::pool::run_scope`] call, which runs
+/// them serially at a budget of at most 1, cuts them into contiguous
+/// groups otherwise, and returns the estimates in answer order: they are
+/// **bit-identical at every thread count**.
 pub fn monte_carlo_each(
     dnfs: &[&Dnf],
     probs: &[f64],
@@ -60,30 +58,10 @@ pub fn monte_carlo_each(
     seed: u64,
     threads: usize,
 ) -> Vec<f64> {
-    let one = |offset: usize, dnf: &Dnf| {
-        monte_carlo(dnf, probs, samples, seed.wrapping_add(offset as u64))
-    };
-    if threads <= 1 || dnfs.len() < 2 {
-        return dnfs.iter().enumerate().map(|(i, d)| one(i, d)).collect();
-    }
-    let chunk_len = dnfs.len().div_ceil(threads.max(1));
-    let one = &one;
-    let tasks: Vec<_> = dnfs
-        .chunks(chunk_len)
-        .enumerate()
-        .map(|(ci, chunk)| {
-            let base = ci * chunk_len;
-            move || {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, d)| one(base + i, d))
-                    .collect::<Vec<f64>>()
-            }
-        })
+    let tasks: Vec<_> = (dnfs.iter().enumerate())
+        .map(|(i, dnf)| move || monte_carlo(dnf, probs, samples, seed.wrapping_add(i as u64)))
         .collect();
-    let parts: Vec<Vec<f64>> = lapush_engine::pool::run_scope(threads, tasks);
-    parts.into_iter().flatten().collect()
+    lapush_engine::pool::run_scope(threads, tasks)
 }
 
 /// Karp–Luby unbiased estimator for monotone DNF probability.

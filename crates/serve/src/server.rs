@@ -45,11 +45,9 @@ pub struct ServerConfig {
     /// Bind address. Port 0 picks an ephemeral port — read the real one
     /// from [`ServerHandle::addr`].
     pub bind: String,
-    /// Thread budget forwarded to the engine for each request. No serve
-    /// path runs a parallel step today: `QUERY` evaluates one plan,
-    /// `TOPK` runs the pruned top-k driver and `INGEST` the delta rules,
-    /// all serially, so the value changes nothing (answers are
-    /// bit-identical at any value).
+    /// Read by nothing: each request evaluates on its connection's
+    /// thread. The field stays only because the benchmark harness sets it
+    /// in struct literals; ROADMAP item 1b removes it.
     pub threads: usize,
     /// Plan cache capacity, in distinct query shapes.
     pub plan_cache_cap: usize,
@@ -76,7 +74,6 @@ struct Shared {
     db: RwLock<Database>,
     plans: Mutex<PlanCache>,
     answers: Mutex<AnswerCache>,
-    threads: usize,
     max_frame: usize,
     /// Successfully evaluated `QUERY`/`TOPK` commands (cache hits
     /// included).
@@ -112,7 +109,6 @@ impl Server {
                 db: RwLock::new(db),
                 plans: Mutex::new(PlanCache::new(config.plan_cache_cap)),
                 answers: Mutex::new(AnswerCache::new(config.answer_cache_cap)),
-                threads: config.threads.max(1),
                 max_frame: config.max_frame,
                 queries_served: AtomicU64::new(0),
                 topk_evaluated: AtomicU64::new(0),
@@ -283,7 +279,7 @@ fn run_query(shared: &Shared, text: &str) -> Arc<str> {
     let exec = ExecOptions {
         semantics: Semantics::Probabilistic,
         reuse_views: true,
-        threads: shared.threads,
+        ..ExecOptions::default()
     };
     // Capture-evaluate: bit-identical answers to plain evaluation, plus
     // the per-node views that let `INGEST` advance this entry in place
@@ -345,7 +341,7 @@ fn run_topk(shared: &Shared, k: usize, text: &str) -> Arc<str> {
     let exec = ExecOptions {
         semantics: Semantics::Probabilistic,
         reuse_views: true,
-        threads: shared.threads,
+        ..ExecOptions::default()
     };
     let res = match propagation_score_topk(&db, &q, &set.store, &set.roots, k, exec) {
         Ok(r) => r,
@@ -458,15 +454,11 @@ fn render_stats(shared: &Shared) -> String {
             s.hits, s.misses, s.evictions, s.invalidations
         )
     };
-    // Execution-pool counters are process-wide (shared with any other
-    // server or engine call in this process), cumulative since process
-    // start, and workload-determined.
-    let pool = lapush_engine::pool::counters();
     // `base_views.*` count publications of the database's base views (one
     // per scanned relation and database state, whoever built it), so they
     // are request-determined like the cache counters.
     format!(
-        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\npool.scopes={}\npool.tasks={}\nbase_views.resident={}\nbase_views.built={}\nbase_views.extended={}",
+        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\nbase_views.resident={}\nbase_views.built={}\nbase_views.extended={}",
         shared.queries_served.load(Ordering::SeqCst),
         cache_lines("plan_cache", plan_stats, plan_len),
         cache_lines("answer_cache", ans_stats, ans_len),
@@ -475,8 +467,6 @@ fn render_stats(shared: &Shared) -> String {
         delta.fallbacks,
         shared.topk_evaluated.load(Ordering::SeqCst),
         shared.topk_pruned.load(Ordering::SeqCst),
-        pool.scopes,
-        pool.tasks,
         views.resident,
         views.built,
         views.extended,

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ranking by ρ matches the exact ranking here.");
 
     // Extension: guaranteed intervals around each answer.
-    let (lower, upper) = bound_answers(&db, &q, 1)?;
+    let (lower, upper) = bound_answers(&db, &q)?;
     println!("\nsandwich bounds (lower = best single derivation):");
     for (key, hi) in upper.ranked() {
         println!(

@@ -69,8 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RankOptions {
             opt: OptLevel::MultiPlan,
             use_schema: true,
-            threads: 1,
             top_k: None,
+            ..RankOptions::default()
         },
     )?
     .boolean_score();

@@ -40,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RankOptions {
             opt: lapushdb::OptLevel::Opt123,
             use_schema: false,
-            threads: 1,
             top_k: None,
+            ..RankOptions::default()
         },
     )?;
     let t_diss = t0.elapsed();
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Deterministic SQL baseline.
     let t0 = Instant::now();
-    let det = deterministic_answers(&db, &q, 1)?;
+    let det = deterministic_answers(&db, &q)?;
     let t_sql = t0.elapsed();
 
     println!("answers: {} nations, max lineage size {max_lin}", gt.len());

@@ -14,8 +14,8 @@
 //! `low` is the best single derivation's probability), `exact` (WMC
 //! oracle), `mc` (Monte Carlo, with `--samples`), `sql` (deterministic
 //! answers), `plans` (print plans only). An unknown method, or a flag the
-//! method does not read (`--top-k` outside `diss`, `--samples` outside
-//! `mc`), is refused before anything is loaded.
+//! method does not read (`--top-k` outside `diss`, `--samples` and
+//! `--threads` outside `mc`), is refused before anything is loaded.
 //!
 //! `--top-k N` (with `--method diss`) ranks only the `N` best answers
 //! through the engine's anytime top-k driver: after one bounds pass over
@@ -26,15 +26,14 @@
 //! always the prefix of plain `--method diss`: that ranks with the single
 //! Opt12 plan, which can score below ρ (ROADMAP.md, item 15).
 //!
-//! `--threads N` (default 1) runs two loops of independent units as
-//! parallel tasks: the loop over minimal-plan roots of `--method bounds`
-//! and per-answer sampling of `--method mc`. Every operator, and every
-//! other method (`diss` evaluates one plan, or the pruned top-k driver),
-//! runs serially. Answers are bit-identical at every thread count.
+//! `--threads N` (with `--method mc`, default 1) samples the answers as
+//! parallel tasks; the estimates are bit-identical at every thread count.
+//! Every other method evaluates on the calling thread.
 //!
 //! The `bench` subcommand runs the whole experiment suite of the
 //! `lapush-bench` crate and writes one `BENCH_<target>.json` result file
-//! per experiment — the same bytes on every run and at every `--threads`:
+//! per experiment — the same bytes on every run and at every `--threads`
+//! (which reaches only the suite's Monte Carlo runs):
 //!
 //! ```console
 //! $ lapush bench --quick --out bench-out [--threads N]
@@ -47,7 +46,7 @@
 //! against it (requests read from stdin, blank-line separated):
 //!
 //! ```console
-//! $ lapush serve --data ./facts --bind 127.0.0.1:7878 --threads 2 &
+//! $ lapush serve --data ./facts --bind 127.0.0.1:7878 &
 //! $ lapush client --addr 127.0.0.1:7878 < session.txt
 //! ```
 //!
@@ -132,15 +131,14 @@ fn main() {
     }
 }
 
-/// `lapush serve [--data DIR] [--bind ADDR] [--threads N]
-/// [--plan-cache N] [--answer-cache N] [--no-probs]`: run the query
-/// service in the foreground until killed. See `docs/OPERATIONS.md`.
+/// `lapush serve [--data DIR] [--bind ADDR] [--plan-cache N]
+/// [--answer-cache N] [--no-probs]`: run the query service in the
+/// foreground until killed. See `docs/OPERATIONS.md`.
 fn run_serve() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ServerConfig {
         bind: arg("bind").unwrap_or_else(|| "127.0.0.1:7878".into()),
         ..ServerConfig::default()
     };
-    config.threads = positive("threads")?.unwrap_or(config.threads);
     config.plan_cache_cap = positive("plan-cache")?.unwrap_or(config.plan_cache_cap);
     config.answer_cache_cap = positive("answer-cache")?.unwrap_or(config.answer_cache_cap);
     let db = match arg("data") {
@@ -306,6 +304,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let method = arg("method").unwrap_or_else(|| "diss".into());
     only_for_method("top-k", "diss", &method)?;
     only_for_method("samples", "mc", &method)?;
+    only_for_method("threads", "mc", &method)?;
     let top_k = positive("top-k")?;
     let samples = positive("samples")?.unwrap_or(1000);
     let threads = positive("threads")?.unwrap_or(1);
@@ -338,7 +337,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "diss" => {
             let db = load()?;
             let opts = RankOptions {
-                threads,
                 top_k,
                 // Pruning only pays off across a plan set; single-plan
                 // levels would evaluate fully and truncate.
@@ -353,13 +351,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             print_answers(&ans, None);
         }
         "bounds" => {
-            let (lower, upper) = bound_answers(&load()?, &q, threads)?;
+            let (lower, upper) = bound_answers(&load()?, &q)?;
             print_answers(&upper, Some(&lower));
         }
         "exact" => print_answers(&exact_answers(&load()?, &q)?, None),
         "mc" => print_answers(&mc_answers(&load()?, &q, samples, 42, threads)?, None),
         "sql" => {
-            let ans = lapushdb::engine::deterministic_answers(&load()?, &q, threads)?;
+            let ans = lapushdb::engine::deterministic_answers(&load()?, &q)?;
             for (key, _) in ans.ranked() {
                 println!("{}", render_key(&key));
             }

@@ -37,11 +37,9 @@ pub struct RankOptions {
     /// `^d` markers; functional dependencies from the catalog) to reduce
     /// the number of plans (Section 3.3).
     pub use_schema: bool,
-    /// Thread budget forwarded to the engine (`ExecOptions::threads`): the
-    /// loop over minimal-plan roots, which only [`OptLevel::MultiPlan`]
-    /// without `top_k` runs; every other level is one plan, or the pruned
-    /// top-k driver, and runs serially. `1` — the default — is strictly
-    /// serial; any value yields bit-identical answers.
+    /// Read by nothing: every level evaluates on the calling thread, at
+    /// any value. The field stays only because the benchmark harness sets
+    /// it in struct literals; ROADMAP item 1b removes it.
     pub threads: usize,
     /// Rank only the `k` best answers. Under [`OptLevel::MultiPlan`] this
     /// routes through the engine's anytime top-k driver
@@ -128,10 +126,7 @@ pub fn rank_by_dissociation(
         db
     };
 
-    let exec_default = ExecOptions {
-        threads: opts.threads,
-        ..ExecOptions::default()
-    };
+    let exec_default = ExecOptions::default();
     let ans = match opts.opt {
         OptLevel::MultiPlan => {
             let set = minimal_plan_set_opts(q, &schema, enum_opts);
@@ -155,7 +150,7 @@ pub fn rank_by_dissociation(
             let exec = ExecOptions {
                 semantics: Semantics::Probabilistic,
                 reuse_views: true,
-                threads: opts.threads,
+                ..ExecOptions::default()
             };
             eval_plan_id(data, q, &store, root, exec)?
         }
@@ -183,20 +178,11 @@ fn answers_from_ranked(q: &Query, ranked: Vec<(Box<[Value]>, f64)>) -> AnswerSet
 /// `high` is the propagation score `ρ(q)` (Definition 14); `low` is the
 /// probability of the answer's best single derivation, a lower bound on
 /// the monotone lineage. Both come from one evaluation of the minimal plan
-/// set ([`propagation_bounds_ids`]). `threads` is the thread budget of
-/// its loop over minimal-plan roots; every operator runs serially
-/// (bit-identical bounds at every thread count).
-pub fn bound_answers(
-    db: &Database,
-    q: &Query,
-    threads: usize,
-) -> Result<(AnswerSet, AnswerSet), DriverError> {
+/// set ([`propagation_bounds_ids`]).
+pub fn bound_answers(db: &Database, q: &Query) -> Result<(AnswerSet, AnswerSet), DriverError> {
     let schema = SchemaInfo::from_query(q);
     let set = minimal_plan_set_opts(q, &schema, EnumOptions::default());
-    let opts = ExecOptions {
-        threads,
-        ..ExecOptions::default()
-    };
+    let opts = ExecOptions::default();
     Ok(propagation_bounds_ids(db, q, &set.store, &set.roots, opts)?)
 }
 
@@ -248,10 +234,11 @@ pub fn exact_answers_bounded(
 }
 
 /// Monte Carlo answer probabilities: `MC(samples)` of the experiments.
-/// Deterministic for a fixed seed. With a `threads` budget above 1 the
-/// answers are sampled in parallel (each answer keeps its own
-/// `seed + index` RNG, so the estimates are bit-identical to the serial
-/// loop at every thread count).
+/// Deterministic for a fixed seed. The one method a thread budget
+/// reaches: above 1 the answers are sampled in parallel
+/// ([`monte_carlo_each`]; each answer keeps its own `seed + index` RNG, so
+/// the estimates are bit-identical to the serial loop at every thread
+/// count).
 pub fn mc_answers(
     db: &Database,
     q: &Query,
@@ -299,7 +286,7 @@ mod tests {
     fn sandwich_bounds_contain_exact() {
         let db = rst_db();
         let q = parse_query("q :- R(x), S(x, y), T(y)").unwrap();
-        let (lower, upper) = bound_answers(&db, &q, 1).unwrap();
+        let (lower, upper) = bound_answers(&db, &q).unwrap();
         let exact = exact_answers(&db, &q).unwrap().boolean_score();
         assert!(lower.boolean_score() <= exact + 1e-12);
         assert!(upper.boolean_score() >= exact - 1e-12);
@@ -337,8 +324,8 @@ mod tests {
             RankOptions {
                 opt: OptLevel::MultiPlan,
                 use_schema: false,
-                threads: 1,
                 top_k: None,
+                ..RankOptions::default()
             },
         )
         .unwrap()
@@ -350,8 +337,8 @@ mod tests {
                 RankOptions {
                     opt,
                     use_schema: false,
-                    threads: 1,
                     top_k: None,
+                    ..RankOptions::default()
                 },
             )
             .unwrap()
@@ -454,8 +441,8 @@ mod tests {
             RankOptions {
                 opt: OptLevel::Opt12,
                 use_schema: true,
-                threads: 1,
                 top_k: None,
+                ..RankOptions::default()
             },
         )
         .unwrap()
@@ -466,8 +453,8 @@ mod tests {
             RankOptions {
                 opt: OptLevel::Opt12,
                 use_schema: false,
-                threads: 1,
                 top_k: None,
+                ..RankOptions::default()
             },
         )
         .unwrap()

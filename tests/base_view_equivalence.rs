@@ -10,8 +10,7 @@
 //! cold (first scan builds the views), warm (views and key orders reused),
 //! and after appends (views extended), returns the same keys and the same
 //! float *bits* as the same call on a database rebuilt from the rows that
-//! no evaluation has touched — across serial and threaded execution
-//! (`threads` 1 and 4).
+//! no evaluation has touched.
 //!
 //! Dedicated tests cover what a shared, long-lived copy could get wrong:
 //! scores or lower bounds of one evaluation leaking into the next one's
@@ -52,43 +51,37 @@ fn rebuilt(db: &Database) -> Database {
 }
 
 /// One evaluation entry point, by name.
-type Call = (&'static str, fn(&Database, &Query, usize) -> Vec<AnswerSet>);
+type Call = (&'static str, fn(&Database, &Query) -> Vec<AnswerSet>);
 
 /// The entry points that scan: the default single plan with view reuse, the
 /// full minimal plan set, its anytime top-10, the sandwich bounds (the plan
 /// set under lower-bound semantics, then under the probabilistic one) and
 /// the deterministic flat join.
 const CALLS: [Call; 5] = [
-    ("rank opt12", |db, q, threads| {
+    ("rank opt12", |db, q| {
+        vec![rank_by_dissociation(db, q, RankOptions::default()).unwrap()]
+    }),
+    ("rank multi-plan", |db, q| {
         let opts = RankOptions {
-            threads,
+            opt: OptLevel::MultiPlan,
             ..RankOptions::default()
         };
         vec![rank_by_dissociation(db, q, opts).unwrap()]
     }),
-    ("rank multi-plan", |db, q, threads| {
+    ("top-10", |db, q| {
         let opts = RankOptions {
             opt: OptLevel::MultiPlan,
-            threads,
-            ..RankOptions::default()
-        };
-        vec![rank_by_dissociation(db, q, opts).unwrap()]
-    }),
-    ("top-10", |db, q, threads| {
-        let opts = RankOptions {
-            opt: OptLevel::MultiPlan,
-            threads,
             top_k: Some(10),
             ..RankOptions::default()
         };
         vec![rank_by_dissociation(db, q, opts).unwrap()]
     }),
-    ("bounds", |db, q, threads| {
-        let (lower, upper) = bound_answers(db, q, threads).unwrap();
+    ("bounds", |db, q| {
+        let (lower, upper) = bound_answers(db, q).unwrap();
         vec![lower, upper]
     }),
-    ("deterministic", |db, q, threads| {
-        vec![deterministic_answers(db, q, threads).unwrap()]
+    ("deterministic", |db, q| {
+        vec![deterministic_answers(db, q).unwrap()]
     }),
 ];
 
@@ -110,20 +103,16 @@ fn assert_bitwise(got: &[AnswerSet], want: &[AnswerSet], what: &str) {
 
 /// Every call on `db` as it is, twice (whatever was cold is warm the second
 /// time), against the same call on a rebuilt database per call.
-fn check_all_calls(db: &Database, q: &Query, threads: usize, what: &str) {
+fn check_all_calls(db: &Database, q: &Query, what: &str) {
     for (name, call) in CALLS {
-        let want = call(&rebuilt(db), q, threads);
+        let want = call(&rebuilt(db), q);
         assert!(
             want.iter().any(|a| !a.is_empty()),
             "{what}: {name} is vacuous"
         );
         for pass in ["first", "again"] {
-            let got = call(db, q, threads);
-            assert_bitwise(
-                &got,
-                &want,
-                &format!("{what}, threads {threads}: {name} {pass}"),
-            );
+            let got = call(db, q);
+            assert_bitwise(&got, &want, &format!("{what}: {name} {pass}"));
         }
     }
 }
@@ -188,12 +177,12 @@ fn view_of(db: &Database, name: &str) -> Arc<BaseView> {
 
 #[test]
 fn chains_agree_cold_warm_and_after_appends() {
-    for (seed, threads) in [(11, 1), (12, 4)] {
+    for seed in [11, 12] {
         // 320 rows per relation: above the 256-row order-sharing threshold.
         let mut db = chain_db(3, 320, 45, 1.0, seed).unwrap();
         let q = chain_query(3);
         let what = format!("chain-3 seed {seed}");
-        check_all_calls(&db, &q, threads, &format!("{what} as loaded"));
+        check_all_calls(&db, &q, &format!("{what} as loaded"));
         let scanned = db.base_view_stats();
         assert_eq!(
             (scanned.resident, scanned.built, scanned.extended),
@@ -217,7 +206,7 @@ fn chains_agree_cold_warm_and_after_appends() {
                 assert!(rows.append(&mut db, name, 7) > 0);
             }
             extended += targets.len() as u64;
-            check_all_calls(&db, &q, threads, &format!("{what} after round {round}"));
+            check_all_calls(&db, &q, &format!("{what} after round {round}"));
             let stats = db.base_view_stats();
             assert_eq!(
                 (stats.resident, stats.built, stats.extended),
@@ -230,14 +219,14 @@ fn chains_agree_cold_warm_and_after_appends() {
 
 #[test]
 fn stars_agree_cold_warm_and_after_appends() {
-    for (seed, threads) in [(21, 1), (22, 4)] {
+    for seed in [21, 22] {
         // The hub R0(x1, x2, x3) has 400 rows and is joined on inner
         // columns; R2 and R3 are small; R1('a', x1) is filtered by a
         // constant and never goes through a view.
         let mut db = star_db(3, 400, 30, 1.0, seed).unwrap();
         let q = star_query(3);
         let what = format!("star-3 seed {seed}");
-        check_all_calls(&db, &q, threads, &format!("{what} as loaded"));
+        check_all_calls(&db, &q, &format!("{what} as loaded"));
         assert_eq!(db.base_view_stats().resident, 3, "R2, R3, R0");
 
         let mut rows = Appends {
@@ -248,7 +237,7 @@ fn stars_agree_cold_warm_and_after_appends() {
             for name in ["R0", "R1", "R2"] {
                 rows.append(&mut db, name, 5);
             }
-            check_all_calls(&db, &q, threads, &format!("{what} after round {round}"));
+            check_all_calls(&db, &q, &format!("{what} after round {round}"));
         }
         let stats = db.base_view_stats();
         assert_eq!((stats.resident, stats.built), (3, 3));
@@ -258,22 +247,19 @@ fn stars_agree_cold_warm_and_after_appends() {
 
 #[test]
 fn concurrent_cold_evaluations_publish_each_view_once() {
-    // Four callers start on one cold database together, each with a budget
-    // of 4 pool threads over relations large enough to use it: they race
+    // Four callers start on one cold database together, each on its own
+    // thread, over relations large enough to share key orders: they race
     // to build every view (equal views; the first to publish wins) and to
-    // sort every key order, while the pool's waiting submitters run each
-    // other's tasks. Two of them evaluate the plan set, whose root chunks
-    // are pool tasks that join through the views; the others join through
-    // the same views on their own threads with the whole budget. A hard
-    // timeout turns a caller waiting for the pool under a view's lock —
-    // and being handed a root chunk that needs that lock — into a failure.
+    // sort every key order. Two of them evaluate the plan set, the others
+    // its top-10 and the single plan, all joining through the same views.
+    // A hard timeout turns a caller that waits on another under a view's
+    // lock into a failure.
     let db = chain_db(4, 9000, 7000, 1.0, 91).unwrap();
     let q = chain_query(4);
-    let threads = 4;
     let callers = [CALLS[1], CALLS[2], CALLS[1], CALLS[0]];
     let want: Vec<Vec<AnswerSet>> = callers
         .iter()
-        .map(|(_, call)| call(&rebuilt(&db), &q, threads))
+        .map(|(_, call)| call(&rebuilt(&db), &q))
         .collect();
     assert!(want[0][0].len() > 1000);
 
@@ -288,7 +274,7 @@ fn concurrent_cold_evaluations_publish_each_view_once() {
                 .map(|(_, call)| {
                     scope.spawn(|| {
                         start.wait();
-                        call(&subject, &query, threads)
+                        call(&subject, &query)
                     })
                 })
                 .collect();
@@ -297,7 +283,7 @@ fn concurrent_cold_evaluations_publish_each_view_once() {
         done.send(answers).ok();
     });
     let Ok(answers) = finished.recv_timeout(Duration::from_secs(240)) else {
-        panic!("concurrent evaluations at threads = {threads} did not finish");
+        panic!("concurrent cold evaluations did not finish");
     };
     running.join().unwrap();
     for ((got, want), (name, _)) in answers.iter().zip(&want).zip(callers) {
@@ -327,15 +313,9 @@ fn shuffled(db: &Database, seed: u64) -> Database {
 fn load_order_does_not_move_scores() {
     let base = chain_db(3, 320, 45, 1.0, 41).unwrap();
     let q = chain_query(3);
-    for threads in [1, 4] {
-        let (a, b) = (shuffled(&base, 0x51ed), shuffled(&base, 0xfade));
-        for (name, call) in CALLS {
-            assert_bitwise(
-                &call(&a, &q, threads),
-                &call(&b, &q, threads),
-                &format!("threads {threads}: {name}"),
-            );
-        }
+    let (a, b) = (shuffled(&base, 0x51ed), shuffled(&base, 0xfade));
+    for (name, call) in CALLS {
+        assert_bitwise(&call(&a, &q), &call(&b, &q), name);
     }
 }
 
@@ -349,17 +329,17 @@ fn scores_and_lower_bounds_never_reach_the_view() {
     let q = chain_query(3);
     let reference = rebuilt(&db);
     let (rank, top, det) = (CALLS[0].1, CALLS[2].1, CALLS[4].1);
-    let want = rank(&reference, &q, 1);
+    let want = rank(&reference, &q);
     let probs = view_of(&reference, "R2").probs().to_vec();
     assert!(probs.iter().any(|&p| p < 1.0));
 
-    assert_bitwise(&rank(&db, &q, 1), &want, "first");
-    let certain = det(&db, &q, 1);
+    assert_bitwise(&rank(&db, &q), &want, "first");
+    let certain = det(&db, &q);
     assert!(certain[0].rows.values().all(|&s| s == 1.0));
-    assert_bitwise(&rank(&db, &q, 1), &want, "after the deterministic join");
-    top(&db, &q, 1);
-    assert_bitwise(&rank(&db, &q, 1), &want, "after the top-k bounds pass");
-    assert_bitwise(&det(&db, &q, 1), &certain, "deterministic again");
+    assert_bitwise(&rank(&db, &q), &want, "after the deterministic join");
+    top(&db, &q);
+    assert_bitwise(&rank(&db, &q), &want, "after the top-k bounds pass");
+    assert_bitwise(&det(&db, &q), &certain, "deterministic again");
     let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(view_of(&db, "R2").probs()), bits(&probs));
 }
@@ -368,14 +348,14 @@ fn scores_and_lower_bounds_never_reach_the_view() {
 fn in_place_probability_changes_force_a_rebuild() {
     let mut db = chain_db(3, 300, 40, 0.5, 51).unwrap();
     let q = chain_query(3);
-    check_all_calls(&db, &q, 1, "as loaded");
+    check_all_calls(&db, &q, "as loaded");
     let mut built = db.base_view_stats().built;
     assert_eq!(built, 3);
 
     let r2 = db.rel_id("R2").unwrap();
     let stale = view_of(&db, "R2");
     db.relation_mut(r2).set_prob(17, 0.875).unwrap();
-    check_all_calls(&db, &q, 1, "after set_prob");
+    check_all_calls(&db, &q, "after set_prob");
     built += 1;
     assert_eq!(db.base_view_stats().built, built, "R2 only");
     assert!(!Arc::ptr_eq(&stale, &view_of(&db, "R2")));
@@ -387,7 +367,7 @@ fn in_place_probability_changes_force_a_rebuild() {
     db.relation_mut(r2).push(row.clone(), p / 2.0).unwrap();
     let kept = view_of(&db, "R2");
     db.relation_mut(r2).push(row, 0.9375).unwrap();
-    check_all_calls(&db, &q, 1, "after a probability-raising duplicate");
+    check_all_calls(&db, &q, "after a probability-raising duplicate");
     built += 1;
     assert_eq!(db.base_view_stats().built, built);
     assert!(!Arc::ptr_eq(&kept, &view_of(&db, "R2")));
@@ -401,13 +381,13 @@ fn in_place_probability_changes_force_a_rebuild() {
         fresh: vec![Value::Int(1)],
     };
     assert!(rows.append(&mut db, "R2", 5) > 0);
-    check_all_calls(&db, &q, 1, "after set_prob and appends");
+    check_all_calls(&db, &q, "after set_prob and appends");
     built += 1;
     let stats = db.base_view_stats();
     assert_eq!((stats.built, stats.extended), (built, extended));
 
     db.scale_probs(0.5);
-    check_all_calls(&db, &q, 1, "after scale_probs");
+    check_all_calls(&db, &q, "after scale_probs");
     // Every relation changed, and each view is replaced when its relation
     // is next scanned.
     let stats = db.base_view_stats();
@@ -429,8 +409,8 @@ fn two_namings_of_one_relation_share_each_key_order() {
     let mut r2: Option<(Arc<BaseView>, usize)> = None;
     for text in queries {
         let q = parse_query(text).unwrap();
-        let want = CALLS[1].1(&rebuilt(&db), &q, 1);
-        assert_bitwise(&CALLS[1].1(&db, &q, 1), &want, text);
+        let want = CALLS[1].1(&rebuilt(&db), &q);
+        assert_bitwise(&CALLS[1].1(&db, &q), &want, text);
         let view = view_of(&db, "R2");
         match &r2 {
             None => {
@@ -451,7 +431,7 @@ fn two_namings_of_one_relation_share_each_key_order() {
 fn clones_share_views_until_they_diverge() {
     let db = chain_db(3, 300, 40, 1.0, 71).unwrap();
     let q = chain_query(3);
-    check_all_calls(&db, &q, 1, "original");
+    check_all_calls(&db, &q, "original");
 
     let (mut a, mut b) = (db.clone(), db.clone());
     for name in ["R1", "R2", "R3"] {
@@ -465,9 +445,9 @@ fn clones_share_views_until_they_diverge() {
     assert!(rows.append(&mut a, "R1", 9) > 0);
     assert!(rows.append(&mut b, "R2", 9) > 0);
     assert!(rows.append(&mut b, "R3", 4) > 0);
-    check_all_calls(&a, &q, 4, "clone a");
-    check_all_calls(&b, &q, 1, "clone b");
-    check_all_calls(&db, &q, 1, "original, afterwards");
+    check_all_calls(&a, &q, "clone a");
+    check_all_calls(&b, &q, "clone b");
+    check_all_calls(&db, &q, "original, afterwards");
 
     // Each clone replaced the views of the relations it changed and kept
     // sharing the rest.
@@ -507,8 +487,8 @@ fn degenerate_relations() {
     let empty = parse_query("q(x0) :- R1(x0, x1), E(x1, y)").unwrap();
 
     let mut db = build(true);
-    check_all_calls(&db, &small, 1, "small relation");
-    check_all_calls(&db, &nullary, 1, "arity-0 relation");
+    check_all_calls(&db, &small, "small relation");
+    check_all_calls(&db, &nullary, "arity-0 relation");
     assert_eq!(
         view_of(&db, "S").cached_orders(),
         0,
@@ -520,24 +500,24 @@ fn degenerate_relations() {
         fresh: fresh_values(),
     };
     assert!(rows.append(&mut db, "S", 6) > 0);
-    check_all_calls(&db, &small, 4, "small relation, grown");
+    check_all_calls(&db, &small, "small relation, grown");
 
     // No answers at all: compare directly (`check_all_calls` insists on
     // some).
     for (q, db) in [(&empty, build(true)), (&nullary, build(false))] {
         for (name, call) in CALLS {
-            let want = call(&rebuilt(&db), q, 1);
+            let want = call(&rebuilt(&db), q);
             assert!(want.iter().all(AnswerSet::is_empty), "{name}");
-            assert_bitwise(&call(&db, q, 1), &want, name);
-            assert_bitwise(&call(&db, q, 1), &want, name);
+            assert_bitwise(&call(&db, q), &want, name);
+            assert_bitwise(&call(&db, q), &want, name);
         }
     }
     // The empty tuple arriving is an append like any other.
     let mut db = build(false);
-    CALLS[0].1(&db, &nullary, 1);
+    CALLS[0].1(&db, &nullary);
     assert_eq!(view_of(&db, "Z").len(), 0);
     let z = db.rel_id("Z").unwrap();
     db.relation_mut(z).push(Box::new([]), 0.75).unwrap();
-    check_all_calls(&db, &nullary, 1, "arity-0 relation, grown");
+    check_all_calls(&db, &nullary, "arity-0 relation, grown");
     assert_eq!(view_of(&db, "Z").len(), 1);
 }

@@ -80,8 +80,8 @@ fn optimization_levels_agree_on_random_instances() {
             RankOptions {
                 opt: OptLevel::MultiPlan,
                 use_schema: false,
-                threads: 1,
                 top_k: None,
+                ..RankOptions::default()
             },
         )
         .unwrap();
@@ -92,8 +92,8 @@ fn optimization_levels_agree_on_random_instances() {
                 RankOptions {
                     opt,
                     use_schema: false,
-                    threads: 1,
                     top_k: None,
+                    ..RankOptions::default()
                 },
             )
             .unwrap();
@@ -260,8 +260,8 @@ fn semijoin_reduction_is_transparent() {
             RankOptions {
                 opt: OptLevel::Opt12,
                 use_schema: false,
-                threads: 1,
                 top_k: None,
+                ..RankOptions::default()
             },
         )
         .unwrap();
@@ -271,8 +271,8 @@ fn semijoin_reduction_is_transparent() {
             RankOptions {
                 opt: OptLevel::Opt123,
                 use_schema: false,
-                threads: 1,
                 top_k: None,
+                ..RankOptions::default()
             },
         )
         .unwrap();
@@ -292,7 +292,7 @@ fn sandwich_bounds_contain_exact_on_random_instances() {
     for seed in 0..25u64 {
         let q = random_query(seed + 700, 2 + (seed % 3) as usize, 4);
         let db = random_db_for_query(&q, seed * 17 + 9, 5, 3, 1.0).unwrap();
-        let (lower, upper) = bound_answers(&db, &q, 1).unwrap();
+        let (lower, upper) = bound_answers(&db, &q).unwrap();
         let exact = exact_answers(&db, &q).unwrap();
         assert_eq!(lower.len(), exact.len(), "seed {seed}");
         for (key, &e) in &exact.rows {

@@ -16,7 +16,7 @@ fn chain_answer_sets_agree_across_methods() {
         let db = chain_db(k, n, domain, 1.0, 99 + k as u64).unwrap();
         let q = chain_query(k);
 
-        let det = deterministic_answers(&db, &q, 1).unwrap();
+        let det = deterministic_answers(&db, &q).unwrap();
         let rho = rank_by_dissociation(&db, &q, RankOptions::default()).unwrap();
         assert_eq!(det.len(), rho.len(), "k={k}");
         for key in det.rows.keys() {
@@ -61,8 +61,8 @@ fn chain_optimizations_agree_at_moderate_scale() {
         RankOptions {
             opt: OptLevel::MultiPlan,
             use_schema: false,
-            threads: 1,
             top_k: None,
+            ..RankOptions::default()
         },
     )
     .unwrap();
@@ -73,8 +73,8 @@ fn chain_optimizations_agree_at_moderate_scale() {
             RankOptions {
                 opt,
                 use_schema: false,
-                threads: 1,
                 top_k: None,
+                ..RankOptions::default()
             },
         )
         .unwrap();

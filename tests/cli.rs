@@ -133,7 +133,22 @@ fn unknown_methods_and_foreign_flags_are_refused_before_loading() {
             &run(&["--method", method, "--samples", "10"]),
             "--samples only applies to --method mc",
         );
+        assert_fails_with(
+            &run(&["--method", method, "--threads", "2"]),
+            "--threads only applies to --method mc",
+        );
     }
+}
+
+#[test]
+fn mc_estimates_are_the_same_at_every_thread_count() {
+    let dir = probabilistic_dir("threads-mc");
+    let args = ["--data", dir.to_str().unwrap(), "--query", QUERY];
+    let mc = |threads: &str| {
+        let flags = ["--method", "mc", "--samples", "500", "--threads", threads];
+        stdout(&lapush(&[&args[..], &flags].concat()))
+    };
+    assert_eq!(mc("2"), mc("1"));
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //!
 //! The engine interns every value into a dense vid, stores every
 //! intermediate as a sorted columnar batch, and runs joins, projections,
-//! `min` and duplicate elimination as sort/merge algorithms, serially; the
-//! loop over minimal-plan roots and Monte Carlo sampling run across
-//! threads. This suite pins it down three times over:
+//! `min` and duplicate elimination as sort/merge algorithms, all on the
+//! calling thread; only Monte Carlo sampling runs across threads. This
+//! suite pins it down three times over:
 //!
 //! 1. **Against the oracle** (`tests/common/oracle.rs`), a value-level
 //!    evaluator with nested-loop joins that shares no code with the
@@ -13,10 +13,9 @@
 //!    and the deterministic SQL baseline (`common::agree::check_all_paths`,
 //!    which `encoded_equivalence.rs` runs on string-valued copies of the
 //!    same workloads).
-//! 2. **Across thread counts**: `threads: 1` vs `threads: 4` answers must
-//!    be *bit-identical* (not approximately equal) on the same workloads
-//!    and on chain, star and TPC-H workloads whose multi-plan levels run
-//!    the root loop in parallel: parallelism may never change a float.
+//! 2. **Across thread counts**: Monte Carlo estimates at `threads` 1, 2
+//!    and 4 must be *bit-identical* (not approximately equal) on chain,
+//!    star and TPC-H workloads: parallelism may never change a float.
 //! 3. **At the scheduler itself**: randomized task DAGs (nested fan-outs
 //!    of uneven tasks) through [`pool::run_scope`] must return results
 //!    identical, element for element, to serial recursive execution at
@@ -31,21 +30,19 @@ mod common;
 
 use common::agree::{assert_bitwise, check_all_paths};
 
-use lapushdb::engine::deterministic_answers;
 use lapushdb::engine::pool;
-use lapushdb::prelude::*;
+use lapushdb::mc_answers;
 use lapushdb::workload::{
     chain_db, chain_query, random_db_for_query, random_query, star_db, star_query, tpch_db,
     tpch_query, TpchConfig,
 };
-use lapushdb::{bound_answers, mc_answers};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Chain workloads: the engine agrees with the oracle on every opt
-    /// level and semantics, serial and threaded.
+    /// level and semantics.
     #[test]
     fn chain_workloads_agree(seed in 0u64..10_000, k in 2usize..5, n in 20usize..80) {
         let q = chain_query(k);
@@ -72,10 +69,9 @@ proptest! {
     }
 }
 
-/// threads=1 vs threads=4 result equality on fixed chain / star / TPC-H
-/// workloads, every opt level: the multi-plan level and the bounds spread
-/// their minimal-plan roots over threads, Monte Carlo its answers.
-/// Bitwise equality.
+/// threads=1 vs threads=2 and 4 result equality on fixed chain / star /
+/// TPC-H workloads, for the one method a thread budget reaches: Monte
+/// Carlo, which samples its answers as pool tasks. Bitwise equality.
 #[test]
 fn thread_counts_agree_on_chain_star_tpch() {
     let chain = {
@@ -100,48 +96,13 @@ fn thread_counts_agree_on_chain_star_tpch() {
         (db, q)
     };
     for (name, (db, q)) in [("chain", chain), ("star", star), ("tpch", tpch)] {
-        for opt in [
-            OptLevel::MultiPlan,
-            OptLevel::Opt1,
-            OptLevel::Opt12,
-            OptLevel::Opt123,
-        ] {
-            let serial = rank_by_dissociation(
-                &db,
-                &q,
-                RankOptions {
-                    opt,
-                    use_schema: false,
-                    threads: 1,
-                    top_k: None,
-                },
-            )
-            .expect("serial");
-            for threads in [2, 4] {
-                let par = rank_by_dissociation(
-                    &db,
-                    &q,
-                    RankOptions {
-                        opt,
-                        use_schema: false,
-                        threads,
-                        top_k: None,
-                    },
-                )
-                .expect("threaded");
-                assert_bitwise(&par, &serial, &format!("{name} {opt:?} t{threads}"));
-            }
+        let serial = mc_answers(&db, &q, 200, 7, 1).expect("mc serial");
+        // The star query is Boolean: its one answer runs no scope.
+        assert!(serial.len() >= 2 || name == "star", "{name}: one answer");
+        for threads in [2, 4] {
+            let par = mc_answers(&db, &q, 200, 7, threads).expect("mc threaded");
+            assert_bitwise(&par, &serial, &format!("{name} mc t{threads}"));
         }
-        let sql1 = deterministic_answers(&db, &q, 1).expect("sql serial");
-        let sql4 = deterministic_answers(&db, &q, 4).expect("sql t4");
-        assert_bitwise(&sql4, &sql1, &format!("{name} sql"));
-        let (lo1, hi1) = bound_answers(&db, &q, 1).expect("bounds serial");
-        let (lo4, hi4) = bound_answers(&db, &q, 4).expect("bounds t4");
-        assert_bitwise(&lo4, &lo1, &format!("{name} bounds lower"));
-        assert_bitwise(&hi4, &hi1, &format!("{name} bounds upper"));
-        let mc1 = mc_answers(&db, &q, 200, 7, 1).expect("mc serial");
-        let mc4 = mc_answers(&db, &q, 200, 7, 4).expect("mc t4");
-        assert_bitwise(&mc4, &mc1, &format!("{name} mc"));
     }
 }
 

@@ -8,8 +8,7 @@
 //!
 //! * both plan shapes the engine serves (the full minimal-plan set and
 //!   the single min-pushdown plan),
-//! * every [`Semantics`],
-//! * serial and threaded execution (`threads` 1 and 4).
+//! * every [`Semantics`].
 //!
 //! A batch the delta algebra cannot absorb (an in-place probability
 //! raise) must announce itself as [`DeltaOutcome::Fallback`] — the
@@ -134,7 +133,7 @@ fn assert_bitwise(got: &AnswerSet, want: &AnswerSet, what: &str) -> Result<(), T
 
 /// The core harness: stream `batches` into `db` and, after every batch,
 /// compare the incremental answers bitwise against full re-evaluation of
-/// the grown database — across plan shapes × semantics × thread counts.
+/// the grown database — across plan shapes × semantics.
 /// A `Fallback` outcome discards the state and recaptures (the protocol
 /// the serve layer follows), after which checking continues. Returns how
 /// many batches were absorbed as `Updated`.
@@ -146,45 +145,43 @@ fn check_stream(
     let mut updated = 0;
     for shape in plan_shapes(q) {
         for sem in [Semantics::Probabilistic, Semantics::Deterministic] {
-            for threads in [1usize, 4] {
-                let opts = ExecOptions {
-                    semantics: sem,
-                    reuse_views: true,
-                    threads,
-                };
-                let mut db = base.clone();
-                let mut inc = IncrementalEval::new(&db, q, &shape.store, &shape.roots, opts)
-                    .expect("capture");
-                let what = |step: usize| format!("{} {sem:?} t{threads} batch {step}", shape.name);
-                let full0 = propagation_score_ids(&db, q, &shape.store, &shape.roots, opts)
-                    .expect("full eval");
-                assert_bitwise(inc.answers(), &full0, &what(0))?;
-                // A captured state outlives the evaluation by the lifetime
-                // of a cached answer: it keeps views, never key orders.
-                prop_assert_eq!(
-                    inc.cached_orders(),
-                    0,
-                    "{}: orders kept by capture",
-                    what(0)
-                );
-                for (step, batch) in batches.iter().enumerate() {
-                    apply_batch(&mut db, batch);
-                    match inc.apply_deltas(&db, q, &shape.store).expect("delta") {
-                        DeltaOutcome::Fallback => {
-                            // The algebra refused (a probability was raised
-                            // in place): discard and recapture, exactly as a
-                            // caching layer must.
-                            inc = IncrementalEval::new(&db, q, &shape.store, &shape.roots, opts)
-                                .expect("recapture");
-                        }
-                        DeltaOutcome::Updated { .. } => updated += 1,
-                        DeltaOutcome::Unchanged => {}
+            let opts = ExecOptions {
+                semantics: sem,
+                reuse_views: true,
+                ..ExecOptions::default()
+            };
+            let mut db = base.clone();
+            let mut inc =
+                IncrementalEval::new(&db, q, &shape.store, &shape.roots, opts).expect("capture");
+            let what = |step: usize| format!("{} {sem:?} batch {step}", shape.name);
+            let full0 =
+                propagation_score_ids(&db, q, &shape.store, &shape.roots, opts).expect("full eval");
+            assert_bitwise(inc.answers(), &full0, &what(0))?;
+            // A captured state outlives the evaluation by the lifetime
+            // of a cached answer: it keeps views, never key orders.
+            prop_assert_eq!(
+                inc.cached_orders(),
+                0,
+                "{}: orders kept by capture",
+                what(0)
+            );
+            for (step, batch) in batches.iter().enumerate() {
+                apply_batch(&mut db, batch);
+                match inc.apply_deltas(&db, q, &shape.store).expect("delta") {
+                    DeltaOutcome::Fallback => {
+                        // The algebra refused (a probability was raised
+                        // in place): discard and recapture, exactly as a
+                        // caching layer must.
+                        inc = IncrementalEval::new(&db, q, &shape.store, &shape.roots, opts)
+                            .expect("recapture");
                     }
-                    let full = propagation_score_ids(&db, q, &shape.store, &shape.roots, opts)
-                        .expect("full eval");
-                    assert_bitwise(inc.answers(), &full, &what(step + 1))?;
-                    prop_assert_eq!(inc.cached_orders(), 0, "{}: orders kept", what(step + 1));
+                    DeltaOutcome::Updated { .. } => updated += 1,
+                    DeltaOutcome::Unchanged => {}
                 }
+                let full = propagation_score_ids(&db, q, &shape.store, &shape.roots, opts)
+                    .expect("full eval");
+                assert_bitwise(inc.answers(), &full, &what(step + 1))?;
+                prop_assert_eq!(inc.cached_orders(), 0, "{}: orders kept", what(step + 1));
             }
         }
     }
@@ -436,15 +433,11 @@ fn large_views_change_between_the_joins_that_read_them() {
             batches.iter().all(|b| b.len() >= 2),
             "several views change per batch"
         );
-        // 2 plan shapes × 3 semantics × 2 thread counts replay the stream.
-        // Every batch changes a probabilistic answer; the Boolean star's
-        // is 1 throughout under set semantics, and its best derivation
-        // need not improve.
+        // 2 plan shapes × 2 semantics replay the stream. Every batch
+        // changes a probabilistic answer; the Boolean star's is 1
+        // throughout under set semantics.
         let updated = check_stream(base, q, &batches).unwrap();
-        assert!(
-            updated >= 2 * 2 * batches.len(),
-            "{updated} batches absorbed"
-        );
+        assert!(updated >= 2 * batches.len(), "{updated} batches absorbed");
     }
 }
 
@@ -482,10 +475,10 @@ fn round_robin_growth_matches_full_reevaluation() {
                 batch
             })
             .collect();
-        // 2 plan shapes × 2 semantics × 2 thread counts replay the stream.
+        // 2 plan shapes × 2 semantics replay the stream.
         let updated = check_stream(&base, &q, &batches).unwrap();
         assert!(
-            updated >= 8 * batches.len() / 2,
+            updated >= 4 * batches.len() / 2,
             "{updated} batches absorbed"
         );
     }

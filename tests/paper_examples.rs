@@ -180,7 +180,7 @@ fn example_29_optimizations() {
         ExecOptions {
             semantics: Semantics::Probabilistic,
             reuse_views: true,
-            threads: 1,
+            ..ExecOptions::default()
         },
     )
     .unwrap()

@@ -450,8 +450,7 @@ fn dag_is_never_larger_than_the_forest() {
 /// evaluation each (its own scans, nothing shared, so every join sorts for
 /// itself), min-folded at the value level — against the DAG's
 /// plan set through one shared memo, where a scan is sorted on a key once
-/// and the order serves every plan and, at 4 threads, every fork. Same
-/// keys, same score bits.
+/// and the order serves every plan. Same keys, same score bits.
 #[test]
 fn chain7_plan_set_scores_match_plan_at_a_time_evaluation() {
     use lapushdb::engine::{eval_plan_id, propagation_score_ids, ExecOptions};
@@ -468,20 +467,11 @@ fn chain7_plan_set_scores_match_plan_at_a_time_evaluation() {
     assert!(!want.is_empty());
 
     let set = minimal_plan_set(&shape);
-    for threads in [1, 4] {
-        let opts = ExecOptions {
-            threads,
-            ..ExecOptions::default()
-        };
-        let got = propagation_score_ids(&db, &q, &set.store, &set.roots, opts).expect("eval");
-        assert_eq!(got.len(), want.len(), "threads={threads}");
-        for (key, &score) in &want.rows {
-            assert_eq!(
-                got.score_of(key).to_bits(),
-                score.to_bits(),
-                "threads={threads}: {key:?}"
-            );
-        }
+    let opts = ExecOptions::default();
+    let got = propagation_score_ids(&db, &q, &set.store, &set.roots, opts).expect("eval");
+    assert_eq!(got.len(), want.len());
+    for (key, &score) in &want.rows {
+        assert_eq!(got.score_of(key).to_bits(), score.to_bits(), "{key:?}");
     }
 }
 

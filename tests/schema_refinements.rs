@@ -140,8 +140,8 @@ fn schema_aware_driver_is_exact_on_safe_with_dr_query() {
             RankOptions {
                 opt,
                 use_schema: true,
-                threads: 1,
                 top_k: None,
+                ..RankOptions::default()
             },
         )
         .unwrap()

@@ -3,8 +3,7 @@
 //! the caches, and ingest between repeated queries merges the appended
 //! tuples into the cached answers in place (the `delta.*` counters) —
 //! including while other clients are querying concurrently, and on a cold
-//! server whose connections build the database's base views and draw on
-//! the execution pool all at once.
+//! server whose connections build the database's base views all at once.
 
 use lapushdb::engine::pool;
 use lapushdb::prelude::*;
@@ -99,11 +98,6 @@ fn concurrent_clients_get_bit_identical_answers_and_cache_hits() {
     // queries share relations but differ in head, so shapes are distinct.
     assert!(stat(&stats, "plan_cache.misses").unwrap() <= queries.len() as u64);
     assert_eq!(stat(&stats, "proto.version"), Some(1));
-    // Pool counters are process-global (this very test's client drivers
-    // engaged the pool), so only conservation is asserted, not values.
-    let pool_tasks = stat(&stats, "pool.tasks").expect("STATS reports pool.tasks");
-    let pool_scopes = stat(&stats, "pool.scopes").expect("STATS reports pool.scopes");
-    assert!(pool_scopes >= 1 && pool_tasks >= CLIENTS as u64);
     handle.shutdown();
 }
 
@@ -368,53 +362,43 @@ fn ingest_order_does_not_change_response_bytes() {
             .map(|request| client.request(&request).unwrap())
             .collect()
     };
-    for threads in [1, 4] {
-        let serve = |batches: &[(&str, Vec<String>)]| -> Vec<String> {
-            let mut empty = Database::new();
-            for name in ["R1", "R2", "R3"] {
-                empty.create_relation(name, 2).unwrap();
-            }
-            let config = ServerConfig {
-                threads,
-                ..ServerConfig::default()
-            };
-            let handle = Server::bind_with_db(empty, config)
-                .unwrap()
-                .spawn()
-                .unwrap();
-            let mut client = Client::connect(handle.addr()).unwrap();
-            ask(&mut client);
-            for (i, (name, rows)) in batches.iter().enumerate() {
-                let resp = client.request(&format!("INGEST {name}\n{}", rows.join("\n")));
-                assert!(resp.unwrap().starts_with("OK ingested 80 "));
-                if i % 4 == 3 {
-                    ask(&mut client);
-                }
-            }
-            let answers = ask(&mut client);
-            let stats = client.request("STATS").unwrap();
-            assert!(stat(&stats, "delta.rows").unwrap() > 0, "{stats}");
-            handle.shutdown();
-            answers
-        };
-        let (forward, backward) = (serve(&batches), serve(&reversed));
-        for (i, (a, b)) in forward.iter().zip(&backward).enumerate() {
-            let first = a.lines().zip(b.lines()).find(|(x, y)| x != y);
-            assert!(a == b, "threads {threads}, response {i}: {first:?}");
+    let serve = |batches: &[(&str, Vec<String>)]| -> Vec<String> {
+        let mut empty = Database::new();
+        for name in ["R1", "R2", "R3"] {
+            empty.create_relation(name, 2).unwrap();
         }
-        for (q, got) in queries.iter().zip(forward.iter().step_by(2)) {
-            assert_eq!(
-                *got,
-                expected_response(&loaded, q),
-                "threads {threads}: `{q}`"
-            );
+        let handle = Server::bind_with_db(empty, ServerConfig::default())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        ask(&mut client);
+        for (i, (name, rows)) in batches.iter().enumerate() {
+            let resp = client.request(&format!("INGEST {name}\n{}", rows.join("\n")));
+            assert!(resp.unwrap().starts_with("OK ingested 80 "));
+            if i % 4 == 3 {
+                ask(&mut client);
+            }
         }
+        let answers = ask(&mut client);
+        let stats = client.request("STATS").unwrap();
+        assert!(stat(&stats, "delta.rows").unwrap() > 0, "{stats}");
+        handle.shutdown();
+        answers
+    };
+    let (forward, backward) = (serve(&batches), serve(&reversed));
+    for (i, (a, b)) in forward.iter().zip(&backward).enumerate() {
+        let first = a.lines().zip(b.lines()).find(|(x, y)| x != y);
+        assert!(a == b, "response {i}: {first:?}");
+    }
+    for (q, got) in queries.iter().zip(forward.iter().step_by(2)) {
+        assert_eq!(*got, expected_response(&loaded, q), "`{q}`");
     }
 }
 
 #[test]
 fn cold_parallel_server_stays_live_and_exact_under_mixed_traffic() {
-    // 9 000 rows per relation, four connections at `threads: 4`, all cold:
+    // 9 000 rows per relation, four connections, all cold:
     // the connections build, extend and join through the database's base
     // views, which they share, and through the key orders those views
     // keep, while ingests take the write lock. Nothing in there may wait
@@ -468,16 +452,10 @@ fn cold_parallel_server_stays_live_and_exact_under_mixed_traffic() {
         .map(|c| (0..ROUNDS).map(|round| batch(c, round)).collect())
         .collect();
 
-    let handle = Server::bind_with_db(
-        db.clone(),
-        ServerConfig {
-            threads: 4,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-    .spawn()
-    .unwrap();
+    let handle = Server::bind_with_db(db.clone(), ServerConfig::default())
+        .unwrap()
+        .spawn()
+        .unwrap();
     let addr = handle.addr();
 
     let (done, finished) = mpsc::channel();
@@ -510,7 +488,7 @@ fn cold_parallel_server_stays_live_and_exact_under_mixed_traffic() {
         done.send(()).ok();
     });
     if finished.recv_timeout(Duration::from_secs(240)).is_err() {
-        panic!("the server stopped answering: {CLIENTS} connections at threads = 4 did not finish");
+        panic!("the server stopped answering: {CLIENTS} connections did not finish");
     }
     traffic.join().unwrap();
 
@@ -551,14 +529,6 @@ fn cold_parallel_server_stays_live_and_exact_under_mixed_traffic() {
     handle.shutdown();
 }
 
-/// `STATS` minus the execution-pool counters, which are process-wide and
-/// move with whatever the other tests of this binary are doing.
-fn own_stats(client: &mut Client) -> String {
-    let stats = client.request("STATS").unwrap();
-    let own: Vec<&str> = stats.lines().filter(|l| !l.starts_with("pool.")).collect();
-    own.join("\n")
-}
-
 #[test]
 fn rejected_ingest_mutates_nothing() {
     // D is deterministic, so a batch holding an uncertain tuple must be
@@ -587,13 +557,13 @@ fn rejected_ingest_mutates_nothing() {
         .map(|r| client.request(r).unwrap())
         .collect();
     assert_eq!(cached[0].lines().next(), Some("OK 2 answers"));
-    let before = own_stats(&mut client);
+    let before = client.request("STATS").unwrap();
 
     let err = client.request("INGEST D\n3,1.0\n4,1.0\n5,0.5").unwrap();
     assert!(err.starts_with("ERR INGEST "), "{err}");
     assert!(err.contains("deterministic"), "{err}");
     assert_eq!(
-        own_stats(&mut client),
+        client.request("STATS").unwrap(),
         before,
         "a rejected batch left a trace"
     );

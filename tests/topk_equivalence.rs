@@ -10,8 +10,7 @@
 //!   exhaustive ranking without drift),
 //! * every [`OptLevel`] at the driver layer (`MultiPlan` routes through
 //!   the engine's anytime driver, single-plan levels truncate through
-//!   the bounded heap — both must agree with untruncated ranking),
-//! * serial and threaded execution (`threads` 1 and 4).
+//!   the bounded heap — both must agree with untruncated ranking).
 //!
 //! Adversarial shapes get dedicated tests: exact score ties straddling
 //! the k-boundary (the deterministic key-order tiebreak must make the
@@ -117,7 +116,7 @@ fn check_anytime_bounds(
     }
 }
 
-/// Engine-layer harness: for each semantics × thread count, evaluate the
+/// Engine-layer harness: for each semantics, evaluate the
 /// minimal plan set exhaustively and through `propagation_score_topk` at
 /// every `k`, and require bit-identical ranked prefixes. `ks` should
 /// straddle the answer count so both the pruning and the degraded
@@ -126,39 +125,35 @@ fn check_engine(db: &Database, q: &Query, ks: &[usize]) -> Result<(), TestCaseEr
     let schema = SchemaInfo::from_query(q);
     let set = minimal_plan_set_opts(q, &schema, EnumOptions::default());
     for sem in [Semantics::Probabilistic, Semantics::Deterministic] {
-        for threads in [1usize, 4] {
-            let opts = ExecOptions {
-                semantics: sem,
-                reuse_views: true,
-                threads,
-            };
-            let full =
-                propagation_score_ids(db, q, &set.store, &set.roots, opts).expect("exhaustive");
-            // The one-pass sandwich: its upper bounds are the exhaustive
-            // scores to the bit, and every lower bound sits at or below.
-            let (lower, upper) =
-                propagation_bounds_ids(db, q, &set.store, &set.roots, opts).expect("bounds");
-            let what = format!("{sem:?} t{threads} bounds");
-            assert_prefix_bitwise(&upper.ranked(), &full.ranked(), &what)?;
-            prop_assert_eq!(lower.len(), full.len(), "{}: lower answers", what);
-            for (key, &lo) in &lower.rows {
-                prop_assert!(lo <= full.score_of(key), "{}: {:?} lo {}", what, key, lo);
-            }
-            for &k in ks {
-                let res =
-                    propagation_score_topk(db, q, &set.store, &set.roots, k, opts).expect("topk");
-                let what = format!("{sem:?} t{threads} k{k}");
-                assert_prefix_bitwise(&res.ranked, &full.ranked_top(k), &what)?;
-                // Accounting must cover the whole answer space: every
-                // group was either pruned by the bound pass or evaluated.
-                prop_assert_eq!(
-                    (res.stats.pruned + res.stats.evaluated) as usize,
-                    full.len(),
-                    "{}: pruned + evaluated != answers",
-                    what
-                );
-                check_anytime_bounds(db, q, &set, k, opts, &full, &what)?;
-            }
+        let opts = ExecOptions {
+            semantics: sem,
+            reuse_views: true,
+            ..ExecOptions::default()
+        };
+        let full = propagation_score_ids(db, q, &set.store, &set.roots, opts).expect("exhaustive");
+        // The one-pass sandwich: its upper bounds are the exhaustive
+        // scores to the bit, and every lower bound sits at or below.
+        let (lower, upper) =
+            propagation_bounds_ids(db, q, &set.store, &set.roots, opts).expect("bounds");
+        let what = format!("{sem:?} bounds");
+        assert_prefix_bitwise(&upper.ranked(), &full.ranked(), &what)?;
+        prop_assert_eq!(lower.len(), full.len(), "{}: lower answers", what);
+        for (key, &lo) in &lower.rows {
+            prop_assert!(lo <= full.score_of(key), "{}: {:?} lo {}", what, key, lo);
+        }
+        for &k in ks {
+            let res = propagation_score_topk(db, q, &set.store, &set.roots, k, opts).expect("topk");
+            let what = format!("{sem:?} k{k}");
+            assert_prefix_bitwise(&res.ranked, &full.ranked_top(k), &what)?;
+            // Accounting must cover the whole answer space: every
+            // group was either pruned by the bound pass or evaluated.
+            prop_assert_eq!(
+                (res.stats.pruned + res.stats.evaluated) as usize,
+                full.len(),
+                "{}: pruned + evaluated != answers",
+                what
+            );
+            check_anytime_bounds(db, q, &set, k, opts, &full, &what)?;
         }
     }
     Ok(())
@@ -167,7 +162,7 @@ fn check_engine(db: &Database, q: &Query, ks: &[usize]) -> Result<(), TestCaseEr
 /// Driver-layer harness: `rank_by_dissociation` with `top_k: Some(k)`
 /// must return exactly the first `k` entries of the same call with
 /// `top_k: None`, for every optimization level (only `MultiPlan` routes
-/// through the anytime driver; the others truncate) and thread count.
+/// through the anytime driver; the others truncate).
 fn check_driver(db: &Database, q: &Query, ks: &[usize]) -> Result<(), TestCaseError> {
     for opt in [
         OptLevel::MultiPlan,
@@ -175,32 +170,28 @@ fn check_driver(db: &Database, q: &Query, ks: &[usize]) -> Result<(), TestCaseEr
         OptLevel::Opt12,
         OptLevel::Opt123,
     ] {
-        for threads in [1usize, 4] {
-            let full = rank_by_dissociation(
+        let full = rank_by_dissociation(
+            db,
+            q,
+            RankOptions {
+                opt,
+                ..RankOptions::default()
+            },
+        )
+        .expect("exhaustive rank");
+        for &k in ks {
+            let top = rank_by_dissociation(
                 db,
                 q,
                 RankOptions {
                     opt,
-                    threads,
+                    top_k: Some(k),
                     ..RankOptions::default()
                 },
             )
-            .expect("exhaustive rank");
-            for &k in ks {
-                let top = rank_by_dissociation(
-                    db,
-                    q,
-                    RankOptions {
-                        opt,
-                        threads,
-                        top_k: Some(k),
-                        ..RankOptions::default()
-                    },
-                )
-                .expect("topk rank");
-                let what = format!("{opt:?} t{threads} k{k}");
-                assert_prefix_bitwise(&top.ranked_top(k), &full.ranked_top(k), &what)?;
-            }
+            .expect("topk rank");
+            let what = format!("{opt:?} k{k}");
+            assert_prefix_bitwise(&top.ranked_top(k), &full.ranked_top(k), &what)?;
         }
     }
     Ok(())

@@ -122,7 +122,7 @@ fn selectivity_parameters_shrink_lineage() {
 fn deterministic_sql_baseline_agrees_on_answer_set() {
     let db = tpch_db(small_cfg()).unwrap();
     let q = tpch_query(150, "%red%");
-    let det = deterministic_answers(&db, &q, 1).unwrap();
+    let det = deterministic_answers(&db, &q).unwrap();
     let rho = rank_by_dissociation(&db, &q, RankOptions::default()).unwrap();
     assert_eq!(det.len(), rho.len());
     for key in det.rows.keys() {
