@@ -70,7 +70,7 @@ fn main() {
         let (lin, _) = lineage_stats(&db, &q).expect("lineage");
         ap_lin.push(ap_against(&lin, &gt, 10));
         for (i, &x) in samples.iter().enumerate() {
-            let mc = mc_answers(&db, &q, x, 7 + rep as u64, 1).expect("mc");
+            let mc = mc_answers(&db, &q, x, 7 + rep as u64, lapush_bench::threads()).expect("mc");
             ap_mc[i].push(ap_against(&mc, &gt, 10));
         }
     }

@@ -68,7 +68,7 @@ fn main() {
         let (lin, _) = lineage_stats(&db, &q).expect("lineage");
         acc[1][bucket].push(ap_against(&lin, &gt, 10));
         for (mi, &x) in [10usize, 100, 1_000, 10_000].iter().enumerate() {
-            let mc = mc_answers(&db, &q, x, 17 + rep as u64, 1).expect("mc");
+            let mc = mc_answers(&db, &q, x, 17 + rep as u64, lapush_bench::threads()).expect("mc");
             acc[2 + mi][bucket].push(ap_against(&mc, &gt, 10));
         }
     }

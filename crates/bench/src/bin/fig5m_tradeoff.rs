@@ -57,7 +57,8 @@ fn main() {
                     .expect("eval");
                 diss_aps.push(ap_against(&diss, &gt, 10));
                 for (i, &x) in mc_budgets.iter().enumerate() {
-                    let mc = mc_answers(&db, &q, x, 31 + rep as u64, 1).expect("mc");
+                    let mc = mc_answers(&db, &q, x, 31 + rep as u64, lapush_bench::threads())
+                        .expect("mc");
                     mc_aps[i].push(ap_against(&mc, &gt, 10));
                 }
             }

@@ -1,9 +1,8 @@
 //! Key kernels: the inner loops of the columnar sort-merge core, one safe
 //! loop per shape.
 //!
-//! Every hot inner loop of [`crate::rel`] (and the lineage provenance
-//! join) that streams over whole columns or packed-key buffers lives
-//! here:
+//! Every hot inner loop of [`crate::rel`] that streams over whole columns
+//! or packed-key buffers lives here:
 //!
 //! * [`pack_keys`] / [`pack_rekey`] — build the `(u128, u32)` packed-key
 //!   buffer ([`Key`]) by streaming whole columns, width-specialized for
@@ -287,27 +286,16 @@ pub fn gather_u32(src: &[Vid], idx: &[u32], out: &mut Vec<Vid>) {
 // galloping advance
 // ---------------------------------------------------------------------------
 
-/// First index `>= start` whose packed key is `>= target`, assuming
-/// `keys` is sorted by `k`: the blocked/galloping skip of the merge-join
-/// outer loop. Exponential probe doubles the step until it overshoots,
-/// then a binary search pins the boundary — `O(log gap)` instead of one
-/// comparison per skipped key. The result equals the linear scan's
-/// by sortedness.
+/// First index `>= start` whose packed key is `>= target`, in a sequence
+/// of `n` packed keys sorted ascending and read through `key_at` (the
+/// engine's joins gallop over key orders whose packed keys are computed
+/// on demand instead of stored): the blocked/galloping skip of the
+/// merge-join outer loop. Exponential probe doubles the step until it
+/// overshoots, then a binary search pins the boundary — `O(log gap)`
+/// instead of one comparison per skipped key. The result equals the
+/// linear scan's by sortedness.
 #[inline]
-pub fn gallop_ge(keys: &[Key], start: usize, target: u128) -> usize {
-    gallop_ge_by(keys.len(), start, target, |i| keys[i].k)
-}
-
-/// [`gallop_ge`] over any sorted sequence of `n` packed keys read through
-/// `key_at` — the engine's joins gallop over key orders whose packed keys
-/// are computed on demand instead of stored.
-#[inline]
-pub(crate) fn gallop_ge_by(
-    n: usize,
-    start: usize,
-    target: u128,
-    key_at: impl Fn(usize) -> u128,
-) -> usize {
+pub fn gallop_ge(n: usize, start: usize, target: u128, key_at: impl Fn(usize) -> u128) -> usize {
     if start >= n || key_at(start) >= target {
         return start;
     }
@@ -489,10 +477,14 @@ mod tests {
         for target in 0..35u128 {
             let want = ks.iter().position(|e| e.k >= target).unwrap_or(ks.len());
             for start in 0..=want {
-                assert_eq!(gallop_ge(&ks, start, target), want, "target {target}");
+                assert_eq!(
+                    gallop_ge(ks.len(), start, target, |i| ks[i].k),
+                    want,
+                    "target {target}"
+                );
             }
         }
-        assert_eq!(gallop_ge(&ks, 12, 0), 12);
+        assert_eq!(gallop_ge(ks.len(), 12, 0, |i| ks[i].k), 12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared query-preparation step for dictionary-encoded execution.
 //!
 //! Every encoded consumer — plan evaluation, the semi-join reducer, and
-//! `lapush-lineage`'s provenance joins — starts the same way: resolve each
+//! `lapush-lineage`'s provenance scans — starts the same way: resolve each
 //! atom's relation, encode it through the database's value codec, and
 //! translate the atom's constant terms to vids. This module is the single
 //! home of that step and of its one subtle soundness rule:
@@ -17,8 +17,8 @@
 //! This module uses only `lapush-query` and `lapush-storage` types, but it
 //! lives in the engine because scan preparation *is* execution machinery:
 //! the query crate stays a pure AST/analysis layer, and `lapush-lineage`
-//! (whose provenance join is an execution path too) depends on the engine
-//! to reach it.
+//! (whose provenance join is the engine's join) depends on the engine to
+//! reach it.
 
 use lapush_query::{Atom, Query, Term, Var};
 use lapush_storage::{Database, DbCodec, DeltaBatch, RelId, Relation, Vid};

@@ -760,7 +760,7 @@ impl<'a> KeyView<'a> {
     /// First position `>= start` whose packed key is `>= target`.
     #[inline]
     fn gallop_ge(&self, start: usize, target: u128) -> usize {
-        kernels::gallop_ge_by(self.rel.len(), start, target, |pos| self.packed(pos))
+        kernels::gallop_ge(self.rel.len(), start, target, |pos| self.packed(pos))
     }
 }
 

@@ -10,14 +10,15 @@
 //! The passes run on the database's dictionary-encoded columns and are
 //! merge-based, mirroring the engine's sort-merge operators: each pass
 //! sorts the reducing atom's distinct join keys once (vids packed into one
-//! `u128` for keys of up to four columns, [`RowKey`] order beyond) and
-//! tests membership by binary search — no hashing, no per-row allocation.
+//! `u128` for keys of up to four columns; beyond that, the reducing atom's
+//! row ids, ordered by their key columns compared in place) and tests
+//! membership by binary search — no hashing, no per-row allocation.
 //! The codec lock is held only while the query's relations are encoded up
 //! front; the passes themselves run lock-free on the shared encoded cells.
 
 use crate::prepare::{prepare_atoms_lenient, PreparedAtom, ScanShape};
 use lapush_query::{Atom, Query, Term, Var};
-use lapush_storage::{Database, RowKey, Vid};
+use lapush_storage::{Database, Vid};
 
 /// Reduce the database for the given query. Returns a new database holding,
 /// for every relation mentioned by the query, only the tuples that survive
@@ -212,19 +213,21 @@ fn semijoin_pass(
             keys_j.binary_search(&key).is_ok()
         });
     } else {
-        let mut keys_j: Vec<RowKey> = survivors[j]
-            .iter()
-            .map(|&r| {
-                let row = pj.row(r);
-                RowKey::from_fn(shared.len(), |s| row[shared[s].1])
-            })
-            .collect();
-        keys_j.sort_unstable();
-        keys_j.dedup();
+        // Wider keys: atom `j`'s survivor row ids sorted and deduplicated
+        // by their key columns, which every comparison reads in place.
+        let key_j = |r: u32| {
+            let row = pj.row(r);
+            shared.iter().map(move |&(_, c)| row[c])
+        };
+        let mut rows_j = survivors[j].clone();
+        rows_j.sort_unstable_by(|&a, &b| key_j(a).cmp(key_j(b)));
+        rows_j.dedup_by(|a, b| key_j(*a).eq(key_j(*b)));
         survivors[i].retain(|&r| {
             let row = pi.row(r);
-            let key = RowKey::from_fn(shared.len(), |s| row[shared[s].0]);
-            keys_j.binary_search(&key).is_ok()
+            let key_i = shared.iter().map(|&(c, _)| row[c]);
+            rows_j
+                .binary_search_by(|&rj| key_j(rj).cmp(key_i.clone()))
+                .is_ok()
         });
     }
     survivors[i].len() != before
@@ -234,9 +237,11 @@ fn semijoin_pass(
 mod tests {
     use super::*;
     use crate::exec::propagation_score_ids;
+    use crate::topk::propagation_score_topk;
     use lapush_core::minimal_plan_set;
     use lapush_query::{parse_query, QueryShape};
     use lapush_storage::tuple::tuple;
+    use lapush_storage::Value;
 
     fn chain_db() -> Database {
         let mut db = Database::new();
@@ -298,6 +303,70 @@ mod tests {
         let red = reduce_database(&db, &q);
         assert_eq!(red.relation_by_name("Z").unwrap().len(), 1);
         assert_eq!(red.relation_by_name("Z").unwrap().prob(0), 0.25);
+    }
+
+    /// `R` and `S` share five variables (`a`–`e`), one more than a packed
+    /// key holds; `R`'s row 1 and `S`'s row 3 dangle (each differs from
+    /// every partner in one of `e` or `d` alone).
+    fn wide_db() -> Database {
+        let mut db = Database::new();
+        let r = db.create_relation("R", 6).unwrap();
+        let s = db.create_relation("S", 6).unwrap();
+        let t = db.create_relation("T", 1).unwrap();
+        let rows = [
+            (r, [1, 1, 1, 1, 1, 7], 0.9),
+            (r, [1, 1, 1, 1, 2, 7], 0.9),
+            (r, [2, 1, 1, 1, 1, 8], 0.2),
+            (r, [1, 1, 1, 1, 1, 9], 0.1),
+            (s, [1, 1, 1, 1, 1, 3], 0.9),
+            (s, [1, 1, 1, 1, 1, 4], 0.8),
+            (s, [2, 1, 1, 1, 1, 3], 0.2),
+            (s, [1, 1, 1, 2, 1, 3], 0.9),
+        ];
+        for (rel, row, p) in rows {
+            db.relation_mut(rel).push(tuple(row), p).unwrap();
+        }
+        db.relation_mut(t).push(tuple([3]), 0.9).unwrap();
+        db.relation_mut(t).push(tuple([4]), 0.8).unwrap();
+        db
+    }
+
+    #[test]
+    fn wide_keys_drop_exactly_the_dangling_rows() {
+        let db = wide_db();
+        let q = parse_query("q(a, f) :- R(a, b, c, d, e, f), S(a, b, c, d, e, g)").unwrap();
+        let red = reduce_database(&db, &q);
+        let rows = |db: &Database, name: &str| -> Vec<Vec<Value>> {
+            let rel = db.relation_by_name(name).unwrap();
+            rel.iter().map(|(_, row, _)| row.to_vec()).collect()
+        };
+        let without = |name: &str, dangling: usize| {
+            let mut kept = rows(&db, name);
+            kept.remove(dangling);
+            kept
+        };
+        assert_eq!(rows(&red, "R"), without("R", 1));
+        assert_eq!(rows(&red, "S"), without("S", 3));
+
+        // The top-k driver reduces through the same pass once it prunes,
+        // which needs several plans: `T(g)` makes the query unsafe.
+        for text in [
+            "q(a, f) :- R(a, b, c, d, e, f), S(a, b, c, d, e, g)",
+            "q(a, f) :- R(a, b, c, d, e, f), S(a, b, c, d, e, g), T(g)",
+        ] {
+            let q = parse_query(text).unwrap();
+            let set = minimal_plan_set(&QueryShape::of_query(&q));
+            let opts = Default::default();
+            let full = propagation_score_ids(&db, &q, &set.store, &set.roots, opts).unwrap();
+            let top = propagation_score_topk(&db, &q, &set.store, &set.roots, 1, opts).unwrap();
+            let want = full.ranked_top(1);
+            assert_eq!(top.ranked.len(), want.len(), "{text}");
+            for ((gk, gs), (wk, ws)) in top.ranked.iter().zip(&want) {
+                assert_eq!(gk, wk, "{text}");
+                assert_eq!(gs.to_bits(), ws.to_bits(), "{text}");
+            }
+            assert_eq!(top.stats.pruned > 0, set.len() > 1, "{text}");
+        }
     }
 
     #[test]

@@ -1,22 +1,22 @@
-//! Lineage construction: the provenance-tracking deterministic join.
+//! Lineage construction: the query's flat join, with provenance.
 //!
-//! The joins here run on the database's dictionary-encoded columns — the
-//! same vid representation the engine executes plans on — and, like the
-//! engine's columnar operators, they are **sort-merge joins**: both sides
-//! are brought into join-key order (keys of up to four vids packed into
-//! one `u128`, wider keys ordered as [`RowKey`]s) and matching key blocks
-//! are enumerated by one linear merge. No hashing, no per-probe
-//! allocation; the emitted implicant sets are identical because
-//! [`crate::formula::Dnf`] canonicalizes implicant order. Answer keys are
-//! decoded to [`Value`]s once, when the per-answer DNFs are grouped. The
-//! codec lock is held only for the up-front encode and the final decode,
-//! never across the joins.
+//! Lineage is one engine join (paper Section 2: `F_{q,D} = ∨_θ θ(g₁) ∧ …
+//! ∧ θ(g_m)`). Each atom's surviving rows are scanned into an engine
+//! [`Rel`] that carries, besides the atom's variables, one extra column
+//! naming the row's formula variable; that column makes every scan row
+//! distinct, so [`rel::join_many_par`] — the evaluator's own sort-merge
+//! join — yields exactly one row per join path. A row's head columns are
+//! its answer, and its formula-variable columns are the implicant it
+//! contributes. The join's row order does not matter: [`Dnf::new`]
+//! canonicalizes implicant order. Answer keys are decoded to [`Value`]s
+//! once, when the per-answer DNFs are grouped. The codec lock is held only
+//! for the up-front encode and the final decode, never across the join.
 
 use crate::formula::Dnf;
-use lapush_engine::kernels::{self, Key};
-use lapush_engine::prepare::{PrepareError, PreparedAtom, ScanShape};
-use lapush_query::{Atom, Query, Var};
-use lapush_storage::{Database, FxHashMap, RowKey, TupleId, Value};
+use lapush_engine::prepare::{PrepareError, ScanShape};
+use lapush_engine::rel::{self, Par, Rel, Scratch};
+use lapush_query::{Query, Var};
+use lapush_storage::{Database, FxHashMap, TupleId, Value, Vid};
 use std::fmt;
 
 /// Lineage of one answer tuple.
@@ -82,13 +82,6 @@ impl fmt::Display for LineageError {
 
 impl std::error::Error for LineageError {}
 
-/// Intermediate provenance relation: encoded bindings plus contributing
-/// formula variables (not deduplicated — every join path is one implicant).
-struct ProvRel {
-    vars: Vec<Var>,
-    rows: Vec<(RowKey, Vec<u32>)>,
-}
-
 impl From<PrepareError> for LineageError {
     fn from(e: PrepareError) -> Self {
         match e {
@@ -100,74 +93,61 @@ impl From<PrepareError> for LineageError {
 
 /// Build the lineage of every answer of `q` on `db` (paper Section 2:
 /// `F_{q,D} = ∨_θ θ(g₁) ∧ … ∧ θ(g_m)`).
+///
+/// Formula variables are numbered in atom order, then storage-row order:
+/// one per scanned row, which is one per distinct [`TupleId`] because the
+/// query is self-join-free (no relation is scanned twice).
 pub fn build_lineage(db: &Database, q: &Query) -> Result<Lineage, LineageError> {
     let prepared = lapush_engine::prepare::prepare_atoms(db, q)?;
     let mut var_probs: Vec<f64> = Vec::new();
     let mut var_tuples: Vec<TupleId> = Vec::new();
-    let mut tuple_to_var: FxHashMap<TupleId, u32> = FxHashMap::default();
+    let mut scratch = Scratch::default();
+    // Atom `a`'s formula-variable column, named past the query's variables.
+    let fv_var = |a: usize| Var((q.num_vars() + a) as u32);
 
     // Scan every atom with provenance.
-    let mut scans: Vec<ProvRel> = Vec::with_capacity(q.atoms().len());
-    for (atom, prep) in q.atoms().iter().zip(&prepared) {
-        scans.push(scan_atom(
-            db,
-            prep,
-            q,
-            atom,
-            &mut var_probs,
-            &mut var_tuples,
-            &mut tuple_to_var,
-        ));
+    let mut scans: Vec<Rel> = Vec::with_capacity(q.atoms().len());
+    for (a, (atom, prep)) in q.atoms().iter().zip(&prepared).enumerate() {
+        let rel = db.relation(prep.rel);
+        let shape = ScanShape::of(q, atom);
+        let mut vars = shape.out_vars.clone();
+        vars.push(fv_var(a));
+        let mut scan = Rel::empty(vars);
+        let mut row_vids: Vec<Vid> = Vec::with_capacity(scan.arity());
+        prep.for_each_surviving_row(rel, &shape, |i, row| {
+            let fv = var_probs.len() as Vid;
+            var_probs.push(rel.prob(i));
+            var_tuples.push(TupleId::new(prep.rel, i));
+            row_vids.clear();
+            row_vids.extend(shape.out_cols.iter().map(|&c| row[c]));
+            row_vids.push(fv);
+            scan.push_row(&row_vids, 1.0);
+        });
+        scan.canonicalize(Par::serial(), &mut scratch);
+        scans.push(scan);
     }
 
-    // Greedy connected join order.
-    let mut acc = {
-        let start = scans
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| r.rows.len())
-            .map(|(i, _)| i)
-            .expect("query has atoms");
-        scans.swap_remove(start)
-    };
-    while !scans.is_empty() {
-        let next = scans
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.vars.iter().any(|v| acc.vars.contains(v)))
-            .min_by_key(|(_, r)| r.rows.len())
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let rel = scans.swap_remove(next);
-        acc = prov_join(&acc, &rel);
-    }
+    // One row per join path.
+    let inputs: Vec<&Rel> = scans.iter().collect();
+    let joined = rel::join_many_par(&inputs, Par::serial(), &mut scratch);
+    let column = |v: Var| joined.col(joined.col_of(v).expect("variable bound in body"));
+    let head: Vec<&[Vid]> = q.head().iter().map(|&v| column(v)).collect();
+    let fvs: Vec<&[Vid]> = (0..scans.len()).map(|a| column(fv_var(a))).collect();
 
     // Group by head variables, decoding answer keys to values here — the
     // lineage boundary, mirroring the engine's answer-set decode (codec
     // re-locked briefly; vids are stable, so the late lookup is sound).
-    let head_cols: Vec<usize> = q
-        .head()
-        .iter()
-        .map(|v| {
-            acc.vars
-                .iter()
-                .position(|u| u == v)
-                .expect("head var bound in body")
-        })
-        .collect();
-    let codec = db.codec();
-    let mut grouped: FxHashMap<Box<[Value]>, Vec<Vec<u32>>> = FxHashMap::default();
-    for (key, prov) in acc.rows {
-        let akey: Box<[Value]> = head_cols
-            .iter()
-            .map(|&c| codec.decode(key.get(c)).clone())
-            .collect();
-        grouped.entry(akey).or_default().push(prov);
+    let mut grouped: FxHashMap<Box<[Vid]>, Vec<Vec<u32>>> = FxHashMap::default();
+    for row in 0..joined.len() {
+        let key = head.iter().map(|c| c[row]).collect();
+        let implicant = fvs.iter().map(|c| c[row]).collect();
+        grouped.entry(key).or_default().push(implicant);
     }
+    let codec = db.codec();
     let mut answers: Vec<AnswerLineage> = grouped
         .into_iter()
         .map(|(key, imps)| AnswerLineage {
-            key,
+            key: key.iter().map(|&v| codec.decode(v).clone()).collect(),
             dnf: Dnf::new(imps),
         })
         .collect();
@@ -178,175 +158,6 @@ pub fn build_lineage(db: &Database, q: &Query) -> Result<Lineage, LineageError> 
         var_tuples,
         answers,
     })
-}
-
-fn scan_atom(
-    db: &Database,
-    prep: &PreparedAtom,
-    q: &Query,
-    atom: &Atom,
-    var_probs: &mut Vec<f64>,
-    var_tuples: &mut Vec<TupleId>,
-    tuple_to_var: &mut FxHashMap<TupleId, u32>,
-) -> ProvRel {
-    let rel = db.relation(prep.rel);
-    let shape = ScanShape::of(q, atom);
-    let mut rows = Vec::new();
-    prep.for_each_surviving_row(rel, &shape, |i, row| {
-        let tid = TupleId::new(prep.rel, i);
-        let fv = *tuple_to_var.entry(tid).or_insert_with(|| {
-            let v = var_probs.len() as u32;
-            var_probs.push(rel.prob(i));
-            var_tuples.push(tid);
-            v
-        });
-        let key = RowKey::from_fn(shape.out_cols.len(), |j| row[shape.out_cols[j]]);
-        rows.push((key, vec![fv]));
-    });
-    ProvRel {
-        vars: shape.out_vars,
-        rows,
-    }
-}
-
-/// Merge two key-sorted `(key, row)` sequences, invoking `emit` for every
-/// matching `(left row, right row)` pair — the block cross product of a
-/// sort-merge join (the wide-key fallback; packed keys take
-/// [`merge_matches_packed`]).
-fn merge_matches<K: Ord>(lkeys: &[(K, u32)], rkeys: &[(K, u32)], mut emit: impl FnMut(u32, u32)) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lkeys.len() && j < rkeys.len() {
-        match lkeys[i].0.cmp(&rkeys[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let mut i1 = i + 1;
-                while i1 < lkeys.len() && lkeys[i1].0 == lkeys[i].0 {
-                    i1 += 1;
-                }
-                let mut j1 = j + 1;
-                while j1 < rkeys.len() && rkeys[j1].0 == rkeys[j].0 {
-                    j1 += 1;
-                }
-                for &(_, lr) in &lkeys[i..i1] {
-                    for &(_, rr) in &rkeys[j..j1] {
-                        emit(lr, rr);
-                    }
-                }
-                i = i1;
-                j = j1;
-            }
-        }
-    }
-}
-
-/// [`merge_matches`] on packed [`Key`] buffers, through the engine's
-/// kernel layer: mismatching sides skip ahead by galloping
-/// ([`kernels::gallop_ge`]) and matching blocks are delimited by
-/// run detection ([`kernels::run_end`]). Emission order is
-/// identical to the linear merge — blocks are visited in key order and
-/// crossed left-major.
-fn merge_matches_packed(lkeys: &[Key], rkeys: &[Key], mut emit: impl FnMut(u32, u32)) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lkeys.len() && j < rkeys.len() {
-        match lkeys[i].k.cmp(&rkeys[j].k) {
-            std::cmp::Ordering::Less => i = kernels::gallop_ge(lkeys, i + 1, rkeys[j].k),
-            std::cmp::Ordering::Greater => j = kernels::gallop_ge(rkeys, j + 1, lkeys[i].k),
-            std::cmp::Ordering::Equal => {
-                let i1 = kernels::run_end(lkeys, i);
-                let j1 = kernels::run_end(rkeys, j);
-                for le in &lkeys[i..i1] {
-                    for re in &rkeys[j..j1] {
-                        emit(le.row, re.row);
-                    }
-                }
-                i = i1;
-                j = j1;
-            }
-        }
-    }
-}
-
-/// Pack a binding's join-key vids into one `u128` (≤ 4 columns; shared
-/// encoding: [`lapush_storage::pack_vids`]).
-fn pack_key(key: &RowKey, cols: &[usize]) -> u128 {
-    lapush_storage::pack_vids(cols.iter().map(|&c| key.get(c)))
-}
-
-fn prov_join(left: &ProvRel, right: &ProvRel) -> ProvRel {
-    let shared: Vec<(usize, usize)> = left
-        .vars
-        .iter()
-        .enumerate()
-        .filter_map(|(li, v)| right.vars.iter().position(|u| u == v).map(|ri| (li, ri)))
-        .collect();
-    let right_only: Vec<usize> = (0..right.vars.len())
-        .filter(|ri| !shared.iter().any(|&(_, r)| r == *ri))
-        .collect();
-
-    let mut out_vars = left.vars.clone();
-    out_vars.extend(right_only.iter().map(|&ri| right.vars[ri]));
-
-    let mut rows = Vec::new();
-    let mut emit = |lr: u32, rr: u32| {
-        let (lkey, lprov) = &left.rows[lr as usize];
-        let (rkey, rprov) = &right.rows[rr as usize];
-        let key: RowKey = lkey
-            .iter()
-            .chain(right_only.iter().map(|&c| rkey.get(c)))
-            .collect();
-        let mut prov = lprov.clone();
-        prov.extend_from_slice(rprov);
-        rows.push((key, prov));
-    };
-    let lcols: Vec<usize> = shared.iter().map(|&(c, _)| c).collect();
-    let rcols: Vec<usize> = shared.iter().map(|&(_, c)| c).collect();
-    if shared.len() <= 4 {
-        // Packed-integer keys ([`Key`], the engine's sort entry): one u128
-        // comparison per merge step, kernel-accelerated skip and run scan.
-        let mut lkeys: Vec<Key> = left
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, (k, _))| Key {
-                k: pack_key(k, &lcols),
-                row: i as u32,
-            })
-            .collect();
-        let mut rkeys: Vec<Key> = right
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, (k, _))| Key {
-                k: pack_key(k, &rcols),
-                row: i as u32,
-            })
-            .collect();
-        lkeys.sort_unstable();
-        rkeys.sort_unstable();
-        merge_matches_packed(&lkeys, &rkeys, &mut emit);
-    } else {
-        // Wide keys: lexicographic RowKey order (see lapush_storage).
-        let mut lkeys: Vec<(RowKey, u32)> = left
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, (k, _))| (RowKey::from_fn(lcols.len(), |s| k.get(lcols[s])), i as u32))
-            .collect();
-        let mut rkeys: Vec<(RowKey, u32)> = right
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, (k, _))| (RowKey::from_fn(rcols.len(), |s| k.get(rcols[s])), i as u32))
-            .collect();
-        lkeys.sort_unstable();
-        rkeys.sort_unstable();
-        merge_matches(&lkeys, &rkeys, &mut emit);
-    }
-    ProvRel {
-        vars: out_vars,
-        rows,
-    }
 }
 
 #[cfg(test)]
@@ -413,6 +224,12 @@ mod tests {
         let f = lin.boolean_dnf();
         assert_eq!(f.len(), 3);
         assert!((exact_prob(&f, &lin.var_probs) - 83.0 / 512.0).abs() < 1e-12);
+        // Formula variables in atom order, then storage-row order.
+        let rows = [(r, 2), (s, 2), (t, 3), (u, 2)];
+        let want: Vec<TupleId> = (rows.iter())
+            .flat_map(|&(rel, n)| (0..n).map(move |row| TupleId::new(rel, row)))
+            .collect();
+        assert_eq!(lin.var_tuples, want);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! distinct [`Value`] of a database is interned once into a dense `u32`
 //! [`Vid`] by the [`ValueInterner`] owned by the [`Database`], and base
 //! relations are cached in encoded row-major form (see [`Database::codec`]).
-//! All intermediate results downstream — hash joins, group-bys, semi-join
-//! membership — operate on [`RowKey`]s of `Vid`s, never on `Value`s, and
+//! All intermediate results downstream — sort-merge joins, group-bys,
+//! semi-join membership, lineage — operate on `Vid` columns (up to four
+//! packed into one `u128` key, [`pack_vids`]), never on `Value`s, and
 //! decode back to `Value`s exactly once at the answer-set boundary.
 //! Encoding is maintained lazily and incrementally: the first scan after a
 //! load interns the new tuples, later scans reuse the cache. One level up,
@@ -29,7 +30,7 @@
 //! re-sorting ([`view`], [`Database::base_view`]).
 //!
 //! The crate also ships a small, fast, non-cryptographic hasher
-//! ([`fxhash`]) used throughout the engine for hot joins on integer keys.
+//! ([`fxhash`]) for the engine's maps keyed by integers (plan ids, vids).
 
 #![deny(rustdoc::broken_intra_doc_links)]
 #![forbid(unsafe_code)]
@@ -51,7 +52,7 @@ pub use database::{Database, DbCodec, RelId};
 pub use delta::DeltaBatch;
 pub use error::StorageError;
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use intern::{pack_vids, RowKey, ValueInterner, Vid};
+pub use intern::{pack_vids, ValueInterner, Vid};
 pub use prob::clamp01;
 pub use relation::{Fd, Relation};
 pub use tuple::{Tuple, TupleId};

@@ -15,7 +15,8 @@
 //! oracle), `mc` (Monte Carlo, with `--samples`), `sql` (deterministic
 //! answers), `plans` (print plans only). An unknown method, or a flag the
 //! method does not read (`--top-k` outside `diss`, `--samples` and
-//! `--threads` outside `mc`), is refused before anything is loaded.
+//! `--threads` outside `mc`), is refused before anything is loaded. Every
+//! subcommand likewise refuses a flag it does not know.
 //!
 //! `--top-k N` (with `--method diss`) ranks only the `N` best answers
 //! through the engine's anytime top-k driver: after one bounds pass over
@@ -93,6 +94,20 @@ fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(name: &str) -> Result<
         .ok_or_else(|| format!("--{name} needs a positive integer"))
 }
 
+/// Refuse any `--flag` the command does not read: [`arg`] and [`flag`]
+/// only look names up, so an unlisted flag would be dropped silently.
+/// Called first, before anything is loaded, bound or connected.
+fn only_flags(allowed: &[&str]) -> Result<(), String> {
+    let unknown = (std::env::args().skip(1)).find(|a| {
+        a.strip_prefix("--")
+            .is_some_and(|name| !allowed.contains(&name))
+    });
+    match unknown {
+        Some(flag) => Err(format!("unknown flag {flag}")),
+        None => Ok(()),
+    }
+}
+
 /// Refuse `--name` unless `--method owner` runs, instead of dropping it.
 fn only_for_method(name: &str, owner: &str, method: &str) -> Result<(), String> {
     match flag(name) && method != owner {
@@ -135,6 +150,7 @@ fn main() {
 /// [--answer-cache N] [--no-probs]`: run the query service in the
 /// foreground until killed. See `docs/OPERATIONS.md`.
 fn run_serve() -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(&["data", "bind", "plan-cache", "answer-cache", "no-probs"])?;
     let mut config = ServerConfig {
         bind: arg("bind").unwrap_or_else(|| "127.0.0.1:7878".into()),
         ..ServerConfig::default()
@@ -170,6 +186,7 @@ fn run_serve() -> Result<(), Box<dyn std::error::Error>> {
 /// response (scripts assert on them); only transport failures exit
 /// non-zero.
 fn run_client() -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(&["addr", "retry"])?;
     let addr = arg("addr").ok_or("missing --addr HOST:PORT")?;
     let retries = positive("retry")?.unwrap_or(1);
     let mut client = Client::connect_retry(
@@ -196,6 +213,7 @@ fn run_client() -> Result<(), Box<dyn std::error::Error>> {
 /// the pipe is still open. Each server response is echoed to stdout; the
 /// first `ERR` aborts with a non-zero exit.
 fn run_ingest_cmd() -> Result<(), Box<dyn std::error::Error>> {
+    only_flags(&["addr", "relation", "batch", "stream", "retry"])?;
     let addr = arg("addr").ok_or("missing --addr HOST:PORT")?;
     let relation = arg("relation").ok_or("missing --relation NAME")?;
     let batch = positive("batch")?.unwrap_or(100);
@@ -301,6 +319,9 @@ fn run_bench() -> i32 {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     // Every flag is checked before anything is loaded or printed.
+    only_flags(&[
+        "data", "query", "method", "top-k", "samples", "threads", "no-probs",
+    ])?;
     let method = arg("method").unwrap_or_else(|| "diss".into());
     only_for_method("top-k", "diss", &method)?;
     only_for_method("samples", "mc", &method)?;

@@ -18,6 +18,7 @@ mod common;
 
 use common::oracle;
 use lapushdb::prelude::*;
+use lapushdb::storage::{relation_from_text, CsvOptions};
 use lapushdb::workload::{random_db_for_query, random_query};
 use lapushdb::{rank_by_dissociation, OptLevel, RankOptions};
 
@@ -68,6 +69,104 @@ fn safe_queries_are_computed_exactly() {
         }
     }
 }
+
+/// Lineage (`exact_answers`: lineage, then model counting) against the
+/// oracle's possible worlds on shapes `random_query` never draws. Each
+/// case is a query, its relations as CSV text (last column = p) and its
+/// number of answers.
+#[test]
+fn lineage_matches_possible_worlds_on_unusual_shapes() {
+    let cases: [(&str, Relations, usize); 9] = [
+        // An all-constant atom.
+        (
+            "q(y) :- R(1), S(x, y), T(x)",
+            &[
+                ("R", "1,0.6\n2,0.3"),
+                ("S", "1,5,0.5\n2,5,0.7\n2,6,0.4"),
+                ("T", "1,0.8\n2,0.9\n3,0.5"),
+            ],
+            2,
+        ),
+        // A repeated variable.
+        (
+            "q(y) :- S(x, x), T(x, y)",
+            &[
+                ("S", "1,1,0.5\n1,2,0.6\n2,2,0.7\n3,1,0.8"),
+                ("T", "1,5,0.5\n2,5,0.6\n2,6,0.7\n3,5,0.9"),
+            ],
+            2,
+        ),
+        // An order and a `like` predicate, per answer and Boolean.
+        (
+            "q(s) :- S(s), PS(s, p), P(p, n), s <= 2, n like '%red%'",
+            PARTS,
+            2,
+        ),
+        (
+            "q :- S(s), PS(s, p), P(p, n), s <= 2, n like '%red%'",
+            PARTS,
+            1,
+        ),
+        // A disconnected body: a cartesian product.
+        ("q(x, y) :- R(x), T(y)", DISCONNECTED, 4),
+        ("q :- R(x), T(y)", DISCONNECTED, 1),
+        // Two atoms sharing five variables: the engine's wide-key merge.
+        (
+            "q(a, f) :- R(a, b, c, d, e, f), S(a, b, c, d, e, g)",
+            WIDE,
+            3,
+        ),
+        ("q :- R(a, b, c, d, e, f), S(a, b, c, d, e, g)", WIDE, 1),
+        // An atom with no surviving row.
+        (
+            "q(x) :- R(x), S(x, y), y > 100",
+            &[("R", "1,0.6\n2,0.3"), ("S", "1,5,0.5\n2,6,0.4")],
+            0,
+        ),
+    ];
+    for (text, relations, answers) in cases {
+        let mut db = Database::new();
+        for (name, csv) in relations {
+            let rel = relation_from_text(name, csv, CsvOptions::default()).unwrap();
+            db.add_relation(rel).unwrap();
+        }
+        let q = parse_query(text).unwrap();
+        let worlds = oracle::exact(&db, &q);
+        let lineage = exact_answers(&db, &q).unwrap();
+        assert_eq!(worlds.len(), answers, "{text}");
+        assert_eq!(lineage.len(), answers, "{text}");
+        for (key, &p) in &worlds.rows {
+            let got = lineage.rows.get(key).copied();
+            assert!(
+                got.is_some_and(|l| (l - p).abs() <= 1e-9),
+                "{text} key {key:?}: lineage {got:?}, worlds {p}"
+            );
+        }
+    }
+}
+
+/// Relations by name, each as CSV text.
+type Relations = &'static [(&'static str, &'static str)];
+
+const PARTS: Relations = &[
+    ("S", "1,0.5\n2,0.6\n3,0.7"),
+    ("PS", "1,10,0.5\n1,11,0.6\n2,10,0.7\n3,11,0.8\n2,12,0.4"),
+    ("P", "10,darkred,0.5\n11,green,0.6\n12,redwine,0.7"),
+];
+
+const DISCONNECTED: Relations = &[("R", "1,0.6\n2,0.3"), ("T", "5,0.5\n6,0.7")];
+
+/// Answers `(1, 7)`, `(1, 9)` and `(2, 8)`; one dangling row per side.
+const WIDE: Relations = &[
+    (
+        "R",
+        "1,1,1,1,1,7,0.5\n1,1,1,1,2,7,0.6\n2,1,1,1,1,8,0.7\n1,1,1,1,1,9,0.4",
+    ),
+    (
+        "S",
+        "1,1,1,1,1,3,0.5\n1,1,1,1,1,4,0.8\n2,1,1,1,1,3,0.6\n1,1,1,2,1,3,0.9",
+    ),
+];
 
 #[test]
 fn optimization_levels_agree_on_random_instances() {

@@ -3,7 +3,8 @@
 //! with exit code 1.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 const QUERY: &str = "q(x) :- R(x, y), T(y)";
 
@@ -138,6 +139,58 @@ fn unknown_methods_and_foreign_flags_are_refused_before_loading() {
             "--threads only applies to --method mc",
         );
     }
+}
+
+/// Exit code 1 and `prefix: unknown flag --name` on stderr.
+fn assert_refuses_flag(out: &Output, prefix: &str, name: &str) {
+    assert_eq!(out.status.code(), Some(1), "{prefix} accepted --{name}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l == format!("{prefix}: unknown flag --{name}")),
+        "stderr was: {stderr}"
+    );
+}
+
+#[test]
+fn every_subcommand_refuses_a_flag_it_does_not_read() {
+    // A server that took the flag would listen until killed: wait for it
+    // with a deadline, then kill it, so that the test fails instead of
+    // hanging.
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_lapush"))
+        .args(["serve", "--bind", "127.0.0.1:0", "--threads", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run lapush serve");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while serve.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            serve.kill().unwrap();
+            serve.wait().unwrap();
+            panic!("lapush serve kept running with --threads");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let serve = serve.wait_with_output().unwrap();
+    assert_refuses_flag(&serve, "lapush serve", "threads");
+
+    let missing = data_dir("unknown-flags", &[]).join("missing");
+    let missing = missing.to_str().unwrap();
+    let one_shot = lapush(&["--bogus", "1", "--query", QUERY, "--data", missing]);
+    assert_refuses_flag(&one_shot, "lapush", "bogus");
+    assert!(one_shot.stdout.is_empty());
+    // Nothing listens on the address: a client that connected would fail
+    // on the connection instead of the flag.
+    let client = lapush(&["client", "--addr", "127.0.0.1:1", "--bogus", "1"]);
+    assert_refuses_flag(&client, "lapush client", "bogus");
+    let ingest = ["ingest", "--addr", "127.0.0.1:1", "--relation", "R"];
+    assert_refuses_flag(
+        &lapush(&[&ingest[..], &["--bogus", "1"]].concat()),
+        "lapush ingest",
+        "bogus",
+    );
 }
 
 #[test]

@@ -179,7 +179,7 @@ proptest! {
             for &t in &targets {
                 let want = (start..n).find(|&i| keys[i].k >= t).unwrap_or(n);
                 prop_assert_eq!(
-                    kernels::gallop_ge(&keys, start, t),
+                    kernels::gallop_ge(n, start, t, |i| keys[i].k),
                     want,
                     "start {} target {}",
                     start,
@@ -357,7 +357,7 @@ fn fold_or_takes_ascending_order_not_entry_order() {
 fn empty_and_single_row_edges() {
     let empty: &[Key] = &[];
     assert_eq!(kernels::run_end(empty, 0), 0);
-    assert_eq!(kernels::gallop_ge(empty, 0, 42), 0);
+    assert_eq!(kernels::gallop_ge(0, 0, 42, |i| empty[i].k), 0);
     assert_eq!(kernels::fold_or([]), 0.0);
     assert_eq!(kernels::fold_max(&[], empty), f64::NEG_INFINITY);
     let mut out = Vec::new();
@@ -368,8 +368,8 @@ fn empty_and_single_row_edges() {
 
     let one = [Key { k: 9, row: 0 }];
     assert_eq!(kernels::run_end(&one, 0), 1);
-    assert_eq!(kernels::gallop_ge(&one, 0, 9), 0);
-    assert_eq!(kernels::gallop_ge(&one, 0, 10), 1);
+    assert_eq!(kernels::gallop_ge(1, 0, 9, |i| one[i].k), 0);
+    assert_eq!(kernels::gallop_ge(1, 0, 10, |i| one[i].k), 1);
     assert_eq!(kernels::fold_or([0.25]), 0.25);
     assert_eq!(kernels::fold_max(&[0.25], &one), 0.25);
     kernels::gather_u32(&[7], &[0], &mut out);
